@@ -325,21 +325,39 @@ def validate_generator(model: GeneratorModel, grid: TimeGrid, samples: int = 8) 
     return report
 
 
+def stochastic_exponentials(generators: np.ndarray, dt: float) -> np.ndarray:
+    """exp(dt * Q) for every generator of a (count, m, m) stack, rows stochastic.
+
+    One stacked expm call; SciPy runs the same scaling-and-squaring algorithm
+    on each slice, so each result equals that of a single-matrix call bit for
+    bit.  Each matrix must be finite with row sums within MASS_ATOL of one;
+    negative entries down to -MASS_ATOL are roundoff and clipped to zero.
+    """
+    P = expm(dt * np.asarray(generators, dtype=float))
+
+    def fail(message: str, c) -> NumericalError:
+        where = f" in matrix {int(c)} of the stack" if P.shape[0] > 1 else ""
+        return NumericalError(message + where)
+
+    finite = np.isfinite(P).all(axis=(1, 2))
+    if not finite.all():
+        raise fail("non-finite transition matrix", np.argmin(finite))
+    lo = P.min(axis=(1, 2))
+    c = np.argmin(lo)
+    if lo[c] < -MASS_ATOL:
+        raise fail(f"transition entry {lo[c]:.3e} below tolerance", c)
+    if lo[c] < 0.0:
+        P[P < 0.0] = 0.0
+    drift = np.abs(P.sum(axis=2) - 1.0).max(axis=1)
+    c = np.argmax(drift)
+    if drift[c] > MASS_ATOL:
+        raise fail(f"transition row-sum drift {drift[c]:.3e}", c)
+    return P
+
+
 def transition_matrix(model: GeneratorModel, t: float, profile, dt: float) -> np.ndarray:
     """exp(dt * Q) for the generator frozen at (t, profile); rows stochastic."""
-    Q = model.rate_matrix(t, profile)
-    P = expm(dt * Q)
-    lo = P.min()
-    if not np.all(np.isfinite(P)):
-        raise NumericalError("non-finite transition matrix")
-    if lo < -MASS_ATOL:
-        raise NumericalError(f"transition entry {lo:.3e} below tolerance")
-    if lo < 0.0:
-        P = np.clip(P, 0.0, None)
-    drift = np.abs(P.sum(axis=1) - 1.0).max()
-    if drift > MASS_ATOL:
-        raise NumericalError(f"transition row-sum drift {drift:.3e}")
-    return P
+    return stochastic_exponentials(model.rate_matrix(t, profile)[None], dt)[0]
 
 
 def step_transition(model: GeneratorModel, strategy: StrategyTable, k: int) -> np.ndarray:
@@ -355,12 +373,17 @@ def step_transition(model: GeneratorModel, strategy: StrategyTable, k: int) -> n
 
 
 def transition_stack(model: GeneratorModel, strategy: StrategyTable) -> np.ndarray:
-    """All per-cell transition matrices, shape (steps, m, m)."""
+    """All per-cell transition matrices, shape (steps, m, m).
+
+    The strategy's admissibility is checked once, then every cell's
+    exponential comes from one stacked call; cell k equals
+    step_transition(model, strategy, k) bit for bit.
+    """
     grid = strategy.grid
-    out = np.empty((grid.steps, strategy.m, strategy.m))
-    for k in range(grid.steps):
-        out[k] = step_transition(model, strategy, k)
-    return out
+    strategy.check_admissible(model)
+    generators = np.array([model.rate_matrix(t, a)
+                           for t, a in zip(grid.nodes[:-1], strategy.actions)])
+    return stochastic_exponentials(generators, grid.dt)
 
 
 def propagate_flow(model: GeneratorModel, rho0, strategy: StrategyTable,
@@ -369,7 +392,8 @@ def propagate_flow(model: GeneratorModel, rho0, strategy: StrategyTable,
     """Forward propagation nu_{k+1} = nu_k exp(dt * Q_{t_k}^{pi_k}).
 
     `transitions` may carry a precomputed stack from transition_stack to
-    share the matrix exponentials across calls with the same strategy.
+    share the matrix exponentials across calls with the same strategy;
+    without it the stack is built here.
     """
     grid = grid or strategy.grid
     if grid != strategy.grid:
@@ -377,12 +401,13 @@ def propagate_flow(model: GeneratorModel, rho0, strategy: StrategyTable,
     w = _as_weights(rho0)
     if w.size != model.m:
         raise DimensionMismatch("initial law dimension differs from model")
+    if transitions is None:
+        transitions = transition_stack(model, strategy)
     values = np.empty((grid.steps + 1, model.m))
     values[0] = w
     nu = w
     for k in range(grid.steps):
-        P = transitions[k] if transitions is not None else step_transition(model, strategy, k)
-        nu = nu @ P
+        nu = nu @ transitions[k]
         if not np.all(np.isfinite(nu)):
             raise NumericalError(f"non-finite mass after step {k}")
         if nu.min() < -SIMPLEX_ATOL:

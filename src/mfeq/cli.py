@@ -20,7 +20,7 @@ from .errors import MfeqError, ModelFileError
 from .modelfile import build_model, model_hash, read_model_file
 from .simulate import SimConfig, deviation_test, simulate
 from .solver import Equilibrium, IterationDiagnostics, SolverOptions, estimate_constants, picard_solve
-from .verify import verify_local_optimality
+from .verify import check_sweep_options, verify_local_optimality
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -60,8 +60,33 @@ def _parse_rho(text: str | None, m: int) -> ProbabilityVector:
     return ProbabilityVector(parts)
 
 
+def _parse_spike(text: str | None, gen, grid: TimeGrid, rho) -> tuple[int, int, float]:
+    """Deviation-test spike (node, 0-based state, action), checked to fit."""
+    if text is None:
+        node = grid.steps // 2
+        state = int(np.argmax(rho))
+        return node, state, gen.action_interval(grid.nodes[node], state)[1]
+    try:
+        node_s, state_s, action_s = text.split(",")
+        node, state, action = int(node_s), int(state_s) - 1, float(action_s)
+    except ValueError:
+        raise ModelFileError("spike", f"expected node,state,action, got {text!r}") from None
+    if not 0 <= node < grid.steps:
+        raise ModelFileError("spike", f"node {node} outside 0..{grid.steps - 1}")
+    if not 0 <= state < gen.m:
+        raise ModelFileError("spike", f"state {state + 1} outside 1..{gen.m}")
+    t = grid.nodes[node]
+    if not gen.contains_action(t, state, action):
+        lo, hi = gen.action_interval(t, state)
+        raise ModelFileError("spike", f"action {action:.6g} outside [{lo:.6g}, {hi:.6g}] "
+                                      f"at node {node}, state {state + 1}")
+    return node, state, action
+
+
 def cmd_solve(args) -> int:
     try:
+        opts = SolverOptions(tolerance=args.tol, max_iterations=args.max_iter,
+                             relaxation=args.relax)
         model = read_model_file(args.model)
         grid = TimeGrid(model["horizon"], args.grid)
         gen, cost = build_model(model, grid)
@@ -70,8 +95,6 @@ def cmd_solve(args) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    opts = SolverOptions(tolerance=args.tol, max_iterations=args.max_iter,
-                         relaxation=args.relax)
     eq = picard_solve(gen, cost, rho, grid, opts)
     contraction = estimate_constants(gen, cost, grid, seed=0)
 
@@ -149,8 +172,9 @@ def _load_equilibrium(eq_dir: Path):
 
 def cmd_verify(args) -> int:
     try:
-        model, gen, cost, eq = _load_equilibrium(Path(args.eq))
         tol = None if args.tol_spike == "auto" else float(args.tol_spike)
+        check_sweep_options(args.action_samples, tol)
+        model, gen, cost, eq = _load_equilibrium(Path(args.eq))
     except (MfeqError, ValueError, OSError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -160,6 +184,7 @@ def cmd_verify(args) -> int:
                                      tol_spike=tol)
     out = Path(args.eq)
     nodes = eq.grid.nodes
+    worst = report.worst
     _write_csv(out / "spike_report.csv",
                ["t", "state", "action", "gap"],
                ([nodes[e.node], e.state + 1, e.action, e.gap]
@@ -173,6 +198,8 @@ def cmd_verify(args) -> int:
              "gap": e.gap}
             for e in report.violations
         ],
+        "worst": {"t": nodes[worst.node], "node": worst.node, "state": worst.state + 1,
+                  "action": worst.action, "gap": worst.gap},
     })
     print(report.summary())
     return EXIT_OK if report.ok else EXIT_VIOLATIONS
@@ -185,6 +212,7 @@ def cmd_simulate(args) -> int:
                         replications=args.reps)
         flow_csv = _read_csv(Path(args.eq) / "flow.csv")
         nu_star = FlowCurve(flow_csv[:, 1:], eq.grid)
+        spike = _parse_spike(args.spike, gen, eq.grid, eq.rho)
     except (MfeqError, ValueError, OSError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -199,14 +227,6 @@ def cmd_simulate(args) -> int:
     mean_emp /= cfg.replications
     frac_ok = float(np.mean([e <= args.err_bound for e in errors]))
 
-    if args.spike is not None:
-        parts = args.spike.split(",")
-        spike = (int(parts[0]), int(parts[1]) - 1, float(parts[2]))
-    else:
-        node = eq.grid.steps // 2
-        state = int(np.argmax(eq.rho))
-        lo, hi = gen.action_interval(eq.grid.nodes[node], state)
-        spike = (node, state, hi)
     dev = deviation_test(eq, gen, cost, k_player=0, spike=spike, cfg=cfg,
                          inner_pairs=args.inner_pairs)
 

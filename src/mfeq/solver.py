@@ -46,8 +46,8 @@ class SolverOptions:
     tau_stride: int = 1
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not (np.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
         if not (0.0 < self.relaxation <= 1.0):
             raise ValueError("relaxation must lie in (0, 1]")
         if self.max_iterations < 1:
@@ -105,7 +105,9 @@ class Equilibrium:
 
     flow is the exact forward propagation of rho under policy (no relaxation
     applied), so the fixed-point residual of a converged result is the final
-    reported gap.
+    reported gap.  values comes from the last backward sweep, which ran
+    against the previous iterate's flow, so its diagonal and flow agree only
+    to that final gap.
     """
 
     rho: np.ndarray

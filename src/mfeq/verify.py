@@ -10,8 +10,7 @@ independent of the backward sweep.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,27 +21,18 @@ from .chain import (
     StrategyTable,
     TimeGrid,
     propagate_flow,
+    stochastic_exponentials,
     transition_matrix,
     transition_stack,
     tv_distance,
     validate_generator,
 )
-from .errors import AdmissibilityError, DimensionMismatch
+from .errors import AdmissibilityError, DimensionMismatch, NumericalError
 from .hj import CostModel, evaluate_cost, scan_golden_min
 from .solver import Equilibrium
 
 
-def worker_count() -> int:
-    """Worker cap from MFE_THREADS (default: single-threaded)."""
-    raw = os.environ.get("MFE_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-@dataclass
+@dataclass(slots=True)
 class SpikeEntry:
     node: int
     state: int
@@ -62,6 +52,11 @@ class SpikeReport:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def worst(self) -> SpikeEntry | None:
+        """The entry with the minimum gap (the first one on ties)."""
+        return min(self.entries, key=lambda e: e.gap, default=None)
 
     def summary(self) -> str:
         status = "no violations" if self.ok else f"{len(self.violations)} violations"
@@ -116,72 +111,144 @@ def spike_gap(eq: Equilibrium, gen: GeneratorModel, cost: CostModel, k: int,
     return (v_spiked - v_base) / eps
 
 
-def _running_profile(cost: CostModel, tau: float, t: float, nu_k, actions) -> np.ndarray:
-    return cost.running_dist(tau, t, nu_k) + cost.control_profile_cost(t, actions)
+# floats in one stacked spike exponential (2 ** 21 floats are 16 MB)
+SPIKE_STACK_FLOATS = 1 << 21
 
 
-def _sweep_node(gen, cost, eq, transitions, k, action_samples):
-    """All spike gaps at node k (tail values recomputed from scratch)."""
-    grid = eq.grid
-    n = grid.steps
+def check_sweep_options(action_samples: int, tol_spike: float | None) -> None:
+    """Reject a sweep that samples fewer than two actions per interval, or a
+    tolerance that is not finite and positive (a NaN tolerance would let
+    every gap pass, since no comparison with NaN is true)."""
+    if action_samples < 2:
+        raise ValueError(f"action samples must be at least 2, got {action_samples}")
+    if tol_spike is not None and not (math.isfinite(tol_spike) and tol_spike > 0.0):
+        raise ValueError(f"spike tolerance must be finite and positive, got {tol_spike}")
+
+
+def _tail_values(cost: CostModel, nu: FlowCurve, actions: np.ndarray,
+                 transitions: np.ndarray) -> np.ndarray:
+    """Row k: the cost from node k+1 to the horizon under the policy,
+    evaluated from evaluation node k, shape (steps, m).
+
+    One backward sweep carries a row per evaluation node; at step s only
+    the rows a < s still collect cost.
+    """
+    grid = nu.grid
+    n, dt = grid.steps, grid.dt
+    taus = grid.nodes
+    tails = np.array(cost.terminal_many(taus[:n], nu.at(n)), dtype=float)
+    for s in range(n - 1, 0, -1):
+        running = cost.running_dist_many(taus[:s], taus[s], nu.at(s)) \
+            + cost.control_profile_cost(taus[s], actions[s])
+        tails[:s] = dt * running + tails[:s] @ transitions[s].T
+    return tails
+
+
+def _spikes(gen: GeneratorModel, grid: TimeGrid, nodes_range: range, action_samples: int):
+    """Every spike at the given nodes in report order: node-major, then
+    state, then ascending action.  Returns the node, state and action arrays
+    and the profile each spike applies, the action clipped into every
+    state's interval."""
     nodes = grid.nodes
-    dt = grid.dt
-    tau = nodes[k]
-    nu = eq.flow
-    # tail value under the equilibrium policy, evaluated from node k
-    w = cost.terminal(tau, nu.at(n)).astype(float)
-    for s in range(n - 1, k, -1):
-        f = _running_profile(cost, tau, nodes[s], nu.at(s), eq.policy.actions[s])
-        w = dt * f + transitions[s] @ w
-    base_f = _running_profile(cost, tau, nodes[k], nu.at(k), eq.policy.actions[k])
-    v_base = dt * base_f + transitions[k] @ w
-    run_k = cost.running_dist(tau, nodes[k], nu.at(k))
+    bounds = np.array([[gen.action_interval(nodes[k], j) for j in range(gen.m)]
+                       for k in nodes_range])
+    node, state, action = [], [], []
+    for b, k in enumerate(nodes_range):
+        for i in range(gen.m):
+            lo, hi = bounds[b, i]
+            actions = np.unique(np.concatenate([np.linspace(lo, hi, action_samples),
+                                                [lo, hi]]))
+            node += [k] * actions.size
+            state += [i] * actions.size
+            action.append(actions)
+    node = np.array(node)
+    action = np.concatenate(action)
+    local = node - nodes_range.start
+    profiles = np.minimum(np.maximum(action[:, None], bounds[local, :, 0]),
+                          bounds[local, :, 1])
+    return node, np.array(state), action, profiles
 
-    entries = []
-    for i in range(gen.m):
-        lo, hi = gen.action_interval(nodes[k], i)
-        actions = np.unique(np.concatenate([
-            np.linspace(lo, hi, max(action_samples, 2)), [lo, hi]]))
-        for u in actions:
-            profile = np.array([gen.clip_action(nodes[k], j, float(u))
-                                for j in range(gen.m)])
-            P = transition_matrix(gen, nodes[k], profile, dt)
-            v_spiked = dt * (run_k[i] + cost.control_cost(nodes[k], i, float(u))) \
-                + float(P[i] @ w)
-            gap = (v_spiked - float(v_base[i])) / dt
-            entries.append(SpikeEntry(node=k, state=i, action=float(u), gap=gap))
-    return entries
+
+def _spike_rows(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
+                node: np.ndarray, state: np.ndarray, profiles: np.ndarray):
+    """Per spike: the spiked state's row of the spike cell's transition, and
+    its control cost.
+
+    A profile depends on (node, action) alone, not on the tested state, so
+    each distinct (node, profile) is exponentiated once, all in one stacked
+    call.
+    """
+    cells, which = np.unique(np.column_stack([node, profiles]), axis=0,
+                             return_inverse=True)
+    which = which.reshape(-1)
+    nodes = grid.nodes
+    generators = np.empty((len(cells), gen.m, gen.m))
+    control = np.empty((len(cells), gen.m))
+    for c, (k, u) in enumerate(zip(cells[:, 0].astype(int), cells[:, 1:])):
+        generators[c] = gen.rate_matrix(nodes[k], u)
+        control[c] = cost.control_profile_cost(nodes[k], u)
+    spiked = stochastic_exponentials(generators, grid.dt)
+    return spiked[which, state], control[which, state]
 
 
 def verify_local_optimality(eq: Equilibrium, gen: GeneratorModel, cost: CostModel,
-                            action_samples: int = 16, tol_spike: float | None = None,
-                            threads: int | None = None) -> SpikeReport:
+                            action_samples: int = 16,
+                            tol_spike: float | None = None) -> SpikeReport:
     """Spike sweep over all grid nodes and states.
 
     Samples action_samples admissible actions per (node, state) (evenly
     spaced, endpoints included), spikes one grid cell each, and reports
     every normalized gap below -tol_spike.  The default tolerance 5 * dt
     reflects that a fixed grid approximates the vanishing-width limit to
-    first order.  Violations are findings, not errors.
+    first order.  Violations are findings, not errors; a gap that is not
+    finite raises NumericalError.
+
+    Each gap is spike_gap's quantity: the tails run under the stored policy
+    against eq.flow, from one backward sweep over all evaluation nodes, and
+    the spike cells' exponentials come from stacked calls, one per block of
+    nodes.
     """
+    check_sweep_options(action_samples, tol_spike)
     grid = eq.grid
     if tol_spike is None:
         tol_spike = 5.0 * grid.dt
+    n, dt = grid.steps, grid.dt
+    nodes = grid.nodes
+    policy = eq.policy.actions
     transitions = transition_stack(gen, eq.policy)
-    nodes = list(range(grid.steps))
-    workers = threads if threads is not None else worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_node = list(pool.map(
-                lambda k: _sweep_node(gen, cost, eq, transitions, k, action_samples),
-                nodes))
-    else:
-        per_node = [_sweep_node(gen, cost, eq, transitions, k, action_samples)
-                    for k in nodes]
-    entries = [e for chunk in per_node for e in chunk]
-    min_gap = min((e.gap for e in entries), default=0.0)
-    violations = [e for e in entries if e.gap < -tol_spike]
-    return SpikeReport(tol=tol_spike, min_gap=min_gap, entries=entries,
+    tails = _tail_values(cost, eq.flow, policy, transitions)
+
+    # cost of the policy from each node k on, evaluated from t_k; the first
+    # cell's distribution cost is shared with the spikes
+    running = np.array([cost.running_dist(nodes[k], nodes[k], eq.flow.at(k))
+                        for k in range(n)])
+    v_base = dt * (running + np.array([cost.control_profile_cost(nodes[k], policy[k])
+                                       for k in range(n)])) \
+        + np.einsum("kij,kj->ki", transitions, tails)
+
+    # spike exponentials are built a block of nodes at a time, which bounds
+    # the stack at about SPIKE_STACK_FLOATS floats (m^3 * samples per node)
+    per_node = gen.m ** 3 * action_samples
+    step = max(1, SPIKE_STACK_FLOATS // per_node)
+    parts = []
+    for k0 in range(0, n, step):
+        node, state, action, profiles = _spikes(gen, grid, range(k0, min(k0 + step, n)),
+                                                action_samples)
+        rows, control = _spike_rows(gen, cost, grid, node, state, profiles)
+        v_spiked = dt * (running[node, state] + control) \
+            + np.einsum("ej,ej->e", rows, tails[node])
+        parts.append((node, state, action, (v_spiked - v_base[node, state]) / dt))
+    node, state, action, gaps = (np.concatenate(p) for p in zip(*parts))
+    bad = np.flatnonzero(~np.isfinite(gaps))
+    if bad.size:
+        e = bad[0]
+        raise NumericalError(f"non-finite spike gap {gaps[e]} at node {node[e]}, "
+                             f"state {state[e]}, action {action[e]:.6g}")
+
+    entries = [SpikeEntry(node=k, state=i, action=u, gap=g) for k, i, u, g in
+               zip(node.tolist(), state.tolist(), action.tolist(), gaps.tolist())]
+    violations = [entries[e] for e in np.flatnonzero(gaps < -tol_spike)]
+    return SpikeReport(tol=tol_spike, min_gap=float(gaps.min()), entries=entries,
                        violations=violations)
 
 

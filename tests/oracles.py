@@ -1,0 +1,59 @@
+"""Scalar reference loops that the vectorized paths in mfeq replace.
+
+Each function is the loop the library used before it was vectorized; tests
+compare the library against it.
+"""
+
+import numpy as np
+
+from mfeq.chain import step_transition, transition_matrix
+from mfeq.verify import SpikeEntry
+
+
+def transition_loop(gen, strategy) -> np.ndarray:
+    """Per-cell transition matrices, one expm call per cell."""
+    return np.array([step_transition(gen, strategy, k)
+                     for k in range(strategy.grid.steps)])
+
+
+def sweep_node(gen, cost, eq, transitions, k, action_samples):
+    """All spike gaps at node k, the tail value recomputed from scratch."""
+    grid = eq.grid
+    n = grid.steps
+    nodes = grid.nodes
+    dt = grid.dt
+    tau = nodes[k]
+    nu = eq.flow
+
+    def running_profile(s):
+        return cost.running_dist(tau, nodes[s], nu.at(s)) \
+            + cost.control_profile_cost(nodes[s], eq.policy.actions[s])
+
+    # tail value under the equilibrium policy, evaluated from node k
+    w = cost.terminal(tau, nu.at(n)).astype(float)
+    for s in range(n - 1, k, -1):
+        w = dt * running_profile(s) + transitions[s] @ w
+    v_base = dt * running_profile(k) + transitions[k] @ w
+    run_k = cost.running_dist(tau, nodes[k], nu.at(k))
+
+    entries = []
+    for i in range(gen.m):
+        lo, hi = gen.action_interval(nodes[k], i)
+        actions = np.unique(np.concatenate([
+            np.linspace(lo, hi, action_samples), [lo, hi]]))
+        for u in actions:
+            profile = np.array([gen.clip_action(nodes[k], j, float(u))
+                                for j in range(gen.m)])
+            P = transition_matrix(gen, nodes[k], profile, dt)
+            v_spiked = dt * (run_k[i] + cost.control_cost(nodes[k], i, float(u))) \
+                + float(P[i] @ w)
+            gap = (v_spiked - float(v_base[i])) / dt
+            entries.append(SpikeEntry(node=k, state=i, action=float(u), gap=gap))
+    return entries
+
+
+def sweep(gen, cost, eq, action_samples):
+    """Every spike entry of the sweep, node by node."""
+    transitions = transition_loop(gen, eq.policy)
+    return [e for k in range(eq.grid.steps)
+            for e in sweep_node(gen, cost, eq, transitions, k, action_samples)]

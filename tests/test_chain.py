@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from mfeq import (
+    AdmissibilityError,
     AffineQuadraticModel,
     DimensionMismatch,
     FlowCurve,
@@ -24,6 +25,7 @@ from mfeq import (
 from mfeq.chain import GeneratorModel
 
 from instances import random_affine_generator, random_strategy, two_state_transition
+from oracles import transition_loop
 
 TOL = 1e-12
 
@@ -305,6 +307,27 @@ class TestPropagateFlow:
         a = propagate_flow(gen, rho, strat, grid)
         b = propagate_flow(gen, rho, strat, grid, transitions=stack)
         np.testing.assert_array_equal(a.values, b.values)
+
+
+class TestTransitionStack:
+    @pytest.mark.parametrize("m, time_varying", [(2, False), (3, True), (4, False)])
+    def test_stacked_expm_equals_per_cell_loop(self, m, time_varying):
+        rng = np.random.default_rng(m)
+        grid = TimeGrid(0.7, 300)
+        gen = random_affine_generator(rng, m, grid=grid, time_varying=time_varying)
+        strat = random_strategy(rng, gen, grid)
+        assert np.array_equal(transition_stack(gen, strat), transition_loop(gen, strat))
+
+    def test_inadmissible_cell_named(self):
+        grid = TimeGrid(1.0, 6)
+        # state 1 admits [-1, 1] but state 0 only [-0.5, 1]
+        gen = AffineQuadraticModel([[-0.2, 0.2], [1.0, -1.0]], [-0.4, 0.4])
+        actions = np.zeros((6, 2))
+        actions[4, 0] = -0.9
+        with pytest.raises(AdmissibilityError, match="node 4, state 0"):
+            transition_stack(gen, StrategyTable(actions, grid))
+        with pytest.raises(AdmissibilityError, match="node 4, state 0"):
+            propagate_flow(gen, [0.5, 0.5], StrategyTable(actions, grid))
 
 
 class TestFlowCurve:

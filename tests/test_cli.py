@@ -13,6 +13,13 @@ def run(*argv):
     return main(list(argv))
 
 
+def assert_input_error(capsys, code):
+    """Exit code 1 with a one-line message and no traceback."""
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+
+
 def read_bytes_map(directory: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())
             if p.is_file()}
@@ -78,6 +85,15 @@ class TestSolve:
         assert run("solve", "--model", "nope.json", "--grid", "10",
                    "--out", str(tmp_path / "x")) == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "nan"), ("--relax", "2"), ("--max-iter", "0"),
+    ])
+    def test_bad_solver_option_is_input_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x"
+        assert_input_error(capsys, run("solve", "--model", "affine_mv", "--grid", "20",
+                                       flag, value, "--out", str(out)))
+        assert not out.exists()
+
     def test_non_convergence_exit_code(self, tmp_path):
         out = tmp_path / "nc"
         code = run("solve", "--model", "affine_mv", "--grid", "20",
@@ -103,6 +119,13 @@ class TestVerify:
         assert report[0] == "t,state,action,gap"
         summary = json.loads((solved_dir / "spike_summary.json").read_text())
         assert summary["violations"] == []
+        grid = json.loads((solved_dir / "equilibrium.json").read_text())["grid"]
+        rows = np.loadtxt(solved_dir / "spike_report.csv", delimiter=",", skiprows=1)
+        worst = rows[np.argmin(rows[:, 3])]
+        assert summary["worst"] == {
+            "t": worst[0], "node": round(worst[0] * grid["steps"] / grid["horizon"]),
+            "state": int(worst[1]), "action": worst[2], "gap": worst[3]}
+        assert summary["worst"]["gap"] == summary["min_gap"]
 
     def test_round_trip_every_builtin(self, tmp_path):
         from mfeq.modelfile import builtin_names
@@ -112,6 +135,13 @@ class TestVerify:
                        "--out", str(out)) == 0, name
             assert run("verify", "--eq", str(out),
                        "--action-samples", "6") == 0, name
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol-spike", "nan"), ("--tol-spike", "inf"), ("--tol-spike", "0"),
+        ("--action-samples", "0"),
+    ])
+    def test_bad_sweep_option_is_input_error(self, solved_dir, capsys, flag, value):
+        assert_input_error(capsys, run("verify", "--eq", str(solved_dir), flag, value))
 
     def test_missing_directory(self, tmp_path):
         assert run("verify", "--eq", str(tmp_path / "missing")) == 1
@@ -157,6 +187,15 @@ class TestSimulate:
     def test_single_player_is_input_error(self, solved_dir):
         assert run("simulate", "--eq", str(solved_dir), "--players", "1",
                    "--seed", "1") == 1
+
+    @pytest.mark.parametrize("spike", ["abc", "5,9,0.1", "500,1,0.1", "5,1,7"])
+    def test_bad_spike_is_input_error(self, solved_dir, capsys, monkeypatch, spike):
+        def no_work(*args, **kwargs):
+            raise AssertionError("simulation started before the spike was checked")
+
+        monkeypatch.setattr("mfeq.cli.simulate", no_work)
+        assert_input_error(capsys, run("simulate", "--eq", str(solved_dir), "--players",
+                                       "20", "--seed", "1", "--spike", spike))
 
     def test_error_bound_exit_code(self, solved_dir, tmp_path):
         import shutil

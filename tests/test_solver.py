@@ -44,6 +44,12 @@ class TestSolverOptions:
         with pytest.raises(ValueError):
             SolverOptions(max_iterations=0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_rejects_non_finite_tolerance(self, tol):
+        # a NaN tolerance would never stop the loop, yet report a final gap
+        with pytest.raises(ValueError, match="finite"):
+            SolverOptions(tolerance=tol)
+
 
 class TestPicardSolve:
     def test_distribution_independent_converges_at_iteration_two(self):

@@ -17,11 +17,13 @@ from mfeq import (
     verify_local_optimality,
 )
 from mfeq.chain import FlowCurve
-from mfeq.errors import AdmissibilityError
+from mfeq.errors import AdmissibilityError, NumericalError
+from mfeq.hj import CostModel
 from mfeq.solver import Equilibrium
 
+import oracles
 from instances import random_flow
-from mfeq.modelfile import build_model, read_model_file
+from mfeq.modelfile import build_model, builtin_names, read_model_file
 
 
 def solve_builtin(name, steps):
@@ -135,12 +137,69 @@ class TestVerifyLocalOptimality:
             direct = spike_gap(eq, gen, cost, e.node, e.state, e.action)
             assert direct == pytest.approx(e.gap, abs=1e-9)
 
-    def test_threaded_sweep_deterministic(self, small_eq):
+    @pytest.mark.parametrize("corrupted", [False, True], ids=["clean", "corrupted"])
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_matches_scalar_sweep(self, name, corrupted):
+        gen, cost, eq = solve_builtin(name, 60)
+        if corrupted:
+            eq = corrupt_policy(eq, gen, k0=30, i0=0)
+        report = verify_local_optimality(eq, gen, cost, action_samples=16)
+        ref = oracles.sweep(gen, cost, eq, action_samples=16)
+        assert [(e.node, e.state, e.action) for e in report.entries] == \
+               [(e.node, e.state, e.action) for e in ref]
+        # compared as cost changes (gap * dt), which do not grow with the grid
+        dt = eq.grid.dt
+        assert max(abs(a.gap - b.gap) for a, b in zip(report.entries, ref)) * dt <= 1e-13
+        ref_violations = [(e.node, e.state, e.action) for e in ref
+                          if e.gap < -report.tol]
+        assert [(e.node, e.state, e.action) for e in report.violations] == ref_violations
+        assert report.min_gap == min(e.gap for e in report.entries)
+        assert report.worst.gap == report.min_gap
+        if corrupted and name != "zero_cost":
+            assert ref_violations
+
+    def test_node_blocks_change_nothing(self, small_eq, monkeypatch):
         gen, cost, eq = small_eq
-        seq = verify_local_optimality(eq, gen, cost, action_samples=6, threads=1)
-        par = verify_local_optimality(eq, gen, cost, action_samples=6, threads=4)
-        assert [(e.node, e.state, e.action, e.gap) for e in seq.entries] == \
-               [(e.node, e.state, e.action, e.gap) for e in par.entries]
+        whole = verify_local_optimality(eq, gen, cost, action_samples=6)
+        # a stack budget of 7 nodes splits the 50 nodes into 8 blocks
+        monkeypatch.setattr("mfeq.verify.SPIKE_STACK_FLOATS", 7 * gen.m ** 3 * 6)
+        blocked = verify_local_optimality(eq, gen, cost, action_samples=6)
+        assert [(e.node, e.state, e.action, e.gap) for e in blocked.entries] == \
+               [(e.node, e.state, e.action, e.gap) for e in whole.entries]
+
+    @pytest.mark.parametrize("kwargs", [
+        {"tol_spike": float("nan")}, {"tol_spike": float("inf")},
+        {"tol_spike": 0.0}, {"tol_spike": -1e-3},
+        {"action_samples": 0}, {"action_samples": 1},
+    ], ids=["tol-nan", "tol-inf", "tol-zero", "tol-negative", "samples-0", "samples-1"])
+    def test_rejects_bad_options(self, small_eq, kwargs):
+        gen, cost, eq = small_eq
+        with pytest.raises(ValueError):
+            verify_local_optimality(eq, gen, cost, **kwargs)
+
+    def test_nan_cost_raises_naming_the_spike(self, small_eq):
+        gen, cost, eq = small_eq
+        bad = NanDiagonalCost(cost, eq.grid.nodes[7])
+        with pytest.raises(NumericalError, match=r"node 7, state 0, action -?\d"):
+            verify_local_optimality(eq, gen, bad, action_samples=4)
+
+
+class NanDiagonalCost(CostModel):
+    """The wrapped cost, but NaN running cost at t = tau = t_bad."""
+
+    def __init__(self, base, t_bad):
+        self.base, self.t_bad = base, t_bad
+        self.m, self.K2, self.K3 = base.m, base.K2, base.K3
+
+    def running_dist(self, tau, t, rho):
+        out = self.base.running_dist(tau, t, rho)
+        return out * np.nan if tau == t == self.t_bad else out
+
+    def terminal(self, tau, rho):
+        return self.base.terminal(tau, rho)
+
+    def control_cost(self, t, i, v):
+        return self.base.control_cost(t, i, v)
 
 
 class TestDpOracle:
