@@ -111,10 +111,6 @@ def spike_gap(eq: Equilibrium, gen: GeneratorModel, cost: CostModel, k: int,
     return (v_spiked - v_base) / eps
 
 
-# floats in one stacked spike exponential (2 ** 21 floats are 16 MB)
-SPIKE_STACK_FLOATS = 1 << 21
-
-
 def check_sweep_options(action_samples: int, tol_spike: float | None) -> None:
     """Reject a sweep that samples fewer than two actions per interval, or a
     tolerance that is not finite and positive (a NaN tolerance would let
@@ -144,18 +140,18 @@ def _tail_values(cost: CostModel, nu: FlowCurve, actions: np.ndarray,
     return tails
 
 
-def _spikes(gen: GeneratorModel, grid: TimeGrid, nodes_range: range, action_samples: int):
-    """Every spike at the given nodes in report order: node-major, then
-    state, then ascending action.  Returns the node, state and action arrays
-    and the profile each spike applies, the action clipped into every
-    state's interval."""
+def _spikes(gen: GeneratorModel, grid: TimeGrid, action_samples: int):
+    """Every spike on the grid in report order: node-major, then state, then
+    ascending action.  Returns the node, state and action arrays and the
+    profile each spike applies, the action clipped into every state's
+    interval."""
     nodes = grid.nodes
     bounds = np.array([[gen.action_interval(nodes[k], j) for j in range(gen.m)]
-                       for k in nodes_range])
+                       for k in range(grid.steps)])
     node, state, action = [], [], []
-    for b, k in enumerate(nodes_range):
+    for k in range(grid.steps):
         for i in range(gen.m):
-            lo, hi = bounds[b, i]
+            lo, hi = bounds[k, i]
             actions = np.unique(np.concatenate([np.linspace(lo, hi, action_samples),
                                                 [lo, hi]]))
             node += [k] * actions.size
@@ -163,9 +159,8 @@ def _spikes(gen: GeneratorModel, grid: TimeGrid, nodes_range: range, action_samp
             action.append(actions)
     node = np.array(node)
     action = np.concatenate(action)
-    local = node - nodes_range.start
-    profiles = np.minimum(np.maximum(action[:, None], bounds[local, :, 0]),
-                          bounds[local, :, 1])
+    profiles = np.minimum(np.maximum(action[:, None], bounds[node, :, 0]),
+                          bounds[node, :, 1])
     return node, np.array(state), action, profiles
 
 
@@ -205,8 +200,7 @@ def verify_local_optimality(eq: Equilibrium, gen: GeneratorModel, cost: CostMode
 
     Each gap is spike_gap's quantity: the tails run under the stored policy
     against eq.flow, from one backward sweep over all evaluation nodes, and
-    the spike cells' exponentials come from stacked calls, one per block of
-    nodes.
+    the spike cells' exponentials come from one stacked call.
     """
     check_sweep_options(action_samples, tol_spike)
     grid = eq.grid
@@ -226,19 +220,11 @@ def verify_local_optimality(eq: Equilibrium, gen: GeneratorModel, cost: CostMode
                                        for k in range(n)])) \
         + np.einsum("kij,kj->ki", transitions, tails)
 
-    # spike exponentials are built a block of nodes at a time, which bounds
-    # the stack at about SPIKE_STACK_FLOATS floats (m^3 * samples per node)
-    per_node = gen.m ** 3 * action_samples
-    step = max(1, SPIKE_STACK_FLOATS // per_node)
-    parts = []
-    for k0 in range(0, n, step):
-        node, state, action, profiles = _spikes(gen, grid, range(k0, min(k0 + step, n)),
-                                                action_samples)
-        rows, control = _spike_rows(gen, cost, grid, node, state, profiles)
-        v_spiked = dt * (running[node, state] + control) \
-            + np.einsum("ej,ej->e", rows, tails[node])
-        parts.append((node, state, action, (v_spiked - v_base[node, state]) / dt))
-    node, state, action, gaps = (np.concatenate(p) for p in zip(*parts))
+    node, state, action, profiles = _spikes(gen, grid, action_samples)
+    rows, control = _spike_rows(gen, cost, grid, node, state, profiles)
+    v_spiked = dt * (running[node, state] + control) \
+        + np.einsum("ej,ej->e", rows, tails[node])
+    gaps = (v_spiked - v_base[node, state]) / dt
     bad = np.flatnonzero(~np.isfinite(gaps))
     if bad.size:
         e = bad[0]

@@ -158,15 +158,6 @@ class TestVerifyLocalOptimality:
         if corrupted and name != "zero_cost":
             assert ref_violations
 
-    def test_node_blocks_change_nothing(self, small_eq, monkeypatch):
-        gen, cost, eq = small_eq
-        whole = verify_local_optimality(eq, gen, cost, action_samples=6)
-        # a stack budget of 7 nodes splits the 50 nodes into 8 blocks
-        monkeypatch.setattr("mfeq.verify.SPIKE_STACK_FLOATS", 7 * gen.m ** 3 * 6)
-        blocked = verify_local_optimality(eq, gen, cost, action_samples=6)
-        assert [(e.node, e.state, e.action, e.gap) for e in blocked.entries] == \
-               [(e.node, e.state, e.action, e.gap) for e in whole.entries]
-
     @pytest.mark.parametrize("kwargs", [
         {"tol_spike": float("nan")}, {"tol_spike": float("inf")},
         {"tol_spike": 0.0}, {"tol_spike": -1e-3},
