@@ -24,9 +24,10 @@ from .errors import (
     NumericalError,
 )
 from .hj import (
+    BackwardSweep,
     CostModel,
-    ValueTable,
     apply_generator,
+    backward_columns,
     evaluate_cost,
     evaluate_population_cost,
     solve_hj,

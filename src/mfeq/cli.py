@@ -110,7 +110,7 @@ def cmd_solve(args) -> int:
                ["t"] + [f"pi_{i + 1}" for i in range(gen.m)],
                (np.concatenate([[nodes[k]], eq.policy.actions[k]])
                 for k in range(grid.steps)))
-    diag_vals = eq.values.diagonal()
+    diag_vals = eq.values.values
     _write_csv(out / "theta_diag.csv",
                ["t"] + [f"theta_{i + 1}" for i in range(gen.m)],
                (np.concatenate([[nodes[k]], diag_vals[k]])

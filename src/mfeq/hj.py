@@ -1,18 +1,19 @@
 """Backward solver for the two-index value system driven by a frozen flow.
 
-Given an a-priori flow curve nu, the solver runs one backward sweep that
-produces the value table Theta[a, k, i] (value at decision time t_k seen
-from evaluation time t_a) together with the policy derived from the table's
-diagonal.  The policy at node k minimizes the instantaneous control cost
-plus the generator applied to the latest available diagonal, which is the
-standard explicit discretization of the diagonal coupling and carries O(dt)
-error.
+Given an a-priori flow curve nu, the solver runs one backward sweep over the
+value table Theta[a, k, i] (value at decision time t_k seen from evaluation
+time t_a), one decision-time column at a time, and derives the policy from
+the table's diagonal.  The policy at node k minimizes the instantaneous
+control cost plus the generator applied to the latest available diagonal,
+which is the standard explicit discretization of the diagonal coupling and
+carries O(dt) error.
 """
 
 from __future__ import annotations
 
 import logging
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .chain import (
     StrategyTable,
     TimeGrid,
     transition_matrix,
+    transition_stack,
 )
 from .errors import DimensionMismatch, MfeqError
 
@@ -133,70 +135,17 @@ def apply_generator(gen: GeneratorModel, profile, t: float, h) -> np.ndarray:
     return out
 
 
-class ValueTable:
-    """Two-index value table on the grid, optionally tau-subsampled.
+def backward_columns(gen: GeneratorModel, cost: CostModel, nu: FlowCurve,
+                     grid: TimeGrid):
+    """Backward sweep of the value table, one decision-time column at a time.
 
-    values[a, k, i] holds the value at time node k seen from evaluation node
-    tau_indices[a].  With stride 1 every evaluation node is stored and the
-    diagonal is exact; with a larger stride the diagonal is linearly
-    interpolated between stored evaluation rows.
-    """
-
-    __slots__ = ("values", "tau_indices", "grid")
-
-    def __init__(self, values: np.ndarray, tau_indices: np.ndarray, grid: TimeGrid):
-        self.values = values
-        self.tau_indices = np.asarray(tau_indices, dtype=int)
-        self.grid = grid
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[2]
-
-    @property
-    def dense(self) -> bool:
-        return self.tau_indices.size == self.grid.steps + 1
-
-    def _row_weights(self, a: int):
-        """Stored-row index pair and interpolation weight for evaluation node a."""
-        idx = self.tau_indices
-        pos = int(np.searchsorted(idx, a))
-        if pos < idx.size and idx[pos] == a:
-            return pos, pos, 0.0
-        lo, hi = pos - 1, pos
-        w = (a - idx[lo]) / (idx[hi] - idx[lo])
-        return lo, hi, float(w)
-
-    def row(self, a: int, k: int) -> np.ndarray:
-        lo, hi, w = self._row_weights(a)
-        if w == 0.0:
-            return self.values[lo, k]
-        return (1.0 - w) * self.values[lo, k] + w * self.values[hi, k]
-
-    def value(self, a: int, k: int, i: int) -> float:
-        return float(self.row(a, k)[i])
-
-    def diagonal(self) -> np.ndarray:
-        """theta_k(i) = value at matching evaluation and decision node."""
-        n = self.grid.steps
-        out = np.empty((n + 1, self.m))
-        for k in range(n + 1):
-            out[k] = self.row(k, k)
-        return out
-
-
-def solve_hj(gen: GeneratorModel, cost: CostModel, nu: FlowCurve, grid: TimeGrid,
-             tau_stride: int = 1) -> tuple[ValueTable, StrategyTable]:
-    """Backward sweep producing the value table and its diagonal policy.
-
-    Terminal layer: values[a, N] = terminal cost at evaluation node a against
-    nu_N.  Then for k = N-1 .. 0: the policy at node k is the argmin profile
-    against theta_{k+1}, each evaluation row is pushed back through the
-    exponential one-step transition plus the rectangle-rule running cost, and
-    the new diagonal entry is read off.
-
-    tau_stride > 1 stores every tau_stride-th evaluation row (plus the last)
-    and interpolates the diagonal; memory drops from O(N^2 m) accordingly.
+    Yields (k, column, profile, P) for k = N .. 0, where column[a] is the
+    value at decision node k seen from evaluation node a, for every a.  The
+    first column is the terminal cost against nu_N (profile and P are None);
+    then for k = N-1 .. 0 the profile is the argmin against the diagonal
+    entry column[k+1], P = exp(dt * Q) on cell k, and the column is pushed
+    back through P plus the rectangle-rule running cost.  Only one column is
+    alive at a time, so memory is O(N m).
     """
     if nu.grid != grid:
         raise DimensionMismatch("flow curve grid differs from solve grid")
@@ -205,40 +154,71 @@ def solve_hj(gen: GeneratorModel, cost: CostModel, nu: FlowCurve, grid: TimeGrid
     n = grid.steps
     nodes = grid.nodes
     dt = grid.dt
-    tau_idx = np.arange(0, n + 1, tau_stride)
-    if tau_idx[-1] != n:
-        tau_idx = np.append(tau_idx, n)
-    taus = nodes[tau_idx]
-
-    values = np.empty((tau_idx.size, n + 1, gen.m))
-    values[:, n, :] = cost.terminal_many(taus, nu.at(n))
-    # the table wraps the buffer being filled: at step k only column k+1 is
-    # read, and that column was written in the previous step
-    table = ValueTable(values, tau_idx, grid)
-    actions = np.empty((n, gen.m))
-
+    column = cost.terminal_many(nodes, nu.at(n))
+    yield n, column, None, None
     for k in range(n - 1, -1, -1):
-        theta_next = table.row(k + 1, k + 1)
         try:
-            profile = np.asarray(cost.argmin_profile(gen, nodes[k], theta_next), float)
+            profile = np.asarray(cost.argmin_profile(gen, nodes[k], column[k + 1]), float)
         except Exception as exc:
             raise MfeqError(f"argmin oracle failed at node {k}: {exc}") from exc
-        actions[k] = profile
         P = transition_matrix(gen, nodes[k], profile, dt)
-        running = cost.running_dist_many(taus, nodes[k], nu.at(k))
+        running = cost.running_dist_many(nodes, nodes[k], nu.at(k))
         running = running + cost.control_profile_cost(nodes[k], profile)
-        values[:, k, :] = values[:, k + 1, :] @ P.T + dt * running
+        column = column @ P.T + dt * running
+        yield k, column, profile, P
+
+
+@dataclass(frozen=True)
+class BackwardSweep:
+    """What solve_hj keeps of one backward sweep.
+
+    values[k] is the diagonal theta_k = value at decision node k seen from
+    evaluation node k, shape (N+1, m).  low and high are the minimum and
+    maximum over the whole two-index table, every evaluation row included.
+    transitions[k] is the one-cell transition matrix of the returned policy.
+    """
+
+    values: np.ndarray
+    low: float
+    high: float
+    transitions: np.ndarray
+
+
+def solve_hj(gen: GeneratorModel, cost: CostModel, nu: FlowCurve,
+             grid: TimeGrid) -> tuple[BackwardSweep, StrategyTable]:
+    """Backward sweep producing the diagonal, the table's range and the policy.
+
+    Consumes backward_columns, keeping the diagonal, the policy, its
+    per-cell transitions and the running min and max of every column.  The
+    policy's admissibility is checked once, so its transitions can stand in
+    for transition_stack.  A table outside the declared bounds
+    [0, (K1 + K2) T + K2] is logged as a warning.
+    """
+    n = grid.steps
+    diagonal = np.empty((n + 1, gen.m))
+    actions = np.empty((n, gen.m))
+    transitions = np.empty((n, gen.m, gen.m))
+    low, high = np.inf, -np.inf
+    for k, column, profile, P in backward_columns(gen, cost, nu, grid):
+        diagonal[k] = column[k]
+        low = min(low, float(column.min()))
+        high = max(high, float(column.max()))
+        if k < n:
+            actions[k] = profile
+            transitions[k] = P
+    policy = StrategyTable(actions, grid)
+    policy.check_admissible(gen)
 
     bound = (gen.K1 + cost.K2) * grid.horizon + cost.K2
-    worst_hi = values.max() - bound
-    worst_lo = -values.min()
+    worst_hi = high - bound
+    worst_lo = -low
     if worst_hi > 1e-8 or worst_lo > 1e-8:
         logger.warning(
             "value table exceeds declared bounds: above by %.3e, below by %.3e "
             "(declared constants may be inconsistent)", max(worst_hi, 0.0),
             max(worst_lo, 0.0),
         )
-    return table, StrategyTable(actions, grid)
+    return BackwardSweep(diagonal, low, high, transitions), policy
 
 
 def evaluate_cost(gen: GeneratorModel, cost: CostModel, nu: FlowCurve,
@@ -258,6 +238,8 @@ def evaluate_cost(gen: GeneratorModel, cost: CostModel, nu: FlowCurve,
     nodes = grid.nodes
     dt = grid.dt
     tau = nodes[a]
+    if transitions is None:
+        transitions = transition_stack(gen, strategy)
     mu = np.zeros(gen.m)
     mu[i] = 1.0
     total = 0.0
@@ -265,9 +247,7 @@ def evaluate_cost(gen: GeneratorModel, cost: CostModel, nu: FlowCurve,
         f = cost.running_dist(tau, nodes[s], nu.at(s))
         f = f + cost.control_profile_cost(nodes[s], strategy.actions[s])
         total += dt * float(mu @ f)
-        P = transitions[s] if transitions is not None else transition_matrix(
-            gen, nodes[s], strategy.actions[s], dt)
-        mu = mu @ P
+        mu = mu @ transitions[s]
     total += float(mu @ cost.terminal(tau, nu.at(n)))
     return total
 
@@ -289,14 +269,14 @@ def evaluate_population_cost(gen: GeneratorModel, cost: CostModel, rho,
     mu = np.array(rho.weights if hasattr(rho, "weights") else rho, dtype=float)
     if mu.size != gen.m:
         raise DimensionMismatch("initial law dimension differs from model")
+    if transitions is None:
+        transitions = transition_stack(gen, strategy)
     total = 0.0
     for s in range(k, n):
         f = cost.running_dist(tau, nodes[s], mu)
         f = f + cost.control_profile_cost(nodes[s], strategy.actions[s])
         total += dt * float(mu @ f)
-        P = transitions[s] if transitions is not None else transition_matrix(
-            gen, nodes[s], strategy.actions[s], dt)
-        mu = mu @ P
+        mu = mu @ transitions[s]
     total += float(mu @ cost.terminal(tau, mu))
     return total
 

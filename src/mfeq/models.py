@@ -49,6 +49,15 @@ def affine_argmin(h, beta, interval) -> float:
     return min(max(-s, lo), hi)
 
 
+def _cell(t: float, dt: float | None, cells: int) -> int:
+    """Index of the per-cell coefficient table in force at time t."""
+    if cells == 1:
+        return 0
+    # calls occur at node times, so nearest-node indexing picks the cell
+    k = int(np.floor(t / dt + 0.5))
+    return min(max(k, 0), cells - 1)
+
+
 class AffineQuadraticModel(GeneratorModel):
     """Controlled rates q_t^v(i, j) = alpha_t(i, j) + beta_t(j) v on U = [-1, 1].
 
@@ -98,15 +107,8 @@ class AffineQuadraticModel(GeneratorModel):
         self.kappa1 = float(np.abs(betas).sum(axis=1).max())
         self.K1 = float((np.abs(alphas) + np.abs(betas)[:, None, :]).max())
 
-    def _cell(self, t: float) -> int:
-        if self._cells == 1:
-            return 0
-        # calls occur at node times, so nearest-node indexing picks the cell
-        k = int(np.floor(t / self._dt + 0.5))
-        return min(max(k, 0), self._cells - 1)
-
     def coefficients_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        c = self._cell(t)
+        c = _cell(t, self._dt, self._cells)
         return self._alphas[c], self._betas[c]
 
     def rates(self, t: float, i: int, v: float) -> np.ndarray:
@@ -153,17 +155,11 @@ class TabulatedGenerator(GeneratorModel):
         self.kappa1 = 0.0
         self.K1 = float(np.abs(Q).max())
 
-    def _cell(self, t: float) -> int:
-        if self._cells == 1:
-            return 0
-        k = int(np.floor(t / self._dt + 0.5))
-        return min(max(k, 0), self._cells - 1)
-
     def rates(self, t: float, i: int, v: float) -> np.ndarray:
-        return self._tables[self._cell(t)][i]
+        return self._tables[_cell(t, self._dt, self._cells)][i]
 
     def rate_matrix(self, t: float, profile) -> np.ndarray:
-        return self._tables[self._cell(t)]
+        return self._tables[_cell(t, self._dt, self._cells)]
 
     def action_interval(self, t: float, i: int) -> tuple[float, float]:
         return 0.0, 0.0
@@ -341,10 +337,8 @@ class SeparableCost(CostModel):
             for i in range(self.m):
                 out[i] = affine_argmin(hv, beta, admissible_interval(alpha[i], beta, i))
             return out
-        if self.control == "zero":
-            # flat control cost: generator term decides; ties go to the
-            # smallest action via the scan in the fallback
-            return super().argmin_profile(gen, t, h)
+        # with a flat (zero) control cost the generator term decides, and
+        # ties go to the smallest action via the fallback's scan
         return super().argmin_profile(gen, t, h)
 
 

@@ -26,7 +26,7 @@ from .chain import (
     validate_generator,
 )
 from .errors import DimensionMismatch
-from .hj import CostModel, ValueTable, solve_hj
+from .hj import BackwardSweep, CostModel, backward_columns, solve_hj
 
 logger = logging.getLogger(__name__)
 
@@ -43,7 +43,6 @@ class SolverOptions:
     tolerance: float = 1e-8
     max_iterations: int = 200
     relaxation: float = 1.0
-    tau_stride: int = 1
 
     def __post_init__(self):
         if not (np.isfinite(self.tolerance) and self.tolerance > 0.0):
@@ -101,19 +100,20 @@ class ContractionReport:
 
 @dataclass
 class Equilibrium:
-    """Solver output: self-consistent flow, policy and value table.
+    """Solver output: self-consistent flow, policy and value diagonal.
 
     flow is the exact forward propagation of rho under policy (no relaxation
     applied), so the fixed-point residual of a converged result is the final
-    reported gap.  values comes from the last backward sweep, which ran
-    against the previous iterate's flow, so its diagonal and flow agree only
-    to that final gap.
+    reported gap.  values is the last backward sweep: the diagonal
+    values.values, the range values.low .. values.high of the whole table
+    and the policy's transitions.  That sweep ran against the previous
+    iterate's flow, so its diagonal and flow agree only to the final gap.
     """
 
     rho: np.ndarray
     flow: FlowCurve
     policy: StrategyTable
-    values: ValueTable | None
+    values: BackwardSweep | None
     diagnostics: IterationDiagnostics
     grid: TimeGrid
 
@@ -151,8 +151,8 @@ def picard_solve(gen: GeneratorModel, cost: CostModel, rho, grid: TimeGrid,
     diag = IterationDiagnostics()
     values = policy = raw = None
     for n in range(1, opts.max_iterations + 1):
-        values, policy = solve_hj(gen, cost, nu, grid, tau_stride=opts.tau_stride)
-        raw = propagate_flow(gen, w, policy, grid)
+        values, policy = solve_hj(gen, cost, nu, grid)
+        raw = propagate_flow(gen, w, policy, grid, transitions=values.transitions)
         if opts.relaxation < 1.0:
             mixed = opts.relaxation * raw.values + (1.0 - opts.relaxation) * nu.values
             nu_next = FlowCurve(mixed, grid)
@@ -181,12 +181,26 @@ def _random_flow(rng: np.random.Generator, grid: TimeGrid, m: int) -> FlowCurve:
     return FlowCurve((1.0 - s) * anchors[0] + s * anchors[1], grid)
 
 
+def table_distance(gen: GeneratorModel, cost: CostModel, nu: FlowCurve,
+                   nu2: FlowCurve, grid: TimeGrid) -> float:
+    """Sup over the whole value table of |Theta(nu) - Theta(nu2)|.
+
+    Runs the two backward sweeps side by side, column by column, so no
+    table is ever stored; every evaluation row of every column counts.
+    """
+    worst = 0.0
+    for (_, c1, _, _), (_, c2, _, _) in zip(backward_columns(gen, cost, nu, grid),
+                                            backward_columns(gen, cost, nu2, grid)):
+        worst = max(worst, float(np.abs(c1 - c2).max()))
+    return worst
+
+
 def estimate_constants(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
                        samples: int = 6, seed: int = 0) -> ContractionReport:
     """Monte Carlo maximization of the three difference quotients.
 
     kappa1 from generator sampling, kappa2 from argmin profiles at perturbed
-    continuation values, kappa3 from backward solves at perturbed flows.
+    continuation values, kappa3 from paired backward sweeps at perturbed flows.
     Each is a sampled lower bound on the true constant.
     """
     rng = np.random.default_rng(seed)
@@ -217,12 +231,9 @@ def estimate_constants(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
         bump = rng.dirichlet(np.ones(gen.m))
         tilted = (1.0 - size) * nu.values + size * bump
         nu2 = FlowCurve(tilted, grid)
-        t1, _ = solve_hj(gen, cost, nu, grid)
-        t2, _ = solve_hj(gen, cost, nu2, grid)
         dist = nu.sup_distance(nu2)
         if dist > 0:
-            dtheta = float(np.abs(t1.values - t2.values).max())
-            kappa3 = max(kappa3, dtheta / dist)
+            kappa3 = max(kappa3, table_distance(gen, cost, nu, nu2, grid) / dist)
 
     report = ContractionReport(kappa1=kappa1, kappa2=kappa2, kappa3=kappa3,
                                horizon=grid.horizon)

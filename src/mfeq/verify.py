@@ -312,8 +312,8 @@ def check_bounds_and_lipschitz(eq: Equilibrium, gen: GeneratorModel, cost: CostM
     """
     grid = eq.grid
     bound = (gen.K1 + cost.K2) * grid.horizon + cost.K2
-    tmin = float(eq.values.values.min())
-    tmax = float(eq.values.values.max())
+    tmin = eq.values.low
+    tmax = eq.values.high
     bounds_ok = tmin >= -1e-9 and tmax <= bound + 1e-9
 
     rng = np.random.default_rng(seed)

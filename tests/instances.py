@@ -2,7 +2,13 @@
 
 import numpy as np
 
-from mfeq import AffineQuadraticModel, SeparableCost, StrategyTable, TimeGrid
+from mfeq import (
+    AffineQuadraticModel,
+    SeparableCost,
+    StrategyTable,
+    TimeGrid,
+    backward_columns,
+)
 
 
 def two_state_transition(a: float, b: float, t: float) -> np.ndarray:
@@ -111,3 +117,27 @@ def random_instance(rng, m=None, steps=None, horizon=None, **cost_kwargs):
                                   time_varying=bool(rng.random() < 0.25))
     cost = random_cost(rng, m, horizon, gen=gen, **cost_kwargs)
     return grid, gen, cost
+
+
+def value_table(gen, cost, nu, grid):
+    """The whole table Theta[a, k, i], stacked from mfeq's backward columns,
+    and the policy of the same sweep."""
+    n = grid.steps
+    table = np.empty((n + 1, n + 1, gen.m))
+    actions = np.empty((n, gen.m))
+    for k, column, profile, _ in backward_columns(gen, cost, nu, grid):
+        table[:, k] = column
+        if k < n:
+            actions[k] = profile
+    return table, StrategyTable(actions, grid)
+
+
+class OutsideArgmin(SeparableCost):
+    """Argmin oracle that returns 1.5, outside U = [-1, 1], at every nonzero
+    continuation value; the affine rates stay valid generators there."""
+
+    def argmin_profile(self, gen, t, h):
+        profile = super().argmin_profile(gen, t, h)
+        if np.any(np.asarray(h) != 0.0):
+            profile[0] = 1.5
+        return profile

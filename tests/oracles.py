@@ -6,7 +6,7 @@ compare the library against it.
 
 import numpy as np
 
-from mfeq.chain import step_transition, transition_matrix
+from mfeq.chain import StrategyTable, step_transition, transition_matrix
 from mfeq.verify import SpikeEntry
 
 
@@ -57,3 +57,34 @@ def sweep(gen, cost, eq, action_samples):
     transitions = transition_loop(gen, eq.policy)
     return [e for k in range(eq.grid.steps)
             for e in sweep_node(gen, cost, eq, transitions, k, action_samples)]
+
+
+def dense_solve_hj(gen, cost, nu, grid):
+    """The whole value table Theta[a, k, i] filled at once, shape (N+1, N+1, m).
+
+    Returns (table, policy, transitions); the diagonal is table[k, k].
+    """
+    n = grid.steps
+    nodes = grid.nodes
+    dt = grid.dt
+    values = np.empty((n + 1, n + 1, gen.m))
+    values[:, n, :] = cost.terminal_many(nodes, nu.at(n))
+    actions = np.empty((n, gen.m))
+    transitions = np.empty((n, gen.m, gen.m))
+    for k in range(n - 1, -1, -1):
+        profile = np.asarray(cost.argmin_profile(gen, nodes[k], values[k + 1, k + 1]),
+                             float)
+        actions[k] = profile
+        P = transition_matrix(gen, nodes[k], profile, dt)
+        transitions[k] = P
+        running = cost.running_dist_many(nodes, nodes[k], nu.at(k))
+        running = running + cost.control_profile_cost(nodes[k], profile)
+        values[:, k, :] = values[:, k + 1, :] @ P.T + dt * running
+    return values, StrategyTable(actions, grid), transitions
+
+
+def dense_table_distance(gen, cost, nu, nu2, grid):
+    """Sup of |Theta(nu) - Theta(nu2)| over two dense tables."""
+    t1, _, _ = dense_solve_hj(gen, cost, nu, grid)
+    t2, _, _ = dense_solve_hj(gen, cost, nu2, grid)
+    return float(np.abs(t1 - t2).max())

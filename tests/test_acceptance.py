@@ -38,6 +38,7 @@ from instances import (
     random_flow,
     random_instance,
     random_strategy,
+    value_table,
     two_state_transition,
 )
 
@@ -128,7 +129,7 @@ def random_hj_solutions():
     for _ in range(50):
         grid, gen, cost = random_instance(rng, steps=int(rng.integers(20, 61)))
         nu = random_flow(rng, grid, gen.m)
-        table, policy = solve_hj(gen, cost, nu, grid)
+        table, policy = value_table(gen, cost, nu, grid)
         solved.append((grid, gen, cost, nu, table, policy))
     return solved
 
@@ -146,7 +147,7 @@ def test_c03_representation_identity(random_hj_solutions):
         for a, k, i in triples:
             direct = evaluate_cost(gen, cost, nu, policy, a, k, i,
                                    transitions=stack)
-            worst = max(worst, abs(direct - table.value(a, k, i)))
+            worst = max(worst, abs(direct - table[a, k, i]))
     criterion(3, "value table equals trajectory cost on 50 random instances",
               worst <= 1e-9, f"worst |difference| {worst:.2e} (tolerance 1e-9)")
 
@@ -157,10 +158,10 @@ def test_c04_uniform_bound(random_hj_solutions):
     ok = True
     for grid, gen, cost, nu, table, policy in random_hj_solutions:
         bound = (gen.K1 + cost.K2) * grid.horizon + cost.K2
-        worst_lo = min(worst_lo, float(table.values.min()))
-        margin = float(table.values.max()) - bound
+        worst_lo = min(worst_lo, float(table.min()))
+        margin = float(table.max()) - bound
         worst_hi = max(worst_hi, margin)
-        ok = ok and table.values.min() >= -1e-12 and margin <= 1e-9
+        ok = ok and table.min() >= -1e-12 and margin <= 1e-9
     criterion(4, "uniform value bound 0 <= value <= (K1+K2)T + K2", ok,
               f"min value {worst_lo:.2e}, worst upper margin {worst_hi:.2e}")
 
@@ -172,9 +173,9 @@ def test_c05_time_consistent_reduction():
         grid = TimeGrid(model["horizon"], steps)
         gen, cost = build_model(model, grid)
         nu = FlowCurve.constant(np.ones(3) / 3, grid)
-        table, _ = solve_hj(gen, cost, nu, grid)
+        sweep, _ = solve_hj(gen, cost, nu, grid)
         W, _ = dp_oracle(gen, cost, nu, grid)
-        return float(np.abs(table.diagonal() - W).max())
+        return float(np.abs(sweep.values - W).max())
 
     coarse, fine = gap_at(400), gap_at(800)
     order = float(np.log2(coarse / fine))

@@ -1,5 +1,7 @@
 """Backward value solve: generator application, sweeps, cost evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,16 +13,20 @@ from mfeq import (
     TabulatedGenerator,
     TimeGrid,
     apply_generator,
+    backward_columns,
     evaluate_cost,
     evaluate_population_cost,
     solve_hj,
     validate_cost,
 )
 from mfeq.chain import FlowCurve, transition_stack
+from mfeq.errors import AdmissibilityError
 from mfeq.hj import scan_golden_min
+from mfeq.modelfile import build_model, builtin_names, read_model_file
 from mfeq.solver import myopic_strategy
 
-from instances import random_flow, random_instance
+import oracles
+from instances import OutsideArgmin, random_flow, random_instance, value_table
 
 
 def constant_flow(weights, grid):
@@ -76,8 +82,8 @@ class TestSolveHj:
         gen = AffineQuadraticModel([[-1.0, 1.0], [1.0, -1.0]], [0.3, -0.3])
         cost = SeparableCost(2, control="zero", terminal=("table", [0.0, 0.0]))
         nu = constant_flow([0.5, 0.5], grid)
-        table, policy = solve_hj(gen, cost, nu, grid)
-        assert np.all(table.values == 0.0)
+        sweep, policy = solve_hj(gen, cost, nu, grid)
+        assert sweep.low == sweep.high == 0.0
         np.testing.assert_array_equal(policy.actions,
                                       myopic_strategy(gen, cost, grid).actions)
 
@@ -85,10 +91,11 @@ class TestSolveHj:
         rng = np.random.default_rng(0)
         grid, gen, cost = random_instance(rng, m=3, steps=15)
         nu = random_flow(rng, grid, 3)
-        table, _ = solve_hj(gen, cost, nu, grid)
+        k, column, profile, P = next(backward_columns(gen, cost, nu, grid))
+        assert k == grid.steps and profile is None and P is None
         for a in range(grid.steps + 1):
             expected = cost.terminal(grid.nodes[a], nu.at(grid.steps))
-            np.testing.assert_array_equal(table.values[a, grid.steps], expected)
+            np.testing.assert_array_equal(column[a], expected)
 
     def test_control_free_matches_transition_propagated_terminal(self):
         # beta = 0: no control influence, so every evaluation row is the
@@ -99,20 +106,20 @@ class TestSolveHj:
         gen = AffineQuadraticModel(alpha, np.zeros(3))
         cost = SeparableCost(3, running=("zero",), terminal=("table", [0.4, 0.0, 0.9]))
         nu = random_flow(rng, grid, 3)
-        table, policy = solve_hj(gen, cost, nu, grid)
+        table, policy = value_table(gen, cost, nu, grid)
         stack = transition_stack(gen, policy)
         g = cost.terminal(0.0, nu.at(grid.steps))
         push = g.copy()
         for k in range(grid.steps - 1, -1, -1):
             push = stack[k] @ push
-            np.testing.assert_allclose(table.values[0, k], push, atol=1e-12)
+            np.testing.assert_allclose(table[0, k], push, atol=1e-12)
 
     def test_representation_identity(self):
         rng = np.random.default_rng(2)
         for _ in range(5):
             grid, gen, cost = random_instance(rng, steps=25)
             nu = random_flow(rng, grid, gen.m)
-            table, policy = solve_hj(gen, cost, nu, grid)
+            table, policy = value_table(gen, cost, nu, grid)
             stack = transition_stack(gen, policy)
             for _ in range(8):
                 a = int(rng.integers(0, grid.steps + 1))
@@ -120,15 +127,15 @@ class TestSolveHj:
                 i = int(rng.integers(0, gen.m))
                 direct = evaluate_cost(gen, cost, nu, policy, a, k, i,
                                        transitions=stack)
-                assert direct == pytest.approx(table.value(a, k, i), abs=1e-9)
+                assert direct == pytest.approx(table[a, k, i], abs=1e-9)
 
     def test_policy_admissible_and_stepwise_optimal(self):
         rng = np.random.default_rng(3)
         grid, gen, cost = random_instance(rng, m=3, steps=20)
         nu = random_flow(rng, grid, 3)
-        table, policy = solve_hj(gen, cost, nu, grid)
+        sweep, policy = solve_hj(gen, cost, nu, grid)
         policy.check_admissible(gen)
-        diag = table.diagonal()
+        diag = sweep.values
         for k in range(grid.steps):
             t = grid.nodes[k]
             theta_next = diag[k + 1]
@@ -146,10 +153,10 @@ class TestSolveHj:
         for _ in range(5):
             grid, gen, cost = random_instance(rng, steps=20)
             nu = random_flow(rng, grid, gen.m)
-            table, _ = solve_hj(gen, cost, nu, grid)
+            table, _ = value_table(gen, cost, nu, grid)
             bound = (gen.K1 + cost.K2) * grid.horizon + cost.K2
-            assert table.values.min() >= -1e-12
-            assert table.values.max() <= bound + 1e-9
+            assert table.min() >= -1e-12
+            assert table.max() <= bound + 1e-9
 
     def test_stability_in_flow_monotone(self):
         # nested flow perturbations produce nondecreasing value distances
@@ -160,12 +167,12 @@ class TestSolveHj:
                              terminal=("mean_variance", "g"), horizon=0.5, gen=gen)
         nu = random_flow(rng, grid, 2)
         bump = rng.dirichlet(np.ones(2))
-        base_table, _ = solve_hj(gen, cost, nu, grid)
+        base_table, _ = value_table(gen, cost, nu, grid)
         dists = []
         for size in (0.05, 0.2, 0.8):
             tilted = FlowCurve((1 - size) * nu.values + size * bump, grid)
-            t2, _ = solve_hj(gen, cost, tilted, grid)
-            dists.append(float(np.abs(base_table.values - t2.values).max()))
+            t2, _ = value_table(gen, cost, tilted, grid)
+            dists.append(float(np.abs(base_table - t2).max()))
         assert dists[0] <= dists[1] + 1e-12 <= dists[2] + 2e-12
 
     def test_bound_violation_logs_diagnostic_warning(self, caplog):
@@ -179,37 +186,54 @@ class TestSolveHj:
             solve_hj(gen, cost, nu, grid)
         assert any("declared" in rec.message for rec in caplog.records)
 
-    def test_tau_stride_small_error_for_nonlinear_weight(self):
-        # exponential weights are not affine in the evaluation time, so the
-        # strided diagonal carries an O((stride * dt)^2) interpolation error
-        rng = np.random.default_rng(12)
-        grid = TimeGrid(0.6, 24)
-        gen = AffineQuadraticModel([[-0.8, 0.8], [0.9, -0.9]], [0.4, -0.4])
-        cost = SeparableCost(2, running=("mean_square", 0.3),
-                             tau_weight={"kind": "exp", "rate": 2.0},
-                             terminal=("mean_variance", "g"), horizon=0.6, gen=gen)
-        nu = random_flow(rng, grid, 2)
-        dense, _ = solve_hj(gen, cost, nu, grid, tau_stride=1)
-        strided, _ = solve_hj(gen, cost, nu, grid, tau_stride=4)
-        gap = np.abs(strided.diagonal() - dense.diagonal()).max()
-        assert 0.0 < gap <= 1e-3
+    def test_inadmissible_argmin_rejected(self):
+        # the sweep checks the policy once, since its transitions stand in
+        # for transition_stack in the Picard loop
+        grid = TimeGrid(0.5, 10)
+        gen = AffineQuadraticModel([[-1.0, 1.0], [1.0, -1.0]], [0.3, -0.3])
+        cost = OutsideArgmin(2, terminal=("table", [0.0, 1.0]), horizon=0.5, gen=gen)
+        with pytest.raises(AdmissibilityError, match="1.5 at node 0, state 0"):
+            solve_hj(gen, cost, constant_flow([0.5, 0.5], grid), grid)
 
-    def test_tau_stride_interpolation_exact_for_affine_weight(self):
-        # an affine tau weight makes every value row affine in the evaluation
-        # time, so subsampled rows interpolate the diagonal exactly
-        rng = np.random.default_rng(6)
-        grid = TimeGrid(0.6, 24)
-        gen = AffineQuadraticModel([[-0.8, 0.8], [0.9, -0.9]], [0.4, -0.4])
-        cost = SeparableCost(2, running=("mean_square", 0.2),
-                             tau_weight={"kind": "affine", "intercept": 1.0,
-                                         "slope": 0.5},
-                             terminal=("mean_variance", "g"), horizon=0.6, gen=gen)
-        nu = random_flow(rng, grid, 2)
-        dense, dense_pol = solve_hj(gen, cost, nu, grid, tau_stride=1)
-        strided, strided_pol = solve_hj(gen, cost, nu, grid, tau_stride=4)
-        assert strided.values.shape[0] == 7
-        np.testing.assert_allclose(strided.diagonal(), dense.diagonal(), atol=1e-9)
-        np.testing.assert_allclose(strided_pol.actions, dense_pol.actions, atol=1e-9)
+
+def shipped_instances():
+    rng = np.random.default_rng(9)
+    for name in builtin_names():
+        model = read_model_file(name)
+        grid = TimeGrid(model["horizon"], 40)
+        gen, cost = build_model(model, grid)
+        yield name, grid, gen, cost, random_flow(rng, grid, gen.m)
+    for steps in (20, 37, 60):
+        grid, gen, cost = random_instance(rng, steps=steps)
+        yield f"random-{steps}", grid, gen, cost, random_flow(rng, grid, gen.m)
+
+
+class TestSweepMatchesDenseTable:
+    @pytest.mark.parametrize("case", list(shipped_instances()), ids=lambda c: c[0])
+    def test_same_numbers_bit_for_bit(self, case):
+        _, grid, gen, cost, nu = case
+        table, ref_policy, ref_transitions = oracles.dense_solve_hj(gen, cost, nu, grid)
+        sweep, policy = solve_hj(gen, cost, nu, grid)
+        n = grid.steps
+        assert np.array_equal(sweep.values, table[np.arange(n + 1), np.arange(n + 1)])
+        assert np.array_equal(policy.actions, ref_policy.actions)
+        assert np.array_equal(sweep.transitions, ref_transitions)
+        assert sweep.low == table.min() and sweep.high == table.max()
+        assert np.array_equal(value_table(gen, cost, nu, grid)[0], table)
+
+    def test_sweep_memory_is_linear_in_steps(self):
+        # one dense table of affine_mv at N=1000 takes 16 MB
+        model = read_model_file("affine_mv")
+        grid = TimeGrid(model["horizon"], 1000)
+        gen, cost = build_model(model, grid)
+        nu = FlowCurve.constant([0.5, 0.5], grid)
+        tracemalloc.start()
+        try:
+            solve_hj(gen, cost, nu, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestEvaluateCost:

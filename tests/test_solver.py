@@ -1,5 +1,7 @@
 """Fixed-point loop: convergence, diagnostics, constant estimation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,14 @@ from mfeq import (
     picard_solve,
     propagate_flow,
 )
+from mfeq import solver
+from mfeq.chain import FlowCurve
+from mfeq.errors import AdmissibilityError
 from mfeq.modelfile import build_model, read_model_file
 from mfeq.solver import myopic_strategy
 
-from instances import random_flow
+import oracles
+from instances import OutsideArgmin, random_flow
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +88,7 @@ class TestPicardSolve:
         np.testing.assert_array_equal(eq.policy.actions, expected.actions)
         ref = propagate_flow(gen, rho, expected, grid)
         np.testing.assert_array_equal(eq.flow.values, ref.values)
-        assert np.all(eq.values.values == 0.0)
+        assert eq.values.low == eq.values.high == 0.0
 
     def test_contractive_gap_ratios(self, affine_mv):
         grid, gen, cost = affine_mv
@@ -133,6 +139,16 @@ class TestPicardSolve:
         assert np.isfinite(eq.diagnostics.ratio)
         assert 0.0 <= eq.diagnostics.ratio < 1.0
 
+    def test_inadmissible_argmin_is_rejected(self):
+        # the forward propagation reuses the sweep's transitions, so the
+        # policy must still be checked once per iteration
+        grid = TimeGrid(0.5, 10)
+        gen = AffineQuadraticModel([[-1.0, 1.0], [1.0, -1.0]], [0.3, -0.3])
+        cost = OutsideArgmin(2, terminal=("table", [0.0, 1.0]), horizon=0.5, gen=gen)
+        with pytest.raises(AdmissibilityError):
+            picard_solve(gen, cost, ProbabilityVector.uniform(2), grid,
+                         initial_flow=FlowCurve.constant([0.5, 0.5], grid))
+
 
 class TestEstimateConstants:
     def test_control_free_model_trivially_contractive(self):
@@ -160,6 +176,27 @@ class TestEstimateConstants:
         # sign-pattern probing attains it when the stationary point is interior
         assert report.kappa2 <= gen.kappa1 + 1e-9
         assert report.kappa2 >= 0.95 * gen.kappa1
+
+    def test_kappa3_equals_dense_estimator(self, affine_mv, monkeypatch):
+        grid, gen, cost = affine_mv
+        columns = estimate_constants(gen, cost, grid, samples=3, seed=4)
+        monkeypatch.setattr(solver, "table_distance", oracles.dense_table_distance)
+        dense = estimate_constants(gen, cost, grid, samples=3, seed=4)
+        assert columns.kappa3 > 0.0
+        assert columns.kappa3 == dense.kappa3
+
+    def test_memory_is_linear_in_steps(self):
+        # one dense table of affine_mv at N=1000 takes 16 MB
+        model = read_model_file("affine_mv")
+        grid = TimeGrid(model["horizon"], 1000)
+        gen, cost = build_model(model, grid)
+        tracemalloc.start()
+        try:
+            estimate_constants(gen, cost, grid, samples=2, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_report_wording(self, affine_mv):
         grid, gen, cost = affine_mv

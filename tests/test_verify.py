@@ -74,8 +74,8 @@ class TestSpikeGap:
         # one-step objective against the next diagonal
         gen, cost, eq = small_eq
         grid = eq.grid
-        table, policy = solve_hj(gen, cost, eq.flow, grid)
-        diag = table.diagonal()
+        sweep, policy = solve_hj(gen, cost, eq.flow, grid)
+        diag = sweep.values
         k, i = 25, 1
         t = grid.nodes[k]
         star = policy.actions[k, i]
@@ -210,8 +210,8 @@ class TestDpOracle:
         cost = SeparableCost(3, running=("zero",), terminal=("table", [0.4, 0.0, 0.9]))
         nu = random_flow(rng, grid, 3)
         W, _ = dp_oracle(gen, cost, nu, grid)
-        table, _ = solve_hj(gen, cost, nu, grid)
-        np.testing.assert_allclose(W, table.diagonal(), atol=1e-10)
+        sweep, _ = solve_hj(gen, cost, nu, grid)
+        np.testing.assert_allclose(W, sweep.values, atol=1e-10)
 
     def test_time_consistent_first_order_agreement(self):
         model = read_model_file("time_consistent")
@@ -220,9 +220,9 @@ class TestDpOracle:
             grid = TimeGrid(model["horizon"], steps)
             gen, cost = build_model(model, grid)
             nu = FlowCurve.constant(np.ones(3) / 3, grid)
-            table, _ = solve_hj(gen, cost, nu, grid)
+            sweep, _ = solve_hj(gen, cost, nu, grid)
             W, _ = dp_oracle(gen, cost, nu, grid)
-            gaps[steps] = float(np.abs(table.diagonal() - W).max())
+            gaps[steps] = float(np.abs(sweep.values - W).max())
         assert gaps[100] <= 0.05
         order = np.log2(gaps[50] / gaps[100])
         assert order >= 0.8
