@@ -26,7 +26,6 @@ from .errors import (
 from .hj import (
     BackwardSweep,
     CostModel,
-    apply_generator,
     backward_columns,
     evaluate_cost,
     evaluate_population_cost,
@@ -35,7 +34,6 @@ from .hj import (
 )
 from .models import (
     AffineQuadraticModel,
-    MeanVarianceCost,
     SeparableCost,
     TabulatedGenerator,
     admissible_interval,

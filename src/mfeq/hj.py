@@ -121,20 +121,6 @@ class CostModel(ABC):
         return out
 
 
-def apply_generator(gen: GeneratorModel, profile, t: float, h) -> np.ndarray:
-    """i -> sum_j q_t^{u(i)}(i, j) h(j) for the action profile u."""
-    u = np.asarray(profile, dtype=float)
-    hv = np.asarray(h, dtype=float)
-    if hv.size != gen.m:
-        raise DimensionMismatch("state function length differs from model")
-    out = np.empty(gen.m)
-    for i in range(gen.m):
-        if not gen.contains_action(t, i, u[i]):
-            raise MfeqError(f"inadmissible action {u[i]:.6g} at state {i}")
-        out[i] = gen.rates(t, i, float(u[i])) @ hv
-    return out
-
-
 def backward_columns(gen: GeneratorModel, cost: CostModel, nu: FlowCurve,
                      grid: TimeGrid):
     """Backward sweep of the value table, one decision-time column at a time.

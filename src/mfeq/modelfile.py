@@ -18,7 +18,15 @@ import numpy as np
 from .chain import GeneratorModel, TimeGrid
 from .errors import ModelDefect, ModelFileError
 from .hj import CostModel
-from .models import AffineQuadraticModel, SeparableCost, TabulatedGenerator
+from .models import (
+    AFFINE_ATOL,
+    TABULATED_ATOL,
+    AffineQuadraticModel,
+    SeparableCost,
+    TabulatedGenerator,
+    check_rate_tables,
+    check_zero_sums,
+)
 
 SCHEMA_VERSION = 1
 
@@ -78,6 +86,14 @@ def _matrix(value, m: int, field: str, depth: int) -> np.ndarray:
                          f"got {arr.shape}")
 
 
+def _checked(field: str, check, *args) -> None:
+    """Run a model check, reporting its ModelDefect against the file field."""
+    try:
+        check(*args)
+    except ModelDefect as exc:
+        raise ModelFileError(field, str(exc)) from exc
+
+
 def validate_model(raw: dict) -> dict:
     """Schema and consistency validation; returns the normalized tree."""
     if not isinstance(raw, dict):
@@ -103,33 +119,13 @@ def validate_model(raw: dict) -> dict:
         b2 = beta if beta.ndim == 2 else beta[None]
         if a2.shape[0] != b2.shape[0]:
             raise ModelFileError("generator", "alpha and beta cell counts differ")
-        for c in range(a2.shape[0]):
-            off = a2[c].copy()
-            np.fill_diagonal(off, 0.0)
-            if off.min() < 0.0:
-                raise ModelFileError("generator.alpha",
-                                     f"negative off-diagonal in cell {c}")
-            bad = np.abs(a2[c].sum(axis=1)).argmax()
-            if abs(a2[c][bad].sum()) > 1e-12:
-                raise ModelFileError("generator.alpha",
-                                     f"row {bad} of cell {c} sums to "
-                                     f"{a2[c][bad].sum():.3e}, expected 0")
-            if abs(b2[c].sum()) > 1e-12:
-                raise ModelFileError("generator.beta",
-                                     f"cell {c} sums to {b2[c].sum():.3e}, expected 0")
+        _checked("generator.alpha", check_rate_tables, a2, "alpha", AFFINE_ATOL)
+        _checked("generator.beta", check_zero_sums, b2, "beta", AFFINE_ATOL)
     elif kind == "tabulated":
         rates = _matrix(_require(gen, "rates", (list,), "generator"),
                         m, "generator.rates", 2)
         r2 = rates if rates.ndim == 3 else rates[None]
-        for c in range(r2.shape[0]):
-            off = r2[c].copy()
-            np.fill_diagonal(off, 0.0)
-            if off.min() < 0.0:
-                raise ModelFileError("generator.rates",
-                                     f"negative off-diagonal in cell {c}")
-            if np.abs(r2[c].sum(axis=1)).max() > 1e-10:
-                raise ModelFileError("generator.rates",
-                                     f"rows of cell {c} do not sum to 0")
+        _checked("generator.rates", check_rate_tables, r2, "rate", TABULATED_ATOL)
     else:
         raise ModelFileError("generator.kind", f"unknown kind {kind!r}")
 

@@ -14,6 +14,9 @@ from .errors import ModelDefect
 from .hj import CostModel
 
 ACTION_LO, ACTION_HI = -1.0, 1.0
+# row-sum tolerances of the affine coefficients and of tabulated rates
+AFFINE_ATOL = 1e-12
+TABULATED_ATOL = 1e-10
 
 
 def admissible_interval(alpha_row, beta, i: int) -> tuple[float, float]:
@@ -47,6 +50,28 @@ def affine_argmin(h, beta, interval) -> float:
         raise ModelDefect("empty admissible interval")
     s = float(np.asarray(h, dtype=float) @ np.asarray(beta, dtype=float))
     return min(max(-s, lo), hi)
+
+
+def check_rate_tables(tables: np.ndarray, name: str, atol: float) -> None:
+    """Every (m, m) cell of a (cells, m, m) stack is a generator: finite,
+    nonnegative off-diagonals and rows summing to zero within atol."""
+    diagonal = np.eye(tables.shape[-1], dtype=bool)
+    for c, table in enumerate(tables):
+        if not np.isfinite(table).all():
+            raise ModelDefect(f"non-finite {name} in cell {c}")
+        if np.where(diagonal, 0.0, table).min() < 0.0:
+            raise ModelDefect(f"negative off-diagonal {name} in cell {c}")
+        if np.abs(table.sum(axis=1)).max() > atol:
+            raise ModelDefect(f"{name} rows do not sum to zero in cell {c}")
+
+
+def check_zero_sums(vectors: np.ndarray, name: str, atol: float) -> None:
+    """Every row of a (cells, m) table is finite and sums to zero within atol."""
+    for c, row in enumerate(vectors):
+        if not np.isfinite(row).all():
+            raise ModelDefect(f"non-finite {name} in cell {c}")
+        if abs(row.sum()) > atol:
+            raise ModelDefect(f"{name} does not sum to zero in cell {c}")
 
 
 def _cell(t: float, dt: float | None, cells: int) -> int:
@@ -87,16 +112,8 @@ class AffineQuadraticModel(GeneratorModel):
             if alphas.shape[0] != grid.steps:
                 raise ModelDefect(
                     f"{alphas.shape[0]} coefficient cells but grid has {grid.steps}")
-        for c in range(alphas.shape[0]):
-            a = alphas[c]
-            off = a.copy()
-            np.fill_diagonal(off, 0.0)
-            if off.min() < 0.0:
-                raise ModelDefect(f"negative off-diagonal base rate in cell {c}")
-            if np.abs(a.sum(axis=1)).max() > 1e-12:
-                raise ModelDefect(f"alpha rows do not sum to zero in cell {c}")
-            if abs(betas[c].sum()) > 1e-12:
-                raise ModelDefect(f"beta does not sum to zero in cell {c}")
+        check_rate_tables(alphas, "alpha", AFFINE_ATOL)
+        check_zero_sums(betas, "beta", AFFINE_ATOL)
         alphas.setflags(write=False)
         betas.setflags(write=False)
         self._alphas = alphas
@@ -140,13 +157,7 @@ class TabulatedGenerator(GeneratorModel):
         if Q.shape[0] > 1:
             if grid is None or Q.shape[0] != grid.steps:
                 raise ModelDefect("per-cell rate table does not match the grid")
-        for c in range(Q.shape[0]):
-            off = Q[c].copy()
-            np.fill_diagonal(off, 0.0)
-            if off.min() < 0.0:
-                raise ModelDefect(f"negative off-diagonal rate in cell {c}")
-            if np.abs(Q[c].sum(axis=1)).max() > 1e-10:
-                raise ModelDefect(f"rate rows do not sum to zero in cell {c}")
+        check_rate_tables(Q, "rate", TABULATED_ATOL)
         Q.setflags(write=False)
         self._tables = Q
         self._dt = grid.dt if grid is not None else None
@@ -341,15 +352,3 @@ class SeparableCost(CostModel):
         # ties go to the smallest action via the fallback's scan
         return super().argmin_profile(gen, t, h)
 
-
-class MeanVarianceCost(SeparableCost):
-    """Mean-variance terminal cost (variant g or gtilde) with quadratic
-    control cost and an optional tau-weighted running cost."""
-
-    def __init__(self, m: int, variant: str = "g", tau_weight: dict | None = None,
-                 running=("zero",), horizon: float = 1.0,
-                 gen: GeneratorModel | None = None, **kwargs):
-        super().__init__(m, running=running, control="quadratic",
-                         terminal=("mean_variance", variant),
-                         tau_weight=tau_weight, horizon=horizon, gen=gen, **kwargs)
-        self.variant = variant

@@ -3,12 +3,16 @@
 Players evolve as independent chains sharing a strategy; they interact only
 through the empirical measure inside the costs.  Within each grid cell the
 rates are frozen at the cell's start node (matching the solver's piecewise
-constant strategies) and the simulation is exact: competing exponential
-clocks, no Euler discretization of jump probabilities.
+constant strategies), so a player's state at node k+1 given its state x at
+node k has law row x of the cell's transition exp(dt * Q_k).  Paths are
+sampled node to node from the rows of transition_stack, which is exact at
+the grid nodes; nothing between the nodes is simulated, since the empirical
+measures and path costs read only node states.
 
-Randomness comes from counter-based Philox streams keyed per (seed,
-replication, player), so results are reproducible and independent of any
-scheduling or player-iteration order.
+Each draw inverts a cumulative row with one uniform per path per cell.  The
+uniforms come from one counter-based Philox stream per (seed, replication,
+stream kind), read in cell order, so results are reproducible and
+independent of any scheduling.
 """
 
 from __future__ import annotations
@@ -17,8 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import FlowCurve, GeneratorModel, StrategyTable, TimeGrid
-from .errors import DimensionMismatch, MfeqError
+from .chain import (
+    FlowCurve,
+    GeneratorModel,
+    StrategyTable,
+    TimeGrid,
+    step_transition,
+    transition_stack,
+)
+from .errors import DimensionMismatch
 from .hj import CostModel
 from .solver import Equilibrium
 from .verify import constant_spike_profile
@@ -28,9 +39,22 @@ _PEER_STREAM = 1
 _FOCAL_STREAM = 2
 
 
-def _player_rng(seed: int, replication: int, kind: int, index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=(int(seed), int(replication), kind, int(index)))
+def _stream(seed: int, replication: int, *key: int) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=(int(seed), int(replication), *map(int, key)))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _cumulative(probs: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, the last entry set to exactly 1.0,
+    so a uniform draw in [0, 1) cannot index past the last state."""
+    cum = np.cumsum(probs, axis=-1)
+    cum[..., -1] = 1.0
+    return cum
+
+
+def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """First index whose cumulative entry exceeds u, one row per uniform."""
+    return (cum <= u[..., None]).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -53,13 +77,12 @@ class SimConfig:
 
 
 class PathBundle:
-    """Grid-node state snapshots and jump logs for a population of players."""
+    """Grid-node state snapshots for a population of players."""
 
-    __slots__ = ("states", "events", "grid", "m")
+    __slots__ = ("states", "grid", "m")
 
-    def __init__(self, states: np.ndarray, events: list, grid: TimeGrid, m: int):
+    def __init__(self, states: np.ndarray, grid: TimeGrid, m: int):
         self.states = states
-        self.events = events
         self.grid = grid
         self.m = m
 
@@ -75,99 +98,33 @@ class PathBundle:
             out[k] = np.bincount(self.states[:, k], minlength=self.m)
         return out / self.players
 
-    def peer_empirical(self, k_player: int) -> np.ndarray:
-        """Leave-one-out empirical measure, shape (steps+1, m)."""
-        if self.players < 2:
-            raise MfeqError("leave-one-out measure needs at least 2 players")
-        n = self.grid.steps
-        out = np.empty((n + 1, self.m))
-        for k in range(n + 1):
-            counts = np.bincount(self.states[:, k], minlength=self.m).astype(float)
-            counts[self.states[k_player, k]] -= 1.0
-            out[k] = counts
-        return out / (self.players - 1)
 
-
-def _cell_tables(gen: GeneratorModel, strategy: StrategyTable):
-    """Per-cell exit rates and cumulative jump probabilities."""
-    grid = strategy.grid
-    m = gen.m
-    exit_rates = np.empty((grid.steps, m))
-    cum_probs = np.zeros((grid.steps, m, m))
-    for k in range(grid.steps):
-        Q = gen.rate_matrix(grid.nodes[k], strategy.actions[k])
-        for x in range(m):
-            r = -Q[x, x]
-            exit_rates[k, x] = r
-            if r > 0.0:
-                p = np.clip(Q[x], 0.0, None)
-                p[x] = 0.0
-                c = np.cumsum(p)
-                # dividing by the running total (not p.sum()) makes the top
-                # entry exactly 1.0, so a uniform draw cannot index past the
-                # last positive-probability destination
-                cum_probs[k, x] = c / c[-1]
-    return exit_rates, cum_probs
-
-
-def _simulate_player(rng, exit_rates, cum_probs, dt, x0, k_start, n_cells,
-                     events=None):
-    """Exact within-cell jump chain for one player; returns node snapshots."""
-    snapshots = np.empty(n_cells - k_start + 1, dtype=np.int64)
-    snapshots[0] = x0
-    x = x0
-    for k in range(k_start, n_cells):
-        remaining = dt
-        while True:
-            r = exit_rates[k, x]
-            if r <= 0.0:
-                break
-            wait = rng.exponential(1.0 / r)
-            if wait >= remaining:
-                break
-            remaining -= wait
-            dest = int(np.searchsorted(cum_probs[k, x], rng.random(), side="right"))
-            if events is not None:
-                events.append((k * dt + (dt - remaining), x, dest))
-            x = dest
-        snapshots[k - k_start + 1] = x
-    return snapshots
-
-
-def _simulate_population(gen: GeneratorModel, strategy: StrategyTable, rho0,
-                         grid: TimeGrid, players: int, seed: int,
-                         replication: int, keep_events: bool = True) -> PathBundle:
-    if grid != strategy.grid:
-        raise DimensionMismatch("strategy grid differs from simulation grid")
+def _population(cum: np.ndarray, rho0, grid: TimeGrid, players: int, seed: int,
+                replication: int) -> PathBundle:
+    """Node-to-node paths of `players` chains from the cumulative rows `cum`
+    of a (steps, m, m) transition stack, initial states i.i.d. from rho0."""
     w = np.asarray(rho0.weights if hasattr(rho0, "weights") else rho0, dtype=float)
-    if w.size != gen.m:
+    if w.size != cum.shape[-1]:
         raise DimensionMismatch("initial law dimension differs from model")
-    cum_rho = np.cumsum(w / w.sum())
-    exit_rates, cum_probs = _cell_tables(gen, strategy)
-    n = grid.steps
-    states = np.empty((players, n + 1), dtype=np.int64)
-    events: list = []
-    for p in range(players):
-        rng = _player_rng(seed, replication, _PEER_STREAM, p)
-        x0 = int(np.searchsorted(cum_rho, rng.random(), side="right"))
-        log: list | None = [] if keep_events else None
-        states[p] = _simulate_player(rng, exit_rates, cum_probs, grid.dt, x0, 0, n,
-                                     events=log)
-        if keep_events:
-            events.append(log)
-    return PathBundle(states, events, grid, gen.m)
+    rng = _stream(seed, replication, _PEER_STREAM)
+    states = np.empty((players, grid.steps + 1), dtype=np.int64)
+    states[:, 0] = _inverse_cdf(_cumulative(w / w.sum()), rng.random(players))
+    for k in range(grid.steps):
+        states[:, k + 1] = _inverse_cdf(cum[k, states[:, k]], rng.random(players))
+    return PathBundle(states, grid, w.size)
 
 
 def simulate(gen: GeneratorModel, strategy: StrategyTable, rho0, grid: TimeGrid,
              cfg: SimConfig, replication: int = 0) -> PathBundle:
     """Simulate cfg.players independent chains under a shared strategy.
 
-    Initial states are drawn i.i.d. from rho0; each player consumes its own
-    Philox substream, so the bundle is a pure function of (cfg.seed,
-    replication, player index).
+    Initial states are drawn i.i.d. from rho0; the bundle is a pure function
+    of (cfg.seed, replication, cfg.players).
     """
-    return _simulate_population(gen, strategy, rho0, grid, cfg.players, cfg.seed,
-                                replication)
+    if grid != strategy.grid:
+        raise DimensionMismatch("strategy grid differs from simulation grid")
+    cum = _cumulative(transition_stack(gen, strategy))
+    return _population(cum, rho0, grid, cfg.players, cfg.seed, replication)
 
 
 def empirical_flow_error(bundle: PathBundle, nu_star: FlowCurve) -> float:
@@ -194,71 +151,57 @@ class DeviationEstimate:
         return self.ci_low <= value <= self.ci_high
 
 
-def _path_cost(cost: CostModel, grid: TimeGrid, strategy: StrategyTable,
-               snapshots: np.ndarray, k_start: int, tau: float,
-               peer: np.ndarray) -> float:
-    """Rectangle-rule cost of one sampled path against the peer measure."""
-    dt = grid.dt
-    nodes = grid.nodes
-    total = 0.0
-    for s in range(k_start, grid.steps):
-        x = int(snapshots[s - k_start])
-        f = cost.running_dist(tau, nodes[s], peer[s])
-        total += dt * (float(f[x]) + cost.control_cost(
-            nodes[s], x, float(strategy.actions[s, x])))
-    x_end = int(snapshots[-1])
-    total += float(cost.terminal(tau, peer[grid.steps])[x_end])
-    return total
-
-
 def deviation_test(eq: Equilibrium, gen: GeneratorModel, cost: CostModel,
                    k_player: int, spike: tuple[int, int, float], cfg: SimConfig,
-                   inner_pairs: int = 200, eps_nodes: int = 1) -> DeviationEstimate:
-    """Estimate the normalized spike gap for one player by Monte Carlo.
+                   inner_pairs: int = 200) -> DeviationEstimate:
+    """Estimate the normalized one-cell spike gap for one player by Monte Carlo.
 
     spike = (node, state, action): all other players run the equilibrium
     policy from time 0; the focal player's chain is started at the spiked
     node in the given state and costed against the peers' leave-one-out
-    empirical measure.  Base and spiked runs share random streams (common
-    random numbers), and the confidence interval is taken over replication
-    means, so peer-sampling variation is part of the interval.  For large
-    populations the estimate approaches the deterministic spike gap.
+    empirical measure.  Each base path and its spiked partner use the same
+    uniform in every cell (common random numbers), and the confidence
+    interval is taken over replication means, so peer-sampling variation is
+    part of the interval.  For large populations the estimate approaches the
+    deterministic spike gap.
     """
     k0, state0, action = spike
     grid = eq.grid
     n = grid.steps
-    if k0 + eps_nodes > n:
+    if k0 >= n:
         raise ValueError("spike must fit between the node and the horizon")
-    t0 = grid.nodes[k0]
-    profile = constant_spike_profile(gen, t0, action, state0)
-    spiked = eq.policy.actions.copy()
-    for s in range(k0, k0 + eps_nodes):
-        spiked[s] = profile
-    spiked_strategy = StrategyTable(spiked, grid)
-    eps = eps_nodes * grid.dt
+    nodes = grid.nodes
+    t0 = nodes[k0]
+    spiked = eq.policy.with_cell(k0, constant_spike_profile(gen, t0, action, state0))
+    dt = grid.dt
 
-    base_tables = _cell_tables(gen, eq.policy)
-    spike_tables = _cell_tables(gen, spiked_strategy)
-    rep_means = []
+    base = transition_stack(gen, eq.policy)
+    spike_cells = base.copy()
+    spike_cells[k0] = step_transition(gen, spiked, k0)
+    # index 0 is the base strategy, index 1 the spiked one
+    cum = _cumulative(np.stack([base, spike_cells]))
+    control = dt * np.stack([
+        [cost.control_profile_cost(nodes[s], strategy.actions[s]) for s in range(k0, n)]
+        for strategy in (eq.policy, spiked)])
+    side = np.arange(2)[:, None]
+
+    rep_means = np.empty(cfg.replications)
     for rep in range(cfg.replications):
-        # the focal player is simulated separately, so the peer bundle's full
+        # the focal player is simulated separately, so the peers' full
         # empirical measure is exactly the leave-one-out measure
-        peers = _simulate_population(gen, eq.policy, eq.rho, grid,
-                                     cfg.players - 1, cfg.seed, rep,
-                                     keep_events=False)
-        peer = peers.empirical_flow()
-        diffs = np.empty(inner_pairs)
-        for j in range(inner_pairs):
-            rng = _player_rng(cfg.seed, rep, _FOCAL_STREAM, k_player * 1_000_003 + j)
-            state = rng.bit_generator.state
-            snap_base = _simulate_player(rng, *base_tables, grid.dt, state0, k0, n)
-            rng.bit_generator.state = state
-            snap_spk = _simulate_player(rng, *spike_tables, grid.dt, state0, k0, n)
-            j_base = _path_cost(cost, grid, eq.policy, snap_base, k0, t0, peer)
-            j_spk = _path_cost(cost, grid, spiked_strategy, snap_spk, k0, t0, peer)
-            diffs[j] = (j_spk - j_base) / eps
-        rep_means.append(float(diffs.mean()))
-    rep_means = np.asarray(rep_means)
+        peer = _population(cum[0], eq.rho, grid, cfg.players - 1, cfg.seed,
+                           rep).empirical_flow()
+        running = dt * np.array([cost.running_dist(t0, nodes[s], peer[s])
+                                      for s in range(k0, n)])
+        table = control + running
+        rng = _stream(cfg.seed, rep, _FOCAL_STREAM, k_player)
+        x = np.full((2, inner_pairs), state0, dtype=np.int64)
+        total = np.zeros((2, inner_pairs))
+        for c in range(n - k0):
+            total += table[side, c, x]
+            x = _inverse_cdf(cum[side, k0 + c, x], rng.random(inner_pairs))
+        total += cost.terminal(t0, peer[n])[x]
+        rep_means[rep] = ((total[1] - total[0]) / dt).mean()
     gap = float(rep_means.mean())
     if cfg.replications > 1:
         stderr = float(rep_means.std(ddof=1) / np.sqrt(cfg.replications))
@@ -267,4 +210,4 @@ def deviation_test(eq: Equilibrium, gen: GeneratorModel, cost: CostModel,
     half = 1.96 * stderr
     return DeviationEstimate(gap=gap, stderr=stderr, ci_low=gap - half,
                              ci_high=gap + half,
-                             pairs=cfg.replications * inner_pairs, eps=eps)
+                             pairs=cfg.replications * inner_pairs, eps=dt)

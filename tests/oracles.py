@@ -7,6 +7,7 @@ compare the library against it.
 import numpy as np
 
 from mfeq.chain import StrategyTable, step_transition, transition_matrix
+from mfeq.simulate import PathBundle
 from mfeq.verify import SpikeEntry
 
 
@@ -88,3 +89,54 @@ def dense_table_distance(gen, cost, nu, nu2, grid):
     t1, _, _ = dense_solve_hj(gen, cost, nu, grid)
     t2, _, _ = dense_solve_hj(gen, cost, nu2, grid)
     return float(np.abs(t1 - t2).max())
+
+
+def jump_tables(gen, strategy):
+    """Per-cell exit rates and cumulative jump probabilities."""
+    grid = strategy.grid
+    m = gen.m
+    exit_rates = np.empty((grid.steps, m))
+    cum_probs = np.zeros((grid.steps, m, m))
+    for k in range(grid.steps):
+        Q = gen.rate_matrix(grid.nodes[k], strategy.actions[k])
+        for x in range(m):
+            r = -Q[x, x]
+            exit_rates[k, x] = r
+            if r > 0.0:
+                p = np.clip(Q[x], 0.0, None)
+                p[x] = 0.0
+                c = np.cumsum(p)
+                cum_probs[k, x] = c / c[-1]
+    return exit_rates, cum_probs
+
+
+def jump_player(rng, exit_rates, cum_probs, dt, x0, n_cells):
+    """Competing exponential clocks within each cell; node snapshots of one path."""
+    snapshots = np.empty(n_cells + 1, dtype=np.int64)
+    snapshots[0] = x = x0
+    for k in range(n_cells):
+        remaining = dt
+        while True:
+            r = exit_rates[k, x]
+            if r <= 0.0:
+                break
+            wait = rng.exponential(1.0 / r)
+            if wait >= remaining:
+                break
+            remaining -= wait
+            x = int(np.searchsorted(cum_probs[k, x], rng.random(), side="right"))
+        snapshots[k + 1] = x
+    return snapshots
+
+
+def jump_simulate(gen, strategy, rho, players, seed) -> PathBundle:
+    """Population of per-player jump chains, one Philox stream per player."""
+    grid = strategy.grid
+    tables = jump_tables(gen, strategy)
+    cum_rho = np.cumsum(rho.weights)
+    states = np.empty((players, grid.steps + 1), dtype=np.int64)
+    for p in range(players):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, p))))
+        x0 = int(np.searchsorted(cum_rho, rng.random(), side="right"))
+        states[p] = jump_player(rng, *tables, grid.dt, x0, grid.steps)
+    return PathBundle(states, grid, gen.m)

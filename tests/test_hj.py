@@ -1,4 +1,4 @@
-"""Backward value solve: generator application, sweeps, cost evaluation."""
+"""Backward value solve: sweeps, cost evaluation."""
 
 import tracemalloc
 
@@ -7,12 +7,10 @@ import pytest
 
 from mfeq import (
     AffineQuadraticModel,
-    MfeqError,
     SeparableCost,
     StrategyTable,
     TabulatedGenerator,
     TimeGrid,
-    apply_generator,
     backward_columns,
     evaluate_cost,
     evaluate_population_cost,
@@ -50,30 +48,6 @@ class TestScanGoldenMin:
     def test_degenerate_interval(self):
         x, v = scan_golden_min(lambda x: x * x, 0.5, 0.5)
         assert x == 0.5 and v == 0.25
-
-
-class TestApplyGenerator:
-    def test_constant_h_is_zero(self):
-        gen = TabulatedGenerator([[-1.0, 1.0], [2.0, -2.0]])
-        out = apply_generator(gen, [0.0, 0.0], 0.0, [3.0, 3.0])
-        np.testing.assert_allclose(out, [0.0, 0.0], atol=1e-14)
-
-    def test_two_state_arithmetic(self):
-        gen = TabulatedGenerator([[-1.0, 1.0], [1.0, -1.0]])
-        out = apply_generator(gen, [0.0, 0.0], 0.0, [0.0, 1.0])
-        np.testing.assert_allclose(out, [1.0, -1.0])
-
-    def test_affine_zero_action_drops_beta(self):
-        alpha = np.array([[-0.8, 0.8], [0.9, -0.9]])
-        gen = AffineQuadraticModel(alpha, [0.4, -0.4])
-        h = np.array([0.7, -0.2])
-        out = apply_generator(gen, [0.0, 0.0], 0.0, h)
-        np.testing.assert_allclose(out, alpha @ h)
-
-    def test_inadmissible_action_rejected(self):
-        gen = TabulatedGenerator([[-1.0, 1.0], [1.0, -1.0]])
-        with pytest.raises(MfeqError):
-            apply_generator(gen, [0.5, 0.0], 0.0, [0.0, 1.0])
 
 
 class TestSolveHj:

@@ -66,6 +66,25 @@ class TestValidation:
         with pytest.raises(ModelFileError):
             validate_model(bad)
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", [[float("nan"), 0.8], [0.9, -0.9]]),
+        ("beta", [float("nan"), -0.4]),
+    ])
+    def test_non_finite_coefficients_checked(self, field, value):
+        # JSON model files may hold NaN and Infinity, and NaN fails no comparison
+        bad = minimal_model()
+        bad["generator"][field] = value
+        with pytest.raises(ModelFileError) as err:
+            validate_model(bad)
+        assert err.value.field == f"generator.{field}"
+
+    def test_tabulated_rates_checked(self):
+        bad = minimal_model(generator={"kind": "tabulated",
+                                       "rates": [[-1.0, 1.0], [0.5, -0.4]]})
+        with pytest.raises(ModelFileError) as err:
+            validate_model(bad)
+        assert err.value.field == "generator.rates"
+
     def test_unknown_kinds_rejected(self):
         bad = minimal_model()
         bad["generator"]["kind"] = "spectral"

@@ -5,7 +5,6 @@ import pytest
 
 from mfeq import (
     AffineQuadraticModel,
-    MeanVarianceCost,
     ModelDefect,
     SeparableCost,
     TabulatedGenerator,
@@ -246,11 +245,3 @@ class TestTauWeight:
         assert w(0.5) == pytest.approx(np.exp(-1.0))
         assert wmax == 1.0
 
-
-class TestMeanVarianceCost:
-    def test_is_separable_specialization(self):
-        gen = AffineQuadraticModel([[-0.8, 0.8], [0.9, -0.9]], [0.4, -0.4])
-        cost = MeanVarianceCost(2, variant="g", gen=gen, horizon=0.5)
-        assert cost.variant == "g"
-        assert cost.kappa2 == pytest.approx(gen.kappa1)
-        assert cost.control == "quadratic"
