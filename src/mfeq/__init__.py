@@ -9,8 +9,6 @@ from .chain import (
     StrategyTable,
     TimeGrid,
     propagate_flow,
-    step_transition,
-    strategy_distance,
     transition_stack,
     tv_distance,
     validate_generator,
@@ -28,7 +26,6 @@ from .hj import (
     CostModel,
     backward_columns,
     evaluate_cost,
-    evaluate_population_cost,
     solve_hj,
     validate_cost,
 )
@@ -37,7 +34,6 @@ from .models import (
     SeparableCost,
     TabulatedGenerator,
     admissible_interval,
-    affine_argmin,
     mean_variance_terminal,
 )
 from .solver import (

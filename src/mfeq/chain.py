@@ -25,6 +25,8 @@ SIMPLEX_ATOL = 1e-12
 MASS_ATOL = 1e-10
 # Tolerance for generator row sums and off-diagonal signs.
 GENERATOR_ATOL = 1e-10
+# Slack of the admissibility check around each action interval.
+ACTION_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -131,16 +133,12 @@ class GeneratorModel(ABC):
         """Row q_t^v(i, .) of the generator, length m."""
 
     @abstractmethod
-    def action_interval(self, t: float, i: int) -> tuple[float, float]:
-        """Closed admissible interval [lo, hi] for state i at time t."""
+    def action_bounds(self, t) -> np.ndarray:
+        """Closed admissible interval [lo, hi] of every state at node time t.
 
-    def contains_action(self, t: float, i: int, v: float, atol: float = 1e-9) -> bool:
-        lo, hi = self.action_interval(t, i)
-        return lo - atol <= v <= hi + atol
-
-    def clip_action(self, t: float, i: int, v: float) -> float:
-        lo, hi = self.action_interval(t, i)
-        return min(max(v, lo), hi)
+        t is one node time or a NumPy array of them; the result has shape
+        np.shape(t) + (m, 2), with lo in [..., 0] and hi in [..., 1].
+        """
 
     def rate_matrix(self, t: float, profile) -> np.ndarray:
         """Full generator for the action profile u: row i uses u[i]."""
@@ -149,6 +147,18 @@ class GeneratorModel(ABC):
         for i in range(self.m):
             Q[i] = self.rates(t, i, float(u[i]))
         return Q
+
+
+def admissible(bounds: np.ndarray, actions) -> np.ndarray:
+    """Elementwise test that actions lie in their [lo, hi] bounds up to
+    ACTION_ATOL; a NaN bound or action fails."""
+    return (bounds[..., 0] - ACTION_ATOL <= actions) & (actions <= bounds[..., 1] + ACTION_ATOL)
+
+
+def clip_to_bounds(bounds: np.ndarray, actions) -> np.ndarray:
+    """Actions clipped into their [lo, hi] bounds; a tie between signed
+    zeros keeps the action's sign."""
+    return np.minimum(bounds[..., 1], np.maximum(bounds[..., 0], actions))
 
 
 class StrategyTable:
@@ -187,30 +197,14 @@ class StrategyTable:
         a[k] = np.asarray(profile, dtype=float)
         return StrategyTable(a, self.grid)
 
-    def check_admissible(self, model: GeneratorModel, atol: float = 1e-9):
-        nodes = self.grid.nodes
-        for k in range(self.grid.steps):
-            for i in range(self.m):
-                if not model.contains_action(nodes[k], i, self.actions[k, i], atol):
-                    raise AdmissibilityError(
-                        f"action {self.actions[k, i]:.6g} at node {k}, state {i} "
-                        f"outside admissible interval"
-                    )
-
-
-def strategy_distance(pi: StrategyTable, pi2: StrategyTable, metric=None) -> float:
-    """Rectangle-rule time integral of the sup-over-states action distance.
-
-    Returns dt * sum_k max_i |pi_k(i) - pi2_k(i)| (or the supplied elementwise
-    action metric in place of absolute difference).
-    """
-    if pi.grid != pi2.grid or pi.m != pi2.m:
-        raise DimensionMismatch("strategy tables live on different grids")
-    if metric is None:
-        gaps = np.abs(pi.actions - pi2.actions)
-    else:
-        gaps = np.asarray(metric(pi.actions, pi2.actions), dtype=float)
-    return float(pi.grid.dt * gaps.max(axis=1).sum())
+    def check_admissible(self, model: GeneratorModel):
+        ok = admissible(model.action_bounds(self.grid.nodes[:-1]), self.actions)
+        if not ok.all():
+            k, i = np.argwhere(~ok)[0]
+            raise AdmissibilityError(
+                f"action {self.actions[k, i]:.6g} at node {k}, state {i} "
+                f"outside admissible interval"
+            )
 
 
 class FlowCurve:
@@ -294,13 +288,14 @@ def validate_generator(model: GeneratorModel, grid: TimeGrid, samples: int = 8) 
         raise ValueError("need at least 2 samples per admissible interval")
     report = GeneratorReport(ok=True, kappa1_hat=0.0, K1_hat=0.0,
                              samples_per_point=samples)
+    bounds = model.action_bounds(grid.nodes)
+    empty = ~(np.isfinite(bounds).all(axis=-1) & (bounds[..., 0] <= bounds[..., 1]))
+    if empty.any():
+        k, i = np.argwhere(empty)[0]
+        raise ModelDefect(f"empty admissible action set at node {k}, state {i}")
     for k, t in enumerate(grid.nodes):
         for i in range(model.m):
-            lo, hi = model.action_interval(t, i)
-            if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
-                raise ModelDefect(
-                    f"empty admissible action set at node {k}, state {i}"
-                )
+            lo, hi = bounds[k, i]
             actions = np.linspace(lo, hi, samples) if hi > lo else np.array([lo])
             rows = np.array([model.rates(t, i, v) for v in actions])
             report.K1_hat = max(report.K1_hat, float(np.abs(rows).max()))
@@ -360,24 +355,12 @@ def transition_matrix(model: GeneratorModel, t: float, profile, dt: float) -> np
     return stochastic_exponentials(model.rate_matrix(t, profile)[None], dt)[0]
 
 
-def step_transition(model: GeneratorModel, strategy: StrategyTable, k: int) -> np.ndarray:
-    """One-cell transition matrix exp(dt * Q_{t_k}^{pi_k})."""
-    grid = strategy.grid
-    t = grid.nodes[k]
-    for i in range(strategy.m):
-        if not model.contains_action(t, i, strategy.actions[k, i]):
-            raise AdmissibilityError(
-                f"strategy action at node {k}, state {i} is inadmissible"
-            )
-    return transition_matrix(model, t, strategy.actions[k], grid.dt)
-
-
 def transition_stack(model: GeneratorModel, strategy: StrategyTable) -> np.ndarray:
     """All per-cell transition matrices, shape (steps, m, m).
 
     The strategy's admissibility is checked once, then every cell's
     exponential comes from one stacked call; cell k equals
-    step_transition(model, strategy, k) bit for bit.
+    transition_matrix(model, t_k, strategy.actions[k], dt) bit for bit.
     """
     grid = strategy.grid
     strategy.check_admissible(model)

@@ -15,10 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import FlowCurve, ProbabilityVector, StrategyTable, TimeGrid, propagate_flow
+from .chain import (FlowCurve, ProbabilityVector, StrategyTable, TimeGrid, admissible,
+                    propagate_flow)
 from .errors import MfeqError, ModelFileError
 from .modelfile import build_model, model_hash, read_model_file
-from .simulate import SimConfig, deviation_test, simulate
+from .simulate import SimConfig, check_inner_pairs, deviation_test, simulate
 from .solver import Equilibrium, IterationDiagnostics, SolverOptions, estimate_constants, picard_solve
 from .verify import check_sweep_options, verify_local_optimality
 
@@ -65,7 +66,7 @@ def _parse_spike(text: str | None, gen, grid: TimeGrid, rho) -> tuple[int, int, 
     if text is None:
         node = grid.steps // 2
         state = int(np.argmax(rho))
-        return node, state, gen.action_interval(grid.nodes[node], state)[1]
+        return node, state, float(gen.action_bounds(grid.nodes[node])[state, 1])
     try:
         node_s, state_s, action_s = text.split(",")
         node, state, action = int(node_s), int(state_s) - 1, float(action_s)
@@ -75,9 +76,9 @@ def _parse_spike(text: str | None, gen, grid: TimeGrid, rho) -> tuple[int, int, 
         raise ModelFileError("spike", f"node {node} outside 0..{grid.steps - 1}")
     if not 0 <= state < gen.m:
         raise ModelFileError("spike", f"state {state + 1} outside 1..{gen.m}")
-    t = grid.nodes[node]
-    if not gen.contains_action(t, state, action):
-        lo, hi = gen.action_interval(t, state)
+    bounds = gen.action_bounds(grid.nodes[node])[state]
+    if not admissible(bounds, action):
+        lo, hi = bounds
         raise ModelFileError("spike", f"action {action:.6g} outside [{lo:.6g}, {hi:.6g}] "
                                       f"at node {node}, state {state + 1}")
     return node, state, action
@@ -207,9 +208,12 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     try:
-        model, gen, cost, eq = _load_equilibrium(Path(args.eq))
         cfg = SimConfig(players=args.players, seed=args.seed,
                         replications=args.reps)
+        check_inner_pairs(args.inner_pairs)
+        if not (np.isfinite(args.err_bound) and args.err_bound >= 0.0):
+            raise ValueError(f"error bound must be finite and nonnegative, got {args.err_bound}")
+        model, gen, cost, eq = _load_equilibrium(Path(args.eq))
         flow_csv = _read_csv(Path(args.eq) / "flow.csv")
         nu_star = FlowCurve(flow_csv[:, 1:], eq.grid)
         spike = _parse_spike(args.spike, gen, eq.grid, eq.rho)

@@ -22,6 +22,7 @@ from .chain import (
     GeneratorModel,
     StrategyTable,
     TimeGrid,
+    admissible,
     transition_matrix,
     transition_stack,
 )
@@ -110,9 +111,10 @@ class CostModel(ABC):
         Models with structure should override with their closed form.
         """
         hv = np.asarray(h, dtype=float)
+        bounds = gen.action_bounds(t)
         out = np.empty(self.m)
         for i in range(self.m):
-            lo, hi = gen.action_interval(t, i)
+            lo, hi = bounds[i]
 
             def objective(v, i=i):
                 return self.control_cost(t, i, v) + float(gen.rates(t, i, v) @ hv)
@@ -238,35 +240,6 @@ def evaluate_cost(gen: GeneratorModel, cost: CostModel, nu: FlowCurve,
     return total
 
 
-def evaluate_population_cost(gen: GeneratorModel, cost: CostModel, rho,
-                             strategy: StrategyTable, a: int, k: int,
-                             transitions: np.ndarray | None = None) -> float:
-    """Population cost with the self-consistent flow inside f and g.
-
-    The law propagated from rho at node k is itself the distribution argument
-    of the running and terminal costs.  When that self-flow coincides with a
-    frozen curve nu, this equals the rho-mixture of evaluate_cost values.
-    """
-    grid = strategy.grid
-    n = grid.steps
-    nodes = grid.nodes
-    dt = grid.dt
-    tau = nodes[a]
-    mu = np.array(rho.weights if hasattr(rho, "weights") else rho, dtype=float)
-    if mu.size != gen.m:
-        raise DimensionMismatch("initial law dimension differs from model")
-    if transitions is None:
-        transitions = transition_stack(gen, strategy)
-    total = 0.0
-    for s in range(k, n):
-        f = cost.running_dist(tau, nodes[s], mu)
-        f = f + cost.control_profile_cost(nodes[s], strategy.actions[s])
-        total += dt * float(mu @ f)
-        mu = mu @ transitions[s]
-    total += float(mu @ cost.terminal(tau, mu))
-    return total
-
-
 def validate_cost(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
                   samples: int = 24, seed: int = 0) -> list[str]:
     """Sampled checks of the declared cost bounds and the argmin oracle.
@@ -298,20 +271,20 @@ def validate_cost(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
         d = float(np.abs(rho - rho2).sum())
         if (df + dg).max() > cost.K3 * d + 1e-9:
             problems.append(f"flow-Lipschitz bound K3={cost.K3:.6g} violated")
-        for i in range(cost.m):
-            lo, hi = gen.action_interval(t, i)
-            v = float(rng.uniform(lo, hi))
-            psi = cost.control_cost(t, i, v)
+        bounds = gen.action_bounds(t)
+        for i, v in enumerate(rng.uniform(bounds[:, 0], bounds[:, 1])):
+            psi = cost.control_cost(t, i, float(v))
             if psi > gen.K1 + 1e-9:
                 problems.append(
                     f"control cost {psi:.6g} exceeds K1={gen.K1:.6g}")
         h = rng.uniform(0.0, (gen.K1 + cost.K2) * grid.horizon + cost.K2, cost.m)
         profile = cost.argmin_profile(gen, t, h)
+        ok = admissible(bounds, profile)
         for i in range(cost.m):
-            lo, hi = gen.action_interval(t, i)
-            if not (lo - 1e-9 <= profile[i] <= hi + 1e-9):
+            if not ok[i]:
                 problems.append(f"argmin profile inadmissible at state {i}")
                 continue
+            lo, hi = bounds[i]
             achieved = cost.control_cost(t, i, profile[i]) + float(
                 gen.rates(t, i, float(profile[i])) @ h)
             grid_best = min(

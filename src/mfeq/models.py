@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chain import GeneratorModel, TimeGrid
+from .chain import GeneratorModel, TimeGrid, clip_to_bounds
 from .errors import ModelDefect
 from .hj import CostModel
 
@@ -19,37 +19,21 @@ AFFINE_ATOL = 1e-12
 TABULATED_ATOL = 1e-10
 
 
-def admissible_interval(alpha_row, beta, i: int) -> tuple[float, float]:
-    """Largest closed subinterval of [-1, 1] keeping row i a generator row.
+def admissible_interval(alpha, beta) -> np.ndarray:
+    """Largest closed subinterval of [-1, 1] keeping each row a generator row.
 
-    Intersects {v : alpha(i, j) + beta(j) v >= 0} over j != i.  The model's
-    sign constraints put 0 inside the result.
+    For alpha (..., m, m) and beta (..., m), row i of the (..., m, 2) result
+    intersects {v : alpha(i, j) + beta(j) v >= 0} over j != i.  The model's
+    sign constraints put 0 inside every interval.
     """
-    a = np.asarray(alpha_row, dtype=float)
-    b = np.asarray(beta, dtype=float)
-    lo, hi = ACTION_LO, ACTION_HI
-    for j in range(a.size):
-        if j == i or b[j] == 0.0:
-            continue
-        bound = -a[j] / b[j]
-        if b[j] > 0.0:
-            lo = max(lo, bound)
-        else:
-            hi = min(hi, bound)
-    return lo, hi
-
-
-def affine_argmin(h, beta, interval) -> float:
-    """Minimizer of v^2/2 + v * (h . beta) over a closed interval.
-
-    The stationary point -(h . beta) clipped into the interval; unique by
-    strong convexity and 1-Lipschitz in the stationary point.
-    """
-    lo, hi = interval
-    if lo > hi:
-        raise ModelDefect("empty admissible interval")
-    s = float(np.asarray(h, dtype=float) @ np.asarray(beta, dtype=float))
-    return min(max(-s, lo), hi)
+    a = np.asarray(alpha, dtype=float)
+    b = np.asarray(beta, dtype=float)[..., None, :]
+    off = ~np.eye(a.shape[-1], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = -a / b
+    lo = np.where(off & (b > 0.0), bound, ACTION_LO).max(axis=-1)
+    hi = np.where(off & (b < 0.0), bound, ACTION_HI).min(axis=-1)
+    return np.stack([lo, hi], axis=-1)
 
 
 def check_rate_tables(tables: np.ndarray, name: str, atol: float) -> None:
@@ -81,6 +65,13 @@ def _cell(t: float, dt: float | None, cells: int) -> int:
     # calls occur at node times, so nearest-node indexing picks the cell
     k = int(np.floor(t / dt + 0.5))
     return min(max(k, 0), cells - 1)
+
+
+def _cells(t: np.ndarray, dt: float | None, cells: int) -> np.ndarray:
+    """_cell over an array of node times."""
+    if cells == 1:
+        return np.zeros(np.shape(t), dtype=int)
+    return np.clip(np.floor(t / dt + 0.5).astype(int), 0, cells - 1)
 
 
 class AffineQuadraticModel(GeneratorModel):
@@ -123,6 +114,8 @@ class AffineQuadraticModel(GeneratorModel):
         self.m = m
         self.kappa1 = float(np.abs(betas).sum(axis=1).max())
         self.K1 = float((np.abs(alphas) + np.abs(betas)[:, None, :]).max())
+        self._bounds = admissible_interval(alphas, betas)
+        self._bounds.setflags(write=False)
 
     def coefficients_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         c = _cell(t, self._dt, self._cells)
@@ -137,9 +130,10 @@ class AffineQuadraticModel(GeneratorModel):
         u = np.asarray(profile, dtype=float)
         return a + u[:, None] * b[None, :]
 
-    def action_interval(self, t: float, i: int) -> tuple[float, float]:
-        a, b = self.coefficients_at(t)
-        return admissible_interval(a[i], b, i)
+    def action_bounds(self, t) -> np.ndarray:
+        if isinstance(t, np.ndarray):
+            return self._bounds[_cells(t, self._dt, self._cells)]
+        return self._bounds[_cell(t, self._dt, self._cells)]
 
 
 class TabulatedGenerator(GeneratorModel):
@@ -172,8 +166,8 @@ class TabulatedGenerator(GeneratorModel):
     def rate_matrix(self, t: float, profile) -> np.ndarray:
         return self._tables[_cell(t, self._dt, self._cells)]
 
-    def action_interval(self, t: float, i: int) -> tuple[float, float]:
-        return 0.0, 0.0
+    def action_bounds(self, t) -> np.ndarray:
+        return np.zeros(np.shape(t) + (self.m, 2))
 
 
 def state_labels(m: int) -> np.ndarray:
@@ -342,12 +336,10 @@ class SeparableCost(CostModel):
 
     def argmin_profile(self, gen: GeneratorModel, t: float, h) -> np.ndarray:
         if self.control == "quadratic" and isinstance(gen, AffineQuadraticModel):
-            alpha, beta = gen.coefficients_at(t)
-            hv = np.asarray(h, dtype=float)
-            out = np.empty(self.m)
-            for i in range(self.m):
-                out[i] = affine_argmin(hv, beta, admissible_interval(alpha[i], beta, i))
-            return out
+            # minimizer of v^2/2 + v (h . beta): the stationary point clipped
+            # into each state's interval, 1-Lipschitz in the stationary point
+            _, beta = gen.coefficients_at(t)
+            return clip_to_bounds(gen.action_bounds(t), -(np.asarray(h, dtype=float) @ beta))
         # with a flat (zero) control cost the generator term decides, and
         # ties go to the smallest action via the fallback's scan
         return super().argmin_profile(gen, t, h)

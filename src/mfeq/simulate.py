@@ -26,7 +26,7 @@ from .chain import (
     GeneratorModel,
     StrategyTable,
     TimeGrid,
-    step_transition,
+    transition_matrix,
     transition_stack,
 )
 from .errors import DimensionMismatch
@@ -62,7 +62,8 @@ class SimConfig:
     """Player count, master seed and replication count.
 
     At least two players are required: the leave-one-out empirical measure
-    needs peers.
+    needs peers.  The seed keys the Philox streams, so it must be
+    nonnegative.
     """
 
     players: int
@@ -72,8 +73,16 @@ class SimConfig:
     def __post_init__(self):
         if self.players < 2:
             raise ValueError("need at least 2 players")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.replications < 1:
             raise ValueError("need at least 1 replication")
+
+
+def check_inner_pairs(inner_pairs: int) -> None:
+    """Reject a deviation test without paths: its gap would be NaN."""
+    if inner_pairs < 1:
+        raise ValueError(f"inner pairs must be at least 1, got {inner_pairs}")
 
 
 class PathBundle:
@@ -165,6 +174,7 @@ def deviation_test(eq: Equilibrium, gen: GeneratorModel, cost: CostModel,
     part of the interval.  For large populations the estimate approaches the
     deterministic spike gap.
     """
+    check_inner_pairs(inner_pairs)
     k0, state0, action = spike
     grid = eq.grid
     n = grid.steps
@@ -172,12 +182,13 @@ def deviation_test(eq: Equilibrium, gen: GeneratorModel, cost: CostModel,
         raise ValueError("spike must fit between the node and the horizon")
     nodes = grid.nodes
     t0 = nodes[k0]
-    spiked = eq.policy.with_cell(k0, constant_spike_profile(gen, t0, action, state0))
+    profile = constant_spike_profile(gen, t0, action, state0)
+    spiked = eq.policy.with_cell(k0, profile)
     dt = grid.dt
 
     base = transition_stack(gen, eq.policy)
     spike_cells = base.copy()
-    spike_cells[k0] = step_transition(gen, spiked, k0)
+    spike_cells[k0] = transition_matrix(gen, t0, profile, dt)
     # index 0 is the base strategy, index 1 the spiked one
     cum = _cumulative(np.stack([base, spike_cells]))
     control = dt * np.stack([

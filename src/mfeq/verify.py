@@ -20,6 +20,8 @@ from .chain import (
     GeneratorModel,
     StrategyTable,
     TimeGrid,
+    admissible,
+    clip_to_bounds,
     propagate_flow,
     stochastic_exponentials,
     transition_matrix,
@@ -72,17 +74,17 @@ def constant_spike_profile(gen: GeneratorModel, t: float, u, tested_state: int |
     is taken as the profile itself and must be admissible everywhere.
     """
     arr = np.asarray(u, dtype=float)
+    bounds = gen.action_bounds(t)
     if arr.ndim == 0:
-        v = float(arr)
-        if tested_state is not None and not gen.contains_action(t, tested_state, v):
+        if tested_state is not None and not admissible(bounds[tested_state], arr):
             raise AdmissibilityError(
-                f"spike action {v:.6g} inadmissible at tested state {tested_state}")
-        return np.array([gen.clip_action(t, i, v) for i in range(gen.m)])
+                f"spike action {float(arr):.6g} inadmissible at tested state {tested_state}")
+        return clip_to_bounds(bounds, arr)
     if arr.shape != (gen.m,):
         raise DimensionMismatch("spike profile length differs from state count")
-    for i in range(gen.m):
-        if not gen.contains_action(t, i, arr[i]):
-            raise AdmissibilityError(f"spike profile inadmissible at state {i}")
+    ok = admissible(bounds, arr)
+    if not ok.all():
+        raise AdmissibilityError(f"spike profile inadmissible at state {np.argmin(ok)}")
     return arr
 
 
@@ -145,9 +147,7 @@ def _spikes(gen: GeneratorModel, grid: TimeGrid, action_samples: int):
     ascending action.  Returns the node, state and action arrays and the
     profile each spike applies, the action clipped into every state's
     interval."""
-    nodes = grid.nodes
-    bounds = np.array([[gen.action_interval(nodes[k], j) for j in range(gen.m)]
-                       for k in range(grid.steps)])
+    bounds = gen.action_bounds(grid.nodes[:-1])
     node, state, action = [], [], []
     for k in range(grid.steps):
         for i in range(gen.m):
@@ -159,8 +159,7 @@ def _spikes(gen: GeneratorModel, grid: TimeGrid, action_samples: int):
             action.append(actions)
     node = np.array(node)
     action = np.concatenate(action)
-    profiles = np.minimum(np.maximum(action[:, None], bounds[node, :, 0]),
-                          bounds[node, :, 1])
+    profiles = clip_to_bounds(bounds[node], action[:, None])
     return node, np.array(state), action, profiles
 
 
@@ -259,12 +258,12 @@ def dp_oracle(gen: GeneratorModel, cost: CostModel, nu: FlowCurve, grid: TimeGri
     for k in range(n - 1, -1, -1):
         t = nodes[k]
         run = cost.running_dist(tau, t, nu.at(k))
+        bounds = gen.action_bounds(t)
         for i in range(gen.m):
-            lo, hi = gen.action_interval(t, i)
+            lo, hi = bounds[i]
 
             def objective(v, i=i, t=t):
-                profile = np.array([gen.clip_action(t, j, v) for j in range(gen.m)])
-                P = transition_matrix(gen, t, profile, dt)
+                P = transition_matrix(gen, t, clip_to_bounds(bounds, v), dt)
                 return dt * cost.control_cost(t, i, v) + float(P[i] @ W[k + 1])
 
             # value is quadratic near the minimum, so 1e-6 in the argument
@@ -341,10 +340,5 @@ def check_bounds_and_lipschitz(eq: Equilibrium, gen: GeneratorModel, cost: CostM
 
 def _random_strategy(rng: np.random.Generator, gen: GeneratorModel,
                      grid: TimeGrid) -> StrategyTable:
-    actions = np.empty((grid.steps, gen.m))
-    for k in range(grid.steps):
-        t = grid.nodes[k]
-        for i in range(gen.m):
-            lo, hi = gen.action_interval(t, i)
-            actions[k, i] = rng.uniform(lo, hi)
-    return StrategyTable(actions, grid)
+    bounds = gen.action_bounds(grid.nodes[:-1])
+    return StrategyTable(rng.uniform(bounds[..., 0], bounds[..., 1]), grid)

@@ -82,21 +82,8 @@ def random_cost(rng, m, horizon, gen=None, dist_dependent=None):
 
 def random_strategy(rng, gen, grid) -> StrategyTable:
     """Admissible strategy with i.i.d. uniform actions in each interval."""
-    actions = np.empty((grid.steps, gen.m))
-    if isinstance(gen, AffineQuadraticModel):
-        for k in range(grid.steps):
-            t = grid.nodes[k]
-            lo = np.empty(gen.m)
-            hi = np.empty(gen.m)
-            for i in range(gen.m):
-                lo[i], hi[i] = gen.action_interval(t, i)
-            actions[k] = rng.uniform(lo, hi)
-    else:
-        for k in range(grid.steps):
-            for i in range(gen.m):
-                lo, hi = gen.action_interval(grid.nodes[k], i)
-                actions[k, i] = rng.uniform(lo, hi)
-    return StrategyTable(actions, grid)
+    bounds = gen.action_bounds(grid.nodes[:-1])
+    return StrategyTable(rng.uniform(bounds[..., 0], bounds[..., 1]), grid)
 
 
 def random_flow(rng, grid, m):

@@ -6,15 +6,50 @@ compare the library against it.
 
 import numpy as np
 
-from mfeq.chain import StrategyTable, step_transition, transition_matrix
+from mfeq.chain import StrategyTable, transition_matrix, transition_stack
+from mfeq.errors import DimensionMismatch
+from mfeq.models import ACTION_HI, ACTION_LO
 from mfeq.simulate import PathBundle
 from mfeq.verify import SpikeEntry
 
 
+def admissible_interval(alpha_row, beta, i):
+    """Largest closed subinterval of [-1, 1] keeping row i a generator row,
+    one constraint j != i at a time."""
+    a = np.asarray(alpha_row, dtype=float)
+    b = np.asarray(beta, dtype=float)
+    lo, hi = ACTION_LO, ACTION_HI
+    for j in range(a.size):
+        if j == i or b[j] == 0.0:
+            continue
+        bound = -a[j] / b[j]
+        if b[j] > 0.0:
+            lo = max(lo, bound)
+        else:
+            hi = min(hi, bound)
+    return lo, hi
+
+
+def bounds_loop(gen, t):
+    """(m, 2) admissible intervals of an affine model at node time t,
+    state by state."""
+    alpha, beta = gen.coefficients_at(t)
+    return np.array([admissible_interval(alpha[i], beta, i) for i in range(gen.m)])
+
+
+def clip_argmin(gen, t, h):
+    """Affine-quadratic argmin, state by state: the stationary point
+    -(h . beta) clipped into each state's interval."""
+    _, beta = gen.coefficients_at(t)
+    s = float(np.asarray(h, dtype=float) @ np.asarray(beta, dtype=float))
+    return np.array([min(max(-s, lo), hi) for lo, hi in bounds_loop(gen, t).tolist()])
+
+
 def transition_loop(gen, strategy) -> np.ndarray:
     """Per-cell transition matrices, one expm call per cell."""
-    return np.array([step_transition(gen, strategy, k)
-                     for k in range(strategy.grid.steps)])
+    grid = strategy.grid
+    return np.array([transition_matrix(gen, grid.nodes[k], strategy.actions[k], grid.dt)
+                     for k in range(grid.steps)])
 
 
 def sweep_node(gen, cost, eq, transitions, k, action_samples):
@@ -38,13 +73,13 @@ def sweep_node(gen, cost, eq, transitions, k, action_samples):
     run_k = cost.running_dist(tau, nodes[k], nu.at(k))
 
     entries = []
+    bounds = bounds_loop(gen, nodes[k]).tolist()
     for i in range(gen.m):
-        lo, hi = gen.action_interval(nodes[k], i)
+        lo, hi = bounds[i]
         actions = np.unique(np.concatenate([
             np.linspace(lo, hi, action_samples), [lo, hi]]))
         for u in actions:
-            profile = np.array([gen.clip_action(nodes[k], j, float(u))
-                                for j in range(gen.m)])
+            profile = np.array([min(max(float(u), lo_j), hi_j) for lo_j, hi_j in bounds])
             P = transition_matrix(gen, nodes[k], profile, dt)
             v_spiked = dt * (run_k[i] + cost.control_cost(nodes[k], i, float(u))) \
                 + float(P[i] @ w)
@@ -140,3 +175,30 @@ def jump_simulate(gen, strategy, rho, players, seed) -> PathBundle:
         x0 = int(np.searchsorted(cum_rho, rng.random(), side="right"))
         states[p] = jump_player(rng, *tables, grid.dt, x0, grid.steps)
     return PathBundle(states, grid, gen.m)
+
+
+def evaluate_population_cost(gen, cost, rho, strategy, a, k, transitions=None):
+    """Population cost with the self-consistent flow inside f and g.
+
+    The law propagated from rho at node k is itself the distribution argument
+    of the running and terminal costs.  When that self-flow coincides with a
+    frozen curve nu, this equals the rho-mixture of evaluate_cost values.
+    """
+    grid = strategy.grid
+    n = grid.steps
+    nodes = grid.nodes
+    dt = grid.dt
+    tau = nodes[a]
+    mu = np.array(rho.weights if hasattr(rho, "weights") else rho, dtype=float)
+    if mu.size != gen.m:
+        raise DimensionMismatch("initial law dimension differs from model")
+    if transitions is None:
+        transitions = transition_stack(gen, strategy)
+    total = 0.0
+    for s in range(k, n):
+        f = cost.running_dist(tau, nodes[s], mu)
+        f = f + cost.control_profile_cost(nodes[s], strategy.actions[s])
+        total += dt * float(mu @ f)
+        mu = mu @ transitions[s]
+    total += float(mu @ cost.terminal(tau, mu))
+    return total

@@ -234,7 +234,7 @@ def test_c08_spike_suite(equilibria_200):
 
     gen, cost, eq = equilibria_200["time_consistent"]
     k0, i0 = 80, 0
-    lo, hi = gen.action_interval(eq.grid.nodes[k0], i0)
+    lo, hi = gen.action_bounds(eq.grid.nodes[k0])[i0]
     orig = eq.policy.actions[k0, i0]
     bad_action = orig + 0.5 if orig + 0.5 <= hi else orig - 0.5
     profile = eq.policy.actions[k0].copy()

@@ -16,13 +16,11 @@ from mfeq import (
     TabulatedGenerator,
     TimeGrid,
     propagate_flow,
-    step_transition,
-    strategy_distance,
     transition_stack,
     tv_distance,
     validate_generator,
 )
-from mfeq.chain import GeneratorModel
+from mfeq.chain import ACTION_ATOL, GeneratorModel, admissible, clip_to_bounds
 
 from instances import random_affine_generator, random_strategy, two_state_transition
 from oracles import transition_loop
@@ -99,39 +97,6 @@ class TestTvDistance:
             tv_distance([0.5, 0.5], [1.0, 0.0, 0.0])
 
 
-class TestStrategyDistance:
-    def test_equal(self):
-        grid = TimeGrid(1.0, 3)
-        s = StrategyTable.constant(grid, 2, 0.5)
-        assert strategy_distance(s, s) == 0.0
-
-    def test_constant_gap_single_cell(self):
-        grid = TimeGrid(1.0, 1)
-        a = StrategyTable([[0.0]], grid)
-        b = StrategyTable([[0.3]], grid)
-        assert strategy_distance(a, b) == pytest.approx(0.3, abs=TOL)
-
-    def test_rectangle_rule(self):
-        grid = TimeGrid(1.0, 2)
-        a = StrategyTable([[0.0, 0.1], [0.0, 0.0]], grid)
-        b = StrategyTable([[0.2, 0.0], [0.4, 0.1]], grid)
-        # sup gaps per cell are 0.2 and 0.4, dt = 0.5
-        assert strategy_distance(a, b) == pytest.approx(0.3, abs=TOL)
-
-    def test_grid_mismatch(self):
-        a = StrategyTable.constant(TimeGrid(1.0, 2), 2, 0.0)
-        b = StrategyTable.constant(TimeGrid(1.0, 3), 2, 0.0)
-        with pytest.raises(DimensionMismatch):
-            strategy_distance(a, b)
-
-    def test_custom_metric(self):
-        grid = TimeGrid(1.0, 1)
-        a = StrategyTable([[0.0]], grid)
-        b = StrategyTable([[0.5]], grid)
-        doubled = strategy_distance(a, b, metric=lambda x, y: 2.0 * np.abs(x - y))
-        assert doubled == pytest.approx(1.0, abs=TOL)
-
-
 class _RowSumDefect(GeneratorModel):
     """Generator whose first row leaks mass (sum 0.1)."""
 
@@ -142,8 +107,8 @@ class _RowSumDefect(GeneratorModel):
     def rates(self, t, i, v):
         return np.array([-1.0, 1.1]) if i == 0 else np.array([1.0, -1.0])
 
-    def action_interval(self, t, i):
-        return 0.0, 0.0
+    def action_bounds(self, t):
+        return np.zeros(np.shape(t) + (2, 2))
 
 
 class _EmptyAdmissible(GeneratorModel):
@@ -154,8 +119,15 @@ class _EmptyAdmissible(GeneratorModel):
     def rates(self, t, i, v):
         return np.array([-1.0, 1.0])
 
-    def action_interval(self, t, i):
-        return 1.0, -1.0
+    def action_bounds(self, t):
+        return np.broadcast_to([1.0, -1.0], np.shape(t) + (2, 2))
+
+
+class _NanBounds(_EmptyAdmissible):
+    """Generator whose admissible intervals are NaN at every node."""
+
+    def action_bounds(self, t):
+        return np.full(np.shape(t) + (2, 2), np.nan)
 
 
 class TestValidateGenerator:
@@ -181,8 +153,29 @@ class TestValidateGenerator:
         assert report.K1_hat == 0.0
 
     def test_empty_admissible_set_fatal(self):
-        with pytest.raises(ModelDefect):
+        with pytest.raises(ModelDefect, match="node 0, state 0"):
             validate_generator(_EmptyAdmissible(), TimeGrid(1.0, 2))
+        with pytest.raises(ModelDefect):
+            validate_generator(_NanBounds(), TimeGrid(1.0, 2))
+
+
+class TestAdmissible:
+    def test_slack_is_action_atol(self):
+        bounds = np.array([[-0.5, 0.5]])
+        inside = [0.5 + 0.5 * ACTION_ATOL, -0.5 - 0.5 * ACTION_ATOL]
+        outside = [0.5 + 2.0 * ACTION_ATOL, -0.5 - 2.0 * ACTION_ATOL]
+        assert admissible(bounds, np.array(inside)).all()
+        assert not admissible(bounds, np.array(outside)).any()
+
+    def test_nan_fails(self):
+        assert not admissible(np.array([np.nan, 1.0]), 0.0)
+        assert not admissible(np.array([-1.0, np.nan]), 0.0)
+        assert not admissible(np.array([-1.0, 1.0]), np.nan)
+
+    def test_clip_keeps_interior_actions(self):
+        bounds = np.array([[-1.0, 1.0], [-0.25, 0.5], [0.0, 0.0]])
+        np.testing.assert_array_equal(clip_to_bounds(bounds, 0.75), [0.75, 0.5, 0.0])
+        np.testing.assert_array_equal(clip_to_bounds(bounds, -0.75), [-0.75, -0.25, 0.0])
 
 
 class TestStepTransition:
@@ -190,14 +183,14 @@ class TestStepTransition:
         grid = TimeGrid(1.0, 2)
         gen = TabulatedGenerator(np.zeros((3, 3)))
         strat = StrategyTable.constant(grid, 3, 0.0)
-        np.testing.assert_allclose(step_transition(gen, strat, 0), np.eye(3),
+        np.testing.assert_allclose(transition_stack(gen, strat)[0], np.eye(3),
                                    atol=1e-14)
 
     def test_symmetric_closed_form(self):
         grid = TimeGrid(0.5, 1)
         gen = TabulatedGenerator([[-1.0, 1.0], [1.0, -1.0]])
         strat = StrategyTable.constant(grid, 2, 0.0)
-        P = step_transition(gen, strat, 0)
+        P = transition_stack(gen, strat)[0]
         half = (1.0 + np.exp(-1.0)) / 2.0
         np.testing.assert_allclose(
             P, [[half, 1.0 - half], [1.0 - half, half]], atol=1e-12)
@@ -207,7 +200,7 @@ class TestStepTransition:
         grid = TimeGrid(1.0, 1)
         gen = TabulatedGenerator([[0.0, 0.0], [1.0, -1.0]])
         strat = StrategyTable.constant(grid, 2, 0.0)
-        P = step_transition(gen, strat, 0)
+        P = transition_stack(gen, strat)[0]
         np.testing.assert_allclose(
             P, [[1.0, 0.0], [1.0 - np.exp(-1.0), np.exp(-1.0)]], atol=1e-12)
 
@@ -216,8 +209,7 @@ class TestStepTransition:
         grid = TimeGrid(1.0, 4)
         gen = random_affine_generator(rng, 4)
         strat = random_strategy(rng, gen, grid)
-        for k in range(4):
-            P = step_transition(gen, strat, k)
+        for P in transition_stack(gen, strat):
             assert P.min() >= 0.0
             np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-10)
 
@@ -328,6 +320,14 @@ class TestTransitionStack:
             transition_stack(gen, StrategyTable(actions, grid))
         with pytest.raises(AdmissibilityError, match="node 4, state 0"):
             propagate_flow(gen, [0.5, 0.5], StrategyTable(actions, grid))
+
+    def test_nan_bounds_admit_nothing(self):
+        grid = TimeGrid(1.0, 3)
+        strat = StrategyTable.constant(grid, 2, 0.0)
+        with pytest.raises(AdmissibilityError, match="node 0, state 0"):
+            strat.check_admissible(_NanBounds())
+        with pytest.raises(AdmissibilityError):
+            transition_stack(_NanBounds(), strat)
 
 
 class TestFlowCurve:

@@ -197,6 +197,19 @@ class TestSimulate:
         assert_input_error(capsys, run("simulate", "--eq", str(solved_dir), "--players",
                                        "20", "--seed", "1", "--spike", spike))
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "-1"), ("--inner-pairs", "0"), ("--inner-pairs", "-3"),
+        ("--err-bound", "nan"), ("--err-bound", "inf"), ("--err-bound", "-0.1"),
+    ])
+    def test_bad_option_is_input_error(self, solved_dir, capsys, monkeypatch, flag, value):
+        def no_work(*args, **kwargs):
+            raise AssertionError("simulation started before the options were checked")
+
+        monkeypatch.setattr("mfeq.cli.simulate", no_work)
+        monkeypatch.setattr("mfeq.cli.deviation_test", no_work)
+        assert_input_error(capsys, run("simulate", "--eq", str(solved_dir), "--players",
+                                       "20", "--seed", "1", flag, value))
+
     def test_error_bound_exit_code(self, solved_dir, tmp_path):
         import shutil
         d = tmp_path / "tight"

@@ -13,7 +13,6 @@ from mfeq import (
     TimeGrid,
     backward_columns,
     evaluate_cost,
-    evaluate_population_cost,
     solve_hj,
     validate_cost,
 )
@@ -25,6 +24,7 @@ from mfeq.solver import myopic_strategy
 
 import oracles
 from instances import OutsideArgmin, random_flow, random_instance, value_table
+from oracles import evaluate_population_cost
 
 
 def constant_flow(weights, grid):
@@ -114,7 +114,7 @@ class TestSolveHj:
             t = grid.nodes[k]
             theta_next = diag[k + 1]
             for i in range(3):
-                lo, hi = gen.action_interval(t, i)
+                lo, hi = gen.action_bounds(t)[i]
                 chosen = cost.control_cost(t, i, policy.actions[k, i]) + float(
                     gen.rates(t, i, policy.actions[k, i]) @ theta_next)
                 for v in np.linspace(lo, hi, 9):
@@ -290,6 +290,14 @@ class TestValidateCost:
                              gen=gen, K2=0.45)
         problems = validate_cost(gen, cost, grid, samples=10)
         assert any("K2" in p for p in problems)
+
+    def test_inadmissible_argmin_flagged(self):
+        grid = TimeGrid(0.5, 10)
+        gen = AffineQuadraticModel([[-1.0, 1.0], [1.0, -1.0]], [0.3, -0.3])
+        cost = OutsideArgmin(2, terminal=("table", [0.0, 1.0]), horizon=0.5, gen=gen)
+        problems = validate_cost(gen, cost, grid, samples=4)
+        assert "argmin profile inadmissible at state 0" in problems
+        assert not any("state 1" in p for p in problems)
 
     def test_misdeclared_k3_flagged(self):
         grid = TimeGrid(0.5, 10)

@@ -10,27 +10,36 @@ from mfeq import (
     TabulatedGenerator,
     TimeGrid,
     admissible_interval,
-    affine_argmin,
     mean_variance_terminal,
     validate_generator,
 )
 from mfeq.models import label_mean, make_tau_weight
 
+import oracles
 from instances import random_affine_generator, random_strategy
+
+
+def interval(alpha, beta, i):
+    return tuple(admissible_interval(alpha, beta)[i])
+
+
+def same_bits(a, b) -> bool:
+    """Equal arrays down to the sign of every zero."""
+    return a.shape == b.shape and a.tobytes() == np.asarray(b, dtype=a.dtype).tobytes()
 
 
 class TestAdmissibleInterval:
     def test_zero_beta_full_interval(self):
-        assert admissible_interval([-1.0, 1.0], [0.0, 0.0], 0) == (-1.0, 1.0)
+        assert interval([[-1.0, 1.0], [1.0, -1.0]], [0.0, 0.0], 0) == (-1.0, 1.0)
 
     def test_inactive_constraint(self):
         # 1 - v >= 0 allows v <= 1: interval stays [-1, 1]
-        lo, hi = admissible_interval([-1.0, 1.0], [1.0, -1.0], 0)
+        lo, hi = interval([[-1.0, 1.0], [1.0, -1.0]], [1.0, -1.0], 0)
         assert (lo, hi) == (-1.0, 1.0)
 
     def test_active_constraint(self):
         # 0.5 - v >= 0 cuts the interval at 0.5
-        lo, hi = admissible_interval([-0.5, 0.5], [1.0, -1.0], 0)
+        lo, hi = interval([[-0.5, 0.5], [1.0, -1.0]], [1.0, -1.0], 0)
         assert lo == -1.0
         assert hi == pytest.approx(0.5, abs=1e-15)
 
@@ -38,34 +47,77 @@ class TestAdmissibleInterval:
         rng = np.random.default_rng(0)
         for _ in range(20):
             gen = random_affine_generator(rng, int(rng.integers(2, 6)))
-            for i in range(gen.m):
-                lo, hi = gen.action_interval(0.0, i)
-                assert lo <= 0.0 <= hi
+            bounds = gen.action_bounds(0.0)
+            assert (bounds[:, 0] <= 0.0).all() and (0.0 <= bounds[:, 1]).all()
+
+    @pytest.mark.parametrize("time_varying", [False, True])
+    def test_bounds_table_equals_scalar_loop(self, time_varying):
+        rng = np.random.default_rng(11 + time_varying)
+        for m in range(2, 11):
+            grid = TimeGrid(float(rng.uniform(0.3, 1.5)), int(rng.integers(5, 40)))
+            gen = random_affine_generator(rng, m, grid=grid, time_varying=time_varying)
+            table = gen.action_bounds(grid.nodes)
+            assert table.shape == (grid.steps + 1, m, 2)
+            for k, t in enumerate(grid.nodes):
+                ref = oracles.bounds_loop(gen, t)
+                assert same_bits(table[k], ref)
+                assert same_bits(gen.action_bounds(t), ref)
+
+    def test_sign_cases_equal_scalar_loop(self):
+        # zero off-diagonal rates and zero beta entries: the constraints that
+        # pass through 0 or drop out, and the argmin ties at signed zeros
+        alpha = np.array([[-0.5, 0.0, 0.5], [0.0, 0.0, 0.0], [0.2, 0.3, -0.5]])
+        for beta in ([0.4, -0.4, 0.0], [0.0, 0.3, -0.3], [-0.2, 0.5, -0.3]):
+            gen = AffineQuadraticModel(alpha, beta)
+            assert same_bits(gen.action_bounds(0.0), oracles.bounds_loop(gen, 0.0))
+            cost = SeparableCost(3, gen=gen)
+            for h in ([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [5.0, -5.0, 3.0]):
+                assert same_bits(cost.argmin_profile(gen, 0.0, h),
+                                 oracles.clip_argmin(gen, 0.0, h))
 
 
 class TestAffineArgmin:
+    """The closed-form argmin of the affine-quadratic model."""
+
+    gen = AffineQuadraticModel([[-0.8, 0.8], [0.6, -0.6]], [0.5, -0.5])
+    cost = SeparableCost(2, gen=gen)
+
     def test_zero_gradient(self):
-        assert affine_argmin([0.0, 0.0], [0.3, -0.3], (-1.0, 1.0)) == 0.0
+        np.testing.assert_array_equal(self.cost.argmin_profile(self.gen, 0.0, [0.0, 0.0]),
+                                      [0.0, 0.0])
 
     def test_interior_stationary_point(self):
         # h . beta = 0.5 puts the minimum of v^2/2 + 0.5 v at -0.5
-        assert affine_argmin([1.0, 0.0], [0.5, -0.5], (-1.0, 1.0)) == pytest.approx(-0.5)
+        np.testing.assert_allclose(self.cost.argmin_profile(self.gen, 0.0, [1.0, 0.0]),
+                                   [-0.5, -0.5])
 
     def test_boundary_clip(self):
-        assert affine_argmin([4.0, 0.0], [0.5, -0.5], (-1.0, 1.0)) == -1.0
-
-    def test_empty_interval_error(self):
-        with pytest.raises(ModelDefect):
-            affine_argmin([0.0], [0.0], (1.0, -1.0))
+        np.testing.assert_array_equal(self.cost.argmin_profile(self.gen, 0.0, [4.0, 0.0]),
+                                      [-1.0, -1.0])
 
     def test_lipschitz_in_h(self):
         # |argmin(h) - argmin(h')| <= sum|beta| * max|h - h'| (clip contracts)
         rng = np.random.default_rng(1)
-        beta = np.array([0.4, -0.1, -0.3])
+        gen = AffineQuadraticModel([[-1.0, 0.6, 0.4], [0.5, -0.9, 0.4], [0.3, 0.5, -0.8]],
+                                   [0.4, -0.1, -0.3])
+        cost = SeparableCost(3, gen=gen)
         for _ in range(50):
             h1, h2 = rng.normal(size=3), rng.normal(size=3)
-            d = abs(affine_argmin(h1, beta, (-1, 1)) - affine_argmin(h2, beta, (-1, 1)))
-            assert d <= np.abs(beta).sum() * np.abs(h1 - h2).max() + 1e-12
+            d = np.abs(cost.argmin_profile(gen, 0.0, h1) - cost.argmin_profile(gen, 0.0, h2))
+            assert d.max() <= gen.kappa1 * np.abs(h1 - h2).max() + 1e-12
+
+    @pytest.mark.parametrize("time_varying", [False, True])
+    def test_equals_per_state_clip_loop(self, time_varying):
+        rng = np.random.default_rng(21 + time_varying)
+        for m in range(2, 11):
+            grid = TimeGrid(1.0, 12)
+            gen = random_affine_generator(rng, m, grid=grid, time_varying=time_varying)
+            cost = SeparableCost(m, gen=gen)
+            for t in grid.nodes:
+                # wide continuation values clip some states and not others
+                h = rng.normal(scale=3.0, size=m)
+                assert same_bits(cost.argmin_profile(gen, t, h),
+                                 oracles.clip_argmin(gen, t, h))
 
 
 class TestAffineQuadraticModel:
@@ -116,7 +168,8 @@ class TestTabulatedGenerator:
 
     def test_degenerate_action_set(self):
         gen = TabulatedGenerator([[-1.0, 1.0], [1.0, -1.0]])
-        assert gen.action_interval(0.0, 0) == (0.0, 0.0)
+        np.testing.assert_array_equal(gen.action_bounds(0.0), np.zeros((2, 2)))
+        assert gen.action_bounds(np.linspace(0.0, 1.0, 5)).shape == (5, 2, 2)
         assert gen.kappa1 == 0.0
 
 

@@ -59,6 +59,10 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(players=1, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(players=10, seed=-1)
+
     def test_replications_positive(self):
         with pytest.raises(ValueError):
             SimConfig(players=10, seed=0, replications=0)
@@ -218,6 +222,14 @@ class TestDeviationTest:
                              inner_pairs=10)
         assert est.pairs == 20
         assert np.isfinite(est.gap) and est.ci_low <= est.gap <= est.ci_high
+
+    @pytest.mark.parametrize("pairs", [0, -3])
+    def test_inner_pairs_at_least_one(self, solved_affine_mv, pairs):
+        gen, cost, eq = solved_affine_mv
+        with pytest.raises(ValueError, match="inner pairs"):
+            deviation_test(eq, gen, cost, k_player=0, spike=(5, 0, 0.2),
+                           cfg=SimConfig(players=10, seed=1, replications=2),
+                           inner_pairs=pairs)
 
     def test_spike_must_fit(self, solved_affine_mv):
         gen, cost, eq = solved_affine_mv

@@ -39,7 +39,7 @@ def solve_builtin(name, steps):
 def corrupt_policy(eq, gen, k0, i0, offset=0.5):
     """Move one policy entry off the argmin while staying admissible."""
     grid = eq.grid
-    lo, hi = gen.action_interval(grid.nodes[k0], i0)
+    lo, hi = gen.action_bounds(grid.nodes[k0])[i0]
     orig = eq.policy.actions[k0, i0]
     bad = orig + offset if orig + offset <= hi else orig - offset
     assert lo <= bad <= hi
@@ -92,6 +92,8 @@ class TestSpikeGap:
         # state 2 of the shipped 3-state model has interval [-2/3, 1]
         with pytest.raises(AdmissibilityError):
             spike_gap(eq, gen, cost, 10, 2, -0.99)
+        with pytest.raises(AdmissibilityError, match="state 2"):
+            spike_gap(eq, gen, cost, 10, 0, np.array([0.0, 0.0, -0.99]))
 
     def test_wider_spikes_supported(self, small_eq):
         gen, cost, eq = small_eq
