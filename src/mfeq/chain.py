@@ -27,6 +27,8 @@ MASS_ATOL = 1e-10
 GENERATOR_ATOL = 1e-10
 # Slack of the admissibility check around each action interval.
 ACTION_ATOL = 1e-9
+# Grid nodes validate_generator samples at once.
+VALIDATE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -141,11 +143,14 @@ class GeneratorModel(ABC):
         """
 
     def rate_matrix(self, t: float, profile) -> np.ndarray:
-        """Full generator for the action profile u: row i uses u[i]."""
+        """Full generator for the action profile u: row i uses u[i].
+
+        A (..., m) stack of profiles gives the (..., m, m) stack of generators.
+        """
         u = np.asarray(profile, dtype=float)
-        Q = np.empty((self.m, self.m))
-        for i in range(self.m):
-            Q[i] = self.rates(t, i, float(u[i]))
+        Q = np.empty(u.shape + (self.m,))
+        for idx in np.ndindex(u.shape):
+            Q[idx] = self.rates(t, idx[-1], float(u[idx]))
         return Q
 
 
@@ -283,41 +288,57 @@ def validate_generator(model: GeneratorModel, grid: TimeGrid, samples: int = 8) 
     l1-row-difference per unit action distance and K1 as the largest sampled
     rate magnitude.  Both are lower bounds on the true suprema.  An empty
     admissible set is a fatal model defect.
+
+    One rate_matrix call per node covers every sample: profile s puts each
+    state at its own s-th action.  A one-point interval counts its single
+    action once.  Violations are listed node by node, then state, then action.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples per admissible interval")
-    report = GeneratorReport(ok=True, kappa1_hat=0.0, K1_hat=0.0,
-                             samples_per_point=samples)
     bounds = model.action_bounds(grid.nodes)
     empty = ~(np.isfinite(bounds).all(axis=-1) & (bounds[..., 0] <= bounds[..., 1]))
     if empty.any():
         k, i = np.argwhere(empty)[0]
         raise ModelDefect(f"empty admissible action set at node {k}, state {i}")
-    for k, t in enumerate(grid.nodes):
-        for i in range(model.m):
-            lo, hi = bounds[k, i]
-            actions = np.linspace(lo, hi, samples) if hi > lo else np.array([lo])
-            rows = np.array([model.rates(t, i, v) for v in actions])
-            report.K1_hat = max(report.K1_hat, float(np.abs(rows).max()))
-            sums = rows.sum(axis=1)
-            for v, s in zip(actions, sums):
-                if abs(s) > GENERATOR_ATOL:
-                    report.row_sum_violations.append((k, i, float(v), float(s)))
-            off = rows.copy()
-            off[:, i] = 0.0
-            for v, row in zip(actions, off):
-                worst = row.min()
-                if worst < -GENERATOR_ATOL:
-                    report.sign_violations.append((k, i, float(v), float(worst)))
-            if actions.size > 1:
-                dv = np.abs(np.diff(actions))
-                dq = np.abs(np.diff(rows, axis=0)).sum(axis=1)
-                report.kappa1_hat = max(report.kappa1_hat, float((dq / dv).max()))
-                span = hi - lo
-                endpoint = np.abs(rows[-1] - rows[0]).sum() / span
-                report.kappa1_hat = max(report.kappa1_hat, float(endpoint))
+    report = GeneratorReport(ok=True, kappa1_hat=0.0, K1_hat=0.0,
+                             samples_per_point=samples)
+    # blocks of nodes keep the sampled rows, (nodes, m, samples, m), small
+    for first in range(0, grid.steps + 1, VALIDATE_BLOCK):
+        block = slice(first, first + VALIDATE_BLOCK)
+        _check_rows(model, grid.nodes[block], bounds[block], first, samples, report)
     report.ok = not (report.row_sum_violations or report.sign_violations)
     return report
+
+
+def _check_rows(model: GeneratorModel, nodes: np.ndarray, bounds: np.ndarray, first: int,
+                samples: int, report: GeneratorReport) -> None:
+    """validate_generator's checks on a block of nodes, the first of which is
+    grid node `first`, added to the report."""
+    lo, hi = bounds[..., 0, None], bounds[..., 1, None]
+    # np.linspace's arithmetic for one interval; np.linspace over arrays
+    # changes it for every interval once any interval has zero width
+    actions = np.arange(samples) * ((hi - lo) / (samples - 1)) + lo
+    actions[..., -1] = hi[..., 0]
+    rows = np.empty(actions.shape + (model.m,))  # rates(t_k, i, actions[k, i, s])
+    for k, t in enumerate(nodes):
+        rows[k] = np.swapaxes(model.rate_matrix(t, actions[k].T), 0, 1)
+    counted = (hi > lo) | (np.arange(samples) == 0)
+
+    def findings(values, bad):
+        return [(first + int(k), int(i), float(actions[k, i, s]), float(values[k, i, s]))
+                for k, i, s in np.argwhere(bad & counted)]
+
+    sums = rows.sum(axis=-1)
+    worst = np.where(np.eye(model.m, dtype=bool)[:, None, :], 0.0, rows).min(axis=-1)
+    report.K1_hat = max(report.K1_hat, float(np.abs(rows).max()))
+    report.row_sum_violations += findings(sums, np.abs(sums) > GENERATOR_ATOL)
+    report.sign_violations += findings(worst, worst < -GENERATOR_ATOL)
+    wide = (hi > lo)[..., 0]
+    if wide.any():
+        rows, actions, span = rows[wide], actions[wide], (hi - lo)[wide]
+        steps = np.abs(np.diff(rows, axis=1)).sum(axis=-1) / np.abs(np.diff(actions, axis=1))
+        ends = np.abs(rows[:, -1] - rows[:, 0]).sum(axis=-1) / span[:, 0]
+        report.kappa1_hat = max(report.kappa1_hat, float(steps.max()), float(ends.max()))
 
 
 def stochastic_exponentials(generators: np.ndarray, dt: float) -> np.ndarray:
@@ -351,8 +372,13 @@ def stochastic_exponentials(generators: np.ndarray, dt: float) -> np.ndarray:
 
 
 def transition_matrix(model: GeneratorModel, t: float, profile, dt: float) -> np.ndarray:
-    """exp(dt * Q) for the generator frozen at (t, profile); rows stochastic."""
-    return stochastic_exponentials(model.rate_matrix(t, profile)[None], dt)[0]
+    """exp(dt * Q) for the generator frozen at (t, profile); rows stochastic.
+
+    A (..., m) stack of profiles gives the (..., m, m) stack of transitions
+    from one stacked exponential.
+    """
+    Q = model.rate_matrix(t, profile)
+    return stochastic_exponentials(Q.reshape(-1, model.m, model.m), dt).reshape(Q.shape)
 
 
 def transition_stack(model: GeneratorModel, strategy: StrategyTable) -> np.ndarray:

@@ -18,6 +18,7 @@ import numpy as np
 from .chain import (FlowCurve, ProbabilityVector, StrategyTable, TimeGrid, admissible,
                     propagate_flow)
 from .errors import MfeqError, ModelFileError
+from .hj import value_bound
 from .modelfile import build_model, model_hash, read_model_file
 from .simulate import SimConfig, check_inner_pairs, deviation_test, simulate
 from .solver import Equilibrium, IterationDiagnostics, SolverOptions, estimate_constants, picard_solve
@@ -112,6 +113,7 @@ def cmd_solve(args) -> int:
                (np.concatenate([[nodes[k]], eq.policy.actions[k]])
                 for k in range(grid.steps)))
     diag_vals = eq.values.values
+    bound = value_bound(gen, cost, grid)
     _write_csv(out / "theta_diag.csv",
                ["t"] + [f"theta_{i + 1}" for i in range(gen.m)],
                (np.concatenate([[nodes[k]], diag_vals[k]])
@@ -127,6 +129,13 @@ def cmd_solve(args) -> int:
             "iterations": eq.diagnostics.iterations,
             "gaps": eq.diagnostics.gaps,
             "ratio": eq.diagnostics.ratio if eq.diagnostics.ratios else None,
+        },
+        "value_bounds": {
+            "low": eq.values.low,
+            "high": eq.values.high,
+            "bound": bound,
+            "lower_margin": eq.values.low,
+            "upper_margin": bound - eq.values.high,
         },
         "contraction": {
             "kappa1": contraction.kappa1,

@@ -2,11 +2,12 @@
 
 Given an a-priori flow curve nu, the solver runs one backward sweep over the
 value table Theta[a, k, i] (value at decision time t_k seen from evaluation
-time t_a), one decision-time column at a time, and derives the policy from
-the table's diagonal.  The policy at node k minimizes the instantaneous
-control cost plus the generator applied to the latest available diagonal,
-which is the standard explicit discretization of the diagonal coupling and
-carries O(dt) error.
+time t_a), one decision-time column at a time, held as coefficients in the
+cost's evaluation-time basis, and derives the policy from the table's
+diagonal.  One sweep can carry several flows in lockstep.  The policy at
+node k minimizes the instantaneous control cost plus the generator applied
+to the latest available diagonal, which is the standard explicit
+discretization of the diagonal coupling and carries O(dt) error.
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ class CostModel(ABC):
     Declared constants: K2 caps the distribution and terminal costs, K3 is
     their Lipschitz constant in the flow argument (total variation), and
     kappa2 (optional) is the Lipschitz constant of h -> argmin profile.
+    control_profile_cost and argmin_profile take one profile or continuation
+    vector (m,) or a (B, m) stack of them.
     """
 
     m: int
@@ -94,7 +97,10 @@ class CostModel(ABC):
 
     def control_profile_cost(self, t: float, profile) -> np.ndarray:
         u = np.asarray(profile, dtype=float)
-        return np.array([self.control_cost(t, i, float(u[i])) for i in range(self.m)])
+        out = np.empty(u.shape)
+        for idx in np.ndindex(u.shape):
+            out[idx] = self.control_cost(t, idx[-1], float(u[idx]))
+        return out
 
     def running_dist_many(self, taus, t: float, rho) -> np.ndarray:
         """Distribution cost for several evaluation times; shape (len(taus), m)."""
@@ -103,57 +109,132 @@ class CostModel(ABC):
     def terminal_many(self, taus, rho) -> np.ndarray:
         return np.array([self.terminal(tau, rho) for tau in taus])
 
+    def tau_weight(self, taus) -> np.ndarray | None:
+        """The declared evaluation-time weight w at each of taus, or None.
+
+        A cost that declares w promises running_dist(tau, t, rho) =
+        w(tau) * running_base(t, rho) and a terminal cost that does not
+        depend on tau, and takes (B, m) stacks of laws in running_base and
+        terminal.  The backward sweep then carries two coefficient rows
+        instead of one per evaluation node (see EvaluationBasis).
+        """
+        return None
+
+    def running_base(self, t: float, rho) -> np.ndarray:
+        """The running cost before its tau weight, for each law of a stack;
+        needed only by a cost that declares tau_weight."""
+        raise NotImplementedError
+
     def argmin_profile(self, gen: GeneratorModel, t: float, h) -> np.ndarray:
-        """Profile of minimizers of control_cost(i, v) + q_t^v(i, .) . h.
+        """Profile of minimizers of control_cost(i, v) + q_t^v(i, .) . h,
+        one per row of h.
 
         Fallback for 1-D continuous action intervals: coarse scan plus
-        golden-section refinement to 1e-10, ties toward the smallest action.
-        Models with structure should override with their closed form.
+        golden-section refinement to 1e-10, ties toward the smallest action,
+        one state of one row at a time.  Models with structure should
+        override with their closed form.
         """
         hv = np.asarray(h, dtype=float)
         bounds = gen.action_bounds(t)
-        out = np.empty(self.m)
-        for i in range(self.m):
-            lo, hi = bounds[i]
+        out = np.empty(hv.shape)
+        for idx in np.ndindex(hv.shape):
+            row, i = hv[idx[:-1]], idx[-1]
 
-            def objective(v, i=i):
-                return self.control_cost(t, i, v) + float(gen.rates(t, i, v) @ hv)
+            def objective(v, i=i, row=row):
+                return self.control_cost(t, i, v) + float(gen.rates(t, i, v) @ row)
 
-            out[i], _ = scan_golden_min(objective, lo, hi)
+            out[idx], _ = scan_golden_min(objective, *bounds[i])
         return out
 
 
-def backward_columns(gen: GeneratorModel, cost: CostModel, nu: FlowCurve,
-                     grid: TimeGrid):
-    """Backward sweep of the value table, one decision-time column at a time.
+class EvaluationBasis:
+    """Evaluation-time basis W of the value table: Theta[a, k] = W[a] @ C_k.
 
-    Yields (k, column, profile, P) for k = N .. 0, where column[a] is the
-    value at decision node k seen from evaluation node a, for every a.  The
-    first column is the terminal cost against nu_N (profile and P are None);
-    then for k = N-1 .. 0 the profile is the argmin against the diagonal
-    entry column[k+1], P = exp(dt * Q) on cell k, and the column is pushed
-    back through P plus the rectangle-rule running cost.  Only one column is
-    alive at a time, so memory is O(N m).
+    A cost that declares its tau weight w gets W = [w, 1] (rank 2): the
+    running coefficients are [f(t_k, nu_k); c(pi_k)] and the terminal ones
+    [0; g(nu_N)].  Any other cost gets the indicator basis W = I (rank
+    N+1), whose coefficients are the value columns themselves.
+
+    extreme_rows are the rows that hold the minimum and maximum of any
+    column, and of any difference of two columns: every row of the
+    indicator basis, and for [w, 1] the rows where w is least and largest,
+    since each entry is affine in w.
     """
-    if nu.grid != grid:
-        raise DimensionMismatch("flow curve grid differs from solve grid")
-    if gen.m != cost.m or gen.m != nu.m:
-        raise DimensionMismatch("state counts differ between model parts")
+
+    def __init__(self, cost: CostModel, grid: TimeGrid):
+        self.cost = cost
+        self.nodes = grid.nodes
+        weight = cost.tau_weight(self.nodes)
+        if weight is None:
+            self.weight, self.extreme_rows = None, slice(None)
+        else:
+            self.weight = np.asarray(weight, dtype=float)
+            self.extreme_rows = np.array([np.argmin(weight), np.argmax(weight)])
+
+    def rows(self, C: np.ndarray, a) -> np.ndarray:
+        """Values at the evaluation rows a (an index array or a slice) of every
+        table in the (B, r, m) coefficient stack C, shape (B, len(a), m)."""
+        if self.weight is None:
+            return C[:, a]
+        return self.weight[a, None] * C[:, None, 0] + C[:, None, 1]
+
+    def terminal(self, laws: np.ndarray) -> np.ndarray:
+        """Coefficients (B, r, m) of the terminal costs of a (B, m) stack of laws."""
+        if self.weight is None:
+            return np.array([self.cost.terminal_many(self.nodes, rho) for rho in laws])
+        g = self.cost.terminal(self.nodes[-1], laws)
+        return np.stack([np.zeros_like(g), g], axis=1)
+
+    def running(self, t: float, laws: np.ndarray, profiles: np.ndarray) -> np.ndarray:
+        """Coefficients (B, r, m) of the running costs at t of (B, m) stacks of
+        laws and action profiles."""
+        control = self.cost.control_profile_cost(t, profiles)
+        if self.weight is None:
+            return np.array([self.cost.running_dist_many(self.nodes, t, rho) for rho in laws]) \
+                + control[:, None]
+        return np.stack([self.cost.running_base(t, laws), control], axis=1)
+
+
+def backward_columns(gen: GeneratorModel, cost: CostModel, flows, grid: TimeGrid):
+    """Lockstep backward sweep of the value tables of B flows.
+
+    flows is one FlowCurve (B = 1) or a sequence of them.  The sweep holds
+    each table's current decision-time column as coefficients in the cost's
+    EvaluationBasis, a (B, r, m) stack C, so memory is O(B r m) and each
+    cell costs O(B r m^2).  Yields (k, C, profiles, P) for k = N .. 0: first
+    the terminal coefficients against nu_N (profiles and P are None); then
+    for k = N-1 .. 0 the argmin profiles (B, m) against each table's
+    diagonal entry at k+1, from one call, P = exp(dt * Q) on cell k for
+    every profile, from one stacked call, and C pushed back through P plus
+    the rectangle-rule running cost.
+    """
+    flows = [flows] if isinstance(flows, FlowCurve) else list(flows)
+    for nu in flows:
+        if nu.grid != grid:
+            raise DimensionMismatch("flow curve grid differs from solve grid")
+        if gen.m != cost.m or gen.m != nu.m:
+            raise DimensionMismatch("state counts differ between model parts")
+    basis = EvaluationBasis(cost, grid)
     n = grid.steps
-    nodes = grid.nodes
+    nodes = basis.nodes
     dt = grid.dt
-    column = cost.terminal_many(nodes, nu.at(n))
-    yield n, column, None, None
+    C = basis.terminal(np.array([nu.at(n) for nu in flows]))
+    yield n, C, None, None
     for k in range(n - 1, -1, -1):
+        diagonal = basis.rows(C, [k + 1])[:, 0]
         try:
-            profile = np.asarray(cost.argmin_profile(gen, nodes[k], column[k + 1]), float)
+            profiles = np.asarray(cost.argmin_profile(gen, nodes[k], diagonal), float)
         except Exception as exc:
             raise MfeqError(f"argmin oracle failed at node {k}: {exc}") from exc
-        P = transition_matrix(gen, nodes[k], profile, dt)
-        running = cost.running_dist_many(nodes, nodes[k], nu.at(k))
-        running = running + cost.control_profile_cost(nodes[k], profile)
-        column = column @ P.T + dt * running
-        yield k, column, profile, P
+        P = transition_matrix(gen, nodes[k], profiles, dt)
+        laws = np.array([nu.at(k) for nu in flows])
+        C = C @ np.swapaxes(P, 1, 2) + dt * basis.running(nodes[k], laws, profiles)
+        yield k, C, profiles, P
+
+
+def value_bound(gen: GeneratorModel, cost: CostModel, grid: TimeGrid) -> float:
+    """The declared uniform bound (K1 + K2) T + K2 on every value."""
+    return (gen.K1 + cost.K2) * grid.horizon + cost.K2
 
 
 @dataclass(frozen=True)
@@ -176,29 +257,31 @@ def solve_hj(gen: GeneratorModel, cost: CostModel, nu: FlowCurve,
              grid: TimeGrid) -> tuple[BackwardSweep, StrategyTable]:
     """Backward sweep producing the diagonal, the table's range and the policy.
 
-    Consumes backward_columns, keeping the diagonal, the policy, its
-    per-cell transitions and the running min and max of every column.  The
-    policy's admissibility is checked once, so its transitions can stand in
-    for transition_stack.  A table outside the declared bounds
-    [0, (K1 + K2) T + K2] is logged as a warning.
+    Consumes backward_columns for the one flow, keeping the diagonal, the
+    policy, its per-cell transitions and the running min and max of every
+    column, read at the basis's extreme rows.  The policy's admissibility is
+    checked once, so its transitions can stand in for transition_stack.  A
+    table outside the declared bounds [0, value_bound] is logged as a
+    warning.
     """
     n = grid.steps
+    basis = EvaluationBasis(cost, grid)
     diagonal = np.empty((n + 1, gen.m))
     actions = np.empty((n, gen.m))
     transitions = np.empty((n, gen.m, gen.m))
     low, high = np.inf, -np.inf
-    for k, column, profile, P in backward_columns(gen, cost, nu, grid):
-        diagonal[k] = column[k]
-        low = min(low, float(column.min()))
-        high = max(high, float(column.max()))
+    for k, C, profiles, P in backward_columns(gen, cost, nu, grid):
+        diagonal[k] = basis.rows(C, [k])[0, 0]
+        extremes = basis.rows(C, basis.extreme_rows)
+        low = min(low, float(extremes.min()))
+        high = max(high, float(extremes.max()))
         if k < n:
-            actions[k] = profile
-            transitions[k] = P
+            actions[k] = profiles[0]
+            transitions[k] = P[0]
     policy = StrategyTable(actions, grid)
     policy.check_admissible(gen)
 
-    bound = (gen.K1 + cost.K2) * grid.horizon + cost.K2
-    worst_hi = high - bound
+    worst_hi = high - value_bound(gen, cost, grid)
     worst_lo = -low
     if worst_hi > 1e-8 or worst_lo > 1e-8:
         logger.warning(
@@ -277,7 +360,7 @@ def validate_cost(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
             if psi > gen.K1 + 1e-9:
                 problems.append(
                     f"control cost {psi:.6g} exceeds K1={gen.K1:.6g}")
-        h = rng.uniform(0.0, (gen.K1 + cost.K2) * grid.horizon + cost.K2, cost.m)
+        h = rng.uniform(0.0, value_bound(gen, cost, grid), cost.m)
         profile = cost.argmin_profile(gen, t, h)
         ok = admissible(bounds, profile)
         for i in range(cost.m):

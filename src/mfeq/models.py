@@ -128,7 +128,7 @@ class AffineQuadraticModel(GeneratorModel):
     def rate_matrix(self, t: float, profile) -> np.ndarray:
         a, b = self.coefficients_at(t)
         u = np.asarray(profile, dtype=float)
-        return a + u[:, None] * b[None, :]
+        return a + u[..., :, None] * b
 
     def action_bounds(self, t) -> np.ndarray:
         if isinstance(t, np.ndarray):
@@ -164,7 +164,8 @@ class TabulatedGenerator(GeneratorModel):
         return self._tables[_cell(t, self._dt, self._cells)][i]
 
     def rate_matrix(self, t: float, profile) -> np.ndarray:
-        return self._tables[_cell(t, self._dt, self._cells)]
+        Q = self._tables[_cell(t, self._dt, self._cells)]
+        return np.broadcast_to(Q, np.shape(profile)[:-1] + Q.shape)
 
     def action_bounds(self, t) -> np.ndarray:
         return np.zeros(np.shape(t) + (self.m, 2))
@@ -174,9 +175,18 @@ def state_labels(m: int) -> np.ndarray:
     return np.arange(1, m + 1, dtype=float)
 
 
+def label_means(rho) -> np.ndarray:
+    """Label mean of one law (m,) or of each law in a (..., m) stack.
+
+    np.vecdot takes one dot product per law, so a law's mean does not depend
+    on the stack it sits in; a matrix-vector product's last bits would.
+    """
+    w = np.asarray(rho, dtype=float)
+    return np.vecdot(w, state_labels(w.shape[-1]))
+
+
 def label_mean(rho) -> float:
-    w = np.asarray(rho.weights if hasattr(rho, "weights") else rho, dtype=float)
-    return float(state_labels(w.size) @ w)
+    return float(label_means(rho.weights if hasattr(rho, "weights") else rho))
 
 
 def mean_variance_terminal(variant: str, label: float, rho) -> float:
@@ -241,7 +251,7 @@ class SeparableCost(CostModel):
 
         kind = running[0]
         if kind == "zero":
-            self._running_base = None
+            self._running_spec = None
             run_cap, run_lip = 0.0, 0.0
         elif kind == "table":
             vals = np.asarray(running[1], dtype=float)
@@ -249,13 +259,13 @@ class SeparableCost(CostModel):
                 raise ModelDefect("running table length differs from state count")
             if vals.min() < 0.0:
                 raise ModelDefect("running table must be nonnegative")
-            self._running_base = ("table", vals)
+            self._running_spec = ("table", vals)
             run_cap, run_lip = float(vals.max()), 0.0
         elif kind == "mean_square":
             scale = float(running[1])
             if scale < 0.0:
                 raise ModelDefect("mean_square scale must be nonnegative")
-            self._running_base = ("mean_square", scale)
+            self._running_spec = ("mean_square", scale)
             run_cap = scale * (m - 1) ** 2
             run_lip = scale * 2.0 * m * m
         else:
@@ -294,27 +304,31 @@ class SeparableCost(CostModel):
             # clip argmin is 1-Lipschitz in its stationary point -h . beta
             self.kappa2 = gen.kappa1
 
-    def _running_values(self, rho) -> np.ndarray:
-        if self._running_base is None:
-            return np.zeros(self.m)
-        kind, payload = self._running_base
+    def tau_weight(self, taus) -> np.ndarray:
+        return self._weight(np.asarray(taus, float))
+
+    def running_base(self, t: float, rho) -> np.ndarray:
+        shape = np.shape(rho)
+        if self._running_spec is None:
+            return np.zeros(shape)
+        kind, payload = self._running_spec
         if kind == "table":
-            return payload
-        mbar = label_mean(rho)
+            return np.broadcast_to(payload, shape)
+        mbar = label_means(rho)[..., None]
         return payload * (self._labels - mbar) ** 2
 
     def running_dist(self, tau: float, t: float, rho) -> np.ndarray:
-        return float(self._weight(tau)) * self._running_values(rho)
+        return float(self._weight(tau)) * self.running_base(t, rho)
 
     def running_dist_many(self, taus, t: float, rho) -> np.ndarray:
-        w = np.atleast_1d(np.asarray(self._weight(np.asarray(taus, float)), float))
-        return np.outer(w, self._running_values(rho))
+        return np.outer(self.tau_weight(taus), self.running_base(t, rho))
 
     def terminal(self, tau: float, rho) -> np.ndarray:
+        """Terminal cost of one law (m,) or of each law in a (..., m) stack."""
         kind, payload = self._terminal_spec
         if kind == "table":
-            return payload.copy()
-        mbar = label_mean(rho)
+            return np.broadcast_to(payload, np.shape(rho)).copy()
+        mbar = label_means(rho)[..., None]
         if payload == "g":
             return (self._labels - mbar) ** 2
         return self._labels ** 2 - mbar ** 2 + self.terminal_shift
@@ -331,15 +345,17 @@ class SeparableCost(CostModel):
     def control_profile_cost(self, t: float, profile) -> np.ndarray:
         u = np.asarray(profile, dtype=float)
         if self.control == "zero":
-            return np.zeros(self.m)
+            return np.zeros_like(u)
         return 0.5 * u * u
 
     def argmin_profile(self, gen: GeneratorModel, t: float, h) -> np.ndarray:
         if self.control == "quadratic" and isinstance(gen, AffineQuadraticModel):
             # minimizer of v^2/2 + v (h . beta): the stationary point clipped
             # into each state's interval, 1-Lipschitz in the stationary point
+            # np.vecdot: each row's dot product is h @ beta's, bit for bit
             _, beta = gen.coefficients_at(t)
-            return clip_to_bounds(gen.action_bounds(t), -(np.asarray(h, dtype=float) @ beta))
+            stationary = -np.vecdot(np.asarray(h, dtype=float), beta)
+            return clip_to_bounds(gen.action_bounds(t), stationary[..., None])
         # with a flat (zero) control cost the generator term decides, and
         # ties go to the smallest action via the fallback's scan
         return super().argmin_profile(gen, t, h)

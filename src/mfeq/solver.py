@@ -26,7 +26,8 @@ from .chain import (
     validate_generator,
 )
 from .errors import DimensionMismatch
-from .hj import BackwardSweep, CostModel, backward_columns, solve_hj
+from .hj import (BackwardSweep, CostModel, EvaluationBasis, backward_columns, solve_hj,
+                 value_bound)
 
 logger = logging.getLogger(__name__)
 
@@ -181,17 +182,19 @@ def _random_flow(rng: np.random.Generator, grid: TimeGrid, m: int) -> FlowCurve:
     return FlowCurve((1.0 - s) * anchors[0] + s * anchors[1], grid)
 
 
-def table_distance(gen: GeneratorModel, cost: CostModel, nu: FlowCurve,
-                   nu2: FlowCurve, grid: TimeGrid) -> float:
-    """Sup over the whole value table of |Theta(nu) - Theta(nu2)|.
+def table_distances(gen: GeneratorModel, cost: CostModel, pairs, grid: TimeGrid) -> np.ndarray:
+    """Sup over the whole value table of |Theta(nu) - Theta(nu2)|, one per
+    pair (nu, nu2).
 
-    Runs the two backward sweeps side by side, column by column, so no
-    table is ever stored; every evaluation row of every column counts.
+    All the pairs' flows run through one lockstep backward sweep.  Each
+    column difference is read at the basis's extreme rows, which hold its
+    sup over every evaluation row, so no table is ever stored.
     """
-    worst = 0.0
-    for (_, c1, _, _), (_, c2, _, _) in zip(backward_columns(gen, cost, nu, grid),
-                                            backward_columns(gen, cost, nu2, grid)):
-        worst = max(worst, float(np.abs(c1 - c2).max()))
+    basis = EvaluationBasis(cost, grid)
+    worst = np.zeros(len(pairs))
+    for _, C, _, _ in backward_columns(gen, cost, [nu for pair in pairs for nu in pair], grid):
+        gaps = basis.rows(C[0::2], basis.extreme_rows) - basis.rows(C[1::2], basis.extreme_rows)
+        worst = np.maximum(worst, np.abs(gaps).max(axis=(1, 2)))
     return worst
 
 
@@ -201,12 +204,14 @@ def estimate_constants(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
 
     kappa1 from generator sampling, kappa2 from argmin profiles at perturbed
     continuation values, kappa3 from paired backward sweeps at perturbed flows.
-    Each is a sampled lower bound on the true constant.
+    Each is a sampled lower bound on the true constant.  kappa2 takes one
+    argmin call per sampled (t, h), covering every probe; kappa3 draws all
+    its pairs first and sweeps them together.
     """
     rng = np.random.default_rng(seed)
     kappa1 = validate_generator(gen, grid, samples=max(8, samples)).kappa1_hat
 
-    scale = (gen.K1 + cost.K2) * grid.horizon + cost.K2
+    scale = value_bound(gen, cost, grid)
     kappa2 = 0.0
     # the sup-norm difference quotient is attained on sign-aligned
     # perturbations, so probe sign patterns rather than random directions
@@ -215,16 +220,17 @@ def estimate_constants(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
                              for p in range(2 ** gen.m)], dtype=float)
     else:
         patterns = rng.choice([-1.0, 1.0], size=(64, gen.m))
+    eps = np.array([1e-3, 1e-1])[:, None]
     for _ in range(max(2, samples)):
         t = float(rng.choice(grid.nodes))
         h = rng.uniform(0.0, max(scale, 1.0), gen.m)
-        p1 = cost.argmin_profile(gen, t, h)
-        for s in patterns:
-            for eps in (1e-3, 1e-1):
-                p2 = cost.argmin_profile(gen, t, h + eps * s)
-                kappa2 = max(kappa2, float(np.abs(p1 - p2).max()) / eps)
+        # row 0 is h itself, then every pattern at each eps
+        probes = np.concatenate([h[None], (h + eps[:, :, None] * patterns).reshape(-1, gen.m)])
+        p = cost.argmin_profile(gen, t, probes)
+        moves = np.abs(p[0] - p[1:]).max(axis=1).reshape(eps.size, -1)
+        kappa2 = max(kappa2, float((moves / eps).max()))
 
-    kappa3 = 0.0
+    pairs, dists = [], []
     for _ in range(max(2, samples)):
         nu = _random_flow(rng, grid, gen.m)
         size = rng.choice([1e-3, 1e-2, 1e-1])
@@ -233,7 +239,9 @@ def estimate_constants(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
         nu2 = FlowCurve(tilted, grid)
         dist = nu.sup_distance(nu2)
         if dist > 0:
-            kappa3 = max(kappa3, table_distance(gen, cost, nu, nu2, grid) / dist)
+            pairs.append((nu, nu2))
+            dists.append(dist)
+    kappa3 = float((table_distances(gen, cost, pairs, grid) / dists).max()) if pairs else 0.0
 
     report = ContractionReport(kappa1=kappa1, kappa2=kappa2, kappa3=kappa3,
                                horizon=grid.horizon)

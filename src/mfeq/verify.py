@@ -30,7 +30,7 @@ from .chain import (
     validate_generator,
 )
 from .errors import AdmissibilityError, DimensionMismatch, NumericalError
-from .hj import CostModel, evaluate_cost, scan_golden_min
+from .hj import CostModel, evaluate_cost, scan_golden_min, value_bound
 from .solver import Equilibrium
 
 
@@ -310,7 +310,7 @@ def check_bounds_and_lipschitz(eq: Equilibrium, gen: GeneratorModel, cost: CostM
     models whose sampled kappa1 underestimates the true constant).
     """
     grid = eq.grid
-    bound = (gen.K1 + cost.K2) * grid.horizon + cost.K2
+    bound = value_bound(gen, cost, grid)
     tmin = eq.values.low
     tmax = eq.values.high
     bounds_ok = tmin >= -1e-9 and tmax <= bound + 1e-9

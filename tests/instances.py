@@ -9,6 +9,7 @@ from mfeq import (
     TimeGrid,
     backward_columns,
 )
+from mfeq.hj import CostModel, EvaluationBasis
 
 
 def two_state_transition(a: float, b: float, t: float) -> np.ndarray:
@@ -107,16 +108,48 @@ def random_instance(rng, m=None, steps=None, horizon=None, **cost_kwargs):
 
 
 def value_table(gen, cost, nu, grid):
-    """The whole table Theta[a, k, i], stacked from mfeq's backward columns,
-    and the policy of the same sweep."""
+    """The whole table Theta[a, k, i], stacked from mfeq's backward columns
+    read at every evaluation row, and the policy of the same sweep."""
     n = grid.steps
+    basis = EvaluationBasis(cost, grid)
     table = np.empty((n + 1, n + 1, gen.m))
     actions = np.empty((n, gen.m))
-    for k, column, profile, _ in backward_columns(gen, cost, nu, grid):
-        table[:, k] = column
+    for k, C, profiles, _ in backward_columns(gen, cost, nu, grid):
+        table[:, k] = basis.rows(C, slice(None))[0]
         if k < n:
-            actions[k] = profile
+            actions[k] = profiles[0]
     return table, StrategyTable(actions, grid)
+
+
+class IndicatorBasis(CostModel):
+    """A cost that delegates everything to `base` but declares no tau
+    weight, so the backward sweep runs it in the indicator basis: one
+    coefficient row per evaluation node, the generic path."""
+
+    def __init__(self, base):
+        self.base = base
+        self.m, self.K2, self.K3, self.kappa2 = base.m, base.K2, base.K3, base.kappa2
+
+    def running_dist(self, tau, t, rho):
+        return self.base.running_dist(tau, t, rho)
+
+    def running_dist_many(self, taus, t, rho):
+        return self.base.running_dist_many(taus, t, rho)
+
+    def terminal(self, tau, rho):
+        return self.base.terminal(tau, rho)
+
+    def terminal_many(self, taus, rho):
+        return self.base.terminal_many(taus, rho)
+
+    def control_cost(self, t, i, v):
+        return self.base.control_cost(t, i, v)
+
+    def control_profile_cost(self, t, profile):
+        return self.base.control_profile_cost(t, profile)
+
+    def argmin_profile(self, gen, t, h):
+        return self.base.argmin_profile(gen, t, h)
 
 
 class OutsideArgmin(SeparableCost):
@@ -125,6 +158,5 @@ class OutsideArgmin(SeparableCost):
 
     def argmin_profile(self, gen, t, h):
         profile = super().argmin_profile(gen, t, h)
-        if np.any(np.asarray(h) != 0.0):
-            profile[0] = 1.5
+        profile[np.any(np.asarray(h) != 0.0, axis=-1), ..., 0] = 1.5
         return profile

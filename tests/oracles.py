@@ -6,7 +6,8 @@ compare the library against it.
 
 import numpy as np
 
-from mfeq.chain import StrategyTable, transition_matrix, transition_stack
+from mfeq.chain import (GENERATOR_ATOL, GeneratorReport, StrategyTable, transition_matrix,
+                        transition_stack)
 from mfeq.errors import DimensionMismatch
 from mfeq.models import ACTION_HI, ACTION_LO
 from mfeq.simulate import PathBundle
@@ -119,11 +120,46 @@ def dense_solve_hj(gen, cost, nu, grid):
     return values, StrategyTable(actions, grid), transitions
 
 
-def dense_table_distance(gen, cost, nu, nu2, grid):
-    """Sup of |Theta(nu) - Theta(nu2)| over two dense tables."""
-    t1, _, _ = dense_solve_hj(gen, cost, nu, grid)
-    t2, _, _ = dense_solve_hj(gen, cost, nu2, grid)
-    return float(np.abs(t1 - t2).max())
+def dense_table_distances(gen, cost, pairs, grid):
+    """Sup of |Theta(nu) - Theta(nu2)| over two dense tables, per pair."""
+    out = []
+    for nu, nu2 in pairs:
+        t1, _, _ = dense_solve_hj(gen, cost, nu, grid)
+        t2, _, _ = dense_solve_hj(gen, cost, nu2, grid)
+        out.append(float(np.abs(t1 - t2).max()))
+    return np.array(out)
+
+
+def validate_generator(model, grid, samples=8):
+    """Generator report from one model.rates call per (node, state, action)."""
+    report = GeneratorReport(ok=True, kappa1_hat=0.0, K1_hat=0.0,
+                             samples_per_point=samples)
+    bounds = model.action_bounds(grid.nodes)
+    for k, t in enumerate(grid.nodes):
+        for i in range(model.m):
+            lo, hi = bounds[k, i]
+            actions = np.linspace(lo, hi, samples) if hi > lo else np.array([lo])
+            rows = np.array([model.rates(t, i, v) for v in actions])
+            report.K1_hat = max(report.K1_hat, float(np.abs(rows).max()))
+            sums = rows.sum(axis=1)
+            for v, s in zip(actions, sums):
+                if abs(s) > GENERATOR_ATOL:
+                    report.row_sum_violations.append((k, i, float(v), float(s)))
+            off = rows.copy()
+            off[:, i] = 0.0
+            for v, row in zip(actions, off):
+                worst = row.min()
+                if worst < -GENERATOR_ATOL:
+                    report.sign_violations.append((k, i, float(v), float(worst)))
+            if actions.size > 1:
+                dv = np.abs(np.diff(actions))
+                dq = np.abs(np.diff(rows, axis=0)).sum(axis=1)
+                report.kappa1_hat = max(report.kappa1_hat, float((dq / dv).max()))
+                span = hi - lo
+                endpoint = np.abs(rows[-1] - rows[0]).sum() / span
+                report.kappa1_hat = max(report.kappa1_hat, float(endpoint))
+    report.ok = not (report.row_sum_violations or report.sign_violations)
+    return report
 
 
 def jump_tables(gen, strategy):

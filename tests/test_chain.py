@@ -23,6 +23,7 @@ from mfeq import (
 from mfeq.chain import ACTION_ATOL, GeneratorModel, admissible, clip_to_bounds
 
 from instances import random_affine_generator, random_strategy, two_state_transition
+import oracles
 from oracles import transition_loop
 
 TOL = 1e-12
@@ -130,6 +131,24 @@ class _NanBounds(_EmptyAdmissible):
         return np.full(np.shape(t) + (2, 2), np.nan)
 
 
+class _Leaky(GeneratorModel):
+    """Affine rates plus a row-sum leak and a negative off-diagonal that grow
+    with the action; state 1's interval shrinks to the point 0."""
+
+    def __init__(self, base):
+        self.base, self.m, self.kappa1, self.K1 = base, base.m, base.kappa1, base.K1
+
+    def rates(self, t, i, v):
+        row = self.base.rates(t, i, v).copy()
+        row[(i + 1) % self.m] -= 2.0 * max(v, 0.0)
+        return row
+
+    def action_bounds(self, t):
+        bounds = self.base.action_bounds(t).copy()
+        bounds[..., 1, :] = 0.0
+        return bounds
+
+
 class TestValidateGenerator:
     def test_affine_model_valid_with_exact_kappa1(self):
         gen = AffineQuadraticModel([[-0.8, 0.8], [0.9, -0.9]], [0.4, -0.4])
@@ -151,6 +170,35 @@ class TestValidateGenerator:
         assert report.ok
         assert report.kappa1_hat == 0.0
         assert report.K1_hat == 0.0
+
+    def test_row_sum_defect_equals_scalar_loop(self):
+        grid = TimeGrid(1.0, 3)
+        for samples in (2, 5):
+            report = validate_generator(_RowSumDefect(), grid, samples=samples)
+            assert report == oracles.validate_generator(_RowSumDefect(), grid, samples)
+
+    @pytest.mark.parametrize("time_varying", [False, True])
+    def test_equals_scalar_loop_on_random_models(self, time_varying):
+        rng = np.random.default_rng(40 + time_varying)
+        for m in (2, 3, 5, 10):
+            grid = TimeGrid(float(rng.uniform(0.3, 1.5)), int(rng.integers(5, 15)))
+            gen = random_affine_generator(rng, m, grid=grid, time_varying=time_varying)
+            for samples in (2, 3, 8):
+                report = validate_generator(gen, grid, samples=samples)
+                assert report == oracles.validate_generator(gen, grid, samples)
+
+    def test_equals_scalar_loop_with_violations_and_point_intervals(self):
+        # rows that break both checks, and states whose interval is one
+        # point, over more nodes than one block of validate_generator
+        rng = np.random.default_rng(42)
+        grid = TimeGrid(1.0, 150)
+        gen = _Leaky(random_affine_generator(rng, 4, grid=grid, time_varying=True))
+        report = validate_generator(gen, grid, samples=4)
+        assert report.row_sum_violations and report.sign_violations
+        assert report == oracles.validate_generator(gen, grid, 4)
+        tab = TabulatedGenerator([[-1.0, 0.5, 0.5], [0.2, -0.2, 0.0], [0.0, 0.3, -0.3]])
+        assert validate_generator(tab, grid, samples=5) == \
+            oracles.validate_generator(tab, grid, 5)
 
     def test_empty_admissible_set_fatal(self):
         with pytest.raises(ModelDefect, match="node 0, state 0"):

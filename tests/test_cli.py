@@ -127,6 +127,19 @@ class TestVerify:
             "state": int(worst[1]), "action": worst[2], "gap": worst[3]}
         assert summary["worst"]["gap"] == summary["min_gap"]
 
+        # the value-bound margins of the last sweep's whole table
+        from mfeq.chain import TimeGrid
+        from mfeq.modelfile import build_model, read_model_file
+        meta = json.loads((solved_dir / "equilibrium.json").read_text())
+        gen, cost = build_model(read_model_file(solved_dir / "model.json"),
+                                TimeGrid(grid["horizon"], grid["steps"]))
+        vb = meta["value_bounds"]
+        assert vb["bound"] == (gen.K1 + cost.K2) * grid["horizon"] + cost.K2
+        theta = np.loadtxt(solved_dir / "theta_diag.csv", delimiter=",", skiprows=1)[:, 1:]
+        assert 0.0 <= vb["low"] <= theta.min() <= theta.max() <= vb["high"] < vb["bound"]
+        assert vb["lower_margin"] == vb["low"]
+        assert vb["upper_margin"] == vb["bound"] - vb["high"] > 0.0
+
     def test_round_trip_every_builtin(self, tmp_path):
         from mfeq.modelfile import builtin_names
         for name in builtin_names():

@@ -18,12 +18,13 @@ from mfeq import (
 )
 from mfeq.chain import FlowCurve, transition_stack
 from mfeq.errors import AdmissibilityError
-from mfeq.hj import scan_golden_min
+from mfeq.hj import EvaluationBasis, scan_golden_min
 from mfeq.modelfile import build_model, builtin_names, read_model_file
 from mfeq.solver import myopic_strategy
 
 import oracles
-from instances import OutsideArgmin, random_flow, random_instance, value_table
+from instances import (IndicatorBasis, OutsideArgmin, random_affine_generator, random_flow,
+                       random_instance, value_table)
 from oracles import evaluate_population_cost
 
 
@@ -65,8 +66,9 @@ class TestSolveHj:
         rng = np.random.default_rng(0)
         grid, gen, cost = random_instance(rng, m=3, steps=15)
         nu = random_flow(rng, grid, 3)
-        k, column, profile, P = next(backward_columns(gen, cost, nu, grid))
-        assert k == grid.steps and profile is None and P is None
+        k, C, profiles, P = next(backward_columns(gen, cost, nu, grid))
+        assert k == grid.steps and profiles is None and P is None
+        column = EvaluationBasis(cost, grid).rows(C, slice(None))[0]
         for a in range(grid.steps + 1):
             expected = cost.terminal(grid.nodes[a], nu.at(grid.steps))
             np.testing.assert_array_equal(column[a], expected)
@@ -182,10 +184,25 @@ def shipped_instances():
         yield f"random-{steps}", grid, gen, cost, random_flow(rng, grid, gen.m)
 
 
+def tau_weighted_instances():
+    # time-varying generators with affine and exp tau weights
+    rng = np.random.default_rng(10)
+    for kind, weight in (("affine", {"kind": "affine", "intercept": 0.4, "slope": 1.5}),
+                         ("exp", {"kind": "exp", "rate": 2.0})):
+        for m in (2, 3, 5):
+            grid = TimeGrid(0.8, 30)
+            gen = random_affine_generator(rng, m, grid=grid, time_varying=True)
+            cost = SeparableCost(m, running=("mean_square", 0.3),
+                                 terminal=("mean_variance", ["g", "gtilde"][m % 2]),
+                                 tau_weight=weight, horizon=grid.horizon, gen=gen)
+            yield f"{kind}-m{m}", grid, gen, cost, random_flow(rng, grid, m)
+
+
 class TestSweepMatchesDenseTable:
     @pytest.mark.parametrize("case", list(shipped_instances()), ids=lambda c: c[0])
     def test_same_numbers_bit_for_bit(self, case):
         _, grid, gen, cost, nu = case
+        cost = IndicatorBasis(cost)
         table, ref_policy, ref_transitions = oracles.dense_solve_hj(gen, cost, nu, grid)
         sweep, policy = solve_hj(gen, cost, nu, grid)
         n = grid.steps
@@ -194,6 +211,60 @@ class TestSweepMatchesDenseTable:
         assert np.array_equal(sweep.transitions, ref_transitions)
         assert sweep.low == table.min() and sweep.high == table.max()
         assert np.array_equal(value_table(gen, cost, nu, grid)[0], table)
+
+    @pytest.mark.parametrize("case", list(shipped_instances()) + list(tau_weighted_instances()),
+                             ids=lambda c: c[0])
+    def test_rank2_basis_within_roundoff(self, case):
+        _, grid, gen, cost, nu = case
+        assert EvaluationBasis(cost, grid).weight is not None
+        table, ref_policy, ref_transitions = oracles.dense_solve_hj(gen, cost, nu, grid)
+        sweep, policy = solve_hj(gen, cost, nu, grid)
+        n = grid.steps
+        scale = max(1.0, float(np.abs(table).max()))
+        assert np.abs(sweep.values - table[np.arange(n + 1), np.arange(n + 1)]).max() \
+            <= 1e-12 * scale
+        assert np.abs(policy.actions - ref_policy.actions).max() <= 1e-12
+        assert np.abs(sweep.transitions - ref_transitions).max() <= 1e-12
+        assert abs(sweep.low - table.min()) <= 1e-12 * scale
+        assert abs(sweep.high - table.max()) <= 1e-12 * scale
+        assert np.abs(value_table(gen, cost, nu, grid)[0] - table).max() <= 1e-12 * scale
+
+    def test_extreme_rows_hold_every_column_extreme(self):
+        # a weight that is not monotone and coefficients of both signs: the
+        # extremes of each column lie where w is least and largest, the
+        # rounded values too, since rounding is monotone
+        class SineWeight(SeparableCost):
+            def tau_weight(self, taus):
+                return 1.0 + np.sin(7.0 * np.asarray(taus))
+
+        basis = EvaluationBasis(SineWeight(3), TimeGrid(1.0, 50))
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            C = rng.normal(size=(4, 2, 3))
+            full, ext = basis.rows(C, slice(None)), basis.rows(C, basis.extreme_rows)
+            assert full.min(axis=1).tolist() == ext.min(axis=1).tolist()
+            assert full.max(axis=1).tolist() == ext.max(axis=1).tolist()
+            gaps = np.abs(full[0::2] - full[1::2]).max(axis=(1, 2))
+            np.testing.assert_allclose(np.abs(ext[0::2] - ext[1::2]).max(axis=(1, 2)), gaps,
+                                       rtol=1e-12)
+
+    @pytest.mark.parametrize("indicator", [False, True])
+    def test_batch_equals_separate_sweeps(self, indicator):
+        rng = np.random.default_rng(12)
+        for m in (2, 3, 4, 7):
+            grid, gen, cost = random_instance(rng, m=m, steps=25)
+            if indicator:
+                cost = IndicatorBasis(cost)
+            flows = [random_flow(rng, grid, m) for _ in range(5)]
+            batched = list(backward_columns(gen, cost, flows, grid))
+            for b, nu in enumerate(flows):
+                for (k, C, profiles, P), (k1, C1, profiles1, P1) in zip(
+                        batched, backward_columns(gen, cost, nu, grid)):
+                    assert k == k1
+                    assert np.array_equal(C[b], C1[0])
+                    if k < grid.steps:
+                        assert np.array_equal(profiles[b], profiles1[0])
+                        assert np.array_equal(P[b], P1[0])
 
     def test_sweep_memory_is_linear_in_steps(self):
         # one dense table of affine_mv at N=1000 takes 16 MB

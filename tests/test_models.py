@@ -13,7 +13,8 @@ from mfeq import (
     mean_variance_terminal,
     validate_generator,
 )
-from mfeq.models import label_mean, make_tau_weight
+from mfeq.modelfile import build_model, builtin_names, read_model_file
+from mfeq.models import label_mean, label_means, make_tau_weight
 
 import oracles
 from instances import random_affine_generator, random_strategy
@@ -118,6 +119,41 @@ class TestAffineArgmin:
                 h = rng.normal(scale=3.0, size=m)
                 assert same_bits(cost.argmin_profile(gen, t, h),
                                  oracles.clip_argmin(gen, t, h))
+
+
+class TestBatchedArgmin:
+    """argmin_profile on a (B, m) stack equals one call per row, bit for bit."""
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_shipped_models(self, name):
+        rng = np.random.default_rng(31)
+        model = read_model_file(name)
+        grid = TimeGrid(model["horizon"], 20)
+        gen, cost = build_model(model, grid)
+        for t in grid.nodes[::5]:
+            H = rng.normal(scale=3.0, size=(9, gen.m))
+            batched = cost.argmin_profile(gen, t, H)
+            assert same_bits(batched, np.array([cost.argmin_profile(gen, t, h) for h in H]))
+
+    def test_random_affine_models(self):
+        rng = np.random.default_rng(32)
+        for m in range(2, 11):
+            grid = TimeGrid(1.0, 8)
+            gen = random_affine_generator(rng, m, grid=grid, time_varying=True)
+            cost = SeparableCost(m, gen=gen)
+            t = grid.nodes[3]
+            H = rng.normal(scale=3.0, size=(12, m))
+            rows = np.array([cost.argmin_profile(gen, t, h) for h in H])
+            assert same_bits(cost.argmin_profile(gen, t, H), rows)
+            assert same_bits(rows, np.array([oracles.clip_argmin(gen, t, h) for h in H]))
+
+    def test_label_means_equal_one_dot_product_per_law(self):
+        rng = np.random.default_rng(33)
+        for m in range(2, 11):
+            laws = rng.dirichlet(np.ones(m), size=12)
+            labels = np.arange(1.0, m + 1.0)
+            assert same_bits(label_means(laws), np.array([labels @ r for r in laws]))
+            assert same_bits(label_means(laws[3]), labels @ laws[3])
 
 
 class TestAffineQuadraticModel:

@@ -15,14 +15,14 @@ from mfeq import (
     picard_solve,
     propagate_flow,
 )
-from mfeq import solver
-from mfeq.chain import FlowCurve
+from mfeq import hj, solver
+from mfeq.chain import FlowCurve, transition_matrix
 from mfeq.errors import AdmissibilityError
 from mfeq.modelfile import build_model, read_model_file
 from mfeq.solver import myopic_strategy
 
 import oracles
-from instances import OutsideArgmin, random_flow
+from instances import IndicatorBasis, OutsideArgmin, random_flow
 
 
 @pytest.fixture(scope="module")
@@ -179,11 +179,53 @@ class TestEstimateConstants:
 
     def test_kappa3_equals_dense_estimator(self, affine_mv, monkeypatch):
         grid, gen, cost = affine_mv
+        cost = IndicatorBasis(cost)
         columns = estimate_constants(gen, cost, grid, samples=3, seed=4)
-        monkeypatch.setattr(solver, "table_distance", oracles.dense_table_distance)
+        monkeypatch.setattr(solver, "table_distances", oracles.dense_table_distances)
         dense = estimate_constants(gen, cost, grid, samples=3, seed=4)
         assert columns.kappa3 > 0.0
         assert columns.kappa3 == dense.kappa3
+
+    @pytest.mark.parametrize("name", ["affine_mv", "affine_mv_gtilde"])
+    def test_rank2_kappa3_matches_dense_estimator(self, name, monkeypatch):
+        model = read_model_file(name)
+        grid = TimeGrid(model["horizon"], 40)
+        gen, cost = build_model(model, grid)
+        factored = estimate_constants(gen, cost, grid, samples=3, seed=4)
+        monkeypatch.setattr(solver, "table_distances", oracles.dense_table_distances)
+        dense = estimate_constants(gen, cost, grid, samples=3, seed=4)
+        assert factored.kappa3 > 0.0
+        assert factored.kappa3 == pytest.approx(dense.kappa3, rel=1e-12)
+        assert (factored.kappa1, factored.kappa2) == (dense.kappa1, dense.kappa2)
+
+    def test_kappa2_probe_batch_equals_single_calls(self, affine_mv, monkeypatch):
+        # the same estimator with one argmin call per probe
+        grid, gen, cost = affine_mv
+        batched = estimate_constants(gen, cost, grid, samples=4, seed=5)
+        single = type(cost).argmin_profile
+
+        def one_row_at_a_time(self, gen, t, h):
+            return np.array([single(self, gen, t, row) for row in h])
+
+        monkeypatch.setattr(type(cost), "argmin_profile", one_row_at_a_time)
+        rows = estimate_constants(gen, cost, grid, samples=4, seed=5)
+        assert batched.kappa2 == rows.kappa2
+
+    def test_kappa3_sweeps_cells_once_in_lockstep(self, monkeypatch):
+        # all 12 kappa3 flows share one backward sweep: each cell is
+        # exponentiated by one transition_matrix call, for all flows at once
+        model = read_model_file("affine_mv")
+        grid = TimeGrid(model["horizon"], 1000)
+        gen, cost = build_model(model, grid)
+        batch_sizes = []
+
+        def counted(model, t, profile, dt):
+            batch_sizes.append(np.shape(profile)[0])
+            return transition_matrix(model, t, profile, dt)
+
+        monkeypatch.setattr(hj, "transition_matrix", counted)
+        estimate_constants(gen, cost, grid, seed=0)
+        assert batch_sizes == [12] * grid.steps
 
     def test_memory_is_linear_in_steps(self):
         # one dense table of affine_mv at N=1000 takes 16 MB
