@@ -3,7 +3,9 @@
 Simplex arithmetic, controlled generators, exponential one-step transitions
 and forward flow propagation.  Time stepping freezes the generator on each
 grid cell and applies its matrix exponential, which preserves the simplex
-for any step size (an explicit Euler step would need dt < 1/K1).
+for any step size (an explicit Euler step would need dt < 1/K1).  The
+exponentials come from uniformization, a sum of nonnegative terms, over a
+whole stack of generators at once (stochastic_exponentials).
 
 All operations are pure functions of their inputs; the data types are
 immutable after construction and safe to share across threads.
@@ -15,7 +17,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import AdmissibilityError, DimensionMismatch, ModelDefect, NumericalError
 
@@ -341,34 +342,129 @@ def _check_rows(model: GeneratorModel, nodes: np.ndarray, bounds: np.ndarray, fi
         report.kappa1_hat = max(report.kappa1_hat, float(steps.max()), float(ends.max()))
 
 
+def _poisson_tail_thresholds(theta: float, tail: float) -> np.ndarray:
+    """Entry K: the largest x <= theta at which the Poisson(x) mass beyond K,
+    P(N > K), is at most tail * x; the last entry is theta itself.
+
+    The mass beyond K over x rises with x, so each entry comes from
+    bisection.  Entry 0 is 0: only x = 0 needs no term past the first."""
+    n = np.arange(80)  # P(N >= 80) is far below any tail at x <= 1
+    log_factorial = np.concatenate([[0.0], np.cumsum(np.log(n[1:]))])
+
+    def beyond(K, x):
+        terms = np.exp(n * np.log(x[:, None]) - x[:, None] - log_factorial)
+        return np.where(n > K[:, None], terms, 0.0).sum(axis=1) / x
+
+    K = np.arange(40)
+    last = int(np.argmax(beyond(K, np.full(K.size, theta)) <= tail))
+    K = K[:last]
+    lo, hi = np.zeros(last), np.full(last, theta)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        ok = beyond(K, mid) <= tail
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return np.append(lo, theta)
+
+
+# Uniformization steps take x = lambda * dt <= 1 (a larger one is halved and
+# the sum squared), and stop after the term n = K, K the index of the first
+# threshold >= x.  The Poisson mass beyond K is then at most 2^-53 x: each
+# entry's truncation error stays below a rounding unit of the mass that
+# leaves its row in the step, however small that mass is.
+POISSON_TAIL_X = _poisson_tail_thresholds(1.0, 2.0 ** -53)
+
+
 def stochastic_exponentials(generators: np.ndarray, dt: float) -> np.ndarray:
     """exp(dt * Q) for every generator of a (count, m, m) stack, rows stochastic.
 
-    One stacked expm call; SciPy runs the same scaling-and-squaring algorithm
-    on each slice, so each result equals that of a single-matrix call bit for
-    bit.  Each matrix must be finite with row sums within MASS_ATOL of one;
-    negative entries down to -MASS_ATOL are roundoff and clipped to zero.
+    Uniformization (Jensen 1953; Grassmann 1977): for lam >= max_i -q_ii the
+    matrix T = I + Q / lam is stochastic and
+
+        exp(dt * Q) = exp(-x) sum_n (x T)^n / n!,   x = lam * dt,
+
+    a sum of nonnegative terms.  Matrix c takes lam_c as its largest entry
+    magnitude, which is max_i -q_ii on a generator.  It halves x_c s_c times
+    until x_c <= 1, sums its terms up to K_c (POISSON_TAIL_X), and squares
+    the result s_c times.  A matrix past its own K_c or s_c is left alone,
+    so each slice equals a one-matrix call bit for bit.
+
+    A non-finite generator is rejected before any squaring.  The result must
+    be finite with row sums within MASS_ATOL of one; negative entries down
+    to -MASS_ATOL are roundoff and clipped to zero.  Failures name the
+    matrix of the stack.
     """
-    P = expm(dt * np.asarray(generators, dtype=float))
+    Q = np.asarray(generators, dtype=float)
+    count, m, _ = Q.shape
+    x = np.abs(Q).max(axis=(1, 2)) * dt
+    h, s, smax = dt, None, 0
+    if not x.max() <= 1.0:
+        if not np.isfinite(x).all():
+            raise _stack_error("non-finite generator", np.argmin(np.isfinite(x)), count)
+        # x = mantissa * 2^e with mantissa in [0.5, 1): s is the least s >= 0
+        # with x / 2^s <= 1, and the halving is exact
+        mantissa, e = np.frexp(x)
+        s = np.maximum(e - (mantissa == 0.5), 0)
+        smax = int(s.max())
+        x = np.ldexp(x, -s)
+        h = np.ldexp(dt, -s)[:, None, None]
+    eye = np.eye(m)
+    A = Q * h + x[:, None, None] * eye  # x T, nonnegative on a generator
+    K = np.searchsorted(POISSON_TAIL_X, x)
+    kmin, kmax = min(K.tolist()), max(K.tolist())
 
-    def fail(message: str, c) -> NumericalError:
-        where = f" in matrix {int(c)} of the stack" if P.shape[0] > 1 else ""
-        return NumericalError(message + where)
+    # R = sum over 1 <= n <= K of (x T)^n / n!; past n = kmin, a matrix
+    # leaves the live stack (term and B = A[live]) once n passes its own K
+    term, R = A, A.copy()
+    for n in range(2, kmin + 1):
+        term = term @ A
+        term /= n
+        R += term
+    live, B = np.arange(count), A
+    for n in range(max(kmin, 1) + 1, kmax + 1):
+        keep = K[live] >= n
+        live, term, B = live[keep], term[keep], B[keep]
+        term = term @ B
+        term /= n
+        R[live] += term
+    # exp(-x) (I + R) = I + D with D = exp(-x) R + expm1(-x) I, which is
+    # O(x) and exact to O(x) rounding units: adding I rounds each entry once
+    P = R * np.exp(-x)[:, None, None]
+    P += np.expm1(-x)[:, None, None] * eye
+    P += eye
+    for j in range(1, smax + 1):
+        live = s >= j
+        P[live] = P[live] @ P[live]
 
+    # the least entry and the row sums pass a good stack; a failure is
+    # diagnosed matrix by matrix
+    lo = P.min()
+    if lo < 0.0:
+        if not lo >= -MASS_ATOL:
+            _diagnose(P)
+        P[P < 0.0] = 0.0
+    sums = P.sum(axis=2)
+    if not (sums.max() - 1.0 <= MASS_ATOL and 1.0 - sums.min() <= MASS_ATOL):
+        _diagnose(P)
+    return P
+
+
+def _stack_error(message: str, c, count: int) -> NumericalError:
+    where = f" in matrix {int(c)} of the stack" if count > 1 else ""
+    return NumericalError(message + where)
+
+
+def _diagnose(P: np.ndarray) -> None:
+    """Raise the first failing check of stochastic_exponentials' result."""
     finite = np.isfinite(P).all(axis=(1, 2))
     if not finite.all():
-        raise fail("non-finite transition matrix", np.argmin(finite))
+        raise _stack_error("non-finite transition matrix", np.argmin(finite), len(P))
     lo = P.min(axis=(1, 2))
     c = np.argmin(lo)
     if lo[c] < -MASS_ATOL:
-        raise fail(f"transition entry {lo[c]:.3e} below tolerance", c)
-    if lo[c] < 0.0:
-        P[P < 0.0] = 0.0
+        raise _stack_error(f"transition entry {lo[c]:.3e} below tolerance", c, len(P))
     drift = np.abs(P.sum(axis=2) - 1.0).max(axis=1)
     c = np.argmax(drift)
-    if drift[c] > MASS_ATOL:
-        raise fail(f"transition row-sum drift {drift[c]:.3e}", c)
-    return P
+    raise _stack_error(f"transition row-sum drift {drift[c]:.3e}", c, len(P))
 
 
 def transition_matrix(model: GeneratorModel, t: float, profile, dt: float) -> np.ndarray:

@@ -42,8 +42,15 @@ def scan_golden_min(fn, lo: float, hi: float, n_scan: int = 33, tol: float = 1e-
     if hi <= lo:
         return lo, fn(lo)
     xs = np.linspace(lo, hi, n_scan)
-    vals = [fn(x) for x in xs]
-    best = int(np.argmin(vals))  # argmin returns the first (smallest) index
+    return golden_refine(fn, xs, [fn(x) for x in xs], tol)
+
+
+def golden_refine(fn, xs, values, tol: float = 1e-10):
+    """scan_golden_min's golden section after its coarse scan: xs are the
+    increasing scan points and values fn's values there, which the caller
+    may compute at once.  Returns (argmin, min value)."""
+    n_scan = len(xs)
+    best = int(np.argmin(values))  # argmin returns the first (smallest) index
     a = xs[max(best - 1, 0)]
     b = xs[min(best + 1, n_scan - 1)]
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -62,8 +69,8 @@ def scan_golden_min(fn, lo: float, hi: float, n_scan: int = 33, tol: float = 1e-
     x = 0.5 * (a + b)
     fx = fn(x)
     # on ties prefer the scan point, which is the smallest tied argument
-    if vals[best] <= fx:
-        return float(xs[best]), float(vals[best])
+    if values[best] <= fx:
+        return float(xs[best]), float(values[best])
     return float(x), float(fx)
 
 

@@ -30,7 +30,7 @@ from .chain import (
     validate_generator,
 )
 from .errors import AdmissibilityError, DimensionMismatch, NumericalError
-from .hj import CostModel, evaluate_cost, scan_golden_min, value_bound
+from .hj import CostModel, evaluate_cost, golden_refine, value_bound
 from .solver import Equilibrium
 
 
@@ -170,17 +170,21 @@ def _spike_rows(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
 
     A profile depends on (node, action) alone, not on the tested state, so
     each distinct (node, profile) is exponentiated once, all in one stacked
-    call.
+    call.  The distinct cells come sorted by node, and each node's
+    generators and control costs come from one call over its profiles.
     """
     cells, which = np.unique(np.column_stack([node, profiles]), axis=0,
                              return_inverse=True)
     which = which.reshape(-1)
     nodes = grid.nodes
+    cell_node = cells[:, 0].astype(int)
+    starts = np.flatnonzero(np.diff(cell_node, prepend=-1))
     generators = np.empty((len(cells), gen.m, gen.m))
     control = np.empty((len(cells), gen.m))
-    for c, (k, u) in enumerate(zip(cells[:, 0].astype(int), cells[:, 1:])):
-        generators[c] = gen.rate_matrix(nodes[k], u)
-        control[c] = cost.control_profile_cost(nodes[k], u)
+    for a, b in zip(starts, [*starts[1:], len(cells)]):
+        t, u = nodes[cell_node[a]], cells[a:b, 1:]
+        generators[a:b] = gen.rate_matrix(t, u)
+        control[a:b] = cost.control_profile_cost(t, u)
     spiked = stochastic_exponentials(generators, grid.dt)
     return spiked[which, state], control[which, state]
 
@@ -247,7 +251,8 @@ def dp_oracle(gen: GeneratorModel, cost: CostModel, nu: FlowCurve, grid: TimeGri
     clipped into each state's admissible interval, and the minimization runs
     directly on this exponential-step objective (scan plus golden section) -
     deliberately not the generator-form argmin the backward solver uses, so
-    the two agree only up to O(dt) and cross-check each other.
+    the two agree only up to O(dt) and cross-check each other.  The 17 scan
+    points of each (node, state) share one stacked transition_matrix call.
     """
     n = grid.steps
     nodes = grid.nodes
@@ -263,12 +268,20 @@ def dp_oracle(gen: GeneratorModel, cost: CostModel, nu: FlowCurve, grid: TimeGri
             lo, hi = bounds[i]
 
             def objective(v, i=i, t=t):
-                P = transition_matrix(gen, t, clip_to_bounds(bounds, v), dt)
-                return dt * cost.control_cost(t, i, v) + float(P[i] @ W[k + 1])
+                # one action or an array of them; np.vecdot makes each value
+                # independent of the array it comes in
+                profiles = clip_to_bounds(bounds, np.asarray(v)[..., None])
+                P = transition_matrix(gen, t, profiles, dt)
+                return dt * cost.control_profile_cost(t, profiles)[..., i] \
+                    + np.vecdot(P[..., i, :], W[k + 1])
 
             # value is quadratic near the minimum, so 1e-6 in the argument
             # already pins it far below the O(dt) scheme error
-            v_star, val = scan_golden_min(objective, lo, hi, n_scan=17, tol=1e-6)
+            if hi > lo:
+                xs = np.linspace(lo, hi, 17)
+                v_star, val = golden_refine(objective, xs, objective(xs), tol=1e-6)
+            else:
+                v_star, val = lo, objective(lo)
             actions[k, i] = v_star
             W[k, i] = dt * run[i] + val
     return W, StrategyTable(actions, grid)

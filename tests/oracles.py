@@ -6,9 +6,10 @@ compare the library against it.
 
 import numpy as np
 
-from mfeq.chain import (GENERATOR_ATOL, GeneratorReport, StrategyTable, transition_matrix,
-                        transition_stack)
+from mfeq.chain import (GENERATOR_ATOL, GeneratorReport, StrategyTable, clip_to_bounds,
+                        transition_matrix, transition_stack)
 from mfeq.errors import DimensionMismatch
+from mfeq.hj import scan_golden_min
 from mfeq.models import ACTION_HI, ACTION_LO
 from mfeq.simulate import PathBundle
 from mfeq.verify import SpikeEntry
@@ -94,6 +95,32 @@ def sweep(gen, cost, eq, action_samples):
     transitions = transition_loop(gen, eq.policy)
     return [e for k in range(eq.grid.steps)
             for e in sweep_node(gen, cost, eq, transitions, k, action_samples)]
+
+
+def dp_loop(gen, cost, nu, grid, tau=0.0):
+    """dp_oracle with the scalar coarse scan: one transition_matrix call per
+    objective evaluation.  Returns (W, actions)."""
+    n = grid.steps
+    nodes = grid.nodes
+    dt = grid.dt
+    W = np.empty((n + 1, gen.m))
+    W[n] = cost.terminal(tau, nu.at(n))
+    actions = np.empty((n, gen.m))
+    for k in range(n - 1, -1, -1):
+        t = nodes[k]
+        run = cost.running_dist(tau, t, nu.at(k))
+        bounds = gen.action_bounds(t)
+        for i in range(gen.m):
+            lo, hi = bounds[i]
+
+            def objective(v, i=i, t=t):
+                P = transition_matrix(gen, t, clip_to_bounds(bounds, v), dt)
+                return dt * cost.control_cost(t, i, v) + float(P[i] @ W[k + 1])
+
+            v_star, val = scan_golden_min(objective, lo, hi, n_scan=17, tol=1e-6)
+            actions[k, i] = v_star
+            W[k, i] = dt * run[i] + val
+    return W, actions
 
 
 def dense_solve_hj(gen, cost, nu, grid):

@@ -20,7 +20,8 @@ from mfeq import (
     tv_distance,
     validate_generator,
 )
-from mfeq.chain import ACTION_ATOL, GeneratorModel, admissible, clip_to_bounds
+from mfeq.chain import (ACTION_ATOL, POISSON_TAIL_X, GeneratorModel, admissible,
+                        clip_to_bounds, stochastic_exponentials)
 
 from instances import random_affine_generator, random_strategy, two_state_transition
 import oracles
@@ -260,6 +261,90 @@ class TestStepTransition:
         for P in transition_stack(gen, strat):
             assert P.min() >= 0.0
             np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-10)
+
+
+def random_generators(rng, count, m_max=10):
+    """count random m x m generators, m in 2..m_max, with sparse rows,
+    each paired with a step dt giving lambda * dt from 1e-6 to 50."""
+    out = []
+    for _ in range(count):
+        m = int(rng.integers(2, m_max + 1))
+        Q = rng.exponential(1.0, (m, m)) * (rng.random((m, m)) < 0.7)
+        Q[0, 1] += 0.1  # lambda > 0
+        np.fill_diagonal(Q, 0.0)
+        np.fill_diagonal(Q, -Q.sum(axis=1))
+        lam = -Q.diagonal().min()
+        out.append((Q, 10.0 ** rng.uniform(-6.0, np.log10(50.0)) / lam))
+    return out
+
+
+class TestStochasticExponentials:
+    def test_matches_scipy_expm(self):
+        rng = np.random.default_rng(11)
+        cases = random_generators(rng, 300)
+        assert max(-Q.diagonal().min() * dt for Q, dt in cases) > 8.0  # squarings ran
+        for Q, dt in cases:
+            P = stochastic_exponentials(Q[None], dt)[0]
+            np.testing.assert_allclose(P, expm(dt * Q), rtol=0, atol=2e-13)
+
+    def test_slices_equal_one_matrix_calls(self):
+        # a stack mixing term counts and squarings: each slice is computed
+        # as if alone, so a shuffled stack gives the same matrices
+        rng = np.random.default_rng(12)
+        Q = np.array([Q for Q, _ in random_generators(rng, 200, m_max=3) if len(Q) == 3])
+        Q *= 10.0 ** rng.uniform(-5.0, 2.0, (len(Q), 1, 1))
+        dt = 0.3
+        x = np.abs(Q).max(axis=(1, 2)) * dt
+        assert x.min() < POISSON_TAIL_X[4] and x.max() > 8.0
+        order = rng.permutation(len(Q))
+        stack = stochastic_exponentials(Q[order], dt)
+        for c, P in zip(order, stack):
+            assert np.array_equal(P, stochastic_exponentials(Q[c:c + 1], dt)[0])
+
+    def test_zero_generator_exact_identity(self):
+        Q = np.zeros((3, 4, 4))
+        Q[1] = [[-1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, -0.5]]
+        P = stochastic_exponentials(Q, 0.7)
+        assert np.array_equal(P[0], np.eye(4)) and np.array_equal(P[2], np.eye(4))
+
+    def test_tail_thresholds(self):
+        # increasing from 0 to the step bound 1; at each threshold the
+        # Poisson mass beyond its term count is at most 2^-53 x, and just
+        # above it (below 1) that count no longer suffices
+        from scipy.stats import poisson
+        x = POISSON_TAIL_X
+        assert x[0] == 0.0 and x[-1] == 1.0 and np.all(np.diff(x) > 0)
+        K = np.arange(x.size)
+        assert np.all(poisson.sf(K[1:], x[1:]) <= 2.0 ** -53 * x[1:] * (1.0 + 1e-6))
+        above = x[:-1] * 1.01 + 1e-300
+        assert np.all(poisson.sf(K[:-1], above) > 2.0 ** -53 * above)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rate_named(self, bad):
+        Q = np.zeros((5, 2, 2))
+        Q[3, 1, 0] = bad
+        with pytest.raises(NumericalError, match="non-finite generator in matrix 3"):
+            stochastic_exponentials(Q, 0.1)
+        with pytest.raises(NumericalError, match="non-finite generator$"):
+            stochastic_exponentials(Q[3:4], 0.1)
+
+    def test_row_sum_check(self):
+        Q = np.tile([[-1.0, 1.0], [0.3, -0.3]], (4, 1, 1))
+        Q[2, 0, 0] = -1.5  # row 0 sums to -0.5
+        with pytest.raises(NumericalError, match="row-sum drift .* in matrix 2"):
+            stochastic_exponentials(Q, 0.1)
+
+    def test_sign_check(self):
+        Q = np.tile([[-0.5, 0.5, 0.0], [0.2, -0.4, 0.2], [0.0, 1.0, -1.0]], (3, 1, 1))
+        Q[1, 0] = [-0.5, 0.6, -0.1]  # sums to zero, off-diagonal -0.1
+        with pytest.raises(NumericalError, match="entry .* below tolerance in matrix 1"):
+            stochastic_exponentials(Q, 0.1)
+        # a roundoff-sized negative rate gives a negative entry above
+        # -MASS_ATOL, clipped to zero; no path 0 -> 1 -> 2 fills it
+        Q[1] = [[-0.5, 0.5 + 1e-12, -1e-12], [0.2, -0.2, 0.0], [0.0, 1.0, -1.0]]
+        assert expm(0.1 * Q[1])[0, 2] < 0.0
+        assert stochastic_exponentials(Q, 0.1)[1, 0, 2] == 0.0
 
 
 class TestPropagateFlow:

@@ -1,11 +1,15 @@
 """Command line front end: artifacts, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfeq
 from mfeq.cli import main
 
 
@@ -23,6 +27,20 @@ def assert_input_error(capsys, code):
 def read_bytes_map(directory: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())
             if p.is_file()}
+
+
+def test_runtime_loads_no_scipy():
+    # SciPy is a test-only dependency: the command line and every module of
+    # the package load without it
+    src = str(Path(mfeq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import pkgutil, sys, mfeq, mfeq.cli\n"
+            "for mod in pkgutil.iter_modules(mfeq.__path__):\n"
+            "    __import__('mfeq.' + mod.name)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.fixture(scope="module")

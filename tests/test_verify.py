@@ -7,6 +7,7 @@ from mfeq import (
     AffineQuadraticModel,
     ProbabilityVector,
     SeparableCost,
+    TabulatedGenerator,
     TimeGrid,
     check_bounds_and_lipschitz,
     dp_oracle,
@@ -214,6 +215,37 @@ class TestDpOracle:
         W, _ = dp_oracle(gen, cost, nu, grid)
         sweep, _ = solve_hj(gen, cost, nu, grid)
         np.testing.assert_allclose(W, sweep.values, atol=1e-10)
+
+    @staticmethod
+    def assert_equals_scalar_scan(gen, cost, nu, grid, tau=0.0):
+        # the 17 scan values come from one stacked call; the scan must pick
+        # the same points and values as the scalar scan, bit for bit
+        W, strategy = dp_oracle(gen, cost, nu, grid, tau)
+        W_loop, actions_loop = oracles.dp_loop(gen, cost, nu, grid, tau)
+        assert np.array_equal(W, W_loop)
+        assert np.array_equal(strategy.actions, actions_loop)
+
+    @pytest.mark.parametrize("name", ["time_consistent", "affine_mv", "dist_independent"])
+    def test_stacked_scan_equals_scalar_scan(self, name):
+        model = read_model_file(name)
+        grid = TimeGrid(model["horizon"], 30)
+        gen, cost = build_model(model, grid)
+        nu = random_flow(np.random.default_rng(3), grid, model["states"])
+        self.assert_equals_scalar_scan(gen, cost, nu, grid)
+
+    def test_stacked_scan_equals_scalar_scan_generic_cost(self):
+        # a cost that declares no vectorized control cost goes through
+        # CostModel.control_profile_cost's per-entry loop
+        gen, cost, eq = solve_builtin("time_consistent", 20)
+        wrapped = NanDiagonalCost(cost, t_bad=-1.0)  # -1 is no node: no NaN
+        self.assert_equals_scalar_scan(gen, wrapped, eq.flow, eq.grid, tau=0.3)
+
+    def test_one_point_intervals_equal_scalar_scan(self):
+        grid = TimeGrid(0.5, 12)
+        gen = TabulatedGenerator([[-0.7, 0.7], [0.4, -0.4]])
+        cost = SeparableCost(2, running=("mean_square", 1.0), terminal=("table", [0.2, 0.9]))
+        self.assert_equals_scalar_scan(gen, cost, random_flow(np.random.default_rng(4), grid, 2),
+                                       grid)
 
     def test_time_consistent_first_order_agreement(self):
         model = read_model_file("time_consistent")
