@@ -498,7 +498,9 @@ def propagate_flow(model: GeneratorModel, rho0, strategy: StrategyTable,
 
     `transitions` may carry a precomputed stack from transition_stack to
     share the matrix exponentials across calls with the same strategy;
-    without it the stack is built here.
+    without it the stack is built here.  The loop only multiplies; the
+    finite and negative-mass checks run once over the whole curve, and a
+    failure names the first step at which either check fails.
     """
     grid = grid or strategy.grid
     if grid != strategy.grid:
@@ -510,12 +512,14 @@ def propagate_flow(model: GeneratorModel, rho0, strategy: StrategyTable,
         transitions = transition_stack(model, strategy)
     values = np.empty((grid.steps + 1, model.m))
     values[0] = w
-    nu = w
     for k in range(grid.steps):
-        nu = nu @ transitions[k]
-        if not np.all(np.isfinite(nu)):
+        np.matmul(values[k], transitions[k], out=values[k + 1])
+    steps = values[1:]
+    if not (np.isfinite(steps).all() and steps.min() >= -SIMPLEX_ATOL):
+        finite = np.isfinite(steps).all(axis=1)
+        lows = steps.min(axis=1)
+        k = int(np.argmax(~finite | (lows < -SIMPLEX_ATOL)))
+        if not finite[k]:
             raise NumericalError(f"non-finite mass after step {k}")
-        if nu.min() < -SIMPLEX_ATOL:
-            raise NumericalError(f"negative mass {nu.min():.3e} after step {k}")
-        values[k + 1] = nu
+        raise NumericalError(f"negative mass {lows[k]:.3e} after step {k}")
     return FlowCurve(values, grid)

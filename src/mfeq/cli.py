@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -31,15 +32,20 @@ EXIT_BOUND_EXCEEDED = 2
 EXIT_VIOLATIONS = 3
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+# rows formatted per call of _write_csv: a bounded block keeps the
+# transient strings and floats of a large table small
+CSV_BLOCK_ROWS = 1024
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
+    """Write a 2-D float array under a header, every value as "%.17g";
+    each block of CSV_BLOCK_ROWS rows is formatted by one call."""
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(float(x)) for x in row) + "\n")
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _read_csv(path: Path) -> np.ndarray:
@@ -106,18 +112,14 @@ def cmd_solve(args) -> int:
     nodes = grid.nodes
     _write_csv(out / "flow.csv",
                ["t"] + [f"nu_{i + 1}" for i in range(gen.m)],
-               (np.concatenate([[nodes[k]], eq.flow.values[k]])
-                for k in range(grid.steps + 1)))
+               np.column_stack([nodes, eq.flow.values]))
     _write_csv(out / "policy.csv",
                ["t"] + [f"pi_{i + 1}" for i in range(gen.m)],
-               (np.concatenate([[nodes[k]], eq.policy.actions[k]])
-                for k in range(grid.steps)))
-    diag_vals = eq.values.values
+               np.column_stack([nodes[:-1], eq.policy.actions]))
     bound = value_bound(gen, cost, grid)
     _write_csv(out / "theta_diag.csv",
                ["t"] + [f"theta_{i + 1}" for i in range(gen.m)],
-               (np.concatenate([[nodes[k]], diag_vals[k]])
-                for k in range(grid.steps + 1)))
+               np.column_stack([nodes, eq.values.values]))
     _write_json(out / "equilibrium.json", {
         "schema": 1,
         "model_hash": model_hash(model),
@@ -195,10 +197,14 @@ def cmd_verify(args) -> int:
     out = Path(args.eq)
     nodes = eq.grid.nodes
     worst = report.worst
+    entries, count = report.entries, len(report.entries)
     _write_csv(out / "spike_report.csv",
                ["t", "state", "action", "gap"],
-               ([nodes[e.node], e.state + 1, e.action, e.gap]
-                for e in report.entries))
+               np.column_stack([
+                   nodes[np.fromiter((e.node for e in entries), np.intp, count)],
+                   np.fromiter((e.state + 1 for e in entries), float, count),
+                   np.fromiter((e.action for e in entries), float, count),
+                   np.fromiter((e.gap for e in entries), float, count)]))
     _write_json(out / "spike_summary.json", {
         "tolerance": report.tol,
         "min_gap": report.min_gap,
@@ -233,8 +239,9 @@ def cmd_simulate(args) -> int:
     errors = []
     mean_emp = np.zeros_like(nu_star.values)
     for rep in range(cfg.replications):
-        bundle = simulate(gen, eq.policy, eq.rho, eq.grid, cfg, replication=rep)
-        emp = bundle.empirical_flow()
+        # no bundle outlives its empirical flow, so at most one population's
+        # paths and their bincount index are held at once
+        emp = simulate(gen, eq.policy, eq.rho, eq.grid, cfg, replication=rep).empirical_flow()
         mean_emp += emp
         errors.append(float(np.abs(emp - nu_star.values).sum(axis=1).max()))
     mean_emp /= cfg.replications
@@ -247,8 +254,7 @@ def cmd_simulate(args) -> int:
     nodes = eq.grid.nodes
     _write_csv(out / "empirical_flow.csv",
                ["t"] + [f"nuhat_{i + 1}" for i in range(gen.m)],
-               (np.concatenate([[nodes[k]], mean_emp[k]])
-                for k in range(eq.grid.steps + 1)))
+               np.column_stack([nodes, mean_emp]))
     _write_json(out / "sim_report.json", {
         "players": cfg.players,
         "seed": cfg.seed,
@@ -280,6 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mfeq",
         description="Equilibrium solver for time-inconsistent, "
                     "distribution-dependent control of finite-state chains")
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="log the Picard iterations and warnings to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="compute an equilibrium from a model file")
@@ -316,11 +324,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    logger = logging.getLogger("mfeq")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s %(levelname)s: %(message)s"))
+    level = logger.level
+    if args.verbose:
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
     try:
         return args.func(args)
     except MfeqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -121,15 +121,20 @@ class CostModel(ABC):
 
         A cost that declares w promises running_dist(tau, t, rho) =
         w(tau) * running_base(t, rho) and a terminal cost that does not
-        depend on tau, and takes (B, m) stacks of laws in running_base and
+        depend on tau, and takes stacks of laws in running_base and
         terminal.  The backward sweep then carries two coefficient rows
         instead of one per evaluation node (see EvaluationBasis).
         """
         return None
 
-    def running_base(self, t: float, rho) -> np.ndarray:
-        """The running cost before its tau weight, for each law of a stack;
-        needed only by a cost that declares tau_weight."""
+    def running_base(self, t, rho) -> np.ndarray:
+        """The running cost before its tau weight, for each law of a (..., m)
+        stack; needed only by a cost that declares tau_weight.
+
+        t is one node time or an array of them that broadcasts against the
+        stack's leading axes: the backward sweep passes every node time as
+        (N+1, 1) with a flow's (N+1, m) values, one call per flow.
+        """
         raise NotImplementedError
 
     def argmin_profile(self, gen: GeneratorModel, t: float, h) -> np.ndarray:
@@ -177,6 +182,7 @@ class EvaluationBasis:
         else:
             self.weight = np.asarray(weight, dtype=float)
             self.extreme_rows = np.array([np.argmin(weight), np.argmax(weight)])
+            self._extreme_weight = self.weight[self.extreme_rows, None]
 
     def rows(self, C: np.ndarray, a) -> np.ndarray:
         """Values at the evaluation rows a (an index array or a slice) of every
@@ -185,6 +191,24 @@ class EvaluationBasis:
             return C[:, a]
         return self.weight[a, None] * C[:, None, 0] + C[:, None, 1]
 
+    def row(self, C: np.ndarray, a: int) -> np.ndarray:
+        """rows(C, [a])[:, 0] for one evaluation row a, shape (B, m)."""
+        if self.weight is None:
+            return C[:, a]
+        return self.weight[a] * C[:, 0] + C[:, 1]
+
+    def extremes(self, c: np.ndarray, out: np.ndarray) -> None:
+        """Write into out (2, m) two rows whose elementwise min and max are
+        those of one table's column, coefficients c (r, m), over every
+        evaluation row: its values at the two extreme rows of [w, 1], or its
+        min and max over the rows of the indicator basis."""
+        if self.weight is None:
+            c.min(axis=0, out=out[0])
+            c.max(axis=0, out=out[1])
+        else:
+            np.multiply(self._extreme_weight, c[0], out=out)
+            out += c[1]
+
     def terminal(self, laws: np.ndarray) -> np.ndarray:
         """Coefficients (B, r, m) of the terminal costs of a (B, m) stack of laws."""
         if self.weight is None:
@@ -192,14 +216,48 @@ class EvaluationBasis:
         g = self.cost.terminal(self.nodes[-1], laws)
         return np.stack([np.zeros_like(g), g], axis=1)
 
-    def running(self, t: float, laws: np.ndarray, profiles: np.ndarray) -> np.ndarray:
-        """Coefficients (B, r, m) of the running costs at t of (B, m) stacks of
-        laws and action profiles."""
-        control = self.cost.control_profile_cost(t, profiles)
-        if self.weight is None:
-            return np.array([self.cost.running_dist_many(self.nodes, t, rho) for rho in laws]) \
-                + control[:, None]
-        return np.stack([self.cost.running_base(t, laws), control], axis=1)
+
+def _columns(gen: GeneratorModel, cost: CostModel, flows, grid: TimeGrid):
+    """backward_columns' sweep, each column yielded with its diagonal row
+    basis.row(C, k), shape (B, m), which the next cell's argmin reads."""
+    flows = [flows] if isinstance(flows, FlowCurve) else list(flows)
+    for nu in flows:
+        if nu.grid != grid:
+            raise DimensionMismatch("flow curve grid differs from solve grid")
+        if gen.m != cost.m or gen.m != nu.m:
+            raise DimensionMismatch("state counts differ between model parts")
+    basis = EvaluationBasis(cost, grid)
+    n = grid.steps
+    nodes = basis.nodes
+    dt = grid.dt
+    C = basis.terminal(np.array([nu.at(n) for nu in flows]))
+    flow_costs = None
+    if basis.weight is not None:
+        # the rank-2 basis's flow coefficients dt f(t_k, nu_k): one
+        # running_base call per flow covers every node
+        flow_costs = np.empty((n + 1, len(flows), gen.m))
+        for b, nu in enumerate(flows):
+            flow_costs[:, b] = cost.running_base(nodes[:, None], nu.values)
+        flow_costs *= dt
+    diagonal = basis.row(C, n)
+    yield n, C, None, None, diagonal
+    for k in range(n - 1, -1, -1):
+        t = nodes[k]
+        try:
+            profiles = np.asarray(cost.argmin_profile(gen, t, diagonal), float)
+        except Exception as exc:
+            raise MfeqError(f"argmin oracle failed at node {k}: {exc}") from exc
+        P = transition_matrix(gen, t, profiles, dt)
+        C = C @ np.swapaxes(P, 1, 2)
+        control = cost.control_profile_cost(t, profiles)
+        if flow_costs is None:
+            running = np.array([cost.running_dist_many(nodes, t, nu.at(k)) for nu in flows])
+            C += dt * (running + control[:, None])
+        else:
+            C[:, 0] += flow_costs[k]
+            C[:, 1] += dt * control
+        diagonal = basis.row(C, k)
+        yield k, C, profiles, P, diagonal
 
 
 def backward_columns(gen: GeneratorModel, cost: CostModel, flows, grid: TimeGrid):
@@ -213,29 +271,10 @@ def backward_columns(gen: GeneratorModel, cost: CostModel, flows, grid: TimeGrid
     for k = N-1 .. 0 the argmin profiles (B, m) against each table's
     diagonal entry at k+1, from one call, P = exp(dt * Q) on cell k for
     every profile, from one stacked call, and C pushed back through P plus
-    the rectangle-rule running cost.
+    the rectangle-rule running cost.  In the rank-2 basis the flow costs
+    of every node come from one running_base call per flow before the loop.
     """
-    flows = [flows] if isinstance(flows, FlowCurve) else list(flows)
-    for nu in flows:
-        if nu.grid != grid:
-            raise DimensionMismatch("flow curve grid differs from solve grid")
-        if gen.m != cost.m or gen.m != nu.m:
-            raise DimensionMismatch("state counts differ between model parts")
-    basis = EvaluationBasis(cost, grid)
-    n = grid.steps
-    nodes = basis.nodes
-    dt = grid.dt
-    C = basis.terminal(np.array([nu.at(n) for nu in flows]))
-    yield n, C, None, None
-    for k in range(n - 1, -1, -1):
-        diagonal = basis.rows(C, [k + 1])[:, 0]
-        try:
-            profiles = np.asarray(cost.argmin_profile(gen, nodes[k], diagonal), float)
-        except Exception as exc:
-            raise MfeqError(f"argmin oracle failed at node {k}: {exc}") from exc
-        P = transition_matrix(gen, nodes[k], profiles, dt)
-        laws = np.array([nu.at(k) for nu in flows])
-        C = C @ np.swapaxes(P, 1, 2) + dt * basis.running(nodes[k], laws, profiles)
+    for k, C, profiles, P, _ in _columns(gen, cost, flows, grid):
         yield k, C, profiles, P
 
 
@@ -264,27 +303,27 @@ def solve_hj(gen: GeneratorModel, cost: CostModel, nu: FlowCurve,
              grid: TimeGrid) -> tuple[BackwardSweep, StrategyTable]:
     """Backward sweep producing the diagonal, the table's range and the policy.
 
-    Consumes backward_columns for the one flow, keeping the diagonal, the
-    policy, its per-cell transitions and the running min and max of every
-    column, read at the basis's extreme rows.  The policy's admissibility is
-    checked once, so its transitions can stand in for transition_stack.  A
-    table outside the declared bounds [0, value_bound] is logged as a
-    warning.
+    Consumes backward_columns' sweep for the one flow, keeping the diagonal
+    row that the sweep computes for its argmin, the policy, its per-cell
+    transitions and each column's EvaluationBasis.extremes, which are
+    reduced to the table's min and max after the sweep.  The policy's
+    admissibility is checked once, so its transitions can stand in for
+    transition_stack.  A table outside the declared bounds [0, value_bound]
+    is logged as a warning.
     """
     n = grid.steps
     basis = EvaluationBasis(cost, grid)
     diagonal = np.empty((n + 1, gen.m))
     actions = np.empty((n, gen.m))
     transitions = np.empty((n, gen.m, gen.m))
-    low, high = np.inf, -np.inf
-    for k, C, profiles, P in backward_columns(gen, cost, nu, grid):
-        diagonal[k] = basis.rows(C, [k])[0, 0]
-        extremes = basis.rows(C, basis.extreme_rows)
-        low = min(low, float(extremes.min()))
-        high = max(high, float(extremes.max()))
+    extremes = np.empty((n + 1, 2, gen.m))  # reduced once after the sweep
+    for k, C, profiles, P, row in _columns(gen, cost, nu, grid):
+        diagonal[k] = row[0]
+        basis.extremes(C[0], extremes[k])
         if k < n:
             actions[k] = profiles[0]
             transitions[k] = P[0]
+    low, high = float(extremes.min()), float(extremes.max())
     policy = StrategyTable(actions, grid)
     policy.check_admissible(gen)
 

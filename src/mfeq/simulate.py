@@ -86,7 +86,7 @@ def check_inner_pairs(inner_pairs: int) -> None:
 
 
 class PathBundle:
-    """Grid-node state snapshots for a population of players."""
+    """Grid-node state snapshots for a population of players, states[p, k]."""
 
     __slots__ = ("states", "grid", "m")
 
@@ -102,25 +102,36 @@ class PathBundle:
     def empirical_flow(self) -> np.ndarray:
         """Full empirical measure at every grid node, shape (steps+1, m)."""
         n = self.grid.steps
-        out = np.empty((n + 1, self.m))
-        for k in range(n + 1):
-            out[k] = np.bincount(self.states[:, k], minlength=self.m)
-        return out / self.players
+        cells = self.states.T + self.m * np.arange(n + 1)[:, None]
+        counts = np.bincount(cells.ravel(order="K"), minlength=(n + 1) * self.m)
+        return counts.reshape(n + 1, self.m) / self.players
 
 
 def _population(cum: np.ndarray, rho0, grid: TimeGrid, players: int, seed: int,
                 replication: int) -> PathBundle:
     """Node-to-node paths of `players` chains from the cumulative rows `cum`
-    of a (steps, m, m) transition stack, initial states i.i.d. from rho0."""
+    of a (steps, m, m) transition stack, initial states i.i.d. from rho0.
+
+    The paths fill a (steps+1, players) buffer node by node; the bundle's
+    states are its transposed view.  The next state of a path in state x
+    is the count of j < m-1 with cum[k, x, j] <= u (cum[k, x, m-1] is 1.0,
+    above every uniform), read from contiguous threshold columns.
+    """
     w = np.asarray(rho0.weights if hasattr(rho0, "weights") else rho0, dtype=float)
     if w.size != cum.shape[-1]:
         raise DimensionMismatch("initial law dimension differs from model")
     rng = _stream(seed, replication, _PEER_STREAM)
-    states = np.empty((players, grid.steps + 1), dtype=np.int64)
-    states[:, 0] = _inverse_cdf(_cumulative(w / w.sum()), rng.random(players))
+    thresholds = np.ascontiguousarray(np.swapaxes(cum[..., :-1], 1, 2))  # (steps, m-1, m)
+    paths = np.empty((grid.steps + 1, players), dtype=np.int64)
+    paths[0] = _inverse_cdf(_cumulative(w / w.sum()), rng.random(players))
+    below = np.empty(players, dtype=bool)
     for k in range(grid.steps):
-        states[:, k + 1] = _inverse_cdf(cum[k, states[:, k]], rng.random(players))
-    return PathBundle(states, grid, w.size)
+        u = rng.random(players)
+        x, nxt = paths[k], paths[k + 1]
+        nxt.fill(0)
+        for column in thresholds[k]:
+            nxt += np.less_equal(np.take(column, x), u, out=below)
+    return PathBundle(paths.T, grid, w.size)
 
 
 def simulate(gen: GeneratorModel, strategy: StrategyTable, rho0, grid: TimeGrid,

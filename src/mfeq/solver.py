@@ -188,14 +188,17 @@ def table_distances(gen: GeneratorModel, cost: CostModel, pairs, grid: TimeGrid)
 
     All the pairs' flows run through one lockstep backward sweep.  Each
     column difference is read at the basis's extreme rows, which hold its
-    sup over every evaluation row, so no table is ever stored.
+    sup over every evaluation row, so no table is ever stored: each cell
+    records each pair's sup over those rows, and the records are reduced
+    once after the sweep.
     """
     basis = EvaluationBasis(cost, grid)
-    worst = np.zeros(len(pairs))
-    for _, C, _, _ in backward_columns(gen, cost, [nu for pair in pairs for nu in pair], grid):
+    flows = [nu for pair in pairs for nu in pair]
+    worst = np.empty((grid.steps + 1, len(pairs)))
+    for k, C, _, _ in backward_columns(gen, cost, flows, grid):
         gaps = basis.rows(C[0::2], basis.extreme_rows) - basis.rows(C[1::2], basis.extreme_rows)
-        worst = np.maximum(worst, np.abs(gaps).max(axis=(1, 2)))
-    return worst
+        np.abs(gaps, out=gaps).max(axis=(1, 2), out=worst[k])
+    return worst.max(axis=0, initial=0.0)
 
 
 def estimate_constants(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,

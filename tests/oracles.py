@@ -6,12 +6,12 @@ compare the library against it.
 
 import numpy as np
 
-from mfeq.chain import (GENERATOR_ATOL, GeneratorReport, StrategyTable, clip_to_bounds,
-                        transition_matrix, transition_stack)
+from mfeq.chain import (GENERATOR_ATOL, FlowCurve, GeneratorReport, StrategyTable,
+                        clip_to_bounds, transition_matrix, transition_stack)
 from mfeq.errors import DimensionMismatch
-from mfeq.hj import scan_golden_min
+from mfeq.hj import EvaluationBasis, scan_golden_min
 from mfeq.models import ACTION_HI, ACTION_LO
-from mfeq.simulate import PathBundle
+from mfeq.simulate import _PEER_STREAM, PathBundle, _cumulative, _inverse_cdf, _stream
 from mfeq.verify import SpikeEntry
 
 
@@ -265,3 +265,91 @@ def evaluate_population_cost(gen, cost, rho, strategy, a, k, transitions=None):
         mu = mu @ transitions[s]
     total += float(mu @ cost.terminal(tau, mu))
     return total
+
+
+def backward_loop(gen, cost, flows, grid):
+    """backward_columns with per-cell readouts: the diagonal read through a
+    list index, the flow costs of each cell from their own call and the
+    running coefficients stacked before they are added.  Yields the same
+    (k, C, profiles, P)."""
+    flows = [flows] if isinstance(flows, FlowCurve) else list(flows)
+    basis = EvaluationBasis(cost, grid)
+    n = grid.steps
+    nodes = basis.nodes
+    dt = grid.dt
+    C = basis.terminal(np.array([nu.at(n) for nu in flows]))
+    yield n, C, None, None
+    for k in range(n - 1, -1, -1):
+        diagonal = basis.rows(C, [k + 1])[:, 0]
+        profiles = np.asarray(cost.argmin_profile(gen, nodes[k], diagonal), float)
+        P = transition_matrix(gen, nodes[k], profiles, dt)
+        laws = np.array([nu.at(k) for nu in flows])
+        control = cost.control_profile_cost(nodes[k], profiles)
+        if basis.weight is None:
+            running = np.array([cost.running_dist_many(nodes, nodes[k], rho)
+                                for rho in laws]) + control[:, None]
+        else:
+            running = np.stack([cost.running_base(nodes[k], laws), control], axis=1)
+        C = C @ np.swapaxes(P, 1, 2) + dt * running
+        yield k, C, profiles, P
+
+
+def solve_hj_loop(gen, cost, nu, grid):
+    """solve_hj's readouts cell by cell: the diagonal through a list index
+    and the running min and max as Python floats.  Returns (diagonal, low,
+    high, actions, transitions)."""
+    n = grid.steps
+    basis = EvaluationBasis(cost, grid)
+    diagonal = np.empty((n + 1, gen.m))
+    actions = np.empty((n, gen.m))
+    transitions = np.empty((n, gen.m, gen.m))
+    low, high = np.inf, -np.inf
+    for k, C, profiles, P in backward_loop(gen, cost, nu, grid):
+        diagonal[k] = basis.rows(C, [k])[0, 0]
+        extremes = basis.rows(C, basis.extreme_rows)
+        low = min(low, float(extremes.min()))
+        high = max(high, float(extremes.max()))
+        if k < n:
+            actions[k] = profiles[0]
+            transitions[k] = P[0]
+    return diagonal, low, high, actions, transitions
+
+
+def table_distances_loop(gen, cost, pairs, grid):
+    """table_distances with a running maximum updated cell by cell."""
+    basis = EvaluationBasis(cost, grid)
+    worst = np.zeros(len(pairs))
+    for _, C, _, _ in backward_loop(gen, cost, [nu for pair in pairs for nu in pair], grid):
+        gaps = basis.rows(C[0::2], basis.extreme_rows) - basis.rows(C[1::2], basis.extreme_rows)
+        worst = np.maximum(worst, np.abs(gaps).max(axis=(1, 2)))
+    return worst
+
+
+def population_loop(cum, rho0, grid, players, seed, replication):
+    """Node-to-node population, each cell inverting the gathered (players, m)
+    cumulative rows; the same Philox uniforms in the same order as
+    simulate._population."""
+    w = np.asarray(rho0.weights if hasattr(rho0, "weights") else rho0, dtype=float)
+    rng = _stream(seed, replication, _PEER_STREAM)
+    states = np.empty((players, grid.steps + 1), dtype=np.int64)
+    states[:, 0] = _inverse_cdf(_cumulative(w / w.sum()), rng.random(players))
+    for k in range(grid.steps):
+        states[:, k + 1] = _inverse_cdf(cum[k, states[:, k]], rng.random(players))
+    return PathBundle(states, grid, w.size)
+
+
+def empirical_flow_loop(bundle):
+    """Empirical measure node by node, one bincount per node."""
+    n = bundle.grid.steps
+    out = np.empty((n + 1, bundle.m))
+    for k in range(n + 1):
+        out[k] = np.bincount(bundle.states[:, k], minlength=bundle.m)
+    return out / bundle.players
+
+
+def write_csv_rows(path, header, rows):
+    """The CSV writer that formats value by value with an f-string."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{float(x):.17g}" for x in row) + "\n")

@@ -433,6 +433,32 @@ class TestPropagateFlow:
         b = propagate_flow(gen, rho, strat, grid, transitions=stack)
         np.testing.assert_array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("k", [0, 4, 9])
+    def test_non_finite_step_named(self, k):
+        rng = np.random.default_rng(7)
+        grid = TimeGrid(0.5, 10)
+        gen = random_affine_generator(rng, 3)
+        strat = random_strategy(rng, gen, grid)
+        stack = transition_stack(gen, strat)
+        stack[k, 1, 2] = np.nan
+        with pytest.raises(NumericalError, match=f"^non-finite mass after step {k}$"):
+            propagate_flow(gen, [0.2, 0.3, 0.5], strat, grid, transitions=stack)
+
+    @pytest.mark.parametrize("k", [0, 4, 9])
+    def test_negative_mass_step_named(self, k):
+        # every row of cell k maps any law to (1.5, -0.5, 0); a NaN in a
+        # later cell does not hide the first failing step
+        rng = np.random.default_rng(8)
+        grid = TimeGrid(0.5, 10)
+        gen = random_affine_generator(rng, 3)
+        strat = random_strategy(rng, gen, grid)
+        stack = transition_stack(gen, strat)
+        stack[k] = [1.5, -0.5, 0.0]
+        stack[k + 1:, 0, 0] = np.nan
+        with pytest.raises(NumericalError,
+                           match=f"^negative mass -5.000e-01 after step {k}$"):
+            propagate_flow(gen, [0.2, 0.3, 0.5], strat, grid, transitions=stack)
+
 
 class TestTransitionStack:
     @pytest.mark.parametrize("m, time_varying", [(2, False), (3, True), (4, False)])

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import mfeq
-from mfeq.cli import main
+from mfeq.cli import CSV_BLOCK_ROWS, _write_csv, main
+
+import oracles
 
 
 def run(*argv):
@@ -41,6 +43,51 @@ def test_runtime_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_csv_writer_matches_value_by_value_writer(tmp_path):
+    rng = np.random.default_rng(3)
+    special = np.array([[-0.0, 5e-324, 1e300, 3.0],
+                        [2.0 ** -1030, -1e-310, 0.1, 1.0 / 3.0],
+                        [1e16, 123456789012345678.0, -7.0, 2.0 ** 52],
+                        [np.pi, -2.5e-300, 0.0, 1e-5]])
+    scaled = rng.normal(size=(2500, 3)) * 10.0 ** rng.integers(-8, 8, (2500, 3))
+    assert len(scaled) > 2 * CSV_BLOCK_ROWS  # spans three blocks
+    for table in (special, scaled, np.empty((0, 2))):
+        header = [f"c{j}" for j in range(table.shape[1])]
+        _write_csv(tmp_path / "blocks.csv", header, table)
+        oracles.write_csv_rows(tmp_path / "per_value.csv", header, table)
+        assert (tmp_path / "blocks.csv").read_bytes() == \
+            (tmp_path / "per_value.csv").read_bytes()
+
+
+def test_verbose_logs_to_stderr_and_changes_no_output(tmp_path, capsys):
+    # -v adds the Picard log on stderr; stdout and every artifact stay
+    # byte-identical
+    outputs = {}
+    for flags in ((), ("-v",)):
+        d = tmp_path / ("loud" if flags else "quiet")
+        assert run(*flags, "solve", "--model", "affine_mv", "--grid", "30",
+                   "--out", str(d)) == 0
+        assert run(*flags, "verify", "--eq", str(d)) == 0
+        assert run(*flags, "simulate", "--eq", str(d), "--players", "200", "--seed", "1",
+                   "--reps", "2", "--inner-pairs", "10", "--err-bound", "0.5") == 0
+        captured = capsys.readouterr()
+        outputs[flags] = captured.out, read_bytes_map(d), captured.err
+    quiet, loud = outputs[()], outputs[("-v",)]
+    assert loud[:2] == quiet[:2]
+    assert "picard" not in quiet[2]
+    assert "mfeq.solver INFO: picard iteration=1 gap=" in loud[2]
+
+
+def test_verbose_routes_bound_warning(tmp_path, capsys):
+    model = json.loads((Path(mfeq.__file__).parent / "data" / "affine_mv.json").read_text())
+    model["constants"] = {"K1": 0.01, "K2": 0.01}
+    path = tmp_path / "tight.json"
+    path.write_text(json.dumps(model))
+    assert run("-v", "solve", "--model", str(path), "--grid", "20",
+               "--out", str(tmp_path / "eq")) == 0
+    assert "mfeq.hj WARNING: value table exceeds declared bounds" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

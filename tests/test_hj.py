@@ -20,7 +20,7 @@ from mfeq.chain import FlowCurve, transition_stack
 from mfeq.errors import AdmissibilityError
 from mfeq.hj import EvaluationBasis, scan_golden_min
 from mfeq.modelfile import build_model, builtin_names, read_model_file
-from mfeq.solver import myopic_strategy
+from mfeq.solver import myopic_strategy, table_distances
 
 import oracles
 from instances import (IndicatorBasis, OutsideArgmin, random_affine_generator, random_flow,
@@ -279,6 +279,59 @@ class TestSweepMatchesDenseTable:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+class TestSweepMatchesPerCellLoop:
+    """The sweep with its flow costs computed once and its readouts reduced
+    after it, against the per-cell loop it replaced (oracles.backward_loop),
+    bit for bit in both bases."""
+
+    CASES = list(shipped_instances()) + list(tau_weighted_instances())
+
+    @pytest.mark.parametrize("batch", [1, 12])
+    @pytest.mark.parametrize("indicator", [False, True])
+    def test_columns(self, indicator, batch):
+        rng = np.random.default_rng(15)
+        for _, grid, gen, cost, nu in self.CASES:
+            if indicator:
+                cost = IndicatorBasis(cost)
+            flows = [nu] + [random_flow(rng, grid, gen.m) for _ in range(batch - 1)]
+            for (k, C, profiles, P), (k1, C1, profiles1, P1) in zip(
+                    backward_columns(gen, cost, flows, grid),
+                    oracles.backward_loop(gen, cost, flows, grid), strict=True):
+                assert k == k1
+                assert np.array_equal(C, C1)
+                if k < grid.steps:
+                    assert np.array_equal(profiles, profiles1)
+                    assert np.array_equal(P, P1)
+
+    @pytest.mark.parametrize("indicator", [False, True])
+    def test_solve_hj_readouts(self, indicator):
+        for _, grid, gen, cost, nu in self.CASES:
+            if indicator:
+                cost = IndicatorBasis(cost)
+            sweep, policy = solve_hj(gen, cost, nu, grid)
+            diagonal, low, high, actions, transitions = oracles.solve_hj_loop(
+                gen, cost, nu, grid)
+            assert np.array_equal(sweep.values, diagonal)
+            assert np.array_equal(policy.actions, actions)
+            assert np.array_equal(sweep.transitions, transitions)
+            assert (sweep.low, sweep.high) == (low, high)
+
+    @pytest.mark.parametrize("indicator", [False, True])
+    def test_table_distances_of_six_pairs(self, indicator):
+        rng = np.random.default_rng(16)
+        for _, grid, gen, cost, nu in self.CASES:
+            if indicator:
+                cost = IndicatorBasis(cost)
+            pairs = []
+            for size in (1e-3, 1e-2, 1e-1, 1e-3, 1e-2, 1e-1):
+                base = random_flow(rng, grid, gen.m)
+                tilted = (1.0 - size) * base.values + size * rng.dirichlet(np.ones(gen.m))
+                pairs.append((base, FlowCurve(tilted, grid)))
+            worst = table_distances(gen, cost, pairs, grid)
+            assert worst.shape == (6,)
+            assert np.array_equal(worst, oracles.table_distances_loop(gen, cost, pairs, grid))
 
 
 class TestEvaluateCost:

@@ -19,8 +19,10 @@ from mfeq import (
     transition_stack,
 )
 from mfeq.modelfile import build_model, read_model_file
+from mfeq.simulate import _cumulative, _population
 
-from instances import two_state_transition
+import oracles
+from instances import random_affine_generator, random_strategy, two_state_transition
 from oracles import jump_simulate
 
 
@@ -144,6 +146,36 @@ class TestSimulate:
             expected = n_players * (flow.at(k)[:, None] * P[k]).ravel()
             stat = float(((counts - expected) ** 2 / expected).sum())
             assert float(chi2.sf(stat, df=3)) >= alpha
+
+
+class TestVectorizedSampler:
+    """The sampler's threshold columns against the per-cell inverse-CDF loop
+    it replaced (oracles.population_loop): the same Philox uniforms give the
+    same paths."""
+
+    @pytest.mark.parametrize("m, time_varying", [(2, False), (3, False), (4, False),
+                                                 (3, True)])
+    def test_paths_equal_per_cell_loop(self, m, time_varying):
+        rng = np.random.default_rng(60 + m)
+        grid = TimeGrid(3.0, 30)
+        gen = random_affine_generator(rng, m, grid=grid, time_varying=time_varying)
+        cum = _cumulative(transition_stack(gen, random_strategy(rng, gen, grid)))
+        rho = rng.dirichlet(np.ones(m))
+        for players in (2, 3, 700):
+            for replication in (0, 4):
+                bundle = _population(cum, rho, grid, players, 11, replication)
+                loop = oracles.population_loop(cum, rho, grid, players, 11, replication)
+                assert bundle.states.shape == (players, grid.steps + 1)
+                assert np.array_equal(bundle.states, loop.states)
+
+    def test_empirical_flow_equals_per_node_counts(self, alternating_affine_mv):
+        grid, gen, strat, rho = alternating_affine_mv
+        bundle = simulate(gen, strat, rho, grid, SimConfig(players=999, seed=3))
+        # a bundle whose states are C-ordered (players, steps+1), as the jump
+        # oracle builds them, counts the same way
+        jumps = jump_simulate(gen, strat, rho, players=300, seed=5)
+        for b in (bundle, jumps):
+            assert np.array_equal(b.empirical_flow(), oracles.empirical_flow_loop(b))
 
 
 class TestEmpiricalMeasures:
