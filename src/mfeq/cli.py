@@ -20,7 +20,7 @@ from .chain import (FlowCurve, ProbabilityVector, StrategyTable, TimeGrid, admis
                     propagate_flow)
 from .errors import MfeqError, ModelFileError
 from .hj import value_bound
-from .modelfile import build_model, model_hash, read_model_file
+from .modelfile import build_model, is_finite_number, model_hash, read_model_file
 from .simulate import SimConfig, check_inner_pairs, deviation_test, simulate
 from .solver import Equilibrium, IterationDiagnostics, SolverOptions, estimate_constants, picard_solve
 from .verify import check_sweep_options, verify_local_optimality
@@ -160,17 +160,30 @@ def _load_equilibrium(eq_dir: Path):
         raise ModelFileError("", f"equilibrium directory not found: {eq_dir}")
     model = read_model_file(eq_dir / "model.json")
     meta = json.loads((eq_dir / "equilibrium.json").read_text(encoding="utf-8"))
+    if not isinstance(meta, dict):
+        raise ModelFileError("equilibrium.json", "top level must be a JSON object")
     if meta.get("model_hash") != model_hash(model):
         raise ModelFileError("model_hash",
                              "equilibrium was produced from a different model")
-    grid = TimeGrid(meta["grid"]["horizon"], meta["grid"]["steps"])
+    spec = meta.get("grid")
+    if not isinstance(spec, dict):
+        raise ModelFileError("grid", "expected an object with horizon and steps")
+    if not is_finite_number(spec.get("horizon")):
+        raise ModelFileError("grid.horizon", f"expected a number, got {spec.get('horizon')!r}")
+    steps = spec.get("steps")
+    if not isinstance(steps, int) or steps < 1:
+        raise ModelFileError("grid.steps", f"expected an integer >= 1, got {steps!r}")
+    grid = TimeGrid(spec["horizon"], steps)
     gen, cost = build_model(model, grid)
+    rho = meta.get("rho")
+    if not (isinstance(rho, list) and len(rho) == gen.m and all(map(is_finite_number, rho))):
+        raise ModelFileError("rho", f"expected a list of {gen.m} numbers")
     policy_rows = _read_csv(eq_dir / "policy.csv")
     if policy_rows.shape != (grid.steps, gen.m + 1):
         raise ModelFileError("policy.csv",
                              f"expected {grid.steps} rows of {gen.m + 1} columns")
     policy = StrategyTable(policy_rows[:, 1:], grid)
-    rho = np.asarray(meta["rho"], dtype=float)
+    rho = np.asarray(rho, dtype=float)
     # the flow argument of the spike test is the pair's own flow, so it is
     # re-propagated from the stored policy rather than trusted from disk
     flow = propagate_flow(gen, rho, policy, grid)

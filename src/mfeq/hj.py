@@ -75,12 +75,15 @@ def golden_refine(fn, xs, values, tol: float = 1e-10):
 
 
 class CostModel(ABC):
-    """Separable cost f = f_dist + control cost, with terminal cost and
-    an argmin oracle for the policy map.
+    """Cost seen from an evaluation time tau: running cost
+    w(tau) f(t, rho) + control cost, a terminal cost g(rho) that does not
+    depend on tau, and an argmin oracle for the policy map.
 
-    Declared constants: K2 caps the distribution and terminal costs, K3 is
-    their Lipschitz constant in the flow argument (total variation), and
-    kappa2 (optional) is the Lipschitz constant of h -> argmin profile.
+    tau enters only through the scalar weight w, so the value table has
+    rank two in the evaluation time (see EvaluationBasis).  Declared
+    constants: K2 caps the distribution and terminal costs, K3 is their
+    Lipschitz constant in the flow argument (total variation), and kappa2
+    (optional) is the Lipschitz constant of h -> argmin profile.
     control_profile_cost and argmin_profile take one profile or continuation
     vector (m,) or a (B, m) stack of them.
     """
@@ -91,16 +94,31 @@ class CostModel(ABC):
     kappa2: float | None = None
 
     @abstractmethod
-    def running_dist(self, tau: float, t: float, rho) -> np.ndarray:
-        """Distribution running cost profile, length m."""
+    def tau_weight(self, taus) -> np.ndarray:
+        """The evaluation-time weight w at each of taus."""
+
+    @abstractmethod
+    def running_base(self, t, rho) -> np.ndarray:
+        """The running cost f before its tau weight, for each law of a
+        (..., m) stack.
+
+        t is one node time or an array of them that broadcasts against the
+        stack's leading axes: the backward sweep passes every node time as
+        (N+1, 1) with a flow's (N+1, m) values, one call per flow.
+        """
 
     @abstractmethod
     def terminal(self, tau: float, rho) -> np.ndarray:
-        """Terminal cost profile, length m."""
+        """Terminal cost of one law (m,) or of each law in a (..., m) stack;
+        the same for every tau."""
 
     @abstractmethod
     def control_cost(self, t: float, i: int, v: float) -> float:
         """Pointwise control cost."""
+
+    def running_dist(self, tau: float, t: float, rho) -> np.ndarray:
+        """Distribution running cost w(tau) f(t, rho), length m."""
+        return float(self.tau_weight(tau)) * self.running_base(t, rho)
 
     def control_profile_cost(self, t: float, profile) -> np.ndarray:
         u = np.asarray(profile, dtype=float)
@@ -108,34 +126,6 @@ class CostModel(ABC):
         for idx in np.ndindex(u.shape):
             out[idx] = self.control_cost(t, idx[-1], float(u[idx]))
         return out
-
-    def running_dist_many(self, taus, t: float, rho) -> np.ndarray:
-        """Distribution cost for several evaluation times; shape (len(taus), m)."""
-        return np.array([self.running_dist(tau, t, rho) for tau in taus])
-
-    def terminal_many(self, taus, rho) -> np.ndarray:
-        return np.array([self.terminal(tau, rho) for tau in taus])
-
-    def tau_weight(self, taus) -> np.ndarray | None:
-        """The declared evaluation-time weight w at each of taus, or None.
-
-        A cost that declares w promises running_dist(tau, t, rho) =
-        w(tau) * running_base(t, rho) and a terminal cost that does not
-        depend on tau, and takes stacks of laws in running_base and
-        terminal.  The backward sweep then carries two coefficient rows
-        instead of one per evaluation node (see EvaluationBasis).
-        """
-        return None
-
-    def running_base(self, t, rho) -> np.ndarray:
-        """The running cost before its tau weight, for each law of a (..., m)
-        stack; needed only by a cost that declares tau_weight.
-
-        t is one node time or an array of them that broadcasts against the
-        stack's leading axes: the backward sweep passes every node time as
-        (N+1, 1) with a flow's (N+1, m) values, one call per flow.
-        """
-        raise NotImplementedError
 
     def argmin_profile(self, gen: GeneratorModel, t: float, h) -> np.ndarray:
         """Profile of minimizers of control_cost(i, v) + q_t^v(i, .) . h,
@@ -160,59 +150,40 @@ class CostModel(ABC):
 
 
 class EvaluationBasis:
-    """Evaluation-time basis W of the value table: Theta[a, k] = W[a] @ C_k.
+    """Evaluation-time basis W = [w, 1] of the value table, w the cost's tau
+    weight: Theta[a, k] = w(t_a) C_k[0] + C_k[1].
 
-    A cost that declares its tau weight w gets W = [w, 1] (rank 2): the
-    running coefficients are [f(t_k, nu_k); c(pi_k)] and the terminal ones
-    [0; g(nu_N)].  Any other cost gets the indicator basis W = I (rank
-    N+1), whose coefficients are the value columns themselves.
-
-    extreme_rows are the rows that hold the minimum and maximum of any
-    column, and of any difference of two columns: every row of the
-    indicator basis, and for [w, 1] the rows where w is least and largest,
-    since each entry is affine in w.
+    The running coefficients are [f(t_k, nu_k); c(pi_k)] and the terminal
+    ones [0; g(nu_N)].  extreme_rows are the rows where w is least and
+    largest: since each entry is affine in w, they hold the minimum and
+    maximum of any column, and of any difference of two columns.
     """
 
     def __init__(self, cost: CostModel, grid: TimeGrid):
         self.cost = cost
         self.nodes = grid.nodes
-        weight = cost.tau_weight(self.nodes)
-        if weight is None:
-            self.weight, self.extreme_rows = None, slice(None)
-        else:
-            self.weight = np.asarray(weight, dtype=float)
-            self.extreme_rows = np.array([np.argmin(weight), np.argmax(weight)])
-            self._extreme_weight = self.weight[self.extreme_rows, None]
+        self.weight = np.asarray(cost.tau_weight(self.nodes), dtype=float)
+        self.extreme_rows = np.array([np.argmin(self.weight), np.argmax(self.weight)])
+        self._extreme_weight = self.weight[self.extreme_rows, None]
 
     def rows(self, C: np.ndarray, a) -> np.ndarray:
         """Values at the evaluation rows a (an index array or a slice) of every
-        table in the (B, r, m) coefficient stack C, shape (B, len(a), m)."""
-        if self.weight is None:
-            return C[:, a]
+        table in the (B, 2, m) coefficient stack C, shape (B, len(a), m)."""
         return self.weight[a, None] * C[:, None, 0] + C[:, None, 1]
 
     def row(self, C: np.ndarray, a: int) -> np.ndarray:
         """rows(C, [a])[:, 0] for one evaluation row a, shape (B, m)."""
-        if self.weight is None:
-            return C[:, a]
         return self.weight[a] * C[:, 0] + C[:, 1]
 
     def extremes(self, c: np.ndarray, out: np.ndarray) -> None:
-        """Write into out (2, m) two rows whose elementwise min and max are
-        those of one table's column, coefficients c (r, m), over every
-        evaluation row: its values at the two extreme rows of [w, 1], or its
-        min and max over the rows of the indicator basis."""
-        if self.weight is None:
-            c.min(axis=0, out=out[0])
-            c.max(axis=0, out=out[1])
-        else:
-            np.multiply(self._extreme_weight, c[0], out=out)
-            out += c[1]
+        """Write into out (2, m) the values of one table's column, coefficients
+        c (2, m), at the two extreme rows: their elementwise min and max are
+        the column's over every evaluation row."""
+        np.multiply(self._extreme_weight, c[0], out=out)
+        out += c[1]
 
     def terminal(self, laws: np.ndarray) -> np.ndarray:
-        """Coefficients (B, r, m) of the terminal costs of a (B, m) stack of laws."""
-        if self.weight is None:
-            return np.array([self.cost.terminal_many(self.nodes, rho) for rho in laws])
+        """Coefficients (B, 2, m) of the terminal costs of a (B, m) stack of laws."""
         g = self.cost.terminal(self.nodes[-1], laws)
         return np.stack([np.zeros_like(g), g], axis=1)
 
@@ -231,14 +202,12 @@ def _columns(gen: GeneratorModel, cost: CostModel, flows, grid: TimeGrid):
     nodes = basis.nodes
     dt = grid.dt
     C = basis.terminal(np.array([nu.at(n) for nu in flows]))
-    flow_costs = None
-    if basis.weight is not None:
-        # the rank-2 basis's flow coefficients dt f(t_k, nu_k): one
-        # running_base call per flow covers every node
-        flow_costs = np.empty((n + 1, len(flows), gen.m))
-        for b, nu in enumerate(flows):
-            flow_costs[:, b] = cost.running_base(nodes[:, None], nu.values)
-        flow_costs *= dt
+    # the flow coefficients dt f(t_k, nu_k): one running_base call per flow
+    # covers every node
+    flow_costs = np.empty((n + 1, len(flows), gen.m))
+    for b, nu in enumerate(flows):
+        flow_costs[:, b] = cost.running_base(nodes[:, None], nu.values)
+    flow_costs *= dt
     diagonal = basis.row(C, n)
     yield n, C, None, None, diagonal
     for k in range(n - 1, -1, -1):
@@ -249,13 +218,8 @@ def _columns(gen: GeneratorModel, cost: CostModel, flows, grid: TimeGrid):
             raise MfeqError(f"argmin oracle failed at node {k}: {exc}") from exc
         P = transition_matrix(gen, t, profiles, dt)
         C = C @ np.swapaxes(P, 1, 2)
-        control = cost.control_profile_cost(t, profiles)
-        if flow_costs is None:
-            running = np.array([cost.running_dist_many(nodes, t, nu.at(k)) for nu in flows])
-            C += dt * (running + control[:, None])
-        else:
-            C[:, 0] += flow_costs[k]
-            C[:, 1] += dt * control
+        C[:, 0] += flow_costs[k]
+        C[:, 1] += dt * cost.control_profile_cost(t, profiles)
         diagonal = basis.row(C, k)
         yield k, C, profiles, P, diagonal
 
@@ -265,14 +229,14 @@ def backward_columns(gen: GeneratorModel, cost: CostModel, flows, grid: TimeGrid
 
     flows is one FlowCurve (B = 1) or a sequence of them.  The sweep holds
     each table's current decision-time column as coefficients in the cost's
-    EvaluationBasis, a (B, r, m) stack C, so memory is O(B r m) and each
-    cell costs O(B r m^2).  Yields (k, C, profiles, P) for k = N .. 0: first
+    EvaluationBasis, a (B, 2, m) stack C, so memory is O(B m) and each
+    cell costs O(B m^2).  Yields (k, C, profiles, P) for k = N .. 0: first
     the terminal coefficients against nu_N (profiles and P are None); then
     for k = N-1 .. 0 the argmin profiles (B, m) against each table's
     diagonal entry at k+1, from one call, P = exp(dt * Q) on cell k for
     every profile, from one stacked call, and C pushed back through P plus
-    the rectangle-rule running cost.  In the rank-2 basis the flow costs
-    of every node come from one running_base call per flow before the loop.
+    the rectangle-rule running cost.  The flow costs of every node come
+    from one running_base call per flow before the loop.
     """
     for k, C, profiles, P, _ in _columns(gen, cost, flows, grid):
         yield k, C, profiles, P

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from .models import (
     TabulatedGenerator,
     check_rate_tables,
     check_zero_sums,
+    make_tau_weight,
 )
 
 SCHEMA_VERSION = 1
@@ -72,6 +74,15 @@ def _require(spec: dict, key: str, types, where: str):
     return value
 
 
+def is_finite_number(value) -> bool:
+    """Whether a JSON value is a finite number: JSON model files may hold
+    NaN and Infinity, and NaN fails no comparison."""
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _matrix(value, m: int, field: str, depth: int) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
@@ -105,8 +116,8 @@ def validate_model(raw: dict) -> dict:
     if m < 2:
         raise ModelFileError("states", "need at least 2 states")
     horizon = _require(raw, "horizon", (int, float), "")
-    if not horizon > 0:
-        raise ModelFileError("horizon", "must be positive")
+    if not is_finite_number(horizon) or horizon <= 0:
+        raise ModelFileError("horizon", "must be a finite positive number")
 
     gen = _require(raw, "generator", dict, "")
     kind = _require(gen, "kind", str, "generator")
@@ -143,13 +154,18 @@ def validate_model(raw: dict) -> dict:
             raise ModelFileError("cost.running.values", "must be nonnegative")
     if rkind == "mean_square":
         scale = running.get("scale", 1.0)
-        if not isinstance(scale, (int, float)) or scale < 0:
-            raise ModelFileError("cost.running.scale", "must be nonnegative")
+        if not is_finite_number(scale) or scale < 0:
+            raise ModelFileError("cost.running.scale", "must be a finite nonnegative number")
     tw = running.get("tau_weight")
     if tw is not None:
         if not isinstance(tw, dict) or tw.get("kind") not in ("one", "affine", "exp"):
             raise ModelFileError("cost.running.tau_weight",
                                  "kind must be one of 'one', 'affine', 'exp'")
+        for key in ("intercept", "slope", "rate"):
+            if key in tw and not is_finite_number(tw[key]):
+                raise ModelFileError(f"cost.running.tau_weight.{key}",
+                                     "must be a finite number")
+        _checked("cost.running.tau_weight", make_tau_weight, tw, float(horizon))
     control = cost.get("control", "quadratic")
     if control not in _CONTROL_KINDS:
         raise ModelFileError("cost.control", f"unknown kind {control!r}")
@@ -173,8 +189,8 @@ def validate_model(raw: dict) -> dict:
     for key, value in constants.items():
         if key not in ("K1", "K2", "K3"):
             raise ModelFileError(f"constants.{key}", "unknown constant")
-        if not isinstance(value, (int, float)) or value < 0:
-            raise ModelFileError(f"constants.{key}", "must be nonnegative")
+        if not is_finite_number(value) or value < 0:
+            raise ModelFileError(f"constants.{key}", "must be a finite nonnegative number")
 
     normalized = {
         "schema": SCHEMA_VERSION,

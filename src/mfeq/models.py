@@ -210,7 +210,7 @@ def make_tau_weight(spec: dict | None, horizon: float):
 
     Kinds: "one" (constant 1), "affine" (intercept + slope * tau), "exp"
     (exp(-rate * tau)).  Returns (callable, max over [0, horizon]); the
-    weight must stay nonnegative on the horizon.
+    weight must stay finite and nonnegative on the horizon.
     """
     if spec is None or spec.get("kind", "one") == "one":
         return (lambda tau: np.ones_like(np.asarray(tau, dtype=float))), 1.0
@@ -219,14 +219,23 @@ def make_tau_weight(spec: dict | None, horizon: float):
         c0 = float(spec.get("intercept", 1.0))
         c1 = float(spec.get("slope", 0.0))
         ends = [c0, c0 + c1 * horizon]
-        if min(ends) < 0.0:
-            raise ModelDefect("affine tau weight goes negative on the horizon")
-        return (lambda tau: c0 + c1 * np.asarray(tau, dtype=float)), max(ends)
-    if kind == "exp":
+
+        def weight(tau):
+            return c0 + c1 * np.asarray(tau, dtype=float)
+    elif kind == "exp":
         r = float(spec.get("rate", 0.0))
-        ends = [1.0, float(np.exp(-r * horizon))]
-        return (lambda tau: np.exp(-r * np.asarray(tau, dtype=float))), max(ends)
-    raise ModelDefect(f"unknown tau weight kind {kind!r}")
+        with np.errstate(over="ignore"):
+            ends = [1.0, float(np.exp(-r * horizon))]
+
+        def weight(tau):
+            return np.exp(-r * np.asarray(tau, dtype=float))
+    else:
+        raise ModelDefect(f"unknown tau weight kind {kind!r}")
+    if not np.isfinite(ends).all():
+        raise ModelDefect(f"{kind} tau weight is not finite on the horizon")
+    if min(ends) < 0.0:
+        raise ModelDefect(f"{kind} tau weight goes negative on the horizon")
+    return weight, max(ends)
 
 
 class SeparableCost(CostModel):
@@ -317,14 +326,7 @@ class SeparableCost(CostModel):
         mbar = label_means(rho)[..., None]
         return payload * (self._labels - mbar) ** 2
 
-    def running_dist(self, tau: float, t: float, rho) -> np.ndarray:
-        return float(self._weight(tau)) * self.running_base(t, rho)
-
-    def running_dist_many(self, taus, t: float, rho) -> np.ndarray:
-        return np.outer(self.tau_weight(taus), self.running_base(t, rho))
-
     def terminal(self, tau: float, rho) -> np.ndarray:
-        """Terminal cost of one law (m,) or of each law in a (..., m) stack."""
         kind, payload = self._terminal_spec
         if kind == "table":
             return np.broadcast_to(payload, np.shape(rho)).copy()
@@ -332,10 +334,6 @@ class SeparableCost(CostModel):
         if payload == "g":
             return (self._labels - mbar) ** 2
         return self._labels ** 2 - mbar ** 2 + self.terminal_shift
-
-    def terminal_many(self, taus, rho) -> np.ndarray:
-        base = self.terminal(0.0, rho)
-        return np.tile(base, (len(np.atleast_1d(taus)), 1))
 
     def control_cost(self, t: float, i: int, v: float) -> float:
         if self.control == "zero":

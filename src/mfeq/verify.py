@@ -123,23 +123,30 @@ def check_sweep_options(action_samples: int, tol_spike: float | None) -> None:
         raise ValueError(f"spike tolerance must be finite and positive, got {tol_spike}")
 
 
-def _tail_values(cost: CostModel, nu: FlowCurve, actions: np.ndarray,
+def _tail_values(cost: CostModel, nu: FlowCurve, control: np.ndarray,
                  transitions: np.ndarray) -> np.ndarray:
     """Row k: the cost from node k+1 to the horizon under the policy,
     evaluated from evaluation node k, shape (steps, m).
 
-    One backward sweep carries a row per evaluation node; at step s only
-    the rows a < s still collect cost.
+    control[s] is the policy's control cost profile on cell s.  The tau
+    weight w scales only the flow costs, so one backward sweep of two rows
+    serves every evaluation node: A_s sums the flow costs dt f(t_r, nu_r)
+    from node s on and B_s the control and terminal costs, both pushed back
+    through the policy's transitions, and row k is w(t_k) A_{k+1} + B_{k+1}.
     """
     grid = nu.grid
     n, dt = grid.steps, grid.dt
-    taus = grid.nodes
-    tails = np.array(cost.terminal_many(taus[:n], nu.at(n)), dtype=float)
+    nodes = grid.nodes
+    flow_costs = dt * cost.running_base(nodes[:, None], nu.values)
+    rows = np.empty((n, 2, nu.m))  # rows[k] = [A_{k+1}, B_{k+1}]
+    rows[n - 1, 0] = 0.0
+    rows[n - 1, 1] = cost.terminal(nodes[n], nu.at(n))
     for s in range(n - 1, 0, -1):
-        running = cost.running_dist_many(taus[:s], taus[s], nu.at(s)) \
-            + cost.control_profile_cost(taus[s], actions[s])
-        tails[:s] = dt * running + tails[:s] @ transitions[s].T
-    return tails
+        np.matmul(rows[s], transitions[s].T, out=rows[s - 1])
+        rows[s - 1, 0] += flow_costs[s]
+        rows[s - 1, 1] += dt * control[s]
+    weight = np.asarray(cost.tau_weight(nodes[:n]), dtype=float)
+    return weight[:, None] * rows[:, 0] + rows[:, 1]
 
 
 def _spikes(gen: GeneratorModel, grid: TimeGrid, action_samples: int):
@@ -202,8 +209,9 @@ def verify_local_optimality(eq: Equilibrium, gen: GeneratorModel, cost: CostMode
     finite raises NumericalError.
 
     Each gap is spike_gap's quantity: the tails run under the stored policy
-    against eq.flow, from one backward sweep over all evaluation nodes, and
-    the spike cells' exponentials come from one stacked call.
+    against eq.flow, from one two-row backward sweep that serves every
+    evaluation node, and the spike cells' exponentials come from one
+    stacked call.
     """
     check_sweep_options(action_samples, tol_spike)
     grid = eq.grid
@@ -211,17 +219,16 @@ def verify_local_optimality(eq: Equilibrium, gen: GeneratorModel, cost: CostMode
         tol_spike = 5.0 * grid.dt
     n, dt = grid.steps, grid.dt
     nodes = grid.nodes
-    policy = eq.policy.actions
     transitions = transition_stack(gen, eq.policy)
-    tails = _tail_values(cost, eq.flow, policy, transitions)
+    policy_control = np.array([cost.control_profile_cost(nodes[k], eq.policy.actions[k])
+                               for k in range(n)])
+    tails = _tail_values(cost, eq.flow, policy_control, transitions)
 
     # cost of the policy from each node k on, evaluated from t_k; the first
     # cell's distribution cost is shared with the spikes
-    running = np.array([cost.running_dist(nodes[k], nodes[k], eq.flow.at(k))
-                        for k in range(n)])
-    v_base = dt * (running + np.array([cost.control_profile_cost(nodes[k], policy[k])
-                                       for k in range(n)])) \
-        + np.einsum("kij,kj->ki", transitions, tails)
+    running = np.asarray(cost.tau_weight(nodes[:n]), dtype=float)[:, None] \
+        * cost.running_base(nodes[:n, None], eq.flow.values[:n])
+    v_base = dt * (running + policy_control) + np.einsum("kij,kj->ki", transitions, tails)
 
     node, state, action, profiles = _spikes(gen, grid, action_samples)
     rows, control = _spike_rows(gen, cost, grid, node, state, profiles)

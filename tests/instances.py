@@ -1,6 +1,9 @@
 """Shared builders for randomized model instances and closed-form oracles."""
 
+import copy
+
 import numpy as np
+import pytest
 
 from mfeq import (
     AffineQuadraticModel,
@@ -9,7 +12,8 @@ from mfeq import (
     TimeGrid,
     backward_columns,
 )
-from mfeq.hj import CostModel, EvaluationBasis
+from mfeq.hj import EvaluationBasis
+from mfeq.modelfile import build_model, builtin_names, read_model_file
 
 
 def two_state_transition(a: float, b: float, t: float) -> np.ndarray:
@@ -121,37 +125,6 @@ def value_table(gen, cost, nu, grid):
     return table, StrategyTable(actions, grid)
 
 
-class IndicatorBasis(CostModel):
-    """A cost that delegates everything to `base` but declares no tau
-    weight, so the backward sweep runs it in the indicator basis: one
-    coefficient row per evaluation node, the generic path."""
-
-    def __init__(self, base):
-        self.base = base
-        self.m, self.K2, self.K3, self.kappa2 = base.m, base.K2, base.K3, base.kappa2
-
-    def running_dist(self, tau, t, rho):
-        return self.base.running_dist(tau, t, rho)
-
-    def running_dist_many(self, taus, t, rho):
-        return self.base.running_dist_many(taus, t, rho)
-
-    def terminal(self, tau, rho):
-        return self.base.terminal(tau, rho)
-
-    def terminal_many(self, taus, rho):
-        return self.base.terminal_many(taus, rho)
-
-    def control_cost(self, t, i, v):
-        return self.base.control_cost(t, i, v)
-
-    def control_profile_cost(self, t, profile):
-        return self.base.control_profile_cost(t, profile)
-
-    def argmin_profile(self, gen, t, h):
-        return self.base.argmin_profile(gen, t, h)
-
-
 class OutsideArgmin(SeparableCost):
     """Argmin oracle that returns 1.5, outside U = [-1, 1], at every nonzero
     continuation value; the affine rates stay valid generators there."""
@@ -160,3 +133,65 @@ class OutsideArgmin(SeparableCost):
         profile = super().argmin_profile(gen, t, h)
         profile[np.any(np.asarray(h) != 0.0, axis=-1), ..., 0] = 1.5
         return profile
+
+
+def shipped_instances():
+    """(name, grid, generator, cost, flow) of every shipped model at N=40 and
+    of three random instances, each with a random flow."""
+    rng = np.random.default_rng(9)
+    for name in builtin_names():
+        model = read_model_file(name)
+        grid = TimeGrid(model["horizon"], 40)
+        gen, cost = build_model(model, grid)
+        yield name, grid, gen, cost, random_flow(rng, grid, gen.m)
+    for steps in (20, 37, 60):
+        grid, gen, cost = random_instance(rng, steps=steps)
+        yield f"random-{steps}", grid, gen, cost, random_flow(rng, grid, gen.m)
+
+
+def tau_weighted_instances():
+    """Time-varying generators with affine and exp tau weights, m = 2, 3, 5."""
+    rng = np.random.default_rng(10)
+    for kind, weight in (("affine", {"kind": "affine", "intercept": 0.4, "slope": 1.5}),
+                         ("exp", {"kind": "exp", "rate": 2.0})):
+        for m in (2, 3, 5):
+            grid = TimeGrid(0.8, 30)
+            gen = random_affine_generator(rng, m, grid=grid, time_varying=True)
+            cost = SeparableCost(m, running=("mean_square", 0.3),
+                                 terminal=("mean_variance", ["g", "gtilde"][m % 2]),
+                                 tau_weight=weight, horizon=grid.horizon, gen=gen)
+            yield f"{kind}-m{m}", grid, gen, cost, random_flow(rng, grid, m)
+
+
+# numbers a model file must reject, as pytest params: the path of the field,
+# the bad value and the field the message names; JSON admits NaN and Infinity
+NAN, INF = float("nan"), float("inf")
+BAD_MODEL_NUMBERS = [pytest.param(path, value, field, id=name) for name, path, value, field in [
+    ("horizon-inf", ("horizon",), INF, "horizon"),
+    ("horizon-huge", ("horizon",), 10 ** 400, "horizon"),
+    ("K1-nan", ("constants", "K1"), NAN, "constants.K1"),
+    ("K1-inf", ("constants", "K1"), INF, "constants.K1"),
+    ("K2-nan", ("constants", "K2"), NAN, "constants.K2"),
+    ("K2-inf", ("constants", "K2"), INF, "constants.K2"),
+    ("K3-nan", ("constants", "K3"), NAN, "constants.K3"),
+    ("scale-nan", ("cost", "running", "scale"), NAN, "cost.running.scale"),
+    ("scale-inf", ("cost", "running", "scale"), INF, "cost.running.scale"),
+    ("intercept-nan", ("cost", "running", "tau_weight", "intercept"), NAN,
+     "cost.running.tau_weight.intercept"),
+    ("slope-text", ("cost", "running", "tau_weight", "slope"), "abc",
+     "cost.running.tau_weight.slope"),
+    ("rate-inf", ("cost", "running", "tau_weight"), {"kind": "exp", "rate": INF},
+     "cost.running.tau_weight.rate"),
+    ("rate-overflow", ("cost", "running", "tau_weight"), {"kind": "exp", "rate": -2000.0},
+     "cost.running.tau_weight"),
+]]
+
+
+def with_value(model: dict, path, value) -> dict:
+    """A deep copy of a model tree with the field at path set to value."""
+    out = copy.deepcopy(model)
+    node = out
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return out

@@ -132,7 +132,7 @@ def dense_solve_hj(gen, cost, nu, grid):
     nodes = grid.nodes
     dt = grid.dt
     values = np.empty((n + 1, n + 1, gen.m))
-    values[:, n, :] = cost.terminal_many(nodes, nu.at(n))
+    values[:, n, :] = [cost.terminal(tau, nu.at(n)) for tau in nodes]
     actions = np.empty((n, gen.m))
     transitions = np.empty((n, gen.m, gen.m))
     for k in range(n - 1, -1, -1):
@@ -141,10 +141,25 @@ def dense_solve_hj(gen, cost, nu, grid):
         actions[k] = profile
         P = transition_matrix(gen, nodes[k], profile, dt)
         transitions[k] = P
-        running = cost.running_dist_many(nodes, nodes[k], nu.at(k))
+        running = np.array([cost.running_dist(tau, nodes[k], nu.at(k)) for tau in nodes])
         running = running + cost.control_profile_cost(nodes[k], profile)
         values[:, k, :] = values[:, k + 1, :] @ P.T + dt * running
     return values, StrategyTable(actions, grid), transitions
+
+
+def tail_values_loop(cost, nu, actions, transitions):
+    """verify._tail_values with a row per evaluation node: row a < s
+    collects the running cost seen from t_a at every node s > a.  Shape
+    (steps, m)."""
+    grid = nu.grid
+    n, dt = grid.steps, grid.dt
+    taus = grid.nodes
+    tails = np.array([cost.terminal(tau, nu.at(n)) for tau in taus[:n]], dtype=float)
+    for s in range(n - 1, 0, -1):
+        running = np.array([cost.running_dist(tau, taus[s], nu.at(s)) for tau in taus[:s]]) \
+            + cost.control_profile_cost(taus[s], actions[s])
+        tails[:s] = dt * running + tails[:s] @ transitions[s].T
+    return tails
 
 
 def dense_table_distances(gen, cost, pairs, grid):
@@ -285,11 +300,7 @@ def backward_loop(gen, cost, flows, grid):
         P = transition_matrix(gen, nodes[k], profiles, dt)
         laws = np.array([nu.at(k) for nu in flows])
         control = cost.control_profile_cost(nodes[k], profiles)
-        if basis.weight is None:
-            running = np.array([cost.running_dist_many(nodes, nodes[k], rho)
-                                for rho in laws]) + control[:, None]
-        else:
-            running = np.stack([cost.running_base(nodes[k], laws), control], axis=1)
+        running = np.stack([cost.running_base(nodes[k], laws), control], axis=1)
         C = C @ np.swapaxes(P, 1, 2) + dt * running
         yield k, C, profiles, P
 

@@ -13,17 +13,21 @@ import mfeq
 from mfeq.cli import CSV_BLOCK_ROWS, _write_csv, main
 
 import oracles
+from instances import BAD_MODEL_NUMBERS, with_value
+
+DATA = Path(mfeq.__file__).parent / "data"
 
 
 def run(*argv):
     return main(list(argv))
 
 
-def assert_input_error(capsys, code):
-    """Exit code 1 with a one-line message and no traceback."""
+def assert_input_error(capsys, code) -> str:
+    """Exit code 1 with a one-line message and no traceback; returns the line."""
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1, err
+    return err
 
 
 def read_bytes_map(directory: Path) -> dict:
@@ -159,6 +163,19 @@ class TestSolve:
                                        flag, value, "--out", str(out)))
         assert not out.exists()
 
+    @pytest.mark.parametrize("path, value, field", BAD_MODEL_NUMBERS)
+    def test_non_finite_model_number_is_input_error(self, tmp_path, capsys, monkeypatch,
+                                                    path, value, field):
+        def no_work(*args, **kwargs):
+            raise AssertionError("solve started before the model was checked")
+
+        monkeypatch.setattr("mfeq.cli.picard_solve", no_work)
+        model = with_value(json.loads((DATA / "affine_mv.json").read_text()), path, value)
+        (tmp_path / "bad.json").write_text(json.dumps(model))
+        err = assert_input_error(capsys, run("solve", "--model", str(tmp_path / "bad.json"),
+                                             "--grid", "20", "--out", str(tmp_path / "eq")))
+        assert err.startswith(f"input error: {field}: "), err
+
     def test_non_convergence_exit_code(self, tmp_path):
         out = tmp_path / "nc"
         code = run("solve", "--model", "affine_mv", "--grid", "20",
@@ -245,6 +262,30 @@ class TestVerify:
         model["horizon"] = 0.7
         (bad_dir / "model.json").write_text(json.dumps(model))
         assert run("verify", "--eq", str(bad_dir)) == 1
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda meta: [meta], "equilibrium.json"),
+    (lambda meta: {**meta, "grid": [0.5, 40]}, "grid"),
+    (lambda meta: {**meta, "grid": {"horizon": "0.5", "steps": 40}}, "grid.horizon"),
+    (lambda meta: {**meta, "grid": {"horizon": 0.5, "steps": 40.5}}, "grid.steps"),
+    (lambda meta: {**meta, "grid": {"horizon": 0.5, "steps": 0}}, "grid.steps"),
+    (lambda meta: {**meta, "rho": [1.0]}, "rho"),
+    (lambda meta: {**meta, "rho": [0.5, "0.5"]}, "rho"),
+    (lambda meta: {**meta, "rho": {"1": 0.5, "2": 0.5}}, "rho"),
+], ids=["top-level-list", "grid-list", "horizon-text", "steps-fraction", "steps-zero",
+        "rho-short", "rho-text", "rho-object"])
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_malformed_equilibrium_is_input_error(solved_dir, tmp_path, capsys, command, edit,
+                                              field):
+    import shutil
+    bad_dir = tmp_path / "malformed"
+    shutil.copytree(solved_dir, bad_dir)
+    meta = json.loads((bad_dir / "equilibrium.json").read_text())
+    (bad_dir / "equilibrium.json").write_text(json.dumps(edit(meta)))
+    extra = ("--players", "20", "--seed", "1") if command == "simulate" else ()
+    err = assert_input_error(capsys, run(command, "--eq", str(bad_dir), *extra))
+    assert err.startswith(f"input error: {field}: "), err
 
 
 class TestSimulate:

@@ -19,12 +19,12 @@ from mfeq import (
 from mfeq.chain import FlowCurve, transition_stack
 from mfeq.errors import AdmissibilityError
 from mfeq.hj import EvaluationBasis, scan_golden_min
-from mfeq.modelfile import build_model, builtin_names, read_model_file
+from mfeq.modelfile import build_model, read_model_file
 from mfeq.solver import myopic_strategy, table_distances
 
 import oracles
-from instances import (IndicatorBasis, OutsideArgmin, random_affine_generator, random_flow,
-                       random_instance, value_table)
+from instances import (OutsideArgmin, random_affine_generator, random_flow, random_instance,
+                       shipped_instances, tau_weighted_instances, value_table)
 from oracles import evaluate_population_cost
 
 
@@ -172,46 +172,7 @@ class TestSolveHj:
             solve_hj(gen, cost, constant_flow([0.5, 0.5], grid), grid)
 
 
-def shipped_instances():
-    rng = np.random.default_rng(9)
-    for name in builtin_names():
-        model = read_model_file(name)
-        grid = TimeGrid(model["horizon"], 40)
-        gen, cost = build_model(model, grid)
-        yield name, grid, gen, cost, random_flow(rng, grid, gen.m)
-    for steps in (20, 37, 60):
-        grid, gen, cost = random_instance(rng, steps=steps)
-        yield f"random-{steps}", grid, gen, cost, random_flow(rng, grid, gen.m)
-
-
-def tau_weighted_instances():
-    # time-varying generators with affine and exp tau weights
-    rng = np.random.default_rng(10)
-    for kind, weight in (("affine", {"kind": "affine", "intercept": 0.4, "slope": 1.5}),
-                         ("exp", {"kind": "exp", "rate": 2.0})):
-        for m in (2, 3, 5):
-            grid = TimeGrid(0.8, 30)
-            gen = random_affine_generator(rng, m, grid=grid, time_varying=True)
-            cost = SeparableCost(m, running=("mean_square", 0.3),
-                                 terminal=("mean_variance", ["g", "gtilde"][m % 2]),
-                                 tau_weight=weight, horizon=grid.horizon, gen=gen)
-            yield f"{kind}-m{m}", grid, gen, cost, random_flow(rng, grid, m)
-
-
 class TestSweepMatchesDenseTable:
-    @pytest.mark.parametrize("case", list(shipped_instances()), ids=lambda c: c[0])
-    def test_same_numbers_bit_for_bit(self, case):
-        _, grid, gen, cost, nu = case
-        cost = IndicatorBasis(cost)
-        table, ref_policy, ref_transitions = oracles.dense_solve_hj(gen, cost, nu, grid)
-        sweep, policy = solve_hj(gen, cost, nu, grid)
-        n = grid.steps
-        assert np.array_equal(sweep.values, table[np.arange(n + 1), np.arange(n + 1)])
-        assert np.array_equal(policy.actions, ref_policy.actions)
-        assert np.array_equal(sweep.transitions, ref_transitions)
-        assert sweep.low == table.min() and sweep.high == table.max()
-        assert np.array_equal(value_table(gen, cost, nu, grid)[0], table)
-
     @pytest.mark.parametrize("case", list(shipped_instances()) + list(tau_weighted_instances()),
                              ids=lambda c: c[0])
     def test_rank2_basis_within_roundoff(self, case):
@@ -248,13 +209,10 @@ class TestSweepMatchesDenseTable:
             np.testing.assert_allclose(np.abs(ext[0::2] - ext[1::2]).max(axis=(1, 2)), gaps,
                                        rtol=1e-12)
 
-    @pytest.mark.parametrize("indicator", [False, True])
-    def test_batch_equals_separate_sweeps(self, indicator):
+    def test_batch_equals_separate_sweeps(self):
         rng = np.random.default_rng(12)
         for m in (2, 3, 4, 7):
             grid, gen, cost = random_instance(rng, m=m, steps=25)
-            if indicator:
-                cost = IndicatorBasis(cost)
             flows = [random_flow(rng, grid, m) for _ in range(5)]
             batched = list(backward_columns(gen, cost, flows, grid))
             for b, nu in enumerate(flows):
@@ -284,17 +242,14 @@ class TestSweepMatchesDenseTable:
 class TestSweepMatchesPerCellLoop:
     """The sweep with its flow costs computed once and its readouts reduced
     after it, against the per-cell loop it replaced (oracles.backward_loop),
-    bit for bit in both bases."""
+    bit for bit."""
 
     CASES = list(shipped_instances()) + list(tau_weighted_instances())
 
     @pytest.mark.parametrize("batch", [1, 12])
-    @pytest.mark.parametrize("indicator", [False, True])
-    def test_columns(self, indicator, batch):
+    def test_columns(self, batch):
         rng = np.random.default_rng(15)
         for _, grid, gen, cost, nu in self.CASES:
-            if indicator:
-                cost = IndicatorBasis(cost)
             flows = [nu] + [random_flow(rng, grid, gen.m) for _ in range(batch - 1)]
             for (k, C, profiles, P), (k1, C1, profiles1, P1) in zip(
                     backward_columns(gen, cost, flows, grid),
@@ -305,11 +260,8 @@ class TestSweepMatchesPerCellLoop:
                     assert np.array_equal(profiles, profiles1)
                     assert np.array_equal(P, P1)
 
-    @pytest.mark.parametrize("indicator", [False, True])
-    def test_solve_hj_readouts(self, indicator):
+    def test_solve_hj_readouts(self):
         for _, grid, gen, cost, nu in self.CASES:
-            if indicator:
-                cost = IndicatorBasis(cost)
             sweep, policy = solve_hj(gen, cost, nu, grid)
             diagonal, low, high, actions, transitions = oracles.solve_hj_loop(
                 gen, cost, nu, grid)
@@ -318,12 +270,9 @@ class TestSweepMatchesPerCellLoop:
             assert np.array_equal(sweep.transitions, transitions)
             assert (sweep.low, sweep.high) == (low, high)
 
-    @pytest.mark.parametrize("indicator", [False, True])
-    def test_table_distances_of_six_pairs(self, indicator):
+    def test_table_distances_of_six_pairs(self):
         rng = np.random.default_rng(16)
         for _, grid, gen, cost, nu in self.CASES:
-            if indicator:
-                cost = IndicatorBasis(cost)
             pairs = []
             for size in (1e-3, 1e-2, 1e-1, 1e-3, 1e-2, 1e-1):
                 base = random_flow(rng, grid, gen.m)

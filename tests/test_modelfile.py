@@ -13,6 +13,8 @@ from mfeq.modelfile import (
     validate_model,
 )
 
+from instances import BAD_MODEL_NUMBERS, with_value
+
 
 def minimal_model(**overrides):
     model = {
@@ -112,6 +114,13 @@ class TestValidation:
             validate_model(minimal_model(constants={"K2": -1.0}))
         ok = validate_model(minimal_model(constants={"K2": 3.0}))
         assert ok["constants"]["K2"] == 3.0
+
+    @pytest.mark.parametrize("path, value, field", BAD_MODEL_NUMBERS)
+    def test_non_finite_numbers_named(self, path, value, field):
+        bad = with_value(read_model_file("affine_mv"), path, value)
+        with pytest.raises(ModelFileError) as err:
+            validate_model(bad)
+        assert err.value.field == field
 
     def test_tabulated_generator(self):
         model = minimal_model()

@@ -288,16 +288,6 @@ class TestSeparableCost:
                 assert cost.running_dist(tau, 0.0, rho).max() <= cost.K2 + 1e-12
                 assert cost.terminal(tau, rho).max() <= cost.K2 + 1e-12
 
-    def test_running_dist_many_matches_scalar(self):
-        cost = SeparableCost(2, running=("mean_square", 0.2),
-                             tau_weight={"kind": "affine", "intercept": 1.0,
-                                         "slope": 0.5}, horizon=1.0)
-        rho = [0.3, 0.7]
-        taus = np.array([0.0, 0.5, 1.0])
-        many = cost.running_dist_many(taus, 0.2, rho)
-        for row, tau in zip(many, taus):
-            np.testing.assert_allclose(row, cost.running_dist(tau, 0.2, rho))
-
     def test_zero_control(self):
         cost = SeparableCost(2, control="zero", terminal=("table", [0.0, 0.0]))
         assert cost.control_cost(0.0, 0, 0.7) == 0.0
@@ -333,4 +323,15 @@ class TestTauWeight:
         w, wmax = make_tau_weight({"kind": "exp", "rate": 2.0}, 1.0)
         assert w(0.5) == pytest.approx(np.exp(-1.0))
         assert wmax == 1.0
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "exp", "rate": -2000.0},
+        {"kind": "exp", "rate": float("nan")},
+        {"kind": "affine", "intercept": float("nan")},
+        {"kind": "affine", "slope": 1e308},
+    ], ids=["exp-overflow", "exp-nan", "affine-nan", "affine-overflow"])
+    def test_non_finite_rejected(self, spec):
+        # a NaN fails the nonnegativity comparison, so it is caught on its own
+        with pytest.raises(ModelDefect, match="not finite"):
+            make_tau_weight(spec, 2.0)
 

@@ -22,7 +22,7 @@ from mfeq.modelfile import build_model, read_model_file
 from mfeq.solver import myopic_strategy
 
 import oracles
-from instances import IndicatorBasis, OutsideArgmin, random_flow
+from instances import OutsideArgmin, random_flow
 
 
 @pytest.fixture(scope="module")
@@ -176,15 +176,6 @@ class TestEstimateConstants:
         # sign-pattern probing attains it when the stationary point is interior
         assert report.kappa2 <= gen.kappa1 + 1e-9
         assert report.kappa2 >= 0.95 * gen.kappa1
-
-    def test_kappa3_equals_dense_estimator(self, affine_mv, monkeypatch):
-        grid, gen, cost = affine_mv
-        cost = IndicatorBasis(cost)
-        columns = estimate_constants(gen, cost, grid, samples=3, seed=4)
-        monkeypatch.setattr(solver, "table_distances", oracles.dense_table_distances)
-        dense = estimate_constants(gen, cost, grid, samples=3, seed=4)
-        assert columns.kappa3 > 0.0
-        assert columns.kappa3 == dense.kappa3
 
     @pytest.mark.parametrize("name", ["affine_mv", "affine_mv_gtilde"])
     def test_rank2_kappa3_matches_dense_estimator(self, name, monkeypatch):

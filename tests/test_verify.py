@@ -17,13 +17,14 @@ from mfeq import (
     spike_gap,
     verify_local_optimality,
 )
-from mfeq.chain import FlowCurve
+from mfeq.chain import FlowCurve, transition_stack
 from mfeq.errors import AdmissibilityError, NumericalError
 from mfeq.hj import CostModel
 from mfeq.solver import Equilibrium
+from mfeq.verify import _tail_values
 
 import oracles
-from instances import random_flow
+from instances import random_flow, random_strategy, shipped_instances, tau_weighted_instances
 from mfeq.modelfile import build_model, builtin_names, read_model_file
 
 
@@ -179,21 +180,42 @@ class TestVerifyLocalOptimality:
 
 
 class NanDiagonalCost(CostModel):
-    """The wrapped cost, but NaN running cost at t = tau = t_bad."""
+    """The wrapped cost, but a NaN tau weight at tau = t_bad."""
 
     def __init__(self, base, t_bad):
         self.base, self.t_bad = base, t_bad
         self.m, self.K2, self.K3 = base.m, base.K2, base.K3
 
-    def running_dist(self, tau, t, rho):
-        out = self.base.running_dist(tau, t, rho)
-        return out * np.nan if tau == t == self.t_bad else out
+    def tau_weight(self, taus):
+        taus = np.asarray(taus, dtype=float)
+        return np.where(taus == self.t_bad, np.nan, self.base.tau_weight(taus))
+
+    def running_base(self, t, rho):
+        return self.base.running_base(t, rho)
 
     def terminal(self, tau, rho):
         return self.base.terminal(tau, rho)
 
     def control_cost(self, t, i, v):
         return self.base.control_cost(t, i, v)
+
+
+class TestTailValues:
+    """The two-row tail sweep against the row-per-evaluation-node loop it
+    replaced (oracles.tail_values_loop)."""
+
+    @pytest.mark.parametrize("case", list(shipped_instances()) + list(tau_weighted_instances()),
+                             ids=lambda c: c[0])
+    def test_matches_loop(self, case):
+        _, grid, gen, cost, nu = case
+        strategy = random_strategy(np.random.default_rng(17), gen, grid)
+        transitions = transition_stack(gen, strategy)
+        control = np.array([cost.control_profile_cost(t, u)
+                            for t, u in zip(grid.nodes, strategy.actions)])
+        tails = _tail_values(cost, nu, control, transitions)
+        ref = oracles.tail_values_loop(cost, nu, strategy.actions, transitions)
+        assert tails.shape == (grid.steps, gen.m)
+        assert np.abs(tails - ref).max() <= 1e-12 * max(1.0, float(np.abs(ref).max()))
 
 
 class TestDpOracle:
