@@ -51,9 +51,7 @@ from .simulate import (
     simulate,
 )
 from .verify import (
-    BoundsReport,
     SpikeReport,
-    check_bounds_and_lipschitz,
     dp_oracle,
     spike_gap,
     verify_local_optimality,

@@ -53,9 +53,6 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
-    def refine(self, factor: int = 2) -> "TimeGrid":
-        return TimeGrid(self.horizon, self.steps * factor)
-
 
 class ProbabilityVector:
     """Point of the probability simplex over states {0, ..., m-1}.
@@ -143,15 +140,18 @@ class GeneratorModel(ABC):
         np.shape(t) + (m, 2), with lo in [..., 0] and hi in [..., 1].
         """
 
-    def rate_matrix(self, t: float, profile) -> np.ndarray:
+    def rate_matrix(self, t, profile) -> np.ndarray:
         """Full generator for the action profile u: row i uses u[i].
 
         A (..., m) stack of profiles gives the (..., m, m) stack of generators.
+        t is one node time or an array of them that broadcasts against the
+        stack's leading axes.
         """
         u = np.asarray(profile, dtype=float)
+        t = np.broadcast_to(t, u.shape[:-1])
         Q = np.empty(u.shape + (self.m,))
         for idx in np.ndindex(u.shape):
-            Q[idx] = self.rates(t, idx[-1], float(u[idx]))
+            Q[idx] = self.rates(t[idx[:-1]], idx[-1], float(u[idx]))
         return Q
 
 
@@ -159,6 +159,19 @@ def admissible(bounds: np.ndarray, actions) -> np.ndarray:
     """Elementwise test that actions lie in their [lo, hi] bounds up to
     ACTION_ATOL; a NaN bound or action fails."""
     return (bounds[..., 0] - ACTION_ATOL <= actions) & (actions <= bounds[..., 1] + ACTION_ATOL)
+
+
+def interval_samples(bounds: np.ndarray, samples: int) -> np.ndarray:
+    """`samples` evenly spaced actions over each [lo, hi] of a (..., 2)
+    bounds array, ascending with both ends included, shape (..., samples).
+
+    np.linspace's arithmetic for one interval; np.linspace over arrays
+    changes it for every interval once any interval has zero width.
+    """
+    lo, hi = bounds[..., 0, None], bounds[..., 1, None]
+    actions = np.arange(samples) * ((hi - lo) / (samples - 1)) + lo
+    actions[..., -1] = hi[..., 0]
+    return actions
 
 
 def clip_to_bounds(bounds: np.ndarray, actions) -> np.ndarray:
@@ -316,13 +329,9 @@ def _check_rows(model: GeneratorModel, nodes: np.ndarray, bounds: np.ndarray, fi
     """validate_generator's checks on a block of nodes, the first of which is
     grid node `first`, added to the report."""
     lo, hi = bounds[..., 0, None], bounds[..., 1, None]
-    # np.linspace's arithmetic for one interval; np.linspace over arrays
-    # changes it for every interval once any interval has zero width
-    actions = np.arange(samples) * ((hi - lo) / (samples - 1)) + lo
-    actions[..., -1] = hi[..., 0]
-    rows = np.empty(actions.shape + (model.m,))  # rates(t_k, i, actions[k, i, s])
-    for k, t in enumerate(nodes):
-        rows[k] = np.swapaxes(model.rate_matrix(t, actions[k].T), 0, 1)
+    actions = interval_samples(bounds, samples)
+    # rows[k, i, s] = rates(t_k, i, actions[k, i, s]), from profile s of node k
+    rows = np.swapaxes(model.rate_matrix(nodes[:, None], np.swapaxes(actions, 1, 2)), 1, 2)
     counted = (hi > lo) | (np.arange(samples) == 0)
 
     def findings(values, bad):
@@ -486,9 +495,8 @@ def transition_stack(model: GeneratorModel, strategy: StrategyTable) -> np.ndarr
     """
     grid = strategy.grid
     strategy.check_admissible(model)
-    generators = np.array([model.rate_matrix(t, a)
-                           for t, a in zip(grid.nodes[:-1], strategy.actions)])
-    return stochastic_exponentials(generators, grid.dt)
+    return stochastic_exponentials(model.rate_matrix(grid.nodes[:-1], strategy.actions),
+                                   grid.dt)
 
 
 def propagate_flow(model: GeneratorModel, rho0, strategy: StrategyTable,

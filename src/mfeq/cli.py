@@ -22,7 +22,7 @@ from .errors import MfeqError, ModelFileError
 from .hj import value_bound
 from .modelfile import build_model, is_finite_number, model_hash, read_model_file
 from .simulate import SimConfig, check_inner_pairs, deviation_test, simulate
-from .solver import Equilibrium, IterationDiagnostics, SolverOptions, estimate_constants, picard_solve
+from .solver import Equilibrium, SolverOptions, estimate_constants, picard_solve
 from .verify import check_sweep_options, verify_local_optimality
 
 EXIT_OK = 0
@@ -187,11 +187,9 @@ def _load_equilibrium(eq_dir: Path):
     # the flow argument of the spike test is the pair's own flow, so it is
     # re-propagated from the stored policy rather than trusted from disk
     flow = propagate_flow(gen, rho, policy, grid)
-    diag = IterationDiagnostics(gaps=list(meta["diagnostics"]["gaps"]),
-                                iterations=meta["diagnostics"]["iterations"],
-                                converged=meta["diagnostics"]["converged"])
+    # verify and simulate read neither the solver's values nor its diagnostics
     eq = Equilibrium(rho=rho, flow=flow, policy=policy, values=None,
-                     diagnostics=diag, grid=grid)
+                     diagnostics=None, grid=grid)
     return model, gen, cost, eq
 
 
@@ -209,26 +207,22 @@ def cmd_verify(args) -> int:
                                      tol_spike=tol)
     out = Path(args.eq)
     nodes = eq.grid.nodes
-    worst = report.worst
-    entries, count = report.entries, len(report.entries)
+    entries = report.entries
     _write_csv(out / "spike_report.csv",
                ["t", "state", "action", "gap"],
-               np.column_stack([
-                   nodes[np.fromiter((e.node for e in entries), np.intp, count)],
-                   np.fromiter((e.state + 1 for e in entries), float, count),
-                   np.fromiter((e.action for e in entries), float, count),
-                   np.fromiter((e.gap for e in entries), float, count)]))
+               np.column_stack([nodes[entries.node], entries.state + 1.0, entries.action,
+                                entries.gap]))
+
+    def spike(e) -> dict:
+        return {"t": float(nodes[e.node]), "state": int(e.state) + 1,
+                "action": float(e.action), "gap": float(e.gap)}
+
     _write_json(out / "spike_summary.json", {
         "tolerance": report.tol,
         "min_gap": report.min_gap,
-        "perturbations": len(report.entries),
-        "violations": [
-            {"t": nodes[e.node], "state": e.state + 1, "action": e.action,
-             "gap": e.gap}
-            for e in report.violations
-        ],
-        "worst": {"t": nodes[worst.node], "node": worst.node, "state": worst.state + 1,
-                  "action": worst.action, "gap": worst.gap},
+        "perturbations": len(entries),
+        "violations": [spike(e) for e in report.violations],
+        "worst": {**spike(report.worst), "node": int(report.worst.node)},
     })
     print(report.summary())
     return EXIT_OK if report.ok else EXIT_VIOLATIONS

@@ -85,7 +85,8 @@ class CostModel(ABC):
     Lipschitz constant in the flow argument (total variation), and kappa2
     (optional) is the Lipschitz constant of h -> argmin profile.
     control_profile_cost and argmin_profile take one profile or continuation
-    vector (m,) or a (B, m) stack of them.
+    vector (m,) or a (B, m) stack of them; control_profile_cost's t is one
+    node time or an array of them over the stack's leading axes.
     """
 
     m: int
@@ -120,11 +121,12 @@ class CostModel(ABC):
         """Distribution running cost w(tau) f(t, rho), length m."""
         return float(self.tau_weight(tau)) * self.running_base(t, rho)
 
-    def control_profile_cost(self, t: float, profile) -> np.ndarray:
+    def control_profile_cost(self, t, profile) -> np.ndarray:
         u = np.asarray(profile, dtype=float)
+        t = np.broadcast_to(t, u.shape[:-1])
         out = np.empty(u.shape)
         for idx in np.ndindex(u.shape):
-            out[idx] = self.control_cost(t, idx[-1], float(u[idx]))
+            out[idx] = self.control_cost(t[idx[:-1]], idx[-1], float(u[idx]))
         return out
 
     def argmin_profile(self, gen: GeneratorModel, t: float, h) -> np.ndarray:

@@ -58,20 +58,18 @@ def check_zero_sums(vectors: np.ndarray, name: str, atol: float) -> None:
             raise ModelDefect(f"{name} does not sum to zero in cell {c}")
 
 
-def _cell(t: float, dt: float | None, cells: int) -> int:
-    """Index of the per-cell coefficient table in force at time t."""
+def _cell(t, dt: float | None, cells: int):
+    """Index of the per-cell coefficient table in force at node time t, or
+    the array of indices for an array of node times.  Calls occur at node
+    times, so nearest-node indexing picks the cell."""
+    if isinstance(t, np.ndarray):
+        if cells == 1:
+            return np.zeros(t.shape, dtype=int)
+        return np.clip(np.floor(t / dt + 0.5).astype(int), 0, cells - 1)
     if cells == 1:
         return 0
-    # calls occur at node times, so nearest-node indexing picks the cell
     k = int(np.floor(t / dt + 0.5))
     return min(max(k, 0), cells - 1)
-
-
-def _cells(t: np.ndarray, dt: float | None, cells: int) -> np.ndarray:
-    """_cell over an array of node times."""
-    if cells == 1:
-        return np.zeros(np.shape(t), dtype=int)
-    return np.clip(np.floor(t / dt + 0.5).astype(int), 0, cells - 1)
 
 
 class AffineQuadraticModel(GeneratorModel):
@@ -117,7 +115,7 @@ class AffineQuadraticModel(GeneratorModel):
         self._bounds = admissible_interval(alphas, betas)
         self._bounds.setflags(write=False)
 
-    def coefficients_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+    def coefficients_at(self, t) -> tuple[np.ndarray, np.ndarray]:
         c = _cell(t, self._dt, self._cells)
         return self._alphas[c], self._betas[c]
 
@@ -125,14 +123,12 @@ class AffineQuadraticModel(GeneratorModel):
         a, b = self.coefficients_at(t)
         return a[i] + b * v
 
-    def rate_matrix(self, t: float, profile) -> np.ndarray:
+    def rate_matrix(self, t, profile) -> np.ndarray:
         a, b = self.coefficients_at(t)
         u = np.asarray(profile, dtype=float)
-        return a + u[..., :, None] * b
+        return a + u[..., :, None] * b[..., None, :]
 
     def action_bounds(self, t) -> np.ndarray:
-        if isinstance(t, np.ndarray):
-            return self._bounds[_cells(t, self._dt, self._cells)]
         return self._bounds[_cell(t, self._dt, self._cells)]
 
 
@@ -163,9 +159,9 @@ class TabulatedGenerator(GeneratorModel):
     def rates(self, t: float, i: int, v: float) -> np.ndarray:
         return self._tables[_cell(t, self._dt, self._cells)][i]
 
-    def rate_matrix(self, t: float, profile) -> np.ndarray:
+    def rate_matrix(self, t, profile) -> np.ndarray:
         Q = self._tables[_cell(t, self._dt, self._cells)]
-        return np.broadcast_to(Q, np.shape(profile)[:-1] + Q.shape)
+        return np.broadcast_to(Q, np.shape(profile)[:-1] + (self.m, self.m))
 
     def action_bounds(self, t) -> np.ndarray:
         return np.zeros(np.shape(t) + (self.m, 2))
@@ -340,7 +336,7 @@ class SeparableCost(CostModel):
             return 0.0
         return 0.5 * v * v
 
-    def control_profile_cost(self, t: float, profile) -> np.ndarray:
+    def control_profile_cost(self, t, profile) -> np.ndarray:
         u = np.asarray(profile, dtype=float)
         if self.control == "zero":
             return np.zeros_like(u)

@@ -202,9 +202,8 @@ def deviation_test(eq: Equilibrium, gen: GeneratorModel, cost: CostModel,
     spike_cells[k0] = transition_matrix(gen, t0, profile, dt)
     # index 0 is the base strategy, index 1 the spiked one
     cum = _cumulative(np.stack([base, spike_cells]))
-    control = dt * np.stack([
-        [cost.control_profile_cost(nodes[s], strategy.actions[s]) for s in range(k0, n)]
-        for strategy in (eq.policy, spiked)])
+    control = dt * np.stack([cost.control_profile_cost(nodes[k0:n], strategy.actions[k0:])
+                             for strategy in (eq.policy, spiked)])
     side = np.arange(2)[:, None]
 
     rep_means = np.empty(cfg.replications)

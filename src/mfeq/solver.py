@@ -109,13 +109,14 @@ class Equilibrium:
     values.values, the range values.low .. values.high of the whole table
     and the policy's transitions.  That sweep ran against the previous
     iterate's flow, so its diagonal and flow agree only to the final gap.
+    An equilibrium read back from disk has neither values nor diagnostics.
     """
 
     rho: np.ndarray
     flow: FlowCurve
     policy: StrategyTable
     values: BackwardSweep | None
-    diagnostics: IterationDiagnostics
+    diagnostics: IterationDiagnostics | None
     grid: TimeGrid
 
     @property

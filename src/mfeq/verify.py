@@ -11,7 +11,7 @@ independent of the backward sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,43 +22,50 @@ from .chain import (
     TimeGrid,
     admissible,
     clip_to_bounds,
-    propagate_flow,
+    interval_samples,
     stochastic_exponentials,
     transition_matrix,
     transition_stack,
-    tv_distance,
-    validate_generator,
 )
 from .errors import AdmissibilityError, DimensionMismatch, NumericalError
-from .hj import CostModel, evaluate_cost, golden_refine, value_bound
+from .hj import CostModel, evaluate_cost, golden_refine
 from .solver import Equilibrium
 
 
-@dataclass(slots=True)
-class SpikeEntry:
-    node: int
-    state: int
-    action: float
-    gap: float
+# spikes per stacked exponential: a bounded block keeps the exponential's
+# (block, m, m) temporaries small
+SPIKE_BLOCK = 4096
 
 
 @dataclass
 class SpikeReport:
-    """Normalized spike gaps over the sweep and the entries below -tol."""
+    """Every spike of the sweep and the tolerance below which a gap is a
+    violation.
+
+    entries is a record array with fields node, state, action and gap, one
+    record per spike in report order: node-major, then state, then ascending
+    action.
+    """
 
     tol: float
-    min_gap: float
-    entries: list[SpikeEntry] = field(default_factory=list)
-    violations: list[SpikeEntry] = field(default_factory=list)
+    entries: np.recarray
+
+    @property
+    def violations(self) -> np.recarray:
+        return self.entries[self.entries.gap < -self.tol]
+
+    @property
+    def min_gap(self) -> float:
+        return float(self.entries.gap.min())
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not len(self.violations)
 
     @property
-    def worst(self) -> SpikeEntry | None:
+    def worst(self) -> np.record:
         """The entry with the minimum gap (the first one on ties)."""
-        return min(self.entries, key=lambda e: e.gap, default=None)
+        return self.entries[np.argmin(self.entries.gap)]
 
     def summary(self) -> str:
         status = "no violations" if self.ok else f"{len(self.violations)} violations"
@@ -89,28 +96,21 @@ def constant_spike_profile(gen: GeneratorModel, t: float, u, tested_state: int |
 
 
 def spike_gap(eq: Equilibrium, gen: GeneratorModel, cost: CostModel, k: int,
-              i: int, u, eps_nodes: int = 1) -> float:
+              i: int, u) -> float:
     """Normalized cost change of a spike at (node k, state i).
 
-    Replaces the policy on [t_k, t_k + eps) by the constant profile built
-    from u, holds the flow fixed at the equilibrium flow, and returns
-    (perturbed cost - equilibrium cost) / eps with both costs computed by
+    Replaces the policy on the cell [t_k, t_k + dt) by the constant profile
+    built from u, holds the flow fixed at the equilibrium flow, and returns
+    (perturbed cost - equilibrium cost) / dt with both costs computed by
     trajectory evaluation from evaluation node k.
     """
     grid = eq.grid
-    if eps_nodes < 1 or k + eps_nodes > grid.steps:
+    if not 0 <= k < grid.steps:
         raise ValueError("spike must fit between the node and the horizon")
-    t = grid.nodes[k]
-    profile = constant_spike_profile(gen, t, u, i)
-    spiked = eq.policy.actions.copy()
-    for s in range(k, k + eps_nodes):
-        spiked[s] = constant_spike_profile(gen, grid.nodes[s], u, None) \
-            if np.ndim(u) == 0 else profile
-    spiked_strategy = StrategyTable(spiked, grid)
-    eps = eps_nodes * grid.dt
+    spiked = eq.policy.with_cell(k, constant_spike_profile(gen, grid.nodes[k], u, i))
     v_base = evaluate_cost(gen, cost, eq.flow, eq.policy, k, k, i)
-    v_spiked = evaluate_cost(gen, cost, eq.flow, spiked_strategy, k, k, i)
-    return (v_spiked - v_base) / eps
+    v_spiked = evaluate_cost(gen, cost, eq.flow, spiked, k, k, i)
+    return (v_spiked - v_base) / grid.dt
 
 
 def check_sweep_options(action_samples: int, tol_spike: float | None) -> None:
@@ -153,47 +153,18 @@ def _spikes(gen: GeneratorModel, grid: TimeGrid, action_samples: int):
     """Every spike on the grid in report order: node-major, then state, then
     ascending action.  Returns the node, state and action arrays and the
     profile each spike applies, the action clipped into every state's
-    interval."""
-    bounds = gen.action_bounds(grid.nodes[:-1])
-    node, state, action = [], [], []
-    for k in range(grid.steps):
-        for i in range(gen.m):
-            lo, hi = bounds[k, i]
-            actions = np.unique(np.concatenate([np.linspace(lo, hi, action_samples),
-                                                [lo, hi]]))
-            node += [k] * actions.size
-            state += [i] * actions.size
-            action.append(actions)
-    node = np.array(node)
-    action = np.concatenate(action)
-    profiles = clip_to_bounds(bounds[node], action[:, None])
-    return node, np.array(state), action, profiles
+    interval.
 
-
-def _spike_rows(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
-                node: np.ndarray, state: np.ndarray, profiles: np.ndarray):
-    """Per spike: the spiked state's row of the spike cell's transition, and
-    its control cost.
-
-    A profile depends on (node, action) alone, not on the tested state, so
-    each distinct (node, profile) is exponentiated once, all in one stacked
-    call.  The distinct cells come sorted by node, and each node's
-    generators and control costs come from one call over its profiles.
+    The samples of an interval ascend from lo to hi, so dropping each one
+    equal to its predecessor leaves the interval's distinct actions.
     """
-    cells, which = np.unique(np.column_stack([node, profiles]), axis=0,
-                             return_inverse=True)
-    which = which.reshape(-1)
-    nodes = grid.nodes
-    cell_node = cells[:, 0].astype(int)
-    starts = np.flatnonzero(np.diff(cell_node, prepend=-1))
-    generators = np.empty((len(cells), gen.m, gen.m))
-    control = np.empty((len(cells), gen.m))
-    for a, b in zip(starts, [*starts[1:], len(cells)]):
-        t, u = nodes[cell_node[a]], cells[a:b, 1:]
-        generators[a:b] = gen.rate_matrix(t, u)
-        control[a:b] = cost.control_profile_cost(t, u)
-    spiked = stochastic_exponentials(generators, grid.dt)
-    return spiked[which, state], control[which, state]
+    bounds = gen.action_bounds(grid.nodes[:-1])
+    samples = interval_samples(bounds, action_samples)
+    distinct = np.ones(samples.shape, dtype=bool)
+    distinct[..., 1:] = samples[..., 1:] != samples[..., :-1]
+    node, state, _ = np.nonzero(distinct)
+    action = samples[distinct]
+    return node, state, action, clip_to_bounds(bounds[node], action[:, None])
 
 
 def verify_local_optimality(eq: Equilibrium, gen: GeneratorModel, cost: CostModel,
@@ -210,8 +181,8 @@ def verify_local_optimality(eq: Equilibrium, gen: GeneratorModel, cost: CostMode
 
     Each gap is spike_gap's quantity: the tails run under the stored policy
     against eq.flow, from one two-row backward sweep that serves every
-    evaluation node, and the spike cells' exponentials come from one
-    stacked call.
+    evaluation node, and the spike cells' exponentials come from stacked
+    calls over blocks of SPIKE_BLOCK spikes.
     """
     check_sweep_options(action_samples, tol_spike)
     grid = eq.grid
@@ -220,8 +191,7 @@ def verify_local_optimality(eq: Equilibrium, gen: GeneratorModel, cost: CostMode
     n, dt = grid.steps, grid.dt
     nodes = grid.nodes
     transitions = transition_stack(gen, eq.policy)
-    policy_control = np.array([cost.control_profile_cost(nodes[k], eq.policy.actions[k])
-                               for k in range(n)])
+    policy_control = cost.control_profile_cost(nodes[:n], eq.policy.actions)
     tails = _tail_values(cost, eq.flow, policy_control, transitions)
 
     # cost of the policy from each node k on, evaluated from t_k; the first
@@ -231,7 +201,15 @@ def verify_local_optimality(eq: Equilibrium, gen: GeneratorModel, cost: CostMode
     v_base = dt * (running + policy_control) + np.einsum("kij,kj->ki", transitions, tails)
 
     node, state, action, profiles = _spikes(gen, grid, action_samples)
-    rows, control = _spike_rows(gen, cost, grid, node, state, profiles)
+    t = nodes[node]
+    control = cost.control_profile_cost(t, profiles)[np.arange(node.size), state]
+    # each spike's row of its cell's transition; a slice of a stacked
+    # exponential equals a one-matrix call, so blocking moves no bit
+    rows = np.empty((node.size, gen.m))
+    for first in range(0, node.size, SPIKE_BLOCK):
+        block = slice(first, first + SPIKE_BLOCK)
+        P = stochastic_exponentials(gen.rate_matrix(t[block], profiles[block]), dt)
+        rows[block] = P[np.arange(len(P)), state[block]]
     v_spiked = dt * (running[node, state] + control) \
         + np.einsum("ej,ej->e", rows, tails[node])
     gaps = (v_spiked - v_base[node, state]) / dt
@@ -240,12 +218,8 @@ def verify_local_optimality(eq: Equilibrium, gen: GeneratorModel, cost: CostMode
         e = bad[0]
         raise NumericalError(f"non-finite spike gap {gaps[e]} at node {node[e]}, "
                              f"state {state[e]}, action {action[e]:.6g}")
-
-    entries = [SpikeEntry(node=k, state=i, action=u, gap=g) for k, i, u, g in
-               zip(node.tolist(), state.tolist(), action.tolist(), gaps.tolist())]
-    violations = [entries[e] for e in np.flatnonzero(gaps < -tol_spike)]
-    return SpikeReport(tol=tol_spike, min_gap=float(gaps.min()), entries=entries,
-                       violations=violations)
+    entries = np.rec.fromarrays([node, state, action, gaps], names="node,state,action,gap")
+    return SpikeReport(tol=tol_spike, entries=entries)
 
 
 def dp_oracle(gen: GeneratorModel, cost: CostModel, nu: FlowCurve, grid: TimeGrid,
@@ -292,73 +266,3 @@ def dp_oracle(gen: GeneratorModel, cost: CostModel, nu: FlowCurve, grid: TimeGri
             actions[k, i] = v_star
             W[k, i] = dt * run[i] + val
     return W, StrategyTable(actions, grid)
-
-
-@dataclass
-class BoundsReport:
-    """Uniform value bounds plus sampled flow-stability checks."""
-
-    theta_min: float
-    theta_max: float
-    theta_bound: float
-    bounds_ok: bool
-    flow_slack: float
-    flow_allowance: float
-    flow_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.bounds_ok and self.flow_ok
-
-    def summary(self) -> str:
-        return (f"values in [{self.theta_min:.6g}, {self.theta_max:.6g}] vs bound "
-                f"[0, {self.theta_bound:.6g}] ({'ok' if self.bounds_ok else 'VIOLATED'}); "
-                f"flow-stability slack {self.flow_slack:.3e} vs allowance "
-                f"{self.flow_allowance:.3e} ({'ok' if self.flow_ok else 'VIOLATED'})")
-
-
-def check_bounds_and_lipschitz(eq: Equilibrium, gen: GeneratorModel, cost: CostModel,
-                               samples: int = 20, seed: int = 0) -> BoundsReport:
-    """Assert the uniform value bound and sample the flow-stability estimate.
-
-    The value bound uses the declared constants, (K1 + K2) * horizon + K2, so
-    misdeclared caps surface here.  The stability check propagates random
-    initial-law / strategy pairs and measures the slack in
-    d(flow, flow') <= d(rho, gamma) + kappa1_hat * strategy distance; with
-    exponential stepping the flows solve the frozen dynamics exactly, so the
-    slack should be roundoff-sized (the allowance keeps an O(dt) term for
-    models whose sampled kappa1 underestimates the true constant).
-    """
-    grid = eq.grid
-    bound = value_bound(gen, cost, grid)
-    tmin = eq.values.low
-    tmax = eq.values.high
-    bounds_ok = tmin >= -1e-9 and tmax <= bound + 1e-9
-
-    rng = np.random.default_rng(seed)
-    kappa1 = validate_generator(gen, grid, samples=8).kappa1_hat
-    worst = 0.0
-    for _ in range(samples):
-        rho = rng.dirichlet(np.ones(gen.m))
-        gamma = rng.dirichlet(np.ones(gen.m))
-        s1 = _random_strategy(rng, gen, grid)
-        s2 = _random_strategy(rng, gen, grid)
-        f1 = propagate_flow(gen, rho, s1, grid)
-        f2 = propagate_flow(gen, gamma, s2, grid)
-        base = tv_distance(rho, gamma)
-        # running rectangle-rule integral of the sup action gap up to t_k
-        cell_gaps = np.abs(s1.actions - s2.actions).max(axis=1)
-        integral = np.concatenate([[0.0], np.cumsum(cell_gaps) * grid.dt])
-        for k in range(grid.steps + 1):
-            lhs = tv_distance(f1.at(k), f2.at(k))
-            worst = max(worst, lhs - base - kappa1 * integral[k])
-    allowance = 1e-8 + 0.05 * grid.dt
-    return BoundsReport(theta_min=tmin, theta_max=tmax, theta_bound=bound,
-                        bounds_ok=bounds_ok, flow_slack=worst,
-                        flow_allowance=allowance, flow_ok=worst <= allowance)
-
-
-def _random_strategy(rng: np.random.Generator, gen: GeneratorModel,
-                     grid: TimeGrid) -> StrategyTable:
-    bounds = gen.action_bounds(grid.nodes[:-1])
-    return StrategyTable(rng.uniform(bounds[..., 0], bounds[..., 1]), grid)

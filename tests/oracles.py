@@ -4,6 +4,8 @@ Each function is the loop the library used before it was vectorized; tests
 compare the library against it.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
 from mfeq.chain import (GENERATOR_ATOL, FlowCurve, GeneratorReport, StrategyTable,
@@ -12,7 +14,9 @@ from mfeq.errors import DimensionMismatch
 from mfeq.hj import EvaluationBasis, scan_golden_min
 from mfeq.models import ACTION_HI, ACTION_LO
 from mfeq.simulate import _PEER_STREAM, PathBundle, _cumulative, _inverse_cdf, _stream
-from mfeq.verify import SpikeEntry
+
+# one spike of the reference sweep, as verify's entries name their fields
+SpikeEntry = namedtuple("SpikeEntry", "node state action gap")
 
 
 def admissible_interval(alpha_row, beta, i):
@@ -54,6 +58,19 @@ def transition_loop(gen, strategy) -> np.ndarray:
                      for k in range(grid.steps)])
 
 
+def spike_actions(lo, hi, action_samples):
+    """The distinct actions a sweep spikes on [lo, hi], ascending."""
+    return np.unique(np.concatenate([np.linspace(lo, hi, action_samples), [lo, hi]]))
+
+
+def spikes(gen, grid, action_samples):
+    """(node, state, action) of every spike in report order, one
+    spike_actions call per (node, state)."""
+    return [(k, i, u) for k in range(grid.steps)
+            for i, (lo, hi) in enumerate(gen.action_bounds(grid.nodes[k]).tolist())
+            for u in spike_actions(lo, hi, action_samples).tolist()]
+
+
 def sweep_node(gen, cost, eq, transitions, k, action_samples):
     """All spike gaps at node k, the tail value recomputed from scratch."""
     grid = eq.grid
@@ -77,10 +94,7 @@ def sweep_node(gen, cost, eq, transitions, k, action_samples):
     entries = []
     bounds = bounds_loop(gen, nodes[k]).tolist()
     for i in range(gen.m):
-        lo, hi = bounds[i]
-        actions = np.unique(np.concatenate([
-            np.linspace(lo, hi, action_samples), [lo, hi]]))
-        for u in actions:
+        for u in spike_actions(*bounds[i], action_samples):
             profile = np.array([min(max(float(u), lo_j), hi_j) for lo_j, hi_j in bounds])
             P = transition_matrix(gen, nodes[k], profile, dt)
             v_spiked = dt * (run_k[i] + cost.control_cost(nodes[k], i, float(u))) \

@@ -291,7 +291,7 @@ def test_c10_mean_field_limit(sim_equilibrium):
     slope_ok = -0.65 <= slope <= -0.35
 
     sweep = verify_local_optimality(eq, gen, cost, action_samples=8)
-    worst = min(sweep.entries, key=lambda e: e.gap)
+    worst = sweep.worst
     det = spike_gap(eq, gen, cost, worst.node, worst.state, worst.action)
     est = deviation_test(eq, gen, cost, k_player=0,
                          spike=(worst.node, worst.state, worst.action),

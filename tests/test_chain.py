@@ -45,9 +45,6 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(-1.0, 4)
 
-    def test_refine(self):
-        assert TimeGrid(1.0, 4).refine().steps == 8
-
 
 class TestProbabilityVector:
     def test_normalizes(self):

@@ -288,6 +288,28 @@ def test_malformed_equilibrium_is_input_error(solved_dir, tmp_path, capsys, comm
     assert err.startswith(f"input error: {field}: "), err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda meta: {**meta, "diagnostics": []},
+    lambda meta: {key: value for key, value in meta.items() if key != "diagnostics"},
+], ids=["diagnostics-list", "diagnostics-missing"])
+def test_diagnostics_are_not_read(solved_dir, tmp_path, edit):
+    # verify and simulate use neither the solver's values nor its diagnostics
+    import shutil
+    intact, edited = tmp_path / "intact", tmp_path / "edited"
+    shutil.copytree(solved_dir, intact)
+    shutil.copytree(solved_dir, edited)
+    meta = json.loads((edited / "equilibrium.json").read_text())
+    (edited / "equilibrium.json").write_text(json.dumps(edit(meta)))
+    sim = ("--players", "50", "--seed", "3", "--reps", "2", "--inner-pairs", "10",
+           "--err-bound", "2")
+    for directory in (intact, edited):
+        assert run("verify", "--eq", str(directory), "--action-samples", "8") == 0
+        assert run("simulate", "--eq", str(directory), *sim) == 0
+    for name in ("spike_report.csv", "spike_summary.json", "sim_report.json",
+                 "empirical_flow.csv"):
+        assert (intact / name).read_bytes() == (edited / name).read_bytes()
+
+
 class TestSimulate:
     def test_seed_fixed_rerun_byte_identical(self, solved_dir, tmp_path):
         import shutil

@@ -5,6 +5,8 @@ import pytest
 
 from mfeq import (
     AffineQuadraticModel,
+    CostModel,
+    GeneratorModel,
     ModelDefect,
     SeparableCost,
     TabulatedGenerator,
@@ -207,6 +209,85 @@ class TestTabulatedGenerator:
         np.testing.assert_array_equal(gen.action_bounds(0.0), np.zeros((2, 2)))
         assert gen.action_bounds(np.linspace(0.0, 1.0, 5)).shape == (5, 2, 2)
         assert gen.kappa1 == 0.0
+
+
+class _RatesOnly(GeneratorModel):
+    """Time-varying rates declared one row at a time, so rate_matrix is the
+    base class's loop."""
+
+    def __init__(self, base):
+        self.base, self.m, self.kappa1, self.K1 = base, base.m, base.kappa1, base.K1
+
+    def rates(self, t, i, v):
+        return (1.0 + t) * self.base.rates(t, i, v)
+
+    def action_bounds(self, t):
+        return self.base.action_bounds(t)
+
+
+class _ControlCostOnly(CostModel):
+    """A time-varying control cost declared one entry at a time, so
+    control_profile_cost is the base class's loop."""
+
+    m, K2, K3 = 3, 1.0, 1.0
+
+    def tau_weight(self, taus):
+        return np.ones_like(np.asarray(taus, dtype=float))
+
+    def running_base(self, t, rho):
+        return np.zeros(np.shape(rho))
+
+    def terminal(self, tau, rho):
+        return np.zeros(np.shape(rho))
+
+    def control_cost(self, t, i, v):
+        return (1.0 + t) * v * v + 0.1 * i
+
+
+def tabulated_generator(rng, m, grid):
+    """Control-free generator with one random rate table per grid cell."""
+    Q = rng.uniform(0.1, 1.0, size=(grid.steps, m, m))
+    Q[:, np.arange(m), np.arange(m)] = 0.0
+    Q[:, np.arange(m), np.arange(m)] = -Q.sum(axis=2)
+    return TabulatedGenerator(Q, grid)
+
+
+class TestNodeTimeArrays:
+    """rate_matrix and control_profile_cost on an array of node times equal
+    one call per node, bit for bit."""
+
+    GRID = TimeGrid(0.7, 9)
+
+    @staticmethod
+    def per_node(fn, times, profiles):
+        return np.array([fn(t, u) for t, u in zip(times, profiles)])
+
+    @pytest.mark.parametrize("kind", ["affine", "tabulated", "base-class"])
+    def test_rate_matrix(self, kind):
+        rng = np.random.default_rng(5)
+        grid = self.GRID
+        affine = random_affine_generator(rng, 3, grid=grid, time_varying=True)
+        gen = {"affine": affine, "tabulated": tabulated_generator(rng, 3, grid),
+               "base-class": _RatesOnly(affine)}[kind]
+        times = grid.nodes[:-1]
+        actions = random_strategy(rng, gen, grid).actions
+        assert same_bits(gen.rate_matrix(times, actions),
+                         self.per_node(gen.rate_matrix, times, actions))
+        # several profiles per node: the times broadcast over the leading axis
+        profiles = rng.uniform(-0.2, 0.2, size=(grid.steps, 4, 3))
+        assert same_bits(gen.rate_matrix(times[:, None], profiles),
+                         self.per_node(gen.rate_matrix, times, profiles))
+
+    @pytest.mark.parametrize("kind", ["separable", "base-class"])
+    def test_control_profile_cost(self, kind):
+        rng = np.random.default_rng(6)
+        cost = SeparableCost(3) if kind == "separable" else _ControlCostOnly()
+        times = self.GRID.nodes[:-1]
+        profiles = rng.uniform(-1.0, 1.0, size=(self.GRID.steps, 4, 3))
+        assert same_bits(cost.control_profile_cost(times[:, None], profiles),
+                         self.per_node(cost.control_profile_cost, times, profiles))
+        assert same_bits(cost.control_profile_cost(times, profiles[:, 0]),
+                         self.per_node(cost.control_profile_cost, times, profiles[:, 0]))
 
 
 class TestMeanVarianceTerminal:

@@ -1,5 +1,7 @@
 """Verifier: spike gaps, sweeps, dynamic-programming oracle, bound checks."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from mfeq import (
     SeparableCost,
     TabulatedGenerator,
     TimeGrid,
-    check_bounds_and_lipschitz,
     dp_oracle,
     picard_solve,
     propagate_flow,
@@ -17,14 +18,15 @@ from mfeq import (
     spike_gap,
     verify_local_optimality,
 )
-from mfeq.chain import FlowCurve, transition_stack
+from mfeq.chain import FlowCurve, transition_stack, tv_distance, validate_generator
 from mfeq.errors import AdmissibilityError, NumericalError
-from mfeq.hj import CostModel
+from mfeq.hj import CostModel, value_bound
 from mfeq.solver import Equilibrium
-from mfeq.verify import _tail_values
+from mfeq.verify import _spikes, _tail_values
 
 import oracles
-from instances import random_flow, random_strategy, shipped_instances, tau_weighted_instances
+from instances import (random_affine_generator, random_flow, random_strategy, shipped_instances,
+                       tau_weighted_instances)
 from mfeq.modelfile import build_model, builtin_names, read_model_file
 
 
@@ -97,19 +99,11 @@ class TestSpikeGap:
         with pytest.raises(AdmissibilityError, match="state 2"):
             spike_gap(eq, gen, cost, 10, 0, np.array([0.0, 0.0, -0.99]))
 
-    def test_wider_spikes_supported(self, small_eq):
-        gen, cost, eq = small_eq
-        g1 = spike_gap(eq, gen, cost, 10, 0, 0.5, eps_nodes=1)
-        g4 = spike_gap(eq, gen, cost, 10, 0, 0.5, eps_nodes=4)
-        assert np.isfinite(g1) and np.isfinite(g4)
-        # both estimate the same nonnegative limit
-        assert g1 >= -5.0 * eq.grid.dt
-        assert g4 >= -5.0 * eq.grid.dt
-
     def test_spike_must_fit_horizon(self, small_eq):
         gen, cost, eq = small_eq
-        with pytest.raises(ValueError):
-            spike_gap(eq, gen, cost, eq.grid.steps - 1, 0, 0.0, eps_nodes=2)
+        for k in (-1, eq.grid.steps):
+            with pytest.raises(ValueError):
+                spike_gap(eq, gen, cost, k, 0, 0.0)
 
 
 class TestVerifyLocalOptimality:
@@ -218,6 +212,39 @@ class TestTailValues:
         assert np.abs(tails - ref).max() <= 1e-12 * max(1.0, float(np.abs(ref).max()))
 
 
+def zero_alpha_generator():
+    """An affine model with a zero off-diagonal alpha over a positive beta:
+    state 0's lower bound comes out as -0.0."""
+    alpha = [[-0.5, 0.5, 0.0], [0.4, -0.7, 0.3], [0.2, 0.6, -0.8]]
+    return AffineQuadraticModel(alpha, [-0.2, -0.1, 0.3])
+
+
+class TestSpikes:
+    """The array enumeration against the per-(node, state) np.unique loop
+    (oracles.spikes)."""
+
+    @pytest.mark.parametrize("samples", [2, 3, 16])
+    @pytest.mark.parametrize("kind", ["time-varying", "zero-alpha", "tabulated"])
+    def test_matches_unique_loop(self, kind, samples):
+        grid = TimeGrid(0.6, 12)
+        gen = {"time-varying": lambda: random_affine_generator(
+                   np.random.default_rng(8), 3, grid=grid, time_varying=True),
+               "zero-alpha": zero_alpha_generator,
+               "tabulated": lambda: TabulatedGenerator([[-0.7, 0.7], [0.4, -0.4]])}[kind]()
+        node, state, action, profiles = _spikes(gen, grid, samples)
+        ref = oracles.spikes(gen, grid, samples)
+        assert len(node) == len(ref)
+        # == on the actions: a -0.0 bound gives the sample +0.0, and
+        # np.unique kept whichever zero its sort put first
+        assert list(zip(node.tolist(), state.tolist(), action.tolist())) == ref
+        bounds = gen.action_bounds(grid.nodes[node])
+        assert np.array_equal(profiles, np.clip(action[:, None], bounds[..., 0], bounds[..., 1]))
+
+    def test_zero_alpha_bound_is_negative_zero(self):
+        lo = zero_alpha_generator().action_bounds(0.0)[0, 0]
+        assert lo == 0.0 and np.signbit(lo)
+
+
 class TestDpOracle:
     def test_zero_costs(self):
         grid = TimeGrid(0.5, 10)
@@ -282,6 +309,69 @@ class TestDpOracle:
         assert gaps[100] <= 0.05
         order = np.log2(gaps[50] / gaps[100])
         assert order >= 0.8
+
+
+@dataclass
+class BoundsReport:
+    """Uniform value bounds plus sampled flow-stability checks."""
+
+    theta_min: float
+    theta_max: float
+    theta_bound: float
+    bounds_ok: bool
+    flow_slack: float
+    flow_allowance: float
+    flow_ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.bounds_ok and self.flow_ok
+
+    def summary(self) -> str:
+        return (f"values in [{self.theta_min:.6g}, {self.theta_max:.6g}] vs bound "
+                f"[0, {self.theta_bound:.6g}] ({'ok' if self.bounds_ok else 'VIOLATED'}); "
+                f"flow-stability slack {self.flow_slack:.3e} vs allowance "
+                f"{self.flow_allowance:.3e} ({'ok' if self.flow_ok else 'VIOLATED'})")
+
+
+def check_bounds_and_lipschitz(eq, gen, cost, samples=20, seed=0) -> BoundsReport:
+    """Assert the uniform value bound and sample the flow-stability estimate.
+
+    The value bound uses the declared constants, (K1 + K2) * horizon + K2, so
+    misdeclared caps surface here.  The stability check propagates random
+    initial-law / strategy pairs and measures the slack in
+    d(flow, flow') <= d(rho, gamma) + kappa1_hat * strategy distance; with
+    exponential stepping the flows solve the frozen dynamics exactly, so the
+    slack should be roundoff-sized (the allowance keeps an O(dt) term for
+    models whose sampled kappa1 underestimates the true constant).
+    """
+    grid = eq.grid
+    bound = value_bound(gen, cost, grid)
+    tmin = eq.values.low
+    tmax = eq.values.high
+    bounds_ok = tmin >= -1e-9 and tmax <= bound + 1e-9
+
+    rng = np.random.default_rng(seed)
+    kappa1 = validate_generator(gen, grid, samples=8).kappa1_hat
+    worst = 0.0
+    for _ in range(samples):
+        rho = rng.dirichlet(np.ones(gen.m))
+        gamma = rng.dirichlet(np.ones(gen.m))
+        s1 = random_strategy(rng, gen, grid)
+        s2 = random_strategy(rng, gen, grid)
+        f1 = propagate_flow(gen, rho, s1, grid)
+        f2 = propagate_flow(gen, gamma, s2, grid)
+        base = tv_distance(rho, gamma)
+        # running rectangle-rule integral of the sup action gap up to t_k
+        cell_gaps = np.abs(s1.actions - s2.actions).max(axis=1)
+        integral = np.concatenate([[0.0], np.cumsum(cell_gaps) * grid.dt])
+        for k in range(grid.steps + 1):
+            lhs = tv_distance(f1.at(k), f2.at(k))
+            worst = max(worst, lhs - base - kappa1 * integral[k])
+    allowance = 1e-8 + 0.05 * grid.dt
+    return BoundsReport(theta_min=tmin, theta_max=tmax, theta_bound=bound,
+                        bounds_ok=bounds_ok, flow_slack=worst,
+                        flow_allowance=allowance, flow_ok=worst <= allowance)
 
 
 class TestCheckBoundsAndLipschitz:
