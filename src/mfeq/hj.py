@@ -32,48 +32,6 @@ from .errors import DimensionMismatch, MfeqError
 logger = logging.getLogger(__name__)
 
 
-def scan_golden_min(fn, lo: float, hi: float, n_scan: int = 33, tol: float = 1e-10):
-    """Minimize a 1-D function on [lo, hi]: coarse scan, then golden section.
-
-    Ties in the coarse scan break toward the smallest argument, so the
-    result is deterministic across runs and platforms.
-    Returns (argmin, min value).
-    """
-    if hi <= lo:
-        return lo, fn(lo)
-    xs = np.linspace(lo, hi, n_scan)
-    return golden_refine(fn, xs, [fn(x) for x in xs], tol)
-
-
-def golden_refine(fn, xs, values, tol: float = 1e-10):
-    """scan_golden_min's golden section after its coarse scan: xs are the
-    increasing scan points and values fn's values there, which the caller
-    may compute at once.  Returns (argmin, min value)."""
-    n_scan = len(xs)
-    best = int(np.argmin(values))  # argmin returns the first (smallest) index
-    a = xs[max(best - 1, 0)]
-    b = xs[min(best + 1, n_scan - 1)]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    fx = fn(x)
-    # on ties prefer the scan point, which is the smallest tied argument
-    if values[best] <= fx:
-        return float(xs[best]), float(values[best])
-    return float(x), float(fx)
-
-
 class CostModel(ABC):
     """Cost seen from an evaluation time tau: running cost
     w(tau) f(t, rho) + control cost, a terminal cost g(rho) that does not
@@ -81,9 +39,8 @@ class CostModel(ABC):
 
     tau enters only through the scalar weight w, so the value table has
     rank two in the evaluation time (see EvaluationBasis).  Declared
-    constants: K2 caps the distribution and terminal costs, K3 is their
-    Lipschitz constant in the flow argument (total variation), and kappa2
-    (optional) is the Lipschitz constant of h -> argmin profile.
+    constants: K2 caps the distribution and terminal costs and K3 is their
+    Lipschitz constant in the flow argument (total variation).
     control_profile_cost and argmin_profile take one profile or continuation
     vector (m,) or a (B, m) stack of them; control_profile_cost's t is one
     node time or an array of them over the stack's leading axes.
@@ -92,7 +49,6 @@ class CostModel(ABC):
     m: int
     K2: float
     K3: float
-    kappa2: float | None = None
 
     @abstractmethod
     def tau_weight(self, taus) -> np.ndarray:
@@ -129,26 +85,11 @@ class CostModel(ABC):
             out[idx] = self.control_cost(t[idx[:-1]], idx[-1], float(u[idx]))
         return out
 
+    @abstractmethod
     def argmin_profile(self, gen: GeneratorModel, t: float, h) -> np.ndarray:
-        """Profile of minimizers of control_cost(i, v) + q_t^v(i, .) . h,
-        one per row of h.
-
-        Fallback for 1-D continuous action intervals: coarse scan plus
-        golden-section refinement to 1e-10, ties toward the smallest action,
-        one state of one row at a time.  Models with structure should
-        override with their closed form.
-        """
-        hv = np.asarray(h, dtype=float)
-        bounds = gen.action_bounds(t)
-        out = np.empty(hv.shape)
-        for idx in np.ndindex(hv.shape):
-            row, i = hv[idx[:-1]], idx[-1]
-
-            def objective(v, i=i, row=row):
-                return self.control_cost(t, i, v) + float(gen.rates(t, i, v) @ row)
-
-            out[idx], _ = scan_golden_min(objective, *bounds[i])
-        return out
+        """Profile of minimizers of control_cost(t, i, v) + q_t^v(i, .) . h
+        over each state's admissible interval, one per row of h; ties go to
+        the smallest action."""
 
 
 class EvaluationBasis:
@@ -190,9 +131,22 @@ class EvaluationBasis:
         return np.stack([np.zeros_like(g), g], axis=1)
 
 
-def _columns(gen: GeneratorModel, cost: CostModel, flows, grid: TimeGrid):
-    """backward_columns' sweep, each column yielded with its diagonal row
-    basis.row(C, k), shape (B, m), which the next cell's argmin reads."""
+def backward_columns(gen: GeneratorModel, cost: CostModel, flows, grid: TimeGrid):
+    """Lockstep backward sweep of the value tables of B flows.
+
+    flows is one FlowCurve (B = 1) or a sequence of them.  The sweep holds
+    each table's current decision-time column as coefficients in the cost's
+    EvaluationBasis, a (B, 2, m) stack C, so memory is O(B m) and each
+    cell costs O(B m^2).  Yields (k, C, profiles, P, diagonal) for
+    k = N .. 0: first the terminal coefficients against nu_N (profiles and
+    P are None); then for k = N-1 .. 0 the argmin profiles (B, m) against
+    each table's diagonal entry at k+1, from one call, P = exp(dt * Q) on
+    cell k for every profile, from one stacked call, and C pushed back
+    through P plus the rectangle-rule running cost.  diagonal is the row
+    basis.row(C, k), shape (B, m), which the next cell's argmin reads.  The
+    flow costs of every node come from one running_base call per flow
+    before the loop.
+    """
     flows = [flows] if isinstance(flows, FlowCurve) else list(flows)
     for nu in flows:
         if nu.grid != grid:
@@ -224,24 +178,6 @@ def _columns(gen: GeneratorModel, cost: CostModel, flows, grid: TimeGrid):
         C[:, 1] += dt * cost.control_profile_cost(t, profiles)
         diagonal = basis.row(C, k)
         yield k, C, profiles, P, diagonal
-
-
-def backward_columns(gen: GeneratorModel, cost: CostModel, flows, grid: TimeGrid):
-    """Lockstep backward sweep of the value tables of B flows.
-
-    flows is one FlowCurve (B = 1) or a sequence of them.  The sweep holds
-    each table's current decision-time column as coefficients in the cost's
-    EvaluationBasis, a (B, 2, m) stack C, so memory is O(B m) and each
-    cell costs O(B m^2).  Yields (k, C, profiles, P) for k = N .. 0: first
-    the terminal coefficients against nu_N (profiles and P are None); then
-    for k = N-1 .. 0 the argmin profiles (B, m) against each table's
-    diagonal entry at k+1, from one call, P = exp(dt * Q) on cell k for
-    every profile, from one stacked call, and C pushed back through P plus
-    the rectangle-rule running cost.  The flow costs of every node come
-    from one running_base call per flow before the loop.
-    """
-    for k, C, profiles, P, _ in _columns(gen, cost, flows, grid):
-        yield k, C, profiles, P
 
 
 def value_bound(gen: GeneratorModel, cost: CostModel, grid: TimeGrid) -> float:
@@ -283,7 +219,7 @@ def solve_hj(gen: GeneratorModel, cost: CostModel, nu: FlowCurve,
     actions = np.empty((n, gen.m))
     transitions = np.empty((n, gen.m, gen.m))
     extremes = np.empty((n + 1, 2, gen.m))  # reduced once after the sweep
-    for k, C, profiles, P, row in _columns(gen, cost, nu, grid):
+    for k, C, profiles, P, row in backward_columns(gen, cost, nu, grid):
         diagonal[k] = row[0]
         basis.extremes(C[0], extremes[k])
         if k < n:

@@ -249,7 +249,7 @@ def build_model(model: dict, grid: TimeGrid) -> tuple[GeneratorModel, CostModel]
         cost = SeparableCost(
             m, running=run, control=cspec["control"], terminal=term,
             tau_weight=running.get("tau_weight"), horizon=model["horizon"],
-            gen=gen, K2=constants.get("K2"), K3=constants.get("K3"))
+            K2=constants.get("K2"), K3=constants.get("K3"))
     except ModelDefect as exc:
         raise ModelFileError("cost", str(exc)) from exc
     if "K1" in constants:

@@ -248,8 +248,7 @@ class SeparableCost(CostModel):
 
     def __init__(self, m: int, running=("zero",), control: str = "quadratic",
                  terminal=("mean_variance", "g"), tau_weight: dict | None = None,
-                 horizon: float = 1.0, gen: GeneratorModel | None = None,
-                 K2: float | None = None, K3: float | None = None):
+                 horizon: float = 1.0, K2: float | None = None, K3: float | None = None):
         self.m = m
         self._labels = state_labels(m)
         self._weight, wmax = make_tau_weight(tau_weight, horizon)
@@ -304,10 +303,6 @@ class SeparableCost(CostModel):
 
         self.K2 = float(K2) if K2 is not None else float(max(wmax * run_cap, term_cap))
         self.K3 = float(K3) if K3 is not None else float(wmax * run_lip + term_lip)
-        self.kappa2 = None
-        if isinstance(gen, AffineQuadraticModel):
-            # clip argmin is 1-Lipschitz in its stationary point -h . beta
-            self.kappa2 = gen.kappa1
 
     def tau_weight(self, taus) -> np.ndarray:
         return self._weight(np.asarray(taus, float))
@@ -343,14 +338,19 @@ class SeparableCost(CostModel):
         return 0.5 * u * u
 
     def argmin_profile(self, gen: GeneratorModel, t: float, h) -> np.ndarray:
-        if self.control == "quadratic" and isinstance(gen, AffineQuadraticModel):
-            # minimizer of v^2/2 + v (h . beta): the stationary point clipped
-            # into each state's interval, 1-Lipschitz in the stationary point
-            # np.vecdot: each row's dot product is h @ beta's, bit for bit
-            _, beta = gen.coefficients_at(t)
-            stationary = -np.vecdot(np.asarray(h, dtype=float), beta)
-            return clip_to_bounds(gen.action_bounds(t), stationary[..., None])
-        # with a flat (zero) control cost the generator term decides, and
-        # ties go to the smallest action via the fallback's scan
-        return super().argmin_profile(gen, t, h)
-
+        """Closed forms on the built-in generators; any other raises ModelDefect."""
+        hv = np.asarray(h, dtype=float)
+        if isinstance(gen, TabulatedGenerator):
+            return np.zeros(hv.shape)  # the admissible set is the action 0
+        if not isinstance(gen, AffineQuadraticModel):
+            raise ModelDefect(f"SeparableCost has no argmin for a {type(gen).__name__}")
+        # np.vecdot: each row's slope is h @ beta's, bit for bit
+        _, beta = gen.coefficients_at(t)
+        slope = np.vecdot(hv, beta)
+        bounds = gen.action_bounds(t)
+        if self.control == "zero":
+            # linear in v: hi where the slope is negative, else lo (ties, h = 0 too)
+            return np.where(slope[..., None] < 0.0, bounds[:, 1], bounds[:, 0])
+        # minimizer of v^2/2 + v (h . beta): the stationary point clipped
+        # into each state's interval, 1-Lipschitz in the stationary point
+        return clip_to_bounds(bounds, -slope[..., None])

@@ -196,7 +196,7 @@ def table_distances(gen: GeneratorModel, cost: CostModel, pairs, grid: TimeGrid)
     basis = EvaluationBasis(cost, grid)
     flows = [nu for pair in pairs for nu in pair]
     worst = np.empty((grid.steps + 1, len(pairs)))
-    for k, C, _, _ in backward_columns(gen, cost, flows, grid):
+    for k, C, *_ in backward_columns(gen, cost, flows, grid):
         gaps = basis.rows(C[0::2], basis.extreme_rows) - basis.rows(C[1::2], basis.extreme_rows)
         np.abs(gaps, out=gaps).max(axis=(1, 2), out=worst[k])
     return worst.max(axis=0, initial=0.0)

@@ -28,7 +28,7 @@ from .chain import (
     transition_stack,
 )
 from .errors import AdmissibilityError, DimensionMismatch, NumericalError
-from .hj import CostModel, evaluate_cost, golden_refine
+from .hj import CostModel, evaluate_cost
 from .solver import Equilibrium
 
 
@@ -220,6 +220,36 @@ def verify_local_optimality(eq: Equilibrium, gen: GeneratorModel, cost: CostMode
                              f"state {state[e]}, action {action[e]:.6g}")
     entries = np.rec.fromarrays([node, state, action, gaps], names="node,state,action,gap")
     return SpikeReport(tol=tol_spike, entries=entries)
+
+
+def golden_refine(fn, xs, values, tol: float = 1e-10):
+    """Golden section of a 1-D fn after a coarse scan: xs are the increasing
+    scan points and values fn's values there, which the caller may compute
+    at once.  The section runs to tol around the best scan point, ties
+    toward the smallest argument.  Returns (argmin, min value)."""
+    n_scan = len(xs)
+    best = int(np.argmin(values))  # argmin returns the first (smallest) index
+    a = xs[max(best - 1, 0)]
+    b = xs[min(best + 1, n_scan - 1)]
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    x = 0.5 * (a + b)
+    fx = fn(x)
+    # on ties prefer the scan point, which is the smallest tied argument
+    if values[best] <= fx:
+        return float(xs[best]), float(values[best])
+    return float(x), float(fx)
 
 
 def dp_oracle(gen: GeneratorModel, cost: CostModel, nu: FlowCurve, grid: TimeGrid,

@@ -55,7 +55,7 @@ def random_affine_generator(rng, m, grid=None, time_varying=False):
     return AffineQuadraticModel(alphas, betas, grid=grid)
 
 
-def random_cost(rng, m, horizon, gen=None, dist_dependent=None):
+def random_cost(rng, m, horizon, dist_dependent=None):
     """Random separable cost with nonnegative pieces and valid declared caps."""
     kinds = ["zero", "table", "mean_square"]
     if dist_dependent is True:
@@ -82,7 +82,7 @@ def random_cost(rng, m, horizon, gen=None, dist_dependent=None):
         terminal = [("mean_variance", "g"), ("mean_variance", "gtilde"),
                     ("table", rng.uniform(0.0, 1.0, m))][choice]
     return SeparableCost(m, running=running, control="quadratic", terminal=terminal,
-                         tau_weight=tau_weight, horizon=horizon, gen=gen)
+                         tau_weight=tau_weight, horizon=horizon)
 
 
 def random_strategy(rng, gen, grid) -> StrategyTable:
@@ -107,7 +107,7 @@ def random_instance(rng, m=None, steps=None, horizon=None, **cost_kwargs):
     grid = TimeGrid(horizon, steps)
     gen = random_affine_generator(rng, m, grid=grid,
                                   time_varying=bool(rng.random() < 0.25))
-    cost = random_cost(rng, m, horizon, gen=gen, **cost_kwargs)
+    cost = random_cost(rng, m, horizon, **cost_kwargs)
     return grid, gen, cost
 
 
@@ -118,7 +118,7 @@ def value_table(gen, cost, nu, grid):
     basis = EvaluationBasis(cost, grid)
     table = np.empty((n + 1, n + 1, gen.m))
     actions = np.empty((n, gen.m))
-    for k, C, profiles, _ in backward_columns(gen, cost, nu, grid):
+    for k, C, profiles, *_ in backward_columns(gen, cost, nu, grid):
         table[:, k] = basis.rows(C, slice(None))[0]
         if k < n:
             actions[k] = profiles[0]
@@ -159,7 +159,7 @@ def tau_weighted_instances():
             gen = random_affine_generator(rng, m, grid=grid, time_varying=True)
             cost = SeparableCost(m, running=("mean_square", 0.3),
                                  terminal=("mean_variance", ["g", "gtilde"][m % 2]),
-                                 tau_weight=weight, horizon=grid.horizon, gen=gen)
+                                 tau_weight=weight, horizon=grid.horizon)
             yield f"{kind}-m{m}", grid, gen, cost, random_flow(rng, grid, m)
 
 

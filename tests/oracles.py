@@ -11,9 +11,10 @@ import numpy as np
 from mfeq.chain import (GENERATOR_ATOL, FlowCurve, GeneratorReport, StrategyTable,
                         clip_to_bounds, transition_matrix, transition_stack)
 from mfeq.errors import DimensionMismatch
-from mfeq.hj import EvaluationBasis, scan_golden_min
+from mfeq.hj import EvaluationBasis
 from mfeq.models import ACTION_HI, ACTION_LO
 from mfeq.simulate import _PEER_STREAM, PathBundle, _cumulative, _inverse_cdf, _stream
+from mfeq.verify import golden_refine
 
 # one spike of the reference sweep, as verify's entries name their fields
 SpikeEntry = namedtuple("SpikeEntry", "node state action gap")
@@ -49,6 +50,37 @@ def clip_argmin(gen, t, h):
     _, beta = gen.coefficients_at(t)
     s = float(np.asarray(h, dtype=float) @ np.asarray(beta, dtype=float))
     return np.array([min(max(-s, lo), hi) for lo, hi in bounds_loop(gen, t).tolist()])
+
+
+def scan_golden_min(fn, lo: float, hi: float, n_scan: int = 33, tol: float = 1e-10):
+    """Minimize a 1-D function on [lo, hi]: coarse scan, then golden section.
+
+    Ties in the coarse scan break toward the smallest argument, so the
+    result is deterministic across runs and platforms.
+    Returns (argmin, min value).
+    """
+    if hi <= lo:
+        return lo, fn(lo)
+    xs = np.linspace(lo, hi, n_scan)
+    return golden_refine(fn, xs, [fn(x) for x in xs], tol)
+
+
+def scan_argmin(cost, gen, t, h):
+    """Profile of minimizers of control_cost(t, i, v) + q_t^v(i, .) . h, one
+    per row of h: scan_golden_min on each state of each row, ties toward the
+    smallest action.  The generic fallback that CostModel.argmin_profile
+    ran before every built-in pair had a closed form."""
+    hv = np.asarray(h, dtype=float)
+    bounds = gen.action_bounds(t)
+    out = np.empty(hv.shape)
+    for idx in np.ndindex(hv.shape):
+        row, i = hv[idx[:-1]], idx[-1]
+
+        def objective(v, i=i, row=row):
+            return cost.control_cost(t, i, v) + float(gen.rates(t, i, v) @ row)
+
+        out[idx], _ = scan_golden_min(objective, *bounds[i])
+    return out
 
 
 def transition_loop(gen, strategy) -> np.ndarray:

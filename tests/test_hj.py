@@ -18,14 +18,14 @@ from mfeq import (
 )
 from mfeq.chain import FlowCurve, transition_stack
 from mfeq.errors import AdmissibilityError
-from mfeq.hj import EvaluationBasis, scan_golden_min
+from mfeq.hj import EvaluationBasis
 from mfeq.modelfile import build_model, read_model_file
 from mfeq.solver import myopic_strategy, table_distances
 
 import oracles
 from instances import (OutsideArgmin, random_affine_generator, random_flow, random_instance,
                        shipped_instances, tau_weighted_instances, value_table)
-from oracles import evaluate_population_cost
+from oracles import evaluate_population_cost, scan_golden_min
 
 
 def constant_flow(weights, grid):
@@ -66,9 +66,10 @@ class TestSolveHj:
         rng = np.random.default_rng(0)
         grid, gen, cost = random_instance(rng, m=3, steps=15)
         nu = random_flow(rng, grid, 3)
-        k, C, profiles, P = next(backward_columns(gen, cost, nu, grid))
+        k, C, profiles, P, diagonal = next(backward_columns(gen, cost, nu, grid))
         assert k == grid.steps and profiles is None and P is None
         column = EvaluationBasis(cost, grid).rows(C, slice(None))[0]
+        assert np.array_equal(diagonal[0], column[grid.steps])
         for a in range(grid.steps + 1):
             expected = cost.terminal(grid.nodes[a], nu.at(grid.steps))
             np.testing.assert_array_equal(column[a], expected)
@@ -140,7 +141,7 @@ class TestSolveHj:
         grid = TimeGrid(0.5, 15)
         gen = AffineQuadraticModel([[-0.8, 0.8], [0.9, -0.9]], [0.4, -0.4])
         cost = SeparableCost(2, running=("mean_square", 0.2),
-                             terminal=("mean_variance", "g"), horizon=0.5, gen=gen)
+                             terminal=("mean_variance", "g"), horizon=0.5)
         nu = random_flow(rng, grid, 2)
         bump = rng.dirichlet(np.ones(2))
         base_table, _ = value_table(gen, cost, nu, grid)
@@ -155,8 +156,7 @@ class TestSolveHj:
         import logging
         grid = TimeGrid(0.1, 8)
         gen = AffineQuadraticModel([[-0.8, 0.8], [0.9, -0.9]], [0.4, -0.4])
-        cost = SeparableCost(2, terminal=("table", [0.0, 0.9]), horizon=0.1,
-                             gen=gen, K2=0.05)
+        cost = SeparableCost(2, terminal=("table", [0.0, 0.9]), horizon=0.1, K2=0.05)
         nu = constant_flow([0.5, 0.5], grid)
         with caplog.at_level(logging.WARNING, logger="mfeq.hj"):
             solve_hj(gen, cost, nu, grid)
@@ -167,7 +167,7 @@ class TestSolveHj:
         # for transition_stack in the Picard loop
         grid = TimeGrid(0.5, 10)
         gen = AffineQuadraticModel([[-1.0, 1.0], [1.0, -1.0]], [0.3, -0.3])
-        cost = OutsideArgmin(2, terminal=("table", [0.0, 1.0]), horizon=0.5, gen=gen)
+        cost = OutsideArgmin(2, terminal=("table", [0.0, 1.0]), horizon=0.5)
         with pytest.raises(AdmissibilityError, match="1.5 at node 0, state 0"):
             solve_hj(gen, cost, constant_flow([0.5, 0.5], grid), grid)
 
@@ -216,7 +216,7 @@ class TestSweepMatchesDenseTable:
             flows = [random_flow(rng, grid, m) for _ in range(5)]
             batched = list(backward_columns(gen, cost, flows, grid))
             for b, nu in enumerate(flows):
-                for (k, C, profiles, P), (k1, C1, profiles1, P1) in zip(
+                for (k, C, profiles, P, _), (k1, C1, profiles1, P1, _) in zip(
                         batched, backward_columns(gen, cost, nu, grid)):
                     assert k == k1
                     assert np.array_equal(C[b], C1[0])
@@ -251,7 +251,7 @@ class TestSweepMatchesPerCellLoop:
         rng = np.random.default_rng(15)
         for _, grid, gen, cost, nu in self.CASES:
             flows = [nu] + [random_flow(rng, grid, gen.m) for _ in range(batch - 1)]
-            for (k, C, profiles, P), (k1, C1, profiles1, P1) in zip(
+            for (k, C, profiles, P, _), (k1, C1, profiles1, P1) in zip(
                     backward_columns(gen, cost, flows, grid),
                     oracles.backward_loop(gen, cost, flows, grid), strict=True):
                 assert k == k1
@@ -359,15 +359,14 @@ class TestValidateCost:
     def test_misdeclared_k2_flagged(self):
         grid = TimeGrid(0.5, 10)
         gen = AffineQuadraticModel([[-0.8, 0.8], [0.9, -0.9]], [0.4, -0.4])
-        cost = SeparableCost(2, terminal=("table", [0.2, 0.9]), horizon=0.5,
-                             gen=gen, K2=0.45)
+        cost = SeparableCost(2, terminal=("table", [0.2, 0.9]), horizon=0.5, K2=0.45)
         problems = validate_cost(gen, cost, grid, samples=10)
         assert any("K2" in p for p in problems)
 
     def test_inadmissible_argmin_flagged(self):
         grid = TimeGrid(0.5, 10)
         gen = AffineQuadraticModel([[-1.0, 1.0], [1.0, -1.0]], [0.3, -0.3])
-        cost = OutsideArgmin(2, terminal=("table", [0.0, 1.0]), horizon=0.5, gen=gen)
+        cost = OutsideArgmin(2, terminal=("table", [0.0, 1.0]), horizon=0.5)
         problems = validate_cost(gen, cost, grid, samples=4)
         assert "argmin profile inadmissible at state 0" in problems
         assert not any("state 1" in p for p in problems)
@@ -375,7 +374,6 @@ class TestValidateCost:
     def test_misdeclared_k3_flagged(self):
         grid = TimeGrid(0.5, 10)
         gen = AffineQuadraticModel([[-0.8, 0.8], [0.9, -0.9]], [0.4, -0.4])
-        cost = SeparableCost(2, terminal=("mean_variance", "g"), horizon=0.5,
-                             gen=gen, K3=1e-6)
+        cost = SeparableCost(2, terminal=("mean_variance", "g"), horizon=0.5, K3=1e-6)
         problems = validate_cost(gen, cost, grid, samples=20)
         assert any("Lipschitz" in p for p in problems)

@@ -8,11 +8,14 @@ from mfeq import (
     CostModel,
     GeneratorModel,
     ModelDefect,
+    ProbabilityVector,
     SeparableCost,
     TabulatedGenerator,
     TimeGrid,
     admissible_interval,
+    estimate_constants,
     mean_variance_terminal,
+    picard_solve,
     validate_generator,
 )
 from mfeq.modelfile import build_model, builtin_names, read_model_file
@@ -73,7 +76,7 @@ class TestAdmissibleInterval:
         for beta in ([0.4, -0.4, 0.0], [0.0, 0.3, -0.3], [-0.2, 0.5, -0.3]):
             gen = AffineQuadraticModel(alpha, beta)
             assert same_bits(gen.action_bounds(0.0), oracles.bounds_loop(gen, 0.0))
-            cost = SeparableCost(3, gen=gen)
+            cost = SeparableCost(3)
             for h in ([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [5.0, -5.0, 3.0]):
                 assert same_bits(cost.argmin_profile(gen, 0.0, h),
                                  oracles.clip_argmin(gen, 0.0, h))
@@ -83,7 +86,7 @@ class TestAffineArgmin:
     """The closed-form argmin of the affine-quadratic model."""
 
     gen = AffineQuadraticModel([[-0.8, 0.8], [0.6, -0.6]], [0.5, -0.5])
-    cost = SeparableCost(2, gen=gen)
+    cost = SeparableCost(2)
 
     def test_zero_gradient(self):
         np.testing.assert_array_equal(self.cost.argmin_profile(self.gen, 0.0, [0.0, 0.0]),
@@ -103,7 +106,7 @@ class TestAffineArgmin:
         rng = np.random.default_rng(1)
         gen = AffineQuadraticModel([[-1.0, 0.6, 0.4], [0.5, -0.9, 0.4], [0.3, 0.5, -0.8]],
                                    [0.4, -0.1, -0.3])
-        cost = SeparableCost(3, gen=gen)
+        cost = SeparableCost(3)
         for _ in range(50):
             h1, h2 = rng.normal(size=3), rng.normal(size=3)
             d = np.abs(cost.argmin_profile(gen, 0.0, h1) - cost.argmin_profile(gen, 0.0, h2))
@@ -115,7 +118,7 @@ class TestAffineArgmin:
         for m in range(2, 11):
             grid = TimeGrid(1.0, 12)
             gen = random_affine_generator(rng, m, grid=grid, time_varying=time_varying)
-            cost = SeparableCost(m, gen=gen)
+            cost = SeparableCost(m)
             for t in grid.nodes:
                 # wide continuation values clip some states and not others
                 h = rng.normal(scale=3.0, size=m)
@@ -142,12 +145,34 @@ class TestBatchedArgmin:
         for m in range(2, 11):
             grid = TimeGrid(1.0, 8)
             gen = random_affine_generator(rng, m, grid=grid, time_varying=True)
-            cost = SeparableCost(m, gen=gen)
+            cost = SeparableCost(m)
             t = grid.nodes[3]
             H = rng.normal(scale=3.0, size=(12, m))
             rows = np.array([cost.argmin_profile(gen, t, h) for h in H])
             assert same_bits(cost.argmin_profile(gen, t, H), rows)
             assert same_bits(rows, np.array([oracles.clip_argmin(gen, t, h) for h in H]))
+
+    def test_random_zero_control_models(self):
+        rng = np.random.default_rng(34)
+        for m in range(2, 7):
+            grid = TimeGrid(1.0, 8)
+            gen = random_affine_generator(rng, m, grid=grid, time_varying=True)
+            cost = SeparableCost(m, control="zero")
+            t = grid.nodes[3]
+            H = rng.normal(scale=3.0, size=(12, m))
+            assert same_bits(cost.argmin_profile(gen, t, H),
+                             np.array([cost.argmin_profile(gen, t, h) for h in H]))
+
+    @pytest.mark.parametrize("control", ["quadratic", "zero"])
+    def test_tabulated(self, control):
+        rng = np.random.default_rng(35)
+        grid = TimeGrid(1.0, 8)
+        gen = tabulated_generator(rng, 3, grid)
+        cost = SeparableCost(3, control=control)
+        H = rng.normal(scale=3.0, size=(12, 3))
+        assert same_bits(cost.argmin_profile(gen, grid.nodes[3], H),
+                         np.array([cost.argmin_profile(gen, grid.nodes[3], h) for h in H]))
+
 
     def test_label_means_equal_one_dot_product_per_law(self):
         rng = np.random.default_rng(33)
@@ -156,6 +181,91 @@ class TestBatchedArgmin:
             labels = np.arange(1.0, m + 1.0)
             assert same_bits(label_means(laws), np.array([labels @ r for r in laws]))
             assert same_bits(label_means(laws[3]), labels @ laws[3])
+
+
+
+class TestClosedFormsAgainstScan:
+    """SeparableCost's closed forms against the scan-plus-golden-section
+    reference they replaced (oracles.scan_argmin)."""
+
+    @staticmethod
+    def objective(gen, t, h, profile):
+        """Generator term q_t^v(i, .) . h of each state's action, zero control."""
+        return np.array([gen.rates(t, i, v) @ h for i, v in enumerate(profile)])
+
+    @pytest.mark.parametrize("stack", [False, True])
+    def test_zero_control_equals_scan_on_untied_rows(self, stack):
+        rng = np.random.default_rng(36)
+        for m in range(2, 7):
+            grid = TimeGrid(1.0, 6)
+            gen = random_affine_generator(rng, m, grid=grid, time_varying=True)
+            cost = SeparableCost(m, control="zero")
+            for t in grid.nodes[:-1]:
+                H = rng.normal(scale=3.0, size=(5, m))
+                # every row is untied: the slope h . beta is clear of zero
+                assert np.abs(H @ gen.coefficients_at(t)[1]).min() > 1e-6
+                closed = (cost.argmin_profile(gen, t, H) if stack else
+                          np.array([cost.argmin_profile(gen, t, h) for h in H]))
+                assert same_bits(closed, oracles.scan_argmin(cost, gen, t, H))
+
+    def test_constant_rows_tie_in_objective(self):
+        # beta sums to zero, so on a constant h the slope is roundoff and
+        # every action is optimal: the two picks may differ, their values not
+        rng = np.random.default_rng(37)
+        for m in range(2, 7):
+            grid = TimeGrid(1.0, 6)
+            gen = random_affine_generator(rng, m, grid=grid, time_varying=True)
+            cost = SeparableCost(m, control="zero")
+            for t in grid.nodes[:-1]:
+                h = np.full(m, rng.uniform(-3.0, 3.0))
+                closed = cost.argmin_profile(gen, t, h)
+                ref = oracles.scan_argmin(cost, gen, t, h)
+                assert np.abs(self.objective(gen, t, h, closed)
+                              - self.objective(gen, t, h, ref)).max() <= 1e-12
+
+    def test_signed_zero_lower_bound(self):
+        # state 1's zero rates put its lower bound at -0.0, which the closed
+        # form returns and the scan's np.linspace turns into +0.0
+        gen = AffineQuadraticModel([[-0.5, 0.0, 0.5], [0.0, 0.0, 0.0], [0.2, 0.3, -0.5]],
+                                   [0.4, -0.4, 0.0])
+        cost = SeparableCost(3, control="zero")
+        h = np.array([1.0, 0.0, 0.0])
+        closed = cost.argmin_profile(gen, 0.0, h)
+        ref = oracles.scan_argmin(cost, gen, 0.0, h)
+        assert (closed == ref).all()
+        assert np.signbit(closed[1]) and not np.signbit(ref[1])
+
+    @pytest.mark.parametrize("control", ["quadratic", "zero"])
+    def test_tabulated_generator_gives_zeros(self, control):
+        rng = np.random.default_rng(38)
+        grid = TimeGrid(1.0, 8)
+        gen = tabulated_generator(rng, 3, grid)
+        cost = SeparableCost(3, control=control)
+        H = rng.normal(scale=3.0, size=(4, 3))
+        assert same_bits(cost.argmin_profile(gen, grid.nodes[2], H), np.zeros((4, 3)))
+        assert same_bits(oracles.scan_argmin(cost, gen, grid.nodes[2], H), np.zeros((4, 3)))
+
+    def test_custom_generator_rejected(self):
+        gen = _RatesOnly(AffineQuadraticModel([[-1.0, 1.0], [1.0, -1.0]], [0.3, -0.3]))
+        with pytest.raises(ModelDefect, match="_RatesOnly"):
+            SeparableCost(2).argmin_profile(gen, 0.0, [1.0, 0.0])
+
+    def test_zero_cost_solve_equals_scan_solve(self, monkeypatch):
+        model = read_model_file("zero_cost")
+        grid = TimeGrid(model["horizon"], 200)
+        gen, cost = build_model(model, grid)
+        rho = ProbabilityVector.uniform(gen.m)
+
+        def solve():
+            return picard_solve(gen, cost, rho, grid), estimate_constants(gen, cost, grid)
+
+        eq, constants = solve()
+        monkeypatch.setattr(SeparableCost, "argmin_profile", oracles.scan_argmin)
+        ref_eq, ref_constants = solve()
+        assert same_bits(eq.policy.actions, ref_eq.policy.actions)
+        assert same_bits(eq.flow.values, ref_eq.flow.values)
+        assert (constants.kappa1, constants.kappa2, constants.kappa3) == \
+            (ref_constants.kappa1, ref_constants.kappa2, ref_constants.kappa3)
 
 
 class TestAffineQuadraticModel:
@@ -242,6 +352,9 @@ class _ControlCostOnly(CostModel):
 
     def control_cost(self, t, i, v):
         return (1.0 + t) * v * v + 0.1 * i
+
+    def argmin_profile(self, gen, t, h):
+        raise NotImplementedError
 
 
 def tabulated_generator(rng, m, grid):
@@ -347,7 +460,7 @@ class TestSeparableCost:
     def test_shift_does_not_change_argmin(self):
         # constant shifts of the continuation value cancel against zero row sums
         gen = AffineQuadraticModel([[-0.8, 0.8], [0.9, -0.9]], [0.4, -0.4])
-        cost = SeparableCost(2, gen=gen, horizon=0.5)
+        cost = SeparableCost(2, horizon=0.5)
         rng = np.random.default_rng(7)
         for _ in range(10):
             h = rng.uniform(0.0, 3.0, 2)

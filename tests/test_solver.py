@@ -144,7 +144,7 @@ class TestPicardSolve:
         # policy must still be checked once per iteration
         grid = TimeGrid(0.5, 10)
         gen = AffineQuadraticModel([[-1.0, 1.0], [1.0, -1.0]], [0.3, -0.3])
-        cost = OutsideArgmin(2, terminal=("table", [0.0, 1.0]), horizon=0.5, gen=gen)
+        cost = OutsideArgmin(2, terminal=("table", [0.0, 1.0]), horizon=0.5)
         with pytest.raises(AdmissibilityError):
             picard_solve(gen, cost, ProbabilityVector.uniform(2), grid,
                          initial_flow=FlowCurve.constant([0.5, 0.5], grid))
@@ -155,7 +155,7 @@ class TestEstimateConstants:
         grid = TimeGrid(1.0, 10)
         alpha = np.array([[-0.9, 0.5, 0.4], [0.3, -0.7, 0.4], [0.2, 0.6, -0.8]])
         gen = AffineQuadraticModel(alpha, np.zeros(3))
-        cost = SeparableCost(3, terminal=("mean_variance", "g"), gen=gen)
+        cost = SeparableCost(3, terminal=("mean_variance", "g"))
         report = estimate_constants(gen, cost, grid, samples=3, seed=0)
         assert report.kappa1 == 0.0
         assert report.product == 0.0

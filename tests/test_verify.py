@@ -193,6 +193,9 @@ class NanDiagonalCost(CostModel):
     def control_cost(self, t, i, v):
         return self.base.control_cost(t, i, v)
 
+    def argmin_profile(self, gen, t, h):
+        return self.base.argmin_profile(gen, t, h)
+
 
 class TestTailValues:
     """The two-row tail sweep against the row-per-evaluation-node loop it
@@ -389,7 +392,7 @@ class TestCheckBoundsAndLipschitz:
         grid = TimeGrid(0.1, 10)
         gen = AffineQuadraticModel([[-0.8, 0.8], [0.9, -0.9]], [0.4, -0.4])
         cost = SeparableCost(2, terminal=("table", np.array([0.0, 0.9])),
-                             horizon=0.1, gen=gen, K2=0.45)
+                             horizon=0.1, K2=0.45)
         eq = picard_solve(gen, cost, ProbabilityVector.uniform(2), grid)
         report = check_bounds_and_lipschitz(eq, gen, cost, samples=5)
         assert not report.bounds_ok
