@@ -120,17 +120,20 @@ def tv_distance(rho, gamma) -> float:
 class GeneratorModel(ABC):
     """Controlled rate family q_t^v(i, .) with per-state admissible intervals.
 
-    Subclasses declare m (state count), kappa1 (action Lipschitz constant of
-    the rate rows in l1 norm) and K1 (rate magnitude cap).
+    Subclasses declare m (state count) and K1 (rate magnitude cap).
     """
 
     m: int
-    kappa1: float
     K1: float
 
     @abstractmethod
-    def rates(self, t: float, i: int, v: float) -> np.ndarray:
-        """Row q_t^v(i, .) of the generator, length m."""
+    def rate_matrix(self, t, profile) -> np.ndarray:
+        """Full generator for the action profile u: row i uses u[i].
+
+        A (..., m) stack of profiles gives the (..., m, m) stack of generators.
+        t is one node time or an array of them that broadcasts against the
+        stack's leading axes.
+        """
 
     @abstractmethod
     def action_bounds(self, t) -> np.ndarray:
@@ -139,20 +142,6 @@ class GeneratorModel(ABC):
         t is one node time or a NumPy array of them; the result has shape
         np.shape(t) + (m, 2), with lo in [..., 0] and hi in [..., 1].
         """
-
-    def rate_matrix(self, t, profile) -> np.ndarray:
-        """Full generator for the action profile u: row i uses u[i].
-
-        A (..., m) stack of profiles gives the (..., m, m) stack of generators.
-        t is one node time or an array of them that broadcasts against the
-        stack's leading axes.
-        """
-        u = np.asarray(profile, dtype=float)
-        t = np.broadcast_to(t, u.shape[:-1])
-        Q = np.empty(u.shape + (self.m,))
-        for idx in np.ndindex(u.shape):
-            Q[idx] = self.rates(t[idx[:-1]], idx[-1], float(u[idx]))
-        return Q
 
 
 def admissible(bounds: np.ndarray, actions) -> np.ndarray:
@@ -330,7 +319,7 @@ def _check_rows(model: GeneratorModel, nodes: np.ndarray, bounds: np.ndarray, fi
     grid node `first`, added to the report."""
     lo, hi = bounds[..., 0, None], bounds[..., 1, None]
     actions = interval_samples(bounds, samples)
-    # rows[k, i, s] = rates(t_k, i, actions[k, i, s]), from profile s of node k
+    # rows[k, i, s] = row i of the generator at t_k for profile s of node k
     rows = np.swapaxes(model.rate_matrix(nodes[:, None], np.swapaxes(actions, 1, 2)), 1, 2)
     counted = (hi > lo) | (np.arange(samples) == 0)
 

@@ -171,7 +171,7 @@ def _load_equilibrium(eq_dir: Path):
     if not is_finite_number(spec.get("horizon")):
         raise ModelFileError("grid.horizon", f"expected a number, got {spec.get('horizon')!r}")
     steps = spec.get("steps")
-    if not isinstance(steps, int) or steps < 1:
+    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
         raise ModelFileError("grid.steps", f"expected an integer >= 1, got {steps!r}")
     grid = TimeGrid(spec["horizon"], steps)
     gen, cost = build_model(model, grid)

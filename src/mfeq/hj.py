@@ -24,6 +24,7 @@ from .chain import (
     StrategyTable,
     TimeGrid,
     admissible,
+    interval_samples,
     transition_matrix,
     transition_stack,
 )
@@ -70,26 +71,14 @@ class CostModel(ABC):
         the same for every tau."""
 
     @abstractmethod
-    def control_cost(self, t: float, i: int, v: float) -> float:
-        """Pointwise control cost."""
-
-    def running_dist(self, tau: float, t: float, rho) -> np.ndarray:
-        """Distribution running cost w(tau) f(t, rho), length m."""
-        return float(self.tau_weight(tau)) * self.running_base(t, rho)
-
     def control_profile_cost(self, t, profile) -> np.ndarray:
-        u = np.asarray(profile, dtype=float)
-        t = np.broadcast_to(t, u.shape[:-1])
-        out = np.empty(u.shape)
-        for idx in np.ndindex(u.shape):
-            out[idx] = self.control_cost(t[idx[:-1]], idx[-1], float(u[idx]))
-        return out
+        """Control cost of each state's action, entry by entry of the profile."""
 
     @abstractmethod
     def argmin_profile(self, gen: GeneratorModel, t: float, h) -> np.ndarray:
-        """Profile of minimizers of control_cost(t, i, v) + q_t^v(i, .) . h
-        over each state's admissible interval, one per row of h; ties go to
-        the smallest action."""
+        """Profile of minimizers of state i's control cost plus
+        q_t^v(i, .) . h over its admissible interval, one per row of h; ties
+        go to the smallest action."""
 
 
 class EvaluationBasis:
@@ -261,9 +250,10 @@ def evaluate_cost(gen: GeneratorModel, cost: CostModel, nu: FlowCurve,
         transitions = transition_stack(gen, strategy)
     mu = np.zeros(gen.m)
     mu[i] = 1.0
+    weight = float(cost.tau_weight(tau))
     total = 0.0
     for s in range(k, n):
-        f = cost.running_dist(tau, nodes[s], nu.at(s))
+        f = weight * cost.running_base(nodes[s], nu.at(s))
         f = f + cost.control_profile_cost(nodes[s], strategy.actions[s])
         total += dt * float(mu @ f)
         mu = mu @ transitions[s]
@@ -283,13 +273,19 @@ def validate_cost(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
     rng = np.random.default_rng(seed)
     nodes = grid.nodes
     problems: list[str] = []
+
+    def objective(t, profiles, h):
+        # entry i of each profile: state i's control cost plus q_t^v(i, .) . h
+        return cost.control_profile_cost(t, profiles) + np.vecdot(gen.rate_matrix(t, profiles), h)
+
     for _ in range(samples):
         a = rng.integers(0, grid.steps + 1)
         k = rng.integers(0, grid.steps + 1)
         tau, t = nodes[a], nodes[k]
         rho = rng.dirichlet(np.ones(cost.m))
         rho2 = rng.dirichlet(np.ones(cost.m))
-        f = cost.running_dist(tau, t, rho)
+        weight = float(cost.tau_weight(tau))
+        f = weight * cost.running_base(t, rho)
         g = cost.terminal(tau, rho)
         if f.min() < -1e-12 or g.min() < -1e-12:
             problems.append(f"negative cost at (tau={tau:.3g}, t={t:.3g})")
@@ -297,33 +293,26 @@ def validate_cost(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
             problems.append(
                 f"cost exceeds K2={cost.K2:.6g} at (tau={tau:.3g}, t={t:.3g}): "
                 f"max f={f.max():.6g}, max g={g.max():.6g}")
-        df = np.abs(f - cost.running_dist(tau, t, rho2))
+        df = np.abs(f - weight * cost.running_base(t, rho2))
         dg = np.abs(g - cost.terminal(tau, rho2))
         d = float(np.abs(rho - rho2).sum())
         if (df + dg).max() > cost.K3 * d + 1e-9:
             problems.append(f"flow-Lipschitz bound K3={cost.K3:.6g} violated")
         bounds = gen.action_bounds(t)
-        for i, v in enumerate(rng.uniform(bounds[:, 0], bounds[:, 1])):
-            psi = cost.control_cost(t, i, float(v))
-            if psi > gen.K1 + 1e-9:
-                problems.append(
-                    f"control cost {psi:.6g} exceeds K1={gen.K1:.6g}")
+        psi = cost.control_profile_cost(t, rng.uniform(bounds[:, 0], bounds[:, 1]))
+        problems += [f"control cost {p:.6g} exceeds K1={gen.K1:.6g}"
+                     for p in psi[psi > gen.K1 + 1e-9]]
         h = rng.uniform(0.0, value_bound(gen, cost, grid), cost.m)
         profile = cost.argmin_profile(gen, t, h)
         ok = admissible(bounds, profile)
+        achieved = objective(t, profile, h)
+        # profile s of the scan puts every state at its own s-th of 65 points
+        best = objective(t, interval_samples(bounds, 65).T, h).min(axis=0)
         for i in range(cost.m):
             if not ok[i]:
                 problems.append(f"argmin profile inadmissible at state {i}")
-                continue
-            lo, hi = bounds[i]
-            achieved = cost.control_cost(t, i, profile[i]) + float(
-                gen.rates(t, i, float(profile[i])) @ h)
-            grid_best = min(
-                cost.control_cost(t, i, v) + float(gen.rates(t, i, v) @ h)
-                for v in np.linspace(lo, hi, 65)
-            )
-            if achieved > grid_best + 1e-8:
+            elif achieved[i] > best[i] + 1e-8:
                 problems.append(
-                    f"argmin misses sampled minimum by {achieved - grid_best:.3e} "
+                    f"argmin misses sampled minimum by {achieved[i] - best[i]:.3e} "
                     f"at state {i}")
     return problems

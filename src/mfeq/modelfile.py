@@ -76,9 +76,11 @@ def _require(spec: dict, key: str, types, where: str):
 
 def is_finite_number(value) -> bool:
     """Whether a JSON value is a finite number: JSON model files may hold
-    NaN and Infinity, and NaN fails no comparison."""
+    NaN and Infinity, and NaN fails no comparison.  A JSON boolean is not a
+    number, though Python's bool is an int."""
     try:
-        return isinstance(value, (int, float)) and math.isfinite(value)
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
     except OverflowError:  # an integer too large for a float
         return False
 
@@ -113,8 +115,8 @@ def validate_model(raw: dict) -> dict:
     if schema != SCHEMA_VERSION:
         raise ModelFileError("schema", f"unsupported version {schema}")
     m = _require(raw, "states", int, "")
-    if m < 2:
-        raise ModelFileError("states", "need at least 2 states")
+    if isinstance(m, bool) or m < 2:
+        raise ModelFileError("states", "need an integer of at least 2 states")
     horizon = _require(raw, "horizon", (int, float), "")
     if not is_finite_number(horizon) or horizon <= 0:
         raise ModelFileError("horizon", "must be a finite positive number")

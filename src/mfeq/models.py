@@ -77,8 +77,7 @@ class AffineQuadraticModel(GeneratorModel):
 
     alpha rows sum to zero with nonnegative off-diagonals, beta sums to zero.
     Time-varying coefficients are supplied as per-cell tables and frozen
-    between nodes.  Declared constants: kappa1 = max_t sum_j |beta_t(j)| (the
-    l1 row sensitivity to the action) and K1 = max |alpha| + |beta| entrywise.
+    between nodes.  Declared constant: K1 = max |alpha| + |beta| entrywise.
     """
 
     def __init__(self, alpha, beta, grid: TimeGrid | None = None):
@@ -110,7 +109,6 @@ class AffineQuadraticModel(GeneratorModel):
         self._dt = grid.dt if grid is not None else None
         self._cells = alphas.shape[0]
         self.m = m
-        self.kappa1 = float(np.abs(betas).sum(axis=1).max())
         self.K1 = float((np.abs(alphas) + np.abs(betas)[:, None, :]).max())
         self._bounds = admissible_interval(alphas, betas)
         self._bounds.setflags(write=False)
@@ -118,10 +116,6 @@ class AffineQuadraticModel(GeneratorModel):
     def coefficients_at(self, t) -> tuple[np.ndarray, np.ndarray]:
         c = _cell(t, self._dt, self._cells)
         return self._alphas[c], self._betas[c]
-
-    def rates(self, t: float, i: int, v: float) -> np.ndarray:
-        a, b = self.coefficients_at(t)
-        return a[i] + b * v
 
     def rate_matrix(self, t, profile) -> np.ndarray:
         a, b = self.coefficients_at(t)
@@ -135,7 +129,7 @@ class AffineQuadraticModel(GeneratorModel):
 class TabulatedGenerator(GeneratorModel):
     """Control-free generator given as a rate table per grid cell.
 
-    The admissible set degenerates to the single action 0, so kappa1 = 0.
+    The admissible set degenerates to the single action 0.
     """
 
     def __init__(self, rates, grid: TimeGrid | None = None):
@@ -153,11 +147,7 @@ class TabulatedGenerator(GeneratorModel):
         self._dt = grid.dt if grid is not None else None
         self._cells = Q.shape[0]
         self.m = Q.shape[1]
-        self.kappa1 = 0.0
         self.K1 = float(np.abs(Q).max())
-
-    def rates(self, t: float, i: int, v: float) -> np.ndarray:
-        return self._tables[_cell(t, self._dt, self._cells)][i]
 
     def rate_matrix(self, t, profile) -> np.ndarray:
         Q = self._tables[_cell(t, self._dt, self._cells)]
@@ -325,11 +315,6 @@ class SeparableCost(CostModel):
         if payload == "g":
             return (self._labels - mbar) ** 2
         return self._labels ** 2 - mbar ** 2 + self.terminal_shift
-
-    def control_cost(self, t: float, i: int, v: float) -> float:
-        if self.control == "zero":
-            return 0.0
-        return 0.5 * v * v
 
     def control_profile_cost(self, t, profile) -> np.ndarray:
         u = np.asarray(profile, dtype=float)

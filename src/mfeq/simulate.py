@@ -205,6 +205,7 @@ def deviation_test(eq: Equilibrium, gen: GeneratorModel, cost: CostModel,
     control = dt * np.stack([cost.control_profile_cost(nodes[k0:n], strategy.actions[k0:])
                              for strategy in (eq.policy, spiked)])
     side = np.arange(2)[:, None]
+    weight = float(cost.tau_weight(t0))
 
     rep_means = np.empty(cfg.replications)
     for rep in range(cfg.replications):
@@ -212,8 +213,7 @@ def deviation_test(eq: Equilibrium, gen: GeneratorModel, cost: CostModel,
         # empirical measure is exactly the leave-one-out measure
         peer = _population(cum[0], eq.rho, grid, cfg.players - 1, cfg.seed,
                            rep).empirical_flow()
-        running = dt * np.array([cost.running_dist(t0, nodes[s], peer[s])
-                                      for s in range(k0, n)])
+        running = dt * (weight * cost.running_base(nodes[k0:n, None], peer[k0:n]))
         table = control + running
         rng = _stream(cfg.seed, rep, _FOCAL_STREAM, k_player)
         x = np.full((2, inner_pairs), state0, dtype=np.int64)

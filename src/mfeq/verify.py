@@ -271,9 +271,10 @@ def dp_oracle(gen: GeneratorModel, cost: CostModel, nu: FlowCurve, grid: TimeGri
     W = np.empty((n + 1, gen.m))
     W[n] = cost.terminal(tau, nu.at(n))
     actions = np.empty((n, gen.m))
+    weight = float(cost.tau_weight(tau))
     for k in range(n - 1, -1, -1):
         t = nodes[k]
-        run = cost.running_dist(tau, t, nu.at(k))
+        run = weight * cost.running_base(t, nu.at(k))
         bounds = gen.action_bounds(t)
         for i in range(gen.m):
             lo, hi = bounds[i]

@@ -135,6 +135,14 @@ class OutsideArgmin(SeparableCost):
         return profile
 
 
+class LowerBoundArgmin(SeparableCost):
+    """Argmin oracle that returns each state's lower bound: admissible, and
+    no minimizer wherever the stationary point lies inside the interval."""
+
+    def argmin_profile(self, gen, t, h):
+        return np.broadcast_to(gen.action_bounds(t)[:, 0], np.shape(h)).copy()
+
+
 def shipped_instances():
     """(name, grid, generator, cost, flow) of every shipped model at N=40 and
     of three random instances, each with a random flow."""
@@ -169,13 +177,16 @@ NAN, INF = float("nan"), float("inf")
 BAD_MODEL_NUMBERS = [pytest.param(path, value, field, id=name) for name, path, value, field in [
     ("horizon-inf", ("horizon",), INF, "horizon"),
     ("horizon-huge", ("horizon",), 10 ** 400, "horizon"),
+    ("horizon-true", ("horizon",), True, "horizon"),
     ("K1-nan", ("constants", "K1"), NAN, "constants.K1"),
     ("K1-inf", ("constants", "K1"), INF, "constants.K1"),
     ("K2-nan", ("constants", "K2"), NAN, "constants.K2"),
     ("K2-inf", ("constants", "K2"), INF, "constants.K2"),
+    ("K2-true", ("constants", "K2"), True, "constants.K2"),
     ("K3-nan", ("constants", "K3"), NAN, "constants.K3"),
     ("scale-nan", ("cost", "running", "scale"), NAN, "cost.running.scale"),
     ("scale-inf", ("cost", "running", "scale"), INF, "cost.running.scale"),
+    ("scale-true", ("cost", "running", "scale"), True, "cost.running.scale"),
     ("intercept-nan", ("cost", "running", "tau_weight", "intercept"), NAN,
      "cost.running.tau_weight.intercept"),
     ("slope-text", ("cost", "running", "tau_weight", "slope"), "abc",

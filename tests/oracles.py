@@ -8,16 +8,31 @@ from collections import namedtuple
 
 import numpy as np
 
-from mfeq.chain import (GENERATOR_ATOL, FlowCurve, GeneratorReport, StrategyTable,
-                        clip_to_bounds, transition_matrix, transition_stack)
+from mfeq.chain import (ACTION_ATOL, GENERATOR_ATOL, FlowCurve, GeneratorReport,
+                        StrategyTable, clip_to_bounds, transition_matrix, transition_stack)
 from mfeq.errors import DimensionMismatch
-from mfeq.hj import EvaluationBasis
+from mfeq.hj import EvaluationBasis, value_bound
 from mfeq.models import ACTION_HI, ACTION_LO
 from mfeq.simulate import _PEER_STREAM, PathBundle, _cumulative, _inverse_cdf, _stream
 from mfeq.verify import golden_refine
 
 # one spike of the reference sweep, as verify's entries name their fields
 SpikeEntry = namedtuple("SpikeEntry", "node state action gap")
+
+
+def rate_row(gen, t, i, v):
+    """Row q_t^v(i, .) of the generator: row i under the constant profile v."""
+    return gen.rate_matrix(t, np.full(gen.m, v))[i]
+
+
+def control_entry(cost, t, i, v):
+    """State i's control cost of the action v."""
+    return float(cost.control_profile_cost(t, np.full(cost.m, v))[i])
+
+
+def running_dist(cost, tau, t, rho):
+    """Running cost w(tau) f(t, rho) seen from the evaluation time tau."""
+    return float(cost.tau_weight(tau)) * cost.running_base(t, rho)
 
 
 def admissible_interval(alpha_row, beta, i):
@@ -66,10 +81,11 @@ def scan_golden_min(fn, lo: float, hi: float, n_scan: int = 33, tol: float = 1e-
 
 
 def scan_argmin(cost, gen, t, h):
-    """Profile of minimizers of control_cost(t, i, v) + q_t^v(i, .) . h, one
-    per row of h: scan_golden_min on each state of each row, ties toward the
-    smallest action.  The generic fallback that CostModel.argmin_profile
-    ran before every built-in pair had a closed form."""
+    """Profile of minimizers of state i's control cost + q_t^v(i, .) . h, one
+    per row of h: scan_golden_min's 33-point scan, in one stacked call, and
+    golden section on each state of each row, ties toward the smallest
+    action.  The generic fallback that CostModel.argmin_profile ran before
+    every built-in pair had a closed form."""
     hv = np.asarray(h, dtype=float)
     bounds = gen.action_bounds(t)
     out = np.empty(hv.shape)
@@ -77,9 +93,18 @@ def scan_argmin(cost, gen, t, h):
         row, i = hv[idx[:-1]], idx[-1]
 
         def objective(v, i=i, row=row):
-            return cost.control_cost(t, i, v) + float(gen.rates(t, i, v) @ row)
+            # one action or an array of them, each the constant profile v;
+            # np.vecdot makes each value independent of the array it comes in
+            profiles = np.repeat(np.asarray(v)[..., None], gen.m, axis=-1)
+            return cost.control_profile_cost(t, profiles)[..., i] \
+                + np.vecdot(gen.rate_matrix(t, profiles)[..., i, :], row)
 
-        out[idx], _ = scan_golden_min(objective, *bounds[i])
+        lo, hi = bounds[i]
+        if hi > lo:
+            xs = np.linspace(lo, hi, 33)
+            out[idx], _ = golden_refine(objective, xs, objective(xs), tol=1e-10)
+        else:
+            out[idx] = lo
     return out
 
 
@@ -113,7 +138,7 @@ def sweep_node(gen, cost, eq, transitions, k, action_samples):
     nu = eq.flow
 
     def running_profile(s):
-        return cost.running_dist(tau, nodes[s], nu.at(s)) \
+        return running_dist(cost, tau, nodes[s], nu.at(s)) \
             + cost.control_profile_cost(nodes[s], eq.policy.actions[s])
 
     # tail value under the equilibrium policy, evaluated from node k
@@ -121,7 +146,7 @@ def sweep_node(gen, cost, eq, transitions, k, action_samples):
     for s in range(n - 1, k, -1):
         w = dt * running_profile(s) + transitions[s] @ w
     v_base = dt * running_profile(k) + transitions[k] @ w
-    run_k = cost.running_dist(tau, nodes[k], nu.at(k))
+    run_k = running_dist(cost, tau, nodes[k], nu.at(k))
 
     entries = []
     bounds = bounds_loop(gen, nodes[k]).tolist()
@@ -129,7 +154,7 @@ def sweep_node(gen, cost, eq, transitions, k, action_samples):
         for u in spike_actions(*bounds[i], action_samples):
             profile = np.array([min(max(float(u), lo_j), hi_j) for lo_j, hi_j in bounds])
             P = transition_matrix(gen, nodes[k], profile, dt)
-            v_spiked = dt * (run_k[i] + cost.control_cost(nodes[k], i, float(u))) \
+            v_spiked = dt * (run_k[i] + control_entry(cost, nodes[k], i, float(u))) \
                 + float(P[i] @ w)
             gap = (v_spiked - float(v_base[i])) / dt
             entries.append(SpikeEntry(node=k, state=i, action=float(u), gap=gap))
@@ -154,14 +179,14 @@ def dp_loop(gen, cost, nu, grid, tau=0.0):
     actions = np.empty((n, gen.m))
     for k in range(n - 1, -1, -1):
         t = nodes[k]
-        run = cost.running_dist(tau, t, nu.at(k))
+        run = running_dist(cost, tau, t, nu.at(k))
         bounds = gen.action_bounds(t)
         for i in range(gen.m):
             lo, hi = bounds[i]
 
             def objective(v, i=i, t=t):
                 P = transition_matrix(gen, t, clip_to_bounds(bounds, v), dt)
-                return dt * cost.control_cost(t, i, v) + float(P[i] @ W[k + 1])
+                return dt * control_entry(cost, t, i, v) + float(P[i] @ W[k + 1])
 
             v_star, val = scan_golden_min(objective, lo, hi, n_scan=17, tol=1e-6)
             actions[k, i] = v_star
@@ -187,7 +212,7 @@ def dense_solve_hj(gen, cost, nu, grid):
         actions[k] = profile
         P = transition_matrix(gen, nodes[k], profile, dt)
         transitions[k] = P
-        running = np.array([cost.running_dist(tau, nodes[k], nu.at(k)) for tau in nodes])
+        running = np.array([running_dist(cost, tau, nodes[k], nu.at(k)) for tau in nodes])
         running = running + cost.control_profile_cost(nodes[k], profile)
         values[:, k, :] = values[:, k + 1, :] @ P.T + dt * running
     return values, StrategyTable(actions, grid), transitions
@@ -202,7 +227,7 @@ def tail_values_loop(cost, nu, actions, transitions):
     taus = grid.nodes
     tails = np.array([cost.terminal(tau, nu.at(n)) for tau in taus[:n]], dtype=float)
     for s in range(n - 1, 0, -1):
-        running = np.array([cost.running_dist(tau, taus[s], nu.at(s)) for tau in taus[:s]]) \
+        running = np.array([running_dist(cost, tau, taus[s], nu.at(s)) for tau in taus[:s]]) \
             + cost.control_profile_cost(taus[s], actions[s])
         tails[:s] = dt * running + tails[:s] @ transitions[s].T
     return tails
@@ -219,7 +244,7 @@ def dense_table_distances(gen, cost, pairs, grid):
 
 
 def validate_generator(model, grid, samples=8):
-    """Generator report from one model.rates call per (node, state, action)."""
+    """Generator report from one rate_row call per (node, state, action)."""
     report = GeneratorReport(ok=True, kappa1_hat=0.0, K1_hat=0.0,
                              samples_per_point=samples)
     bounds = model.action_bounds(grid.nodes)
@@ -227,7 +252,7 @@ def validate_generator(model, grid, samples=8):
         for i in range(model.m):
             lo, hi = bounds[k, i]
             actions = np.linspace(lo, hi, samples) if hi > lo else np.array([lo])
-            rows = np.array([model.rates(t, i, v) for v in actions])
+            rows = np.array([rate_row(model, t, i, v) for v in actions])
             report.K1_hat = max(report.K1_hat, float(np.abs(rows).max()))
             sums = rows.sum(axis=1)
             for v, s in zip(actions, sums):
@@ -248,6 +273,56 @@ def validate_generator(model, grid, samples=8):
                 report.kappa1_hat = max(report.kappa1_hat, float(endpoint))
     report.ok = not (report.row_sum_violations or report.sign_violations)
     return report
+
+
+def validate_cost(gen, cost, grid, samples=24, seed=0):
+    """hj.validate_cost with the control-cost cap and the argmin checked
+    state by state, the 65 scan points one np.linspace per state."""
+    rng = np.random.default_rng(seed)
+    nodes = grid.nodes
+    problems = []
+    for _ in range(samples):
+        a = rng.integers(0, grid.steps + 1)
+        k = rng.integers(0, grid.steps + 1)
+        tau, t = nodes[a], nodes[k]
+        rho = rng.dirichlet(np.ones(cost.m))
+        rho2 = rng.dirichlet(np.ones(cost.m))
+        f = running_dist(cost, tau, t, rho)
+        g = cost.terminal(tau, rho)
+        if f.min() < -1e-12 or g.min() < -1e-12:
+            problems.append(f"negative cost at (tau={tau:.3g}, t={t:.3g})")
+        if f.max() > cost.K2 + 1e-9 or g.max() > cost.K2 + 1e-9:
+            problems.append(
+                f"cost exceeds K2={cost.K2:.6g} at (tau={tau:.3g}, t={t:.3g}): "
+                f"max f={f.max():.6g}, max g={g.max():.6g}")
+        df = np.abs(f - running_dist(cost, tau, t, rho2))
+        dg = np.abs(g - cost.terminal(tau, rho2))
+        d = float(np.abs(rho - rho2).sum())
+        if (df + dg).max() > cost.K3 * d + 1e-9:
+            problems.append(f"flow-Lipschitz bound K3={cost.K3:.6g} violated")
+        bounds = gen.action_bounds(t)
+        for i, v in enumerate(rng.uniform(bounds[:, 0], bounds[:, 1])):
+            psi = control_entry(cost, t, i, float(v))
+            if psi > gen.K1 + 1e-9:
+                problems.append(f"control cost {psi:.6g} exceeds K1={gen.K1:.6g}")
+        h = rng.uniform(0.0, value_bound(gen, cost, grid), cost.m)
+        profile = cost.argmin_profile(gen, t, h)
+        for i in range(cost.m):
+            lo, hi = bounds[i]
+            if not lo - ACTION_ATOL <= profile[i] <= hi + ACTION_ATOL:
+                problems.append(f"argmin profile inadmissible at state {i}")
+                continue
+
+            def objective(v, i=i):
+                return control_entry(cost, t, i, v) + float(rate_row(gen, t, i, v) @ h)
+
+            achieved = objective(float(profile[i]))
+            grid_best = min(objective(v) for v in np.linspace(lo, hi, 65))
+            if achieved > grid_best + 1e-8:
+                problems.append(
+                    f"argmin misses sampled minimum by {achieved - grid_best:.3e} "
+                    f"at state {i}")
+    return problems
 
 
 def jump_tables(gen, strategy):
@@ -320,7 +395,7 @@ def evaluate_population_cost(gen, cost, rho, strategy, a, k, transitions=None):
         transitions = transition_stack(gen, strategy)
     total = 0.0
     for s in range(k, n):
-        f = cost.running_dist(tau, nodes[s], mu)
+        f = running_dist(cost, tau, nodes[s], mu)
         f = f + cost.control_profile_cost(nodes[s], strategy.actions[s])
         total += dt * float(mu @ f)
         mu = mu @ transitions[s]

@@ -100,11 +100,10 @@ class _RowSumDefect(GeneratorModel):
     """Generator whose first row leaks mass (sum 0.1)."""
 
     m = 2
-    kappa1 = 0.0
     K1 = 1.1
 
-    def rates(self, t, i, v):
-        return np.array([-1.0, 1.1]) if i == 0 else np.array([1.0, -1.0])
+    def rate_matrix(self, t, profile):
+        return np.broadcast_to([[-1.0, 1.1], [1.0, -1.0]], np.shape(profile)[:-1] + (2, 2))
 
     def action_bounds(self, t):
         return np.zeros(np.shape(t) + (2, 2))
@@ -112,11 +111,10 @@ class _RowSumDefect(GeneratorModel):
 
 class _EmptyAdmissible(GeneratorModel):
     m = 2
-    kappa1 = 0.0
     K1 = 1.0
 
-    def rates(self, t, i, v):
-        return np.array([-1.0, 1.0])
+    def rate_matrix(self, t, profile):
+        return np.broadcast_to([-1.0, 1.0], np.shape(profile) + (2,))
 
     def action_bounds(self, t):
         return np.broadcast_to([1.0, -1.0], np.shape(t) + (2, 2))
@@ -134,12 +132,14 @@ class _Leaky(GeneratorModel):
     with the action; state 1's interval shrinks to the point 0."""
 
     def __init__(self, base):
-        self.base, self.m, self.kappa1, self.K1 = base, base.m, base.kappa1, base.K1
+        self.base, self.m, self.K1 = base, base.m, base.K1
 
-    def rates(self, t, i, v):
-        row = self.base.rates(t, i, v).copy()
-        row[(i + 1) % self.m] -= 2.0 * max(v, 0.0)
-        return row
+    def rate_matrix(self, t, profile):
+        u = np.asarray(profile, dtype=float)
+        Q = self.base.rate_matrix(t, u).copy()
+        rows = np.arange(self.m)
+        Q[..., rows, (rows + 1) % self.m] -= 2.0 * np.maximum(u, 0.0)
+        return Q
 
     def action_bounds(self, t):
         bounds = self.base.action_bounds(t).copy()

@@ -270,11 +270,13 @@ class TestVerify:
     (lambda meta: {**meta, "grid": {"horizon": "0.5", "steps": 40}}, "grid.horizon"),
     (lambda meta: {**meta, "grid": {"horizon": 0.5, "steps": 40.5}}, "grid.steps"),
     (lambda meta: {**meta, "grid": {"horizon": 0.5, "steps": 0}}, "grid.steps"),
+    (lambda meta: {**meta, "grid": {"horizon": 0.5, "steps": True}}, "grid.steps"),
     (lambda meta: {**meta, "rho": [1.0]}, "rho"),
     (lambda meta: {**meta, "rho": [0.5, "0.5"]}, "rho"),
     (lambda meta: {**meta, "rho": {"1": 0.5, "2": 0.5}}, "rho"),
+    (lambda meta: {**meta, "rho": [True, False]}, "rho"),
 ], ids=["top-level-list", "grid-list", "horizon-text", "steps-fraction", "steps-zero",
-        "rho-short", "rho-text", "rho-object"])
+        "steps-bool", "rho-short", "rho-text", "rho-object", "rho-bool"])
 @pytest.mark.parametrize("command", ["verify", "simulate"])
 def test_malformed_equilibrium_is_input_error(solved_dir, tmp_path, capsys, command, edit,
                                               field):

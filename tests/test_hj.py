@@ -19,12 +19,12 @@ from mfeq import (
 from mfeq.chain import FlowCurve, transition_stack
 from mfeq.errors import AdmissibilityError
 from mfeq.hj import EvaluationBasis
-from mfeq.modelfile import build_model, read_model_file
+from mfeq.modelfile import build_model, builtin_names, read_model_file
 from mfeq.solver import myopic_strategy, table_distances
 
 import oracles
-from instances import (OutsideArgmin, random_affine_generator, random_flow, random_instance,
-                       shipped_instances, tau_weighted_instances, value_table)
+from instances import (LowerBoundArgmin, OutsideArgmin, random_affine_generator, random_flow,
+                       random_instance, shipped_instances, tau_weighted_instances, value_table)
 from oracles import evaluate_population_cost, scan_golden_min
 
 
@@ -118,11 +118,11 @@ class TestSolveHj:
             theta_next = diag[k + 1]
             for i in range(3):
                 lo, hi = gen.action_bounds(t)[i]
-                chosen = cost.control_cost(t, i, policy.actions[k, i]) + float(
-                    gen.rates(t, i, policy.actions[k, i]) @ theta_next)
+                chosen = oracles.control_entry(cost, t, i, policy.actions[k, i]) + float(
+                    oracles.rate_row(gen, t, i, policy.actions[k, i]) @ theta_next)
                 for v in np.linspace(lo, hi, 9):
-                    other = cost.control_cost(t, i, float(v)) + float(
-                        gen.rates(t, i, float(v)) @ theta_next)
+                    other = oracles.control_entry(cost, t, i, float(v)) + float(
+                        oracles.rate_row(gen, t, i, float(v)) @ theta_next)
                     assert chosen <= other + 1e-8
 
     def test_uniform_bound(self):
@@ -377,3 +377,43 @@ class TestValidateCost:
         cost = SeparableCost(2, terminal=("mean_variance", "g"), horizon=0.5, K3=1e-6)
         problems = validate_cost(gen, cost, grid, samples=20)
         assert any("Lipschitz" in p for p in problems)
+
+    def test_misdeclared_k1_flagged(self):
+        # the quadratic control cost reaches 0.5 on U = [-1, 1]
+        model = read_model_file("affine_mv")
+        model["constants"] = {"K1": 0.1}
+        grid = TimeGrid(model["horizon"], 10)
+        gen, cost = build_model(model, grid)
+        problems = validate_cost(gen, cost, grid, samples=10)
+        assert any(p.startswith("control cost ") and p.endswith("exceeds K1=0.1")
+                   for p in problems)
+
+    def test_suboptimal_argmin_flagged(self):
+        grid = TimeGrid(0.5, 10)
+        gen = AffineQuadraticModel([[-0.8, 0.8], [0.9, -0.9]], [0.4, -0.4])
+        cost = LowerBoundArgmin(2, terminal=("table", [0.0, 1.0]), horizon=0.5)
+        problems = validate_cost(gen, cost, grid, samples=10)
+        assert any(p.startswith("argmin misses sampled minimum by ") for p in problems)
+        assert not any("inadmissible" in p for p in problems)
+
+    @pytest.mark.parametrize("case", ["shipped", "K1-override", "random", "defective-argmin"])
+    def test_equals_per_state_loop(self, case):
+        rng = np.random.default_rng(11)
+        if case in ("shipped", "K1-override"):
+            instances = []
+            for name in builtin_names():
+                model = read_model_file(name)
+                if case == "K1-override":
+                    model["constants"] = {"K1": 0.1}
+                grid = TimeGrid(model["horizon"], 30)
+                instances.append((grid, *build_model(model, grid)))
+        elif case == "random":
+            instances = [random_instance(rng, m=m, steps=12) for m in (2, 3, 5)]
+        else:
+            grid = TimeGrid(0.5, 10)
+            gen = AffineQuadraticModel([[-0.8, 0.8], [0.9, -0.9]], [0.4, -0.4])
+            instances = [(grid, gen, fake(2, terminal=("table", [0.0, 1.0]), horizon=0.5))
+                         for fake in (LowerBoundArgmin, OutsideArgmin)]
+        for grid, gen, cost in instances:
+            problems = validate_cost(gen, cost, grid, samples=20)
+            assert problems == oracles.validate_cost(gen, cost, grid, samples=20)

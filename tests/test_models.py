@@ -10,13 +10,16 @@ from mfeq import (
     ModelDefect,
     ProbabilityVector,
     SeparableCost,
+    SimConfig,
     TabulatedGenerator,
     TimeGrid,
     admissible_interval,
+    deviation_test,
     estimate_constants,
     mean_variance_terminal,
     picard_solve,
     validate_generator,
+    verify_local_optimality,
 )
 from mfeq.modelfile import build_model, builtin_names, read_model_file
 from mfeq.models import label_mean, label_means, make_tau_weight
@@ -104,13 +107,14 @@ class TestAffineArgmin:
     def test_lipschitz_in_h(self):
         # |argmin(h) - argmin(h')| <= sum|beta| * max|h - h'| (clip contracts)
         rng = np.random.default_rng(1)
+        beta = np.array([0.4, -0.1, -0.3])
         gen = AffineQuadraticModel([[-1.0, 0.6, 0.4], [0.5, -0.9, 0.4], [0.3, 0.5, -0.8]],
-                                   [0.4, -0.1, -0.3])
+                                   beta)
         cost = SeparableCost(3)
         for _ in range(50):
             h1, h2 = rng.normal(size=3), rng.normal(size=3)
             d = np.abs(cost.argmin_profile(gen, 0.0, h1) - cost.argmin_profile(gen, 0.0, h2))
-            assert d.max() <= gen.kappa1 * np.abs(h1 - h2).max() + 1e-12
+            assert d.max() <= np.abs(beta).sum() * np.abs(h1 - h2).max() + 1e-12
 
     @pytest.mark.parametrize("time_varying", [False, True])
     def test_equals_per_state_clip_loop(self, time_varying):
@@ -191,7 +195,7 @@ class TestClosedFormsAgainstScan:
     @staticmethod
     def objective(gen, t, h, profile):
         """Generator term q_t^v(i, .) . h of each state's action, zero control."""
-        return np.array([gen.rates(t, i, v) @ h for i, v in enumerate(profile)])
+        return np.array([oracles.rate_row(gen, t, i, v) @ h for i, v in enumerate(profile)])
 
     @pytest.mark.parametrize("stack", [False, True])
     def test_zero_control_equals_scan_on_untied_rows(self, stack):
@@ -246,8 +250,8 @@ class TestClosedFormsAgainstScan:
         assert same_bits(oracles.scan_argmin(cost, gen, grid.nodes[2], H), np.zeros((4, 3)))
 
     def test_custom_generator_rejected(self):
-        gen = _RatesOnly(AffineQuadraticModel([[-1.0, 1.0], [1.0, -1.0]], [0.3, -0.3]))
-        with pytest.raises(ModelDefect, match="_RatesOnly"):
+        gen = _ContractGenerator(AffineQuadraticModel([[-1.0, 1.0], [1.0, -1.0]], [0.3, -0.3]))
+        with pytest.raises(ModelDefect, match="_ContractGenerator"):
             SeparableCost(2).argmin_profile(gen, 0.0, [1.0, 0.0])
 
     def test_zero_cost_solve_equals_scan_solve(self, monkeypatch):
@@ -279,7 +283,6 @@ class TestAffineQuadraticModel:
 
     def test_declared_constants(self):
         gen = AffineQuadraticModel([[-0.8, 0.8], [0.9, -0.9]], [0.4, -0.4])
-        assert gen.kappa1 == pytest.approx(0.8)
         assert gen.K1 == pytest.approx(1.3)
 
     def test_rows_pass_validation_on_admissible_actions(self):
@@ -294,17 +297,9 @@ class TestAffineQuadraticModel:
                            [[-2.0, 2.0], [2.0, -2.0]]])
         betas = np.zeros((2, 2))
         gen = AffineQuadraticModel(alphas, betas, grid=grid)
-        np.testing.assert_allclose(gen.rates(0.0, 0, 0.0), [-1.0, 1.0])
-        np.testing.assert_allclose(gen.rates(0.5, 0, 0.0), [-2.0, 2.0])
-        np.testing.assert_allclose(gen.rates(1.0, 0, 0.0), [-2.0, 2.0])
-
-    def test_rate_matrix_matches_rows(self):
-        rng = np.random.default_rng(3)
-        gen = random_affine_generator(rng, 3)
-        strat = random_strategy(rng, gen, TimeGrid(1.0, 1))
-        Q = gen.rate_matrix(0.0, strat.actions[0])
-        for i in range(3):
-            np.testing.assert_array_equal(Q[i], gen.rates(0.0, i, strat.actions[0][i]))
+        np.testing.assert_allclose(gen.rate_matrix(0.0, [0.0, 0.0]), alphas[0])
+        np.testing.assert_allclose(gen.rate_matrix(0.5, [0.0, 0.0]), alphas[1])
+        np.testing.assert_allclose(gen.rate_matrix(1.0, [0.0, 0.0]), alphas[1])
 
 
 class TestTabulatedGenerator:
@@ -318,43 +313,97 @@ class TestTabulatedGenerator:
         gen = TabulatedGenerator([[-1.0, 1.0], [1.0, -1.0]])
         np.testing.assert_array_equal(gen.action_bounds(0.0), np.zeros((2, 2)))
         assert gen.action_bounds(np.linspace(0.0, 1.0, 5)).shape == (5, 2, 2)
-        assert gen.kappa1 == 0.0
 
 
-class _RatesOnly(GeneratorModel):
-    """Time-varying rates declared one row at a time, so rate_matrix is the
-    base class's loop."""
+class _ContractGenerator(GeneratorModel):
+    """A generator with only the abstract methods, each one delegated to a
+    built-in generator."""
 
     def __init__(self, base):
-        self.base, self.m, self.kappa1, self.K1 = base, base.m, base.kappa1, base.K1
+        self.base, self.m, self.K1 = base, base.m, base.K1
 
-    def rates(self, t, i, v):
-        return (1.0 + t) * self.base.rates(t, i, v)
+    def rate_matrix(self, t, profile):
+        return self.base.rate_matrix(t, profile)
 
     def action_bounds(self, t):
         return self.base.action_bounds(t)
 
 
-class _ControlCostOnly(CostModel):
-    """A time-varying control cost declared one entry at a time, so
-    control_profile_cost is the base class's loop."""
+class _ContractCost(CostModel):
+    """A cost with only the abstract methods, each one delegated to a
+    SeparableCost; its argmin uses the built-in generator gen."""
 
-    m, K2, K3 = 3, 1.0, 1.0
+    def __init__(self, base, gen):
+        self.base, self.gen = base, gen
+        self.m, self.K2, self.K3 = base.m, base.K2, base.K3
 
     def tau_weight(self, taus):
-        return np.ones_like(np.asarray(taus, dtype=float))
+        return self.base.tau_weight(taus)
 
     def running_base(self, t, rho):
-        return np.zeros(np.shape(rho))
+        return self.base.running_base(t, rho)
 
     def terminal(self, tau, rho):
-        return np.zeros(np.shape(rho))
+        return self.base.terminal(tau, rho)
 
-    def control_cost(self, t, i, v):
-        return (1.0 + t) * v * v + 0.1 * i
+    def control_profile_cost(self, t, profile):
+        return self.base.control_profile_cost(t, profile)
 
     def argmin_profile(self, gen, t, h):
-        raise NotImplementedError
+        return self.base.argmin_profile(self.gen, t, h)
+
+
+class TestArrayContract:
+    """The model ABCs are pure contracts: a pair that implements only their
+    abstract methods runs every phase exactly as the built-in pair does."""
+
+    def test_abstract_methods_are_the_whole_contract(self):
+        assert GeneratorModel.__abstractmethods__ == {"rate_matrix", "action_bounds"}
+        assert CostModel.__abstractmethods__ == {
+            "tau_weight", "running_base", "terminal", "control_profile_cost", "argmin_profile"}
+        for abc in (GeneratorModel, CostModel):
+            methods = {name for name, value in vars(abc).items()
+                       if callable(value) and not name.startswith("_")}
+            assert methods == abc.__abstractmethods__
+
+    @pytest.mark.parametrize("fake, method", [
+        (_ContractGenerator, "rate_matrix"), (_ContractGenerator, "action_bounds"),
+        (_ContractCost, "control_profile_cost"), (_ContractCost, "running_base"),
+    ])
+    def test_missing_method_is_type_error(self, fake, method):
+        gen = AffineQuadraticModel([[-1.0, 1.0], [1.0, -1.0]], [0.3, -0.3])
+        args = (gen,) if fake is _ContractGenerator else (SeparableCost(2), gen)
+        fake(*args)
+        partial = type("Partial", fake.__bases__,
+                       {k: v for k, v in vars(fake).items() if k != method})
+        with pytest.raises(TypeError, match=method):
+            partial(*args)
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_contract_pair_equals_builtin_pair(self, name):
+        model = read_model_file(name)
+        grid = TimeGrid(model["horizon"], 40)
+        gen, cost = build_model(model, grid)
+        rho = ProbabilityVector.uniform(gen.m)
+
+        def run(gen, cost):
+            eq = picard_solve(gen, cost, rho, grid)
+            report = verify_local_optimality(eq, gen, cost, action_samples=6)
+            spike = (20, 0, float(gen.action_bounds(grid.nodes[20])[0, 1]))
+            estimate = deviation_test(eq, gen, cost, k_player=0, spike=spike,
+                                      cfg=SimConfig(players=300, seed=5, replications=3),
+                                      inner_pairs=40)
+            return eq, report, estimate
+
+        eq, report, estimate = run(gen, cost)
+        ref_eq, ref_report, ref_estimate = run(_ContractGenerator(gen), _ContractCost(cost, gen))
+        assert same_bits(eq.policy.actions, ref_eq.policy.actions)
+        assert same_bits(eq.flow.values, ref_eq.flow.values)
+        assert same_bits(eq.values.values, ref_eq.values.values)
+        assert eq.diagnostics.gaps == ref_eq.diagnostics.gaps
+        assert report.entries.tobytes() == ref_report.entries.tobytes()
+        assert report.tol == ref_report.tol
+        assert estimate == ref_estimate
 
 
 def tabulated_generator(rng, m, grid):
@@ -375,13 +424,12 @@ class TestNodeTimeArrays:
     def per_node(fn, times, profiles):
         return np.array([fn(t, u) for t, u in zip(times, profiles)])
 
-    @pytest.mark.parametrize("kind", ["affine", "tabulated", "base-class"])
+    @pytest.mark.parametrize("kind", ["affine", "tabulated"])
     def test_rate_matrix(self, kind):
         rng = np.random.default_rng(5)
         grid = self.GRID
         affine = random_affine_generator(rng, 3, grid=grid, time_varying=True)
-        gen = {"affine": affine, "tabulated": tabulated_generator(rng, 3, grid),
-               "base-class": _RatesOnly(affine)}[kind]
+        gen = {"affine": affine, "tabulated": tabulated_generator(rng, 3, grid)}[kind]
         times = grid.nodes[:-1]
         actions = random_strategy(rng, gen, grid).actions
         assert same_bits(gen.rate_matrix(times, actions),
@@ -391,10 +439,9 @@ class TestNodeTimeArrays:
         assert same_bits(gen.rate_matrix(times[:, None], profiles),
                          self.per_node(gen.rate_matrix, times, profiles))
 
-    @pytest.mark.parametrize("kind", ["separable", "base-class"])
-    def test_control_profile_cost(self, kind):
+    def test_control_profile_cost(self):
         rng = np.random.default_rng(6)
-        cost = SeparableCost(3) if kind == "separable" else _ControlCostOnly()
+        cost = SeparableCost(3)
         times = self.GRID.nodes[:-1]
         profiles = rng.uniform(-1.0, 1.0, size=(self.GRID.steps, 4, 3))
         assert same_bits(cost.control_profile_cost(times[:, None], profiles),
@@ -479,12 +526,11 @@ class TestSeparableCost:
             for _ in range(20):
                 rho = rng.dirichlet(np.ones(m))
                 tau = rng.uniform(0.0, 1.0)
-                assert cost.running_dist(tau, 0.0, rho).max() <= cost.K2 + 1e-12
+                assert oracles.running_dist(cost, tau, 0.0, rho).max() <= cost.K2 + 1e-12
                 assert cost.terminal(tau, rho).max() <= cost.K2 + 1e-12
 
     def test_zero_control(self):
         cost = SeparableCost(2, control="zero", terminal=("table", [0.0, 0.0]))
-        assert cost.control_cost(0.0, 0, 0.7) == 0.0
         np.testing.assert_array_equal(cost.control_profile_cost(0.0, [0.5, -0.5]),
                                       [0.0, 0.0])
 

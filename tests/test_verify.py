@@ -86,8 +86,9 @@ class TestSpikeGap:
         theta = diag[k + 1]
         for u in (-0.6, 0.2, 0.7):
             gap = spike_gap(eq, gen, cost, k, i, u)
-            slack = (cost.control_cost(t, i, u) - cost.control_cost(t, i, star)
-                     + float((gen.rates(t, i, u) - gen.rates(t, i, star)) @ theta))
+            slack = (oracles.control_entry(cost, t, i, u) - oracles.control_entry(cost, t, i, star)
+                     + float((oracles.rate_row(gen, t, i, u)
+                              - oracles.rate_row(gen, t, i, star)) @ theta))
             scale = 1.0 + gen.K1 ** 2 * float(np.abs(theta).max())
             assert abs(gap - slack) <= 5.0 * grid.dt * scale
 
@@ -190,8 +191,8 @@ class NanDiagonalCost(CostModel):
     def terminal(self, tau, rho):
         return self.base.terminal(tau, rho)
 
-    def control_cost(self, t, i, v):
-        return self.base.control_cost(t, i, v)
+    def control_profile_cost(self, t, profile):
+        return self.base.control_profile_cost(t, profile)
 
     def argmin_profile(self, gen, t, h):
         return self.base.argmin_profile(gen, t, h)
