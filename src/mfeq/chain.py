@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -375,6 +376,18 @@ POISSON_TAIL_X = _poisson_tail_thresholds(1.0, 2.0 ** -53)
 def stochastic_exponentials(generators: np.ndarray, dt: float) -> np.ndarray:
     """exp(dt * Q) for every generator of a (count, m, m) stack, rows stochastic.
 
+    uniformize, then check_stochastic; failures name the matrix of the stack.
+    """
+    where = lambda c: f" in matrix {c} of the stack" if len(generators) > 1 else ""  # noqa: E731
+    P = uniformize(generators, dt, where)
+    check_stochastic(P, where)
+    return P
+
+
+def uniformize(generators: np.ndarray, dt: float, where) -> np.ndarray:
+    """exp(dt * Q) for every generator of a (count, m, m) stack, its
+    finiteness and row sums not yet checked (check_stochastic).
+
     Uniformization (Jensen 1953; Grassmann 1977): for lam >= max_i -q_ii the
     matrix T = I + Q / lam is stochastic and
 
@@ -386,10 +399,9 @@ def stochastic_exponentials(generators: np.ndarray, dt: float) -> np.ndarray:
     the result s_c times.  A matrix past its own K_c or s_c is left alone,
     so each slice equals a one-matrix call bit for bit.
 
-    A non-finite generator is rejected before any squaring.  The result must
-    be finite with row sums within MASS_ATOL of one; negative entries down
-    to -MASS_ATOL are roundoff and clipped to zero.  Failures name the
-    matrix of the stack.
+    A non-finite generator is rejected before any squaring.  Negative
+    entries down to -MASS_ATOL are roundoff and clipped to zero; a lower
+    one is rejected.  where(c) names matrix c of the stack in a failure.
     """
     Q = np.asarray(generators, dtype=float)
     count, m, _ = Q.shape
@@ -397,7 +409,7 @@ def stochastic_exponentials(generators: np.ndarray, dt: float) -> np.ndarray:
     h, s, smax = dt, None, 0
     if not x.max() <= 1.0:
         if not np.isfinite(x).all():
-            raise _stack_error("non-finite generator", np.argmin(np.isfinite(x)), count)
+            raise NumericalError("non-finite generator" + where(np.argmin(np.isfinite(x))))
         # x = mantissa * 2^e with mantissa in [0.5, 1): s is the least s >= 0
         # with x / 2^s <= 1, and the halving is exact
         mantissa, e = np.frexp(x)
@@ -405,10 +417,10 @@ def stochastic_exponentials(generators: np.ndarray, dt: float) -> np.ndarray:
         smax = int(s.max())
         x = np.ldexp(x, -s)
         h = np.ldexp(dt, -s)[:, None, None]
-    eye = np.eye(m)
+    eye = _identity(m)
     A = Q * h + x[:, None, None] * eye  # x T, nonnegative on a generator
-    K = np.searchsorted(POISSON_TAIL_X, x)
-    kmin, kmax = min(K.tolist()), max(K.tolist())
+    K = POISSON_TAIL_X.searchsorted(x)
+    kmin, kmax = min(Ks := K.tolist()), max(Ks)
 
     # R = sum over 1 <= n <= K of (x T)^n / n!; past n = kmin, a matrix
     # leaves the live stack (term and B = A[live]) once n passes its own K
@@ -417,52 +429,57 @@ def stochastic_exponentials(generators: np.ndarray, dt: float) -> np.ndarray:
         term = term @ A
         term /= n
         R += term
-    live, B = np.arange(count), A
-    for n in range(max(kmin, 1) + 1, kmax + 1):
-        keep = K[live] >= n
-        live, term, B = live[keep], term[keep], B[keep]
-        term = term @ B
-        term /= n
-        R[live] += term
+    if kmax > kmin:
+        live, B = np.arange(count), A
+        for n in range(max(kmin, 1) + 1, kmax + 1):
+            keep = K[live] >= n
+            live, term, B = live[keep], term[keep], B[keep]
+            term = term @ B
+            term /= n
+            R[live] += term
     # exp(-x) (I + R) = I + D with D = exp(-x) R + expm1(-x) I, which is
     # O(x) and exact to O(x) rounding units: adding I rounds each entry once
-    P = R * np.exp(-x)[:, None, None]
-    P += np.expm1(-x)[:, None, None] * eye
+    minus_x = -x[:, None, None]
+    P = R * np.exp(minus_x)
+    P += np.expm1(minus_x) * eye
     P += eye
     for j in range(1, smax + 1):
         live = s >= j
         P[live] = P[live] @ P[live]
 
-    # the least entry and the row sums pass a good stack; a failure is
-    # diagnosed matrix by matrix
     lo = P.min()
     if lo < 0.0:
         if not lo >= -MASS_ATOL:
-            _diagnose(P)
+            _diagnose(P, where)
         P[P < 0.0] = 0.0
-    sums = P.sum(axis=2)
-    if not (sums.max() - 1.0 <= MASS_ATOL and 1.0 - sums.min() <= MASS_ATOL):
-        _diagnose(P)
     return P
 
 
-def _stack_error(message: str, c, count: int) -> NumericalError:
-    where = f" in matrix {int(c)} of the stack" if count > 1 else ""
-    return NumericalError(message + where)
+def check_stochastic(P: np.ndarray, where) -> None:
+    """Raise unless every matrix of a (..., m, m) stack is finite with row sums
+    within MASS_ATOL of one, where(c) naming matrix c of the flattened stack."""
+    sums = P.sum(axis=-1)
+    if not (sums.max() - 1.0 <= MASS_ATOL and 1.0 - sums.min() <= MASS_ATOL):
+        _diagnose(P.reshape((-1,) + P.shape[-2:]), where)
 
 
-def _diagnose(P: np.ndarray) -> None:
-    """Raise the first failing check of stochastic_exponentials' result."""
+@lru_cache
+def _identity(m: int) -> np.ndarray:
+    return np.broadcast_to(np.eye(m), (m, m))  # a read-only view: every call shares it
+
+
+def _diagnose(P: np.ndarray, where) -> None:
+    """Raise the first failing check of a (count, m, m) stack of transitions."""
     finite = np.isfinite(P).all(axis=(1, 2))
     if not finite.all():
-        raise _stack_error("non-finite transition matrix", np.argmin(finite), len(P))
+        raise NumericalError("non-finite transition matrix" + where(np.argmin(finite)))
     lo = P.min(axis=(1, 2))
     c = np.argmin(lo)
     if lo[c] < -MASS_ATOL:
-        raise _stack_error(f"transition entry {lo[c]:.3e} below tolerance", c, len(P))
+        raise NumericalError(f"transition entry {lo[c]:.3e} below tolerance" + where(c))
     drift = np.abs(P.sum(axis=2) - 1.0).max(axis=1)
     c = np.argmax(drift)
-    raise _stack_error(f"transition row-sum drift {drift[c]:.3e}", c, len(P))
+    raise NumericalError(f"transition row-sum drift {drift[c]:.3e}" + where(c))
 
 
 def transition_matrix(model: GeneratorModel, t: float, profile, dt: float) -> np.ndarray:

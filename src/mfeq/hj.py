@@ -24,13 +24,18 @@ from .chain import (
     StrategyTable,
     TimeGrid,
     admissible,
+    check_stochastic,
     interval_samples,
-    transition_matrix,
+    transition_matrix,  # noqa: F401  (the benchmark's tracer patches this name)
     transition_stack,
+    uniformize,
 )
 from .errors import DimensionMismatch, MfeqError
 
 logger = logging.getLogger(__name__)
+
+# Cells backward_columns computes between two checks of their transitions.
+SWEEP_BLOCK = 64
 
 
 class CostModel(ABC):
@@ -98,21 +103,13 @@ class EvaluationBasis:
         self.extreme_rows = np.array([np.argmin(self.weight), np.argmax(self.weight)])
         self._extreme_weight = self.weight[self.extreme_rows, None]
 
-    def rows(self, C: np.ndarray, a) -> np.ndarray:
-        """Values at the evaluation rows a (an index array or a slice) of every
-        table in the (B, 2, m) coefficient stack C, shape (B, len(a), m)."""
-        return self.weight[a, None] * C[:, None, 0] + C[:, None, 1]
-
-    def row(self, C: np.ndarray, a: int) -> np.ndarray:
-        """rows(C, [a])[:, 0] for one evaluation row a, shape (B, m)."""
-        return self.weight[a] * C[:, 0] + C[:, 1]
-
-    def extremes(self, c: np.ndarray, out: np.ndarray) -> None:
-        """Write into out (2, m) the values of one table's column, coefficients
-        c (2, m), at the two extreme rows: their elementwise min and max are
-        the column's over every evaluation row."""
-        np.multiply(self._extreme_weight, c[0], out=out)
-        out += c[1]
+    def extremes(self, C: np.ndarray) -> np.ndarray:
+        """Values of the columns of a (..., 2, m) coefficient stack at the two
+        extreme rows, shape (..., 2, m): their elementwise min and max are
+        each column's over every evaluation row."""
+        out = self._extreme_weight * C[..., None, 0, :]
+        out += C[..., None, 1, :]
+        return out
 
     def terminal(self, laws: np.ndarray) -> np.ndarray:
         """Coefficients (B, 2, m) of the terminal costs of a (B, m) stack of laws."""
@@ -121,20 +118,19 @@ class EvaluationBasis:
 
 
 def backward_columns(gen: GeneratorModel, cost: CostModel, flows, grid: TimeGrid):
-    """Lockstep backward sweep of the value tables of B flows.
+    """Lockstep backward sweep of the value tables of B flows, in blocks of cells.
 
-    flows is one FlowCurve (B = 1) or a sequence of them.  The sweep holds
-    each table's current decision-time column as coefficients in the cost's
-    EvaluationBasis, a (B, 2, m) stack C, so memory is O(B m) and each
-    cell costs O(B m^2).  Yields (k, C, profiles, P, diagonal) for
-    k = N .. 0: first the terminal coefficients against nu_N (profiles and
-    P are None); then for k = N-1 .. 0 the argmin profiles (B, m) against
-    each table's diagonal entry at k+1, from one call, P = exp(dt * Q) on
-    cell k for every profile, from one stacked call, and C pushed back
-    through P plus the rectangle-rule running cost.  diagonal is the row
-    basis.row(C, k), shape (B, m), which the next cell's argmin reads.  The
-    flow costs of every node come from one running_base call per flow
-    before the loop.
+    flows is one FlowCurve (B = 1) or a sequence of them.  Each table's
+    current decision-time column is held as coefficients in the cost's
+    EvaluationBasis: a cell costs O(B m^2) time, a block O(SWEEP_BLOCK B m^2)
+    memory.  Yields (first, C, profiles, P, diagonal), row j of each array at
+    node k = first + j, from the top down: the terminal column against nu_N
+    alone (profiles and P None), then blocks of at most SWEEP_BLOCK cells.
+    profiles[j] (B, m) minimize against each diagonal at k+1; P[j] = exp(dt Q)
+    on cell k; C[j] (B, 2, m) is C[j+1] pushed back through P[j] plus the
+    running cost; diagonal[j] = w(t_k) C[j][:, 0] + C[j][:, 1].  A block's
+    transitions are checked before it is yielded; a failure names the node,
+    and the flow when B > 1.  One running_base call per flow covers every node.
     """
     flows = [flows] if isinstance(flows, FlowCurve) else list(flows)
     for nu in flows:
@@ -143,30 +139,40 @@ def backward_columns(gen: GeneratorModel, cost: CostModel, flows, grid: TimeGrid
         if gen.m != cost.m or gen.m != nu.m:
             raise DimensionMismatch("state counts differ between model parts")
     basis = EvaluationBasis(cost, grid)
-    n = grid.steps
-    nodes = basis.nodes
-    dt = grid.dt
+    n, B, m = grid.steps, len(flows), gen.m
+    nodes, dt = basis.nodes, grid.dt
     C = basis.terminal(np.array([nu.at(n) for nu in flows]))
-    # the flow coefficients dt f(t_k, nu_k): one running_base call per flow
-    # covers every node
-    flow_costs = np.empty((n + 1, len(flows), gen.m))
+    flow_costs = np.empty((n + 1, B, m))
     for b, nu in enumerate(flows):
         flow_costs[:, b] = cost.running_base(nodes[:, None], nu.values)
     flow_costs *= dt
-    diagonal = basis.row(C, n)
-    yield n, C, None, None, diagonal
-    for k in range(n - 1, -1, -1):
-        t = nodes[k]
-        try:
-            profiles = np.asarray(cost.argmin_profile(gen, t, diagonal), float)
-        except Exception as exc:
-            raise MfeqError(f"argmin oracle failed at node {k}: {exc}") from exc
-        P = transition_matrix(gen, t, profiles, dt)
-        C = C @ np.swapaxes(P, 1, 2)
-        C[:, 0] += flow_costs[k]
-        C[:, 1] += dt * cost.control_profile_cost(t, profiles)
-        diagonal = basis.row(C, k)
-        yield k, C, profiles, P, diagonal
+    diagonal = basis.weight[n] * C[:, 0] + C[:, 1]
+    yield n, C[None], None, None, diagonal[None]
+    for top in range(n, 0, -SWEEP_BLOCK):
+        first, L = max(top - SWEEP_BLOCK, 0), min(top, SWEEP_BLOCK)
+        columns, P = np.empty((L, B, 2, m)), np.empty((L, B, m, m))
+        profiles, diagonals = np.empty((L, B, m)), np.empty((L, B, m))
+        for j in range(L - 1, -1, -1):
+            k = first + j
+            t = nodes[k]
+            try:
+                profiles[j] = cost.argmin_profile(gen, t, diagonal)
+            except Exception as exc:
+                raise MfeqError(f"argmin oracle failed at node {k}: {exc}") from exc
+            P[j] = uniformize(gen.rate_matrix(t, profiles[j]), dt, _cell_names(k, B))
+            C = np.matmul(C, np.swapaxes(P[j], 1, 2), out=columns[j])
+            C[:, 0] += flow_costs[k]
+            C[:, 1] += dt * cost.control_profile_cost(t, profiles[j])
+            diagonal = np.multiply(basis.weight[k], C[:, 0], out=diagonals[j])
+            diagonal += C[:, 1]
+        check_stochastic(P, _cell_names(first, B))
+        yield first, columns, profiles, P, diagonals
+
+
+def _cell_names(first: int, flows: int):
+    """Names matrix c of a flattened (cells, flows) stack from node `first` on."""
+    return lambda c: (f" at node {first + int(c) // flows}"
+                      + (f", flow {int(c) % flows}" if flows > 1 else ""))
 
 
 def value_bound(gen: GeneratorModel, cost: CostModel, grid: TimeGrid) -> float:
@@ -194,13 +200,12 @@ def solve_hj(gen: GeneratorModel, cost: CostModel, nu: FlowCurve,
              grid: TimeGrid) -> tuple[BackwardSweep, StrategyTable]:
     """Backward sweep producing the diagonal, the table's range and the policy.
 
-    Consumes backward_columns' sweep for the one flow, keeping the diagonal
-    row that the sweep computes for its argmin, the policy, its per-cell
-    transitions and each column's EvaluationBasis.extremes, which are
-    reduced to the table's min and max after the sweep.  The policy's
-    admissibility is checked once, so its transitions can stand in for
-    transition_stack.  A table outside the declared bounds [0, value_bound]
-    is logged as a warning.
+    Copies each block of backward_columns' sweep for the one flow: the
+    diagonal rows its argmin reads, the policy, its transitions and the
+    block's EvaluationBasis.extremes, reduced to the table's min and max
+    after the sweep.  The policy's admissibility is checked once, so its
+    transitions can stand in for transition_stack.  A table outside the
+    declared bounds [0, value_bound] is logged as a warning.
     """
     n = grid.steps
     basis = EvaluationBasis(cost, grid)
@@ -208,12 +213,13 @@ def solve_hj(gen: GeneratorModel, cost: CostModel, nu: FlowCurve,
     actions = np.empty((n, gen.m))
     transitions = np.empty((n, gen.m, gen.m))
     extremes = np.empty((n + 1, 2, gen.m))  # reduced once after the sweep
-    for k, C, profiles, P, row in backward_columns(gen, cost, nu, grid):
-        diagonal[k] = row[0]
-        basis.extremes(C[0], extremes[k])
-        if k < n:
-            actions[k] = profiles[0]
-            transitions[k] = P[0]
+    for first, C, profiles, P, rows in backward_columns(gen, cost, nu, grid):
+        block = slice(first, first + len(C))
+        diagonal[block] = rows[:, 0]
+        extremes[block] = basis.extremes(C[:, 0])
+        if profiles is not None:
+            actions[block] = profiles[:, 0]
+            transitions[block] = P[:, 0]
     low, high = float(extremes.min()), float(extremes.max())
     policy = StrategyTable(actions, grid)
     policy.check_admissible(gen)

@@ -85,7 +85,13 @@ def is_finite_number(value) -> bool:
         return False
 
 
+def _holds_bool(value) -> bool:
+    return isinstance(value, bool) or (isinstance(value, list) and any(map(_holds_bool, value)))
+
+
 def _matrix(value, m: int, field: str, depth: int) -> np.ndarray:
+    if _holds_bool(value):  # NumPy would read true as 1.0
+        raise ModelFileError(field, "not numeric: holds a JSON boolean")
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:

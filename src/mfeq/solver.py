@@ -189,16 +189,17 @@ def table_distances(gen: GeneratorModel, cost: CostModel, pairs, grid: TimeGrid)
 
     All the pairs' flows run through one lockstep backward sweep.  Each
     column difference is read at the basis's extreme rows, which hold its
-    sup over every evaluation row, so no table is ever stored: each cell
-    records each pair's sup over those rows, and the records are reduced
-    once after the sweep.
+    sup over every evaluation row, so no table is ever stored: each block
+    of cells records each pair's sup over those rows, and the records are
+    reduced once after the sweep.
     """
     basis = EvaluationBasis(cost, grid)
     flows = [nu for pair in pairs for nu in pair]
     worst = np.empty((grid.steps + 1, len(pairs)))
-    for k, C, *_ in backward_columns(gen, cost, flows, grid):
-        gaps = basis.rows(C[0::2], basis.extreme_rows) - basis.rows(C[1::2], basis.extreme_rows)
-        np.abs(gaps, out=gaps).max(axis=(1, 2), out=worst[k])
+    for first, C, *_ in backward_columns(gen, cost, flows, grid):
+        ends = basis.extremes(C)
+        gaps = ends[:, 0::2] - ends[:, 1::2]
+        np.abs(gaps, out=gaps).max(axis=(2, 3), out=worst[first:first + len(C)])
     return worst.max(axis=0, initial=0.0)
 
 

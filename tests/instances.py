@@ -12,8 +12,9 @@ from mfeq import (
     TimeGrid,
     backward_columns,
 )
-from mfeq.hj import EvaluationBasis
+from mfeq.hj import SWEEP_BLOCK, EvaluationBasis
 from mfeq.modelfile import build_model, builtin_names, read_model_file
+from oracles import evaluation_rows
 
 
 def two_state_transition(a: float, b: float, t: float) -> np.ndarray:
@@ -118,11 +119,32 @@ def value_table(gen, cost, nu, grid):
     basis = EvaluationBasis(cost, grid)
     table = np.empty((n + 1, n + 1, gen.m))
     actions = np.empty((n, gen.m))
-    for k, C, profiles, *_ in backward_columns(gen, cost, nu, grid):
-        table[:, k] = basis.rows(C, slice(None))[0]
+    for k, C, profiles, *_ in sweep_cells(backward_columns(gen, cost, nu, grid)):
+        table[:, k] = evaluation_rows(basis, C, slice(None))[0]
         if k < n:
             actions[k] = profiles[0]
     return table, StrategyTable(actions, grid)
+
+
+def sweep_cells(blocks):
+    """backward_columns' blocks read one node at a time, from node N down:
+    (k, C, profiles, P, diagonal) of node k, with profiles and P None at
+    k = N.  Checks that the blocks cover the nodes N .. 0 in order: the
+    terminal column alone, then blocks of SWEEP_BLOCK cells, the last one
+    possibly shorter."""
+    blocks = iter(blocks)
+    first, C, profiles, P, diagonal = next(blocks)
+    assert len(C) == 1 and profiles is None and P is None
+    yield first, C[0], None, None, diagonal[0]
+    top = first
+    for first, C, profiles, P, diagonal in blocks:
+        size = len(C)
+        assert first + size == top and (size == SWEEP_BLOCK or first == 0)
+        assert len(profiles) == len(P) == len(diagonal) == size
+        for j in range(size - 1, -1, -1):
+            yield first + j, C[j], profiles[j], P[j], diagonal[j]
+        top = first
+    assert top == 0
 
 
 class OutsideArgmin(SeparableCost):
@@ -172,7 +194,8 @@ def tau_weighted_instances():
 
 
 # numbers a model file must reject, as pytest params: the path of the field,
-# the bad value and the field the message names; JSON admits NaN and Infinity
+# the bad value and the field the message names; JSON admits NaN and Infinity,
+# and NumPy reads a JSON boolean as a number
 NAN, INF = float("nan"), float("inf")
 BAD_MODEL_NUMBERS = [pytest.param(path, value, field, id=name) for name, path, value, field in [
     ("horizon-inf", ("horizon",), INF, "horizon"),
@@ -195,6 +218,14 @@ BAD_MODEL_NUMBERS = [pytest.param(path, value, field, id=name) for name, path, v
      "cost.running.tau_weight.rate"),
     ("rate-overflow", ("cost", "running", "tau_weight"), {"kind": "exp", "rate": -2000.0},
      "cost.running.tau_weight"),
+    ("alpha-true", ("generator", "alpha"), [[-1.0, True], [1.0, -1.0]], "generator.alpha"),
+    ("beta-true", ("generator", "beta"), [True, -1], "generator.beta"),
+    ("rates-true", ("generator",), {"kind": "tabulated", "rates": [[-1, True], [1, -1]]},
+     "generator.rates"),
+    ("running-values-true", ("cost", "running"), {"kind": "table", "values": [True, 0.5]},
+     "cost.running.values"),
+    ("terminal-values-false", ("cost", "terminal"), {"kind": "table", "values": [0.5, False]},
+     "cost.terminal.values"),
 ]]
 
 

@@ -20,6 +20,12 @@ from mfeq.verify import golden_refine
 SpikeEntry = namedtuple("SpikeEntry", "node state action gap")
 
 
+def evaluation_rows(basis, C, a):
+    """Values at the evaluation rows a (an index array or a slice) of every
+    table in the (B, 2, m) coefficient stack C, shape (B, len(a), m)."""
+    return basis.weight[a, None] * C[:, None, 0] + C[:, None, 1]
+
+
 def rate_row(gen, t, i, v):
     """Row q_t^v(i, .) of the generator: row i under the constant profile v."""
     return gen.rate_matrix(t, np.full(gen.m, v))[i]
@@ -416,7 +422,7 @@ def backward_loop(gen, cost, flows, grid):
     C = basis.terminal(np.array([nu.at(n) for nu in flows]))
     yield n, C, None, None
     for k in range(n - 1, -1, -1):
-        diagonal = basis.rows(C, [k + 1])[:, 0]
+        diagonal = evaluation_rows(basis, C, [k + 1])[:, 0]
         profiles = np.asarray(cost.argmin_profile(gen, nodes[k], diagonal), float)
         P = transition_matrix(gen, nodes[k], profiles, dt)
         laws = np.array([nu.at(k) for nu in flows])
@@ -437,8 +443,8 @@ def solve_hj_loop(gen, cost, nu, grid):
     transitions = np.empty((n, gen.m, gen.m))
     low, high = np.inf, -np.inf
     for k, C, profiles, P in backward_loop(gen, cost, nu, grid):
-        diagonal[k] = basis.rows(C, [k])[0, 0]
-        extremes = basis.rows(C, basis.extreme_rows)
+        diagonal[k] = evaluation_rows(basis, C, [k])[0, 0]
+        extremes = evaluation_rows(basis, C, basis.extreme_rows)
         low = min(low, float(extremes.min()))
         high = max(high, float(extremes.max()))
         if k < n:
@@ -452,7 +458,8 @@ def table_distances_loop(gen, cost, pairs, grid):
     basis = EvaluationBasis(cost, grid)
     worst = np.zeros(len(pairs))
     for _, C, _, _ in backward_loop(gen, cost, [nu for pair in pairs for nu in pair], grid):
-        gaps = basis.rows(C[0::2], basis.extreme_rows) - basis.rows(C[1::2], basis.extreme_rows)
+        ends = evaluation_rows(basis, C, basis.extreme_rows)
+        gaps = ends[0::2] - ends[1::2]
         worst = np.maximum(worst, np.abs(gaps).max(axis=(1, 2)))
     return worst
 

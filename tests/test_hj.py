@@ -17,15 +17,16 @@ from mfeq import (
     validate_cost,
 )
 from mfeq.chain import FlowCurve, transition_stack
-from mfeq.errors import AdmissibilityError
-from mfeq.hj import EvaluationBasis
+from mfeq.errors import AdmissibilityError, NumericalError
+from mfeq.hj import SWEEP_BLOCK, EvaluationBasis
 from mfeq.modelfile import build_model, builtin_names, read_model_file
-from mfeq.solver import myopic_strategy, table_distances
+from mfeq.solver import myopic_strategy, picard_solve, table_distances
 
 import oracles
 from instances import (LowerBoundArgmin, OutsideArgmin, random_affine_generator, random_flow,
-                       random_instance, shipped_instances, tau_weighted_instances, value_table)
-from oracles import evaluate_population_cost, scan_golden_min
+                       random_instance, shipped_instances, sweep_cells, tau_weighted_instances,
+                       value_table)
+from oracles import evaluate_population_cost, evaluation_rows, scan_golden_min
 
 
 def constant_flow(weights, grid):
@@ -66,10 +67,11 @@ class TestSolveHj:
         rng = np.random.default_rng(0)
         grid, gen, cost = random_instance(rng, m=3, steps=15)
         nu = random_flow(rng, grid, 3)
-        k, C, profiles, P, diagonal = next(backward_columns(gen, cost, nu, grid))
-        assert k == grid.steps and profiles is None and P is None
-        column = EvaluationBasis(cost, grid).rows(C, slice(None))[0]
-        assert np.array_equal(diagonal[0], column[grid.steps])
+        first, C, profiles, P, diagonal = next(backward_columns(gen, cost, nu, grid))
+        assert first == grid.steps and profiles is None and P is None
+        assert C.shape == (1, 1, 2, 3) and diagonal.shape == (1, 1, 3)
+        column = evaluation_rows(EvaluationBasis(cost, grid), C[0], slice(None))[0]
+        assert np.array_equal(diagonal[0, 0], column[grid.steps])
         for a in range(grid.steps + 1):
             expected = cost.terminal(grid.nodes[a], nu.at(grid.steps))
             np.testing.assert_array_equal(column[a], expected)
@@ -202,7 +204,8 @@ class TestSweepMatchesDenseTable:
         rng = np.random.default_rng(13)
         for _ in range(20):
             C = rng.normal(size=(4, 2, 3))
-            full, ext = basis.rows(C, slice(None)), basis.rows(C, basis.extreme_rows)
+            full = evaluation_rows(basis, C, slice(None))
+            ext = basis.extremes(C)
             assert full.min(axis=1).tolist() == ext.min(axis=1).tolist()
             assert full.max(axis=1).tolist() == ext.max(axis=1).tolist()
             gaps = np.abs(full[0::2] - full[1::2]).max(axis=(1, 2))
@@ -214,10 +217,10 @@ class TestSweepMatchesDenseTable:
         for m in (2, 3, 4, 7):
             grid, gen, cost = random_instance(rng, m=m, steps=25)
             flows = [random_flow(rng, grid, m) for _ in range(5)]
-            batched = list(backward_columns(gen, cost, flows, grid))
+            batched = list(sweep_cells(backward_columns(gen, cost, flows, grid)))
             for b, nu in enumerate(flows):
                 for (k, C, profiles, P, _), (k1, C1, profiles1, P1, _) in zip(
-                        batched, backward_columns(gen, cost, nu, grid)):
+                        batched, sweep_cells(backward_columns(gen, cost, nu, grid)), strict=True):
                     assert k == k1
                     assert np.array_equal(C[b], C1[0])
                     if k < grid.steps:
@@ -240,9 +243,9 @@ class TestSweepMatchesDenseTable:
 
 
 class TestSweepMatchesPerCellLoop:
-    """The sweep with its flow costs computed once and its readouts reduced
-    after it, against the per-cell loop it replaced (oracles.backward_loop),
-    bit for bit."""
+    """The sweep in blocks, with its flow costs computed once and its
+    readouts reduced per block and after it, against the per-cell loop it
+    replaced (oracles.backward_loop), bit for bit."""
 
     CASES = list(shipped_instances()) + list(tau_weighted_instances())
 
@@ -252,13 +255,54 @@ class TestSweepMatchesPerCellLoop:
         for _, grid, gen, cost, nu in self.CASES:
             flows = [nu] + [random_flow(rng, grid, gen.m) for _ in range(batch - 1)]
             for (k, C, profiles, P, _), (k1, C1, profiles1, P1) in zip(
-                    backward_columns(gen, cost, flows, grid),
+                    sweep_cells(backward_columns(gen, cost, flows, grid)),
                     oracles.backward_loop(gen, cost, flows, grid), strict=True):
                 assert k == k1
                 assert np.array_equal(C, C1)
                 if k < grid.steps:
                     assert np.array_equal(profiles, profiles1)
                     assert np.array_equal(P, P1)
+
+    @staticmethod
+    def block_edge_instance(steps):
+        rng = np.random.default_rng(steps)
+        grid = TimeGrid(0.8, steps)
+        gen = random_affine_generator(rng, 3, grid=grid, time_varying=True)
+        cost = SeparableCost(3, running=("mean_square", 0.3), terminal=("mean_variance", "g"),
+                             tau_weight={"kind": "exp", "rate": 2.0}, horizon=grid.horizon)
+        return rng, grid, gen, cost
+
+    @pytest.mark.parametrize("batch", [1, 12])
+    @pytest.mark.parametrize("steps", [1, SWEEP_BLOCK - 1, SWEEP_BLOCK, SWEEP_BLOCK + 1,
+                                       2 * SWEEP_BLOCK + 3])
+    def test_block_edges(self, steps, batch):
+        rng, grid, gen, cost = self.block_edge_instance(steps)
+        basis = EvaluationBasis(cost, grid)
+        flows = [random_flow(rng, grid, 3) for _ in range(batch)]
+        for (k, C, profiles, P, diagonal), (k1, C1, profiles1, P1) in zip(
+                sweep_cells(backward_columns(gen, cost, flows, grid)),
+                oracles.backward_loop(gen, cost, flows, grid), strict=True):
+            assert k == k1
+            assert np.array_equal(C, C1)
+            assert np.array_equal(diagonal, evaluation_rows(basis, C1, [k])[:, 0])
+            if k < grid.steps:
+                assert np.array_equal(profiles, profiles1)
+                assert np.array_equal(P, P1)
+
+    @pytest.mark.parametrize("steps", [1, SWEEP_BLOCK - 1, SWEEP_BLOCK, SWEEP_BLOCK + 1,
+                                       2 * SWEEP_BLOCK + 3])
+    def test_block_edge_readouts(self, steps):
+        rng, grid, gen, cost = self.block_edge_instance(steps)
+        nu = random_flow(rng, grid, 3)
+        sweep, policy = solve_hj(gen, cost, nu, grid)
+        diagonal, low, high, actions, transitions = oracles.solve_hj_loop(gen, cost, nu, grid)
+        assert np.array_equal(sweep.values, diagonal)
+        assert np.array_equal(policy.actions, actions)
+        assert np.array_equal(sweep.transitions, transitions)
+        assert (sweep.low, sweep.high) == (low, high)
+        pairs = [(random_flow(rng, grid, 3), random_flow(rng, grid, 3)) for _ in range(6)]
+        assert np.array_equal(table_distances(gen, cost, pairs, grid),
+                              oracles.table_distances_loop(gen, cost, pairs, grid))
 
     def test_solve_hj_readouts(self):
         for _, grid, gen, cost, nu in self.CASES:
@@ -281,6 +325,62 @@ class TestSweepMatchesPerCellLoop:
             worst = table_distances(gen, cost, pairs, grid)
             assert worst.shape == (6,)
             assert np.array_equal(worst, oracles.table_distances_loop(gen, cost, pairs, grid))
+
+
+class _DefectAtNode(AffineQuadraticModel):
+    """affine_mv's generator with `defect` added to its rates at one node
+    time; the sweep asks for one node time at a time."""
+
+    def __init__(self, t_bad, defect):
+        super().__init__([[-0.8, 0.8], [0.9, -0.9]], [0.4, -0.4])
+        self.t_bad, self.defect = t_bad, np.asarray(defect, dtype=float)
+
+    def rate_matrix(self, t, profile):
+        Q = super().rate_matrix(t, profile)
+        return Q + self.defect if t == self.t_bad else Q
+
+
+class TestSweepRejectsBadGenerators:
+    """A defective generator at one node in the middle of a block raises,
+    naming the node, and the flow when the sweep carries several."""
+
+    GRID = TimeGrid(0.5, 2 * SWEEP_BLOCK + 22)
+    NODE = GRID.steps - SWEEP_BLOCK - SWEEP_BLOCK // 2
+    DEFECTS = {
+        "row-sum": ([[0.0, 0.1], [0.0, 0.0]], "transition row-sum drift .*"),
+        "non-finite": ([[np.nan, 0.0], [0.0, 0.0]], "non-finite generator"),
+        "negative-entry": ([[1.5, -1.5], [0.0, 0.0]], "transition entry .* below tolerance"),
+    }
+
+    def setup(self, defect):
+        rates, message = self.DEFECTS[defect]
+        gen = _DefectAtNode(self.GRID.nodes[self.NODE], rates)
+        cost = SeparableCost(2, running=("mean_square", 0.2), terminal=("mean_variance", "g"),
+                             horizon=self.GRID.horizon)
+        return gen, cost, message
+
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_solve_hj(self, defect):
+        gen, cost, message = self.setup(defect)
+        with pytest.raises(NumericalError, match=f"^{message} at node {self.NODE}$"):
+            solve_hj(gen, cost, constant_flow([0.5, 0.5], self.GRID), self.GRID)
+
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_picard_solve(self, defect):
+        gen, cost, message = self.setup(defect)
+        nu = constant_flow([0.5, 0.5], self.GRID)
+        with pytest.raises(NumericalError, match=f"^{message} at node {self.NODE}$"):
+            picard_solve(gen, cost, [0.5, 0.5], self.GRID, initial_flow=nu)
+
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_table_distances(self, defect):
+        gen, cost, message = self.setup(defect)
+        rng = np.random.default_rng(17)
+        pairs = [(random_flow(rng, self.GRID, 2), random_flow(rng, self.GRID, 2))
+                 for _ in range(2)]
+        with pytest.raises(NumericalError,
+                           match=f"^{message} at node {self.NODE}, flow [0-3]$"):
+            table_distances(gen, cost, pairs, self.GRID)
 
 
 class TestEvaluateCost:

@@ -16,7 +16,7 @@ from mfeq import (
     propagate_flow,
 )
 from mfeq import hj, solver
-from mfeq.chain import FlowCurve, transition_matrix
+from mfeq.chain import FlowCurve, uniformize
 from mfeq.errors import AdmissibilityError
 from mfeq.modelfile import build_model, read_model_file
 from mfeq.solver import myopic_strategy
@@ -205,17 +205,17 @@ class TestEstimateConstants:
 
     def test_kappa3_sweeps_cells_once_in_lockstep(self, monkeypatch):
         # all 12 kappa3 flows share one backward sweep: each cell is
-        # exponentiated by one transition_matrix call, for all flows at once
+        # exponentiated by one uniformize call, for all flows at once
         model = read_model_file("affine_mv")
         grid = TimeGrid(model["horizon"], 1000)
         gen, cost = build_model(model, grid)
         batch_sizes = []
 
-        def counted(model, t, profile, dt):
-            batch_sizes.append(np.shape(profile)[0])
-            return transition_matrix(model, t, profile, dt)
+        def counted(generators, dt, where):
+            batch_sizes.append(len(generators))
+            return uniformize(generators, dt, where)
 
-        monkeypatch.setattr(hj, "transition_matrix", counted)
+        monkeypatch.setattr(hj, "uniformize", counted)
         estimate_constants(gen, cost, grid, seed=0)
         assert batch_sizes == [12] * grid.steps
 
