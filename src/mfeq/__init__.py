@@ -10,7 +10,6 @@ from .chain import (
     TimeGrid,
     propagate_flow,
     transition_stack,
-    tv_distance,
     validate_generator,
 )
 from .errors import (
@@ -25,7 +24,6 @@ from .hj import (
     BackwardSweep,
     CostModel,
     backward_columns,
-    evaluate_cost,
     solve_hj,
     validate_cost,
 )
@@ -34,7 +32,6 @@ from .models import (
     SeparableCost,
     TabulatedGenerator,
     admissible_interval,
-    mean_variance_terminal,
 )
 from .solver import (
     ContractionReport,
@@ -47,13 +44,10 @@ from .simulate import (
     PathBundle,
     SimConfig,
     deviation_test,
-    empirical_flow_error,
     simulate,
 )
 from .verify import (
     SpikeReport,
-    dp_oracle,
-    spike_gap,
     verify_local_optimality,
 )
 

@@ -88,12 +88,6 @@ class ProbabilityVector:
         return self.weights.size
 
     @classmethod
-    def dirac(cls, i: int, m: int) -> "ProbabilityVector":
-        w = np.zeros(m)
-        w[i] = 1.0
-        return cls(w)
-
-    @classmethod
     def uniform(cls, m: int) -> "ProbabilityVector":
         return cls(np.full(m, 1.0 / m))
 
@@ -108,14 +102,6 @@ def _as_weights(rho) -> np.ndarray:
     if isinstance(rho, ProbabilityVector):
         return rho.weights
     return np.asarray(rho, dtype=float)
-
-
-def tv_distance(rho, gamma) -> float:
-    """Total variation distance sum_i |rho(i) - gamma(i)| on the simplex."""
-    a, b = _as_weights(rho), _as_weights(gamma)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"state counts differ: {a.shape} vs {b.shape}")
-    return float(np.abs(a - b).sum())
 
 
 class GeneratorModel(ABC):
@@ -196,10 +182,6 @@ class StrategyTable:
     def m(self) -> int:
         return self.actions.shape[1]
 
-    @classmethod
-    def constant(cls, grid: TimeGrid, m: int, value: float = 0.0) -> "StrategyTable":
-        return cls(np.full((grid.steps, m), value), grid)
-
     def with_cell(self, k: int, profile) -> "StrategyTable":
         """Copy with row k replaced by the given action profile."""
         a = self.actions.copy()
@@ -256,11 +238,6 @@ class FlowCurve:
             raise DimensionMismatch("flow curves have different shapes")
         return float(np.abs(self.values - other.values).sum(axis=1).max())
 
-    @classmethod
-    def constant(cls, rho, grid: TimeGrid) -> "FlowCurve":
-        w = _as_weights(rho)
-        return cls(np.tile(w, (grid.steps + 1, 1)), grid)
-
 
 @dataclass
 class GeneratorReport:
@@ -272,16 +249,6 @@ class GeneratorReport:
     row_sum_violations: list = field(default_factory=list)
     sign_violations: list = field(default_factory=list)
     samples_per_point: int = 0
-
-    def summary(self) -> str:
-        status = "valid" if self.ok else (
-            f"{len(self.row_sum_violations)} row-sum and "
-            f"{len(self.sign_violations)} sign violations"
-        )
-        return (
-            f"generator {status}; kappa1_hat={self.kappa1_hat:.6g} "
-            f"K1_hat={self.K1_hat:.6g} (sampled lower bounds)"
-        )
 
 
 def validate_generator(model: GeneratorModel, grid: TimeGrid, samples: int = 8) -> GeneratorReport:

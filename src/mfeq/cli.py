@@ -49,8 +49,12 @@ def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
 
 
 def _read_csv(path: Path) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return data
+    """The rows below a CSV file's header; a file without any is an input
+    error (np.loadtxt would only warn and return an empty array)."""
+    rows = path.read_text(encoding="utf-8").splitlines()[1:]
+    if not any(row.strip() for row in rows):
+        raise ModelFileError(path.name, "no data rows below the header")
+    return np.loadtxt(rows, delimiter=",", ndmin=2)
 
 
 def _write_json(path: Path, obj) -> None:

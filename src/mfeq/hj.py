@@ -27,7 +27,6 @@ from .chain import (
     check_stochastic,
     interval_samples,
     transition_matrix,  # noqa: F401  (the benchmark's tracer patches this name)
-    transition_stack,
     uniformize,
 )
 from .errors import DimensionMismatch, MfeqError
@@ -233,38 +232,6 @@ def solve_hj(gen: GeneratorModel, cost: CostModel, nu: FlowCurve,
             max(worst_lo, 0.0),
         )
     return BackwardSweep(diagonal, low, high, transitions), policy
-
-
-def evaluate_cost(gen: GeneratorModel, cost: CostModel, nu: FlowCurve,
-                  strategy: StrategyTable, a: int, k: int, i: int,
-                  transitions: np.ndarray | None = None) -> float:
-    """Trajectory cost from state i at node k, evaluated from node a.
-
-    Propagates the law of the chain started at delta_i under the strategy and
-    accumulates the rectangle-rule running cost against the frozen flow nu,
-    plus the terminal term.  Uses the same one-step operators as solve_hj, so
-    for the returned policy it reproduces the value table to roundoff.
-    """
-    grid = strategy.grid
-    if nu.grid != grid:
-        raise DimensionMismatch("flow curve grid differs from strategy grid")
-    n = grid.steps
-    nodes = grid.nodes
-    dt = grid.dt
-    tau = nodes[a]
-    if transitions is None:
-        transitions = transition_stack(gen, strategy)
-    mu = np.zeros(gen.m)
-    mu[i] = 1.0
-    weight = float(cost.tau_weight(tau))
-    total = 0.0
-    for s in range(k, n):
-        f = weight * cost.running_base(nodes[s], nu.at(s))
-        f = f + cost.control_profile_cost(nodes[s], strategy.actions[s])
-        total += dt * float(mu @ f)
-        mu = mu @ transitions[s]
-    total += float(mu @ cost.terminal(tau, nu.at(n)))
-    return total
 
 
 def validate_cost(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,

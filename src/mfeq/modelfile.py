@@ -18,7 +18,7 @@ import numpy as np
 
 from .chain import GeneratorModel, TimeGrid
 from .errors import ModelDefect, ModelFileError
-from .hj import CostModel
+from .hj import CostModel, value_bound
 from .models import (
     AFFINE_ATOL,
     TABULATED_ATOL,
@@ -262,4 +262,8 @@ def build_model(model: dict, grid: TimeGrid) -> tuple[GeneratorModel, CostModel]
         raise ModelFileError("cost", str(exc)) from exc
     if "K1" in constants:
         gen.K1 = float(constants["K1"])
+    if not math.isfinite(value_bound(gen, cost, grid)):
+        raise ModelFileError("", f"value bound (K1 + K2) * horizon + K2 is not finite: "
+                             f"K1 = {gen.K1:.6g}, K2 = {cost.K2:.6g}, "
+                             f"horizon = {grid.horizon:.6g}")
     return gen, cost

@@ -171,26 +171,6 @@ def label_means(rho) -> np.ndarray:
     return np.vecdot(w, state_labels(w.shape[-1]))
 
 
-def label_mean(rho) -> float:
-    return float(label_means(rho.weights if hasattr(rho, "weights") else rho))
-
-
-def mean_variance_terminal(variant: str, label: float, rho) -> float:
-    """Raw terminal cost of the two mean-variance variants at a state label.
-
-    variant "g": (label - mean)^2; variant "gtilde": label^2 - mean^2.  Both
-    have the population average equal to the label variance of rho, but the
-    raw gtilde values can be negative (the cost model applies a recorded
-    constant shift to restore nonnegativity without changing any argmin).
-    """
-    mbar = label_mean(rho)
-    if variant == "g":
-        return float((label - mbar) ** 2)
-    if variant == "gtilde":
-        return float(label ** 2 - mbar ** 2)
-    raise ValueError(f"unknown mean-variance variant {variant!r}")
-
-
 def make_tau_weight(spec: dict | None, horizon: float):
     """Evaluation-time weight w(tau) from a small declarative spec.
 

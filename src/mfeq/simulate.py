@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import (
-    FlowCurve,
     GeneratorModel,
     StrategyTable,
     TimeGrid,
@@ -145,15 +144,6 @@ def simulate(gen: GeneratorModel, strategy: StrategyTable, rho0, grid: TimeGrid,
         raise DimensionMismatch("strategy grid differs from simulation grid")
     cum = _cumulative(transition_stack(gen, strategy))
     return _population(cum, rho0, grid, cfg.players, cfg.seed, replication)
-
-
-def empirical_flow_error(bundle: PathBundle, nu_star: FlowCurve) -> float:
-    """sup over grid nodes of the total variation between the full empirical
-    measure and the reference flow."""
-    if bundle.grid != nu_star.grid or bundle.m != nu_star.m:
-        raise DimensionMismatch("bundle and flow live on different grids")
-    emp = bundle.empirical_flow()
-    return float(np.abs(emp - nu_star.values).sum(axis=1).max())
 
 
 @dataclass

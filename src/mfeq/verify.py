@@ -18,17 +18,15 @@ import numpy as np
 from .chain import (
     FlowCurve,
     GeneratorModel,
-    StrategyTable,
     TimeGrid,
     admissible,
     clip_to_bounds,
     interval_samples,
-    stochastic_exponentials,
     transition_matrix,
     transition_stack,
 )
-from .errors import AdmissibilityError, DimensionMismatch, NumericalError
-from .hj import CostModel, evaluate_cost
+from .errors import AdmissibilityError, NumericalError
+from .hj import CostModel
 from .solver import Equilibrium
 
 
@@ -73,44 +71,16 @@ class SpikeReport:
                 f"(min gap {self.min_gap:.6g}, tolerance {self.tol:.6g})")
 
 
-def constant_spike_profile(gen: GeneratorModel, t: float, u, tested_state: int | None) -> np.ndarray:
-    """Constant-action profile for the spike cell.
-
-    A scalar action is applied at every state, clipped into each state's
-    admissible interval (the tested state must admit it unclipped); an array
-    is taken as the profile itself and must be admissible everywhere.
-    """
-    arr = np.asarray(u, dtype=float)
+def constant_spike_profile(gen: GeneratorModel, t: float, u: float,
+                           tested_state: int) -> np.ndarray:
+    """Constant-action profile for the spike cell: the action u at every
+    state, clipped into each state's admissible interval; the tested state
+    must admit it unclipped."""
     bounds = gen.action_bounds(t)
-    if arr.ndim == 0:
-        if tested_state is not None and not admissible(bounds[tested_state], arr):
-            raise AdmissibilityError(
-                f"spike action {float(arr):.6g} inadmissible at tested state {tested_state}")
-        return clip_to_bounds(bounds, arr)
-    if arr.shape != (gen.m,):
-        raise DimensionMismatch("spike profile length differs from state count")
-    ok = admissible(bounds, arr)
-    if not ok.all():
-        raise AdmissibilityError(f"spike profile inadmissible at state {np.argmin(ok)}")
-    return arr
-
-
-def spike_gap(eq: Equilibrium, gen: GeneratorModel, cost: CostModel, k: int,
-              i: int, u) -> float:
-    """Normalized cost change of a spike at (node k, state i).
-
-    Replaces the policy on the cell [t_k, t_k + dt) by the constant profile
-    built from u, holds the flow fixed at the equilibrium flow, and returns
-    (perturbed cost - equilibrium cost) / dt with both costs computed by
-    trajectory evaluation from evaluation node k.
-    """
-    grid = eq.grid
-    if not 0 <= k < grid.steps:
-        raise ValueError("spike must fit between the node and the horizon")
-    spiked = eq.policy.with_cell(k, constant_spike_profile(gen, grid.nodes[k], u, i))
-    v_base = evaluate_cost(gen, cost, eq.flow, eq.policy, k, k, i)
-    v_spiked = evaluate_cost(gen, cost, eq.flow, spiked, k, k, i)
-    return (v_spiked - v_base) / grid.dt
+    if not admissible(bounds[tested_state], u):
+        raise AdmissibilityError(
+            f"spike action {u:.6g} inadmissible at tested state {tested_state}")
+    return clip_to_bounds(bounds, u)
 
 
 def check_sweep_options(action_samples: int, tol_spike: float | None) -> None:
@@ -179,10 +149,11 @@ def verify_local_optimality(eq: Equilibrium, gen: GeneratorModel, cost: CostMode
     first order.  Violations are findings, not errors; a gap that is not
     finite raises NumericalError.
 
-    Each gap is spike_gap's quantity: the tails run under the stored policy
-    against eq.flow, from one two-row backward sweep that serves every
-    evaluation node, and the spike cells' exponentials come from stacked
-    calls over blocks of SPIKE_BLOCK spikes.
+    Each gap is (spiked cost - policy cost) / dt, both costs evaluated from
+    the spike's node against eq.flow: the tails run under the stored policy,
+    from one two-row backward sweep that serves every evaluation node, and
+    the spike cells' exponentials come from stacked transition_matrix calls
+    over blocks of SPIKE_BLOCK spikes.
     """
     check_sweep_options(action_samples, tol_spike)
     grid = eq.grid
@@ -208,7 +179,7 @@ def verify_local_optimality(eq: Equilibrium, gen: GeneratorModel, cost: CostMode
     rows = np.empty((node.size, gen.m))
     for first in range(0, node.size, SPIKE_BLOCK):
         block = slice(first, first + SPIKE_BLOCK)
-        P = stochastic_exponentials(gen.rate_matrix(t[block], profiles[block]), dt)
+        P = transition_matrix(gen, t[block], profiles[block], dt)
         rows[block] = P[np.arange(len(P)), state[block]]
     v_spiked = dt * (running[node, state] + control) \
         + np.einsum("ej,ej->e", rows, tails[node])
@@ -220,80 +191,3 @@ def verify_local_optimality(eq: Equilibrium, gen: GeneratorModel, cost: CostMode
                              f"state {state[e]}, action {action[e]:.6g}")
     entries = np.rec.fromarrays([node, state, action, gaps], names="node,state,action,gap")
     return SpikeReport(tol=tol_spike, entries=entries)
-
-
-def golden_refine(fn, xs, values, tol: float = 1e-10):
-    """Golden section of a 1-D fn after a coarse scan: xs are the increasing
-    scan points and values fn's values there, which the caller may compute
-    at once.  The section runs to tol around the best scan point, ties
-    toward the smallest argument.  Returns (argmin, min value)."""
-    n_scan = len(xs)
-    best = int(np.argmin(values))  # argmin returns the first (smallest) index
-    a = xs[max(best - 1, 0)]
-    b = xs[min(best + 1, n_scan - 1)]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    fx = fn(x)
-    # on ties prefer the scan point, which is the smallest tied argument
-    if values[best] <= fx:
-        return float(xs[best]), float(values[best])
-    return float(x), float(fx)
-
-
-def dp_oracle(gen: GeneratorModel, cost: CostModel, nu: FlowCurve, grid: TimeGrid,
-              tau: float = 0.0) -> tuple[np.ndarray, StrategyTable]:
-    """Classical backward induction for costs independent of evaluation time.
-
-    W_N = terminal cost; W_k(i) minimizes over admissible v the one-step
-    exponential transition applied to W_{k+1} plus the rectangle-rule running
-    cost.  The transition row for action v comes from the constant profile v
-    clipped into each state's admissible interval, and the minimization runs
-    directly on this exponential-step objective (scan plus golden section) -
-    deliberately not the generator-form argmin the backward solver uses, so
-    the two agree only up to O(dt) and cross-check each other.  The 17 scan
-    points of each (node, state) share one stacked transition_matrix call.
-    """
-    n = grid.steps
-    nodes = grid.nodes
-    dt = grid.dt
-    W = np.empty((n + 1, gen.m))
-    W[n] = cost.terminal(tau, nu.at(n))
-    actions = np.empty((n, gen.m))
-    weight = float(cost.tau_weight(tau))
-    for k in range(n - 1, -1, -1):
-        t = nodes[k]
-        run = weight * cost.running_base(t, nu.at(k))
-        bounds = gen.action_bounds(t)
-        for i in range(gen.m):
-            lo, hi = bounds[i]
-
-            def objective(v, i=i, t=t):
-                # one action or an array of them; np.vecdot makes each value
-                # independent of the array it comes in
-                profiles = clip_to_bounds(bounds, np.asarray(v)[..., None])
-                P = transition_matrix(gen, t, profiles, dt)
-                return dt * cost.control_profile_cost(t, profiles)[..., i] \
-                    + np.vecdot(P[..., i, :], W[k + 1])
-
-            # value is quadratic near the minimum, so 1e-6 in the argument
-            # already pins it far below the O(dt) scheme error
-            if hi > lo:
-                xs = np.linspace(lo, hi, 17)
-                v_star, val = golden_refine(objective, xs, objective(xs), tol=1e-6)
-            else:
-                v_star, val = lo, objective(lo)
-            actions[k, i] = v_star
-            W[k, i] = dt * run[i] + val
-    return W, StrategyTable(actions, grid)

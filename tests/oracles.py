@@ -1,7 +1,15 @@
-"""Scalar reference loops that the vectorized paths in mfeq replace.
+"""Reference oracles and conveniences for the tests; the package does not ship them.
 
-Each function is the loop the library used before it was vectorized; tests
-compare the library against it.
+Two kinds of reference live here:
+- scalar loops that the vectorized paths in mfeq replaced, which tests
+  compare the library against;
+- independent references that no command runs: classical backward
+  induction (dp_oracle, c05's reference), the one-spike gap by trajectory
+  cost (spike_gap, evaluate_cost), the total variation distance and the
+  mean-variance terminal costs at one label.
+
+The small constructors (dirac, constant_strategy, constant_flow) build test
+inputs.
 """
 
 from collections import namedtuple
@@ -9,12 +17,13 @@ from collections import namedtuple
 import numpy as np
 
 from mfeq.chain import (ACTION_ATOL, GENERATOR_ATOL, FlowCurve, GeneratorReport,
-                        StrategyTable, clip_to_bounds, transition_matrix, transition_stack)
-from mfeq.errors import DimensionMismatch
+                        ProbabilityVector, StrategyTable, admissible, clip_to_bounds,
+                        transition_matrix, transition_stack)
+from mfeq.errors import AdmissibilityError, DimensionMismatch
 from mfeq.hj import EvaluationBasis, value_bound
-from mfeq.models import ACTION_HI, ACTION_LO
+from mfeq.models import ACTION_HI, ACTION_LO, label_means
 from mfeq.simulate import _PEER_STREAM, PathBundle, _cumulative, _inverse_cdf, _stream
-from mfeq.verify import golden_refine
+from mfeq.verify import constant_spike_profile
 
 # one spike of the reference sweep, as verify's entries name their fields
 SpikeEntry = namedtuple("SpikeEntry", "node state action gap")
@@ -492,3 +501,199 @@ def write_csv_rows(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(f"{float(x):.17g}" for x in row) + "\n")
+
+
+def dirac(i: int, m: int) -> ProbabilityVector:
+    """The law of the state i among m states."""
+    w = np.zeros(m)
+    w[i] = 1.0
+    return ProbabilityVector(w)
+
+
+def constant_strategy(grid, m: int, value: float = 0.0) -> StrategyTable:
+    """The strategy that plays `value` at every state on every cell."""
+    return StrategyTable(np.full((grid.steps, m), value), grid)
+
+
+def constant_flow(rho, grid) -> FlowCurve:
+    """The flow that stays at the law rho on every node."""
+    w = np.asarray(getattr(rho, "weights", rho), dtype=float)
+    return FlowCurve(np.tile(w, (grid.steps + 1, 1)), grid)
+
+
+def tv_distance(rho, gamma) -> float:
+    """Total variation distance sum_i |rho(i) - gamma(i)| on the simplex."""
+    a, b = (np.asarray(getattr(r, "weights", r), dtype=float) for r in (rho, gamma))
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"state counts differ: {a.shape} vs {b.shape}")
+    return float(np.abs(a - b).sum())
+
+
+def label_mean(rho) -> float:
+    """Label mean of one law, a ProbabilityVector or an array."""
+    return float(label_means(getattr(rho, "weights", rho)))
+
+
+def mean_variance_terminal(variant: str, label: float, rho) -> float:
+    """Raw terminal cost of the two mean-variance variants at a state label.
+
+    variant "g": (label - mean)^2; variant "gtilde": label^2 - mean^2.  Both
+    have the population average equal to the label variance of rho, but the
+    raw gtilde values can be negative (the cost model applies a recorded
+    constant shift to restore nonnegativity without changing any argmin).
+    """
+    mbar = label_mean(rho)
+    if variant == "g":
+        return float((label - mbar) ** 2)
+    if variant == "gtilde":
+        return float(label ** 2 - mbar ** 2)
+    raise ValueError(f"unknown mean-variance variant {variant!r}")
+
+
+def empirical_flow_error(bundle, nu_star) -> float:
+    """sup over grid nodes of the total variation between the full empirical
+    measure and the reference flow."""
+    if bundle.grid != nu_star.grid or bundle.m != nu_star.m:
+        raise DimensionMismatch("bundle and flow live on different grids")
+    emp = bundle.empirical_flow()
+    return float(np.abs(emp - nu_star.values).sum(axis=1).max())
+
+
+def evaluate_cost(gen, cost, nu, strategy, a: int, k: int, i: int,
+                  transitions=None) -> float:
+    """Trajectory cost from state i at node k, evaluated from node a.
+
+    Propagates the law of the chain started at delta_i under the strategy and
+    accumulates the rectangle-rule running cost against the frozen flow nu,
+    plus the terminal term.  Uses the same one-step operators as solve_hj, so
+    for the returned policy it reproduces the value table to roundoff.
+    """
+    grid = strategy.grid
+    if nu.grid != grid:
+        raise DimensionMismatch("flow curve grid differs from strategy grid")
+    n = grid.steps
+    nodes = grid.nodes
+    dt = grid.dt
+    tau = nodes[a]
+    if transitions is None:
+        transitions = transition_stack(gen, strategy)
+    mu = np.zeros(gen.m)
+    mu[i] = 1.0
+    weight = float(cost.tau_weight(tau))
+    total = 0.0
+    for s in range(k, n):
+        f = weight * cost.running_base(nodes[s], nu.at(s))
+        f = f + cost.control_profile_cost(nodes[s], strategy.actions[s])
+        total += dt * float(mu @ f)
+        mu = mu @ transitions[s]
+    total += float(mu @ cost.terminal(tau, nu.at(n)))
+    return total
+
+
+def spike_profile(gen, t, u, i) -> np.ndarray:
+    """The spike cell's profile: a scalar action as the deviation test
+    builds it (verify.constant_spike_profile, tested at state i), or an
+    array taken as the profile itself, admissible at every state."""
+    if np.ndim(u) == 0:
+        return constant_spike_profile(gen, t, u, i)
+    arr = np.asarray(u, dtype=float)
+    if arr.shape != (gen.m,):
+        raise DimensionMismatch("spike profile length differs from state count")
+    ok = admissible(gen.action_bounds(t), arr)
+    if not ok.all():
+        raise AdmissibilityError(f"spike profile inadmissible at state {np.argmin(ok)}")
+    return arr
+
+
+def spike_gap(eq, gen, cost, k: int, i: int, u) -> float:
+    """Normalized cost change of a spike at (node k, state i).
+
+    Replaces the policy on the cell [t_k, t_k + dt) by spike_profile(u),
+    holds the flow fixed at the equilibrium flow, and returns
+    (perturbed cost - equilibrium cost) / dt with both costs computed by
+    trajectory evaluation from evaluation node k.
+    """
+    grid = eq.grid
+    if not 0 <= k < grid.steps:
+        raise ValueError("spike must fit between the node and the horizon")
+    spiked = eq.policy.with_cell(k, spike_profile(gen, grid.nodes[k], u, i))
+    v_base = evaluate_cost(gen, cost, eq.flow, eq.policy, k, k, i)
+    v_spiked = evaluate_cost(gen, cost, eq.flow, spiked, k, k, i)
+    return (v_spiked - v_base) / grid.dt
+
+
+def golden_refine(fn, xs, values, tol: float = 1e-10):
+    """Golden section of a 1-D fn after a coarse scan: xs are the increasing
+    scan points and values fn's values there, which the caller may compute
+    at once.  The section runs to tol around the best scan point, ties
+    toward the smallest argument.  Returns (argmin, min value)."""
+    n_scan = len(xs)
+    best = int(np.argmin(values))  # argmin returns the first (smallest) index
+    a = xs[max(best - 1, 0)]
+    b = xs[min(best + 1, n_scan - 1)]
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    x = 0.5 * (a + b)
+    fx = fn(x)
+    # on ties prefer the scan point, which is the smallest tied argument
+    if values[best] <= fx:
+        return float(xs[best]), float(values[best])
+    return float(x), float(fx)
+
+
+def dp_oracle(gen, cost, nu, grid, tau: float = 0.0):
+    """Classical backward induction for costs independent of evaluation time.
+
+    W_N = terminal cost; W_k(i) minimizes over admissible v the one-step
+    exponential transition applied to W_{k+1} plus the rectangle-rule running
+    cost.  The transition row for action v comes from the constant profile v
+    clipped into each state's admissible interval, and the minimization runs
+    directly on this exponential-step objective (scan plus golden section) -
+    deliberately not the generator-form argmin the backward solver uses, so
+    the two agree only up to O(dt) and cross-check each other.  The 17 scan
+    points of each (node, state) share one stacked transition_matrix call.
+    Returns (W, strategy).
+    """
+    n = grid.steps
+    nodes = grid.nodes
+    dt = grid.dt
+    W = np.empty((n + 1, gen.m))
+    W[n] = cost.terminal(tau, nu.at(n))
+    actions = np.empty((n, gen.m))
+    weight = float(cost.tau_weight(tau))
+    for k in range(n - 1, -1, -1):
+        t = nodes[k]
+        run = weight * cost.running_base(t, nu.at(k))
+        bounds = gen.action_bounds(t)
+        for i in range(gen.m):
+            lo, hi = bounds[i]
+
+            def objective(v, i=i, t=t):
+                # one action or an array of them; np.vecdot makes each value
+                # independent of the array it comes in
+                profiles = clip_to_bounds(bounds, np.asarray(v)[..., None])
+                P = transition_matrix(gen, t, profiles, dt)
+                return dt * cost.control_profile_cost(t, profiles)[..., i] \
+                    + np.vecdot(P[..., i, :], W[k + 1])
+
+            # value is quadratic near the minimum, so 1e-6 in the argument
+            # already pins it far below the O(dt) scheme error
+            if hi > lo:
+                xs = np.linspace(lo, hi, 17)
+                v_star, val = golden_refine(objective, xs, objective(xs), tol=1e-6)
+            else:
+                v_star, val = lo, objective(lo)
+            actions[k, i] = v_star
+            W[k, i] = dt * run[i] + val
+    return W, StrategyTable(actions, grid)

@@ -12,23 +12,17 @@ import pytest
 from mfeq import (
     ProbabilityVector,
     SimConfig,
-    StrategyTable,
     TabulatedGenerator,
     TimeGrid,
     deviation_test,
-    dp_oracle,
-    empirical_flow_error,
     estimate_constants,
-    evaluate_cost,
-    mean_variance_terminal,
     picard_solve,
     propagate_flow,
     simulate,
     solve_hj,
-    spike_gap,
     verify_local_optimality,
 )
-from mfeq.chain import FlowCurve, transition_stack
+from mfeq.chain import transition_stack
 from mfeq.cli import main as cli_main
 from mfeq.modelfile import build_model, read_model_file
 from mfeq.solver import Equilibrium, SolverOptions
@@ -40,6 +34,15 @@ from instances import (
     random_strategy,
     value_table,
     two_state_transition,
+)
+from oracles import (
+    constant_flow,
+    constant_strategy,
+    dp_oracle,
+    empirical_flow_error,
+    evaluate_cost,
+    mean_variance_terminal,
+    spike_gap,
 )
 
 BUILTINS = ["affine_mv", "affine_mv_gtilde", "dist_independent",
@@ -111,7 +114,7 @@ def test_c02_forward_flow_oracle():
         grid = TimeGrid(1.0, steps)
         for a, b, rates in cases.values():
             gen = TabulatedGenerator(rates)
-            strat = StrategyTable.constant(grid, 2, 0.0)
+            strat = constant_strategy(grid, 2, 0.0)
             for rho in ([1.0, 0.0], [0.0, 1.0], [0.3, 0.7]):
                 flow = propagate_flow(gen, ProbabilityVector(rho), strat, grid)
                 for k in range(steps + 1):
@@ -172,7 +175,7 @@ def test_c05_time_consistent_reduction():
     def gap_at(steps):
         grid = TimeGrid(model["horizon"], steps)
         gen, cost = build_model(model, grid)
-        nu = FlowCurve.constant(np.ones(3) / 3, grid)
+        nu = constant_flow(np.ones(3) / 3, grid)
         sweep, _ = solve_hj(gen, cost, nu, grid)
         W, _ = dp_oracle(gen, cost, nu, grid)
         return float(np.abs(sweep.values - W).max())

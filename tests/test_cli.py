@@ -1,5 +1,6 @@
 """Command line front end: artifacts, exit codes, determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -47,6 +48,30 @@ def test_runtime_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+PUBLIC_NAMES = [
+    "AdmissibilityError", "AffineQuadraticModel", "BackwardSweep", "ContractionReport",
+    "CostModel", "DimensionMismatch", "Equilibrium", "FlowCurve", "GeneratorModel",
+    "GeneratorReport", "MfeqError", "ModelDefect", "ModelFileError", "NumericalError",
+    "PathBundle", "ProbabilityVector", "SeparableCost", "SimConfig", "SolverOptions",
+    "SpikeReport", "StrategyTable", "TabulatedGenerator", "TimeGrid", "admissible_interval",
+    "backward_columns", "chain", "deviation_test", "errors", "estimate_constants", "hj",
+    "models", "picard_solve", "propagate_flow", "simulate", "solve_hj", "solver",
+    "transition_stack", "validate_cost", "validate_generator", "verify",
+    "verify_local_optimality",
+]
+
+
+def test_public_names():
+    # what a fresh `import mfeq` binds: the package ships what its commands
+    # run, and the tests' oracles live in tests/oracles.py
+    src = str(Path(mfeq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import mfeq\nprint(sorted(n for n in vars(mfeq) if not n.startswith('_')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert ast.literal_eval(out.stdout) == PUBLIC_NAMES
 
 
 def test_csv_writer_matches_value_by_value_writer(tmp_path):
@@ -176,6 +201,25 @@ class TestSolve:
                                              "--grid", "20", "--out", str(tmp_path / "eq")))
         assert err.startswith(f"input error: {field}: "), err
 
+    @pytest.mark.parametrize("name, path, value, constants", [
+        ("dist_independent", ("cost", "running", "values"), [1e308, 0.1, 0.2],
+         "K1 = 1.5, K2 = 1.48e+308, horizon = 0.6"),
+        ("affine_mv", ("horizon",), 1e308, "K1 = 1.3, K2 = 1e+307, horizon = 1e+308"),
+    ], ids=["running-values", "horizon"])
+    def test_non_finite_value_bound_is_input_error(self, tmp_path, capsys, monkeypatch, name,
+                                                   path, value, constants):
+        # every field is finite, but the value bound (K1 + K2) T + K2 overflows
+        def no_work(*args, **kwargs):
+            raise AssertionError("solve started before the model was checked")
+
+        monkeypatch.setattr("mfeq.cli.picard_solve", no_work)
+        model = with_value(json.loads((DATA / f"{name}.json").read_text()), path, value)
+        (tmp_path / "big.json").write_text(json.dumps(model))
+        err = assert_input_error(capsys, run("solve", "--model", str(tmp_path / "big.json"),
+                                             "--grid", "20", "--out", str(tmp_path / "eq")))
+        assert err == ("input error: value bound (K1 + K2) * horizon + K2 is not finite: "
+                       f"{constants}\n")
+
     def test_non_convergence_exit_code(self, tmp_path):
         out = tmp_path / "nc"
         code = run("solve", "--model", "affine_mv", "--grid", "20",
@@ -253,6 +297,14 @@ class TestVerify:
         assert run("verify", "--eq", str(bad_dir), "--action-samples", "8") == 3
         summary = json.loads((bad_dir / "spike_summary.json").read_text())
         assert len(summary["violations"]) >= 1
+
+    def test_empty_policy_is_input_error(self, solved_dir, tmp_path, capsys):
+        import shutil
+        bad_dir = tmp_path / "empty"
+        shutil.copytree(solved_dir, bad_dir)
+        (bad_dir / "policy.csv").write_text("t,pi_1,pi_2\n")
+        err = assert_input_error(capsys, run("verify", "--eq", str(bad_dir)))
+        assert err == "input error: policy.csv: no data rows below the header\n"
 
     def test_model_tamper_detected(self, solved_dir, tmp_path):
         import shutil
@@ -352,6 +404,15 @@ class TestSimulate:
         monkeypatch.setattr("mfeq.cli.deviation_test", no_work)
         assert_input_error(capsys, run("simulate", "--eq", str(solved_dir), "--players",
                                        "20", "--seed", "1", flag, value))
+
+    def test_empty_flow_is_input_error(self, solved_dir, tmp_path, capsys):
+        import shutil
+        bad_dir = tmp_path / "empty"
+        shutil.copytree(solved_dir, bad_dir)
+        (bad_dir / "flow.csv").write_text("t,nu_1,nu_2\n")
+        err = assert_input_error(capsys, run("simulate", "--eq", str(bad_dir), "--players", "20",
+                                             "--seed", "1"))
+        assert err == "input error: flow.csv: no data rows below the header\n"
 
     def test_error_bound_exit_code(self, solved_dir, tmp_path):
         import shutil

@@ -8,11 +8,8 @@ import pytest
 from mfeq import (
     AffineQuadraticModel,
     SeparableCost,
-    StrategyTable,
-    TabulatedGenerator,
     TimeGrid,
     backward_columns,
-    evaluate_cost,
     solve_hj,
     validate_cost,
 )
@@ -26,11 +23,8 @@ import oracles
 from instances import (LowerBoundArgmin, OutsideArgmin, random_affine_generator, random_flow,
                        random_instance, shipped_instances, sweep_cells, tau_weighted_instances,
                        value_table)
-from oracles import evaluate_population_cost, evaluation_rows, scan_golden_min
-
-
-def constant_flow(weights, grid):
-    return FlowCurve.constant(weights, grid)
+from oracles import (constant_flow, constant_strategy, evaluate_cost, evaluate_population_cost,
+                     evaluation_rows, scan_golden_min)
 
 
 class TestScanGoldenMin:
@@ -232,7 +226,7 @@ class TestSweepMatchesDenseTable:
         model = read_model_file("affine_mv")
         grid = TimeGrid(model["horizon"], 1000)
         gen, cost = build_model(model, grid)
-        nu = FlowCurve.constant([0.5, 0.5], grid)
+        nu = constant_flow([0.5, 0.5], grid)
         tracemalloc.start()
         try:
             solve_hj(gen, cost, nu, grid)
@@ -389,14 +383,14 @@ class TestEvaluateCost:
         gen = AffineQuadraticModel([[-1.0, 1.0], [1.0, -1.0]], [0.3, -0.3])
         cost = SeparableCost(2, control="zero", terminal=("table", [0.0, 0.0]))
         nu = constant_flow([0.5, 0.5], grid)
-        strat = StrategyTable.constant(grid, 2, 0.0)
+        strat = constant_strategy(grid, 2, 0.0)
         assert evaluate_cost(gen, cost, nu, strat, 0, 0, 0) == 0.0
 
     def test_start_at_horizon_returns_terminal(self):
         rng = np.random.default_rng(7)
         grid, gen, cost = random_instance(rng, m=2, steps=10)
         nu = random_flow(rng, grid, 2)
-        strat = StrategyTable.constant(grid, 2, 0.0)
+        strat = constant_strategy(grid, 2, 0.0)
         for a in (0, 5, 10):
             for i in (0, 1):
                 expected = cost.terminal(grid.nodes[a], nu.at(10))[i]
@@ -418,13 +412,13 @@ class TestEvaluatePopulationCost:
         grid = TimeGrid(0.5, 8)
         gen = AffineQuadraticModel([[-1.0, 1.0], [1.0, -1.0]], [0.3, -0.3])
         cost = SeparableCost(2, control="zero", terminal=("table", [0.0, 0.0]))
-        strat = StrategyTable.constant(grid, 2, 0.0)
+        strat = constant_strategy(grid, 2, 0.0)
         assert evaluate_population_cost(gen, cost, [0.4, 0.6], strat, 0, 0) == 0.0
 
     def test_dirac_mixture_reduces_to_state_cost(self):
         rng = np.random.default_rng(8)
         grid, gen, cost = random_instance(rng, m=3, steps=12)
-        strat = StrategyTable.constant(grid, 3, 0.0)
+        strat = constant_strategy(grid, 3, 0.0)
         k0 = 4
         rho = np.zeros(3)
         rho[1] = 1.0
@@ -438,7 +432,7 @@ class TestEvaluatePopulationCost:
     def test_mixture_identity(self):
         rng = np.random.default_rng(9)
         grid, gen, cost = random_instance(rng, m=2, steps=15)
-        strat = StrategyTable.constant(grid, 2, 0.1)
+        strat = constant_strategy(grid, 2, 0.1)
         rho = rng.dirichlet(np.ones(2))
         k0 = 3
         nu_self, stack = self._self_consistent_flow(gen, strat, rho, grid, k0)

@@ -16,16 +16,16 @@ from mfeq import (
     admissible_interval,
     deviation_test,
     estimate_constants,
-    mean_variance_terminal,
     picard_solve,
     validate_generator,
     verify_local_optimality,
 )
 from mfeq.modelfile import build_model, builtin_names, read_model_file
-from mfeq.models import label_mean, label_means, make_tau_weight
+from mfeq.models import label_means, make_tau_weight
 
 import oracles
 from instances import random_affine_generator, random_strategy
+from oracles import label_mean, mean_variance_terminal
 
 
 def interval(alpha, beta, i):

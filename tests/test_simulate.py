@@ -11,11 +11,9 @@ from mfeq import (
     TabulatedGenerator,
     TimeGrid,
     deviation_test,
-    empirical_flow_error,
     picard_solve,
     propagate_flow,
     simulate,
-    spike_gap,
     transition_stack,
 )
 from mfeq.modelfile import build_model, read_model_file
@@ -23,15 +21,16 @@ from mfeq.simulate import _cumulative, _population
 
 import oracles
 from instances import random_affine_generator, random_strategy, two_state_transition
-from oracles import jump_simulate
+from oracles import (constant_flow, constant_strategy, dirac, empirical_flow_error, jump_simulate,
+                     spike_gap)
 
 
 @pytest.fixture(scope="module")
 def symmetric_setup():
     grid = TimeGrid(0.5, 10)
     gen = TabulatedGenerator([[-1.0, 1.0], [1.0, -1.0]])
-    strat = StrategyTable.constant(grid, 2, 0.0)
-    rho = ProbabilityVector.dirac(0, 2)
+    strat = constant_strategy(grid, 2, 0.0)
+    rho = dirac(0, 2)
     return grid, gen, strat, rho
 
 
@@ -74,7 +73,7 @@ class TestSimulate:
     def test_zero_generator_no_jumps(self):
         grid = TimeGrid(1.0, 5)
         gen = TabulatedGenerator(np.zeros((3, 3)))
-        strat = StrategyTable.constant(grid, 3, 0.0)
+        strat = constant_strategy(grid, 3, 0.0)
         rho = ProbabilityVector([0.2, 0.3, 0.5])
         bundle = simulate(gen, strat, rho, grid, SimConfig(players=500, seed=7))
         for k in range(1, 6):
@@ -106,7 +105,7 @@ class TestSimulate:
         model = read_model_file("affine_mv")
         grid = TimeGrid(model["horizon"], 8)
         gen, cost = build_model(model, grid)
-        strat = StrategyTable.constant(grid, 2, 0.2)
+        strat = constant_strategy(grid, 2, 0.2)
         rho = ProbabilityVector([0.6, 0.4])
         flow = propagate_flow(gen, rho, strat, grid)
         n_players = 20_000
@@ -182,10 +181,9 @@ class TestEmpiricalMeasures:
     def test_zero_generator_error_is_initial_sampling_only(self):
         grid = TimeGrid(1.0, 4)
         gen = TabulatedGenerator(np.zeros((2, 2)))
-        strat = StrategyTable.constant(grid, 2, 0.0)
+        strat = constant_strategy(grid, 2, 0.0)
         rho = ProbabilityVector([0.5, 0.5])
-        from mfeq.chain import FlowCurve
-        nu = FlowCurve.constant(rho.weights, grid)
+        nu = constant_flow(rho.weights, grid)
         bundle = simulate(gen, strat, rho, grid, SimConfig(players=1000, seed=5))
         emp = bundle.empirical_flow()
         node_errors = np.abs(emp - nu.values).sum(axis=1)

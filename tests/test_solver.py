@@ -16,13 +16,14 @@ from mfeq import (
     propagate_flow,
 )
 from mfeq import hj, solver
-from mfeq.chain import FlowCurve, uniformize
+from mfeq.chain import uniformize
 from mfeq.errors import AdmissibilityError
 from mfeq.modelfile import build_model, read_model_file
 from mfeq.solver import myopic_strategy
 
 import oracles
 from instances import OutsideArgmin, random_flow
+from oracles import constant_flow
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +148,7 @@ class TestPicardSolve:
         cost = OutsideArgmin(2, terminal=("table", [0.0, 1.0]), horizon=0.5)
         with pytest.raises(AdmissibilityError):
             picard_solve(gen, cost, ProbabilityVector.uniform(2), grid,
-                         initial_flow=FlowCurve.constant([0.5, 0.5], grid))
+                         initial_flow=constant_flow([0.5, 0.5], grid))
 
 
 class TestEstimateConstants:

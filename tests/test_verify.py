@@ -11,20 +11,19 @@ from mfeq import (
     SeparableCost,
     TabulatedGenerator,
     TimeGrid,
-    dp_oracle,
     picard_solve,
     propagate_flow,
     solve_hj,
-    spike_gap,
     verify_local_optimality,
 )
-from mfeq.chain import FlowCurve, transition_stack, tv_distance, validate_generator
+from mfeq.chain import transition_stack, validate_generator
 from mfeq.errors import AdmissibilityError, NumericalError
 from mfeq.hj import CostModel, value_bound
 from mfeq.solver import Equilibrium
 from mfeq.verify import _spikes, _tail_values
 
 import oracles
+from oracles import constant_flow, dp_oracle, spike_gap, tv_distance
 from instances import (random_affine_generator, random_flow, random_strategy, shipped_instances,
                        tau_weighted_instances)
 from mfeq.modelfile import build_model, builtin_names, read_model_file
@@ -254,7 +253,7 @@ class TestDpOracle:
         grid = TimeGrid(0.5, 10)
         gen = AffineQuadraticModel([[-1.0, 1.0], [1.0, -1.0]], [0.3, -0.3])
         cost = SeparableCost(2, control="zero", terminal=("table", [0.0, 0.0]))
-        nu = FlowCurve.constant([0.5, 0.5], grid)
+        nu = constant_flow([0.5, 0.5], grid)
         W, _ = dp_oracle(gen, cost, nu, grid)
         assert np.all(W == 0.0)
 
@@ -306,7 +305,7 @@ class TestDpOracle:
         for steps in (50, 100):
             grid = TimeGrid(model["horizon"], steps)
             gen, cost = build_model(model, grid)
-            nu = FlowCurve.constant(np.ones(3) / 3, grid)
+            nu = constant_flow(np.ones(3) / 3, grid)
             sweep, _ = solve_hj(gen, cost, nu, grid)
             W, _ = dp_oracle(gen, cost, nu, grid)
             gaps[steps] = float(np.abs(sweep.values - W).max())
