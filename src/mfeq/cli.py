@@ -97,8 +97,7 @@ def _parse_spike(text: str | None, gen, grid: TimeGrid, rho) -> tuple[int, int, 
 
 def cmd_solve(args) -> int:
     try:
-        opts = SolverOptions(tolerance=args.tol, max_iterations=args.max_iter,
-                             relaxation=args.relax)
+        opts = SolverOptions(tolerance=args.tol, max_iterations=args.max_iter)
         model = read_model_file(args.model)
         grid = TimeGrid(model["horizon"], args.grid)
         gen, cost = build_model(model, grid)
@@ -306,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, required=True, help="number of time steps")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--relax", type=float, default=1.0)
     p.add_argument("--init-rho", default=None,
                    help="comma-separated initial probabilities (default uniform)")
     p.add_argument("--out", required=True, help="output directory")

@@ -14,7 +14,14 @@ class AdmissibilityError(MfeqError):
 
 
 class ModelDefect(MfeqError):
-    """A model violates a structural requirement (e.g. empty admissible set)."""
+    """A model violates a structural requirement (e.g. empty admissible set).
+
+    field names the constructor argument at fault, when there is one.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        self.field = field
+        super().__init__(message)
 
 
 class NumericalError(MfeqError):

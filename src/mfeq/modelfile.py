@@ -1,9 +1,10 @@
-"""Model files: JSON schema 1 loading, validation and construction.
+"""Model files: JSON schema 1 loading, format checks and construction.
 
 A model file fixes the state count, horizon, generator and cost; the grid
 resolution and the initial law are supplied at solve time.  Built-in model
 files ship as package data and resolve by bare name when no such path exists
-on disk.
+on disk.  validate_model checks the file's format; the model constructors
+that build_model calls check the model's numbers, once.
 """
 
 from __future__ import annotations
@@ -19,16 +20,7 @@ import numpy as np
 from .chain import GeneratorModel, TimeGrid
 from .errors import ModelDefect, ModelFileError
 from .hj import CostModel, value_bound
-from .models import (
-    AFFINE_ATOL,
-    TABULATED_ATOL,
-    AffineQuadraticModel,
-    SeparableCost,
-    TabulatedGenerator,
-    check_rate_tables,
-    check_zero_sums,
-    make_tau_weight,
-)
+from .models import AffineQuadraticModel, SeparableCost, TabulatedGenerator
 
 SCHEMA_VERSION = 1
 
@@ -43,7 +35,8 @@ def builtin_names() -> list[str]:
 
 
 def read_model_file(path_or_name) -> dict:
-    """Read a model file from disk, or from package data by bare name."""
+    """Read a model file from disk, or from package data by bare name, and
+    check its format only (validate_model); build_model checks the model."""
     path = Path(path_or_name)
     if path.exists():
         text = path.read_text(encoding="utf-8")
@@ -89,32 +82,26 @@ def _holds_bool(value) -> bool:
     return isinstance(value, bool) or (isinstance(value, list) and any(map(_holds_bool, value)))
 
 
-def _matrix(value, m: int, field: str, depth: int) -> np.ndarray:
+def _array(spec: dict, key: str, where: str, want: tuple, per_cell: bool) -> None:
+    """A numeric array field of shape want, or (cells, *want) if per_cell."""
+    field = f"{where}.{key}"
+    value = _require(spec, key, (list,), where)
     if _holds_bool(value):  # NumPy would read true as 1.0
         raise ModelFileError(field, "not numeric: holds a JSON boolean")
     try:
-        arr = np.asarray(value, dtype=float)
+        shape = np.asarray(value, dtype=float).shape
     except (TypeError, ValueError) as exc:
         raise ModelFileError(field, f"not numeric: {exc}") from exc
-    want = {1: (m,), 2: (m, m)}.get(depth)
-    if arr.ndim == depth and arr.shape == want:
-        return arr
-    if arr.ndim == depth + 1 and arr.shape[1:] == want:
-        return arr
-    raise ModelFileError(field, f"expected shape {want} or (cells, *{want}), "
-                         f"got {arr.shape}")
-
-
-def _checked(field: str, check, *args) -> None:
-    """Run a model check, reporting its ModelDefect against the file field."""
-    try:
-        check(*args)
-    except ModelDefect as exc:
-        raise ModelFileError(field, str(exc)) from exc
+    if shape != want and not (per_cell and shape[1:] == want):
+        cells = f" or (cells, *{want})" if per_cell else ""
+        raise ModelFileError(field, f"expected shape {want}{cells}, got {shape}")
 
 
 def validate_model(raw: dict) -> dict:
-    """Schema and consistency validation; returns the normalized tree."""
+    """Format check of a model file's tree: JSON types, required keys, known
+    kinds, array shapes, no JSON booleans and finite scalars.  The model's
+    numbers (generator rows, cost tables, the tau weight) are checked by the
+    constructors that build_model calls.  Returns the normalized tree."""
     if not isinstance(raw, dict):
         raise ModelFileError("", "top level must be a JSON object")
     schema = raw.get("schema", SCHEMA_VERSION)
@@ -130,21 +117,10 @@ def validate_model(raw: dict) -> dict:
     gen = _require(raw, "generator", dict, "")
     kind = _require(gen, "kind", str, "generator")
     if kind == "affine":
-        alpha = _matrix(_require(gen, "alpha", (list,), "generator"),
-                        m, "generator.alpha", 2)
-        beta = _matrix(_require(gen, "beta", (list,), "generator"),
-                       m, "generator.beta", 1)
-        a2 = alpha if alpha.ndim == 3 else alpha[None]
-        b2 = beta if beta.ndim == 2 else beta[None]
-        if a2.shape[0] != b2.shape[0]:
-            raise ModelFileError("generator", "alpha and beta cell counts differ")
-        _checked("generator.alpha", check_rate_tables, a2, "alpha", AFFINE_ATOL)
-        _checked("generator.beta", check_zero_sums, b2, "beta", AFFINE_ATOL)
+        _array(gen, "alpha", "generator", (m, m), per_cell=True)
+        _array(gen, "beta", "generator", (m,), per_cell=True)
     elif kind == "tabulated":
-        rates = _matrix(_require(gen, "rates", (list,), "generator"),
-                        m, "generator.rates", 2)
-        r2 = rates if rates.ndim == 3 else rates[None]
-        _checked("generator.rates", check_rate_tables, r2, "rate", TABULATED_ATOL)
+        _array(gen, "rates", "generator", (m, m), per_cell=True)
     else:
         raise ModelFileError("generator.kind", f"unknown kind {kind!r}")
 
@@ -156,14 +132,9 @@ def validate_model(raw: dict) -> dict:
     if rkind not in _RUNNING_KINDS:
         raise ModelFileError("cost.running.kind", f"unknown kind {rkind!r}")
     if rkind == "table":
-        vals = _matrix(_require(running, "values", (list,), "cost.running"),
-                       m, "cost.running.values", 1)
-        if vals.min() < 0.0:
-            raise ModelFileError("cost.running.values", "must be nonnegative")
-    if rkind == "mean_square":
-        scale = running.get("scale", 1.0)
-        if not is_finite_number(scale) or scale < 0:
-            raise ModelFileError("cost.running.scale", "must be a finite nonnegative number")
+        _array(running, "values", "cost.running", (m,), per_cell=False)
+    if rkind == "mean_square" and not is_finite_number(running.get("scale", 1.0)):
+        raise ModelFileError("cost.running.scale", "must be a finite number")
     tw = running.get("tau_weight")
     if tw is not None:
         if not isinstance(tw, dict) or tw.get("kind") not in ("one", "affine", "exp"):
@@ -173,7 +144,6 @@ def validate_model(raw: dict) -> dict:
             if key in tw and not is_finite_number(tw[key]):
                 raise ModelFileError(f"cost.running.tau_weight.{key}",
                                      "must be a finite number")
-        _checked("cost.running.tau_weight", make_tau_weight, tw, float(horizon))
     control = cost.get("control", "quadratic")
     if control not in _CONTROL_KINDS:
         raise ModelFileError("cost.control", f"unknown kind {control!r}")
@@ -184,10 +154,7 @@ def validate_model(raw: dict) -> dict:
     elif isinstance(terminal, dict):
         if terminal.get("kind") != "table":
             raise ModelFileError("cost.terminal.kind", "only 'table' is supported")
-        vals = _matrix(_require(terminal, "values", (list,), "cost.terminal"),
-                       m, "cost.terminal.values", 1)
-        if vals.min() < 0.0:
-            raise ModelFileError("cost.terminal.values", "must be nonnegative")
+        _array(terminal, "values", "cost.terminal", (m,), per_cell=False)
     else:
         raise ModelFileError("cost.terminal", "must be a name or an object")
 
@@ -219,47 +186,44 @@ def model_hash(model: dict) -> str:
 
 
 def build_model(model: dict, grid: TimeGrid) -> tuple[GeneratorModel, CostModel]:
-    """Instantiate the generator and cost declared by a validated tree."""
+    """Instantiate the generator and cost declared by a format-checked tree.
+
+    This is where a file's model is checked: each constructor rejects the
+    argument it finds defective, and the ModelFileError names the file field
+    that argument came from.  The pair's value bound must be finite too.
+    """
     if abs(model["horizon"] - grid.horizon) > 1e-12:
         raise ModelFileError("horizon", f"model horizon {model['horizon']} differs "
                              f"from grid horizon {grid.horizon}")
-    m = model["states"]
-    gspec = model["generator"]
-    try:
-        if gspec["kind"] == "affine":
-            alpha = np.asarray(gspec["alpha"], dtype=float)
-            beta = np.asarray(gspec["beta"], dtype=float)
-            needs_grid = alpha.ndim == 3 or beta.ndim == 2
-            gen: GeneratorModel = AffineQuadraticModel(
-                alpha, beta, grid=grid if needs_grid else None)
-        else:
-            rates = np.asarray(gspec["rates"], dtype=float)
-            gen = TabulatedGenerator(rates, grid=grid if rates.ndim == 3 else None)
-    except ModelDefect as exc:
-        raise ModelFileError("generator", str(exc)) from exc
-
-    cspec = model["cost"]
-    running = cspec["running"]
+    gspec, cspec = model["generator"], model["cost"]
+    running, terminal = cspec["running"], cspec["terminal"]
     rkind = running.get("kind", "zero")
     if rkind == "zero":
         run = ("zero",)
     elif rkind == "table":
-        run = ("table", np.asarray(running["values"], dtype=float))
+        run = ("table", running["values"])
     else:
         run = ("mean_square", float(running.get("scale", 1.0)))
-    terminal = cspec["terminal"]
     if isinstance(terminal, str):
         term = ("mean_variance", "g" if terminal.endswith("_g") else "gtilde")
     else:
-        term = ("table", np.asarray(terminal["values"], dtype=float))
+        term = ("table", terminal["values"])
     constants = model.get("constants", {})
+    fields = {"alpha": "generator.alpha", "beta": "generator.beta",
+              "rates": "generator.rates", "control": "cost.control",
+              "running": "cost.running." + ("values" if rkind == "table" else "scale"),
+              "terminal": "cost.terminal.values", "tau_weight": "cost.running.tau_weight"}
     try:
+        if gspec["kind"] == "affine":
+            gen: GeneratorModel = AffineQuadraticModel(gspec["alpha"], gspec["beta"], grid)
+        else:
+            gen = TabulatedGenerator(gspec["rates"], grid)
         cost = SeparableCost(
-            m, running=run, control=cspec["control"], terminal=term,
+            model["states"], running=run, control=cspec["control"], terminal=term,
             tau_weight=running.get("tau_weight"), horizon=model["horizon"],
             K2=constants.get("K2"), K3=constants.get("K3"))
     except ModelDefect as exc:
-        raise ModelFileError("cost", str(exc)) from exc
+        raise ModelFileError(fields.get(exc.field, ""), str(exc)) from exc
     if "K1" in constants:
         gen.K1 = float(constants["K1"])
     if not math.isfinite(value_bound(gen, cost, grid)):

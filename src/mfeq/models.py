@@ -29,7 +29,7 @@ def admissible_interval(alpha, beta) -> np.ndarray:
     a = np.asarray(alpha, dtype=float)
     b = np.asarray(beta, dtype=float)[..., None, :]
     off = ~np.eye(a.shape[-1], dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         bound = -a / b
     lo = np.where(off & (b > 0.0), bound, ACTION_LO).max(axis=-1)
     hi = np.where(off & (b < 0.0), bound, ACTION_HI).min(axis=-1)
@@ -38,24 +38,26 @@ def admissible_interval(alpha, beta) -> np.ndarray:
 
 def check_rate_tables(tables: np.ndarray, name: str, atol: float) -> None:
     """Every (m, m) cell of a (cells, m, m) stack is a generator: finite,
-    nonnegative off-diagonals and rows summing to zero within atol."""
+    nonnegative off-diagonals and rows summing to zero within atol.  A
+    defect's field is name."""
     diagonal = np.eye(tables.shape[-1], dtype=bool)
     for c, table in enumerate(tables):
         if not np.isfinite(table).all():
-            raise ModelDefect(f"non-finite {name} in cell {c}")
+            raise ModelDefect(f"non-finite {name} in cell {c}", name)
         if np.where(diagonal, 0.0, table).min() < 0.0:
-            raise ModelDefect(f"negative off-diagonal {name} in cell {c}")
+            raise ModelDefect(f"negative off-diagonal {name} in cell {c}", name)
         if np.abs(table.sum(axis=1)).max() > atol:
-            raise ModelDefect(f"{name} rows do not sum to zero in cell {c}")
+            raise ModelDefect(f"{name} rows do not sum to zero in cell {c}", name)
 
 
 def check_zero_sums(vectors: np.ndarray, name: str, atol: float) -> None:
-    """Every row of a (cells, m) table is finite and sums to zero within atol."""
+    """Every row of a (cells, m) table is finite and sums to zero within
+    atol.  A defect's field is name."""
     for c, row in enumerate(vectors):
         if not np.isfinite(row).all():
-            raise ModelDefect(f"non-finite {name} in cell {c}")
+            raise ModelDefect(f"non-finite {name} in cell {c}", name)
         if abs(row.sum()) > atol:
-            raise ModelDefect(f"{name} does not sum to zero in cell {c}")
+            raise ModelDefect(f"{name} does not sum to zero in cell {c}", name)
 
 
 def _cell(t, dt: float | None, cells: int):
@@ -88,18 +90,19 @@ class AffineQuadraticModel(GeneratorModel):
         if betas.ndim == 1:
             betas = betas[None, :]
         if alphas.ndim != 3 or alphas.shape[1] != alphas.shape[2]:
-            raise ModelDefect(f"alpha must be (m, m) or (cells, m, m), got {alphas.shape}")
+            raise ModelDefect(f"alpha must be (m, m) or (cells, m, m), got {alphas.shape}",
+                              "alpha")
         m = alphas.shape[1]
         if betas.shape[1] != m:
-            raise ModelDefect("beta length differs from alpha dimension")
+            raise ModelDefect("beta length differs from alpha dimension", "beta")
         if alphas.shape[0] != betas.shape[0]:
-            raise ModelDefect("alpha and beta tables have different cell counts")
+            raise ModelDefect("alpha and beta tables have different cell counts", "beta")
         if alphas.shape[0] > 1:
             if grid is None:
-                raise ModelDefect("time-varying tables need a grid")
+                raise ModelDefect("time-varying tables need a grid", "alpha")
             if alphas.shape[0] != grid.steps:
                 raise ModelDefect(
-                    f"{alphas.shape[0]} coefficient cells but grid has {grid.steps}")
+                    f"{alphas.shape[0]} coefficient cells but grid has {grid.steps}", "alpha")
         check_rate_tables(alphas, "alpha", AFFINE_ATOL)
         check_zero_sums(betas, "beta", AFFINE_ATOL)
         alphas.setflags(write=False)
@@ -137,11 +140,12 @@ class TabulatedGenerator(GeneratorModel):
         if Q.ndim == 2:
             Q = Q[None, :, :]
         if Q.ndim != 3 or Q.shape[1] != Q.shape[2]:
-            raise ModelDefect(f"rate table must be (m, m) or (cells, m, m), got {Q.shape}")
+            raise ModelDefect(f"rate table must be (m, m) or (cells, m, m), got {Q.shape}",
+                              "rates")
         if Q.shape[0] > 1:
             if grid is None or Q.shape[0] != grid.steps:
-                raise ModelDefect("per-cell rate table does not match the grid")
-        check_rate_tables(Q, "rate", TABULATED_ATOL)
+                raise ModelDefect("per-cell rate table does not match the grid", "rates")
+        check_rate_tables(Q, "rates", TABULATED_ATOL)
         Q.setflags(write=False)
         self._tables = Q
         self._dt = grid.dt if grid is not None else None
@@ -196,12 +200,22 @@ def make_tau_weight(spec: dict | None, horizon: float):
         def weight(tau):
             return np.exp(-r * np.asarray(tau, dtype=float))
     else:
-        raise ModelDefect(f"unknown tau weight kind {kind!r}")
+        raise ModelDefect(f"unknown tau weight kind {kind!r}", "tau_weight")
     if not np.isfinite(ends).all():
-        raise ModelDefect(f"{kind} tau weight is not finite on the horizon")
+        raise ModelDefect(f"{kind} tau weight is not finite on the horizon", "tau_weight")
     if min(ends) < 0.0:
-        raise ModelDefect(f"{kind} tau weight goes negative on the horizon")
+        raise ModelDefect(f"{kind} tau weight goes negative on the horizon", "tau_weight")
     return weight, max(ends)
+
+
+def _cost_table(values, m: int, name: str) -> np.ndarray:
+    """A per-state cost table: m finite, nonnegative entries."""
+    vals = np.asarray(values, dtype=float)
+    if vals.shape != (m,):
+        raise ModelDefect(f"{name} table length differs from state count", name)
+    if not (np.isfinite(vals).all() and vals.min() >= 0.0):
+        raise ModelDefect(f"{name} table must be finite and nonnegative", name)
+    return vals
 
 
 class SeparableCost(CostModel):
@@ -228,48 +242,41 @@ class SeparableCost(CostModel):
             self._running_spec = None
             run_cap, run_lip = 0.0, 0.0
         elif kind == "table":
-            vals = np.asarray(running[1], dtype=float)
-            if vals.shape != (m,):
-                raise ModelDefect("running table length differs from state count")
-            if vals.min() < 0.0:
-                raise ModelDefect("running table must be nonnegative")
+            vals = _cost_table(running[1], m, "running")
             self._running_spec = ("table", vals)
             run_cap, run_lip = float(vals.max()), 0.0
         elif kind == "mean_square":
             scale = float(running[1])
-            if scale < 0.0:
-                raise ModelDefect("mean_square scale must be nonnegative")
+            if not (np.isfinite(scale) and scale >= 0.0):
+                raise ModelDefect("mean_square scale must be finite and nonnegative",
+                                  "running")
             self._running_spec = ("mean_square", scale)
             run_cap = scale * (m - 1) ** 2
             run_lip = scale * 2.0 * m * m
         else:
-            raise ModelDefect(f"unknown running cost kind {kind!r}")
+            raise ModelDefect(f"unknown running cost kind {kind!r}", "running")
         self._running_kind = kind
 
         if control not in ("quadratic", "zero"):
-            raise ModelDefect(f"unknown control cost kind {control!r}")
+            raise ModelDefect(f"unknown control cost kind {control!r}", "control")
         self.control = control
 
         tkind = terminal[0]
         if tkind == "mean_variance":
             variant = terminal[1]
             if variant not in ("g", "gtilde"):
-                raise ModelDefect(f"unknown mean-variance variant {variant!r}")
+                raise ModelDefect(f"unknown mean-variance variant {variant!r}", "terminal")
             self.terminal_shift = float(m * m) if variant == "gtilde" else 0.0
             self._terminal_spec = ("mean_variance", variant)
             term_cap = (2.0 * m * m - 1.0) if variant == "gtilde" else (m - 1.0) ** 2
             term_lip = 2.0 * m * m
         elif tkind == "table":
-            vals = np.asarray(terminal[1], dtype=float)
-            if vals.shape != (m,):
-                raise ModelDefect("terminal table length differs from state count")
-            if vals.min() < 0.0:
-                raise ModelDefect("terminal table must be nonnegative")
+            vals = _cost_table(terminal[1], m, "terminal")
             self.terminal_shift = 0.0
             self._terminal_spec = ("table", vals)
             term_cap, term_lip = float(vals.max()), 0.0
         else:
-            raise ModelDefect(f"unknown terminal cost kind {tkind!r}")
+            raise ModelDefect(f"unknown terminal cost kind {tkind!r}", "terminal")
 
         self.K2 = float(K2) if K2 is not None else float(max(wmax * run_cap, term_cap))
         self.K3 = float(K3) if K3 is not None else float(wmax * run_lip + term_lip)

@@ -37,19 +37,15 @@ class SolverOptions:
     """Knobs of the fixed-point loop.
 
     tolerance: stop when the sup-over-nodes total variation gap between
-    consecutive flows falls below it.  relaxation in (0, 1] mixes the new
-    flow into the previous one pointwise (1 = plain iteration).
+    consecutive flows falls below it.
     """
 
     tolerance: float = 1e-8
     max_iterations: int = 200
-    relaxation: float = 1.0
 
     def __post_init__(self):
         if not (np.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
-        if not (0.0 < self.relaxation <= 1.0):
-            raise ValueError("relaxation must lie in (0, 1]")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -103,13 +99,13 @@ class ContractionReport:
 class Equilibrium:
     """Solver output: self-consistent flow, policy and value diagonal.
 
-    flow is the exact forward propagation of rho under policy (no relaxation
-    applied), so the fixed-point residual of a converged result is the final
-    reported gap.  values is the last backward sweep: the diagonal
-    values.values, the range values.low .. values.high of the whole table
-    and the policy's transitions.  That sweep ran against the previous
-    iterate's flow, so its diagonal and flow agree only to the final gap.
-    An equilibrium read back from disk has neither values nor diagnostics.
+    flow is the exact forward propagation of rho under policy, so the
+    fixed-point residual of a converged result is the final reported gap.
+    values is the last backward sweep: the diagonal values.values, the range
+    values.low .. values.high of the whole table and the policy's
+    transitions.  That sweep ran against the previous iterate's flow, so its
+    diagonal and flow agree only to the final gap.  An equilibrium read back
+    from disk has neither values nor diagnostics.
     """
 
     rho: np.ndarray
@@ -151,15 +147,10 @@ def picard_solve(gen: GeneratorModel, cost: CostModel, rho, grid: TimeGrid,
             raise DimensionMismatch("initial flow grid differs from solve grid")
         nu = initial_flow
     diag = IterationDiagnostics()
-    values = policy = raw = None
+    values = policy = None
     for n in range(1, opts.max_iterations + 1):
         values, policy = solve_hj(gen, cost, nu, grid)
-        raw = propagate_flow(gen, w, policy, grid, transitions=values.transitions)
-        if opts.relaxation < 1.0:
-            mixed = opts.relaxation * raw.values + (1.0 - opts.relaxation) * nu.values
-            nu_next = FlowCurve(mixed, grid)
-        else:
-            nu_next = raw
+        nu_next = propagate_flow(gen, w, policy, grid, transitions=values.transitions)
         gap = nu_next.sup_distance(nu)
         diag.gaps.append(gap)
         diag.iterations = n
@@ -172,7 +163,7 @@ def picard_solve(gen: GeneratorModel, cost: CostModel, rho, grid: TimeGrid,
     if not diag.converged:
         logger.warning("no convergence after %d iterations (last gap %.3e)",
                        diag.iterations, diag.gaps[-1])
-    return Equilibrium(rho=w, flow=raw, policy=policy, values=values,
+    return Equilibrium(rho=w, flow=nu, policy=policy, values=values,
                        diagnostics=diag, grid=grid)
 
 

@@ -195,7 +195,7 @@ def tau_weighted_instances():
 
 # numbers a model file must reject, as pytest params: the path of the field,
 # the bad value and the field the message names; JSON admits NaN and Infinity,
-# and NumPy reads a JSON boolean as a number
+# NumPy reads a JSON boolean as a number, and a cost table has no cells
 NAN, INF = float("nan"), float("inf")
 BAD_MODEL_NUMBERS = [pytest.param(path, value, field, id=name) for name, path, value, field in [
     ("horizon-inf", ("horizon",), INF, "horizon"),
@@ -226,6 +226,12 @@ BAD_MODEL_NUMBERS = [pytest.param(path, value, field, id=name) for name, path, v
      "cost.running.values"),
     ("terminal-values-false", ("cost", "terminal"), {"kind": "table", "values": [0.5, False]},
      "cost.terminal.values"),
+    ("running-values-nan", ("cost", "running"), {"kind": "table", "values": [NAN, 0.5]},
+     "cost.running.values"),
+    ("terminal-values-nan", ("cost", "terminal"), {"kind": "table", "values": [NAN, 0.5]},
+     "cost.terminal.values"),
+    ("running-values-per-cell", ("cost", "running"),
+     {"kind": "table", "values": [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]}, "cost.running.values"),
 ]]
 
 

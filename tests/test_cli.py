@@ -180,7 +180,7 @@ class TestSolve:
                    "--out", str(tmp_path / "x")) == 1
 
     @pytest.mark.parametrize("flag, value", [
-        ("--tol", "nan"), ("--relax", "2"), ("--max-iter", "0"),
+        ("--tol", "nan"), ("--max-iter", "0"),
     ])
     def test_bad_solver_option_is_input_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "x"
@@ -219,6 +219,19 @@ class TestSolve:
                                              "--grid", "20", "--out", str(tmp_path / "eq")))
         assert err == ("input error: value bound (K1 + K2) * horizon + K2 is not finite: "
                        f"{constants}\n")
+
+    def test_huge_rate_is_one_line_error(self, tmp_path, capsys):
+        # a finite alpha of 1e308 over beta overflows the admissible-interval
+        # bound before its clip to [-1, 1]; that overflow is no warning, and
+        # the exponential's row-sum check is the one line on stderr
+        model = with_value(json.loads((DATA / "affine_mv.json").read_text()),
+                           ("generator", "alpha"), [[-1e308, 1e308], [0.9, -0.9]])
+        (tmp_path / "huge.json").write_text(json.dumps(model))
+        code = run("solve", "--model", str(tmp_path / "huge.json"), "--grid", "20",
+                   "--out", str(tmp_path / "eq"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: "), err
 
     def test_non_convergence_exit_code(self, tmp_path):
         out = tmp_path / "nc"

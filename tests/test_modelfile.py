@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from mfeq import AffineQuadraticModel, ModelFileError, TabulatedGenerator, TimeGrid
+from mfeq import (AffineQuadraticModel, ModelFileError, TabulatedGenerator, TimeGrid,
+                  modelfile, models)
 from mfeq.modelfile import (
     build_model,
     builtin_names,
@@ -31,6 +32,12 @@ def minimal_model(**overrides):
     return model
 
 
+def checked(model: dict):
+    """A model through both checks: validate_model's file format, then the
+    model constructors that build_model calls."""
+    return build_model(validate_model(model), TimeGrid(model["horizon"], 4))
+
+
 class TestValidation:
     def test_minimal_model_passes(self):
         normalized = validate_model(minimal_model())
@@ -52,21 +59,21 @@ class TestValidation:
         bad = minimal_model()
         bad["generator"]["alpha"] = [[-0.8, 0.9], [0.9, -0.9]]
         with pytest.raises(ModelFileError) as err:
-            validate_model(bad)
+            checked(bad)
         assert "alpha" in err.value.field
 
     def test_beta_sum_checked(self):
         bad = minimal_model()
         bad["generator"]["beta"] = [0.4, -0.3]
         with pytest.raises(ModelFileError) as err:
-            validate_model(bad)
+            checked(bad)
         assert "beta" in err.value.field
 
     def test_negative_off_diagonal_checked(self):
         bad = minimal_model()
         bad["generator"]["alpha"] = [[0.8, -0.8], [0.9, -0.9]]
         with pytest.raises(ModelFileError):
-            validate_model(bad)
+            checked(bad)
 
     @pytest.mark.parametrize("field, value", [
         ("alpha", [[float("nan"), 0.8], [0.9, -0.9]]),
@@ -77,14 +84,14 @@ class TestValidation:
         bad = minimal_model()
         bad["generator"][field] = value
         with pytest.raises(ModelFileError) as err:
-            validate_model(bad)
+            checked(bad)
         assert err.value.field == f"generator.{field}"
 
     def test_tabulated_rates_checked(self):
         bad = minimal_model(generator={"kind": "tabulated",
                                        "rates": [[-1.0, 1.0], [0.5, -0.4]]})
         with pytest.raises(ModelFileError) as err:
-            validate_model(bad)
+            checked(bad)
         assert err.value.field == "generator.rates"
 
     def test_unknown_kinds_rejected(self):
@@ -119,7 +126,7 @@ class TestValidation:
     def test_non_finite_numbers_named(self, path, value, field):
         bad = with_value(read_model_file("affine_mv"), path, value)
         with pytest.raises(ModelFileError) as err:
-            validate_model(bad)
+            checked(bad)
         assert err.value.field == field
 
     def test_tabulated_generator(self):
@@ -188,6 +195,18 @@ class TestBuildModel:
         assert gen.K1 == 9.0
         assert cost.K2 == 7.0
         assert cost.K3 == 5.0
+
+    def test_each_model_check_runs_once(self, monkeypatch):
+        # counted wherever the name is looked up, in the models or the file layer
+        calls = []
+        for name in ("check_rate_tables", "check_zero_sums", "make_tau_weight"):
+            def counted(*args, _name=name, _check=getattr(models, name)):
+                calls.append(_name)
+                return _check(*args)
+            monkeypatch.setattr(models, name, counted)
+            monkeypatch.setattr(modelfile, name, counted, raising=False)
+        build_model(read_model_file("affine_mv"), TimeGrid(0.5, 10))
+        assert sorted(calls) == ["check_rate_tables", "check_zero_sums", "make_tau_weight"]
 
     def test_per_cell_tables_must_match_grid(self):
         model = minimal_model()

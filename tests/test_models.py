@@ -544,6 +544,17 @@ class TestSeparableCost:
         with pytest.raises(ModelDefect):
             SeparableCost(2, terminal=("table", [0.1, -0.2]))
 
+    @pytest.mark.parametrize("argument, value", [
+        ("running", ("mean_square", float("nan"))),
+        ("running", ("table", [float("nan"), 0.2])),
+        ("terminal", ("table", [0.1, float("nan")])),
+    ], ids=["scale", "running-table", "terminal-table"])
+    def test_non_finite_rejected(self, argument, value):
+        # NaN fails no comparison, so a sign check alone would pass it
+        with pytest.raises(ModelDefect, match="finite") as err:
+            SeparableCost(2, **{argument: value})
+        assert err.value.field == argument
+
 
 class TestTauWeight:
     def test_constant(self):

@@ -39,15 +39,10 @@ class TestSolverOptions:
         opts = SolverOptions()
         assert opts.tolerance == 1e-8
         assert opts.max_iterations == 200
-        assert opts.relaxation == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverOptions(tolerance=0.0)
-        with pytest.raises(ValueError):
-            SolverOptions(relaxation=0.0)
-        with pytest.raises(ValueError):
-            SolverOptions(relaxation=1.5)
         with pytest.raises(ValueError):
             SolverOptions(max_iterations=0)
 
@@ -117,14 +112,6 @@ class TestPicardSolve:
                            initial_flow=random_flow(rng, grid, 2))
         assert eq1.converged and eq2.converged
         assert eq1.flow.sup_distance(eq2.flow) <= 10.0 * opts.tolerance
-
-    def test_relaxation_still_converges(self, affine_mv):
-        grid, gen, cost = affine_mv
-        opts = SolverOptions(relaxation=0.7)
-        eq = picard_solve(gen, cost, ProbabilityVector.uniform(2), grid, opts)
-        assert eq.converged
-        again = propagate_flow(gen, eq.rho, eq.policy, grid)
-        assert eq.flow.sup_distance(again) == 0.0
 
     def test_non_convergence_is_flagged_not_raised(self, affine_mv):
         grid, gen, cost = affine_mv
