@@ -5,7 +5,11 @@ and forward flow propagation.  Time stepping freezes the generator on each
 grid cell and applies its matrix exponential, which preserves the simplex
 for any step size (an explicit Euler step would need dt < 1/K1).  The
 exponentials come from uniformization, a sum of nonnegative terms, over a
-whole stack of generators at once (stochastic_exponentials).
+whole stack of generators at once (stochastic_exponentials).  A cell is
+uniformized at its node's rate, which depends on the model and the node
+alone (node_rates), so a backward sweep fixes the series' constants once
+per rate (SeriesPlan); a matrix whose own rate exceeds its node's keeps
+its own.
 
 All operations are pure functions of their inputs; the data types are
 immutable after construction and safe to share across threads.
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -340,54 +344,103 @@ def _poisson_tail_thresholds(theta: float, tail: float) -> np.ndarray:
 POISSON_TAIL_X = _poisson_tail_thresholds(1.0, 2.0 ** -53)
 
 
-def stochastic_exponentials(generators: np.ndarray, dt: float) -> np.ndarray:
+def node_rates(model: GeneratorModel, t) -> np.ndarray:
+    """Uniformization rate at each node time of t (one time or an array):
+    the largest -q_ii over both ends of every state's admissible interval,
+    one rate_matrix call for all.  Rates affine in the action, as in the
+    built-in generators, peak at an end, so no admissible profile exceeds
+    it.  A rate that is not positive and finite reads 0, which leaves each
+    matrix at its own rate (uniformize)."""
+    t = np.asarray(t, dtype=float)
+    ends = np.swapaxes(model.action_bounds(t), -1, -2)  # (..., 2, m): lo, then hi
+    diagonals = np.diagonal(model.rate_matrix(t[..., None], ends), axis1=-2, axis2=-1)
+    # elementwise minima: a reduction over these short axes costs far more
+    columns = diagonals.reshape(t.shape + (-1,))
+    rates = -reduce(np.minimum, (columns[..., j] for j in range(columns.shape[-1])))
+    return np.where((rates > 0.0) & (rates < np.inf), rates, 0.0)
+
+
+class SeriesPlan:
+    """What uniformize needs of the rates lam of an (count, m, m) stack, one
+    per matrix, at step dt: x = lam dt halved s times until x <= 1, the step
+    h = dt / 2^s, the last term K (POISSON_TAIL_X), x I, exp(-x) and
+    expm1(-x) I.  It depends on the rates alone, so a sweep builds it once
+    per rate.  Equal rates give a plan of one rate, which broadcasts.
+    """
+
+    def __init__(self, rates, dt: float, m: int):
+        rates = np.asarray(rates, dtype=float).reshape(-1)
+        if rates.size > 1 and rates.min() == rates.max():
+            rates = rates[:1]
+        self.rates, self.dt = rates, dt
+        x = rates * dt
+        self.h, self.s, self.smax = dt, 0, 0
+        if not x.max() <= 1.0:
+            # x = mantissa * 2^e with mantissa in [0.5, 1): s is the least
+            # s >= 0 with x / 2^s <= 1, and the halving is exact
+            mantissa, e = np.frexp(x)
+            self.s = np.maximum(e - (mantissa == 0.5), 0)
+            self.smax = int(self.s.max())
+            x = np.ldexp(x, -self.s)
+            self.h = np.ldexp(dt, -self.s)[:, None, None]
+        self.K = POISSON_TAIL_X.searchsorted(x)
+        self.kmin, self.kmax = min(Ks := self.K.tolist()), max(Ks)
+        eye = _identity(m)
+        minus_x = -x[:, None, None]
+        self.xI = x[:, None, None] * eye
+        self.decay = np.exp(minus_x)
+        self.decay_m1I = np.expm1(minus_x) * eye
+
+
+def stochastic_exponentials(generators: np.ndarray, dt: float, rates=0.0) -> np.ndarray:
     """exp(dt * Q) for every generator of a (count, m, m) stack, rows stochastic.
 
-    uniformize, then check_stochastic; failures name the matrix of the stack.
+    rates are the uniformization rates, one per matrix or one for all; the
+    default 0 puts each matrix at its own rate (uniformize).  uniformize, then
+    check_stochastic; failures name the matrix of the stack.
     """
-    where = lambda c: f" in matrix {c} of the stack" if len(generators) > 1 else ""  # noqa: E731
-    P = uniformize(generators, dt, where)
+    Q = np.asarray(generators, dtype=float)
+    count, m, _ = Q.shape
+    where = lambda c: f" in matrix {c} of the stack" if count > 1 else ""  # noqa: E731
+    P = uniformize(Q, SeriesPlan(rates, dt, m), where)
     check_stochastic(P, where)
     return P
 
 
-def uniformize(generators: np.ndarray, dt: float, where) -> np.ndarray:
-    """exp(dt * Q) for every generator of a (count, m, m) stack, its
-    finiteness and row sums not yet checked (check_stochastic).
+def uniformize(generators: np.ndarray, plan: SeriesPlan, where) -> np.ndarray:
+    """exp(dt * Q) for every generator of a (count, m, m) stack at the rates
+    of the plan, its finiteness and row sums not yet checked
+    (check_stochastic).
 
     Uniformization (Jensen 1953; Grassmann 1977): for lam >= max_i -q_ii the
     matrix T = I + Q / lam is stochastic and
 
         exp(dt * Q) = exp(-x) sum_n (x T)^n / n!,   x = lam * dt,
 
-    a sum of nonnegative terms.  Matrix c takes lam_c as its largest entry
-    magnitude, which is max_i -q_ii on a generator.  It halves x_c s_c times
-    until x_c <= 1, sums its terms up to K_c (POISSON_TAIL_X), and squares
-    the result s_c times.  A matrix past its own K_c or s_c is left alone,
-    so each slice equals a one-matrix call bit for bit.
+    a sum of nonnegative terms, exact for any such lam.  Matrix c takes the
+    plan's lam_c, halved s_c times, sums its terms up to K_c and squares the
+    result s_c times.  A matrix past its own K_c or s_c is left alone, so
+    each slice equals a one-matrix call at the same rate bit for bit.  A
+    matrix whose own rate max_ij |q_ij| exceeds lam_c shows a negative entry
+    in x T, and a non-finite one a non-finite entry; either is taken at its
+    own rate instead.
 
     A non-finite generator is rejected before any squaring.  Negative
     entries down to -MASS_ATOL are roundoff and clipped to zero; a lower
     one is rejected.  where(c) names matrix c of the stack in a failure.
     """
     Q = np.asarray(generators, dtype=float)
-    count, m, _ = Q.shape
-    x = np.abs(Q).max(axis=(1, 2)) * dt
-    h, s, smax = dt, None, 0
-    if not x.max() <= 1.0:
-        if not np.isfinite(x).all():
-            raise NumericalError("non-finite generator" + where(np.argmin(np.isfinite(x))))
-        # x = mantissa * 2^e with mantissa in [0.5, 1): s is the least s >= 0
-        # with x / 2^s <= 1, and the halving is exact
-        mantissa, e = np.frexp(x)
-        s = np.maximum(e - (mantissa == 0.5), 0)
-        smax = int(s.max())
-        x = np.ldexp(x, -s)
-        h = np.ldexp(dt, -s)[:, None, None]
-    eye = _identity(m)
-    A = Q * h + x[:, None, None] * eye  # x T, nonnegative on a generator
-    K = POISSON_TAIL_X.searchsorted(x)
-    kmin, kmax = min(Ks := K.tolist()), max(Ks)
+    A = Q * plan.h + plan.xI  # x T: in [0, x] when lam covers the matrix's rate
+    covered = A.min() >= 0.0 and A.max() < np.inf
+    if not covered:
+        short = ~((A.min(axis=(1, 2)) >= 0.0) & (A.max(axis=(1, 2)) < np.inf))
+        rates = np.where(short, np.abs(Q).max(axis=(1, 2)), plan.rates)
+        finite = np.isfinite(rates * plan.dt)
+        if not finite.all():
+            raise NumericalError("non-finite generator" + where(np.argmin(finite)))
+        plan = SeriesPlan(rates, plan.dt, Q.shape[-1])
+        A = Q * plan.h + plan.xI
+    K, kmin, kmax = plan.K, plan.kmin, plan.kmax
 
     # R = sum over 1 <= n <= K of (x T)^n / n!; past n = kmin, a matrix
     # leaves the live stack (term and B = A[live]) once n passes its own K
@@ -397,7 +450,7 @@ def uniformize(generators: np.ndarray, dt: float, where) -> np.ndarray:
         term /= n
         R += term
     if kmax > kmin:
-        live, B = np.arange(count), A
+        live, B = np.arange(len(A)), A
         for n in range(max(kmin, 1) + 1, kmax + 1):
             keep = K[live] >= n
             live, term, B = live[keep], term[keep], B[keep]
@@ -406,15 +459,16 @@ def uniformize(generators: np.ndarray, dt: float, where) -> np.ndarray:
             R[live] += term
     # exp(-x) (I + R) = I + D with D = exp(-x) R + expm1(-x) I, which is
     # O(x) and exact to O(x) rounding units: adding I rounds each entry once
-    minus_x = -x[:, None, None]
-    P = R * np.exp(minus_x)
-    P += np.expm1(minus_x) * eye
-    P += eye
-    for j in range(1, smax + 1):
-        live = s >= j
+    P = R * plan.decay
+    P += plan.decay_m1I
+    P += _identity(Q.shape[-1])
+    for j in range(1, plan.smax + 1):
+        live = np.broadcast_to(plan.s >= j, len(P))
         P[live] = P[live] @ P[live]
 
-    lo = P.min()
+    # nonnegative terms sum to a nonnegative P; a matrix at its own rate may
+    # still carry a negative rate
+    lo = 0.0 if covered else P.min()
     if lo < 0.0:
         if not lo >= -MASS_ATOL:
             _diagnose(P, where)
@@ -453,23 +507,30 @@ def transition_matrix(model: GeneratorModel, t: float, profile, dt: float) -> np
     """exp(dt * Q) for the generator frozen at (t, profile); rows stochastic.
 
     A (..., m) stack of profiles gives the (..., m, m) stack of transitions
-    from one stacked exponential.
+    from one stacked exponential, each at its node's rate (node_rates).
     """
     Q = model.rate_matrix(t, profile)
-    return stochastic_exponentials(Q.reshape(-1, model.m, model.m), dt).reshape(Q.shape)
+    if np.ndim(t):  # each distinct node time's rate once, then one per matrix
+        times, index = np.unique(t, return_inverse=True)
+        rates = np.broadcast_to(node_rates(model, times)[index], Q.shape[:-2]).reshape(-1)
+    else:
+        rates = node_rates(model, t)  # one rate for the whole stack
+    return stochastic_exponentials(Q.reshape(-1, model.m, model.m), dt, rates).reshape(Q.shape)
 
 
 def transition_stack(model: GeneratorModel, strategy: StrategyTable) -> np.ndarray:
     """All per-cell transition matrices, shape (steps, m, m).
 
     The strategy's admissibility is checked once, then every cell's
-    exponential comes from one stacked call; cell k equals
-    transition_matrix(model, t_k, strategy.actions[k], dt) bit for bit.
+    exponential comes from one stacked call at its node's rate; cell k
+    equals transition_matrix(model, t_k, strategy.actions[k], dt) bit for
+    bit.
     """
     grid = strategy.grid
     strategy.check_admissible(model)
-    return stochastic_exponentials(model.rate_matrix(grid.nodes[:-1], strategy.actions),
-                                   grid.dt)
+    nodes = grid.nodes[:-1]
+    return stochastic_exponentials(model.rate_matrix(nodes, strategy.actions), grid.dt,
+                                   node_rates(model, nodes))
 
 
 def propagate_flow(model: GeneratorModel, rho0, strategy: StrategyTable,

@@ -21,11 +21,13 @@ import numpy as np
 from .chain import (
     FlowCurve,
     GeneratorModel,
+    SeriesPlan,
     StrategyTable,
     TimeGrid,
     admissible,
     check_stochastic,
     interval_samples,
+    node_rates,
     transition_matrix,  # noqa: F401  (the benchmark's tracer patches this name)
     uniformize,
 )
@@ -130,6 +132,11 @@ def backward_columns(gen: GeneratorModel, cost: CostModel, flows, grid: TimeGrid
     running cost; diagonal[j] = w(t_k) C[j][:, 0] + C[j][:, 1].  A block's
     transitions are checked before it is yielded; a failure names the node,
     and the flow when B > 1.  One running_base call per flow covers every node.
+
+    Cell k is uniformized at its node's rate (chain.node_rates, one call for
+    every node), so P[j] equals transition_matrix at (t_k, profiles[j]) bit
+    for bit.  The series plan of a rate is built once and serves every cell
+    up to the next change of rate: once per sweep for constant coefficients.
     """
     flows = [flows] if isinstance(flows, FlowCurve) else list(flows)
     for nu in flows:
@@ -147,6 +154,7 @@ def backward_columns(gen: GeneratorModel, cost: CostModel, flows, grid: TimeGrid
     flow_costs *= dt
     diagonal = basis.weight[n] * C[:, 0] + C[:, 1]
     yield n, C[None], None, None, diagonal[None]
+    rates, rate = node_rates(gen, nodes[:-1]).tolist(), None
     for top in range(n, 0, -SWEEP_BLOCK):
         first, L = max(top - SWEEP_BLOCK, 0), min(top, SWEEP_BLOCK)
         columns, P = np.empty((L, B, 2, m)), np.empty((L, B, m, m))
@@ -158,7 +166,10 @@ def backward_columns(gen: GeneratorModel, cost: CostModel, flows, grid: TimeGrid
                 profiles[j] = cost.argmin_profile(gen, t, diagonal)
             except Exception as exc:
                 raise MfeqError(f"argmin oracle failed at node {k}: {exc}") from exc
-            P[j] = uniformize(gen.rate_matrix(t, profiles[j]), dt, _cell_names(k, B))
+            if rates[k] != rate:
+                rate = rates[k]
+                plan = SeriesPlan([rate], dt, m)
+            P[j] = uniformize(gen.rate_matrix(t, profiles[j]), plan, _cell_names(k, B))
             C = np.matmul(C, np.swapaxes(P[j], 1, 2), out=columns[j])
             C[:, 0] += flow_costs[k]
             C[:, 1] += dt * cost.control_profile_cost(t, profiles[j])

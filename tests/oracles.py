@@ -652,6 +652,42 @@ def golden_refine(fn, xs, values, tol: float = 1e-10):
     return float(x), float(fx)
 
 
+def golden_lockstep(fn, xs, values, tol: float):
+    """golden_refine over S sections in lockstep: xs and values are (S, n),
+    and fn maps S points, one per section, to their S values.  Each section
+    takes golden_refine's steps and stops where it would alone, so its
+    result equals golden_refine's bit for bit.  Returns (argmins, values),
+    arrays of S."""
+    best = np.argmin(values, axis=-1)  # argmin returns the first (smallest) index
+
+    def at(table, j):
+        return np.take_along_axis(table, j[:, None], axis=-1)[:, 0]
+
+    a = at(xs, np.maximum(best - 1, 0))
+    b = at(xs, np.minimum(best + 1, xs.shape[-1] - 1))
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while (live := b - a > tol).any():
+        # left sections keep [a, d] and take a new c, right ones keep [c, b]
+        # and take a new d; a finished section keeps its ends
+        left = live & (fc <= fd)
+        right = live & ~left
+        b, a = np.where(left, d, b), np.where(right, c, a)
+        d, fd, c, fc = (np.where(left, c, d), np.where(left, fc, fd),
+                        np.where(right, d, c), np.where(right, fd, fc))
+        point = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        value = fn(point)
+        c, fc = np.where(left, point, c), np.where(left, value, fc)
+        d, fd = np.where(right, point, d), np.where(right, value, fd)
+    x = 0.5 * (a + b)
+    fx = fn(x)
+    # on ties prefer the scan point, which is the smallest tied argument
+    scan = at(values, best) <= fx
+    return np.where(scan, at(xs, best), x), np.where(scan, at(values, best), fx)
+
+
 def dp_oracle(gen, cost, nu, grid, tau: float = 0.0):
     """Classical backward induction for costs independent of evaluation time.
 
@@ -661,13 +697,16 @@ def dp_oracle(gen, cost, nu, grid, tau: float = 0.0):
     clipped into each state's admissible interval, and the minimization runs
     directly on this exponential-step objective (scan plus golden section) -
     deliberately not the generator-form argmin the backward solver uses, so
-    the two agree only up to O(dt) and cross-check each other.  The 17 scan
-    points of each (node, state) share one stacked transition_matrix call.
+    the two agree only up to O(dt) and cross-check each other.  The states of
+    a node run in lockstep (golden_lockstep): their 17 scan points share one
+    stacked transition_matrix call, and so does each step of their golden
+    sections.
     Returns (W, strategy).
     """
     n = grid.steps
     nodes = grid.nodes
     dt = grid.dt
+    states = np.arange(gen.m)
     W = np.empty((n + 1, gen.m))
     W[n] = cost.terminal(tau, nu.at(n))
     actions = np.empty((n, gen.m))
@@ -676,24 +715,25 @@ def dp_oracle(gen, cost, nu, grid, tau: float = 0.0):
         t = nodes[k]
         run = weight * cost.running_base(t, nu.at(k))
         bounds = gen.action_bounds(t)
-        for i in range(gen.m):
-            lo, hi = bounds[i]
 
-            def objective(v, i=i, t=t):
-                # one action or an array of them; np.vecdot makes each value
-                # independent of the array it comes in
-                profiles = clip_to_bounds(bounds, np.asarray(v)[..., None])
-                P = transition_matrix(gen, t, profiles, dt)
-                return dt * cost.control_profile_cost(t, profiles)[..., i] \
-                    + np.vecdot(P[..., i, :], W[k + 1])
+        def objective(v, t=t, bounds=bounds, w=W[k + 1]):
+            # v[..., i] is state i's action; one stacked call for them all,
+            # and np.vecdot makes each value independent of the array it
+            # comes in
+            profiles = clip_to_bounds(bounds, np.asarray(v)[..., None])
+            P = transition_matrix(gen, t, profiles, dt)
+            return dt * cost.control_profile_cost(t, profiles)[..., states, states] \
+                + np.vecdot(P[..., states, states, :], w)
 
-            # value is quadratic near the minimum, so 1e-6 in the argument
-            # already pins it far below the O(dt) scheme error
-            if hi > lo:
-                xs = np.linspace(lo, hi, 17)
-                v_star, val = golden_refine(objective, xs, objective(xs), tol=1e-6)
-            else:
-                v_star, val = lo, objective(lo)
-            actions[k, i] = v_star
-            W[k, i] = dt * run[i] + val
+        # value is quadratic near the minimum, so 1e-6 in the argument
+        # already pins it far below the O(dt) scheme error; a one-point
+        # interval takes its point
+        wide = bounds[:, 1] > bounds[:, 0]
+        xs = np.array([np.linspace(lo, hi, 17) for lo, hi in bounds])
+        v_star, val = golden_lockstep(objective, xs, objective(xs.T).T, tol=1e-6)
+        if not wide.all():
+            val = np.where(wide, val, objective(bounds[:, 0]))
+            v_star = np.where(wide, v_star, bounds[:, 0])
+        actions[k] = v_star
+        W[k] = dt * run + val
     return W, StrategyTable(actions, grid)

@@ -20,7 +20,8 @@ from mfeq import (
     validate_generator,
 )
 from mfeq.chain import (ACTION_ATOL, POISSON_TAIL_X, GeneratorModel, admissible,
-                        clip_to_bounds, stochastic_exponentials)
+                        clip_to_bounds, interval_samples, node_rates,
+                        stochastic_exponentials)
 
 from instances import random_affine_generator, random_strategy, two_state_transition
 import oracles
@@ -123,6 +124,22 @@ class _NanBounds(_EmptyAdmissible):
 
     def action_bounds(self, t):
         return np.full(np.shape(t) + (2, 2), np.nan)
+
+
+class _FixedRates(GeneratorModel):
+    """The same matrix, generator or not, for every action and node."""
+
+    m = 2
+    K1 = 1.0
+
+    def __init__(self, rates):
+        self.rates = np.array(rates, dtype=float)
+
+    def rate_matrix(self, t, profile):
+        return np.broadcast_to(self.rates, np.shape(profile)[:-1] + (2, 2))
+
+    def action_bounds(self, t):
+        return np.zeros(np.shape(t) + (2, 2))
 
 
 class _Leaky(GeneratorModel):
@@ -295,6 +312,27 @@ class TestStochasticExponentials:
         for c, P in zip(order, stack):
             assert np.array_equal(P, stochastic_exponentials(Q[c:c + 1], dt)[0])
 
+    def test_any_rate_above_the_own_rate_matches_scipy_expm(self):
+        # uniformization is exact for every rate at least max_i -q_ii
+        rng = np.random.default_rng(13)
+        for Q, dt in random_generators(rng, 100):
+            own = -Q.diagonal().min()
+            for scale in (1.0, 1.5, 10.0):
+                P = stochastic_exponentials(Q[None], dt, scale * own)[0]
+                np.testing.assert_allclose(P, expm(dt * Q), rtol=0, atol=2e-13)
+
+    def test_short_rate_falls_back_to_own_rate(self):
+        # a matrix whose rate exceeds the one given is taken at its own rate,
+        # the default's, whatever else shares its stack
+        rng = np.random.default_rng(14)
+        Q = np.array([Q for Q, _ in random_generators(rng, 60, m_max=3) if len(Q) == 3])
+        own = -np.diagonal(Q, axis1=1, axis2=2).min(axis=1)
+        rates = own * rng.choice([0.5, 2.0], len(Q))
+        stack = stochastic_exponentials(Q, 0.2, rates)
+        for c in range(len(Q)):
+            rate = 0.0 if rates[c] < own[c] else rates[c]
+            assert np.array_equal(stack[c], stochastic_exponentials(Q[c:c + 1], 0.2, rate)[0])
+
     def test_zero_generator_exact_identity(self):
         Q = np.zeros((3, 4, 4))
         Q[1] = [[-1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
@@ -339,6 +377,35 @@ class TestStochasticExponentials:
         Q[1] = [[-0.5, 0.5 + 1e-12, -1e-12], [0.2, -0.2, 0.0], [0.0, 1.0, -1.0]]
         assert expm(0.1 * Q[1])[0, 2] < 0.0
         assert stochastic_exponentials(Q, 0.1)[1, 0, 2] == 0.0
+
+
+class TestNodeRates:
+    def test_affine_rate_is_the_largest_over_the_admissible_actions(self):
+        # affine rates peak at an interval end, so the rate read at the ends
+        # equals the largest over a scan that includes them, bit for bit
+        rng = np.random.default_rng(15)
+        grid = TimeGrid(0.6, 12)
+        nodes = grid.nodes[:-1]
+        for m in (2, 3, 5):
+            gen = random_affine_generator(rng, m, grid=grid, time_varying=True)
+            actions = np.swapaxes(interval_samples(gen.action_bounds(nodes), 9), 1, 2)
+            exits = -np.diagonal(gen.rate_matrix(nodes[:, None], actions), axis1=2, axis2=3)
+            rates = node_rates(gen, nodes)
+            assert np.array_equal(rates, exits.max(axis=(1, 2)))
+            assert all(node_rates(gen, t) == rate for t, rate in zip(nodes, rates))
+
+    def test_tabulated_rate(self):
+        gen = TabulatedGenerator([[-0.7, 0.7], [0.4, -0.4]])
+        assert node_rates(gen, 0.3) == 0.7
+        assert np.array_equal(node_rates(gen, np.linspace(0.0, 1.0, 4)), np.full(4, 0.7))
+
+    @pytest.mark.parametrize("rates", [
+        [[np.nan, 0.0], [0.0, 0.0]], [[-np.inf, np.inf], [0.0, 0.0]],
+        [[0.5, -0.5], [0.2, 0.3]], [[0.0, 0.0], [0.0, 0.0]],
+    ], ids=["nan", "inf", "negative", "zero"])
+    def test_no_positive_finite_rate_reads_zero(self, rates):
+        # rate 0 leaves each matrix at its own rate
+        assert np.array_equal(node_rates(_FixedRates(rates), np.zeros(3)), np.zeros(3))
 
 
 class TestPropagateFlow:

@@ -233,6 +233,21 @@ class TestSolve:
         assert code == 1
         assert err.count("\n") == 1 and err.startswith("error: "), err
 
+    def test_declared_k1_never_sets_the_rate(self, tmp_path):
+        # K1 reaches only the declared value bound: a huge or a tiny one
+        # leaves the solve's arrays as shipped, byte for byte
+        shipped = json.loads((DATA / "affine_mv.json").read_text())
+        arrays = []
+        for k1 in (None, 1e200, 1e-3):
+            model = shipped if k1 is None else with_value(shipped, ("constants", "K1"), k1)
+            (tmp_path / f"{k1}.json").write_text(json.dumps(model))
+            out = tmp_path / f"eq-{k1}"
+            assert run("solve", "--model", str(tmp_path / f"{k1}.json"), "--grid", "200",
+                       "--out", str(out)) == 0
+            arrays.append({name: (out / name).read_bytes()
+                           for name in ("flow.csv", "policy.csv", "theta_diag.csv")})
+        assert arrays[0] == arrays[1] == arrays[2]
+
     def test_non_convergence_exit_code(self, tmp_path):
         out = tmp_path / "nc"
         code = run("solve", "--model", "affine_mv", "--grid", "20",

@@ -13,7 +13,8 @@ from mfeq import (
     solve_hj,
     validate_cost,
 )
-from mfeq.chain import FlowCurve, transition_stack
+from mfeq.chain import (FlowCurve, GeneratorModel, node_rates, stochastic_exponentials,
+                        transition_stack)
 from mfeq.errors import AdmissibilityError, NumericalError
 from mfeq.hj import SWEEP_BLOCK, EvaluationBasis
 from mfeq.modelfile import build_model, builtin_names, read_model_file
@@ -321,9 +322,74 @@ class TestSweepMatchesPerCellLoop:
             assert np.array_equal(worst, oracles.table_distances_loop(gen, cost, pairs, grid))
 
 
+class _PeakedRates(GeneratorModel):
+    """Two states on the actions [-1, 1] whose exit rates peak inside the
+    interval, 0.4 + 2 (1 - v^2) from state 0 and 0.3 + 1.5 (1 - v^2) from
+    state 1: the node rate, read at the interval's ends, is 0.4, and every
+    profile with an action inside the interval has a larger rate."""
+
+    m, K1 = 2, 2.4
+
+    def rate_matrix(self, t, profile):
+        u = np.asarray(profile, dtype=float)
+        exits = np.array([0.4, 0.3]) + np.array([2.0, 1.5]) * (1.0 - u * u)
+        return exits[..., None] * np.array([[-1.0, 1.0], [1.0, -1.0]])
+
+    def action_bounds(self, t):
+        return np.broadcast_to([-1.0, 1.0], np.shape(t) + (2, 2))
+
+
+class _ScanArgmin(SeparableCost):
+    """SeparableCost with the generic scan-plus-golden-section argmin, which
+    serves any generator."""
+
+    def argmin_profile(self, gen, t, h):
+        return oracles.scan_argmin(self, gen, t, h)
+
+
+def _time_varying_instance():
+    rng = np.random.default_rng(19)
+    grid = TimeGrid(0.7, 50)
+    gen = random_affine_generator(rng, 3, grid=grid, time_varying=True)
+    cost = SeparableCost(3, running=("mean_square", 0.3), terminal=("mean_variance", "g"),
+                         horizon=grid.horizon)
+    return "time-varying-m3", grid, gen, cost, random_flow(rng, grid, 3)
+
+
+class TestNodeRate:
+    """The sweep uniformizes each cell at its node's rate, or at the
+    matrix's own rate where the node rate falls short, exactly as
+    transition_stack does."""
+
+    @pytest.mark.parametrize("case", list(shipped_instances()) + [_time_varying_instance()],
+                             ids=lambda c: c[0])
+    def test_sweep_transitions_are_transition_stack(self, case):
+        _, grid, gen, cost, nu = case
+        sweep, policy = solve_hj(gen, cost, nu, grid)
+        assert np.array_equal(sweep.transitions, transition_stack(gen, policy))
+
+    def test_own_rate_where_node_rate_falls_short(self):
+        grid = TimeGrid(0.8, 30)
+        gen = _PeakedRates()
+        cost = _ScanArgmin(2, running=("mean_square", 0.5), terminal=("table", [0.0, 1.0]),
+                           horizon=grid.horizon)
+        sweep, policy = solve_hj(gen, cost, random_flow(np.random.default_rng(18), grid, 2),
+                                 grid)
+        assert np.array_equal(sweep.transitions, transition_stack(gen, policy))
+        nodes = grid.nodes[:-1]
+        Q = gen.rate_matrix(nodes, policy.actions)
+        rates = node_rates(gen, nodes)
+        short = np.abs(Q).max(axis=(1, 2)) > rates
+        assert short.any()
+        for k in range(grid.steps):
+            # the default rate 0 puts the matrix at its own rate
+            expected = stochastic_exponentials(Q[k:k + 1], grid.dt, 0.0 if short[k] else rates[k])
+            assert np.array_equal(sweep.transitions[k], expected[0])
+
+
 class _DefectAtNode(AffineQuadraticModel):
     """affine_mv's generator with `defect` added to its rates at one node
-    time; the sweep asks for one node time at a time."""
+    time, whether t is that node time or an array holding it."""
 
     def __init__(self, t_bad, defect):
         super().__init__([[-0.8, 0.8], [0.9, -0.9]], [0.4, -0.4])
@@ -331,7 +397,7 @@ class _DefectAtNode(AffineQuadraticModel):
 
     def rate_matrix(self, t, profile):
         Q = super().rate_matrix(t, profile)
-        return Q + self.defect if t == self.t_bad else Q
+        return np.where(np.asarray(t)[..., None, None] == self.t_bad, Q + self.defect, Q)
 
 
 class TestSweepRejectsBadGenerators:

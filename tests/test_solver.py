@@ -15,10 +15,10 @@ from mfeq import (
     picard_solve,
     propagate_flow,
 )
-from mfeq import hj, solver
+from mfeq import chain, hj, solver
 from mfeq.chain import uniformize
 from mfeq.errors import AdmissibilityError
-from mfeq.modelfile import build_model, read_model_file
+from mfeq.modelfile import build_model, builtin_names, read_model_file
 from mfeq.solver import myopic_strategy
 
 import oracles
@@ -199,9 +199,9 @@ class TestEstimateConstants:
         gen, cost = build_model(model, grid)
         batch_sizes = []
 
-        def counted(generators, dt, where):
+        def counted(generators, plan, where):
             batch_sizes.append(len(generators))
-            return uniformize(generators, dt, where)
+            return uniformize(generators, plan, where)
 
         monkeypatch.setattr(hj, "uniformize", counted)
         estimate_constants(gen, cost, grid, seed=0)
@@ -225,3 +225,36 @@ class TestEstimateConstants:
         report = estimate_constants(gen, cost, grid, samples=2, seed=3)
         assert "lower bounds" in report.note
         assert report.kappa1 >= 0 and report.kappa2 >= 0 and report.kappa3 >= 0
+
+
+class TestNodeRate:
+    def test_shipped_solves_move_at_roundoff_only(self, monkeypatch):
+        # a node rate of 0 leaves every matrix at its own rate, the
+        # uniformization of one rate per matrix: each shipped solve and its
+        # kappa3 stay within 1e-12 of it, in as many Picard iterations
+        def solve(name):
+            model = read_model_file(name)
+            grid = TimeGrid(model["horizon"], 200)
+            gen, cost = build_model(model, grid)
+            eq = picard_solve(gen, cost, ProbabilityVector.uniform(gen.m), grid)
+            return eq, estimate_constants(gen, cost, grid, samples=4, seed=0)
+
+        at_node_rate = {name: solve(name) for name in builtin_names()}
+
+        def zero(model, t):
+            return np.zeros(np.shape(t))
+
+        monkeypatch.setattr(chain, "node_rates", zero)
+        monkeypatch.setattr(hj, "node_rates", zero)
+        moved = False
+        for name, (eq, report) in at_node_rate.items():
+            own, own_report = solve(name)
+            assert eq.diagnostics.iterations == own.diagnostics.iterations, name
+            for new, old in ((eq.flow.values, own.flow.values),
+                             (eq.policy.actions, own.policy.actions),
+                             (eq.values.values, own.values.values),
+                             (eq.values.low, own.values.low), (eq.values.high, own.values.high),
+                             (report.kappa3, own_report.kappa3)):
+                assert np.abs(new - old).max() <= 1e-12, name
+                moved |= not np.array_equal(new, old)
+        assert moved  # the patch reached the sweep
