@@ -5,11 +5,11 @@ and forward flow propagation.  Time stepping freezes the generator on each
 grid cell and applies its matrix exponential, which preserves the simplex
 for any step size (an explicit Euler step would need dt < 1/K1).  The
 exponentials come from uniformization, a sum of nonnegative terms, over a
-whole stack of generators at once (stochastic_exponentials).  A cell is
-uniformized at its node's rate, which depends on the model and the node
-alone (node_rates), so a backward sweep fixes the series' constants once
-per rate (SeriesPlan); a matrix whose own rate exceeds its node's keeps
-its own.
+whole stack of generators at once (stochastic_exponentials).  Every cell
+of a grid is uniformized at one rate, which depends on the model and the
+grid alone (grid_rate), so a backward sweep fixes the series' constants
+once (SeriesPlan); a matrix whose own rate exceeds the grid's keeps its
+own.
 
 All operations are pure functions of their inputs; the data types are
 immutable after construction and safe to share across threads.
@@ -17,9 +17,10 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -344,71 +345,61 @@ def _poisson_tail_thresholds(theta: float, tail: float) -> np.ndarray:
 POISSON_TAIL_X = _poisson_tail_thresholds(1.0, 2.0 ** -53)
 
 
-def node_rates(model: GeneratorModel, t) -> np.ndarray:
-    """Uniformization rate at each node time of t (one time or an array):
-    the largest -q_ii over both ends of every state's admissible interval,
-    one rate_matrix call for all.  Rates affine in the action, as in the
-    built-in generators, peak at an end, so no admissible profile exceeds
-    it.  A rate that is not positive and finite reads 0, which leaves each
-    matrix at its own rate (uniformize)."""
-    t = np.asarray(t, dtype=float)
-    ends = np.swapaxes(model.action_bounds(t), -1, -2)  # (..., 2, m): lo, then hi
-    diagonals = np.diagonal(model.rate_matrix(t[..., None], ends), axis1=-2, axis2=-1)
-    # elementwise minima: a reduction over these short axes costs far more
-    columns = diagonals.reshape(t.shape + (-1,))
-    rates = -reduce(np.minimum, (columns[..., j] for j in range(columns.shape[-1])))
-    return np.where((rates > 0.0) & (rates < np.inf), rates, 0.0)
+def grid_rate(model: GeneratorModel, grid: TimeGrid) -> float:
+    """Uniformization rate of every cell of the grid: the largest -q_ii over
+    both ends of every state's admissible interval at every cell node, from
+    one action_bounds and one rate_matrix call.  Rates affine in the action,
+    as in the built-in generators, peak at an end, so no admissible profile
+    exceeds it.  A rate that is not positive and finite reads 0, which
+    leaves each matrix at its own rate (uniformize)."""
+    nodes = grid.nodes[:-1]
+    ends = np.swapaxes(model.action_bounds(nodes), -1, -2)  # (N, 2, m): lo, then hi
+    diagonals = np.diagonal(model.rate_matrix(nodes[:, None], ends), axis1=-2, axis2=-1)
+    rate = -float(diagonals.min())
+    return rate if 0.0 < rate < np.inf else 0.0
 
 
 class SeriesPlan:
-    """What uniformize needs of the rates lam of an (count, m, m) stack, one
-    per matrix, at step dt: x = lam dt halved s times until x <= 1, the step
-    h = dt / 2^s, the last term K (POISSON_TAIL_X), x I, exp(-x) and
-    expm1(-x) I.  It depends on the rates alone, so a sweep builds it once
-    per rate.  Equal rates give a plan of one rate, which broadcasts.
+    """What uniformize needs of a rate lam at step dt: x = lam dt halved s
+    times until x <= 1, the step h = dt / 2^s, the last term K
+    (POISSON_TAIL_X), x I, exp(-x) and expm1(-x) I.  It depends on the rate
+    alone, so a sweep builds it once.
     """
 
-    def __init__(self, rates, dt: float, m: int):
-        rates = np.asarray(rates, dtype=float).reshape(-1)
-        if rates.size > 1 and rates.min() == rates.max():
-            rates = rates[:1]
-        self.rates, self.dt = rates, dt
-        x = rates * dt
-        self.h, self.s, self.smax = dt, 0, 0
-        if not x.max() <= 1.0:
+    def __init__(self, rate: float, dt: float, m: int):
+        self.dt = dt
+        x, self.s = float(rate) * dt, 0
+        if not x <= 1.0:
             # x = mantissa * 2^e with mantissa in [0.5, 1): s is the least
             # s >= 0 with x / 2^s <= 1, and the halving is exact
-            mantissa, e = np.frexp(x)
-            self.s = np.maximum(e - (mantissa == 0.5), 0)
-            self.smax = int(self.s.max())
-            x = np.ldexp(x, -self.s)
-            self.h = np.ldexp(dt, -self.s)[:, None, None]
-        self.K = POISSON_TAIL_X.searchsorted(x)
-        self.kmin, self.kmax = min(Ks := self.K.tolist()), max(Ks)
-        eye = _identity(m)
-        minus_x = -x[:, None, None]
-        self.xI = x[:, None, None] * eye
-        self.decay = np.exp(minus_x)
-        self.decay_m1I = np.expm1(minus_x) * eye
+            mantissa, e = math.frexp(x)
+            self.s = max(e - (mantissa == 0.5), 0)
+            x = math.ldexp(x, -self.s)
+        self.h = math.ldexp(dt, -self.s)
+        self.K = int(POISSON_TAIL_X.searchsorted(x))
+        eye = _identity(m)[None]  # (1, m, m): it broadcasts over a stack
+        self.xI = x * eye
+        self.decay = float(np.exp(-x))
+        self.decay_m1I = float(np.expm1(-x)) * eye
 
 
-def stochastic_exponentials(generators: np.ndarray, dt: float, rates=0.0) -> np.ndarray:
+def stochastic_exponentials(generators: np.ndarray, dt: float, rate: float = 0.0) -> np.ndarray:
     """exp(dt * Q) for every generator of a (count, m, m) stack, rows stochastic.
 
-    rates are the uniformization rates, one per matrix or one for all; the
-    default 0 puts each matrix at its own rate (uniformize).  uniformize, then
-    check_stochastic; failures name the matrix of the stack.
+    rate is the uniformization rate of the stack; the default 0 puts each
+    matrix at its own rate (uniformize).  uniformize, then check_stochastic;
+    failures name the matrix of the stack.
     """
     Q = np.asarray(generators, dtype=float)
     count, m, _ = Q.shape
     where = lambda c: f" in matrix {c} of the stack" if count > 1 else ""  # noqa: E731
-    P = uniformize(Q, SeriesPlan(rates, dt, m), where)
+    P = uniformize(Q, SeriesPlan(rate, dt, m), where)
     check_stochastic(P, where)
     return P
 
 
 def uniformize(generators: np.ndarray, plan: SeriesPlan, where) -> np.ndarray:
-    """exp(dt * Q) for every generator of a (count, m, m) stack at the rates
+    """exp(dt * Q) for every generator of a (count, m, m) stack at the rate
     of the plan, its finiteness and row sums not yet checked
     (check_stochastic).
 
@@ -417,62 +408,58 @@ def uniformize(generators: np.ndarray, plan: SeriesPlan, where) -> np.ndarray:
 
         exp(dt * Q) = exp(-x) sum_n (x T)^n / n!,   x = lam * dt,
 
-    a sum of nonnegative terms, exact for any such lam.  Matrix c takes the
-    plan's lam_c, halved s_c times, sums its terms up to K_c and squares the
-    result s_c times.  A matrix past its own K_c or s_c is left alone, so
-    each slice equals a one-matrix call at the same rate bit for bit.  A
-    matrix whose own rate max_ij |q_ij| exceeds lam_c shows a negative entry
-    in x T, and a non-finite one a non-finite entry; either is taken at its
-    own rate instead.
+    a sum of nonnegative terms, exact for any such lam.  The stack takes
+    the plan's lam, halved s times, sums its terms up to K and squares the
+    result s times.  A matrix whose own rate max_ij |q_ij| exceeds lam shows
+    a negative entry in x T, and a non-finite one a non-finite entry;
+    either is taken alone at its own rate instead.  So each slice equals a
+    one-matrix call at the same rate bit for bit.
 
-    A non-finite generator is rejected before any squaring.  Negative
-    entries down to -MASS_ATOL are roundoff and clipped to zero; a lower
-    one is rejected.  where(c) names matrix c of the stack in a failure.
+    A non-finite generator is rejected before any series.  Negative entries
+    down to -MASS_ATOL are roundoff and clipped to zero; a lower one is
+    rejected.  where(c) names matrix c of the stack in a failure.
     """
     Q = np.asarray(generators, dtype=float)
     A = Q * plan.h + plan.xI  # x T: in [0, x] when lam covers the matrix's rate
-    covered = A.min() >= 0.0 and A.max() < np.inf
-    if not covered:
-        short = ~((A.min(axis=(1, 2)) >= 0.0) & (A.max(axis=(1, 2)) < np.inf))
-        rates = np.where(short, np.abs(Q).max(axis=(1, 2)), plan.rates)
-        finite = np.isfinite(rates * plan.dt)
-        if not finite.all():
-            raise NumericalError("non-finite generator" + where(np.argmin(finite)))
-        plan = SeriesPlan(rates, plan.dt, Q.shape[-1])
-        A = Q * plan.h + plan.xI
-    K, kmin, kmax = plan.K, plan.kmin, plan.kmax
-
-    # R = sum over 1 <= n <= K of (x T)^n / n!; past n = kmin, a matrix
-    # leaves the live stack (term and B = A[live]) once n passes its own K
-    term, R = A, A.copy()
-    for n in range(2, kmin + 1):
-        term = term @ A
-        term /= n
-        R += term
-    if kmax > kmin:
-        live, B = np.arange(len(A)), A
-        for n in range(max(kmin, 1) + 1, kmax + 1):
-            keep = K[live] >= n
-            live, term, B = live[keep], term[keep], B[keep]
-            term = term @ B
-            term /= n
-            R[live] += term
-    # exp(-x) (I + R) = I + D with D = exp(-x) R + expm1(-x) I, which is
-    # O(x) and exact to O(x) rounding units: adding I rounds each entry once
-    P = R * plan.decay
-    P += plan.decay_m1I
-    P += _identity(Q.shape[-1])
-    for j in range(1, plan.smax + 1):
-        live = np.broadcast_to(plan.s >= j, len(P))
-        P[live] = P[live] @ P[live]
+    if A.min() >= 0.0 and A.max() < np.inf:
+        return _series(A, plan)
+    covered = (A.min(axis=(1, 2)) >= 0.0) & (A.max(axis=(1, 2)) < np.inf)
+    short = np.flatnonzero(~covered)
+    own = np.abs(Q[short]).max(axis=(1, 2))
+    finite = np.isfinite(own * plan.dt)
+    if not finite.all():
+        raise NumericalError("non-finite generator" + where(short[np.argmin(finite)]))
+    P = np.empty_like(A)
+    P[covered] = _series(A[covered], plan)
+    for c, rate in zip(short.tolist(), own.tolist()):
+        alone = SeriesPlan(rate, plan.dt, Q.shape[-1])
+        P[c] = _series(Q[c:c + 1] * alone.h + alone.xI, alone)[0]
 
     # nonnegative terms sum to a nonnegative P; a matrix at its own rate may
     # still carry a negative rate
-    lo = 0.0 if covered else P.min()
+    lo = P.min()
     if lo < 0.0:
         if not lo >= -MASS_ATOL:
             _diagnose(P, where)
         P[P < 0.0] = 0.0
+    return P
+
+
+def _series(A: np.ndarray, plan: SeriesPlan) -> np.ndarray:
+    """exp(-x) sum over 0 <= n <= K of A^n / n!, squared s times, for a
+    (count, m, m) stack A = x T at the plan's rate."""
+    term, R = A, A.copy()
+    for n in range(2, plan.K + 1):
+        term = term @ A
+        term /= n
+        R += term
+    # exp(-x) (I + R) = I + D with D = exp(-x) R + expm1(-x) I, which is
+    # O(x) and exact to O(x) rounding units: adding I rounds each entry once
+    P = R * plan.decay
+    P += plan.decay_m1I
+    P += _identity(A.shape[-1])
+    for _ in range(plan.s):
+        P = P @ P
     return P
 
 
@@ -503,34 +490,30 @@ def _diagnose(P: np.ndarray, where) -> None:
     raise NumericalError(f"transition row-sum drift {drift[c]:.3e}" + where(c))
 
 
-def transition_matrix(model: GeneratorModel, t: float, profile, dt: float) -> np.ndarray:
-    """exp(dt * Q) for the generator frozen at (t, profile); rows stochastic.
+def transition_matrix(model: GeneratorModel, t: float, profile, dt: float,
+                      rate: float) -> np.ndarray:
+    """exp(dt * Q) for the generator frozen at (t, profile), uniformized at
+    rate (grid_rate); rows stochastic.
 
     A (..., m) stack of profiles gives the (..., m, m) stack of transitions
-    from one stacked exponential, each at its node's rate (node_rates).
+    from one stacked exponential.
     """
     Q = model.rate_matrix(t, profile)
-    if np.ndim(t):  # each distinct node time's rate once, then one per matrix
-        times, index = np.unique(t, return_inverse=True)
-        rates = np.broadcast_to(node_rates(model, times)[index], Q.shape[:-2]).reshape(-1)
-    else:
-        rates = node_rates(model, t)  # one rate for the whole stack
-    return stochastic_exponentials(Q.reshape(-1, model.m, model.m), dt, rates).reshape(Q.shape)
+    return stochastic_exponentials(Q.reshape(-1, model.m, model.m), dt, rate).reshape(Q.shape)
 
 
 def transition_stack(model: GeneratorModel, strategy: StrategyTable) -> np.ndarray:
     """All per-cell transition matrices, shape (steps, m, m).
 
     The strategy's admissibility is checked once, then every cell's
-    exponential comes from one stacked call at its node's rate; cell k
-    equals transition_matrix(model, t_k, strategy.actions[k], dt) bit for
-    bit.
+    exponential comes from one transition_matrix call at the grid's rate;
+    cell k equals transition_matrix(model, t_k, strategy.actions[k], dt,
+    grid_rate(model, grid)) bit for bit.
     """
     grid = strategy.grid
     strategy.check_admissible(model)
-    nodes = grid.nodes[:-1]
-    return stochastic_exponentials(model.rate_matrix(nodes, strategy.actions), grid.dt,
-                                   node_rates(model, nodes))
+    return transition_matrix(model, grid.nodes[:-1], strategy.actions, grid.dt,
+                             grid_rate(model, grid))
 
 
 def propagate_flow(model: GeneratorModel, rho0, strategy: StrategyTable,

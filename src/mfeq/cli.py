@@ -128,7 +128,6 @@ def cmd_solve(args) -> int:
         "model_hash": model_hash(model),
         "grid": {"horizon": grid.horizon, "steps": grid.steps},
         "rho": eq.rho.tolist(),
-        "policy": eq.policy.actions.tolist(),
         "diagnostics": {
             "converged": eq.converged,
             "iterations": eq.diagnostics.iterations,
@@ -257,8 +256,7 @@ def cmd_simulate(args) -> int:
     mean_emp /= cfg.replications
     frac_ok = float(np.mean([e <= args.err_bound for e in errors]))
 
-    dev = deviation_test(eq, gen, cost, k_player=0, spike=spike, cfg=cfg,
-                         inner_pairs=args.inner_pairs)
+    dev = deviation_test(eq, gen, cost, spike=spike, cfg=cfg, inner_pairs=args.inner_pairs)
 
     out = Path(args.eq)
     nodes = eq.grid.nodes

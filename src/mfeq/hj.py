@@ -26,8 +26,8 @@ from .chain import (
     TimeGrid,
     admissible,
     check_stochastic,
+    grid_rate,
     interval_samples,
-    node_rates,
     transition_matrix,  # noqa: F401  (the benchmark's tracer patches this name)
     uniformize,
 )
@@ -133,10 +133,9 @@ def backward_columns(gen: GeneratorModel, cost: CostModel, flows, grid: TimeGrid
     transitions are checked before it is yielded; a failure names the node,
     and the flow when B > 1.  One running_base call per flow covers every node.
 
-    Cell k is uniformized at its node's rate (chain.node_rates, one call for
-    every node), so P[j] equals transition_matrix at (t_k, profiles[j]) bit
-    for bit.  The series plan of a rate is built once and serves every cell
-    up to the next change of rate: once per sweep for constant coefficients.
+    Every cell is uniformized at the grid's rate (chain.grid_rate), whose
+    series plan is built once per sweep, so P[j] equals transition_matrix at
+    (t_k, profiles[j]) and that rate bit for bit.
     """
     flows = [flows] if isinstance(flows, FlowCurve) else list(flows)
     for nu in flows:
@@ -154,7 +153,7 @@ def backward_columns(gen: GeneratorModel, cost: CostModel, flows, grid: TimeGrid
     flow_costs *= dt
     diagonal = basis.weight[n] * C[:, 0] + C[:, 1]
     yield n, C[None], None, None, diagonal[None]
-    rates, rate = node_rates(gen, nodes[:-1]).tolist(), None
+    plan = SeriesPlan(grid_rate(gen, grid), dt, m)
     for top in range(n, 0, -SWEEP_BLOCK):
         first, L = max(top - SWEEP_BLOCK, 0), min(top, SWEEP_BLOCK)
         columns, P = np.empty((L, B, 2, m)), np.empty((L, B, m, m))
@@ -166,9 +165,6 @@ def backward_columns(gen: GeneratorModel, cost: CostModel, flows, grid: TimeGrid
                 profiles[j] = cost.argmin_profile(gen, t, diagonal)
             except Exception as exc:
                 raise MfeqError(f"argmin oracle failed at node {k}: {exc}") from exc
-            if rates[k] != rate:
-                rate = rates[k]
-                plan = SeriesPlan([rate], dt, m)
             P[j] = uniformize(gen.rate_matrix(t, profiles[j]), plan, _cell_names(k, B))
             C = np.matmul(C, np.swapaxes(P[j], 1, 2), out=columns[j])
             C[:, 0] += flow_costs[k]
@@ -213,9 +209,10 @@ def solve_hj(gen: GeneratorModel, cost: CostModel, nu: FlowCurve,
     Copies each block of backward_columns' sweep for the one flow: the
     diagonal rows its argmin reads, the policy, its transitions and the
     block's EvaluationBasis.extremes, reduced to the table's min and max
-    after the sweep.  The policy's admissibility is checked once, so its
-    transitions can stand in for transition_stack.  A table outside the
-    declared bounds [0, value_bound] is logged as a warning.
+    after the sweep.  The policy's admissibility is checked once, and every
+    cell takes the grid's rate, so its transitions can stand in for
+    transition_stack bit for bit.  A table outside the declared bounds
+    [0, value_bound] is logged as a warning.
     """
     n = grid.steps
     basis = EvaluationBasis(cost, grid)

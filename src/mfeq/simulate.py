@@ -25,6 +25,7 @@ from .chain import (
     GeneratorModel,
     StrategyTable,
     TimeGrid,
+    grid_rate,
     transition_matrix,
     transition_stack,
 )
@@ -162,7 +163,7 @@ class DeviationEstimate:
 
 
 def deviation_test(eq: Equilibrium, gen: GeneratorModel, cost: CostModel,
-                   k_player: int, spike: tuple[int, int, float], cfg: SimConfig,
+                   spike: tuple[int, int, float], cfg: SimConfig,
                    inner_pairs: int = 200) -> DeviationEstimate:
     """Estimate the normalized one-cell spike gap for one player by Monte Carlo.
 
@@ -189,7 +190,7 @@ def deviation_test(eq: Equilibrium, gen: GeneratorModel, cost: CostModel,
 
     base = transition_stack(gen, eq.policy)
     spike_cells = base.copy()
-    spike_cells[k0] = transition_matrix(gen, t0, profile, dt)
+    spike_cells[k0] = transition_matrix(gen, t0, profile, dt, grid_rate(gen, grid))
     # index 0 is the base strategy, index 1 the spiked one
     cum = _cumulative(np.stack([base, spike_cells]))
     control = dt * np.stack([cost.control_profile_cost(nodes[k0:n], strategy.actions[k0:])
@@ -205,7 +206,7 @@ def deviation_test(eq: Equilibrium, gen: GeneratorModel, cost: CostModel,
                            rep).empirical_flow()
         running = dt * (weight * cost.running_base(nodes[k0:n, None], peer[k0:n]))
         table = control + running
-        rng = _stream(cfg.seed, rep, _FOCAL_STREAM, k_player)
+        rng = _stream(cfg.seed, rep, _FOCAL_STREAM, 0)  # the one focal player's stream
         x = np.full((2, inner_pairs), state0, dtype=np.int64)
         total = np.zeros((2, inner_pairs))
         for c in range(n - k0):

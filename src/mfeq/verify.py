@@ -21,6 +21,7 @@ from .chain import (
     TimeGrid,
     admissible,
     clip_to_bounds,
+    grid_rate,
     interval_samples,
     transition_matrix,
     transition_stack,
@@ -153,7 +154,7 @@ def verify_local_optimality(eq: Equilibrium, gen: GeneratorModel, cost: CostMode
     the spike's node against eq.flow: the tails run under the stored policy,
     from one two-row backward sweep that serves every evaluation node, and
     the spike cells' exponentials come from stacked transition_matrix calls
-    over blocks of SPIKE_BLOCK spikes.
+    at the grid's rate over blocks of SPIKE_BLOCK spikes.
     """
     check_sweep_options(action_samples, tol_spike)
     grid = eq.grid
@@ -177,9 +178,10 @@ def verify_local_optimality(eq: Equilibrium, gen: GeneratorModel, cost: CostMode
     # each spike's row of its cell's transition; a slice of a stacked
     # exponential equals a one-matrix call, so blocking moves no bit
     rows = np.empty((node.size, gen.m))
+    rate = grid_rate(gen, grid)
     for first in range(0, node.size, SPIKE_BLOCK):
         block = slice(first, first + SPIKE_BLOCK)
-        P = transition_matrix(gen, t[block], profiles[block], dt)
+        P = transition_matrix(gen, t[block], profiles[block], dt, rate)
         rows[block] = P[np.arange(len(P)), state[block]]
     v_spiked = dt * (running[node, state] + control) \
         + np.einsum("ej,ej->e", rows, tails[node])

@@ -56,6 +56,20 @@ def random_affine_generator(rng, m, grid=None, time_varying=False):
     return AffineQuadraticModel(alphas, betas, grid=grid)
 
 
+def ramped_model(cells: int) -> dict:
+    """Model file of affine_mv's generator with per-cell coefficients whose
+    exit rates ramp 10x from the first cell to the last: every cell but the
+    last has a rate below the grid's."""
+    scale = np.linspace(1.0, 10.0, cells)[:, None]
+    model = read_model_file("affine_mv")
+    model["generator"] = {
+        "kind": "affine",
+        "alpha": (scale[:, :, None] * [[-0.8, 0.8], [0.9, -0.9]]).tolist(),
+        "beta": (scale * [0.4, -0.4]).tolist(),
+    }
+    return model
+
+
 def random_cost(rng, m, horizon, dist_dependent=None):
     """Random separable cost with nonnegative pieces and valid declared caps."""
     kinds = ["zero", "table", "mean_square"]

@@ -18,7 +18,7 @@ import numpy as np
 
 from mfeq.chain import (ACTION_ATOL, GENERATOR_ATOL, FlowCurve, GeneratorReport,
                         ProbabilityVector, StrategyTable, admissible, clip_to_bounds,
-                        transition_matrix, transition_stack)
+                        grid_rate, transition_matrix, transition_stack)
 from mfeq.errors import AdmissibilityError, DimensionMismatch
 from mfeq.hj import EvaluationBasis, value_bound
 from mfeq.models import ACTION_HI, ACTION_LO, label_means
@@ -126,7 +126,8 @@ def scan_argmin(cost, gen, t, h):
 def transition_loop(gen, strategy) -> np.ndarray:
     """Per-cell transition matrices, one expm call per cell."""
     grid = strategy.grid
-    return np.array([transition_matrix(gen, grid.nodes[k], strategy.actions[k], grid.dt)
+    rate = grid_rate(gen, grid)
+    return np.array([transition_matrix(gen, grid.nodes[k], strategy.actions[k], grid.dt, rate)
                      for k in range(grid.steps)])
 
 
@@ -164,11 +165,12 @@ def sweep_node(gen, cost, eq, transitions, k, action_samples):
     run_k = running_dist(cost, tau, nodes[k], nu.at(k))
 
     entries = []
+    rate = grid_rate(gen, grid)
     bounds = bounds_loop(gen, nodes[k]).tolist()
     for i in range(gen.m):
         for u in spike_actions(*bounds[i], action_samples):
             profile = np.array([min(max(float(u), lo_j), hi_j) for lo_j, hi_j in bounds])
-            P = transition_matrix(gen, nodes[k], profile, dt)
+            P = transition_matrix(gen, nodes[k], profile, dt, rate)
             v_spiked = dt * (run_k[i] + control_entry(cost, nodes[k], i, float(u))) \
                 + float(P[i] @ w)
             gap = (v_spiked - float(v_base[i])) / dt
@@ -189,6 +191,7 @@ def dp_loop(gen, cost, nu, grid, tau=0.0):
     n = grid.steps
     nodes = grid.nodes
     dt = grid.dt
+    rate = grid_rate(gen, grid)
     W = np.empty((n + 1, gen.m))
     W[n] = cost.terminal(tau, nu.at(n))
     actions = np.empty((n, gen.m))
@@ -200,7 +203,7 @@ def dp_loop(gen, cost, nu, grid, tau=0.0):
             lo, hi = bounds[i]
 
             def objective(v, i=i, t=t):
-                P = transition_matrix(gen, t, clip_to_bounds(bounds, v), dt)
+                P = transition_matrix(gen, t, clip_to_bounds(bounds, v), dt, rate)
                 return dt * control_entry(cost, t, i, v) + float(P[i] @ W[k + 1])
 
             v_star, val = scan_golden_min(objective, lo, hi, n_scan=17, tol=1e-6)
@@ -221,11 +224,12 @@ def dense_solve_hj(gen, cost, nu, grid):
     values[:, n, :] = [cost.terminal(tau, nu.at(n)) for tau in nodes]
     actions = np.empty((n, gen.m))
     transitions = np.empty((n, gen.m, gen.m))
+    rate = grid_rate(gen, grid)
     for k in range(n - 1, -1, -1):
         profile = np.asarray(cost.argmin_profile(gen, nodes[k], values[k + 1, k + 1]),
                              float)
         actions[k] = profile
-        P = transition_matrix(gen, nodes[k], profile, dt)
+        P = transition_matrix(gen, nodes[k], profile, dt, rate)
         transitions[k] = P
         running = np.array([running_dist(cost, tau, nodes[k], nu.at(k)) for tau in nodes])
         running = running + cost.control_profile_cost(nodes[k], profile)
@@ -428,12 +432,13 @@ def backward_loop(gen, cost, flows, grid):
     n = grid.steps
     nodes = basis.nodes
     dt = grid.dt
+    rate = grid_rate(gen, grid)
     C = basis.terminal(np.array([nu.at(n) for nu in flows]))
     yield n, C, None, None
     for k in range(n - 1, -1, -1):
         diagonal = evaluation_rows(basis, C, [k + 1])[:, 0]
         profiles = np.asarray(cost.argmin_profile(gen, nodes[k], diagonal), float)
-        P = transition_matrix(gen, nodes[k], profiles, dt)
+        P = transition_matrix(gen, nodes[k], profiles, dt, rate)
         laws = np.array([nu.at(k) for nu in flows])
         control = cost.control_profile_cost(nodes[k], profiles)
         running = np.stack([cost.running_base(nodes[k], laws), control], axis=1)
@@ -711,6 +716,7 @@ def dp_oracle(gen, cost, nu, grid, tau: float = 0.0):
     W[n] = cost.terminal(tau, nu.at(n))
     actions = np.empty((n, gen.m))
     weight = float(cost.tau_weight(tau))
+    rate = grid_rate(gen, grid)
     for k in range(n - 1, -1, -1):
         t = nodes[k]
         run = weight * cost.running_base(t, nu.at(k))
@@ -721,7 +727,7 @@ def dp_oracle(gen, cost, nu, grid, tau: float = 0.0):
             # and np.vecdot makes each value independent of the array it
             # comes in
             profiles = clip_to_bounds(bounds, np.asarray(v)[..., None])
-            P = transition_matrix(gen, t, profiles, dt)
+            P = transition_matrix(gen, t, profiles, dt, rate)
             return dt * cost.control_profile_cost(t, profiles)[..., states, states] \
                 + np.vecdot(P[..., states, states, :], w)
 

@@ -296,8 +296,7 @@ def test_c10_mean_field_limit(sim_equilibrium):
     sweep = verify_local_optimality(eq, gen, cost, action_samples=8)
     worst = sweep.worst
     det = spike_gap(eq, gen, cost, worst.node, worst.state, worst.action)
-    est = deviation_test(eq, gen, cost, k_player=0,
-                         spike=(worst.node, worst.state, worst.action),
+    est = deviation_test(eq, gen, cost, spike=(worst.node, worst.state, worst.action),
                          cfg=SimConfig(players=10_000, seed=202, replications=5),
                          inner_pairs=400)
     dev_ok = est.covers(det)

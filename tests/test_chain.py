@@ -20,10 +20,12 @@ from mfeq import (
     validate_generator,
 )
 from mfeq.chain import (ACTION_ATOL, POISSON_TAIL_X, GeneratorModel, admissible,
-                        clip_to_bounds, interval_samples, node_rates,
+                        clip_to_bounds, grid_rate, interval_samples,
                         stochastic_exponentials)
+from mfeq.modelfile import build_model
 
-from instances import random_affine_generator, random_strategy, two_state_transition
+from instances import (ramped_model, random_affine_generator, random_strategy,
+                       two_state_transition)
 import oracles
 from oracles import constant_strategy, dirac, transition_loop, tv_distance
 
@@ -327,11 +329,12 @@ class TestStochasticExponentials:
         rng = np.random.default_rng(14)
         Q = np.array([Q for Q, _ in random_generators(rng, 60, m_max=3) if len(Q) == 3])
         own = -np.diagonal(Q, axis1=1, axis2=2).min(axis=1)
-        rates = own * rng.choice([0.5, 2.0], len(Q))
-        stack = stochastic_exponentials(Q, 0.2, rates)
+        rate = float(np.median(own))
+        assert own.min() < rate < own.max()
+        stack = stochastic_exponentials(Q, 0.2, rate)
         for c in range(len(Q)):
-            rate = 0.0 if rates[c] < own[c] else rates[c]
-            assert np.array_equal(stack[c], stochastic_exponentials(Q[c:c + 1], 0.2, rate)[0])
+            alone = 0.0 if rate < own[c] else rate
+            assert np.array_equal(stack[c], stochastic_exponentials(Q[c:c + 1], 0.2, alone)[0])
 
     def test_zero_generator_exact_identity(self):
         Q = np.zeros((3, 4, 4))
@@ -379,10 +382,11 @@ class TestStochasticExponentials:
         assert stochastic_exponentials(Q, 0.1)[1, 0, 2] == 0.0
 
 
-class TestNodeRates:
+class TestGridRate:
     def test_affine_rate_is_the_largest_over_the_admissible_actions(self):
         # affine rates peak at an interval end, so the rate read at the ends
-        # equals the largest over a scan that includes them, bit for bit
+        # equals the largest over a scan of every cell that includes them,
+        # bit for bit
         rng = np.random.default_rng(15)
         grid = TimeGrid(0.6, 12)
         nodes = grid.nodes[:-1]
@@ -390,14 +394,11 @@ class TestNodeRates:
             gen = random_affine_generator(rng, m, grid=grid, time_varying=True)
             actions = np.swapaxes(interval_samples(gen.action_bounds(nodes), 9), 1, 2)
             exits = -np.diagonal(gen.rate_matrix(nodes[:, None], actions), axis1=2, axis2=3)
-            rates = node_rates(gen, nodes)
-            assert np.array_equal(rates, exits.max(axis=(1, 2)))
-            assert all(node_rates(gen, t) == rate for t, rate in zip(nodes, rates))
+            assert grid_rate(gen, grid) == exits.max()
 
     def test_tabulated_rate(self):
         gen = TabulatedGenerator([[-0.7, 0.7], [0.4, -0.4]])
-        assert node_rates(gen, 0.3) == 0.7
-        assert np.array_equal(node_rates(gen, np.linspace(0.0, 1.0, 4)), np.full(4, 0.7))
+        assert grid_rate(gen, TimeGrid(1.0, 4)) == 0.7
 
     @pytest.mark.parametrize("rates", [
         [[np.nan, 0.0], [0.0, 0.0]], [[-np.inf, np.inf], [0.0, 0.0]],
@@ -405,7 +406,20 @@ class TestNodeRates:
     ], ids=["nan", "inf", "negative", "zero"])
     def test_no_positive_finite_rate_reads_zero(self, rates):
         # rate 0 leaves each matrix at its own rate
-        assert np.array_equal(node_rates(_FixedRates(rates), np.zeros(3)), np.zeros(3))
+        rate = grid_rate(_FixedRates(rates), TimeGrid(1.0, 3))
+        assert rate == 0.0 and not np.signbit(rate)
+
+    def test_cells_below_the_grid_rate_stay_exact(self):
+        # exit rates ramp 10x over the cells: all but the last are
+        # uniformized at a rate up to 10x their own
+        grid = TimeGrid(0.5, 30)
+        gen, _ = build_model(ramped_model(grid.steps), grid)
+        strat = random_strategy(np.random.default_rng(16), gen, grid)
+        Q = gen.rate_matrix(grid.nodes[:-1], strat.actions)
+        own = -np.diagonal(Q, axis1=1, axis2=2).min(axis=1)
+        assert grid_rate(gen, grid) >= 9.0 * own[0]
+        for P, Qk in zip(transition_stack(gen, strat), Q):
+            np.testing.assert_allclose(P, expm(grid.dt * Qk), rtol=0, atol=2e-13)
 
 
 class TestPropagateFlow:

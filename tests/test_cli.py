@@ -14,7 +14,7 @@ import mfeq
 from mfeq.cli import CSV_BLOCK_ROWS, _write_csv, main
 
 import oracles
-from instances import BAD_MODEL_NUMBERS, with_value
+from instances import BAD_MODEL_NUMBERS, ramped_model, with_value
 
 DATA = Path(mfeq.__file__).parent / "data"
 
@@ -295,9 +295,13 @@ class TestVerify:
         assert vb["upper_margin"] == vb["bound"] - vb["high"] > 0.0
 
     def test_round_trip_every_builtin(self, tmp_path):
+        # and a time-varying model file, whose cells are uniformized at up
+        # to 10x their own rates
         from mfeq.modelfile import builtin_names
-        for name in builtin_names():
-            out = tmp_path / name
+        ramped = tmp_path / "ramped.json"
+        ramped.write_text(json.dumps(ramped_model(30)))
+        for name in [*builtin_names(), str(ramped)]:
+            out = tmp_path / Path(name).stem
             assert run("solve", "--model", name, "--grid", "30",
                        "--out", str(out)) == 0, name
             assert run("verify", "--eq", str(out),
@@ -390,6 +394,24 @@ def test_diagnostics_are_not_read(solved_dir, tmp_path, edit):
     for name in ("spike_report.csv", "spike_summary.json", "sim_report.json",
                  "empirical_flow.csv"):
         assert (intact / name).read_bytes() == (edited / name).read_bytes()
+
+
+def test_policy_is_read_from_its_csv(solved_dir, tmp_path):
+    # equilibrium.json carries no copy of the policy; a directory whose
+    # equilibrium.json still has one verifies to the same reports
+    import shutil
+    assert "policy" not in json.loads((solved_dir / "equilibrium.json").read_text())
+    intact, legacy = tmp_path / "intact", tmp_path / "legacy"
+    shutil.copytree(solved_dir, intact)
+    shutil.copytree(solved_dir, legacy)
+    meta = json.loads((legacy / "equilibrium.json").read_text())
+    policy = np.loadtxt(legacy / "policy.csv", delimiter=",", skiprows=1)[:, 1:]
+    meta["policy"] = policy.tolist()
+    (legacy / "equilibrium.json").write_text(json.dumps(meta))
+    for directory in (intact, legacy):
+        assert run("verify", "--eq", str(directory), "--action-samples", "8") == 0
+    for name in ("spike_report.csv", "spike_summary.json"):
+        assert (intact / name).read_bytes() == (legacy / name).read_bytes()
 
 
 class TestSimulate:

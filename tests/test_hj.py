@@ -13,7 +13,7 @@ from mfeq import (
     solve_hj,
     validate_cost,
 )
-from mfeq.chain import (FlowCurve, GeneratorModel, node_rates, stochastic_exponentials,
+from mfeq.chain import (FlowCurve, GeneratorModel, grid_rate, stochastic_exponentials,
                         transition_stack)
 from mfeq.errors import AdmissibilityError, NumericalError
 from mfeq.hj import SWEEP_BLOCK, EvaluationBasis
@@ -21,9 +21,9 @@ from mfeq.modelfile import build_model, builtin_names, read_model_file
 from mfeq.solver import myopic_strategy, picard_solve, table_distances
 
 import oracles
-from instances import (LowerBoundArgmin, OutsideArgmin, random_affine_generator, random_flow,
-                       random_instance, shipped_instances, sweep_cells, tau_weighted_instances,
-                       value_table)
+from instances import (LowerBoundArgmin, OutsideArgmin, ramped_model, random_affine_generator,
+                       random_flow, random_instance, shipped_instances, sweep_cells,
+                       tau_weighted_instances, value_table)
 from oracles import (constant_flow, constant_strategy, evaluate_cost, evaluate_population_cost,
                      evaluation_rows, scan_golden_min)
 
@@ -325,7 +325,7 @@ class TestSweepMatchesPerCellLoop:
 class _PeakedRates(GeneratorModel):
     """Two states on the actions [-1, 1] whose exit rates peak inside the
     interval, 0.4 + 2 (1 - v^2) from state 0 and 0.3 + 1.5 (1 - v^2) from
-    state 1: the node rate, read at the interval's ends, is 0.4, and every
+    state 1: the grid's rate, read at the interval's ends, is 0.4, and every
     profile with an action inside the interval has a larger rate."""
 
     m, K1 = 2, 2.4
@@ -356,12 +356,19 @@ def _time_varying_instance():
     return "time-varying-m3", grid, gen, cost, random_flow(rng, grid, 3)
 
 
+def _ramped_instance():
+    grid = TimeGrid(0.5, 80)
+    gen, cost = build_model(ramped_model(grid.steps), grid)
+    return "ramped-10x", grid, gen, cost, random_flow(np.random.default_rng(20), grid, 2)
+
+
 class TestNodeRate:
-    """The sweep uniformizes each cell at its node's rate, or at the
-    matrix's own rate where the node rate falls short, exactly as
+    """The sweep uniformizes each cell at the grid's rate, or at the
+    matrix's own rate where the grid's rate falls short, exactly as
     transition_stack does."""
 
-    @pytest.mark.parametrize("case", list(shipped_instances()) + [_time_varying_instance()],
+    @pytest.mark.parametrize("case", list(shipped_instances())
+                             + [_time_varying_instance(), _ramped_instance()],
                              ids=lambda c: c[0])
     def test_sweep_transitions_are_transition_stack(self, case):
         _, grid, gen, cost, nu = case
@@ -378,12 +385,12 @@ class TestNodeRate:
         assert np.array_equal(sweep.transitions, transition_stack(gen, policy))
         nodes = grid.nodes[:-1]
         Q = gen.rate_matrix(nodes, policy.actions)
-        rates = node_rates(gen, nodes)
-        short = np.abs(Q).max(axis=(1, 2)) > rates
+        rate = grid_rate(gen, grid)
+        short = np.abs(Q).max(axis=(1, 2)) > rate
         assert short.any()
         for k in range(grid.steps):
             # the default rate 0 puts the matrix at its own rate
-            expected = stochastic_exponentials(Q[k:k + 1], grid.dt, 0.0 if short[k] else rates[k])
+            expected = stochastic_exponentials(Q[k:k + 1], grid.dt, 0.0 if short[k] else rate)
             assert np.array_equal(sweep.transitions[k], expected[0])
 
 

@@ -390,7 +390,7 @@ class TestArrayContract:
             eq = picard_solve(gen, cost, rho, grid)
             report = verify_local_optimality(eq, gen, cost, action_samples=6)
             spike = (20, 0, float(gen.action_bounds(grid.nodes[20])[0, 1]))
-            estimate = deviation_test(eq, gen, cost, k_player=0, spike=spike,
+            estimate = deviation_test(eq, gen, cost, spike=spike,
                                       cfg=SimConfig(players=300, seed=5, replications=3),
                                       inner_pairs=40)
             return eq, report, estimate

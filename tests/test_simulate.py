@@ -213,8 +213,8 @@ class TestDeviationTest:
         # profile different at the other state, so use a state whose action
         # matches the full profile (affine_mv policies are state-constant)
         assert np.allclose(eq.policy.actions[k0], base_action)
-        est = deviation_test(eq, gen, cost, k_player=0,
-                             spike=(k0, 0, base_action), cfg=cfg, inner_pairs=20)
+        est = deviation_test(eq, gen, cost, spike=(k0, 0, base_action), cfg=cfg,
+                             inner_pairs=20)
         assert est.gap == 0.0
         assert est.ci_low == est.ci_high == 0.0
 
@@ -223,7 +223,7 @@ class TestDeviationTest:
         k0, i0, u = 10, 0, 0.8
         det = spike_gap(eq, gen, cost, k0, i0, u)
         cfg = SimConfig(players=4000, seed=29, replications=6)
-        est = deviation_test(eq, gen, cost, k_player=0, spike=(k0, i0, u),
+        est = deviation_test(eq, gen, cost, spike=(k0, i0, u),
                              cfg=cfg, inner_pairs=300)
         assert est.covers(det) or abs(est.gap - det) <= max(0.05, 3 * est.stderr)
 
@@ -240,7 +240,7 @@ class TestDeviationTest:
         bad_eq = Equilibrium(rho=eq.rho, flow=flow, policy=policy, values=None,
                              diagnostics=eq.diagnostics, grid=grid)
         cfg = SimConfig(players=4000, seed=37, replications=4)
-        est = deviation_test(bad_eq, gen, cost, k_player=0, spike=(k0, i0, good),
+        est = deviation_test(bad_eq, gen, cost, spike=(k0, i0, good),
                              cfg=cfg, inner_pairs=300)
         # returning to the equilibrium action is significantly improving
         assert est.ci_high < 0.0
@@ -248,7 +248,7 @@ class TestDeviationTest:
     def test_two_players_leave_one_peer(self, solved_affine_mv):
         gen, cost, eq = solved_affine_mv
         cfg = SimConfig(players=2, seed=3, replications=2)
-        est = deviation_test(eq, gen, cost, k_player=0, spike=(10, 0, 0.8), cfg=cfg,
+        est = deviation_test(eq, gen, cost, spike=(10, 0, 0.8), cfg=cfg,
                              inner_pairs=10)
         assert est.pairs == 20
         assert np.isfinite(est.gap) and est.ci_low <= est.gap <= est.ci_high
@@ -257,12 +257,12 @@ class TestDeviationTest:
     def test_inner_pairs_at_least_one(self, solved_affine_mv, pairs):
         gen, cost, eq = solved_affine_mv
         with pytest.raises(ValueError, match="inner pairs"):
-            deviation_test(eq, gen, cost, k_player=0, spike=(5, 0, 0.2),
+            deviation_test(eq, gen, cost, spike=(5, 0, 0.2),
                            cfg=SimConfig(players=10, seed=1, replications=2),
                            inner_pairs=pairs)
 
     def test_spike_must_fit(self, solved_affine_mv):
         gen, cost, eq = solved_affine_mv
         with pytest.raises(ValueError):
-            deviation_test(eq, gen, cost, 0, (eq.grid.steps, 0, 0.0),
+            deviation_test(eq, gen, cost, (eq.grid.steps, 0, 0.0),
                            SimConfig(players=10, seed=1, replications=1))

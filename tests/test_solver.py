@@ -1,5 +1,6 @@
 """Fixed-point loop: convergence, diagnostics, constant estimation."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -229,7 +230,7 @@ class TestEstimateConstants:
 
 class TestNodeRate:
     def test_shipped_solves_move_at_roundoff_only(self, monkeypatch):
-        # a node rate of 0 leaves every matrix at its own rate, the
+        # a grid rate of 0 leaves every matrix at its own rate, the
         # uniformization of one rate per matrix: each shipped solve and its
         # kappa3 stay within 1e-12 of it, in as many Picard iterations
         def solve(name):
@@ -239,15 +240,20 @@ class TestNodeRate:
             eq = picard_solve(gen, cost, ProbabilityVector.uniform(gen.m), grid)
             return eq, estimate_constants(gen, cost, grid, samples=4, seed=0)
 
-        at_node_rate = {name: solve(name) for name in builtin_names()}
+        at_grid_rate = {name: solve(name) for name in builtin_names()}
 
-        def zero(model, t):
-            return np.zeros(np.shape(t))
+        def zero(model, grid):
+            return 0.0
 
-        monkeypatch.setattr(chain, "node_rates", zero)
-        monkeypatch.setattr(hj, "node_rates", zero)
+        # every module that imports the name, so that each call reads the patch
+        users = [module for name, module in sys.modules.items()
+                 if name.startswith("mfeq.")
+                 and getattr(module, "grid_rate", None) is chain.grid_rate]
+        assert {chain, hj, sys.modules["mfeq.verify"], sys.modules["mfeq.simulate"]} <= set(users)
+        for module in users:
+            monkeypatch.setattr(module, "grid_rate", zero)
         moved = False
-        for name, (eq, report) in at_node_rate.items():
+        for name, (eq, report) in at_grid_rate.items():
             own, own_report = solve(name)
             assert eq.diagnostics.iterations == own.diagnostics.iterations, name
             for new, old in ((eq.flow.values, own.flow.values),
