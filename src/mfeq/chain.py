@@ -516,10 +516,10 @@ def transition_stack(model: GeneratorModel, strategy: StrategyTable) -> np.ndarr
                              grid_rate(model, grid))
 
 
-def propagate_flow(model: GeneratorModel, rho0, strategy: StrategyTable,
-                   grid: TimeGrid | None = None,
+def propagate_flow(model: GeneratorModel, rho0, strategy: StrategyTable, *,
                    transitions: np.ndarray | None = None) -> FlowCurve:
-    """Forward propagation nu_{k+1} = nu_k exp(dt * Q_{t_k}^{pi_k}).
+    """Forward propagation nu_{k+1} = nu_k exp(dt * Q_{t_k}^{pi_k}) on the
+    strategy's grid.
 
     `transitions` may carry a precomputed stack from transition_stack to
     share the matrix exponentials across calls with the same strategy;
@@ -527,9 +527,7 @@ def propagate_flow(model: GeneratorModel, rho0, strategy: StrategyTable,
     finite and negative-mass checks run once over the whole curve, and a
     failure names the first step at which either check fails.
     """
-    grid = grid or strategy.grid
-    if grid != strategy.grid:
-        raise DimensionMismatch("strategy grid differs from requested grid")
+    grid = strategy.grid
     w = _as_weights(rho0)
     if w.size != model.m:
         raise DimensionMismatch("initial law dimension differs from model")

@@ -185,13 +185,11 @@ def _load_equilibrium(eq_dir: Path):
         raise ModelFileError("policy.csv",
                              f"expected {grid.steps} rows of {gen.m + 1} columns")
     policy = StrategyTable(policy_rows[:, 1:], grid)
-    rho = np.asarray(rho, dtype=float)
     # the flow argument of the spike test is the pair's own flow, so it is
     # re-propagated from the stored policy rather than trusted from disk
-    flow = propagate_flow(gen, rho, policy, grid)
+    flow = propagate_flow(gen, rho, policy)
     # verify and simulate read neither the solver's values nor its diagnostics
-    eq = Equilibrium(rho=rho, flow=flow, policy=policy, values=None,
-                     diagnostics=None, grid=grid)
+    eq = Equilibrium(flow=flow, policy=policy, values=None, diagnostics=None)
     return model, gen, cost, eq
 
 
@@ -249,8 +247,8 @@ def cmd_simulate(args) -> int:
     mean_emp = np.zeros_like(nu_star.values)
     for rep in range(cfg.replications):
         # no bundle outlives its empirical flow, so at most one population's
-        # paths and their bincount index are held at once
-        emp = simulate(gen, eq.policy, eq.rho, eq.grid, cfg, replication=rep).empirical_flow()
+        # paths are held at once
+        emp = simulate(gen, eq.policy, eq.rho, cfg, replication=rep).empirical_flow()
         mean_emp += emp
         errors.append(float(np.abs(emp - nu_star.values).sum(axis=1).max()))
     mean_emp /= cfg.replications

@@ -41,8 +41,8 @@ SWEEP_BLOCK = 64
 
 class CostModel(ABC):
     """Cost seen from an evaluation time tau: running cost
-    w(tau) f(t, rho) + control cost, a terminal cost g(rho) that does not
-    depend on tau, and an argmin oracle for the policy map.
+    w(tau) f(t, rho) + control cost, a terminal cost g(rho), and an argmin
+    oracle for the policy map.
 
     tau enters only through the scalar weight w, so the value table has
     rank two in the evaluation time (see EvaluationBasis).  Declared
@@ -72,9 +72,9 @@ class CostModel(ABC):
         """
 
     @abstractmethod
-    def terminal(self, tau: float, rho) -> np.ndarray:
-        """Terminal cost of one law (m,) or of each law in a (..., m) stack;
-        the same for every tau."""
+    def terminal(self, rho) -> np.ndarray:
+        """Terminal cost g of one law (m,) or of each law in a (..., m) stack;
+        the sweep evaluates it once, at T, for every evaluation row."""
 
     @abstractmethod
     def control_profile_cost(self, t, profile) -> np.ndarray:
@@ -114,33 +114,35 @@ class EvaluationBasis:
 
     def terminal(self, laws: np.ndarray) -> np.ndarray:
         """Coefficients (B, 2, m) of the terminal costs of a (B, m) stack of laws."""
-        g = self.cost.terminal(self.nodes[-1], laws)
+        g = self.cost.terminal(laws)
         return np.stack([np.zeros_like(g), g], axis=1)
 
 
-def backward_columns(gen: GeneratorModel, cost: CostModel, flows, grid: TimeGrid):
+def backward_columns(gen: GeneratorModel, cost: CostModel, flows):
     """Lockstep backward sweep of the value tables of B flows, in blocks of cells.
 
-    flows is one FlowCurve (B = 1) or a sequence of them.  Each table's
-    current decision-time column is held as coefficients in the cost's
-    EvaluationBasis: a cell costs O(B m^2) time, a block O(SWEEP_BLOCK B m^2)
-    memory.  Yields (first, C, profiles, P, diagonal), row j of each array at
-    node k = first + j, from the top down: the terminal column against nu_N
-    alone (profiles and P None), then blocks of at most SWEEP_BLOCK cells.
-    profiles[j] (B, m) minimize against each diagonal at k+1; P[j] = exp(dt Q)
-    on cell k; C[j] (B, 2, m) is C[j+1] pushed back through P[j] plus the
-    running cost; diagonal[j] = w(t_k) C[j][:, 0] + C[j][:, 1].  A block's
-    transitions are checked before it is yielded; a failure names the node,
-    and the flow when B > 1.  One running_base call per flow covers every node.
+    flows is one FlowCurve (B = 1) or a sequence of them, all on one grid,
+    the sweep's.  Each table's current decision-time column is held as
+    coefficients in the cost's EvaluationBasis: a cell costs O(B m^2) time,
+    a block O(SWEEP_BLOCK B m^2) memory.  Yields (first, C, profiles, P,
+    diagonal), row j of each array at node k = first + j, from the top
+    down: the terminal column against nu_N alone (profiles and P None),
+    then blocks of at most SWEEP_BLOCK cells.  profiles[j] (B, m) minimize
+    against each diagonal at k+1; P[j] = exp(dt Q) on cell k; C[j]
+    (B, 2, m) is C[j+1] pushed back through P[j] plus the running cost;
+    diagonal[j] = w(t_k) C[j][:, 0] + C[j][:, 1].  A block's transitions are
+    checked before it is yielded; a failure names the node, and the flow
+    when B > 1.  One running_base call per flow covers every node.
 
     Every cell is uniformized at the grid's rate (chain.grid_rate), whose
     series plan is built once per sweep, so P[j] equals transition_matrix at
     (t_k, profiles[j]) and that rate bit for bit.
     """
     flows = [flows] if isinstance(flows, FlowCurve) else list(flows)
+    grid = flows[0].grid
     for nu in flows:
         if nu.grid != grid:
-            raise DimensionMismatch("flow curve grid differs from solve grid")
+            raise DimensionMismatch("flow curves of one sweep lie on different grids")
         if gen.m != cost.m or gen.m != nu.m:
             raise DimensionMismatch("state counts differ between model parts")
     basis = EvaluationBasis(cost, grid)
@@ -202,9 +204,10 @@ class BackwardSweep:
     transitions: np.ndarray
 
 
-def solve_hj(gen: GeneratorModel, cost: CostModel, nu: FlowCurve,
-             grid: TimeGrid) -> tuple[BackwardSweep, StrategyTable]:
-    """Backward sweep producing the diagonal, the table's range and the policy.
+def solve_hj(gen: GeneratorModel, cost: CostModel,
+             nu: FlowCurve) -> tuple[BackwardSweep, StrategyTable]:
+    """Backward sweep against nu on its grid, producing the diagonal, the
+    table's range and the policy.
 
     Copies each block of backward_columns' sweep for the one flow: the
     diagonal rows its argmin reads, the policy, its transitions and the
@@ -214,13 +217,14 @@ def solve_hj(gen: GeneratorModel, cost: CostModel, nu: FlowCurve,
     transition_stack bit for bit.  A table outside the declared bounds
     [0, value_bound] is logged as a warning.
     """
+    grid = nu.grid
     n = grid.steps
     basis = EvaluationBasis(cost, grid)
     diagonal = np.empty((n + 1, gen.m))
     actions = np.empty((n, gen.m))
     transitions = np.empty((n, gen.m, gen.m))
     extremes = np.empty((n + 1, 2, gen.m))  # reduced once after the sweep
-    for first, C, profiles, P, rows in backward_columns(gen, cost, nu, grid):
+    for first, C, profiles, P, rows in backward_columns(gen, cost, nu):
         block = slice(first, first + len(C))
         diagonal[block] = rows[:, 0]
         extremes[block] = basis.extremes(C[:, 0])
@@ -267,7 +271,7 @@ def validate_cost(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
         rho2 = rng.dirichlet(np.ones(cost.m))
         weight = float(cost.tau_weight(tau))
         f = weight * cost.running_base(t, rho)
-        g = cost.terminal(tau, rho)
+        g = cost.terminal(rho)
         if f.min() < -1e-12 or g.min() < -1e-12:
             problems.append(f"negative cost at (tau={tau:.3g}, t={t:.3g})")
         if f.max() > cost.K2 + 1e-9 or g.max() > cost.K2 + 1e-9:
@@ -275,7 +279,7 @@ def validate_cost(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
                 f"cost exceeds K2={cost.K2:.6g} at (tau={tau:.3g}, t={t:.3g}): "
                 f"max f={f.max():.6g}, max g={g.max():.6g}")
         df = np.abs(f - weight * cost.running_base(t, rho2))
-        dg = np.abs(g - cost.terminal(tau, rho2))
+        dg = np.abs(g - cost.terminal(rho2))
         d = float(np.abs(rho - rho2).sum())
         if (df + dg).max() > cost.K3 * d + 1e-9:
             problems.append(f"flow-Lipschitz bound K3={cost.K3:.6g} violated")

@@ -176,31 +176,29 @@ def label_means(rho) -> np.ndarray:
 
 
 def make_tau_weight(spec: dict | None, horizon: float):
-    """Evaluation-time weight w(tau) from a small declarative spec.
-
-    Kinds: "one" (constant 1), "affine" (intercept + slope * tau), "exp"
-    (exp(-rate * tau)).  Returns (callable, max over [0, horizon]); the
-    weight must stay finite and nonnegative on the horizon.
+    """Evaluation-time weight w(tau) = (c0 + c1 tau) exp(-r tau) from a
+    small declarative spec: "one" is (c0, c1, r) = (1, 0, 0), "affine" sets
+    c0 = intercept and c1 = slope, "exp" sets r = rate.  1 + 0 tau and
+    exp(-0 tau) are exactly 1, so each kind keeps its own formula's bits.
+    Returns (callable, max over [0, horizon]), taken at an end since w is
+    monotone; w must stay finite and nonnegative on the horizon.
     """
-    if spec is None or spec.get("kind", "one") == "one":
-        return (lambda tau: np.ones_like(np.asarray(tau, dtype=float))), 1.0
-    kind = spec["kind"]
-    if kind == "affine":
-        c0 = float(spec.get("intercept", 1.0))
-        c1 = float(spec.get("slope", 0.0))
-        ends = [c0, c0 + c1 * horizon]
-
-        def weight(tau):
-            return c0 + c1 * np.asarray(tau, dtype=float)
+    kind = (spec or {}).get("kind", "one")
+    if kind == "one":
+        c0, c1, r = 1.0, 0.0, 0.0
+    elif kind == "affine":
+        c0, c1, r = float(spec.get("intercept", 1.0)), float(spec.get("slope", 0.0)), 0.0
     elif kind == "exp":
-        r = float(spec.get("rate", 0.0))
-        with np.errstate(over="ignore"):
-            ends = [1.0, float(np.exp(-r * horizon))]
-
-        def weight(tau):
-            return np.exp(-r * np.asarray(tau, dtype=float))
+        c0, c1, r = 1.0, 0.0, float(spec.get("rate", 0.0))
     else:
         raise ModelDefect(f"unknown tau weight kind {kind!r}", "tau_weight")
+
+    def weight(tau):
+        tau = np.asarray(tau, dtype=float)
+        return (c0 + c1 * tau) * np.exp(-r * tau)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = [float(weight(0.0)), float(weight(horizon))]
     if not np.isfinite(ends).all():
         raise ModelDefect(f"{kind} tau weight is not finite on the horizon", "tau_weight")
     if min(ends) < 0.0:
@@ -223,7 +221,8 @@ class SeparableCost(CostModel):
     quadratic or zero control cost, and a pluggable terminal cost.
 
     running: ("zero",), ("table", values), or ("mean_square", scale) for the
-    squared deviation of the state label from the distribution mean.
+    squared deviation of the state label from the distribution mean; the
+    zero cost is the table of zeros.
     terminal: ("mean_variance", "g"|"gtilde") or ("table", values).  The
     gtilde variant is shifted by m^2 (recorded in terminal_shift) so the
     declared nonnegativity cap holds; the shift moves every value equally
@@ -238,11 +237,8 @@ class SeparableCost(CostModel):
         self._weight, wmax = make_tau_weight(tau_weight, horizon)
 
         kind = running[0]
-        if kind == "zero":
-            self._running_spec = None
-            run_cap, run_lip = 0.0, 0.0
-        elif kind == "table":
-            vals = _cost_table(running[1], m, "running")
+        if kind in ("zero", "table"):
+            vals = np.zeros(m) if kind == "zero" else _cost_table(running[1], m, "running")
             self._running_spec = ("table", vals)
             run_cap, run_lip = float(vals.max()), 0.0
         elif kind == "mean_square":
@@ -255,7 +251,6 @@ class SeparableCost(CostModel):
             run_lip = scale * 2.0 * m * m
         else:
             raise ModelDefect(f"unknown running cost kind {kind!r}", "running")
-        self._running_kind = kind
 
         if control not in ("quadratic", "zero"):
             raise ModelDefect(f"unknown control cost kind {control!r}", "control")
@@ -285,16 +280,13 @@ class SeparableCost(CostModel):
         return self._weight(np.asarray(taus, float))
 
     def running_base(self, t: float, rho) -> np.ndarray:
-        shape = np.shape(rho)
-        if self._running_spec is None:
-            return np.zeros(shape)
         kind, payload = self._running_spec
         if kind == "table":
-            return np.broadcast_to(payload, shape)
+            return np.broadcast_to(payload, np.shape(rho))
         mbar = label_means(rho)[..., None]
         return payload * (self._labels - mbar) ** 2
 
-    def terminal(self, tau: float, rho) -> np.ndarray:
+    def terminal(self, rho) -> np.ndarray:
         kind, payload = self._terminal_spec
         if kind == "table":
             return np.broadcast_to(payload, np.shape(rho)).copy()

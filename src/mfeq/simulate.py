@@ -100,11 +100,11 @@ class PathBundle:
         return self.states.shape[0]
 
     def empirical_flow(self) -> np.ndarray:
-        """Full empirical measure at every grid node, shape (steps+1, m)."""
-        n = self.grid.steps
-        cells = self.states.T + self.m * np.arange(n + 1)[:, None]
-        counts = np.bincount(cells.ravel(order="K"), minlength=(n + 1) * self.m)
-        return counts.reshape(n + 1, self.m) / self.players
+        """Full empirical measure at every grid node, shape (steps+1, m):
+        one count per state over the node-major paths, states.T."""
+        paths = self.states.T
+        counts = [np.count_nonzero(paths == j, axis=1) for j in range(self.m)]
+        return np.stack(counts, axis=1) / self.players
 
 
 def _population(cum: np.ndarray, rho0, grid: TimeGrid, players: int, seed: int,
@@ -134,17 +134,16 @@ def _population(cum: np.ndarray, rho0, grid: TimeGrid, players: int, seed: int,
     return PathBundle(paths.T, grid, w.size)
 
 
-def simulate(gen: GeneratorModel, strategy: StrategyTable, rho0, grid: TimeGrid,
-             cfg: SimConfig, replication: int = 0) -> PathBundle:
-    """Simulate cfg.players independent chains under a shared strategy.
+def simulate(gen: GeneratorModel, strategy: StrategyTable, rho0, cfg: SimConfig,
+             replication: int = 0) -> PathBundle:
+    """Simulate cfg.players independent chains under a shared strategy, on
+    its grid.
 
     Initial states are drawn i.i.d. from rho0; the bundle is a pure function
     of (cfg.seed, replication, cfg.players).
     """
-    if grid != strategy.grid:
-        raise DimensionMismatch("strategy grid differs from simulation grid")
     cum = _cumulative(transition_stack(gen, strategy))
-    return _population(cum, rho0, grid, cfg.players, cfg.seed, replication)
+    return _population(cum, rho0, strategy.grid, cfg.players, cfg.seed, replication)
 
 
 @dataclass
@@ -156,7 +155,6 @@ class DeviationEstimate:
     ci_low: float
     ci_high: float
     pairs: int
-    eps: float
 
     def covers(self, value: float) -> bool:
         return self.ci_low <= value <= self.ci_high
@@ -212,7 +210,7 @@ def deviation_test(eq: Equilibrium, gen: GeneratorModel, cost: CostModel,
         for c in range(n - k0):
             total += table[side, c, x]
             x = _inverse_cdf(cum[side, k0 + c, x], rng.random(inner_pairs))
-        total += cost.terminal(t0, peer[n])[x]
+        total += cost.terminal(peer[n])[x]
         rep_means[rep] = ((total[1] - total[0]) / dt).mean()
     gap = float(rep_means.mean())
     if cfg.replications > 1:
@@ -220,6 +218,5 @@ def deviation_test(eq: Equilibrium, gen: GeneratorModel, cost: CostModel,
     else:
         stderr = 0.0
     half = 1.96 * stderr
-    return DeviationEstimate(gap=gap, stderr=stderr, ci_low=gap - half,
-                             ci_high=gap + half,
-                             pairs=cfg.replications * inner_pairs, eps=dt)
+    return DeviationEstimate(gap=gap, stderr=stderr, ci_low=gap - half, ci_high=gap + half,
+                             pairs=cfg.replications * inner_pairs)

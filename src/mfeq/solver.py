@@ -99,8 +99,9 @@ class ContractionReport:
 class Equilibrium:
     """Solver output: self-consistent flow, policy and value diagonal.
 
-    flow is the exact forward propagation of rho under policy, so the
-    fixed-point residual of a converged result is the final reported gap.
+    flow is the exact forward propagation of the initial law rho, its first
+    row, under policy on its grid, so the fixed-point residual of a
+    converged result is the final reported gap.
     values is the last backward sweep: the diagonal values.values, the range
     values.low .. values.high of the whole table and the policy's
     transitions.  That sweep ran against the previous iterate's flow, so its
@@ -108,12 +109,18 @@ class Equilibrium:
     from disk has neither values nor diagnostics.
     """
 
-    rho: np.ndarray
     flow: FlowCurve
     policy: StrategyTable
     values: BackwardSweep | None
     diagnostics: IterationDiagnostics | None
-    grid: TimeGrid
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self.flow.values[0]
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.flow.grid
 
     @property
     def converged(self) -> bool:
@@ -141,7 +148,7 @@ def picard_solve(gen: GeneratorModel, cost: CostModel, rho, grid: TimeGrid,
     opts = opts or SolverOptions()
     w = rho.weights if isinstance(rho, ProbabilityVector) else ProbabilityVector(rho).weights
     if initial_flow is None:
-        nu = propagate_flow(gen, w, myopic_strategy(gen, cost, grid), grid)
+        nu = propagate_flow(gen, w, myopic_strategy(gen, cost, grid))
     else:
         if initial_flow.grid != grid:
             raise DimensionMismatch("initial flow grid differs from solve grid")
@@ -149,8 +156,8 @@ def picard_solve(gen: GeneratorModel, cost: CostModel, rho, grid: TimeGrid,
     diag = IterationDiagnostics()
     values = policy = None
     for n in range(1, opts.max_iterations + 1):
-        values, policy = solve_hj(gen, cost, nu, grid)
-        nu_next = propagate_flow(gen, w, policy, grid, transitions=values.transitions)
+        values, policy = solve_hj(gen, cost, nu)
+        nu_next = propagate_flow(gen, w, policy, transitions=values.transitions)
         gap = nu_next.sup_distance(nu)
         diag.gaps.append(gap)
         diag.iterations = n
@@ -163,8 +170,7 @@ def picard_solve(gen: GeneratorModel, cost: CostModel, rho, grid: TimeGrid,
     if not diag.converged:
         logger.warning("no convergence after %d iterations (last gap %.3e)",
                        diag.iterations, diag.gaps[-1])
-    return Equilibrium(rho=w, flow=nu, policy=policy, values=values,
-                       diagnostics=diag, grid=grid)
+    return Equilibrium(flow=nu, policy=policy, values=values, diagnostics=diag)
 
 
 def _random_flow(rng: np.random.Generator, grid: TimeGrid, m: int) -> FlowCurve:
@@ -174,20 +180,21 @@ def _random_flow(rng: np.random.Generator, grid: TimeGrid, m: int) -> FlowCurve:
     return FlowCurve((1.0 - s) * anchors[0] + s * anchors[1], grid)
 
 
-def table_distances(gen: GeneratorModel, cost: CostModel, pairs, grid: TimeGrid) -> np.ndarray:
+def table_distances(gen: GeneratorModel, cost: CostModel, pairs) -> np.ndarray:
     """Sup over the whole value table of |Theta(nu) - Theta(nu2)|, one per
     pair (nu, nu2).
 
-    All the pairs' flows run through one lockstep backward sweep.  Each
-    column difference is read at the basis's extreme rows, which hold its
-    sup over every evaluation row, so no table is ever stored: each block
-    of cells records each pair's sup over those rows, and the records are
-    reduced once after the sweep.
+    All the pairs' flows, on one grid, run through one lockstep backward
+    sweep.  Each column difference is read at the basis's extreme rows,
+    which hold its sup over every evaluation row, so no table is ever
+    stored: each block of cells records each pair's sup over those rows,
+    and the records are reduced once after the sweep.
     """
-    basis = EvaluationBasis(cost, grid)
     flows = [nu for pair in pairs for nu in pair]
+    grid = flows[0].grid
+    basis = EvaluationBasis(cost, grid)
     worst = np.empty((grid.steps + 1, len(pairs)))
-    for first, C, *_ in backward_columns(gen, cost, flows, grid):
+    for first, C, *_ in backward_columns(gen, cost, flows):
         ends = basis.extremes(C)
         gaps = ends[:, 0::2] - ends[:, 1::2]
         np.abs(gaps, out=gaps).max(axis=(2, 3), out=worst[first:first + len(C)])
@@ -237,7 +244,7 @@ def estimate_constants(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
         if dist > 0:
             pairs.append((nu, nu2))
             dists.append(dist)
-    kappa3 = float((table_distances(gen, cost, pairs, grid) / dists).max()) if pairs else 0.0
+    kappa3 = float((table_distances(gen, cost, pairs) / dists).max()) if pairs else 0.0
 
     report = ContractionReport(kappa1=kappa1, kappa2=kappa2, kappa3=kappa3,
                                horizon=grid.horizon)

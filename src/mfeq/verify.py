@@ -111,7 +111,7 @@ def _tail_values(cost: CostModel, nu: FlowCurve, control: np.ndarray,
     flow_costs = dt * cost.running_base(nodes[:, None], nu.values)
     rows = np.empty((n, 2, nu.m))  # rows[k] = [A_{k+1}, B_{k+1}]
     rows[n - 1, 0] = 0.0
-    rows[n - 1, 1] = cost.terminal(nodes[n], nu.at(n))
+    rows[n - 1, 1] = cost.terminal(nu.at(n))
     for s in range(n - 1, 0, -1):
         np.matmul(rows[s], transitions[s].T, out=rows[s - 1])
         rows[s - 1, 0] += flow_costs[s]

@@ -126,14 +126,15 @@ def random_instance(rng, m=None, steps=None, horizon=None, **cost_kwargs):
     return grid, gen, cost
 
 
-def value_table(gen, cost, nu, grid):
+def value_table(gen, cost, nu):
     """The whole table Theta[a, k, i], stacked from mfeq's backward columns
     read at every evaluation row, and the policy of the same sweep."""
+    grid = nu.grid
     n = grid.steps
     basis = EvaluationBasis(cost, grid)
     table = np.empty((n + 1, n + 1, gen.m))
     actions = np.empty((n, gen.m))
-    for k, C, profiles, *_ in sweep_cells(backward_columns(gen, cost, nu, grid)):
+    for k, C, profiles, *_ in sweep_cells(backward_columns(gen, cost, nu)):
         table[:, k] = evaluation_rows(basis, C, slice(None))[0]
         if k < n:
             actions[k] = profiles[0]

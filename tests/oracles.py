@@ -158,7 +158,7 @@ def sweep_node(gen, cost, eq, transitions, k, action_samples):
             + cost.control_profile_cost(nodes[s], eq.policy.actions[s])
 
     # tail value under the equilibrium policy, evaluated from node k
-    w = cost.terminal(tau, nu.at(n)).astype(float)
+    w = cost.terminal(nu.at(n)).astype(float)
     for s in range(n - 1, k, -1):
         w = dt * running_profile(s) + transitions[s] @ w
     v_base = dt * running_profile(k) + transitions[k] @ w
@@ -193,7 +193,7 @@ def dp_loop(gen, cost, nu, grid, tau=0.0):
     dt = grid.dt
     rate = grid_rate(gen, grid)
     W = np.empty((n + 1, gen.m))
-    W[n] = cost.terminal(tau, nu.at(n))
+    W[n] = cost.terminal(nu.at(n))
     actions = np.empty((n, gen.m))
     for k in range(n - 1, -1, -1):
         t = nodes[k]
@@ -212,16 +212,17 @@ def dp_loop(gen, cost, nu, grid, tau=0.0):
     return W, actions
 
 
-def dense_solve_hj(gen, cost, nu, grid):
+def dense_solve_hj(gen, cost, nu):
     """The whole value table Theta[a, k, i] filled at once, shape (N+1, N+1, m).
 
     Returns (table, policy, transitions); the diagonal is table[k, k].
     """
+    grid = nu.grid
     n = grid.steps
     nodes = grid.nodes
     dt = grid.dt
     values = np.empty((n + 1, n + 1, gen.m))
-    values[:, n, :] = [cost.terminal(tau, nu.at(n)) for tau in nodes]
+    values[:, n, :] = cost.terminal(nu.at(n))
     actions = np.empty((n, gen.m))
     transitions = np.empty((n, gen.m, gen.m))
     rate = grid_rate(gen, grid)
@@ -244,7 +245,7 @@ def tail_values_loop(cost, nu, actions, transitions):
     grid = nu.grid
     n, dt = grid.steps, grid.dt
     taus = grid.nodes
-    tails = np.array([cost.terminal(tau, nu.at(n)) for tau in taus[:n]], dtype=float)
+    tails = np.tile(cost.terminal(nu.at(n)), (n, 1)).astype(float)
     for s in range(n - 1, 0, -1):
         running = np.array([running_dist(cost, tau, taus[s], nu.at(s)) for tau in taus[:s]]) \
             + cost.control_profile_cost(taus[s], actions[s])
@@ -252,12 +253,12 @@ def tail_values_loop(cost, nu, actions, transitions):
     return tails
 
 
-def dense_table_distances(gen, cost, pairs, grid):
+def dense_table_distances(gen, cost, pairs):
     """Sup of |Theta(nu) - Theta(nu2)| over two dense tables, per pair."""
     out = []
     for nu, nu2 in pairs:
-        t1, _, _ = dense_solve_hj(gen, cost, nu, grid)
-        t2, _, _ = dense_solve_hj(gen, cost, nu2, grid)
+        t1, _, _ = dense_solve_hj(gen, cost, nu)
+        t2, _, _ = dense_solve_hj(gen, cost, nu2)
         out.append(float(np.abs(t1 - t2).max()))
     return np.array(out)
 
@@ -307,7 +308,7 @@ def validate_cost(gen, cost, grid, samples=24, seed=0):
         rho = rng.dirichlet(np.ones(cost.m))
         rho2 = rng.dirichlet(np.ones(cost.m))
         f = running_dist(cost, tau, t, rho)
-        g = cost.terminal(tau, rho)
+        g = cost.terminal(rho)
         if f.min() < -1e-12 or g.min() < -1e-12:
             problems.append(f"negative cost at (tau={tau:.3g}, t={t:.3g})")
         if f.max() > cost.K2 + 1e-9 or g.max() > cost.K2 + 1e-9:
@@ -315,7 +316,7 @@ def validate_cost(gen, cost, grid, samples=24, seed=0):
                 f"cost exceeds K2={cost.K2:.6g} at (tau={tau:.3g}, t={t:.3g}): "
                 f"max f={f.max():.6g}, max g={g.max():.6g}")
         df = np.abs(f - running_dist(cost, tau, t, rho2))
-        dg = np.abs(g - cost.terminal(tau, rho2))
+        dg = np.abs(g - cost.terminal(rho2))
         d = float(np.abs(rho - rho2).sum())
         if (df + dg).max() > cost.K3 * d + 1e-9:
             problems.append(f"flow-Lipschitz bound K3={cost.K3:.6g} violated")
@@ -418,16 +419,17 @@ def evaluate_population_cost(gen, cost, rho, strategy, a, k, transitions=None):
         f = f + cost.control_profile_cost(nodes[s], strategy.actions[s])
         total += dt * float(mu @ f)
         mu = mu @ transitions[s]
-    total += float(mu @ cost.terminal(tau, mu))
+    total += float(mu @ cost.terminal(mu))
     return total
 
 
-def backward_loop(gen, cost, flows, grid):
+def backward_loop(gen, cost, flows):
     """backward_columns with per-cell readouts: the diagonal read through a
     list index, the flow costs of each cell from their own call and the
     running coefficients stacked before they are added.  Yields the same
     (k, C, profiles, P)."""
     flows = [flows] if isinstance(flows, FlowCurve) else list(flows)
+    grid = flows[0].grid
     basis = EvaluationBasis(cost, grid)
     n = grid.steps
     nodes = basis.nodes
@@ -446,17 +448,18 @@ def backward_loop(gen, cost, flows, grid):
         yield k, C, profiles, P
 
 
-def solve_hj_loop(gen, cost, nu, grid):
+def solve_hj_loop(gen, cost, nu):
     """solve_hj's readouts cell by cell: the diagonal through a list index
     and the running min and max as Python floats.  Returns (diagonal, low,
     high, actions, transitions)."""
+    grid = nu.grid
     n = grid.steps
     basis = EvaluationBasis(cost, grid)
     diagonal = np.empty((n + 1, gen.m))
     actions = np.empty((n, gen.m))
     transitions = np.empty((n, gen.m, gen.m))
     low, high = np.inf, -np.inf
-    for k, C, profiles, P in backward_loop(gen, cost, nu, grid):
+    for k, C, profiles, P in backward_loop(gen, cost, nu):
         diagonal[k] = evaluation_rows(basis, C, [k])[0, 0]
         extremes = evaluation_rows(basis, C, basis.extreme_rows)
         low = min(low, float(extremes.min()))
@@ -467,11 +470,11 @@ def solve_hj_loop(gen, cost, nu, grid):
     return diagonal, low, high, actions, transitions
 
 
-def table_distances_loop(gen, cost, pairs, grid):
+def table_distances_loop(gen, cost, pairs):
     """table_distances with a running maximum updated cell by cell."""
-    basis = EvaluationBasis(cost, grid)
+    basis = EvaluationBasis(cost, pairs[0][0].grid)
     worst = np.zeros(len(pairs))
-    for _, C, _, _ in backward_loop(gen, cost, [nu for pair in pairs for nu in pair], grid):
+    for _, C, _, _ in backward_loop(gen, cost, [nu for pair in pairs for nu in pair]):
         ends = evaluation_rows(basis, C, basis.extreme_rows)
         gaps = ends[0::2] - ends[1::2]
         worst = np.maximum(worst, np.abs(gaps).max(axis=(1, 2)))
@@ -539,6 +542,20 @@ def label_mean(rho) -> float:
     return float(label_means(getattr(rho, "weights", rho)))
 
 
+def tau_weight_by_kind(spec):
+    """The tau weight of a spec from its own kind's formula, the three
+    closures make_tau_weight once chose between: 1, intercept + slope * tau
+    or exp(-rate * tau)."""
+    kind = (spec or {}).get("kind", "one")
+    if kind == "one":
+        return lambda tau: np.ones_like(np.asarray(tau, dtype=float))
+    if kind == "affine":
+        c0, c1 = float(spec.get("intercept", 1.0)), float(spec.get("slope", 0.0))
+        return lambda tau: c0 + c1 * np.asarray(tau, dtype=float)
+    r = float(spec.get("rate", 0.0))
+    return lambda tau: np.exp(-r * np.asarray(tau, dtype=float))
+
+
 def mean_variance_terminal(variant: str, label: float, rho) -> float:
     """Raw terminal cost of the two mean-variance variants at a state label.
 
@@ -591,7 +608,7 @@ def evaluate_cost(gen, cost, nu, strategy, a: int, k: int, i: int,
         f = f + cost.control_profile_cost(nodes[s], strategy.actions[s])
         total += dt * float(mu @ f)
         mu = mu @ transitions[s]
-    total += float(mu @ cost.terminal(tau, nu.at(n)))
+    total += float(mu @ cost.terminal(nu.at(n)))
     return total
 
 
@@ -713,7 +730,7 @@ def dp_oracle(gen, cost, nu, grid, tau: float = 0.0):
     dt = grid.dt
     states = np.arange(gen.m)
     W = np.empty((n + 1, gen.m))
-    W[n] = cost.terminal(tau, nu.at(n))
+    W[n] = cost.terminal(nu.at(n))
     actions = np.empty((n, gen.m))
     weight = float(cost.tau_weight(tau))
     rate = grid_rate(gen, grid)

@@ -95,7 +95,7 @@ def test_c01_simplex_conservation():
         grid = TimeGrid(float(rng.uniform(0.2, 1.5)), steps)
         gen = random_affine_generator(rng, m)
         strat = random_strategy(rng, gen, grid)
-        flow = propagate_flow(gen, rng.dirichlet(np.ones(m)), strat, grid)
+        flow = propagate_flow(gen, rng.dirichlet(np.ones(m)), strat)
         worst_drift = max(worst_drift,
                           float(np.abs(flow.values.sum(axis=1) - 1.0).max()))
         worst_neg = min(worst_neg, float(flow.values.min()))
@@ -116,7 +116,7 @@ def test_c02_forward_flow_oracle():
             gen = TabulatedGenerator(rates)
             strat = constant_strategy(grid, 2, 0.0)
             for rho in ([1.0, 0.0], [0.0, 1.0], [0.3, 0.7]):
-                flow = propagate_flow(gen, ProbabilityVector(rho), strat, grid)
+                flow = propagate_flow(gen, ProbabilityVector(rho), strat)
                 for k in range(steps + 1):
                     exact = np.asarray(rho) @ two_state_transition(
                         a, b, grid.nodes[k])
@@ -132,7 +132,7 @@ def random_hj_solutions():
     for _ in range(50):
         grid, gen, cost = random_instance(rng, steps=int(rng.integers(20, 61)))
         nu = random_flow(rng, grid, gen.m)
-        table, policy = value_table(gen, cost, nu, grid)
+        table, policy = value_table(gen, cost, nu)
         solved.append((grid, gen, cost, nu, table, policy))
     return solved
 
@@ -176,7 +176,7 @@ def test_c05_time_consistent_reduction():
         grid = TimeGrid(model["horizon"], steps)
         gen, cost = build_model(model, grid)
         nu = constant_flow(np.ones(3) / 3, grid)
-        sweep, _ = solve_hj(gen, cost, nu, grid)
+        sweep, _ = solve_hj(gen, cost, nu)
         W, _ = dp_oracle(gen, cost, nu, grid)
         return float(np.abs(sweep.values - W).max())
 
@@ -243,9 +243,8 @@ def test_c08_spike_suite(equilibria_200):
     profile = eq.policy.actions[k0].copy()
     profile[i0] = bad_action
     policy = eq.policy.with_cell(k0, profile)
-    bad_eq = Equilibrium(rho=eq.rho, flow=propagate_flow(gen, eq.rho, policy, eq.grid),
-                         policy=policy, values=eq.values,
-                         diagnostics=eq.diagnostics, grid=eq.grid)
+    bad_eq = Equilibrium(flow=propagate_flow(gen, eq.rho, policy), policy=policy,
+                         values=eq.values, diagnostics=eq.diagnostics)
     negative = verify_local_optimality(bad_eq, gen, cost, action_samples=16)
     ok = all_clean and len(negative.violations) >= 1
     detail = ", ".join(f"{n}: min gap {g:.1e}" for n, (v, g, t) in clean.items())
@@ -275,15 +274,14 @@ def test_c09_terminal_variant_discriminator(equilibria_200):
 
 def test_c10_mean_field_limit(sim_equilibrium):
     gen, cost, eq = sim_equilibrium
-    grid = eq.grid
     reps = 20
     populations = [100, 1000, 10_000]
     mean_errors = []
     frac_within = None
     for n_players in populations:
         errs = [empirical_flow_error(
-            simulate(gen, eq.policy, eq.rho, grid,
-                     SimConfig(players=n_players, seed=101), replication=r),
+            simulate(gen, eq.policy, eq.rho, SimConfig(players=n_players, seed=101),
+                     replication=r),
             eq.flow)
             for r in range(reps)]
         mean_errors.append(float(np.mean(errs)))

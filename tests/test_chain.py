@@ -427,7 +427,7 @@ class TestPropagateFlow:
         grid = TimeGrid(1.0, 5)
         gen = TabulatedGenerator(np.zeros((3, 3)))
         rho = ProbabilityVector([0.2, 0.5, 0.3])
-        flow = propagate_flow(gen, rho, constant_strategy(grid, 3, 0.0), grid)
+        flow = propagate_flow(gen, rho, constant_strategy(grid, 3, 0.0))
         for k in range(6):
             np.testing.assert_allclose(flow.at(k), rho.weights, atol=1e-14)
 
@@ -435,7 +435,7 @@ class TestPropagateFlow:
         grid = TimeGrid(0.5, 100)
         gen = TabulatedGenerator([[-1.0, 1.0], [1.0, -1.0]])
         flow = propagate_flow(gen, dirac(0, 2),
-                              constant_strategy(grid, 2, 0.0), grid)
+                              constant_strategy(grid, 2, 0.0))
         for k in (25, 50, 100):
             expected = two_state_transition(1.0, 1.0, grid.nodes[k])[0]
             np.testing.assert_allclose(flow.at(k), expected, atol=1e-8)
@@ -445,7 +445,7 @@ class TestPropagateFlow:
         grid = TimeGrid(1.0, 50)
         gen = random_affine_generator(rng, 5)
         strat = random_strategy(rng, gen, grid)
-        flow = propagate_flow(gen, rng.dirichlet(np.ones(5)), strat, grid)
+        flow = propagate_flow(gen, rng.dirichlet(np.ones(5)), strat)
         sums = flow.values.sum(axis=1)
         assert np.abs(sums - 1.0).max() <= 1e-10
         assert flow.values.min() >= -1e-12
@@ -458,8 +458,8 @@ class TestPropagateFlow:
             gen = random_affine_generator(rng, m)
             strat = random_strategy(rng, gen, grid)
             rho, gamma = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(m))
-            f1 = propagate_flow(gen, rho, strat, grid)
-            f2 = propagate_flow(gen, gamma, strat, grid)
+            f1 = propagate_flow(gen, rho, strat)
+            f2 = propagate_flow(gen, gamma, strat)
             base = tv_distance(rho, gamma)
             for k in range(grid.steps + 1):
                 assert tv_distance(f1.at(k), f2.at(k)) <= base + 1e-12
@@ -477,8 +477,8 @@ class TestPropagateFlow:
             s1 = random_strategy(rng, gen, grid)
             s2 = random_strategy(rng, gen, grid)
             rho, gamma = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(m))
-            f1 = propagate_flow(gen, rho, s1, grid)
-            f2 = propagate_flow(gen, gamma, s2, grid)
+            f1 = propagate_flow(gen, rho, s1)
+            f2 = propagate_flow(gen, gamma, s2)
             base = tv_distance(rho, gamma)
             gaps = np.abs(s1.actions - s2.actions).max(axis=1)
             integral = np.concatenate([[0.0], np.cumsum(gaps) * grid.dt])
@@ -492,7 +492,7 @@ class TestPropagateFlow:
         gen = random_affine_generator(rng, 4)
         strat = constant_strategy(grid, 4, 0.1)
         rho = rng.dirichlet(np.ones(4))
-        flow = propagate_flow(gen, rho, strat, grid)
+        flow = propagate_flow(gen, rho, strat)
         Q = gen.rate_matrix(0.0, np.full(4, 0.1))
         dense = rho @ expm(grid.horizon * Q)
         np.testing.assert_allclose(flow.at(grid.steps), dense, atol=1e-8)
@@ -504,9 +504,20 @@ class TestPropagateFlow:
         strat = random_strategy(rng, gen, grid)
         rho = rng.dirichlet(np.ones(3))
         stack = transition_stack(gen, strat)
-        a = propagate_flow(gen, rho, strat, grid)
-        b = propagate_flow(gen, rho, strat, grid, transitions=stack)
+        a = propagate_flow(gen, rho, strat)
+        b = propagate_flow(gen, rho, strat, transitions=stack)
         np.testing.assert_array_equal(a.values, b.values)
+
+    def test_grid_is_the_strategys(self):
+        # the grid comes from the strategy alone: a fourth positional
+        # argument, as a grid once was, is refused rather than read as a stack
+        rng = np.random.default_rng(6)
+        grid = TimeGrid(0.5, 10)
+        gen = random_affine_generator(rng, 3)
+        strat = random_strategy(rng, gen, grid)
+        assert propagate_flow(gen, [0.2, 0.3, 0.5], strat).grid is grid
+        with pytest.raises(TypeError):
+            propagate_flow(gen, [0.2, 0.3, 0.5], strat, transition_stack(gen, strat))
 
     @pytest.mark.parametrize("k", [0, 4, 9])
     def test_non_finite_step_named(self, k):
@@ -517,7 +528,7 @@ class TestPropagateFlow:
         stack = transition_stack(gen, strat)
         stack[k, 1, 2] = np.nan
         with pytest.raises(NumericalError, match=f"^non-finite mass after step {k}$"):
-            propagate_flow(gen, [0.2, 0.3, 0.5], strat, grid, transitions=stack)
+            propagate_flow(gen, [0.2, 0.3, 0.5], strat, transitions=stack)
 
     @pytest.mark.parametrize("k", [0, 4, 9])
     def test_negative_mass_step_named(self, k):
@@ -532,7 +543,7 @@ class TestPropagateFlow:
         stack[k + 1:, 0, 0] = np.nan
         with pytest.raises(NumericalError,
                            match=f"^negative mass -5.000e-01 after step {k}$"):
-            propagate_flow(gen, [0.2, 0.3, 0.5], strat, grid, transitions=stack)
+            propagate_flow(gen, [0.2, 0.3, 0.5], strat, transitions=stack)
 
 
 class TestTransitionStack:

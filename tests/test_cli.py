@@ -296,11 +296,15 @@ class TestVerify:
 
     def test_round_trip_every_builtin(self, tmp_path):
         # and a time-varying model file, whose cells are uniformized at up
-        # to 10x their own rates
-        from mfeq.modelfile import builtin_names
+        # to 10x their own rates, and affine_mv with an exp tau weight, which
+        # no shipped model uses
+        from mfeq.modelfile import builtin_names, read_model_file
         ramped = tmp_path / "ramped.json"
         ramped.write_text(json.dumps(ramped_model(30)))
-        for name in [*builtin_names(), str(ramped)]:
+        exp_weight = read_model_file("affine_mv")
+        exp_weight["cost"]["running"]["tau_weight"] = {"kind": "exp", "rate": 1.5}
+        (tmp_path / "exp-weight.json").write_text(json.dumps(exp_weight))
+        for name in [*builtin_names(), str(ramped), str(tmp_path / "exp-weight.json")]:
             out = tmp_path / Path(name).stem
             assert run("solve", "--model", name, "--grid", "30",
                        "--out", str(out)) == 0, name
@@ -412,6 +416,19 @@ def test_policy_is_read_from_its_csv(solved_dir, tmp_path):
         assert run("verify", "--eq", str(directory), "--action-samples", "8") == 0
     for name in ("spike_report.csv", "spike_summary.json"):
         assert (intact / name).read_bytes() == (legacy / name).read_bytes()
+
+
+def test_loaded_initial_law_is_the_files(tmp_path):
+    # a loaded equilibrium's initial law is its re-propagated flow's first
+    # row, and that row is the rho of equilibrium.json bit for bit
+    from mfeq.cli import _load_equilibrium
+    out = tmp_path / "eq"
+    assert run("solve", "--model", "affine_mv", "--grid", "20", "--init-rho", "0.3,0.7",
+               "--out", str(out)) == 0
+    meta = json.loads((out / "equilibrium.json").read_text())
+    _, _, _, eq = _load_equilibrium(out)
+    assert eq.rho.tolist() == meta["rho"]
+    assert eq.grid is eq.flow.grid and eq.grid.steps == meta["grid"]["steps"] == 20
 
 
 class TestSimulate:

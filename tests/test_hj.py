@@ -15,7 +15,7 @@ from mfeq import (
 )
 from mfeq.chain import (FlowCurve, GeneratorModel, grid_rate, stochastic_exponentials,
                         transition_stack)
-from mfeq.errors import AdmissibilityError, NumericalError
+from mfeq.errors import AdmissibilityError, DimensionMismatch, NumericalError
 from mfeq.hj import SWEEP_BLOCK, EvaluationBasis
 from mfeq.modelfile import build_model, builtin_names, read_model_file
 from mfeq.solver import myopic_strategy, picard_solve, table_distances
@@ -53,7 +53,7 @@ class TestSolveHj:
         gen = AffineQuadraticModel([[-1.0, 1.0], [1.0, -1.0]], [0.3, -0.3])
         cost = SeparableCost(2, control="zero", terminal=("table", [0.0, 0.0]))
         nu = constant_flow([0.5, 0.5], grid)
-        sweep, policy = solve_hj(gen, cost, nu, grid)
+        sweep, policy = solve_hj(gen, cost, nu)
         assert sweep.low == sweep.high == 0.0
         np.testing.assert_array_equal(policy.actions,
                                       myopic_strategy(gen, cost, grid).actions)
@@ -62,13 +62,13 @@ class TestSolveHj:
         rng = np.random.default_rng(0)
         grid, gen, cost = random_instance(rng, m=3, steps=15)
         nu = random_flow(rng, grid, 3)
-        first, C, profiles, P, diagonal = next(backward_columns(gen, cost, nu, grid))
+        first, C, profiles, P, diagonal = next(backward_columns(gen, cost, nu))
         assert first == grid.steps and profiles is None and P is None
         assert C.shape == (1, 1, 2, 3) and diagonal.shape == (1, 1, 3)
         column = evaluation_rows(EvaluationBasis(cost, grid), C[0], slice(None))[0]
         assert np.array_equal(diagonal[0, 0], column[grid.steps])
         for a in range(grid.steps + 1):
-            expected = cost.terminal(grid.nodes[a], nu.at(grid.steps))
+            expected = cost.terminal(nu.at(grid.steps))
             np.testing.assert_array_equal(column[a], expected)
 
     def test_control_free_matches_transition_propagated_terminal(self):
@@ -80,9 +80,9 @@ class TestSolveHj:
         gen = AffineQuadraticModel(alpha, np.zeros(3))
         cost = SeparableCost(3, running=("zero",), terminal=("table", [0.4, 0.0, 0.9]))
         nu = random_flow(rng, grid, 3)
-        table, policy = value_table(gen, cost, nu, grid)
+        table, policy = value_table(gen, cost, nu)
         stack = transition_stack(gen, policy)
-        g = cost.terminal(0.0, nu.at(grid.steps))
+        g = cost.terminal(nu.at(grid.steps))
         push = g.copy()
         for k in range(grid.steps - 1, -1, -1):
             push = stack[k] @ push
@@ -93,7 +93,7 @@ class TestSolveHj:
         for _ in range(5):
             grid, gen, cost = random_instance(rng, steps=25)
             nu = random_flow(rng, grid, gen.m)
-            table, policy = value_table(gen, cost, nu, grid)
+            table, policy = value_table(gen, cost, nu)
             stack = transition_stack(gen, policy)
             for _ in range(8):
                 a = int(rng.integers(0, grid.steps + 1))
@@ -107,7 +107,7 @@ class TestSolveHj:
         rng = np.random.default_rng(3)
         grid, gen, cost = random_instance(rng, m=3, steps=20)
         nu = random_flow(rng, grid, 3)
-        sweep, policy = solve_hj(gen, cost, nu, grid)
+        sweep, policy = solve_hj(gen, cost, nu)
         policy.check_admissible(gen)
         diag = sweep.values
         for k in range(grid.steps):
@@ -127,7 +127,7 @@ class TestSolveHj:
         for _ in range(5):
             grid, gen, cost = random_instance(rng, steps=20)
             nu = random_flow(rng, grid, gen.m)
-            table, _ = value_table(gen, cost, nu, grid)
+            table, _ = value_table(gen, cost, nu)
             bound = (gen.K1 + cost.K2) * grid.horizon + cost.K2
             assert table.min() >= -1e-12
             assert table.max() <= bound + 1e-9
@@ -141,11 +141,11 @@ class TestSolveHj:
                              terminal=("mean_variance", "g"), horizon=0.5)
         nu = random_flow(rng, grid, 2)
         bump = rng.dirichlet(np.ones(2))
-        base_table, _ = value_table(gen, cost, nu, grid)
+        base_table, _ = value_table(gen, cost, nu)
         dists = []
         for size in (0.05, 0.2, 0.8):
             tilted = FlowCurve((1 - size) * nu.values + size * bump, grid)
-            t2, _ = value_table(gen, cost, tilted, grid)
+            t2, _ = value_table(gen, cost, tilted)
             dists.append(float(np.abs(base_table - t2).max()))
         assert dists[0] <= dists[1] + 1e-12 <= dists[2] + 2e-12
 
@@ -156,7 +156,7 @@ class TestSolveHj:
         cost = SeparableCost(2, terminal=("table", [0.0, 0.9]), horizon=0.1, K2=0.05)
         nu = constant_flow([0.5, 0.5], grid)
         with caplog.at_level(logging.WARNING, logger="mfeq.hj"):
-            solve_hj(gen, cost, nu, grid)
+            solve_hj(gen, cost, nu)
         assert any("declared" in rec.message for rec in caplog.records)
 
     def test_inadmissible_argmin_rejected(self):
@@ -166,7 +166,7 @@ class TestSolveHj:
         gen = AffineQuadraticModel([[-1.0, 1.0], [1.0, -1.0]], [0.3, -0.3])
         cost = OutsideArgmin(2, terminal=("table", [0.0, 1.0]), horizon=0.5)
         with pytest.raises(AdmissibilityError, match="1.5 at node 0, state 0"):
-            solve_hj(gen, cost, constant_flow([0.5, 0.5], grid), grid)
+            solve_hj(gen, cost, constant_flow([0.5, 0.5], grid))
 
 
 class TestSweepMatchesDenseTable:
@@ -175,8 +175,8 @@ class TestSweepMatchesDenseTable:
     def test_rank2_basis_within_roundoff(self, case):
         _, grid, gen, cost, nu = case
         assert EvaluationBasis(cost, grid).weight is not None
-        table, ref_policy, ref_transitions = oracles.dense_solve_hj(gen, cost, nu, grid)
-        sweep, policy = solve_hj(gen, cost, nu, grid)
+        table, ref_policy, ref_transitions = oracles.dense_solve_hj(gen, cost, nu)
+        sweep, policy = solve_hj(gen, cost, nu)
         n = grid.steps
         scale = max(1.0, float(np.abs(table).max()))
         assert np.abs(sweep.values - table[np.arange(n + 1), np.arange(n + 1)]).max() \
@@ -185,7 +185,7 @@ class TestSweepMatchesDenseTable:
         assert np.abs(sweep.transitions - ref_transitions).max() <= 1e-12
         assert abs(sweep.low - table.min()) <= 1e-12 * scale
         assert abs(sweep.high - table.max()) <= 1e-12 * scale
-        assert np.abs(value_table(gen, cost, nu, grid)[0] - table).max() <= 1e-12 * scale
+        assert np.abs(value_table(gen, cost, nu)[0] - table).max() <= 1e-12 * scale
 
     def test_extreme_rows_hold_every_column_extreme(self):
         # a weight that is not monotone and coefficients of both signs: the
@@ -212,15 +212,27 @@ class TestSweepMatchesDenseTable:
         for m in (2, 3, 4, 7):
             grid, gen, cost = random_instance(rng, m=m, steps=25)
             flows = [random_flow(rng, grid, m) for _ in range(5)]
-            batched = list(sweep_cells(backward_columns(gen, cost, flows, grid)))
+            batched = list(sweep_cells(backward_columns(gen, cost, flows)))
             for b, nu in enumerate(flows):
                 for (k, C, profiles, P, _), (k1, C1, profiles1, P1, _) in zip(
-                        batched, sweep_cells(backward_columns(gen, cost, nu, grid)), strict=True):
+                        batched, sweep_cells(backward_columns(gen, cost, nu)), strict=True):
                     assert k == k1
                     assert np.array_equal(C[b], C1[0])
                     if k < grid.steps:
                         assert np.array_equal(profiles[b], profiles1[0])
                         assert np.array_equal(P[b], P1[0])
+
+    def test_flows_on_two_grids_rejected(self):
+        # the sweep's grid is its flows'; a flow on another grid is refused
+        # before any work, also through table_distances' pairs
+        rng = np.random.default_rng(13)
+        grid, gen, cost = random_instance(rng, m=2, steps=20)
+        other = TimeGrid(grid.horizon, 21)
+        flows = [random_flow(rng, grid, 2), random_flow(rng, other, 2)]
+        with pytest.raises(DimensionMismatch, match="different grids"):
+            next(backward_columns(gen, cost, flows))
+        with pytest.raises(DimensionMismatch, match="different grids"):
+            table_distances(gen, cost, [tuple(flows)])
 
     def test_sweep_memory_is_linear_in_steps(self):
         # one dense table of affine_mv at N=1000 takes 16 MB
@@ -230,7 +242,7 @@ class TestSweepMatchesDenseTable:
         nu = constant_flow([0.5, 0.5], grid)
         tracemalloc.start()
         try:
-            solve_hj(gen, cost, nu, grid)
+            solve_hj(gen, cost, nu)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -250,8 +262,8 @@ class TestSweepMatchesPerCellLoop:
         for _, grid, gen, cost, nu in self.CASES:
             flows = [nu] + [random_flow(rng, grid, gen.m) for _ in range(batch - 1)]
             for (k, C, profiles, P, _), (k1, C1, profiles1, P1) in zip(
-                    sweep_cells(backward_columns(gen, cost, flows, grid)),
-                    oracles.backward_loop(gen, cost, flows, grid), strict=True):
+                    sweep_cells(backward_columns(gen, cost, flows)),
+                    oracles.backward_loop(gen, cost, flows), strict=True):
                 assert k == k1
                 assert np.array_equal(C, C1)
                 if k < grid.steps:
@@ -275,8 +287,8 @@ class TestSweepMatchesPerCellLoop:
         basis = EvaluationBasis(cost, grid)
         flows = [random_flow(rng, grid, 3) for _ in range(batch)]
         for (k, C, profiles, P, diagonal), (k1, C1, profiles1, P1) in zip(
-                sweep_cells(backward_columns(gen, cost, flows, grid)),
-                oracles.backward_loop(gen, cost, flows, grid), strict=True):
+                sweep_cells(backward_columns(gen, cost, flows)),
+                oracles.backward_loop(gen, cost, flows), strict=True):
             assert k == k1
             assert np.array_equal(C, C1)
             assert np.array_equal(diagonal, evaluation_rows(basis, C1, [k])[:, 0])
@@ -289,21 +301,20 @@ class TestSweepMatchesPerCellLoop:
     def test_block_edge_readouts(self, steps):
         rng, grid, gen, cost = self.block_edge_instance(steps)
         nu = random_flow(rng, grid, 3)
-        sweep, policy = solve_hj(gen, cost, nu, grid)
-        diagonal, low, high, actions, transitions = oracles.solve_hj_loop(gen, cost, nu, grid)
+        sweep, policy = solve_hj(gen, cost, nu)
+        diagonal, low, high, actions, transitions = oracles.solve_hj_loop(gen, cost, nu)
         assert np.array_equal(sweep.values, diagonal)
         assert np.array_equal(policy.actions, actions)
         assert np.array_equal(sweep.transitions, transitions)
         assert (sweep.low, sweep.high) == (low, high)
         pairs = [(random_flow(rng, grid, 3), random_flow(rng, grid, 3)) for _ in range(6)]
-        assert np.array_equal(table_distances(gen, cost, pairs, grid),
-                              oracles.table_distances_loop(gen, cost, pairs, grid))
+        assert np.array_equal(table_distances(gen, cost, pairs),
+                              oracles.table_distances_loop(gen, cost, pairs))
 
     def test_solve_hj_readouts(self):
-        for _, grid, gen, cost, nu in self.CASES:
-            sweep, policy = solve_hj(gen, cost, nu, grid)
-            diagonal, low, high, actions, transitions = oracles.solve_hj_loop(
-                gen, cost, nu, grid)
+        for _, _, gen, cost, nu in self.CASES:
+            sweep, policy = solve_hj(gen, cost, nu)
+            diagonal, low, high, actions, transitions = oracles.solve_hj_loop(gen, cost, nu)
             assert np.array_equal(sweep.values, diagonal)
             assert np.array_equal(policy.actions, actions)
             assert np.array_equal(sweep.transitions, transitions)
@@ -317,9 +328,9 @@ class TestSweepMatchesPerCellLoop:
                 base = random_flow(rng, grid, gen.m)
                 tilted = (1.0 - size) * base.values + size * rng.dirichlet(np.ones(gen.m))
                 pairs.append((base, FlowCurve(tilted, grid)))
-            worst = table_distances(gen, cost, pairs, grid)
+            worst = table_distances(gen, cost, pairs)
             assert worst.shape == (6,)
-            assert np.array_equal(worst, oracles.table_distances_loop(gen, cost, pairs, grid))
+            assert np.array_equal(worst, oracles.table_distances_loop(gen, cost, pairs))
 
 
 class _PeakedRates(GeneratorModel):
@@ -371,8 +382,8 @@ class TestNodeRate:
                              + [_time_varying_instance(), _ramped_instance()],
                              ids=lambda c: c[0])
     def test_sweep_transitions_are_transition_stack(self, case):
-        _, grid, gen, cost, nu = case
-        sweep, policy = solve_hj(gen, cost, nu, grid)
+        _, _, gen, cost, nu = case
+        sweep, policy = solve_hj(gen, cost, nu)
         assert np.array_equal(sweep.transitions, transition_stack(gen, policy))
 
     def test_own_rate_where_node_rate_falls_short(self):
@@ -380,8 +391,7 @@ class TestNodeRate:
         gen = _PeakedRates()
         cost = _ScanArgmin(2, running=("mean_square", 0.5), terminal=("table", [0.0, 1.0]),
                            horizon=grid.horizon)
-        sweep, policy = solve_hj(gen, cost, random_flow(np.random.default_rng(18), grid, 2),
-                                 grid)
+        sweep, policy = solve_hj(gen, cost, random_flow(np.random.default_rng(18), grid, 2))
         assert np.array_equal(sweep.transitions, transition_stack(gen, policy))
         nodes = grid.nodes[:-1]
         Q = gen.rate_matrix(nodes, policy.actions)
@@ -430,7 +440,7 @@ class TestSweepRejectsBadGenerators:
     def test_solve_hj(self, defect):
         gen, cost, message = self.setup(defect)
         with pytest.raises(NumericalError, match=f"^{message} at node {self.NODE}$"):
-            solve_hj(gen, cost, constant_flow([0.5, 0.5], self.GRID), self.GRID)
+            solve_hj(gen, cost, constant_flow([0.5, 0.5], self.GRID))
 
     @pytest.mark.parametrize("defect", DEFECTS)
     def test_picard_solve(self, defect):
@@ -447,7 +457,7 @@ class TestSweepRejectsBadGenerators:
                  for _ in range(2)]
         with pytest.raises(NumericalError,
                            match=f"^{message} at node {self.NODE}, flow [0-3]$"):
-            table_distances(gen, cost, pairs, self.GRID)
+            table_distances(gen, cost, pairs)
 
 
 class TestEvaluateCost:
@@ -466,7 +476,7 @@ class TestEvaluateCost:
         strat = constant_strategy(grid, 2, 0.0)
         for a in (0, 5, 10):
             for i in (0, 1):
-                expected = cost.terminal(grid.nodes[a], nu.at(10))[i]
+                expected = cost.terminal(nu.at(10))[i]
                 got = evaluate_cost(gen, cost, nu, strat, a, grid.steps, i)
                 assert got == pytest.approx(expected, abs=1e-14)
 

@@ -343,8 +343,8 @@ class _ContractCost(CostModel):
     def running_base(self, t, rho):
         return self.base.running_base(t, rho)
 
-    def terminal(self, tau, rho):
-        return self.base.terminal(tau, rho)
+    def terminal(self, rho):
+        return self.base.terminal(rho)
 
     def control_profile_cost(self, t, profile):
         return self.base.control_profile_cost(t, profile)
@@ -490,7 +490,7 @@ class TestSeparableCost:
         rng = np.random.default_rng(5)
         for _ in range(20):
             rho = rng.dirichlet(np.ones(3))
-            vals = cost.terminal(0.0, rho)
+            vals = cost.terminal(rho)
             assert vals.min() >= 0.0
             assert vals.max() <= cost.K2 + 1e-12
 
@@ -501,7 +501,7 @@ class TestSeparableCost:
         for _ in range(10):
             rho = rng.dirichlet(np.ones(2))
             var = float(labels ** 2 @ rho - (labels @ rho) ** 2)
-            pop = float(cost.terminal(0.0, rho) @ rho)
+            pop = float(cost.terminal(rho) @ rho)
             assert pop - cost.terminal_shift == pytest.approx(var, abs=1e-12)
 
     def test_shift_does_not_change_argmin(self):
@@ -527,7 +527,7 @@ class TestSeparableCost:
                 rho = rng.dirichlet(np.ones(m))
                 tau = rng.uniform(0.0, 1.0)
                 assert oracles.running_dist(cost, tau, 0.0, rho).max() <= cost.K2 + 1e-12
-                assert cost.terminal(tau, rho).max() <= cost.K2 + 1e-12
+                assert cost.terminal(rho).max() <= cost.K2 + 1e-12
 
     def test_zero_control(self):
         cost = SeparableCost(2, control="zero", terminal=("table", [0.0, 0.0]))
@@ -574,6 +574,26 @@ class TestTauWeight:
         w, wmax = make_tau_weight({"kind": "exp", "rate": 2.0}, 1.0)
         assert w(0.5) == pytest.approx(np.exp(-1.0))
         assert wmax == 1.0
+
+    @pytest.mark.parametrize("spec", [
+        None, {"kind": "one"}, {"kind": "affine"},
+        {"kind": "affine", "intercept": 1.0, "slope": 0.5},
+        {"kind": "affine", "intercept": 0.7, "slope": 0.0},
+        {"kind": "affine", "intercept": 2.0, "slope": -0.9},
+        {"kind": "exp", "rate": 2.0}, {"kind": "exp", "rate": 0.0},
+        {"kind": "exp", "rate": -0.3}, {"kind": "exp"},
+    ], ids=["none", "one", "affine-default", "affine", "slope-0", "affine-falling", "exp",
+            "rate-0", "exp-rising", "exp-default"])
+    def test_formula_is_each_kinds_own_bit_for_bit(self, spec):
+        # (c0 + c1 tau) exp(-r tau) with the other kinds' coefficients at
+        # (1, 0, 0): 1 + 0 tau and exp(-0 tau) are exactly 1
+        w, wmax = make_tau_weight(spec, 2.0)
+        own = oracles.tau_weight_by_kind(spec)
+        for tau in (0.0, 0.3, 2.0, TimeGrid(2.0, 37).nodes):
+            got, want = np.asarray(w(tau)), np.asarray(own(tau))
+            assert got.dtype == want.dtype == float and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert wmax == max(float(own(0.0)), float(own(2.0)))
 
     @pytest.mark.parametrize("spec", [
         {"kind": "exp", "rate": -2000.0},

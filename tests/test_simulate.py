@@ -75,27 +75,27 @@ class TestSimulate:
         gen = TabulatedGenerator(np.zeros((3, 3)))
         strat = constant_strategy(grid, 3, 0.0)
         rho = ProbabilityVector([0.2, 0.3, 0.5])
-        bundle = simulate(gen, strat, rho, grid, SimConfig(players=500, seed=7))
+        bundle = simulate(gen, strat, rho, SimConfig(players=500, seed=7))
         for k in range(1, 6):
             np.testing.assert_array_equal(bundle.states[:, k], bundle.states[:, 0])
 
     def test_deterministic_given_seed(self, symmetric_setup):
-        grid, gen, strat, rho = symmetric_setup
+        _, gen, strat, rho = symmetric_setup
         cfg = SimConfig(players=200, seed=123)
-        b1 = simulate(gen, strat, rho, grid, cfg)
-        b2 = simulate(gen, strat, rho, grid, cfg)
+        b1 = simulate(gen, strat, rho, cfg)
+        b2 = simulate(gen, strat, rho, cfg)
         np.testing.assert_array_equal(b1.states, b2.states)
 
     def test_different_replications_differ(self, symmetric_setup):
-        grid, gen, strat, rho = symmetric_setup
+        _, gen, strat, rho = symmetric_setup
         cfg = SimConfig(players=200, seed=123)
-        b1 = simulate(gen, strat, rho, grid, cfg, replication=0)
-        b2 = simulate(gen, strat, rho, grid, cfg, replication=1)
+        b1 = simulate(gen, strat, rho, cfg, replication=0)
+        b2 = simulate(gen, strat, rho, cfg, replication=1)
         assert not np.array_equal(b1.states, b2.states)
 
     def test_closed_form_marginal(self, symmetric_setup):
-        grid, gen, strat, rho = symmetric_setup
-        bundle = simulate(gen, strat, rho, grid, SimConfig(players=100_000, seed=9))
+        _, gen, strat, rho = symmetric_setup
+        bundle = simulate(gen, strat, rho, SimConfig(players=100_000, seed=9))
         emp = bundle.empirical_flow()
         expected = two_state_transition(1.0, 1.0, 0.5)[0, 0]
         assert emp[10, 0] == pytest.approx(expected, abs=0.01)
@@ -107,9 +107,9 @@ class TestSimulate:
         gen, cost = build_model(model, grid)
         strat = constant_strategy(grid, 2, 0.2)
         rho = ProbabilityVector([0.6, 0.4])
-        flow = propagate_flow(gen, rho, strat, grid)
+        flow = propagate_flow(gen, rho, strat)
         n_players = 20_000
-        bundle = simulate(gen, strat, rho, grid, SimConfig(players=n_players, seed=21))
+        bundle = simulate(gen, strat, rho, SimConfig(players=n_players, seed=21))
         alpha = 0.01 / (grid.steps + 1)
         for k in range(grid.steps + 1):
             counts = np.bincount(bundle.states[:, k], minlength=2)
@@ -122,7 +122,7 @@ class TestSimulate:
         # two-sample chi-square per node against the per-player jump loop,
         # Bonferroni at 1%
         grid, gen, strat, rho = alternating_affine_mv
-        bundle = simulate(gen, strat, rho, grid, SimConfig(players=20_000, seed=41))
+        bundle = simulate(gen, strat, rho, SimConfig(players=20_000, seed=41))
         oracle = jump_simulate(gen, strat, rho, players=10_000, seed=43)
         alpha = 0.01 / grid.steps
         for k in range(1, grid.steps + 1):
@@ -135,9 +135,9 @@ class TestSimulate:
         # the wrong cell changes these counts even where the marginals agree
         grid, gen, strat, rho = alternating_affine_mv
         n_players = 20_000
-        flow = propagate_flow(gen, rho, strat, grid)
+        flow = propagate_flow(gen, rho, strat)
         P = transition_stack(gen, strat)
-        bundle = simulate(gen, strat, rho, grid, SimConfig(players=n_players, seed=47))
+        bundle = simulate(gen, strat, rho, SimConfig(players=n_players, seed=47))
         alpha = 0.01 / grid.steps
         for k in range(grid.steps):
             pairs = 2 * bundle.states[:, k] + bundle.states[:, k + 1]
@@ -168,8 +168,8 @@ class TestVectorizedSampler:
                 assert np.array_equal(bundle.states, loop.states)
 
     def test_empirical_flow_equals_per_node_counts(self, alternating_affine_mv):
-        grid, gen, strat, rho = alternating_affine_mv
-        bundle = simulate(gen, strat, rho, grid, SimConfig(players=999, seed=3))
+        _, gen, strat, rho = alternating_affine_mv
+        bundle = simulate(gen, strat, rho, SimConfig(players=999, seed=3))
         # a bundle whose states are C-ordered (players, steps+1), as the jump
         # oracle builds them, counts the same way
         jumps = jump_simulate(gen, strat, rho, players=300, seed=5)
@@ -184,20 +184,20 @@ class TestEmpiricalMeasures:
         strat = constant_strategy(grid, 2, 0.0)
         rho = ProbabilityVector([0.5, 0.5])
         nu = constant_flow(rho.weights, grid)
-        bundle = simulate(gen, strat, rho, grid, SimConfig(players=1000, seed=5))
+        bundle = simulate(gen, strat, rho, SimConfig(players=1000, seed=5))
         emp = bundle.empirical_flow()
         node_errors = np.abs(emp - nu.values).sum(axis=1)
         np.testing.assert_allclose(node_errors, node_errors[0])
         assert empirical_flow_error(bundle, nu) == pytest.approx(node_errors[0])
 
     def test_error_decays_with_population(self, symmetric_setup):
-        grid, gen, strat, rho = symmetric_setup
-        nu = propagate_flow(gen, rho, strat, grid)
+        _, gen, strat, rho = symmetric_setup
+        nu = propagate_flow(gen, rho, strat)
         errors = []
         for n_players in (100, 1000, 10_000):
             errs = [empirical_flow_error(
-                simulate(gen, strat, rho, grid,
-                         SimConfig(players=n_players, seed=31), replication=r), nu)
+                simulate(gen, strat, rho, SimConfig(players=n_players, seed=31),
+                         replication=r), nu)
                 for r in range(5)]
             errors.append(np.mean(errs))
         assert errors[0] > errors[1] > errors[2]
@@ -231,14 +231,13 @@ class TestDeviationTest:
         gen, cost, eq = solved_affine_mv
         from mfeq.solver import Equilibrium
         k0, i0 = 10, 0
-        grid = eq.grid
         good = float(eq.policy.actions[k0, i0])
         bad_profile = eq.policy.actions[k0].copy()
         bad_profile[:] = good + 0.6
         policy = eq.policy.with_cell(k0, bad_profile)
-        flow = propagate_flow(gen, eq.rho, policy, grid)
-        bad_eq = Equilibrium(rho=eq.rho, flow=flow, policy=policy, values=None,
-                             diagnostics=eq.diagnostics, grid=grid)
+        flow = propagate_flow(gen, eq.rho, policy)
+        bad_eq = Equilibrium(flow=flow, policy=policy, values=None,
+                             diagnostics=eq.diagnostics)
         cfg = SimConfig(players=4000, seed=37, replications=4)
         est = deviation_test(bad_eq, gen, cost, spike=(k0, i0, good),
                              cfg=cfg, inner_pairs=300)

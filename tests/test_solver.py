@@ -83,7 +83,7 @@ class TestPicardSolve:
         assert eq.converged
         expected = myopic_strategy(gen, cost, grid)
         np.testing.assert_array_equal(eq.policy.actions, expected.actions)
-        ref = propagate_flow(gen, rho, expected, grid)
+        ref = propagate_flow(gen, rho, expected)
         np.testing.assert_array_equal(eq.flow.values, ref.values)
         assert eq.values.low == eq.values.high == 0.0
 
@@ -96,12 +96,19 @@ class TestPicardSolve:
             if a > 1e-13 and b > 1e-13:
                 assert b / a <= report.product + 0.1
 
+    def test_initial_law_and_grid_come_from_the_flow(self, affine_mv):
+        grid, gen, cost = affine_mv
+        rho = ProbabilityVector([0.3, 0.7])
+        eq = picard_solve(gen, cost, rho, grid)
+        assert np.array_equal(eq.rho, rho.weights)
+        assert eq.grid is eq.flow.grid and eq.grid == grid
+
     def test_fixed_point_residual(self, affine_mv):
         grid, gen, cost = affine_mv
         eq = picard_solve(gen, cost, ProbabilityVector.uniform(2), grid)
         assert eq.converged
         # the stored flow is the exact propagation of the stored policy
-        again = propagate_flow(gen, eq.rho, eq.policy, grid)
+        again = propagate_flow(gen, eq.rho, eq.policy)
         assert eq.flow.sup_distance(again) == 0.0
 
     def test_initial_guess_independence(self, affine_mv):

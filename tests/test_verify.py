@@ -48,9 +48,9 @@ def corrupt_policy(eq, gen, k0, i0, offset=0.5):
     assert lo <= bad <= hi
     policy = eq.policy.with_cell(k0, np.where(np.arange(gen.m) == i0, bad,
                                               eq.policy.actions[k0]))
-    flow = propagate_flow(gen, eq.rho, policy, grid)
-    return Equilibrium(rho=eq.rho, flow=flow, policy=policy, values=eq.values,
-                       diagnostics=eq.diagnostics, grid=grid)
+    flow = propagate_flow(gen, eq.rho, policy)
+    return Equilibrium(flow=flow, policy=policy, values=eq.values,
+                       diagnostics=eq.diagnostics)
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +77,7 @@ class TestSpikeGap:
         # one-step objective against the next diagonal
         gen, cost, eq = small_eq
         grid = eq.grid
-        sweep, policy = solve_hj(gen, cost, eq.flow, grid)
+        sweep, policy = solve_hj(gen, cost, eq.flow)
         diag = sweep.values
         k, i = 25, 1
         t = grid.nodes[k]
@@ -187,8 +187,8 @@ class NanDiagonalCost(CostModel):
     def running_base(self, t, rho):
         return self.base.running_base(t, rho)
 
-    def terminal(self, tau, rho):
-        return self.base.terminal(tau, rho)
+    def terminal(self, rho):
+        return self.base.terminal(rho)
 
     def control_profile_cost(self, t, profile):
         return self.base.control_profile_cost(t, profile)
@@ -265,7 +265,7 @@ class TestDpOracle:
         cost = SeparableCost(3, running=("zero",), terminal=("table", [0.4, 0.0, 0.9]))
         nu = random_flow(rng, grid, 3)
         W, _ = dp_oracle(gen, cost, nu, grid)
-        sweep, _ = solve_hj(gen, cost, nu, grid)
+        sweep, _ = solve_hj(gen, cost, nu)
         np.testing.assert_allclose(W, sweep.values, atol=1e-10)
 
     @staticmethod
@@ -306,7 +306,7 @@ class TestDpOracle:
             grid = TimeGrid(model["horizon"], steps)
             gen, cost = build_model(model, grid)
             nu = constant_flow(np.ones(3) / 3, grid)
-            sweep, _ = solve_hj(gen, cost, nu, grid)
+            sweep, _ = solve_hj(gen, cost, nu)
             W, _ = dp_oracle(gen, cost, nu, grid)
             gaps[steps] = float(np.abs(sweep.values - W).max())
         assert gaps[100] <= 0.05
@@ -362,8 +362,8 @@ def check_bounds_and_lipschitz(eq, gen, cost, samples=20, seed=0) -> BoundsRepor
         gamma = rng.dirichlet(np.ones(gen.m))
         s1 = random_strategy(rng, gen, grid)
         s2 = random_strategy(rng, gen, grid)
-        f1 = propagate_flow(gen, rho, s1, grid)
-        f2 = propagate_flow(gen, gamma, s2, grid)
+        f1 = propagate_flow(gen, rho, s1)
+        f2 = propagate_flow(gen, gamma, s2)
         base = tv_distance(rho, gamma)
         # running rectangle-rule integral of the sup action gap up to t_k
         cell_gaps = np.abs(s1.actions - s2.actions).max(axis=1)
