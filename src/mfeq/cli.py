@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain import (FlowCurve, ProbabilityVector, StrategyTable, TimeGrid, admissible,
-                    propagate_flow)
+                    propagate_flow, transition_stack)
 from .errors import MfeqError, ModelFileError
 from .hj import value_bound
 from .modelfile import build_model, is_finite_number, model_hash, read_model_file
@@ -187,17 +187,18 @@ def _load_equilibrium(eq_dir: Path):
     policy = StrategyTable(policy_rows[:, 1:], grid)
     # the flow argument of the spike test is the pair's own flow, so it is
     # re-propagated from the stored policy rather than trusted from disk
-    flow = propagate_flow(gen, rho, policy)
+    transitions = transition_stack(gen, policy)
+    flow = propagate_flow(gen, rho, policy, transitions=transitions)
     # verify and simulate read neither the solver's values nor its diagnostics
     eq = Equilibrium(flow=flow, policy=policy, values=None, diagnostics=None)
-    return model, gen, cost, eq
+    return gen, cost, eq, transitions
 
 
 def cmd_verify(args) -> int:
     try:
         tol = None if args.tol_spike == "auto" else float(args.tol_spike)
         check_sweep_options(args.action_samples, tol)
-        model, gen, cost, eq = _load_equilibrium(Path(args.eq))
+        gen, cost, eq, _ = _load_equilibrium(Path(args.eq))
     except (MfeqError, ValueError, OSError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -235,7 +236,7 @@ def cmd_simulate(args) -> int:
         check_inner_pairs(args.inner_pairs)
         if not (np.isfinite(args.err_bound) and args.err_bound >= 0.0):
             raise ValueError(f"error bound must be finite and nonnegative, got {args.err_bound}")
-        model, gen, cost, eq = _load_equilibrium(Path(args.eq))
+        gen, cost, eq, transitions = _load_equilibrium(Path(args.eq))
         flow_csv = _read_csv(Path(args.eq) / "flow.csv")
         nu_star = FlowCurve(flow_csv[:, 1:], eq.grid)
         spike = _parse_spike(args.spike, gen, eq.grid, eq.rho)
@@ -244,17 +245,22 @@ def cmd_simulate(args) -> int:
         return EXIT_INPUT
 
     errors = []
+    peers = []
     mean_emp = np.zeros_like(nu_star.values)
     for rep in range(cfg.replications):
-        # no bundle outlives its empirical flow, so at most one population's
+        bundle = simulate(gen, eq.policy, eq.rho, cfg, replication=rep, transitions=transitions)
+        emp = bundle.empirical_flow()
+        peers.append(bundle.peer_flow())
+        # only the flows outlive a replication, so at most one population's
         # paths are held at once
-        emp = simulate(gen, eq.policy, eq.rho, cfg, replication=rep).empirical_flow()
+        del bundle
         mean_emp += emp
         errors.append(float(np.abs(emp - nu_star.values).sum(axis=1).max()))
     mean_emp /= cfg.replications
     frac_ok = float(np.mean([e <= args.err_bound for e in errors]))
 
-    dev = deviation_test(eq, gen, cost, spike=spike, cfg=cfg, inner_pairs=args.inner_pairs)
+    dev = deviation_test(eq, gen, cost, spike=spike, cfg=cfg, peers=peers,
+                         inner_pairs=args.inner_pairs, transitions=transitions)
 
     out = Path(args.eq)
     nodes = eq.grid.nodes

@@ -24,7 +24,6 @@ import numpy as np
 from .chain import (
     GeneratorModel,
     StrategyTable,
-    TimeGrid,
     grid_rate,
     transition_matrix,
     transition_stack,
@@ -86,28 +85,44 @@ def check_inner_pairs(inner_pairs: int) -> None:
 
 
 class PathBundle:
-    """Grid-node state snapshots for a population of players, states[p, k]."""
+    """Grid-node state snapshots of a population of players, states[p, k],
+    and the count of every state at every node, counts[k, x].
 
-    __slots__ = ("states", "grid", "m")
+    The counts take m - 1 count_nonzero passes over the node-major paths,
+    states.T; the last state's count is the players not counted before.
+    Both flows below divide these exact integers, so neither depends on
+    how the counts were taken.
+    """
 
-    def __init__(self, states: np.ndarray, grid: TimeGrid, m: int):
+    __slots__ = ("states", "m", "counts")
+
+    def __init__(self, states: np.ndarray, m: int):
         self.states = states
-        self.grid = grid
         self.m = m
+        paths = states.T
+        self.counts = np.empty((paths.shape[0], m), dtype=np.int64)
+        for j in range(m - 1):
+            self.counts[:, j] = np.count_nonzero(paths == j, axis=1)
+        self.counts[:, m - 1] = paths.shape[1] - self.counts[:, :m - 1].sum(axis=1)
 
     @property
     def players(self) -> int:
         return self.states.shape[0]
 
     def empirical_flow(self) -> np.ndarray:
-        """Full empirical measure at every grid node, shape (steps+1, m):
-        one count per state over the node-major paths, states.T."""
-        paths = self.states.T
-        counts = [np.count_nonzero(paths == j, axis=1) for j in range(self.m)]
-        return np.stack(counts, axis=1) / self.players
+        """Full empirical measure at every grid node, shape (steps+1, m)."""
+        return self.counts / self.players
+
+    def peer_flow(self) -> np.ndarray:
+        """Leave-one-out empirical measure at every grid node, shape
+        (steps+1, m): the population without player 0, whose place the
+        deviation test's focal player takes."""
+        counts = self.counts.copy()
+        counts[np.arange(len(counts)), self.states[0]] -= 1
+        return counts / (self.players - 1)
 
 
-def _population(cum: np.ndarray, rho0, grid: TimeGrid, players: int, seed: int,
+def _population(cum: np.ndarray, rho0, players: int, seed: int,
                 replication: int) -> PathBundle:
     """Node-to-node paths of `players` chains from the cumulative rows `cum`
     of a (steps, m, m) transition stack, initial states i.i.d. from rho0.
@@ -122,28 +137,31 @@ def _population(cum: np.ndarray, rho0, grid: TimeGrid, players: int, seed: int,
         raise DimensionMismatch("initial law dimension differs from model")
     rng = _stream(seed, replication, _PEER_STREAM)
     thresholds = np.ascontiguousarray(np.swapaxes(cum[..., :-1], 1, 2))  # (steps, m-1, m)
-    paths = np.empty((grid.steps + 1, players), dtype=np.int64)
+    paths = np.empty((len(cum) + 1, players), dtype=np.int64)
     paths[0] = _inverse_cdf(_cumulative(w / w.sum()), rng.random(players))
     below = np.empty(players, dtype=bool)
-    for k in range(grid.steps):
+    for k, columns in enumerate(thresholds):
         u = rng.random(players)
         x, nxt = paths[k], paths[k + 1]
         nxt.fill(0)
-        for column in thresholds[k]:
+        for column in columns:
             nxt += np.less_equal(np.take(column, x), u, out=below)
-    return PathBundle(paths.T, grid, w.size)
+    return PathBundle(paths.T, w.size)
 
 
 def simulate(gen: GeneratorModel, strategy: StrategyTable, rho0, cfg: SimConfig,
-             replication: int = 0) -> PathBundle:
+             replication: int = 0, *, transitions: np.ndarray | None = None) -> PathBundle:
     """Simulate cfg.players independent chains under a shared strategy, on
     its grid.
 
     Initial states are drawn i.i.d. from rho0; the bundle is a pure function
-    of (cfg.seed, replication, cfg.players).
+    of (cfg.seed, replication, cfg.players).  `transitions` may carry the
+    strategy's stack from transition_stack, shared across replications;
+    without it the stack is built here.
     """
-    cum = _cumulative(transition_stack(gen, strategy))
-    return _population(cum, rho0, strategy.grid, cfg.players, cfg.seed, replication)
+    if transitions is None:
+        transitions = transition_stack(gen, strategy)
+    return _population(_cumulative(transitions), rho0, cfg.players, cfg.seed, replication)
 
 
 @dataclass
@@ -161,18 +179,24 @@ class DeviationEstimate:
 
 
 def deviation_test(eq: Equilibrium, gen: GeneratorModel, cost: CostModel,
-                   spike: tuple[int, int, float], cfg: SimConfig,
-                   inner_pairs: int = 200) -> DeviationEstimate:
+                   spike: tuple[int, int, float], cfg: SimConfig, peers,
+                   inner_pairs: int = 200, *,
+                   transitions: np.ndarray | None = None) -> DeviationEstimate:
     """Estimate the normalized one-cell spike gap for one player by Monte Carlo.
 
     spike = (node, state, action): all other players run the equilibrium
     policy from time 0; the focal player's chain is started at the spiked
     node in the given state and costed against the peers' leave-one-out
-    empirical measure.  Each base path and its spiked partner use the same
-    uniform in every cell (common random numbers), and the confidence
-    interval is taken over replication means, so peer-sampling variation is
-    part of the interval.  For large populations the estimate approaches the
-    deterministic spike gap.
+    empirical measure.  `peers` holds that measure, one (steps+1, m) flow
+    per replication: PathBundle.peer_flow of the replication's own
+    population, which the focal player joins in player 0's place.  The
+    focal player's paths come from their own stream, and each base path and
+    its spiked partner use the same uniform in every cell (common random
+    numbers).  The confidence interval is taken over replication means, so
+    peer-sampling variation is part of the interval.  For large populations
+    the estimate approaches the deterministic spike gap.  `transitions` may
+    carry the policy's stack from transition_stack; without it the stack is
+    built here.
     """
     check_inner_pairs(inner_pairs)
     k0, state0, action = spike
@@ -185,23 +209,24 @@ def deviation_test(eq: Equilibrium, gen: GeneratorModel, cost: CostModel,
     profile = constant_spike_profile(gen, t0, action, state0)
     spiked = eq.policy.with_cell(k0, profile)
     dt = grid.dt
+    peers = np.asarray(peers, dtype=float)
+    if peers.shape != (cfg.replications, n + 1, gen.m):
+        raise DimensionMismatch(f"expected {cfg.replications} peer flows of shape "
+                                f"{(n + 1, gen.m)}, got an array of shape {peers.shape}")
 
-    base = transition_stack(gen, eq.policy)
-    spike_cells = base.copy()
+    if transitions is None:
+        transitions = transition_stack(gen, eq.policy)
+    spike_cells = transitions.copy()
     spike_cells[k0] = transition_matrix(gen, t0, profile, dt, grid_rate(gen, grid))
     # index 0 is the base strategy, index 1 the spiked one
-    cum = _cumulative(np.stack([base, spike_cells]))
+    cum = _cumulative(np.stack([transitions, spike_cells]))
     control = dt * np.stack([cost.control_profile_cost(nodes[k0:n], strategy.actions[k0:])
                              for strategy in (eq.policy, spiked)])
     side = np.arange(2)[:, None]
     weight = float(cost.tau_weight(t0))
 
     rep_means = np.empty(cfg.replications)
-    for rep in range(cfg.replications):
-        # the focal player is simulated separately, so the peers' full
-        # empirical measure is exactly the leave-one-out measure
-        peer = _population(cum[0], eq.rho, grid, cfg.players - 1, cfg.seed,
-                           rep).empirical_flow()
+    for rep, peer in enumerate(peers):
         running = dt * (weight * cost.running_base(nodes[k0:n, None], peer[k0:n]))
         table = control + running
         rng = _stream(cfg.seed, rep, _FOCAL_STREAM, 0)  # the one focal player's stream

@@ -22,7 +22,7 @@ from mfeq.chain import (ACTION_ATOL, GENERATOR_ATOL, FlowCurve, GeneratorReport,
 from mfeq.errors import AdmissibilityError, DimensionMismatch
 from mfeq.hj import EvaluationBasis, value_bound
 from mfeq.models import ACTION_HI, ACTION_LO, label_means
-from mfeq.simulate import _PEER_STREAM, PathBundle, _cumulative, _inverse_cdf, _stream
+from mfeq.simulate import _PEER_STREAM, PathBundle, _cumulative, _inverse_cdf, _stream, simulate
 from mfeq.verify import constant_spike_profile
 
 # one spike of the reference sweep, as verify's entries name their fields
@@ -393,7 +393,7 @@ def jump_simulate(gen, strategy, rho, players, seed) -> PathBundle:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, p))))
         x0 = int(np.searchsorted(cum_rho, rng.random(), side="right"))
         states[p] = jump_player(rng, *tables, grid.dt, x0, grid.steps)
-    return PathBundle(states, grid, gen.m)
+    return PathBundle(states, gen.m)
 
 
 def evaluate_population_cost(gen, cost, rho, strategy, a, k, transitions=None):
@@ -491,16 +491,31 @@ def population_loop(cum, rho0, grid, players, seed, replication):
     states[:, 0] = _inverse_cdf(_cumulative(w / w.sum()), rng.random(players))
     for k in range(grid.steps):
         states[:, k + 1] = _inverse_cdf(cum[k, states[:, k]], rng.random(players))
-    return PathBundle(states, grid, w.size)
+    return PathBundle(states, w.size)
 
 
-def empirical_flow_loop(bundle):
-    """Empirical measure node by node, one bincount per node."""
-    n = bundle.grid.steps
-    out = np.empty((n + 1, bundle.m))
-    for k in range(n + 1):
-        out[k] = np.bincount(bundle.states[:, k], minlength=bundle.m)
-    return out / bundle.players
+def empirical_flow_loop(states, m, grid):
+    """Empirical measure of the (players, steps+1) paths on the grid's
+    nodes, one bincount per node."""
+    out = np.empty((grid.steps + 1, m))
+    for k in range(grid.steps + 1):
+        out[k] = np.bincount(states[:, k], minlength=m)
+    return out / len(states)
+
+
+def state_counts_loop(states, m):
+    """Count of every state at every node of the (players, steps+1) paths,
+    one count_nonzero pass per state, the last state's included."""
+    paths = states.T
+    return np.stack([np.count_nonzero(paths == j, axis=1) for j in range(m)], axis=1)
+
+
+def peer_flows(gen, eq, cfg):
+    """One leave-one-out peer flow per replication, each from the
+    replication's own population, as `mfeq simulate` hands them to
+    deviation_test."""
+    return [simulate(gen, eq.policy, eq.rho, cfg, replication=r).peer_flow()
+            for r in range(cfg.replications)]
 
 
 def write_csv_rows(path, header, rows):
@@ -575,7 +590,7 @@ def mean_variance_terminal(variant: str, label: float, rho) -> float:
 def empirical_flow_error(bundle, nu_star) -> float:
     """sup over grid nodes of the total variation between the full empirical
     measure and the reference flow."""
-    if bundle.grid != nu_star.grid or bundle.m != nu_star.m:
+    if bundle.states.shape[1] != nu_star.grid.steps + 1 or bundle.m != nu_star.m:
         raise DimensionMismatch("bundle and flow live on different grids")
     emp = bundle.empirical_flow()
     return float(np.abs(emp - nu_star.values).sum(axis=1).max())

@@ -42,6 +42,7 @@ from oracles import (
     empirical_flow_error,
     evaluate_cost,
     mean_variance_terminal,
+    peer_flows,
     spike_gap,
 )
 
@@ -294,9 +295,9 @@ def test_c10_mean_field_limit(sim_equilibrium):
     sweep = verify_local_optimality(eq, gen, cost, action_samples=8)
     worst = sweep.worst
     det = spike_gap(eq, gen, cost, worst.node, worst.state, worst.action)
+    cfg = SimConfig(players=10_000, seed=202, replications=5)
     est = deviation_test(eq, gen, cost, spike=(worst.node, worst.state, worst.action),
-                         cfg=SimConfig(players=10_000, seed=202, replications=5),
-                         inner_pairs=400)
+                         cfg=cfg, peers=peer_flows(gen, eq, cfg), inner_pairs=400)
     dev_ok = est.covers(det)
     ok = monotone and slope_ok and frac_within >= 0.95 and dev_ok
     criterion(10, "many-player limit: LLN rate and deviation-test agreement", ok,

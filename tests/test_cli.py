@@ -426,7 +426,7 @@ def test_loaded_initial_law_is_the_files(tmp_path):
     assert run("solve", "--model", "affine_mv", "--grid", "20", "--init-rho", "0.3,0.7",
                "--out", str(out)) == 0
     meta = json.loads((out / "equilibrium.json").read_text())
-    _, _, _, eq = _load_equilibrium(out)
+    _, _, eq, _ = _load_equilibrium(out)
     assert eq.rho.tolist() == meta["rho"]
     assert eq.grid is eq.flow.grid and eq.grid.steps == meta["grid"]["steps"] == 20
 
@@ -489,6 +489,43 @@ class TestSimulate:
         code = run("simulate", "--eq", str(d), "--players", "20", "--seed", "5",
                    "--reps", "2", "--inner-pairs", "5", "--err-bound", "1e-4")
         assert code == 2
+
+    def test_one_transition_stack_per_command(self, solved_dir, tmp_path, monkeypatch):
+        import shutil
+        from mfeq import chain
+        d = tmp_path / "stacks"
+        shutil.copytree(solved_dir, d)
+        calls = []
+        original = chain.transition_stack
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        # the package's attribute `simulate` is the function, not the module
+        for module in ("mfeq.chain", "mfeq.simulate", "mfeq.cli"):
+            monkeypatch.setattr(sys.modules[module], "transition_stack", counted)
+        assert run("simulate", "--eq", str(d), "--players", "50", "--seed", "3",
+                   "--reps", "3", "--inner-pairs", "5", "--err-bound", "0.5") == 0
+        assert len(calls) == 1
+
+    def test_memory_is_one_population(self, solved_dir, tmp_path):
+        # one population's (steps+1, players) int64 paths take 6.6 MB; no
+        # replication's paths may outlive its counts
+        import shutil
+        import tracemalloc
+        d = tmp_path / "memory"
+        shutil.copytree(solved_dir, d)
+        players = 20_000
+        population = (40 + 1) * players * 8
+        tracemalloc.start()
+        try:
+            assert run("simulate", "--eq", str(d), "--players", str(players), "--seed", "1",
+                       "--reps", "3", "--inner-pairs", "20", "--err-bound", "0.5") == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * population
 
     def test_report_contents(self, solved_dir, tmp_path):
         import shutil

@@ -25,7 +25,7 @@ from mfeq.models import label_means, make_tau_weight
 
 import oracles
 from instances import random_affine_generator, random_strategy
-from oracles import label_mean, mean_variance_terminal
+from oracles import label_mean, mean_variance_terminal, peer_flows
 
 
 def interval(alpha, beta, i):
@@ -390,9 +390,9 @@ class TestArrayContract:
             eq = picard_solve(gen, cost, rho, grid)
             report = verify_local_optimality(eq, gen, cost, action_samples=6)
             spike = (20, 0, float(gen.action_bounds(grid.nodes[20])[0, 1]))
-            estimate = deviation_test(eq, gen, cost, spike=spike,
-                                      cfg=SimConfig(players=300, seed=5, replications=3),
-                                      inner_pairs=40)
+            cfg = SimConfig(players=300, seed=5, replications=3)
+            estimate = deviation_test(eq, gen, cost, spike=spike, cfg=cfg,
+                                      peers=peer_flows(gen, eq, cfg), inner_pairs=40)
             return eq, report, estimate
 
         eq, report, estimate = run(gen, cost)

@@ -16,13 +16,14 @@ from mfeq import (
     simulate,
     transition_stack,
 )
+from mfeq.errors import DimensionMismatch
 from mfeq.modelfile import build_model, read_model_file
 from mfeq.simulate import _cumulative, _population
 
 import oracles
 from instances import random_affine_generator, random_strategy, two_state_transition
 from oracles import (constant_flow, constant_strategy, dirac, empirical_flow_error, jump_simulate,
-                     spike_gap)
+                     peer_flows, spike_gap)
 
 
 @pytest.fixture(scope="module")
@@ -162,7 +163,7 @@ class TestVectorizedSampler:
         rho = rng.dirichlet(np.ones(m))
         for players in (2, 3, 700):
             for replication in (0, 4):
-                bundle = _population(cum, rho, grid, players, 11, replication)
+                bundle = _population(cum, rho, players, 11, replication)
                 loop = oracles.population_loop(cum, rho, grid, players, 11, replication)
                 assert bundle.states.shape == (players, grid.steps + 1)
                 assert np.array_equal(bundle.states, loop.states)
@@ -174,7 +175,43 @@ class TestVectorizedSampler:
         # oracle builds them, counts the same way
         jumps = jump_simulate(gen, strat, rho, players=300, seed=5)
         for b in (bundle, jumps):
-            assert np.array_equal(b.empirical_flow(), oracles.empirical_flow_loop(b))
+            assert np.array_equal(b.empirical_flow(),
+                                  oracles.empirical_flow_loop(b.states, gen.m, strat.grid))
+
+
+class TestPopulationCounts:
+    """The bundle's (m - 1)-pass counts against one pass per state, and its
+    leave-one-out peer flow against the empirical flow of players 1 to P-1."""
+
+    @staticmethod
+    def population(m, players):
+        rng = np.random.default_rng(80 + m)
+        grid = TimeGrid(2.0, 20)
+        gen = random_affine_generator(rng, m, grid=grid, time_varying=True)
+        rho = ProbabilityVector(rng.dirichlet(np.ones(m)))
+        strat = random_strategy(rng, gen, grid)
+        return grid, simulate(gen, strat, rho, SimConfig(players=players, seed=13))
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_counts_equal_per_state_loop(self, m):
+        _, bundle = self.population(m, 501)
+        loop = oracles.state_counts_loop(bundle.states, m)
+        assert np.array_equal(bundle.counts, loop)
+        # the empirical flow divides the same integers, so it is bit for bit
+        assert np.array_equal(bundle.empirical_flow(), loop / 501)
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_peer_flow_is_population_without_player_zero(self, m):
+        grid, bundle = self.population(m, 501)
+        peer = bundle.peer_flow()
+        assert np.array_equal(peer, oracles.empirical_flow_loop(bundle.states[1:], m, grid))
+        # the population is left as it was
+        assert np.array_equal(bundle.counts, oracles.state_counts_loop(bundle.states, m))
+
+    def test_two_players_leave_one_peer(self, symmetric_setup):
+        _, gen, strat, rho = symmetric_setup
+        bundle = simulate(gen, strat, rho, SimConfig(players=2, seed=3))
+        assert np.array_equal(bundle.peer_flow(), np.eye(2)[bundle.states[1]])
 
 
 class TestEmpiricalMeasures:
@@ -214,7 +251,7 @@ class TestDeviationTest:
         # matches the full profile (affine_mv policies are state-constant)
         assert np.allclose(eq.policy.actions[k0], base_action)
         est = deviation_test(eq, gen, cost, spike=(k0, 0, base_action), cfg=cfg,
-                             inner_pairs=20)
+                             peers=peer_flows(gen, eq, cfg), inner_pairs=20)
         assert est.gap == 0.0
         assert est.ci_low == est.ci_high == 0.0
 
@@ -224,7 +261,7 @@ class TestDeviationTest:
         det = spike_gap(eq, gen, cost, k0, i0, u)
         cfg = SimConfig(players=4000, seed=29, replications=6)
         est = deviation_test(eq, gen, cost, spike=(k0, i0, u),
-                             cfg=cfg, inner_pairs=300)
+                             cfg=cfg, peers=peer_flows(gen, eq, cfg), inner_pairs=300)
         assert est.covers(det) or abs(est.gap - det) <= max(0.05, 3 * est.stderr)
 
     def test_adversarial_spike_on_corrupted_policy(self, solved_affine_mv):
@@ -240,7 +277,7 @@ class TestDeviationTest:
                              diagnostics=eq.diagnostics)
         cfg = SimConfig(players=4000, seed=37, replications=4)
         est = deviation_test(bad_eq, gen, cost, spike=(k0, i0, good),
-                             cfg=cfg, inner_pairs=300)
+                             cfg=cfg, peers=peer_flows(gen, bad_eq, cfg), inner_pairs=300)
         # returning to the equilibrium action is significantly improving
         assert est.ci_high < 0.0
 
@@ -248,20 +285,29 @@ class TestDeviationTest:
         gen, cost, eq = solved_affine_mv
         cfg = SimConfig(players=2, seed=3, replications=2)
         est = deviation_test(eq, gen, cost, spike=(10, 0, 0.8), cfg=cfg,
-                             inner_pairs=10)
+                             peers=peer_flows(gen, eq, cfg), inner_pairs=10)
         assert est.pairs == 20
         assert np.isfinite(est.gap) and est.ci_low <= est.gap <= est.ci_high
+
+    @pytest.mark.parametrize("reps", [2, 4])
+    def test_one_peer_flow_per_replication(self, solved_affine_mv, reps):
+        gen, cost, eq = solved_affine_mv
+        peers = peer_flows(gen, eq, SimConfig(players=10, seed=1, replications=3))
+        with pytest.raises(DimensionMismatch, match="peer flows"):
+            deviation_test(eq, gen, cost, spike=(5, 0, 0.2),
+                           cfg=SimConfig(players=10, seed=1, replications=reps),
+                           peers=peers)
 
     @pytest.mark.parametrize("pairs", [0, -3])
     def test_inner_pairs_at_least_one(self, solved_affine_mv, pairs):
         gen, cost, eq = solved_affine_mv
+        cfg = SimConfig(players=10, seed=1, replications=2)
         with pytest.raises(ValueError, match="inner pairs"):
-            deviation_test(eq, gen, cost, spike=(5, 0, 0.2),
-                           cfg=SimConfig(players=10, seed=1, replications=2),
-                           inner_pairs=pairs)
+            deviation_test(eq, gen, cost, spike=(5, 0, 0.2), cfg=cfg,
+                           peers=peer_flows(gen, eq, cfg), inner_pairs=pairs)
 
     def test_spike_must_fit(self, solved_affine_mv):
         gen, cost, eq = solved_affine_mv
+        cfg = SimConfig(players=10, seed=1, replications=1)
         with pytest.raises(ValueError):
-            deviation_test(eq, gen, cost, (eq.grid.steps, 0, 0.0),
-                           SimConfig(players=10, seed=1, replications=1))
+            deviation_test(eq, gen, cost, (eq.grid.steps, 0, 0.0), cfg, peer_flows(gen, eq, cfg))
