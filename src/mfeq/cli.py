@@ -32,20 +32,29 @@ EXIT_BOUND_EXCEEDED = 2
 EXIT_VIOLATIONS = 3
 
 
-# rows formatted per call of _write_csv: a bounded block keeps the
-# transient strings and floats of a large table small
+# rows of _write_csv's unit of work: a block's values are deduplicated and
+# formatted together, so the block bounds the keys, distinct strings and
+# text of a large table held at once
 CSV_BLOCK_ROWS = 1024
 
 
 def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
-    """Write a 2-D float array under a header, every value as "%.17g";
-    each block of CSV_BLOCK_ROWS rows is formatted by one call."""
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    """Write a 2-D float array under a header, every value as "%.17g".
+
+    Each block of CSV_BLOCK_ROWS rows formats each of its distinct bit
+    patterns once, then fills its lines with those strings.  Keys are bits,
+    not values: 0.0 and -0.0 print differently, and every NaN prints "nan".
+    """
+    table = np.asarray(table, dtype=np.float64)
+    line = ",".join(["%s"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(table), CSV_BLOCK_ROWS):
             block = table[start:start + CSV_BLOCK_ROWS]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+            keys, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+            distinct = ",".join(["%.17g"] * len(keys)) % tuple(keys.view(np.float64).tolist())
+            text = np.array(distinct.split(","), dtype=object)
+            fh.write((line * len(block)) % tuple(text[inverse].tolist()))
 
 
 def _read_csv(path: Path) -> np.ndarray:
@@ -198,14 +207,14 @@ def cmd_verify(args) -> int:
     try:
         tol = None if args.tol_spike == "auto" else float(args.tol_spike)
         check_sweep_options(args.action_samples, tol)
-        gen, cost, eq, _ = _load_equilibrium(Path(args.eq))
+        gen, cost, eq, transitions = _load_equilibrium(Path(args.eq))
     except (MfeqError, ValueError, OSError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
     report = verify_local_optimality(eq, gen, cost,
                                      action_samples=args.action_samples,
-                                     tol_spike=tol)
+                                     tol_spike=tol, transitions=transitions)
     out = Path(args.eq)
     nodes = eq.grid.nodes
     entries = report.entries

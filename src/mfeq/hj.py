@@ -125,14 +125,16 @@ def backward_columns(gen: GeneratorModel, cost: CostModel, flows):
     the sweep's.  Each table's current decision-time column is held as
     coefficients in the cost's EvaluationBasis: a cell costs O(B m^2) time,
     a block O(SWEEP_BLOCK B m^2) memory.  Yields (first, C, profiles, P,
-    diagonal), row j of each array at node k = first + j, from the top
-    down: the terminal column against nu_N alone (profiles and P None),
-    then blocks of at most SWEEP_BLOCK cells.  profiles[j] (B, m) minimize
-    against each diagonal at k+1; P[j] = exp(dt Q) on cell k; C[j]
+    diagonal, extremes), row j of each array at node k = first + j, from
+    the top down: the terminal column against nu_N alone (profiles and P
+    None), then blocks of at most SWEEP_BLOCK cells.  profiles[j] (B, m)
+    minimize against each diagonal at k+1; P[j] = exp(dt Q) on cell k; C[j]
     (B, 2, m) is C[j+1] pushed back through P[j] plus the running cost;
-    diagonal[j] = w(t_k) C[j][:, 0] + C[j][:, 1].  A block's transitions are
-    checked before it is yielded; a failure names the node, and the flow
-    when B > 1.  One running_base call per flow covers every node.
+    diagonal[j] = w(t_k) C[j][:, 0] + C[j][:, 1]; extremes[j] (B, 2, m) is
+    EvaluationBasis.extremes of C[j], so callers need no basis of their
+    own.  A block's transitions are checked before it is yielded; a failure
+    names the node, and the flow when B > 1.  One running_base call per
+    flow covers every node.
 
     Every cell is uniformized at the grid's rate (chain.grid_rate), whose
     series plan is built once per sweep, so P[j] equals transition_matrix at
@@ -154,7 +156,7 @@ def backward_columns(gen: GeneratorModel, cost: CostModel, flows):
         flow_costs[:, b] = cost.running_base(nodes[:, None], nu.values)
     flow_costs *= dt
     diagonal = basis.weight[n] * C[:, 0] + C[:, 1]
-    yield n, C[None], None, None, diagonal[None]
+    yield n, C[None], None, None, diagonal[None], basis.extremes(C[None])
     plan = SeriesPlan(grid_rate(gen, grid), dt, m)
     for top in range(n, 0, -SWEEP_BLOCK):
         first, L = max(top - SWEEP_BLOCK, 0), min(top, SWEEP_BLOCK)
@@ -174,7 +176,7 @@ def backward_columns(gen: GeneratorModel, cost: CostModel, flows):
             diagonal = np.multiply(basis.weight[k], C[:, 0], out=diagonals[j])
             diagonal += C[:, 1]
         check_stochastic(P, _cell_names(first, B))
-        yield first, columns, profiles, P, diagonals
+        yield first, columns, profiles, P, diagonals, basis.extremes(columns)
 
 
 def _cell_names(first: int, flows: int):
@@ -211,23 +213,22 @@ def solve_hj(gen: GeneratorModel, cost: CostModel,
 
     Copies each block of backward_columns' sweep for the one flow: the
     diagonal rows its argmin reads, the policy, its transitions and the
-    block's EvaluationBasis.extremes, reduced to the table's min and max
-    after the sweep.  The policy's admissibility is checked once, and every
-    cell takes the grid's rate, so its transitions can stand in for
-    transition_stack bit for bit.  A table outside the declared bounds
-    [0, value_bound] is logged as a warning.
+    block's extremes, reduced to the table's min and max after the sweep.
+    The policy's admissibility is checked once, and every cell takes the
+    grid's rate, so its transitions can stand in for transition_stack bit
+    for bit.  A table outside the declared bounds [0, value_bound] is
+    logged as a warning.
     """
     grid = nu.grid
     n = grid.steps
-    basis = EvaluationBasis(cost, grid)
     diagonal = np.empty((n + 1, gen.m))
     actions = np.empty((n, gen.m))
     transitions = np.empty((n, gen.m, gen.m))
     extremes = np.empty((n + 1, 2, gen.m))  # reduced once after the sweep
-    for first, C, profiles, P, rows in backward_columns(gen, cost, nu):
+    for first, C, profiles, P, rows, ends in backward_columns(gen, cost, nu):
         block = slice(first, first + len(C))
         diagonal[block] = rows[:, 0]
-        extremes[block] = basis.extremes(C[:, 0])
+        extremes[block] = ends[:, 0]
         if profiles is not None:
             actions[block] = profiles[:, 0]
             transitions[block] = P[:, 0]

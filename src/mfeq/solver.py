@@ -26,8 +26,7 @@ from .chain import (
     validate_generator,
 )
 from .errors import DimensionMismatch
-from .hj import (BackwardSweep, CostModel, EvaluationBasis, backward_columns, solve_hj,
-                 value_bound)
+from .hj import BackwardSweep, CostModel, backward_columns, solve_hj, value_bound
 
 logger = logging.getLogger(__name__)
 
@@ -185,17 +184,14 @@ def table_distances(gen: GeneratorModel, cost: CostModel, pairs) -> np.ndarray:
     pair (nu, nu2).
 
     All the pairs' flows, on one grid, run through one lockstep backward
-    sweep.  Each column difference is read at the basis's extreme rows,
-    which hold its sup over every evaluation row, so no table is ever
+    sweep.  Each column difference is read at the evaluation basis's extreme
+    rows, which hold its sup over every evaluation row, so no table is ever
     stored: each block of cells records each pair's sup over those rows,
     and the records are reduced once after the sweep.
     """
     flows = [nu for pair in pairs for nu in pair]
-    grid = flows[0].grid
-    basis = EvaluationBasis(cost, grid)
-    worst = np.empty((grid.steps + 1, len(pairs)))
-    for first, C, *_ in backward_columns(gen, cost, flows):
-        ends = basis.extremes(C)
+    worst = np.empty((flows[0].grid.steps + 1, len(pairs)))
+    for first, C, *_, ends in backward_columns(gen, cost, flows):
         gaps = ends[:, 0::2] - ends[:, 1::2]
         np.abs(gaps, out=gaps).max(axis=(2, 3), out=worst[first:first + len(C)])
     return worst.max(axis=0, initial=0.0)

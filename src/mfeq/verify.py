@@ -140,7 +140,8 @@ def _spikes(gen: GeneratorModel, grid: TimeGrid, action_samples: int):
 
 def verify_local_optimality(eq: Equilibrium, gen: GeneratorModel, cost: CostModel,
                             action_samples: int = 16,
-                            tol_spike: float | None = None) -> SpikeReport:
+                            tol_spike: float | None = None, *,
+                            transitions: np.ndarray | None = None) -> SpikeReport:
     """Spike sweep over all grid nodes and states.
 
     Samples action_samples admissible actions per (node, state) (evenly
@@ -154,7 +155,9 @@ def verify_local_optimality(eq: Equilibrium, gen: GeneratorModel, cost: CostMode
     the spike's node against eq.flow: the tails run under the stored policy,
     from one two-row backward sweep that serves every evaluation node, and
     the spike cells' exponentials come from stacked transition_matrix calls
-    at the grid's rate over blocks of SPIKE_BLOCK spikes.
+    at the grid's rate over blocks of SPIKE_BLOCK spikes.  `transitions`
+    may carry the policy's stack from transition_stack; without it the
+    stack is built here.
     """
     check_sweep_options(action_samples, tol_spike)
     grid = eq.grid
@@ -162,7 +165,8 @@ def verify_local_optimality(eq: Equilibrium, gen: GeneratorModel, cost: CostMode
         tol_spike = 5.0 * grid.dt
     n, dt = grid.steps, grid.dt
     nodes = grid.nodes
-    transitions = transition_stack(gen, eq.policy)
+    if transitions is None:
+        transitions = transition_stack(gen, eq.policy)
     policy_control = cost.control_profile_cost(nodes[:n], eq.policy.actions)
     tails = _tail_values(cost, eq.flow, policy_control, transitions)
 

@@ -143,21 +143,21 @@ def value_table(gen, cost, nu):
 
 def sweep_cells(blocks):
     """backward_columns' blocks read one node at a time, from node N down:
-    (k, C, profiles, P, diagonal) of node k, with profiles and P None at
-    k = N.  Checks that the blocks cover the nodes N .. 0 in order: the
-    terminal column alone, then blocks of SWEEP_BLOCK cells, the last one
-    possibly shorter."""
+    (k, C, profiles, P, diagonal, extremes) of node k, with profiles and P
+    None at k = N.  Checks that the blocks cover the nodes N .. 0 in order:
+    the terminal column alone, then blocks of SWEEP_BLOCK cells, the last
+    one possibly shorter."""
     blocks = iter(blocks)
-    first, C, profiles, P, diagonal = next(blocks)
+    first, C, profiles, P, diagonal, extremes = next(blocks)
     assert len(C) == 1 and profiles is None and P is None
-    yield first, C[0], None, None, diagonal[0]
+    yield first, C[0], None, None, diagonal[0], extremes[0]
     top = first
-    for first, C, profiles, P, diagonal in blocks:
+    for first, C, profiles, P, diagonal, extremes in blocks:
         size = len(C)
         assert first + size == top and (size == SWEEP_BLOCK or first == 0)
-        assert len(profiles) == len(P) == len(diagonal) == size
+        assert len(profiles) == len(P) == len(diagonal) == len(extremes) == size
         for j in range(size - 1, -1, -1):
-            yield first + j, C[j], profiles[j], P[j], diagonal[j]
+            yield first + j, C[j], profiles[j], P[j], diagonal[j], extremes[j]
         top = first
     assert top == 0
 

@@ -90,6 +90,51 @@ def test_csv_writer_matches_value_by_value_writer(tmp_path):
             (tmp_path / "per_value.csv").read_bytes()
 
 
+def test_csv_writer_keys_on_bits(tmp_path):
+    # one column holds 0.0 and -0.0 (which np.unique on float values merges
+    # but "%.17g" prints as "0" and "-0"), NaNs of both signs, +-inf and
+    # 5e-324, each repeated; rows CSV_BLOCK_ROWS - 1 and CSV_BLOCK_ROWS, on
+    # either side of a block boundary, are equal
+    rng = np.random.default_rng(4)
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 0.1]
+    mixed = np.column_stack([np.resize(special, CSV_BLOCK_ROWS + 9),
+                             rng.choice([-0.0, 0.0, 2.5, 1e-300], CSV_BLOCK_ROWS + 9)])
+    mixed[CSV_BLOCK_ROWS] = mixed[CSV_BLOCK_ROWS - 1]
+    # shaped like verify's spike report: node times, states and action
+    # samples repeat across rows, and the gaps hold both zeros
+    steps, m, samples = 100, 2, 16
+    t = np.repeat(np.linspace(0.0, 0.5, steps + 1)[:-1], m * samples)
+    state = np.tile(np.repeat(np.arange(1.0, m + 1.0), samples), steps)
+    action = np.tile(np.linspace(-1.0, 1.0, samples), steps * m)
+    gap = rng.normal(size=t.size) * 1e-3
+    gap[::7], gap[3::11] = 0.0, -0.0
+    spikes = np.column_stack([t, state, action, gap])
+    assert len(spikes) > 3 * CSV_BLOCK_ROWS
+    for table in (mixed, spikes):
+        header = [f"c{j}" for j in range(table.shape[1])]
+        _write_csv(tmp_path / "blocks.csv", header, table)
+        oracles.write_csv_rows(tmp_path / "per_value.csv", header, table)
+        assert (tmp_path / "blocks.csv").read_bytes() == \
+            (tmp_path / "per_value.csv").read_bytes()
+
+
+def count_transition_stacks(monkeypatch) -> list:
+    """Record every transition_stack call of the package's commands."""
+    from mfeq import chain
+    calls = []
+    original = chain.transition_stack
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    # the package's attributes `simulate` and `verify` are functions, not
+    # the modules
+    for module in ("mfeq.chain", "mfeq.simulate", "mfeq.verify", "mfeq.cli"):
+        monkeypatch.setattr(sys.modules[module], "transition_stack", counted)
+    return calls
+
+
 def test_verbose_logs_to_stderr_and_changes_no_output(tmp_path, capsys):
     # -v adds the Picard log on stderr; stdout and every artifact stay
     # byte-identical
@@ -311,6 +356,15 @@ class TestVerify:
             assert run("verify", "--eq", str(out),
                        "--action-samples", "6") == 0, name
 
+    def test_one_transition_stack_per_command(self, solved_dir, tmp_path, monkeypatch):
+        # the stack _load_equilibrium builds for the flow also serves the sweep
+        import shutil
+        d = tmp_path / "stacks"
+        shutil.copytree(solved_dir, d)
+        calls = count_transition_stacks(monkeypatch)
+        assert run("verify", "--eq", str(d), "--action-samples", "4") == 0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("flag, value", [
         ("--tol-spike", "nan"), ("--tol-spike", "inf"), ("--tol-spike", "0"),
         ("--action-samples", "0"),
@@ -492,19 +546,9 @@ class TestSimulate:
 
     def test_one_transition_stack_per_command(self, solved_dir, tmp_path, monkeypatch):
         import shutil
-        from mfeq import chain
         d = tmp_path / "stacks"
         shutil.copytree(solved_dir, d)
-        calls = []
-        original = chain.transition_stack
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        # the package's attribute `simulate` is the function, not the module
-        for module in ("mfeq.chain", "mfeq.simulate", "mfeq.cli"):
-            monkeypatch.setattr(sys.modules[module], "transition_stack", counted)
+        calls = count_transition_stacks(monkeypatch)
         assert run("simulate", "--eq", str(d), "--players", "50", "--seed", "3",
                    "--reps", "3", "--inner-pairs", "5", "--err-bound", "0.5") == 0
         assert len(calls) == 1

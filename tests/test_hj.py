@@ -62,7 +62,7 @@ class TestSolveHj:
         rng = np.random.default_rng(0)
         grid, gen, cost = random_instance(rng, m=3, steps=15)
         nu = random_flow(rng, grid, 3)
-        first, C, profiles, P, diagonal = next(backward_columns(gen, cost, nu))
+        first, C, profiles, P, diagonal, _ = next(backward_columns(gen, cost, nu))
         assert first == grid.steps and profiles is None and P is None
         assert C.shape == (1, 1, 2, 3) and diagonal.shape == (1, 1, 3)
         column = evaluation_rows(EvaluationBasis(cost, grid), C[0], slice(None))[0]
@@ -214,7 +214,7 @@ class TestSweepMatchesDenseTable:
             flows = [random_flow(rng, grid, m) for _ in range(5)]
             batched = list(sweep_cells(backward_columns(gen, cost, flows)))
             for b, nu in enumerate(flows):
-                for (k, C, profiles, P, _), (k1, C1, profiles1, P1, _) in zip(
+                for (k, C, profiles, P, *_), (k1, C1, profiles1, P1, *_) in zip(
                         batched, sweep_cells(backward_columns(gen, cost, nu)), strict=True):
                     assert k == k1
                     assert np.array_equal(C[b], C1[0])
@@ -261,7 +261,7 @@ class TestSweepMatchesPerCellLoop:
         rng = np.random.default_rng(15)
         for _, grid, gen, cost, nu in self.CASES:
             flows = [nu] + [random_flow(rng, grid, gen.m) for _ in range(batch - 1)]
-            for (k, C, profiles, P, _), (k1, C1, profiles1, P1) in zip(
+            for (k, C, profiles, P, *_), (k1, C1, profiles1, P1) in zip(
                     sweep_cells(backward_columns(gen, cost, flows)),
                     oracles.backward_loop(gen, cost, flows), strict=True):
                 assert k == k1
@@ -286,12 +286,13 @@ class TestSweepMatchesPerCellLoop:
         rng, grid, gen, cost = self.block_edge_instance(steps)
         basis = EvaluationBasis(cost, grid)
         flows = [random_flow(rng, grid, 3) for _ in range(batch)]
-        for (k, C, profiles, P, diagonal), (k1, C1, profiles1, P1) in zip(
+        for (k, C, profiles, P, diagonal, extremes), (k1, C1, profiles1, P1) in zip(
                 sweep_cells(backward_columns(gen, cost, flows)),
                 oracles.backward_loop(gen, cost, flows), strict=True):
             assert k == k1
             assert np.array_equal(C, C1)
             assert np.array_equal(diagonal, evaluation_rows(basis, C1, [k])[:, 0])
+            assert np.array_equal(extremes, evaluation_rows(basis, C1, basis.extreme_rows))
             if k < grid.steps:
                 assert np.array_equal(profiles, profiles1)
                 assert np.array_equal(P, P1)

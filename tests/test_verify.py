@@ -156,6 +156,15 @@ class TestVerifyLocalOptimality:
         if corrupted and name != "zero_cost":
             assert ref_violations
 
+    def test_supplied_transitions_change_no_bit(self, small_eq):
+        gen, cost, eq = small_eq
+        built = verify_local_optimality(eq, gen, cost, action_samples=4)
+        given = verify_local_optimality(eq, gen, cost, action_samples=4,
+                                        transitions=transition_stack(gen, eq.policy))
+        assert given.tol == built.tol
+        assert given.entries.dtype == built.entries.dtype
+        assert given.entries.tobytes() == built.entries.tobytes()
+
     @pytest.mark.parametrize("kwargs", [
         {"tol_spike": float("nan")}, {"tol_spike": float("inf")},
         {"tol_spike": 0.0}, {"tol_spike": -1e-3},
