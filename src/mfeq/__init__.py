@@ -1,10 +1,11 @@
 """Equilibrium solver and verification suite for time-inconsistent,
 distribution-dependent control of finite-state Markov chains."""
 
+import logging as _logging
+
 from .chain import (
     FlowCurve,
     GeneratorModel,
-    GeneratorReport,
     ProbabilityVector,
     StrategyTable,
     TimeGrid,
@@ -25,7 +26,6 @@ from .hj import (
     CostModel,
     backward_columns,
     solve_hj,
-    validate_cost,
 )
 from .models import (
     AffineQuadraticModel,
@@ -39,6 +39,7 @@ from .solver import (
     SolverOptions,
     estimate_constants,
     picard_solve,
+    validate_cost,
 )
 from .simulate import (
     PathBundle,
@@ -52,3 +53,6 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
+
+# the package logs only through a handler its caller installs (mfeq -v)
+_logging.getLogger(__name__).addHandler(_logging.NullHandler())

@@ -19,10 +19,10 @@ import numpy as np
 from .chain import (FlowCurve, ProbabilityVector, StrategyTable, TimeGrid, admissible,
                     propagate_flow, transition_stack)
 from .errors import MfeqError, ModelFileError
-from .hj import value_bound
 from .modelfile import build_model, is_finite_number, model_hash, read_model_file
 from .simulate import SimConfig, check_inner_pairs, deviation_test, simulate
-from .solver import Equilibrium, SolverOptions, estimate_constants, picard_solve
+from .solver import (Equilibrium, SolverOptions, contraction_verdict, estimate_constants,
+                     picard_solve, validate_cost, value_bound)
 from .verify import check_sweep_options, verify_local_optimality
 
 EXIT_OK = 0
@@ -30,6 +30,9 @@ EXIT_INPUT = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_BOUND_EXCEEDED = 2
 EXIT_VIOLATIONS = 3
+
+# by name: under `python -m mfeq.cli` this module's __name__ is "__main__"
+logger = logging.getLogger("mfeq.cli")
 
 
 # rows of _write_csv's unit of work: a block's values are deduplicated and
@@ -117,6 +120,16 @@ def cmd_solve(args) -> int:
 
     eq = picard_solve(gen, cost, rho, grid, opts)
     contraction = estimate_constants(gen, cost, grid, seed=0)
+    model_checks = validate_cost(gen, cost, grid)
+    if model_checks:
+        logger.warning("%d model check findings, the first: %s", len(model_checks),
+                       model_checks[0])
+    bound = value_bound(gen, cost, grid)
+    lower_margin, upper_margin = eq.values.low, bound - eq.values.high
+    if lower_margin < -1e-8 or upper_margin < -1e-8:
+        logger.warning("value table exceeds declared bounds: above by %.3e, below by %.3e "
+                       "(declared constants may be inconsistent)", max(-upper_margin, 0.0),
+                       max(-lower_margin, 0.0))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -128,10 +141,12 @@ def cmd_solve(args) -> int:
     _write_csv(out / "policy.csv",
                ["t"] + [f"pi_{i + 1}" for i in range(gen.m)],
                np.column_stack([nodes[:-1], eq.policy.actions]))
-    bound = value_bound(gen, cost, grid)
     _write_csv(out / "theta_diag.csv",
                ["t"] + [f"theta_{i + 1}" for i in range(gen.m)],
                np.column_stack([nodes, eq.values.values]))
+    # after the CSVs: the ratio's first np.median loads about 1 MB of NumPy
+    # modules, which would otherwise add to the writers' peak memory
+    verdict = contraction_verdict(contraction, eq.diagnostics)
     _write_json(out / "equilibrium.json", {
         "schema": 1,
         "model_hash": model_hash(model),
@@ -147,22 +162,23 @@ def cmd_solve(args) -> int:
             "low": eq.values.low,
             "high": eq.values.high,
             "bound": bound,
-            "lower_margin": eq.values.low,
-            "upper_margin": bound - eq.values.high,
+            "lower_margin": lower_margin,
+            "upper_margin": upper_margin,
         },
+        "model_checks": model_checks,
         "contraction": {
             "kappa1": contraction.kappa1,
             "kappa2": contraction.kappa2,
             "kappa3": contraction.kappa3,
             "product": contraction.product,
-            "verdict": contraction.verdict,
+            "verdict": verdict,
             "note": contraction.note,
         },
     })
     status = "converged" if eq.converged else "NOT converged"
     print(f"solve: {status} after {eq.diagnostics.iterations} iterations "
           f"(final gap {eq.diagnostics.gaps[-1]:.3e}); "
-          f"contraction product {contraction.product:.4g} -> {contraction.verdict}")
+          f"contraction product {contraction.product:.4g} -> {verdict}")
     return EXIT_OK if eq.converged else EXIT_NOT_CONVERGED
 
 
@@ -344,21 +360,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logger = logging.getLogger("mfeq")
+    package_log = logging.getLogger("mfeq")
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(name)s %(levelname)s: %(message)s"))
-    level = logger.level
+    level = package_log.level
     if args.verbose:
-        logger.addHandler(handler)
-        logger.setLevel(logging.INFO)
+        package_log.addHandler(handler)
+        package_log.setLevel(logging.INFO)
     try:
         return args.func(args)
     except MfeqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     finally:
-        logger.removeHandler(handler)
-        logger.setLevel(level)
+        package_log.removeHandler(handler)
+        package_log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ discretization of the diagonal coupling and carries O(dt) error.
 
 from __future__ import annotations
 
-import logging
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -24,16 +23,12 @@ from .chain import (
     SeriesPlan,
     StrategyTable,
     TimeGrid,
-    admissible,
     check_stochastic,
     grid_rate,
-    interval_samples,
     transition_matrix,  # noqa: F401  (the benchmark's tracer patches this name)
     uniformize,
 )
 from .errors import DimensionMismatch, MfeqError
-
-logger = logging.getLogger(__name__)
 
 # Cells backward_columns computes between two checks of their transitions.
 SWEEP_BLOCK = 64
@@ -185,11 +180,6 @@ def _cell_names(first: int, flows: int):
                       + (f", flow {int(c) % flows}" if flows > 1 else ""))
 
 
-def value_bound(gen: GeneratorModel, cost: CostModel, grid: TimeGrid) -> float:
-    """The declared uniform bound (K1 + K2) T + K2 on every value."""
-    return (gen.K1 + cost.K2) * grid.horizon + cost.K2
-
-
 @dataclass(frozen=True)
 class BackwardSweep:
     """What solve_hj keeps of one backward sweep.
@@ -216,8 +206,7 @@ def solve_hj(gen: GeneratorModel, cost: CostModel,
     block's extremes, reduced to the table's min and max after the sweep.
     The policy's admissibility is checked once, and every cell takes the
     grid's rate, so its transitions can stand in for transition_stack bit
-    for bit.  A table outside the declared bounds [0, value_bound] is
-    logged as a warning.
+    for bit.
     """
     grid = nu.grid
     n = grid.steps
@@ -235,70 +224,5 @@ def solve_hj(gen: GeneratorModel, cost: CostModel,
     low, high = float(extremes.min()), float(extremes.max())
     policy = StrategyTable(actions, grid)
     policy.check_admissible(gen)
-
-    worst_hi = high - value_bound(gen, cost, grid)
-    worst_lo = -low
-    if worst_hi > 1e-8 or worst_lo > 1e-8:
-        logger.warning(
-            "value table exceeds declared bounds: above by %.3e, below by %.3e "
-            "(declared constants may be inconsistent)", max(worst_hi, 0.0),
-            max(worst_lo, 0.0),
-        )
     return BackwardSweep(diagonal, low, high, transitions), policy
 
-
-def validate_cost(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
-                  samples: int = 24, seed: int = 0) -> list[str]:
-    """Sampled checks of the declared cost bounds and the argmin oracle.
-
-    Returns a list of human-readable violations (empty when all sampled
-    checks pass): cost caps 0 <= f_dist, g <= K2 and control cost <= K1,
-    flow-Lipschitz |df| + |dg| <= K3 d(rho, rho'), and the argmin profile
-    being admissible and achieving the sampled objective minimum to 1e-8.
-    """
-    rng = np.random.default_rng(seed)
-    nodes = grid.nodes
-    problems: list[str] = []
-
-    def objective(t, profiles, h):
-        # entry i of each profile: state i's control cost plus q_t^v(i, .) . h
-        return cost.control_profile_cost(t, profiles) + np.vecdot(gen.rate_matrix(t, profiles), h)
-
-    for _ in range(samples):
-        a = rng.integers(0, grid.steps + 1)
-        k = rng.integers(0, grid.steps + 1)
-        tau, t = nodes[a], nodes[k]
-        rho = rng.dirichlet(np.ones(cost.m))
-        rho2 = rng.dirichlet(np.ones(cost.m))
-        weight = float(cost.tau_weight(tau))
-        f = weight * cost.running_base(t, rho)
-        g = cost.terminal(rho)
-        if f.min() < -1e-12 or g.min() < -1e-12:
-            problems.append(f"negative cost at (tau={tau:.3g}, t={t:.3g})")
-        if f.max() > cost.K2 + 1e-9 or g.max() > cost.K2 + 1e-9:
-            problems.append(
-                f"cost exceeds K2={cost.K2:.6g} at (tau={tau:.3g}, t={t:.3g}): "
-                f"max f={f.max():.6g}, max g={g.max():.6g}")
-        df = np.abs(f - weight * cost.running_base(t, rho2))
-        dg = np.abs(g - cost.terminal(rho2))
-        d = float(np.abs(rho - rho2).sum())
-        if (df + dg).max() > cost.K3 * d + 1e-9:
-            problems.append(f"flow-Lipschitz bound K3={cost.K3:.6g} violated")
-        bounds = gen.action_bounds(t)
-        psi = cost.control_profile_cost(t, rng.uniform(bounds[:, 0], bounds[:, 1]))
-        problems += [f"control cost {p:.6g} exceeds K1={gen.K1:.6g}"
-                     for p in psi[psi > gen.K1 + 1e-9]]
-        h = rng.uniform(0.0, value_bound(gen, cost, grid), cost.m)
-        profile = cost.argmin_profile(gen, t, h)
-        ok = admissible(bounds, profile)
-        achieved = objective(t, profile, h)
-        # profile s of the scan puts every state at its own s-th of 65 points
-        best = objective(t, interval_samples(bounds, 65).T, h).min(axis=0)
-        for i in range(cost.m):
-            if not ok[i]:
-                problems.append(f"argmin profile inadmissible at state {i}")
-            elif achieved[i] > best[i] + 1e-8:
-                problems.append(
-                    f"argmin misses sampled minimum by {achieved[i] - best[i]:.3e} "
-                    f"at state {i}")
-    return problems

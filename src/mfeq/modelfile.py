@@ -19,8 +19,9 @@ import numpy as np
 
 from .chain import GeneratorModel, TimeGrid
 from .errors import ModelDefect, ModelFileError
-from .hj import CostModel, value_bound
+from .hj import CostModel
 from .models import AffineQuadraticModel, SeparableCost, TabulatedGenerator
+from .solver import value_bound
 
 SCHEMA_VERSION = 1
 

@@ -1,5 +1,6 @@
 """Outer fixed-point recursion coupling the forward flow and the backward
-value solve, plus sampled estimation of the contraction constants.
+value solve, plus sampled estimation of the contraction constants and
+sampled checks of the declared ones.
 
 One solve alternates two steps until the flow is self-consistent: solve the
 backward system against the current flow, then propagate the initial law
@@ -22,11 +23,13 @@ from .chain import (
     ProbabilityVector,
     StrategyTable,
     TimeGrid,
+    admissible,
+    interval_samples,
     propagate_flow,
     validate_generator,
 )
 from .errors import DimensionMismatch
-from .hj import BackwardSweep, CostModel, backward_columns, solve_hj, value_bound
+from .hj import BackwardSweep, CostModel, backward_columns, solve_hj
 
 logger = logging.getLogger(__name__)
 
@@ -71,11 +74,12 @@ class IterationDiagnostics:
 
 @dataclass
 class ContractionReport:
-    """Sampled Lipschitz estimates and the product condition verdict.
+    """Sampled Lipschitz estimates and their product; contraction_verdict
+    reads the product beside a run's diagnostics.
 
     All three estimates are Monte Carlo maxima of difference quotients and
-    therefore lower bounds on the true suprema; "contractive" means the
-    sampled product stayed below one, not a proof.
+    therefore lower bounds on the true suprema; "contractive" means neither
+    the sampled product nor the run violated the condition, not a proof.
     """
 
     kappa1: float
@@ -89,9 +93,14 @@ class ContractionReport:
     def product(self) -> float:
         return self.kappa1 * self.kappa2 * self.kappa3 * self.horizon
 
-    @property
-    def verdict(self) -> str:
-        return "contractive" if self.product < 1.0 else "not-provably-contractive"
+
+def contraction_verdict(report: ContractionReport, diagnostics: IterationDiagnostics) -> str:
+    """"contractive" when the sampled product is below one and the run
+    agrees: it converged, and its median gap ratio (NaN with fewer than two
+    gaps) does not exceed the product, which under the product condition
+    bounds the Picard map's rate.  Otherwise "not-provably-contractive"."""
+    evident = diagnostics.converged and not diagnostics.ratio > report.product
+    return "contractive" if evident and report.product < 1.0 else "not-provably-contractive"
 
 
 @dataclass
@@ -197,6 +206,11 @@ def table_distances(gen: GeneratorModel, cost: CostModel, pairs) -> np.ndarray:
     return worst.max(axis=0, initial=0.0)
 
 
+def value_bound(gen: GeneratorModel, cost: CostModel, grid: TimeGrid) -> float:
+    """The declared uniform bound (K1 + K2) T + K2 on every value."""
+    return (gen.K1 + cost.K2) * grid.horizon + cost.K2
+
+
 def estimate_constants(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
                        samples: int = 6, seed: int = 0) -> ContractionReport:
     """Monte Carlo maximization of the three difference quotients.
@@ -208,7 +222,7 @@ def estimate_constants(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
     its pairs first and sweeps them together.
     """
     rng = np.random.default_rng(seed)
-    kappa1 = validate_generator(gen, grid, samples=max(8, samples)).kappa1_hat
+    kappa1 = validate_generator(gen, grid, samples=max(8, samples))
 
     scale = value_bound(gen, cost, grid)
     kappa2 = 0.0
@@ -244,7 +258,71 @@ def estimate_constants(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
 
     report = ContractionReport(kappa1=kappa1, kappa2=kappa2, kappa3=kappa3,
                                horizon=grid.horizon)
-    logger.info("contraction estimates: kappa1=%.4g kappa2=%.4g kappa3=%.4g "
-                "product=%.4g -> %s", kappa1, kappa2, kappa3, report.product,
-                report.verdict)
+    logger.info("contraction estimates: kappa1=%.4g kappa2=%.4g kappa3=%.4g product=%.4g",
+                kappa1, kappa2, kappa3, report.product)
     return report
+
+
+def validate_cost(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
+                  samples: int = 24, seed: int = 0) -> list[str]:
+    """Sampled checks of the declared cost bounds and the argmin oracle.
+
+    Returns a list of human-readable violations (empty when all sampled
+    checks pass), sample by sample: cost caps 0 <= f_dist, g <= K2 and
+    control cost <= K1, flow-Lipschitz |df| + |dg| <= K3 d(rho, rho'), and
+    the argmin profile being admissible and achieving the minimum of a
+    65-point scan of each interval to 1e-8.  The samples are drawn in the
+    order of a loop over them, one argmin call each; every cost and check
+    is one array operation over all of them.
+    """
+    rng, nodes, ones = np.random.default_rng(seed), grid.nodes, np.ones(cost.m)
+    # per sample: the nodes of tau and t, the laws rho and rho', and the
+    # uniforms of the control-cost actions and of h
+    draws = [(rng.integers(0, grid.steps + 1), rng.integers(0, grid.steps + 1),
+              rng.dirichlet(ones, size=2), rng.random((2, cost.m))) for _ in range(samples)]
+    a, k, laws, uniforms = map(np.array, zip(*draws))
+    tau, t, bounds = nodes[a], nodes[k], gen.action_bounds(nodes[k])
+    # rng.uniform(lo, hi) draws lo + (hi - lo) * rng.random(), entry by entry
+    actions = bounds[..., 0] + (bounds[..., 1] - bounds[..., 0]) * uniforms[:, 0]
+    h = value_bound(gen, cost, grid) * uniforms[:, 1]
+    profile = np.array([cost.argmin_profile(gen, t[s], h[s]) for s in range(samples)])
+
+    def objective(ts, profiles, hs):
+        # entry i of each profile: state i's control cost plus q_t^v(i, .) . h
+        return cost.control_profile_cost(ts, profiles) \
+            + np.vecdot(gen.rate_matrix(ts, profiles), hs)
+
+    f = np.asarray(cost.tau_weight(tau), dtype=float)[:, None, None] \
+        * cost.running_base(t[:, None, None], laws)
+    g = cost.terminal(laws)
+    fmax, gmax = f[:, 0].max(axis=1), g[:, 0].max(axis=1)
+    negative = (f[:, 0].min(axis=1) < -1e-12) | (g[:, 0].min(axis=1) < -1e-12)
+    capped = (fmax > cost.K2 + 1e-9) | (gmax > cost.K2 + 1e-9)
+    moved = np.abs(f[:, 0] - f[:, 1]) + np.abs(g[:, 0] - g[:, 1])
+    distance = np.abs(laws[:, 0] - laws[:, 1]).sum(axis=1)
+    lipschitz = moved.max(axis=1) > cost.K3 * distance + 1e-9
+    psi = cost.control_profile_cost(t, actions)
+    over = psi > gen.K1 + 1e-9
+    ok = admissible(bounds, profile)
+    achieved = objective(t, profile, h[:, None])
+    # profile j of the scan puts every state at its own j-th of 65 points
+    scan = np.swapaxes(interval_samples(bounds, 65), 1, 2)
+    best = objective(t[:, None], scan, h[:, None, None]).min(axis=1)
+    missed = ok & (achieved > best + 1e-8)
+
+    problems: list[str] = []
+    for s in range(samples):
+        where = f"(tau={tau[s]:.3g}, t={t[s]:.3g})"
+        if negative[s]:
+            problems.append(f"negative cost at {where}")
+        if capped[s]:
+            problems.append(f"cost exceeds K2={cost.K2:.6g} at {where}: "
+                            f"max f={fmax[s]:.6g}, max g={gmax[s]:.6g}")
+        if lipschitz[s]:
+            problems.append(f"flow-Lipschitz bound K3={cost.K3:.6g} violated")
+        problems += [f"control cost {p:.6g} exceeds K1={gen.K1:.6g}" for p in psi[s, over[s]]]
+        for i in np.flatnonzero(~ok[s] | missed[s]):
+            miss = achieved[s, i] - best[s, i]
+            problems.append(f"argmin misses sampled minimum by {miss:.3e} at state {i}"
+                            if ok[s, i] else f"argmin profile inadmissible at state {i}")
+    return problems

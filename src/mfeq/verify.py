@@ -94,21 +94,21 @@ def check_sweep_options(action_samples: int, tol_spike: float | None) -> None:
         raise ValueError(f"spike tolerance must be finite and positive, got {tol_spike}")
 
 
-def _tail_values(cost: CostModel, nu: FlowCurve, control: np.ndarray,
-                 transitions: np.ndarray) -> np.ndarray:
+def _tail_values(cost: CostModel, nu: FlowCurve, base: np.ndarray, weight: np.ndarray,
+                 control: np.ndarray, transitions: np.ndarray) -> np.ndarray:
     """Row k: the cost from node k+1 to the horizon under the policy,
     evaluated from evaluation node k, shape (steps, m).
 
-    control[s] is the policy's control cost profile on cell s.  The tau
-    weight w scales only the flow costs, so one backward sweep of two rows
-    serves every evaluation node: A_s sums the flow costs dt f(t_r, nu_r)
-    from node s on and B_s the control and terminal costs, both pushed back
-    through the policy's transitions, and row k is w(t_k) A_{k+1} + B_{k+1}.
+    base[s] is the running cost f(t_s, nu_s) before its tau weight, at
+    every node; weight[k] is w(t_k) at the cell nodes; control[s] is the
+    policy's control cost profile on cell s.  The tau weight w scales only
+    the flow costs, so one backward sweep of two rows serves every
+    evaluation node: A_s sums the flow costs dt f(t_r, nu_r) from node s on
+    and B_s the control and terminal costs, both pushed back through the
+    policy's transitions, and row k is w(t_k) A_{k+1} + B_{k+1}.
     """
-    grid = nu.grid
-    n, dt = grid.steps, grid.dt
-    nodes = grid.nodes
-    flow_costs = dt * cost.running_base(nodes[:, None], nu.values)
+    n, dt = nu.grid.steps, nu.grid.dt
+    flow_costs = dt * base
     rows = np.empty((n, 2, nu.m))  # rows[k] = [A_{k+1}, B_{k+1}]
     rows[n - 1, 0] = 0.0
     rows[n - 1, 1] = cost.terminal(nu.at(n))
@@ -116,7 +116,6 @@ def _tail_values(cost: CostModel, nu: FlowCurve, control: np.ndarray,
         np.matmul(rows[s], transitions[s].T, out=rows[s - 1])
         rows[s - 1, 0] += flow_costs[s]
         rows[s - 1, 1] += dt * control[s]
-    weight = np.asarray(cost.tau_weight(nodes[:n]), dtype=float)
     return weight[:, None] * rows[:, 0] + rows[:, 1]
 
 
@@ -168,12 +167,13 @@ def verify_local_optimality(eq: Equilibrium, gen: GeneratorModel, cost: CostMode
     if transitions is None:
         transitions = transition_stack(gen, eq.policy)
     policy_control = cost.control_profile_cost(nodes[:n], eq.policy.actions)
-    tails = _tail_values(cost, eq.flow, policy_control, transitions)
+    base = cost.running_base(nodes[:, None], eq.flow.values)
+    weight = np.asarray(cost.tau_weight(nodes[:n]), dtype=float)
+    tails = _tail_values(cost, eq.flow, base, weight, policy_control, transitions)
 
     # cost of the policy from each node k on, evaluated from t_k; the first
     # cell's distribution cost is shared with the spikes
-    running = np.asarray(cost.tau_weight(nodes[:n]), dtype=float)[:, None] \
-        * cost.running_base(nodes[:n, None], eq.flow.values[:n])
+    running = weight[:, None] * base[:n]
     v_base = dt * (running + policy_control) + np.einsum("kij,kj->ki", transitions, tails)
 
     node, state, action, profiles = _spikes(gen, grid, action_samples)

@@ -53,7 +53,7 @@ def test_runtime_loads_no_scipy():
 PUBLIC_NAMES = [
     "AdmissibilityError", "AffineQuadraticModel", "BackwardSweep", "ContractionReport",
     "CostModel", "DimensionMismatch", "Equilibrium", "FlowCurve", "GeneratorModel",
-    "GeneratorReport", "MfeqError", "ModelDefect", "ModelFileError", "NumericalError",
+    "MfeqError", "ModelDefect", "ModelFileError", "NumericalError",
     "PathBundle", "ProbabilityVector", "SeparableCost", "SimConfig", "SolverOptions",
     "SpikeReport", "StrategyTable", "TabulatedGenerator", "TimeGrid", "admissible_interval",
     "backward_columns", "chain", "deviation_test", "errors", "estimate_constants", "hj",
@@ -154,14 +154,52 @@ def test_verbose_logs_to_stderr_and_changes_no_output(tmp_path, capsys):
     assert "mfeq.solver INFO: picard iteration=1 gap=" in loud[2]
 
 
-def test_verbose_routes_bound_warning(tmp_path, capsys):
-    model = json.loads((Path(mfeq.__file__).parent / "data" / "affine_mv.json").read_text())
-    model["constants"] = {"K1": 0.01, "K2": 0.01}
-    path = tmp_path / "tight.json"
+def model_file(tmp_path, name, **constants) -> Path:
+    """A shipped model declaring the given constants, as a file."""
+    model = json.loads((DATA / f"{name}.json").read_text())
+    model["constants"] = constants
+    path = tmp_path / f"{name}-constants.json"
     path.write_text(json.dumps(model))
+    return path
+
+
+def test_verbose_routes_bound_warning(tmp_path, capsys):
+    # declared constants that the table and the cost break: without -v
+    # nothing reaches stderr, even outside pytest's log capture; with it
+    # each check warns once per solve, not once per Picard iteration
+    path = model_file(tmp_path, "affine_mv", K1=0.01, K2=0.01)
+    src = str(Path(mfeq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    quiet = subprocess.run([sys.executable, "-m", "mfeq.cli", "solve", "--model", str(path),
+                            "--grid", "20", "--out", str(tmp_path / "q")],
+                           env=env, capture_output=True, text=True)
+    assert (quiet.returncode, quiet.stderr) == (0, "")
     assert run("-v", "solve", "--model", str(path), "--grid", "20",
                "--out", str(tmp_path / "eq")) == 0
-    assert "mfeq.hj WARNING: value table exceeds declared bounds" in capsys.readouterr().err
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "WARNING" in line]
+    meta = json.loads((tmp_path / "eq" / "equilibrium.json").read_text())
+    checks = meta["model_checks"]
+    assert meta["value_bounds"]["upper_margin"] < 0.0 and checks
+    assert warnings == [
+        f"mfeq.cli WARNING: {len(checks)} model check findings, the first: {checks[0]}",
+        warnings[1]]
+    assert warnings[1].startswith("mfeq.cli WARNING: value table exceeds declared bounds: "
+                                  "above by ")
+    assert any(c.startswith("cost exceeds K2=0.01") for c in checks)
+    assert any(c.endswith("exceeds K1=0.01") for c in checks)
+
+
+def test_model_checks_record_validate_cost(tmp_path):
+    from mfeq import validate_cost
+    from mfeq.chain import TimeGrid
+    from mfeq.modelfile import build_model, read_model_file
+    path = model_file(tmp_path, "affine_mv_gtilde", K3=1e-3)
+    assert run("solve", "--model", str(path), "--grid", "30", "--out", str(tmp_path / "eq")) == 0
+    meta = json.loads((tmp_path / "eq" / "equilibrium.json").read_text())
+    model = read_model_file(path)
+    grid = TimeGrid(model["horizon"], 30)
+    assert meta["model_checks"] == validate_cost(*build_model(model, grid), grid)
+    assert any("flow-Lipschitz bound K3=0.001 violated" == c for c in meta["model_checks"])
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +219,7 @@ class TestSolve:
         meta = json.loads((solved_dir / "equilibrium.json").read_text())
         assert meta["diagnostics"]["converged"] is True
         assert meta["contraction"]["verdict"] == "contractive"
+        assert meta["model_checks"] == []
 
     def test_csv_shapes_and_format(self, solved_dir):
         flow = (solved_dir / "flow.csv").read_text().splitlines()
@@ -308,6 +347,40 @@ class TestSolve:
         assert run("solve", "--model", "affine_mv", "--grid", "25",
                    "--out", str(out2)) == 0
         assert read_bytes_map(out1) == read_bytes_map(out2)
+
+
+class TestContractionVerdict:
+    """The verdict reads the run's own evidence beside the sampled product."""
+
+    @staticmethod
+    def solve(tmp_path, model, *flags, grid="200"):
+        out = tmp_path / "eq"
+        code = run("solve", "--model", str(model), "--grid", grid, "--out", str(out), *flags)
+        return code, json.loads((out / "equilibrium.json").read_text())
+
+    def test_unconverged_solve(self, tmp_path, capsys):
+        code, meta = self.solve(tmp_path, "affine_mv", "--max-iter", "1", grid="20")
+        assert code == 2
+        assert meta["contraction"]["verdict"] == "not-provably-contractive"
+        assert capsys.readouterr().out.endswith("-> not-provably-contractive\n")
+
+    def test_ratio_above_the_sampled_product(self, tmp_path):
+        # a huge declared K1 saturates kappa2's probes: product 0, while the
+        # Picard gaps shrink by about 0.08 per iteration
+        code, meta = self.solve(tmp_path, model_file(tmp_path, "affine_mv", K1=1e200))
+        assert code == 0
+        assert meta["contraction"]["product"] == 0.0
+        assert meta["diagnostics"]["ratio"] == pytest.approx(0.08, abs=0.01)
+        assert meta["contraction"]["verdict"] == "not-provably-contractive"
+
+    @pytest.mark.parametrize("name", ["affine_mv", "affine_mv_gtilde", "dist_independent",
+                                      "time_consistent", "zero_cost"])
+    def test_shipped_models_stay_contractive(self, tmp_path, name):
+        code, meta = self.solve(tmp_path, name)
+        assert code == 0
+        ratio = meta["diagnostics"]["ratio"]
+        assert ratio is None or ratio <= meta["contraction"]["product"] < 1.0
+        assert meta["contraction"]["verdict"] == "contractive"
 
 
 class TestVerify:

@@ -149,16 +149,6 @@ class TestSolveHj:
             dists.append(float(np.abs(base_table - t2).max()))
         assert dists[0] <= dists[1] + 1e-12 <= dists[2] + 2e-12
 
-    def test_bound_violation_logs_diagnostic_warning(self, caplog):
-        import logging
-        grid = TimeGrid(0.1, 8)
-        gen = AffineQuadraticModel([[-0.8, 0.8], [0.9, -0.9]], [0.4, -0.4])
-        cost = SeparableCost(2, terminal=("table", [0.0, 0.9]), horizon=0.1, K2=0.05)
-        nu = constant_flow([0.5, 0.5], grid)
-        with caplog.at_level(logging.WARNING, logger="mfeq.hj"):
-            solve_hj(gen, cost, nu)
-        assert any("declared" in rec.message for rec in caplog.records)
-
     def test_inadmissible_argmin_rejected(self):
         # the sweep checks the policy once, since its transitions stand in
         # for transition_stack in the Picard loop

@@ -17,9 +17,9 @@ from mfeq import (
     deviation_test,
     estimate_constants,
     picard_solve,
-    validate_generator,
     verify_local_optimality,
 )
+from mfeq.chain import interval_samples
 from mfeq.modelfile import build_model, builtin_names, read_model_file
 from mfeq.models import label_means, make_tau_weight
 
@@ -286,10 +286,16 @@ class TestAffineQuadraticModel:
         assert gen.K1 == pytest.approx(1.3)
 
     def test_rows_pass_validation_on_admissible_actions(self):
+        # at sampled admissible actions every row sums to zero and no
+        # off-diagonal rate is negative
         rng = np.random.default_rng(2)
+        nodes = TimeGrid(1.0, 4).nodes
         for _ in range(10):
             gen = random_affine_generator(rng, int(rng.integers(2, 6)))
-            assert validate_generator(gen, TimeGrid(1.0, 4), samples=6).ok
+            actions = np.swapaxes(interval_samples(gen.action_bounds(nodes), 6), 1, 2)
+            Q = gen.rate_matrix(nodes[:, None], actions)  # (nodes, samples, m, m)
+            assert np.abs(Q.sum(axis=-1)).max() <= 1e-10
+            assert np.where(np.eye(gen.m, dtype=bool), 0.0, Q).min() >= -1e-10
 
     def test_time_varying_tables(self):
         grid = TimeGrid(1.0, 2)

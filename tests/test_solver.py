@@ -8,6 +8,7 @@ import pytest
 
 from mfeq import (
     AffineQuadraticModel,
+    ContractionReport,
     ProbabilityVector,
     SeparableCost,
     SolverOptions,
@@ -20,7 +21,7 @@ from mfeq import chain, hj, solver
 from mfeq.chain import uniformize
 from mfeq.errors import AdmissibilityError
 from mfeq.modelfile import build_model, builtin_names, read_model_file
-from mfeq.solver import myopic_strategy
+from mfeq.solver import IterationDiagnostics, contraction_verdict, myopic_strategy
 
 import oracles
 from instances import OutsideArgmin, random_flow
@@ -91,7 +92,7 @@ class TestPicardSolve:
         grid, gen, cost = affine_mv
         eq = picard_solve(gen, cost, ProbabilityVector.uniform(2), grid)
         report = estimate_constants(gen, cost, grid, seed=0)
-        assert report.verdict == "contractive"
+        assert contraction_verdict(report, eq.diagnostics) == "contractive"
         for a, b in zip(eq.diagnostics.gaps, eq.diagnostics.gaps[1:]):
             if a > 1e-13 and b > 1e-13:
                 assert b / a <= report.product + 0.1
@@ -155,7 +156,8 @@ class TestEstimateConstants:
         report = estimate_constants(gen, cost, grid, samples=3, seed=0)
         assert report.kappa1 == 0.0
         assert report.product == 0.0
-        assert report.verdict == "contractive"
+        eq = picard_solve(gen, cost, ProbabilityVector.uniform(3), grid)
+        assert contraction_verdict(report, eq.diagnostics) == "contractive"
 
     def test_distribution_independent_kills_kappa3(self):
         model = read_model_file("dist_independent")
@@ -163,7 +165,8 @@ class TestEstimateConstants:
         gen, cost = build_model(model, grid)
         report = estimate_constants(gen, cost, grid, samples=3, seed=1)
         assert report.kappa3 == 0.0
-        assert report.verdict == "contractive"
+        eq = picard_solve(gen, cost, ProbabilityVector.uniform(gen.m), grid)
+        assert contraction_verdict(report, eq.diagnostics) == "contractive"
 
     def test_kappa2_matches_clip_map_constant(self, affine_mv):
         grid, gen, cost = affine_mv
@@ -233,6 +236,26 @@ class TestEstimateConstants:
         report = estimate_constants(gen, cost, grid, samples=2, seed=3)
         assert "lower bounds" in report.note
         assert report.kappa1 >= 0 and report.kappa2 >= 0 and report.kappa3 >= 0
+
+
+class TestContractionVerdict:
+    REPORT = ContractionReport(kappa1=0.8, kappa2=0.8, kappa3=1.0, horizon=0.5)  # product 0.32
+
+    @pytest.mark.parametrize("gaps, converged, verdict", [
+        ([1e-2, 1e-3, 1e-4, 1e-9], True, "contractive"),  # ratio 0.1
+        ([1e-2, 1e-9], True, "contractive"),
+        ([1e-9], True, "contractive"),  # one gap: no observed ratio
+        ([1e-2, 1e-3, 1e-4], False, "not-provably-contractive"),
+        ([1e-2, 5e-3, 2.5e-3, 1e-9], True, "not-provably-contractive"),  # median ratio 0.5
+    ])
+    def test_reads_the_run(self, gaps, converged, verdict):
+        diagnostics = IterationDiagnostics(gaps=gaps, iterations=len(gaps), converged=converged)
+        assert contraction_verdict(self.REPORT, diagnostics) == verdict
+
+    def test_product_of_one_is_not_contractive(self):
+        diagnostics = IterationDiagnostics(gaps=[1e-9], iterations=1, converged=True)
+        report = ContractionReport(kappa1=1.0, kappa2=1.0, kappa3=1.0, horizon=1.0)
+        assert contraction_verdict(report, diagnostics) == "not-provably-contractive"
 
 
 class TestNodeRate:

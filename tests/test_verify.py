@@ -18,8 +18,8 @@ from mfeq import (
 )
 from mfeq.chain import transition_stack, validate_generator
 from mfeq.errors import AdmissibilityError, NumericalError
-from mfeq.hj import CostModel, value_bound
-from mfeq.solver import Equilibrium
+from mfeq.hj import CostModel
+from mfeq.solver import Equilibrium, value_bound
 from mfeq.verify import _spikes, _tail_values
 
 import oracles
@@ -218,7 +218,9 @@ class TestTailValues:
         transitions = transition_stack(gen, strategy)
         control = np.array([cost.control_profile_cost(t, u)
                             for t, u in zip(grid.nodes, strategy.actions)])
-        tails = _tail_values(cost, nu, control, transitions)
+        base = cost.running_base(grid.nodes[:, None], nu.values)
+        weight = cost.tau_weight(grid.nodes[:-1])
+        tails = _tail_values(cost, nu, base, weight, control, transitions)
         ref = oracles.tail_values_loop(cost, nu, strategy.actions, transitions)
         assert tails.shape == (grid.steps, gen.m)
         assert np.abs(tails - ref).max() <= 1e-12 * max(1.0, float(np.abs(ref).max()))
@@ -352,7 +354,7 @@ def check_bounds_and_lipschitz(eq, gen, cost, samples=20, seed=0) -> BoundsRepor
     The value bound uses the declared constants, (K1 + K2) * horizon + K2, so
     misdeclared caps surface here.  The stability check propagates random
     initial-law / strategy pairs and measures the slack in
-    d(flow, flow') <= d(rho, gamma) + kappa1_hat * strategy distance; with
+    d(flow, flow') <= d(rho, gamma) + kappa1 * strategy distance; with
     exponential stepping the flows solve the frozen dynamics exactly, so the
     slack should be roundoff-sized (the allowance keeps an O(dt) term for
     models whose sampled kappa1 underestimates the true constant).
@@ -364,7 +366,7 @@ def check_bounds_and_lipschitz(eq, gen, cost, samples=20, seed=0) -> BoundsRepor
     bounds_ok = tmin >= -1e-9 and tmax <= bound + 1e-9
 
     rng = np.random.default_rng(seed)
-    kappa1 = validate_generator(gen, grid, samples=8).kappa1_hat
+    kappa1 = validate_generator(gen, grid, samples=8)
     worst = 0.0
     for _ in range(samples):
         rho = rng.dirichlet(np.ones(gen.m))
