@@ -391,11 +391,14 @@ def uniformize(generators: np.ndarray, plan: SeriesPlan, where) -> np.ndarray:
 
     A non-finite generator is rejected before any series.  Negative entries
     down to -MASS_ATOL are roundoff and clipped to zero; a lower one is
-    rejected.  where(c) names matrix c of the stack in a failure.
+    rejected.  where(c) names matrix c of the stack in a failure.  The
+    backward sweep runs the same coverage test (rate_covers) once per block
+    of cells and calls uniformize, cell by cell, only for a block that
+    fails it.
     """
     Q = np.asarray(generators, dtype=float)
     A = Q * plan.h + plan.xI  # x T: in [0, x] when lam covers the matrix's rate
-    if A.min() >= 0.0 and A.max() < np.inf:
+    if rate_covers(A):
         return _series(A, plan)
     covered = (A.min(axis=(1, 2)) >= 0.0) & (A.max(axis=(1, 2)) < np.inf)
     short = np.flatnonzero(~covered)
@@ -419,22 +422,32 @@ def uniformize(generators: np.ndarray, plan: SeriesPlan, where) -> np.ndarray:
     return P
 
 
-def _series(A: np.ndarray, plan: SeriesPlan) -> np.ndarray:
+def rate_covers(A: np.ndarray) -> bool:
+    """uniformize's coverage test of a stack of x T: the plan's rate covers
+    every matrix, so no entry is negative, infinite or NaN."""
+    return A.min() >= 0.0 and A.max() < np.inf
+
+
+def _series(A: np.ndarray, plan: SeriesPlan, out: np.ndarray | None = None) -> np.ndarray:
     """exp(-x) sum over 0 <= n <= K of A^n / n!, squared s times, for a
-    (count, m, m) stack A = x T at the plan's rate."""
-    term, R = A, A.copy()
+    (count, m, m) stack A = x T at the plan's rate, written into out when
+    given.  It tests nothing: a matrix the rate does not cover gives a
+    meaningless result (rate_covers)."""
+    R = np.empty_like(A) if out is None else out
+    R[...] = A
+    term = A
     for n in range(2, plan.K + 1):
         term = term @ A
         term /= n
         R += term
     # exp(-x) (I + R) = I + D with D = exp(-x) R + expm1(-x) I, which is
     # O(x) and exact to O(x) rounding units: adding I rounds each entry once
-    P = R * plan.decay
-    P += plan.decay_m1I
-    P += _identity(A.shape[-1])
+    R *= plan.decay
+    R += plan.decay_m1I
+    R += _identity(A.shape[-1])
     for _ in range(plan.s):
-        P = P @ P
-    return P
+        np.matmul(R, R, out=R)  # a ufunc: NumPy buffers the overlap
+    return R
 
 
 def check_stochastic(P: np.ndarray, where) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -144,8 +145,6 @@ def cmd_solve(args) -> int:
     _write_csv(out / "theta_diag.csv",
                ["t"] + [f"theta_{i + 1}" for i in range(gen.m)],
                np.column_stack([nodes, eq.values.values]))
-    # after the CSVs: the ratio's first np.median loads about 1 MB of NumPy
-    # modules, which would otherwise add to the writers' peak memory
     verdict = contraction_verdict(contraction, eq.diagnostics)
     _write_json(out / "equilibrium.json", {
         "schema": 1,
@@ -178,8 +177,20 @@ def cmd_solve(args) -> int:
     status = "converged" if eq.converged else "NOT converged"
     print(f"solve: {status} after {eq.diagnostics.iterations} iterations "
           f"(final gap {eq.diagnostics.gaps[-1]:.3e}); "
-          f"contraction product {contraction.product:.4g} -> {verdict}")
+          f"contraction product {contraction.product:.4g} -> {verdict}"
+          + ("" if eq.converged else _iterations_still_needed(eq.diagnostics, opts.tolerance)))
     return EXIT_OK if eq.converged else EXIT_NOT_CONVERGED
+
+
+def _iterations_still_needed(diagnostics, tol: float) -> str:
+    """What a stopped run's median gap ratio r implies: about
+    ceil(log(tol / gap) / log r) more iterations take the final gap below
+    tol.  Empty unless 0 < r < 1."""
+    ratio = diagnostics.ratio
+    if not 0.0 < ratio < 1.0:
+        return ""
+    more = math.ceil(math.log(tol / diagnostics.gaps[-1]) / math.log(ratio))
+    return f"; at gap ratio {ratio:.3g}, about {more} more iterations reach --tol {tol:g}"
 
 
 def _load_equilibrium(eq_dir: Path):
@@ -243,12 +254,13 @@ def cmd_verify(args) -> int:
         return {"t": float(nodes[e.node]), "state": int(e.state) + 1,
                 "action": float(e.action), "gap": float(e.gap)}
 
+    worst = report.worst
     _write_json(out / "spike_summary.json", {
         "tolerance": report.tol,
         "min_gap": report.min_gap,
         "perturbations": len(entries),
         "violations": [spike(e) for e in report.violations],
-        "worst": {**spike(report.worst), "node": int(report.worst.node)},
+        "worst": {**spike(worst), "node": int(worst.node)},
     })
     print(report.summary())
     return EXIT_OK if report.ok else EXIT_VIOLATIONS

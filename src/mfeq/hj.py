@@ -24,7 +24,9 @@ from .chain import (
     StrategyTable,
     TimeGrid,
     check_stochastic,
+    _series,
     grid_rate,
+    rate_covers,
     transition_matrix,  # noqa: F401  (the benchmark's tracer patches this name)
     uniformize,
 )
@@ -132,8 +134,14 @@ def backward_columns(gen: GeneratorModel, cost: CostModel, flows):
     flow covers every node.
 
     Every cell is uniformized at the grid's rate (chain.grid_rate), whose
-    series plan is built once per sweep, so P[j] equals transition_matrix at
-    (t_k, profiles[j]) and that rate bit for bit.
+    series plan is built once per sweep.  The fast pass writes each cell's
+    x T into a block buffer and its exponential into P[j] (chain._series),
+    raising on any floating-point condition the caller would not ignore,
+    and tests the block's coverage once (chain.rate_covers).  A block that
+    fails, or whose pass raised, is redone from the column above it with
+    one uniformize call per cell (own rates, clipping, a failing node
+    named).  Either way P[j] equals transition_matrix at (t_k,
+    profiles[j]) and the grid's rate bit for bit.
     """
     flows = [flows] if isinstance(flows, FlowCurve) else list(flows)
     grid = flows[0].grid
@@ -153,10 +161,10 @@ def backward_columns(gen: GeneratorModel, cost: CostModel, flows):
     diagonal = basis.weight[n] * C[:, 0] + C[:, 1]
     yield n, C[None], None, None, diagonal[None], basis.extremes(C[None])
     plan = SeriesPlan(grid_rate(gen, grid), dt, m)
-    for top in range(n, 0, -SWEEP_BLOCK):
-        first, L = max(top - SWEEP_BLOCK, 0), min(top, SWEEP_BLOCK)
-        columns, P = np.empty((L, B, 2, m)), np.empty((L, B, m, m))
-        profiles, diagonals = np.empty((L, B, m)), np.empty((L, B, m))
+
+    def cells(C, diagonal, exact: bool):
+        """The block's cells from the top down, from the column C and its
+        diagonal above them; returns the bottom cell's."""
         for j in range(L - 1, -1, -1):
             k = first + j
             t = nodes[k]
@@ -164,12 +172,35 @@ def backward_columns(gen: GeneratorModel, cost: CostModel, flows):
                 profiles[j] = cost.argmin_profile(gen, t, diagonal)
             except Exception as exc:
                 raise MfeqError(f"argmin oracle failed at node {k}: {exc}") from exc
-            P[j] = uniformize(gen.rate_matrix(t, profiles[j]), plan, _cell_names(k, B))
-            C = np.matmul(C, np.swapaxes(P[j], 1, 2), out=columns[j])
+            Q = gen.rate_matrix(t, profiles[j])
+            if exact:
+                P[j] = uniformize(Q, plan, _cell_names(k, B))
+            else:
+                A = np.multiply(Q, plan.h, out=steps[j])
+                A += plan.xI
+                _series(A, plan, out=P[j])
+            C = np.matmul(C, P[j].swapaxes(1, 2), out=columns[j])
             C[:, 0] += flow_costs[k]
             C[:, 1] += dt * cost.control_profile_cost(t, profiles[j])
             diagonal = np.multiply(basis.weight[k], C[:, 0], out=diagonals[j])
             diagonal += C[:, 1]
+        return C, diagonal
+
+    for top in range(n, 0, -SWEEP_BLOCK):
+        first, L = max(top - SWEEP_BLOCK, 0), min(top, SWEEP_BLOCK)
+        columns, P = np.empty((L, B, 2, m)), np.empty((L, B, m, m))
+        profiles, diagonals = np.empty((L, B, m)), np.empty((L, B, m))
+        steps = np.empty((L, B, m, m))  # each cell's x T at the plan's rate
+        # the fast pass raises where the caller's settings would warn, so
+        # any warning comes from the exact pass alone
+        strict = {kind: "raise" for kind, how in np.geterr().items() if how != "ignore"}
+        try:
+            with np.errstate(**strict):
+                bottom = cells(C, diagonal, exact=False)
+            covered = rate_covers(steps)
+        except Exception:  # the exact pass raises it again, at its cell
+            covered = False
+        C, diagonal = bottom if covered else cells(C, diagonal, exact=True)
         check_stochastic(P, _cell_names(first, B))
         yield first, columns, profiles, P, diagonals, basis.extremes(columns)
 

@@ -304,9 +304,9 @@ class SeparableCost(CostModel):
     def argmin_profile(self, gen: GeneratorModel, t: float, h) -> np.ndarray:
         """Closed forms on the built-in generators; any other raises ModelDefect."""
         hv = np.asarray(h, dtype=float)
-        if isinstance(gen, TabulatedGenerator):
-            return np.zeros(hv.shape)  # the admissible set is the action 0
-        if not isinstance(gen, AffineQuadraticModel):
+        if not isinstance(gen, AffineQuadraticModel):  # the sweep's case first
+            if isinstance(gen, TabulatedGenerator):
+                return np.zeros(hv.shape)  # the admissible set is the action 0
             raise ModelDefect(f"SeparableCost has no argmin for a {type(gen).__name__}")
         # np.vecdot: each row's slope is h @ beta's, bit for bit
         _, beta = gen.coefficients_at(t)

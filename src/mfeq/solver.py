@@ -68,8 +68,13 @@ class IterationDiagnostics:
 
     @property
     def ratio(self) -> float:
-        r = self.ratios
-        return float(np.median(r)) if r else float("nan")
+        """Median of the ratios, NaN without one; on an even count the mean
+        of the middle two, as np.median takes it."""
+        r = sorted(self.ratios)
+        if not r:
+            return float("nan")
+        mid = len(r) // 2
+        return float(r[mid] if len(r) % 2 else (r[mid - 1] + r[mid]) / 2)
 
 
 @dataclass

@@ -34,6 +34,11 @@ from .solver import Equilibrium
 # spikes per stacked exponential: a bounded block keeps the exponential's
 # (block, m, m) temporaries small
 SPIKE_BLOCK = 4096
+# Gaps within this fraction of the largest |gap| of the least one tie for the
+# worst spike: 16 to 32 rounding units of the largest gap.  A whole gap, a
+# cost difference over dt, carries more roundoff (about 1e-14 of the largest
+# gap at N = 100, 1e-12 at N = 2000); ties that wide go to the least gap.
+WORST_TIE_RTOL = 2.0 ** -48
 
 
 @dataclass
@@ -63,8 +68,12 @@ class SpikeReport:
 
     @property
     def worst(self) -> np.record:
-        """The entry with the minimum gap (the first one on ties)."""
-        return self.entries[np.argmin(self.entries.gap)]
+        """The first entry in report order whose gap is within
+        WORST_TIE_RTOL * max |gap| of the minimum gap, so that roundoff
+        cannot move it between spikes whose gaps tie."""
+        gap = self.entries.gap
+        band = WORST_TIE_RTOL * np.abs(gap).max()
+        return self.entries[np.argmax(gap <= gap.min() + band)]
 
     def summary(self) -> str:
         status = "no violations" if self.ok else f"{len(self.violations)} violations"

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import mfeq
-from mfeq.cli import CSV_BLOCK_ROWS, _write_csv, main
+from mfeq.cli import CSV_BLOCK_ROWS, _iterations_still_needed, _write_csv, main
+from mfeq.solver import IterationDiagnostics
 
 import oracles
 from instances import BAD_MODEL_NUMBERS, ramped_model, with_value
@@ -339,6 +340,30 @@ class TestSolve:
         assert code == 2
         meta = json.loads((out / "equilibrium.json").read_text())
         assert meta["diagnostics"]["converged"] is False
+
+    @pytest.mark.parametrize("gaps, note", [
+        # ratio 0.5 from a final gap of 6.25e-4: log2(62500) = 15.9 more
+        ([1e-2, 5e-3, 2.5e-3, 1.25e-3, 6.25e-4],
+         "; at gap ratio 0.5, about 16 more iterations reach --tol 1e-08"),
+        ([1e-2, 1e-2, 1e-2], ""),  # ratio 1: no estimate
+        ([1e-2, 2e-2, 4e-2], ""),  # ratio 2
+        ([1e-2, 0.0], ""),  # ratio 0
+        ([1e-2], ""),  # no ratio
+    ])
+    def test_not_converged_line_states_the_implied_iterations(self, gaps, note):
+        diagnostics = IterationDiagnostics(gaps=gaps, iterations=len(gaps))
+        assert _iterations_still_needed(diagnostics, 1e-8) == note
+
+    def test_not_converged_line_ends_with_the_estimate(self, tmp_path, capsys):
+        out = tmp_path / "nc"
+        assert run("solve", "--model", "affine_mv", "--grid", "20", "--max-iter", "3",
+                   "--out", str(out)) == 2
+        diagnostics = IterationDiagnostics(**{
+            key: json.loads((out / "equilibrium.json").read_text())["diagnostics"][key]
+            for key in ("gaps", "iterations")})
+        note = _iterations_still_needed(diagnostics, 1e-8)
+        assert note.startswith("; at gap ratio ")
+        assert capsys.readouterr().out.endswith(f"-> not-provably-contractive{note}\n")
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

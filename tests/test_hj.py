@@ -1,6 +1,7 @@
 """Backward value solve: sweeps, cost evaluation."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mfeq import (
 )
 from mfeq.chain import (FlowCurve, GeneratorModel, grid_rate, stochastic_exponentials,
                         transition_stack)
+from mfeq import hj
 from mfeq.errors import AdmissibilityError, DimensionMismatch, NumericalError
 from mfeq.hj import SWEEP_BLOCK, EvaluationBasis
 from mfeq.modelfile import build_model, builtin_names, read_model_file
@@ -239,12 +241,28 @@ class TestSweepMatchesDenseTable:
         assert peak < 4 * 2**20
 
 
+def _time_varying_instance():
+    rng = np.random.default_rng(19)
+    grid = TimeGrid(0.7, 50)
+    gen = random_affine_generator(rng, 3, grid=grid, time_varying=True)
+    cost = SeparableCost(3, running=("mean_square", 0.3), terminal=("mean_variance", "g"),
+                         horizon=grid.horizon)
+    return "time-varying-m3", grid, gen, cost, random_flow(rng, grid, 3)
+
+
+def _ramped_instance():
+    grid = TimeGrid(0.5, 80)
+    gen, cost = build_model(ramped_model(grid.steps), grid)
+    return "ramped-10x", grid, gen, cost, random_flow(np.random.default_rng(20), grid, 2)
+
+
 class TestSweepMatchesPerCellLoop:
     """The sweep in blocks, with its flow costs computed once and its
     readouts reduced per block and after it, against the per-cell loop it
     replaced (oracles.backward_loop), bit for bit."""
 
-    CASES = list(shipped_instances()) + list(tau_weighted_instances())
+    CASES = (list(shipped_instances()) + list(tau_weighted_instances())
+             + [_time_varying_instance(), _ramped_instance()])
 
     @pytest.mark.parametrize("batch", [1, 12])
     def test_columns(self, batch):
@@ -349,21 +367,6 @@ class _ScanArgmin(SeparableCost):
         return oracles.scan_argmin(self, gen, t, h)
 
 
-def _time_varying_instance():
-    rng = np.random.default_rng(19)
-    grid = TimeGrid(0.7, 50)
-    gen = random_affine_generator(rng, 3, grid=grid, time_varying=True)
-    cost = SeparableCost(3, running=("mean_square", 0.3), terminal=("mean_variance", "g"),
-                         horizon=grid.horizon)
-    return "time-varying-m3", grid, gen, cost, random_flow(rng, grid, 3)
-
-
-def _ramped_instance():
-    grid = TimeGrid(0.5, 80)
-    gen, cost = build_model(ramped_model(grid.steps), grid)
-    return "ramped-10x", grid, gen, cost, random_flow(np.random.default_rng(20), grid, 2)
-
-
 class TestNodeRate:
     """The sweep uniformizes each cell at the grid's rate, or at the
     matrix's own rate where the grid's rate falls short, exactly as
@@ -418,11 +421,16 @@ class TestSweepRejectsBadGenerators:
         "row-sum": ([[0.0, 0.1], [0.0, 0.0]], "transition row-sum drift .*"),
         "non-finite": ([[np.nan, 0.0], [0.0, 0.0]], "non-finite generator"),
         "negative-entry": ([[1.5, -1.5], [0.0, 0.0]], "transition entry .* below tolerance"),
+        "+inf": ([[0.0, np.inf], [0.0, 0.0]], "non-finite generator"),
+        "-inf": ([[-np.inf, 0.0], [0.0, 0.0]], "non-finite generator"),
     }
+    # the top, middle and bottom cell of the block holding NODE
+    FIRST = GRID.steps - 2 * SWEEP_BLOCK
+    POSITIONS = {"top": FIRST + SWEEP_BLOCK - 1, "middle": NODE, "bottom": FIRST}
 
-    def setup(self, defect):
+    def setup(self, defect, node=NODE):
         rates, message = self.DEFECTS[defect]
-        gen = _DefectAtNode(self.GRID.nodes[self.NODE], rates)
+        gen = _DefectAtNode(self.GRID.nodes[node], rates)
         cost = SeparableCost(2, running=("mean_square", 0.2), terminal=("mean_variance", "g"),
                              horizon=self.GRID.horizon)
         return gen, cost, message
@@ -449,6 +457,138 @@ class TestSweepRejectsBadGenerators:
         with pytest.raises(NumericalError,
                            match=f"^{message} at node {self.NODE}, flow [0-3]$"):
             table_distances(gen, cost, pairs)
+
+
+    @pytest.mark.parametrize("position", POSITIONS)
+    @pytest.mark.parametrize("defect", ["non-finite", "+inf", "-inf"])
+    def test_block_positions(self, defect, position):
+        # whatever the fast pass computes after the bad cell, the error is
+        # the per-cell pass's, and nothing warns on the way
+        node = self.POSITIONS[position]
+        gen, cost, message = self.setup(defect, node)
+        rng = np.random.default_rng(21)
+        flows = [random_flow(rng, self.GRID, 2) for _ in range(3)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalError, match=f"^{message} at node {node}$"):
+                solve_hj(gen, cost, flows[0])
+            with pytest.raises(NumericalError, match=f"^{message} at node {node}, flow 0$"):
+                list(backward_columns(gen, cost, flows))
+        assert caught == []
+
+
+class _OutsideAtNode(SeparableCost):
+    """affine_mv's cost whose argmin gives state 1 of one flow the action
+    1.5, outside U = [-1, 1], at one node time: that cell's own rate, 1.5,
+    exceeds the grid's, 1.3, so the rate does not cover it."""
+
+    def __init__(self, t_bad, flow):
+        super().__init__(2, running=("mean_square", 0.2), terminal=("mean_variance", "g"),
+                         horizon=TestSweepRejectsBadGenerators.GRID.horizon)
+        self.t_bad, self.flow = t_bad, flow
+
+    def argmin_profile(self, gen, t, h):
+        profile = super().argmin_profile(gen, t, h)
+        if t == self.t_bad:
+            profile[self.flow, 1] = 1.5
+        return profile
+
+
+class _RaisesOnceAtNode(SeparableCost):
+    """SeparableCost whose argmin raises the first time it is asked at one
+    node time, as a floating-point error in the fast pass would."""
+
+    def __init__(self, t_bad, **kwargs):
+        super().__init__(2, **kwargs)
+        self.t_bad, self.raised = t_bad, False
+
+    def argmin_profile(self, gen, t, h):
+        if t == self.t_bad and not self.raised:
+            self.raised = True
+            raise FloatingPointError("overflow encountered in multiply")
+        return super().argmin_profile(gen, t, h)
+
+
+class TestBlockCoverage:
+    """The sweep tests each block's uniformization once; a block with a
+    cell its rate does not cover is computed again cell by cell through
+    uniformize, bit for bit as the per-cell loop computes it."""
+
+    GRID = TestSweepRejectsBadGenerators.GRID
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = {"rate_covers": 0, "uniformize": 0}
+        for name in calls:
+            def counting(*args, _name=name, _original=getattr(hj, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(hj, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("batch", [1, 12])
+    def test_one_test_per_block(self, monkeypatch, batch):
+        calls = self.counted(monkeypatch)
+        rng = np.random.default_rng(22)
+        for name in builtin_names():
+            model = read_model_file(name)
+            grid = TimeGrid(model["horizon"], 2 * SWEEP_BLOCK + 22)
+            gen, cost = build_model(model, grid)
+            calls.update(rate_covers=0, uniformize=0)
+            list(backward_columns(gen, cost, [random_flow(rng, grid, gen.m)
+                                              for _ in range(batch)]))
+            assert calls == {"rate_covers": 3, "uniformize": 0}, name
+
+    @pytest.mark.parametrize("flows, flow", [(1, 0), (3, 1)])
+    @pytest.mark.parametrize("node", [GRID.steps - 1,  # top of the first block
+                                      GRID.steps - SWEEP_BLOCK // 2,  # its middle
+                                      GRID.steps - SWEEP_BLOCK,  # its bottom
+                                      GRID.steps - 2 * SWEEP_BLOCK,  # a middle block's
+                                      0])  # the last block's bottom
+    def test_uncovered_cell_redoes_its_block(self, monkeypatch, node, flows, flow):
+        model = read_model_file("affine_mv")
+        gen, _ = build_model(model, self.GRID)
+        cost = _OutsideAtNode(self.GRID.nodes[node], flow)
+        assert grid_rate(gen, self.GRID) < 1.5
+        rng = np.random.default_rng(23)
+        nus = [random_flow(rng, self.GRID, 2) for _ in range(flows)]
+        calls = self.counted(monkeypatch)
+        for (k, C, profiles, P, *_), (k1, C1, profiles1, P1) in zip(
+                sweep_cells(backward_columns(gen, cost, nus)),
+                oracles.backward_loop(gen, cost, nus), strict=True):
+            assert k == k1
+            assert np.array_equal(C, C1)
+            if k < self.GRID.steps:
+                assert np.array_equal(profiles, profiles1)
+                assert np.array_equal(P, P1)
+        # the uncovered cell's block, and it alone, goes through uniformize
+        # cell by cell
+        assert calls["uniformize"] == self.block_size(node)
+        assert calls["rate_covers"] <= 3
+
+    def block_size(self, node):
+        last = self.GRID.steps % SWEEP_BLOCK
+        return SWEEP_BLOCK if node >= last else last
+
+    @pytest.mark.parametrize("node", [GRID.steps - 1, GRID.steps - SWEEP_BLOCK, 0])
+    def test_raising_pass_redoes_its_block(self, monkeypatch, node):
+        gen, _ = build_model(read_model_file("affine_mv"), self.GRID)
+        spec = dict(running=("mean_square", 0.2), terminal=("mean_variance", "g"),
+                    horizon=self.GRID.horizon)
+        cost = _RaisesOnceAtNode(self.GRID.nodes[node], **spec)
+        rng = np.random.default_rng(24)
+        nus = [random_flow(rng, self.GRID, 2) for _ in range(3)]
+        calls = self.counted(monkeypatch)
+        for (k, C, profiles, P, *_), (k1, C1, profiles1, P1) in zip(
+                sweep_cells(backward_columns(gen, cost, nus)),
+                oracles.backward_loop(gen, SeparableCost(2, **spec), nus), strict=True):
+            assert k == k1
+            assert np.array_equal(C, C1)
+            if k < self.GRID.steps:
+                assert np.array_equal(profiles, profiles1)
+                assert np.array_equal(P, P1)
+        assert cost.raised
+        assert calls == {"rate_covers": 2, "uniformize": self.block_size(node)}
 
 
 class TestEvaluateCost:

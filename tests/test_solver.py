@@ -18,7 +18,6 @@ from mfeq import (
     propagate_flow,
 )
 from mfeq import chain, hj, solver
-from mfeq.chain import uniformize
 from mfeq.errors import AdmissibilityError
 from mfeq.modelfile import build_model, builtin_names, read_model_file
 from mfeq.solver import IterationDiagnostics, contraction_verdict, myopic_strategy
@@ -136,6 +135,20 @@ class TestPicardSolve:
         assert np.isfinite(eq.diagnostics.ratio)
         assert 0.0 <= eq.diagnostics.ratio < 1.0
 
+    @pytest.mark.parametrize("count", [2, 3, 4, 5, 8, 9, 201])
+    def test_diagnostics_ratio_is_np_median_bit_for_bit(self, count):
+        # count gaps give count - 1 ratios: odd and even counts of both
+        rng = np.random.default_rng(count)
+        gaps = [float(g) for g in np.exp(np.cumsum(rng.normal(-0.1, 0.7, count)))]
+        diagnostics = IterationDiagnostics(gaps=gaps, iterations=count)
+        assert len(diagnostics.ratios) == count - 1
+        assert type(diagnostics.ratio) is float
+        assert diagnostics.ratio == float(np.median(diagnostics.ratios))
+
+    def test_diagnostics_ratio_without_ratios_is_nan(self):
+        for gaps in ([], [0.3], [0.0, 0.2]):
+            assert np.isnan(IterationDiagnostics(gaps=gaps).ratio)
+
     def test_inadmissible_argmin_is_rejected(self):
         # the forward propagation reuses the sweep's transitions, so the
         # policy must still be checked once per iteration
@@ -204,19 +217,26 @@ class TestEstimateConstants:
 
     def test_kappa3_sweeps_cells_once_in_lockstep(self, monkeypatch):
         # all 12 kappa3 flows share one backward sweep: each cell is
-        # exponentiated by one uniformize call, for all flows at once
+        # exponentiated by one series over all flows at once, and no cell
+        # is exponentiated again by uniformize
         model = read_model_file("affine_mv")
         grid = TimeGrid(model["horizon"], 1000)
         gen, cost = build_model(model, grid)
-        batch_sizes = []
+        batch_sizes, redone = [], []
 
-        def counted(generators, plan, where):
-            batch_sizes.append(len(generators))
-            return uniformize(generators, plan, where)
+        def counted(A, plan, out=None):
+            batch_sizes.append(len(A))
+            return chain._series(A, plan, out)
 
-        monkeypatch.setattr(hj, "uniformize", counted)
+        def per_cell(generators, plan, where):
+            redone.append(len(generators))
+            return chain.uniformize(generators, plan, where)
+
+        monkeypatch.setattr(hj, "_series", counted)
+        monkeypatch.setattr(hj, "uniformize", per_cell)
         estimate_constants(gen, cost, grid, seed=0)
         assert batch_sizes == [12] * grid.steps
+        assert redone == []
 
     def test_memory_is_linear_in_steps(self):
         # one dense table of affine_mv at N=1000 takes 16 MB

@@ -20,7 +20,7 @@ from mfeq.chain import transition_stack, validate_generator
 from mfeq.errors import AdmissibilityError, NumericalError
 from mfeq.hj import CostModel
 from mfeq.solver import Equilibrium, value_bound
-from mfeq.verify import _spikes, _tail_values
+from mfeq.verify import WORST_TIE_RTOL, SpikeReport, _spikes, _tail_values
 
 import oracles
 from oracles import constant_flow, dp_oracle, spike_gap, tv_distance
@@ -180,6 +180,39 @@ class TestVerifyLocalOptimality:
         bad = NanDiagonalCost(cost, eq.grid.nodes[7])
         with pytest.raises(NumericalError, match=r"node 7, state 0, action -?\d"):
             verify_local_optimality(eq, gen, bad, action_samples=4)
+
+
+class TestWorstSpike:
+    """The worst spike is the first in report order among the gaps within
+    WORST_TIE_RTOL * max |gap| of the least."""
+
+    @staticmethod
+    def worst_node(gaps) -> int:
+        n = len(gaps)
+        entries = np.rec.fromarrays([np.arange(n), np.zeros(n, dtype=int), np.zeros(n),
+                                     np.array(gaps, dtype=float)],
+                                    names="node,state,action,gap")
+        return int(SpikeReport(tol=0.1, entries=entries).worst.node)
+
+    @pytest.mark.parametrize("gap", [-1.4972522366374363e-04, 8.2e-3, 0.0, -0.7])
+    def test_one_ulp_apart_in_either_order(self, gap):
+        low, high = gap, float(np.nextafter(gap, np.inf))
+        assert self.worst_node([0.5, low, high, 2.75]) == 1
+        assert self.worst_node([0.5, high, low, 2.75]) == 1
+
+    def test_a_small_move_keeps_the_worst_spike(self):
+        # two spikes whose gaps tie on the 10x-ramped affine_mv at N = 200
+        gap = -1.4972522366374363e-04
+        assert self.worst_node([0.5, gap, gap - 1e-17, 2.75]) == 1
+        assert self.worst_node([0.5, gap - 1e-17, gap, 2.75]) == 1
+
+    def test_a_gap_below_the_band_wins(self):
+        gap, band = -1.5e-4, WORST_TIE_RTOL * 2.75
+        assert self.worst_node([0.5, gap, gap - 2 * band, 2.75]) == 2
+        assert self.worst_node([0.5, gap, 2.75, gap - 2 * band]) == 3
+
+    def test_all_gaps_zero(self):
+        assert self.worst_node([0.0, 0.0, 0.0]) == 0
 
 
 class NanDiagonalCost(CostModel):
