@@ -275,6 +275,9 @@ def cmd_simulate(args) -> int:
             raise ValueError(f"error bound must be finite and nonnegative, got {args.err_bound}")
         gen, cost, eq, transitions = _load_equilibrium(Path(args.eq))
         flow_csv = _read_csv(Path(args.eq) / "flow.csv")
+        if flow_csv.shape != (eq.grid.steps + 1, gen.m + 1):
+            raise ModelFileError("flow.csv",
+                                 f"expected {eq.grid.steps + 1} rows of {gen.m + 1} columns")
         nu_star = FlowCurve(flow_csv[:, 1:], eq.grid)
         spike = _parse_spike(args.spike, gen, eq.grid, eq.rho)
     except (MfeqError, ValueError, OSError, KeyError) as exc:

@@ -88,6 +88,10 @@ class PathBundle:
     """Grid-node state snapshots of a population of players, states[p, k],
     and the count of every state at every node, counts[k, x].
 
+    The sampler's states are the transposed view of its node-major buffer,
+    of dtype np.min_scalar_type(m - 1): one byte per player per node for
+    m <= 256.
+
     The counts take m - 1 count_nonzero passes over the node-major paths,
     states.T; the last state's count is the players not counted before.
     Both flows below divide these exact integers, so neither depends on
@@ -128,24 +132,34 @@ def _population(cum: np.ndarray, rho0, players: int, seed: int,
     of a (steps, m, m) transition stack, initial states i.i.d. from rho0.
 
     The paths fill a (steps+1, players) buffer node by node; the bundle's
-    states are its transposed view.  The next state of a path in state x
-    is the count of j < m-1 with cum[k, x, j] <= u (cum[k, x, m-1] is 1.0,
-    above every uniform), read from contiguous threshold columns.
+    states are its transposed view.  The buffer's dtype is
+    np.min_scalar_type(m - 1), so for m <= 256 a population holds
+    (steps+1) * players bytes of paths.  The next state of a path in state
+    x is the count of j < m-1 with cum[k, x, j] <= u (cum[k, x, m-1] is
+    1.0, above every uniform), read from contiguous threshold columns.
+    Every node draws its uniforms into one reused buffer and gathers its
+    columns into another; the first column's comparison is written straight
+    into the next row and the others are added to it, so the loop allocates
+    no buffer per node.
     """
     w = np.asarray(rho0.weights if hasattr(rho0, "weights") else rho0, dtype=float)
     if w.size != cum.shape[-1]:
         raise DimensionMismatch("initial law dimension differs from model")
     rng = _stream(seed, replication, _PEER_STREAM)
-    thresholds = np.ascontiguousarray(np.swapaxes(cum[..., :-1], 1, 2))  # (steps, m-1, m)
-    paths = np.empty((len(cum) + 1, players), dtype=np.int64)
-    paths[0] = _inverse_cdf(_cumulative(w / w.sum()), rng.random(players))
+    # threshold columns j < m - 1, (steps, m-1, m); a one-state chain keeps
+    # its column of 1.0, which no uniform reaches
+    thresholds = np.ascontiguousarray(np.swapaxes(cum[..., :max(w.size - 1, 1)], 1, 2))
+    paths = np.empty((len(cum) + 1, players), dtype=np.min_scalar_type(w.size - 1))
+    u = rng.random(players)
+    paths[0] = _inverse_cdf(_cumulative(w / w.sum()), u)
     below = np.empty(players, dtype=bool)
-    for k, columns in enumerate(thresholds):
-        u = rng.random(players)
+    gathered = np.empty(players)
+    for k, (first, *rest) in enumerate(thresholds):
+        rng.random(out=u)
         x, nxt = paths[k], paths[k + 1]
-        nxt.fill(0)
-        for column in columns:
-            nxt += np.less_equal(np.take(column, x), u, out=below)
+        np.less_equal(np.take(first, x, out=gathered, mode="clip"), u, out=nxt)
+        for column in rest:
+            nxt += np.less_equal(np.take(column, x, out=gathered, mode="clip"), u, out=below)
     return PathBundle(paths.T, w.size)
 
 

@@ -633,6 +633,28 @@ class TestSimulate:
                                              "--seed", "1"))
         assert err == "input error: flow.csv: no data rows below the header\n"
 
+    @pytest.mark.parametrize("case", ["extra column", "missing row"])
+    def test_misshapen_flow_is_input_error(self, solved_dir, tmp_path, capsys, monkeypatch,
+                                           case):
+        import shutil
+        bad_dir = tmp_path / "misshapen"
+        shutil.copytree(solved_dir, bad_dir)
+        lines = (bad_dir / "flow.csv").read_text().splitlines()
+        if case == "extra column":
+            # a third law column whose rows still sum to 1
+            lines = [lines[0] + ",nu_3"] + [line + ",0" for line in lines[1:]]
+        else:
+            lines = lines[:-1]
+        (bad_dir / "flow.csv").write_text("\n".join(lines) + "\n")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("simulation ran on a misshapen flow")
+
+        monkeypatch.setattr("mfeq.cli.simulate", no_work)
+        err = assert_input_error(capsys, run("simulate", "--eq", str(bad_dir), "--players", "20",
+                                             "--seed", "1"))
+        assert err == "input error: flow.csv: expected 41 rows of 3 columns\n"
+
     def test_error_bound_exit_code(self, solved_dir, tmp_path):
         import shutil
         d = tmp_path / "tight"

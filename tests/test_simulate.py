@@ -166,7 +166,27 @@ class TestVectorizedSampler:
                 bundle = _population(cum, rho, players, 11, replication)
                 loop = oracles.population_loop(cum, rho, grid, players, 11, replication)
                 assert bundle.states.shape == (players, grid.steps + 1)
+                assert bundle.states.dtype == np.min_scalar_type(m - 1)
                 assert np.array_equal(bundle.states, loop.states)
+
+    @pytest.mark.parametrize("m, itemsize", [(1, 1), (257, 2)])
+    def test_hand_built_stack_equals_per_cell_loop(self, m, itemsize):
+        # 257 states need two-byte paths, and one state keeps every path in
+        # state 0; a cyclic shift mixed with the uniform law gives a stack
+        # without an m x m exponential
+        grid = TimeGrid(1.0, 6)
+        rng = np.random.default_rng(m)
+        shift = np.roll(np.eye(m), 1, axis=1)
+        mix = rng.uniform(0.05, 0.95, size=(grid.steps, 1, 1))
+        cum = _cumulative((1.0 - mix) * shift + mix / m)
+        rho = rng.dirichlet(np.ones(m))
+        bundle = _population(cum, rho, 900, 11, 2)
+        loop = oracles.population_loop(cum, rho, grid, 900, 11, 2)
+        assert bundle.states.dtype == np.min_scalar_type(m - 1)
+        assert bundle.states.itemsize == itemsize
+        assert np.array_equal(bundle.states, loop.states)
+        assert bundle.states.max() == m - 1
+        assert np.array_equal(bundle.counts, oracles.state_counts_loop(loop.states, m))
 
     def test_empirical_flow_equals_per_node_counts(self, alternating_affine_mv):
         _, gen, strat, rho = alternating_affine_mv
