@@ -8,8 +8,9 @@ exponentials come from uniformization, a sum of nonnegative terms, over a
 whole stack of generators at once (stochastic_exponentials).  Every cell
 of a grid is uniformized at one rate, which depends on the model and the
 grid alone (grid_rate), so a backward sweep fixes the series' constants
-once (SeriesPlan); a matrix whose own rate exceeds the grid's keeps its
-own.
+once (SeriesPlan).  A GeneratorModel's exit rates peak at an end of each
+admissible interval, so that rate covers every admissible profile; a
+generator it does not cover is an error (check_covered).
 
 All operations are pure functions of their inputs; the data types are
 immutable after construction and safe to share across threads.
@@ -115,7 +116,9 @@ def _as_weights(rho) -> np.ndarray:
 class GeneratorModel(ABC):
     """Controlled rate family q_t^v(i, .) with per-state admissible intervals.
 
-    Subclasses declare m (state count) and K1 (rate magnitude cap).
+    Subclasses declare m (state count) and K1 (rate magnitude cap).  Each
+    state's off-diagonal rates stay nonnegative over its interval, and its
+    exit rate -q_ii peaks at an end of it, where grid_rate reads it.
     """
 
     m: int
@@ -320,17 +323,18 @@ POISSON_TAIL_X = _poisson_tail_thresholds(1.0, 2.0 ** -53)
 
 
 def grid_rate(model: GeneratorModel, grid: TimeGrid) -> float:
-    """Uniformization rate of every cell of the grid: the largest -q_ii over
-    both ends of every state's admissible interval at every cell node, from
-    one action_bounds and one rate_matrix call.  Rates affine in the action,
-    as in the built-in generators, peak at an end, so no admissible profile
-    exceeds it.  A rate that is not positive and finite reads 0, which
-    leaves each matrix at its own rate (uniformize)."""
+    """Uniformization rate of every cell of the grid: the largest finite
+    -q_ii over both ends of every state's admissible interval at every cell
+    node, from one action_bounds and one rate_matrix call, or 0 when none
+    is positive.  A GeneratorModel's exit rates peak at an end of the
+    interval (the built-in ones are affine in the action), so no admissible
+    profile exceeds it; a cell that is not finite fails coverage at its own
+    node (check_covered)."""
     nodes = grid.nodes[:-1]
     ends = np.swapaxes(model.action_bounds(nodes), -1, -2)  # (N, 2, m): lo, then hi
-    diagonals = np.diagonal(model.rate_matrix(nodes[:, None], ends), axis1=-2, axis2=-1)
-    rate = -float(diagonals.min())
-    return rate if 0.0 < rate < np.inf else 0.0
+    exits = -np.diagonal(model.rate_matrix(nodes[:, None], ends), axis1=-2, axis2=-1)
+    rate = float(np.max(exits, where=np.isfinite(exits), initial=0.0))
+    return rate if rate > 0.0 else 0.0  # never -0.0
 
 
 class SeriesPlan:
@@ -357,12 +361,11 @@ class SeriesPlan:
         self.decay_m1I = float(np.expm1(-x)) * eye
 
 
-def stochastic_exponentials(generators: np.ndarray, dt: float, rate: float = 0.0) -> np.ndarray:
+def stochastic_exponentials(generators: np.ndarray, dt: float, rate: float) -> np.ndarray:
     """exp(dt * Q) for every generator of a (count, m, m) stack, rows stochastic.
 
-    rate is the uniformization rate of the stack; the default 0 puts each
-    matrix at its own rate (uniformize).  uniformize, then check_stochastic;
-    failures name the matrix of the stack.
+    rate is the uniformization rate of the stack (grid_rate).  uniformize,
+    then check_stochastic; failures name the matrix of the stack.
     """
     Q = np.asarray(generators, dtype=float)
     count, m, _ = Q.shape
@@ -384,48 +387,34 @@ def uniformize(generators: np.ndarray, plan: SeriesPlan, where) -> np.ndarray:
 
     a sum of nonnegative terms, exact for any such lam.  The stack takes
     the plan's lam, halved s times, sums its terms up to K and squares the
-    result s times.  A matrix whose own rate max_ij |q_ij| exceeds lam shows
-    a negative entry in x T, and a non-finite one a non-finite entry;
-    either is taken alone at its own rate instead.  So each slice equals a
-    one-matrix call at the same rate bit for bit.
-
-    A non-finite generator is rejected before any series.  Negative entries
-    down to -MASS_ATOL are roundoff and clipped to zero; a lower one is
-    rejected.  where(c) names matrix c of the stack in a failure.  The
-    backward sweep runs the same coverage test (rate_covers) once per block
-    of cells and calls uniformize, cell by cell, only for a block that
-    fails it.
+    result s times, so each slice equals a one-matrix call bit for bit.  A
+    matrix the rate does not cover is rejected before any series
+    (check_covered); where(c) names matrix c of the stack.  The backward
+    sweep runs the same series and tests, once per block of cells.
     """
-    Q = np.asarray(generators, dtype=float)
-    A = Q * plan.h + plan.xI  # x T: in [0, x] when lam covers the matrix's rate
-    if rate_covers(A):
-        return _series(A, plan)
-    covered = (A.min(axis=(1, 2)) >= 0.0) & (A.max(axis=(1, 2)) < np.inf)
-    short = np.flatnonzero(~covered)
-    own = np.abs(Q[short]).max(axis=(1, 2))
-    finite = np.isfinite(own * plan.dt)
-    if not finite.all():
-        raise NumericalError("non-finite generator" + where(short[np.argmin(finite)]))
-    P = np.empty_like(A)
-    P[covered] = _series(A[covered], plan)
-    for c, rate in zip(short.tolist(), own.tolist()):
-        alone = SeriesPlan(rate, plan.dt, Q.shape[-1])
-        P[c] = _series(Q[c:c + 1] * alone.h + alone.xI, alone)[0]
-
-    # nonnegative terms sum to a nonnegative P; a matrix at its own rate may
-    # still carry a negative rate
-    lo = P.min()
-    if lo < 0.0:
-        if not lo >= -MASS_ATOL:
-            _diagnose(P, where)
-        P[P < 0.0] = 0.0
-    return P
+    A = np.asarray(generators, dtype=float) * plan.h + plan.xI  # x T
+    check_covered(A, where)
+    return _series(A, plan)
 
 
 def rate_covers(A: np.ndarray) -> bool:
-    """uniformize's coverage test of a stack of x T: the plan's rate covers
-    every matrix, so no entry is negative, infinite or NaN."""
+    """The coverage test of a stack of x T: the plan's rate covers every
+    matrix, so no entry is negative, infinite or NaN."""
     return A.min() >= 0.0 and A.max() < np.inf
+
+
+def check_covered(A: np.ndarray, where) -> None:
+    """Raise unless the plan's rate covers every matrix of a (count, m, m)
+    stack of x T (rate_covers), naming the first it does not: a non-finite
+    generator, or one with an exit rate above the uniformization rate or a
+    negative off-diagonal rate, which no rate covers."""
+    if rate_covers(A):
+        return
+    finite = np.isfinite(A).all(axis=(1, 2))
+    c = int(np.argmin(finite & (A.min(axis=(1, 2)) >= 0.0)))
+    if not finite[c]:
+        raise NumericalError("non-finite generator" + where(c))
+    raise NumericalError("generator not covered by the uniformization rate" + where(c))
 
 
 def _series(A: np.ndarray, plan: SeriesPlan, out: np.ndarray | None = None) -> np.ndarray:
@@ -451,11 +440,18 @@ def _series(A: np.ndarray, plan: SeriesPlan, out: np.ndarray | None = None) -> n
 
 
 def check_stochastic(P: np.ndarray, where) -> None:
-    """Raise unless every matrix of a (..., m, m) stack is finite with row sums
-    within MASS_ATOL of one, where(c) naming matrix c of the flattened stack."""
-    sums = P.sum(axis=-1)
-    if not (sums.max() - 1.0 <= MASS_ATOL and 1.0 - sums.min() <= MASS_ATOL):
+    """Raise unless every matrix of a (..., m, m) stack is stochastic
+    (is_stochastic), where(c) naming matrix c of the flattened stack."""
+    if not is_stochastic(P):
         _diagnose(P.reshape((-1,) + P.shape[-2:]), where)
+
+
+def is_stochastic(P: np.ndarray) -> bool:
+    """Every matrix of a (..., m, m) stack is finite with row sums within
+    MASS_ATOL of one.  A covered series has no negative entry, and a
+    non-finite entry makes its row sum fail."""
+    sums = P.sum(axis=-1)
+    return sums.max() - 1.0 <= MASS_ATOL and 1.0 - sums.min() <= MASS_ATOL
 
 
 @lru_cache
@@ -468,10 +464,6 @@ def _diagnose(P: np.ndarray, where) -> None:
     finite = np.isfinite(P).all(axis=(1, 2))
     if not finite.all():
         raise NumericalError("non-finite transition matrix" + where(np.argmin(finite)))
-    lo = P.min(axis=(1, 2))
-    c = np.argmin(lo)
-    if lo[c] < -MASS_ATOL:
-        raise NumericalError(f"transition entry {lo[c]:.3e} below tolerance" + where(c))
     drift = np.abs(P.sum(axis=2) - 1.0).max(axis=1)
     c = np.argmax(drift)
     raise NumericalError(f"transition row-sum drift {drift[c]:.3e}" + where(c))

@@ -23,12 +23,13 @@ from .chain import (
     SeriesPlan,
     StrategyTable,
     TimeGrid,
+    check_covered,
     check_stochastic,
     _series,
     grid_rate,
+    is_stochastic,
     rate_covers,
     transition_matrix,  # noqa: F401  (the benchmark's tracer patches this name)
-    uniformize,
 )
 from .errors import DimensionMismatch, MfeqError
 
@@ -129,19 +130,16 @@ def backward_columns(gen: GeneratorModel, cost: CostModel, flows):
     (B, 2, m) is C[j+1] pushed back through P[j] plus the running cost;
     diagonal[j] = w(t_k) C[j][:, 0] + C[j][:, 1]; extremes[j] (B, 2, m) is
     EvaluationBasis.extremes of C[j], so callers need no basis of their
-    own.  A block's transitions are checked before it is yielded; a failure
-    names the node, and the flow when B > 1.  One running_base call per
-    flow covers every node.
+    own.  One running_base call per flow covers every node.
 
     Every cell is uniformized at the grid's rate (chain.grid_rate), whose
-    series plan is built once per sweep.  The fast pass writes each cell's
-    x T into a block buffer and its exponential into P[j] (chain._series),
-    raising on any floating-point condition the caller would not ignore,
-    and tests the block's coverage once (chain.rate_covers).  A block that
-    fails, or whose pass raised, is redone from the column above it with
-    one uniformize call per cell (own rates, clipping, a failing node
-    named).  Either way P[j] equals transition_matrix at (t_k,
-    profiles[j]) and the grid's rate bit for bit.
+    series plan is built once per sweep: one pass writes each cell's x T
+    into a block buffer and its exponential into P[j] (chain._series), so
+    P[j] equals transition_matrix at (t_k, profiles[j]) and that rate bit
+    for bit.  The block's coverage (chain.rate_covers) and row sums are
+    then tested once, before it is yielded.  A failure names the cell the
+    sweep reached first, the highest node, and the flow when B > 1; the
+    cells below it took its NaNs without a warning.
     """
     flows = [flows] if isinstance(flows, FlowCurve) else list(flows)
     grid = flows[0].grid
@@ -162,53 +160,46 @@ def backward_columns(gen: GeneratorModel, cost: CostModel, flows):
     yield n, C[None], None, None, diagonal[None], basis.extremes(C[None])
     plan = SeriesPlan(grid_rate(gen, grid), dt, m)
 
-    def cells(C, diagonal, exact: bool):
-        """The block's cells from the top down, from the column C and its
-        diagonal above them; returns the bottom cell's."""
-        for j in range(L - 1, -1, -1):
-            k = first + j
-            t = nodes[k]
-            try:
-                profiles[j] = cost.argmin_profile(gen, t, diagonal)
-            except Exception as exc:
-                raise MfeqError(f"argmin oracle failed at node {k}: {exc}") from exc
-            Q = gen.rate_matrix(t, profiles[j])
-            if exact:
-                P[j] = uniformize(Q, plan, _cell_names(k, B))
-            else:
-                A = np.multiply(Q, plan.h, out=steps[j])
-                A += plan.xI
-                _series(A, plan, out=P[j])
-            C = np.matmul(C, P[j].swapaxes(1, 2), out=columns[j])
-            C[:, 0] += flow_costs[k]
-            C[:, 1] += dt * cost.control_profile_cost(t, profiles[j])
-            diagonal = np.multiply(basis.weight[k], C[:, 0], out=diagonals[j])
-            diagonal += C[:, 1]
-        return C, diagonal
-
     for top in range(n, 0, -SWEEP_BLOCK):
         first, L = max(top - SWEEP_BLOCK, 0), min(top, SWEEP_BLOCK)
         columns, P = np.empty((L, B, 2, m)), np.empty((L, B, m, m))
         profiles, diagonals = np.empty((L, B, m)), np.empty((L, B, m))
         steps = np.empty((L, B, m, m))  # each cell's x T at the plan's rate
-        # the fast pass raises where the caller's settings would warn, so
-        # any warning comes from the exact pass alone
-        strict = {kind: "raise" for kind, how in np.geterr().items() if how != "ignore"}
-        try:
-            with np.errstate(**strict):
-                bottom = cells(C, diagonal, exact=False)
-            covered = rate_covers(steps)
-        except Exception:  # the exact pass raises it again, at its cell
-            covered = False
-        C, diagonal = bottom if covered else cells(C, diagonal, exact=True)
-        check_stochastic(P, _cell_names(first, B))
+        with np.errstate(all="ignore"):  # a failing cell's NaNs reach the cells below
+            for j in range(L - 1, -1, -1):
+                k = first + j
+                t = nodes[k]
+                try:
+                    profiles[j] = cost.argmin_profile(gen, t, diagonal)
+                except Exception as exc:
+                    _check_cells(steps[j + 1:], P[j + 1:], k + 1, B)  # a NaN from above
+                    raise MfeqError(f"argmin oracle failed at node {k}: {exc}") from exc
+                A = np.multiply(gen.rate_matrix(t, profiles[j]), plan.h, out=steps[j])
+                A += plan.xI
+                _series(A, plan, out=P[j])
+                C = np.matmul(C, P[j].swapaxes(1, 2), out=columns[j])
+                C[:, 0] += flow_costs[k]
+                C[:, 1] += dt * cost.control_profile_cost(t, profiles[j])
+                diagonal = np.multiply(basis.weight[k], C[:, 0], out=diagonals[j])
+                diagonal += C[:, 1]
+            if not (rate_covers(steps) and is_stochastic(P)):
+                _check_cells(steps, P, first, B)
         yield first, columns, profiles, P, diagonals, basis.extremes(columns)
 
 
-def _cell_names(first: int, flows: int):
-    """Names matrix c of a flattened (cells, flows) stack from node `first` on."""
-    return lambda c: (f" at node {first + int(c) // flows}"
-                      + (f", flow {int(c) % flows}" if flows > 1 else ""))
+def _check_cells(steps: np.ndarray, P: np.ndarray, first: int, flows: int) -> None:
+    """Raise for the highest cell of a block, from node `first` on, whose
+    x T (steps) the rate does not cover or whose transitions P are not
+    stochastic, naming its node and, when flows > 1, the flow."""
+    for j in range(len(P) - 1, -1, -1):
+        where = _cell_names(first + j, flows)
+        check_covered(steps[j], where)
+        check_stochastic(P[j], where)
+
+
+def _cell_names(node: int, flows: int):
+    """Names the matrix of flow b in the (flows, m, m) stack of one cell."""
+    return lambda b: f" at node {node}" + (f", flow {int(b)}" if flows > 1 else "")
 
 
 @dataclass(frozen=True)

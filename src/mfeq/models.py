@@ -24,7 +24,11 @@ def admissible_interval(alpha, beta) -> np.ndarray:
 
     For alpha (..., m, m) and beta (..., m), row i of the (..., m, 2) result
     intersects {v : alpha(i, j) + beta(j) v >= 0} over j != i.  The model's
-    sign constraints put 0 inside every interval.
+    sign constraints put 0 inside every interval.  An end -a/b rounds to
+    either side of the true end; one whose rates, formed as rate_matrix
+    forms them, have an off-diagonal below zero moves one ulp toward 0.
+    Rounding is monotone, so the rates are then nonnegative at every action
+    of the interval, and its ends bound every exit rate (chain.grid_rate).
     """
     a = np.asarray(alpha, dtype=float)
     b = np.asarray(beta, dtype=float)[..., None, :]
@@ -33,7 +37,12 @@ def admissible_interval(alpha, beta) -> np.ndarray:
         bound = -a / b
     lo = np.where(off & (b > 0.0), bound, ACTION_LO).max(axis=-1)
     hi = np.where(off & (b < 0.0), bound, ACTION_HI).min(axis=-1)
-    return np.stack([lo, hi], axis=-1)
+    ends = np.stack([lo, hi], axis=-1)
+    with np.errstate(over="ignore"):
+        # rates[..., i, e, j] = q(i, j) at end e of row i's interval
+        rates = a[..., None, :] + ends[..., None] * b[..., None, :]
+    short = np.where(off[:, None, :], rates, 0.0).min(axis=-1) < 0.0
+    return np.where(short, np.nextafter(ends, 0.0), ends)
 
 
 def check_rate_tables(tables: np.ndarray, name: str, atol: float) -> None:

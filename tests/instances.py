@@ -70,6 +70,19 @@ def ramped_model(cells: int) -> dict:
     return model
 
 
+def rounded_end_model() -> dict:
+    """A valid model file whose interval for state 2 ends at
+    -0.4 / 1.26 = -0.31746..., where the quotient rounds past the true end:
+    the rate to state 1 there reads -5.6e-17 unless the end moves one ulp
+    toward 0 (models.admissible_interval).  With zero control cost the
+    policy is bang-bang, so the sweep takes that end."""
+    return {"schema": 1, "states": 2, "horizon": 0.5,
+            "generator": {"kind": "affine", "alpha": [[-0.58, 0.58], [0.4, -0.4]],
+                          "beta": [1.26, -1.26]},
+            "cost": {"running": {"kind": "mean_square", "scale": 0.2}, "control": "zero",
+                     "terminal": "mean_variance_g"}}
+
+
 def random_cost(rng, m, horizon, dist_dependent=None):
     """Random separable cost with nonnegative pieces and valid declared caps."""
     kinds = ["zero", "table", "mean_square"]

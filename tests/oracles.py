@@ -52,7 +52,8 @@ def running_dist(cost, tau, t, rho):
 
 def admissible_interval(alpha_row, beta, i):
     """Largest closed subinterval of [-1, 1] keeping row i a generator row,
-    one constraint j != i at a time."""
+    one constraint j != i at a time; an end at which some rate
+    a_j + v b_j reads below zero moves one ulp toward 0."""
     a = np.asarray(alpha_row, dtype=float)
     b = np.asarray(beta, dtype=float)
     lo, hi = ACTION_LO, ACTION_HI
@@ -64,7 +65,11 @@ def admissible_interval(alpha_row, beta, i):
             lo = max(lo, bound)
         else:
             hi = min(hi, bound)
-    return lo, hi
+
+    def inside(v):
+        return all(a[j] + v * b[j] >= 0.0 for j in range(a.size) if j != i)
+
+    return tuple(v if inside(v) else np.nextafter(v, 0.0) for v in (lo, hi))
 
 
 def bounds_loop(gen, t):

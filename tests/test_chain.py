@@ -154,6 +154,17 @@ class _FixedRates(GeneratorModel):
         return np.zeros(np.shape(t) + (2, 2))
 
 
+class _CellRates(_FixedRates):
+    """One matrix per grid cell, generator or not, for every action."""
+
+    def __init__(self, tables, grid):
+        self.tables, self.dt = np.array(tables, dtype=float), grid.dt
+
+    def rate_matrix(self, t, profile):
+        k = np.rint(np.asarray(t) / self.dt).astype(int)
+        return np.broadcast_to(self.tables[k], np.shape(profile)[:-1] + (2, 2))
+
+
 class _Leaky(GeneratorModel):
     """Affine rates plus a row-sum leak and a negative off-diagonal that grow
     with the action; state 1's interval shrinks to the point 0."""
@@ -297,22 +308,24 @@ class TestStochasticExponentials:
         cases = random_generators(rng, 300)
         assert max(-Q.diagonal().min() * dt for Q, dt in cases) > 8.0  # squarings ran
         for Q, dt in cases:
-            P = stochastic_exponentials(Q[None], dt)[0]
+            P = stochastic_exponentials(Q[None], dt, -Q.diagonal().min())[0]
             np.testing.assert_allclose(P, expm(dt * Q), rtol=0, atol=2e-13)
 
     def test_slices_equal_one_matrix_calls(self):
-        # a stack mixing term counts and squarings: each slice is computed
-        # as if alone, so a shuffled stack gives the same matrices
+        # own rates spread over seven decades, all at the largest: each
+        # slice is computed as if alone, so a shuffled stack gives the same
+        # matrices
         rng = np.random.default_rng(12)
         Q = np.array([Q for Q, _ in random_generators(rng, 200, m_max=3) if len(Q) == 3])
         Q *= 10.0 ** rng.uniform(-5.0, 2.0, (len(Q), 1, 1))
         dt = 0.3
         x = np.abs(Q).max(axis=(1, 2)) * dt
         assert x.min() < POISSON_TAIL_X[4] and x.max() > 8.0
+        rate = x.max() / dt
         order = rng.permutation(len(Q))
-        stack = stochastic_exponentials(Q[order], dt)
+        stack = stochastic_exponentials(Q[order], dt, rate)
         for c, P in zip(order, stack):
-            assert np.array_equal(P, stochastic_exponentials(Q[c:c + 1], dt)[0])
+            assert np.array_equal(P, stochastic_exponentials(Q[c:c + 1], dt, rate)[0])
 
     def test_any_rate_above_the_own_rate_matches_scipy_expm(self):
         # uniformization is exact for every rate at least max_i -q_ii
@@ -323,25 +336,27 @@ class TestStochasticExponentials:
                 P = stochastic_exponentials(Q[None], dt, scale * own)[0]
                 np.testing.assert_allclose(P, expm(dt * Q), rtol=0, atol=2e-13)
 
-    def test_short_rate_falls_back_to_own_rate(self):
-        # a matrix whose rate exceeds the one given is taken at its own rate,
-        # the default's, whatever else shares its stack
+    def test_short_rate_is_rejected(self):
+        # a rate below a matrix's own does not cover it: the first such
+        # matrix of the stack is named, and the covered ones alone pass
         rng = np.random.default_rng(14)
         Q = np.array([Q for Q, _ in random_generators(rng, 60, m_max=3) if len(Q) == 3])
         own = -np.diagonal(Q, axis1=1, axis2=2).min(axis=1)
         rate = float(np.median(own))
         assert own.min() < rate < own.max()
-        stack = stochastic_exponentials(Q, 0.2, rate)
-        for c in range(len(Q)):
-            alone = 0.0 if rate < own[c] else rate
-            assert np.array_equal(stack[c], stochastic_exponentials(Q[c:c + 1], 0.2, alone)[0])
+        first = int(np.argmax(own > rate))
+        with pytest.raises(NumericalError, match="^generator not covered by the uniformization "
+                                                 f"rate in matrix {first} of the stack$"):
+            stochastic_exponentials(Q, 0.2, rate)
+        covered = Q[own <= rate]
+        stack = stochastic_exponentials(covered, 0.2, rate)
+        for c, P in enumerate(stack):
+            assert np.array_equal(P, stochastic_exponentials(covered[c:c + 1], 0.2, rate)[0])
 
     def test_zero_generator_exact_identity(self):
-        Q = np.zeros((3, 4, 4))
-        Q[1] = [[-1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
-                [0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, -0.5]]
-        P = stochastic_exponentials(Q, 0.7)
-        assert np.array_equal(P[0], np.eye(4)) and np.array_equal(P[2], np.eye(4))
+        # rate 0, which grid_rate gives a model with no positive exit rate
+        P = stochastic_exponentials(np.zeros((3, 4, 4)), 0.7, 0.0)
+        assert all(np.array_equal(Pc, np.eye(4)) for Pc in P)
 
     def test_tail_thresholds(self):
         # increasing from 0 to the step bound 1; at each threshold the
@@ -360,26 +375,29 @@ class TestStochasticExponentials:
         Q = np.zeros((5, 2, 2))
         Q[3, 1, 0] = bad
         with pytest.raises(NumericalError, match="non-finite generator in matrix 3"):
-            stochastic_exponentials(Q, 0.1)
+            stochastic_exponentials(Q, 0.1, 0.5)
         with pytest.raises(NumericalError, match="non-finite generator$"):
-            stochastic_exponentials(Q[3:4], 0.1)
+            stochastic_exponentials(Q[3:4], 0.1, 0.5)
 
     def test_row_sum_check(self):
         Q = np.tile([[-1.0, 1.0], [0.3, -0.3]], (4, 1, 1))
         Q[2, 0, 0] = -1.5  # row 0 sums to -0.5
         with pytest.raises(NumericalError, match="row-sum drift .* in matrix 2"):
-            stochastic_exponentials(Q, 0.1)
+            stochastic_exponentials(Q, 0.1, 1.5)
 
     def test_sign_check(self):
+        # no rate covers a negative off-diagonal rate, however small
         Q = np.tile([[-0.5, 0.5, 0.0], [0.2, -0.4, 0.2], [0.0, 1.0, -1.0]], (3, 1, 1))
         Q[1, 0] = [-0.5, 0.6, -0.1]  # sums to zero, off-diagonal -0.1
-        with pytest.raises(NumericalError, match="entry .* below tolerance in matrix 1"):
-            stochastic_exponentials(Q, 0.1)
-        # a roundoff-sized negative rate gives a negative entry above
-        # -MASS_ATOL, clipped to zero; no path 0 -> 1 -> 2 fills it
+        message = "^generator not covered by the uniformization rate in matrix 1 of the stack$"
+        with pytest.raises(NumericalError, match=message):
+            stochastic_exponentials(Q, 0.1, 1.0)
+        # a roundoff-sized negative rate, whose exponential has a negative
+        # entry: no path 0 -> 1 -> 2 fills it
         Q[1] = [[-0.5, 0.5 + 1e-12, -1e-12], [0.2, -0.2, 0.0], [0.0, 1.0, -1.0]]
         assert expm(0.1 * Q[1])[0, 2] < 0.0
-        assert stochastic_exponentials(Q, 0.1)[1, 0, 2] == 0.0
+        with pytest.raises(NumericalError, match=message):
+            stochastic_exponentials(Q, 0.1, 1.0)
 
 
 class TestGridRate:
@@ -405,9 +423,23 @@ class TestGridRate:
         [[0.5, -0.5], [0.2, 0.3]], [[0.0, 0.0], [0.0, 0.0]],
     ], ids=["nan", "inf", "negative", "zero"])
     def test_no_positive_finite_rate_reads_zero(self, rates):
-        # rate 0 leaves each matrix at its own rate
+        # no exit rate is positive and finite: the rate reads 0, which
+        # covers a zero generator alone
         rate = grid_rate(_FixedRates(rates), TimeGrid(1.0, 3))
         assert rate == 0.0 and not np.signbit(rate)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cell_leaves_the_finite_cells_rate(self, bad):
+        # the rate is the finite cells'; the bad cell fails coverage at its
+        # own node, not everywhere
+        grid = TimeGrid(1.0, 4)
+        tables = np.array([[[-s, s], [0.5, -0.5]] for s in (0.3, 0.9, 0.6, 0.2)])
+        tables[2, 0] = [-bad, bad]
+        gen = _CellRates(tables, grid)
+        assert grid_rate(gen, grid) == 0.9
+        message = "^non-finite generator in matrix 2 of the stack$"
+        with pytest.raises(NumericalError, match=message):
+            transition_stack(gen, constant_strategy(grid, 2, 0.0))
 
     def test_cells_below_the_grid_rate_stay_exact(self):
         # exit rates ramp 10x over the cells: all but the last are

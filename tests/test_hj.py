@@ -14,18 +14,17 @@ from mfeq import (
     solve_hj,
     validate_cost,
 )
-from mfeq.chain import (FlowCurve, GeneratorModel, grid_rate, stochastic_exponentials,
-                        transition_stack)
+from mfeq.chain import FlowCurve, GeneratorModel, grid_rate, transition_stack
 from mfeq import hj
-from mfeq.errors import AdmissibilityError, DimensionMismatch, NumericalError
+from mfeq.errors import AdmissibilityError, DimensionMismatch, MfeqError, NumericalError
 from mfeq.hj import SWEEP_BLOCK, EvaluationBasis
 from mfeq.modelfile import build_model, builtin_names, read_model_file
 from mfeq.solver import myopic_strategy, picard_solve, table_distances
 
 import oracles
 from instances import (LowerBoundArgmin, OutsideArgmin, ramped_model, random_affine_generator,
-                       random_flow, random_instance, shipped_instances, sweep_cells,
-                       tau_weighted_instances, value_table)
+                       random_flow, random_instance, rounded_end_model, shipped_instances,
+                       sweep_cells, tau_weighted_instances, value_table)
 from oracles import (constant_flow, constant_strategy, evaluate_cost, evaluate_population_cost,
                      evaluation_rows, scan_golden_min)
 
@@ -368,9 +367,9 @@ class _ScanArgmin(SeparableCost):
 
 
 class TestNodeRate:
-    """The sweep uniformizes each cell at the grid's rate, or at the
-    matrix's own rate where the grid's rate falls short, exactly as
-    transition_stack does."""
+    """The sweep uniformizes each cell at the grid's rate, exactly as
+    transition_stack does, and rejects a cell that the rate does not
+    cover."""
 
     @pytest.mark.parametrize("case", list(shipped_instances())
                              + [_time_varying_instance(), _ramped_instance()],
@@ -380,22 +379,20 @@ class TestNodeRate:
         sweep, policy = solve_hj(gen, cost, nu)
         assert np.array_equal(sweep.transitions, transition_stack(gen, policy))
 
-    def test_own_rate_where_node_rate_falls_short(self):
+    def test_rejects_where_node_rate_falls_short(self):
+        # the first cell the sweep reaches, the top one, takes actions inside
+        # the interval, where the exit rates exceed the grid's
         grid = TimeGrid(0.8, 30)
         gen = _PeakedRates()
         cost = _ScanArgmin(2, running=("mean_square", 0.5), terminal=("table", [0.0, 1.0]),
                            horizon=grid.horizon)
-        sweep, policy = solve_hj(gen, cost, random_flow(np.random.default_rng(18), grid, 2))
-        assert np.array_equal(sweep.transitions, transition_stack(gen, policy))
-        nodes = grid.nodes[:-1]
-        Q = gen.rate_matrix(nodes, policy.actions)
-        rate = grid_rate(gen, grid)
-        short = np.abs(Q).max(axis=(1, 2)) > rate
-        assert short.any()
-        for k in range(grid.steps):
-            # the default rate 0 puts the matrix at its own rate
-            expected = stochastic_exponentials(Q[k:k + 1], grid.dt, 0.0 if short[k] else rate)
-            assert np.array_equal(sweep.transitions[k], expected[0])
+        nu = random_flow(np.random.default_rng(18), grid, 2)
+        top = cost.argmin_profile(gen, grid.nodes[-2], cost.terminal(nu.at(grid.steps)))
+        Q = gen.rate_matrix(grid.nodes[-2], top)
+        assert -Q.diagonal().min() > grid_rate(gen, grid)
+        with pytest.raises(NumericalError, match="^generator not covered by the uniformization "
+                                                 f"rate at node {grid.steps - 1}$"):
+            solve_hj(gen, cost, nu)
 
 
 class _DefectAtNode(AffineQuadraticModel):
@@ -420,7 +417,8 @@ class TestSweepRejectsBadGenerators:
     DEFECTS = {
         "row-sum": ([[0.0, 0.1], [0.0, 0.0]], "transition row-sum drift .*"),
         "non-finite": ([[np.nan, 0.0], [0.0, 0.0]], "non-finite generator"),
-        "negative-entry": ([[1.5, -1.5], [0.0, 0.0]], "transition entry .* below tolerance"),
+        "negative-entry": ([[1.5, -1.5], [0.0, 0.0]],
+                           "generator not covered by the uniformization rate"),
         "+inf": ([[0.0, np.inf], [0.0, 0.0]], "non-finite generator"),
         "-inf": ([[-np.inf, 0.0], [0.0, 0.0]], "non-finite generator"),
     }
@@ -462,8 +460,8 @@ class TestSweepRejectsBadGenerators:
     @pytest.mark.parametrize("position", POSITIONS)
     @pytest.mark.parametrize("defect", ["non-finite", "+inf", "-inf"])
     def test_block_positions(self, defect, position):
-        # whatever the fast pass computes after the bad cell, the error is
-        # the per-cell pass's, and nothing warns on the way
+        # whatever the pass computes below the bad cell from its NaNs, the
+        # error names the bad cell, and nothing warns on the way
         node = self.POSITIONS[position]
         gen, cost, message = self.setup(defect, node)
         rng = np.random.default_rng(21)
@@ -475,6 +473,27 @@ class TestSweepRejectsBadGenerators:
             with pytest.raises(NumericalError, match=f"^{message} at node {node}, flow 0$"):
                 list(backward_columns(gen, cost, flows))
         assert caught == []
+
+    @pytest.mark.parametrize("position", POSITIONS)
+    def test_argmin_rejecting_the_nans_below(self, position):
+        # the cell below the bad one hands its argmin NaNs, which it
+        # rejects: the error still names the bad cell
+        node = self.POSITIONS[position]
+        gen, _, message = self.setup("non-finite", node)
+        cost = _FiniteArgmin(2, running=("mean_square", 0.2), terminal=("mean_variance", "g"),
+                             horizon=self.GRID.horizon)
+        with pytest.raises(NumericalError, match=f"^{message} at node {node}$"):
+            solve_hj(gen, cost, constant_flow([0.5, 0.5], self.GRID))
+
+
+class _FiniteArgmin(SeparableCost):
+    """SeparableCost whose argmin rejects a continuation value that is not
+    finite."""
+
+    def argmin_profile(self, gen, t, h):
+        if not np.isfinite(h).all():
+            raise ValueError("non-finite continuation value")
+        return super().argmin_profile(gen, t, h)
 
 
 class _OutsideAtNode(SeparableCost):
@@ -496,7 +515,7 @@ class _OutsideAtNode(SeparableCost):
 
 class _RaisesOnceAtNode(SeparableCost):
     """SeparableCost whose argmin raises the first time it is asked at one
-    node time, as a floating-point error in the fast pass would."""
+    node time."""
 
     def __init__(self, t_bad, **kwargs):
         super().__init__(2, **kwargs)
@@ -511,33 +530,74 @@ class _RaisesOnceAtNode(SeparableCost):
 
 class TestBlockCoverage:
     """The sweep tests each block's uniformization once; a block with a
-    cell its rate does not cover is computed again cell by cell through
-    uniformize, bit for bit as the per-cell loop computes it."""
+    cell its rate does not cover raises, naming the cell, after the blocks
+    above it have come out as the per-cell loop computes them."""
 
     GRID = TestSweepRejectsBadGenerators.GRID
 
     @staticmethod
     def counted(monkeypatch):
-        calls = {"rate_covers": 0, "uniformize": 0}
-        for name in calls:
-            def counting(*args, _name=name, _original=getattr(hj, name), **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-            monkeypatch.setattr(hj, name, counting)
+        calls = {"rate_covers": 0}
+
+        def counting(*args, _original=hj.rate_covers):
+            calls["rate_covers"] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(hj, "rate_covers", counting)
         return calls
 
     @pytest.mark.parametrize("batch", [1, 12])
     def test_one_test_per_block(self, monkeypatch, batch):
+        # the shipped models, and a model whose interval end rounds past the
+        # true end: each block is tested once, and every cell equals the
+        # per-cell loop's
         calls = self.counted(monkeypatch)
         rng = np.random.default_rng(22)
-        for name in builtin_names():
-            model = read_model_file(name)
+        for name, model in ([(name, read_model_file(name)) for name in builtin_names()]
+                            + [("rounded-end", rounded_end_model())]):
             grid = TimeGrid(model["horizon"], 2 * SWEEP_BLOCK + 22)
             gen, cost = build_model(model, grid)
-            calls.update(rate_covers=0, uniformize=0)
-            list(backward_columns(gen, cost, [random_flow(rng, grid, gen.m)
-                                              for _ in range(batch)]))
-            assert calls == {"rate_covers": 3, "uniformize": 0}, name
+            flows = [random_flow(rng, grid, gen.m) for _ in range(batch)]
+            calls.update(rate_covers=0)
+            for (k, C, profiles, P, *_), (k1, C1, profiles1, P1) in zip(
+                    sweep_cells(backward_columns(gen, cost, flows)),
+                    oracles.backward_loop(gen, cost, flows), strict=True):
+                assert k == k1
+                assert np.array_equal(C, C1), name
+                if k < grid.steps:
+                    assert np.array_equal(profiles, profiles1)
+                    assert np.array_equal(P, P1)
+            assert calls == {"rate_covers": 3}, name
+
+    def test_rounded_end_is_taken(self):
+        # the sweep of test_one_test_per_block reaches the moved end
+        model = rounded_end_model()
+        grid = TimeGrid(model["horizon"], 2 * SWEEP_BLOCK + 22)
+        gen, cost = build_model(model, grid)
+        lo = gen.action_bounds(0.0)[1, 0]
+        assert lo == np.nextafter(-0.4 / 1.26, 0.0)
+        _, policy = solve_hj(gen, cost, random_flow(np.random.default_rng(22), grid, 2))
+        assert (policy.actions[:, 1] == lo).any()
+
+    def block_top(self, node):
+        """The top of the block holding node: the lowest node yielded before it."""
+        return self.GRID.steps - SWEEP_BLOCK * ((self.GRID.steps - 1 - node) // SWEEP_BLOCK)
+
+    def blocks_above(self, gen, cost, nus, node, error, match):
+        """Run the sweep beside the per-cell loop: the cells above node's
+        block agree bit for bit, and node's block raises."""
+        yielded = []
+        with pytest.raises(error, match=match):
+            for (k, C, profiles, P, *_), (k1, C1, profiles1, P1) in zip(
+                    sweep_cells(backward_columns(gen, cost, nus)),
+                    oracles.backward_loop(gen, cost, nus)):
+                assert k == k1
+                assert np.array_equal(C, C1)
+                if k < self.GRID.steps:
+                    assert np.array_equal(profiles, profiles1)
+                    assert np.array_equal(P, P1)
+                yielded.append(k)
+        assert min(yielded) == self.block_top(node)
 
     @pytest.mark.parametrize("flows, flow", [(1, 0), (3, 1)])
     @pytest.mark.parametrize("node", [GRID.steps - 1,  # top of the first block
@@ -546,6 +606,8 @@ class TestBlockCoverage:
                                       GRID.steps - 2 * SWEEP_BLOCK,  # a middle block's
                                       0])  # the last block's bottom
     def test_uncovered_cell_redoes_its_block(self, monkeypatch, node, flows, flow):
+        # the uncovered cell's block raises, naming the node and the flow,
+        # after one coverage test per block reached
         model = read_model_file("affine_mv")
         gen, _ = build_model(model, self.GRID)
         cost = _OutsideAtNode(self.GRID.nodes[node], flow)
@@ -553,42 +615,23 @@ class TestBlockCoverage:
         rng = np.random.default_rng(23)
         nus = [random_flow(rng, self.GRID, 2) for _ in range(flows)]
         calls = self.counted(monkeypatch)
-        for (k, C, profiles, P, *_), (k1, C1, profiles1, P1) in zip(
-                sweep_cells(backward_columns(gen, cost, nus)),
-                oracles.backward_loop(gen, cost, nus), strict=True):
-            assert k == k1
-            assert np.array_equal(C, C1)
-            if k < self.GRID.steps:
-                assert np.array_equal(profiles, profiles1)
-                assert np.array_equal(P, P1)
-        # the uncovered cell's block, and it alone, goes through uniformize
-        # cell by cell
-        assert calls["uniformize"] == self.block_size(node)
-        assert calls["rate_covers"] <= 3
-
-    def block_size(self, node):
-        last = self.GRID.steps % SWEEP_BLOCK
-        return SWEEP_BLOCK if node >= last else last
+        names = f"node {node}" + (f", flow {flow}" if flows > 1 else "")
+        self.blocks_above(gen, cost, nus, node, NumericalError,
+                          f"^generator not covered by the uniformization rate at {names}$")
+        assert calls["rate_covers"] == (self.GRID.steps - self.block_top(node)) // SWEEP_BLOCK + 1
 
     @pytest.mark.parametrize("node", [GRID.steps - 1, GRID.steps - SWEEP_BLOCK, 0])
-    def test_raising_pass_redoes_its_block(self, monkeypatch, node):
+    def test_raising_pass_redoes_its_block(self, node):
+        # an argmin that raises fails the sweep, naming its node
         gen, _ = build_model(read_model_file("affine_mv"), self.GRID)
         spec = dict(running=("mean_square", 0.2), terminal=("mean_variance", "g"),
                     horizon=self.GRID.horizon)
         cost = _RaisesOnceAtNode(self.GRID.nodes[node], **spec)
         rng = np.random.default_rng(24)
         nus = [random_flow(rng, self.GRID, 2) for _ in range(3)]
-        calls = self.counted(monkeypatch)
-        for (k, C, profiles, P, *_), (k1, C1, profiles1, P1) in zip(
-                sweep_cells(backward_columns(gen, cost, nus)),
-                oracles.backward_loop(gen, SeparableCost(2, **spec), nus), strict=True):
-            assert k == k1
-            assert np.array_equal(C, C1)
-            if k < self.GRID.steps:
-                assert np.array_equal(profiles, profiles1)
-                assert np.array_equal(P, P1)
+        message = f"^argmin oracle failed at node {node}: overflow encountered in multiply$"
+        self.blocks_above(gen, cost, nus, node, MfeqError, message)
         assert cost.raised
-        assert calls == {"rate_covers": 2, "uniformize": self.block_size(node)}
 
 
 class TestEvaluateCost:

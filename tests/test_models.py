@@ -85,6 +85,64 @@ class TestAdmissibleInterval:
                                  oracles.clip_argmin(gen, 0.0, h))
 
 
+def quotient_ends(alpha, beta) -> np.ndarray:
+    """The interval ends as the quotients -a/b give them, before any end
+    moves: admissible_interval's (..., m, 2) result without its nudge."""
+    a, b = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)[..., None, :]
+    off = ~np.eye(a.shape[-1], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = -a / b
+    lo = np.where(off & (b > 0.0), bound, -1.0).max(axis=-1)
+    hi = np.where(off & (b < 0.0), bound, 1.0).min(axis=-1)
+    return np.stack([lo, hi], axis=-1)
+
+
+class TestIntervalEnds:
+    """Every off-diagonal rate is nonnegative at both ends of its interval,
+    so the ends bound every exit rate (chain.grid_rate), and each end is
+    the quotient -a/b or one ulp from it toward 0."""
+
+    MODELS = 1250  # per state count and table kind: 10,000 in all
+
+    @staticmethod
+    def random_tables(rng, count, m):
+        """count random (alpha, beta) whose constraints cut [-1, 1]."""
+        alpha = rng.uniform(0.0, 1.0, (count, m, m))
+        alpha[:, np.arange(m), np.arange(m)] = 0.0
+        alpha[:, np.arange(m), np.arange(m)] = -alpha.sum(axis=2)
+        beta = rng.uniform(-1.5, 1.5, (count, m))
+        return alpha, beta - beta.mean(axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("time_varying", [False, True])
+    def test_rates_nonnegative_at_both_ends(self, time_varying):
+        rng = np.random.default_rng(41 + time_varying)
+        off_diagonal = lambda m: ~np.eye(m, dtype=bool)  # noqa: E731
+        moved = 0
+        for m in (2, 3, 4, 5):
+            alphas, betas = self.random_tables(rng, self.MODELS, m)
+            if time_varying:
+                grid = TimeGrid(1.0, self.MODELS)
+                cases = [(AffineQuadraticModel(alphas, betas, grid=grid), grid.nodes[:-1])]
+            else:
+                cases = [(AffineQuadraticModel(a, b), np.zeros(1)) for a, b in zip(alphas, betas)]
+            for gen, nodes in cases:
+                bounds = gen.action_bounds(nodes)
+                rates = gen.rate_matrix(nodes[:, None], np.swapaxes(bounds, -1, -2))
+                assert rates[..., off_diagonal(m)].min() >= 0.0
+                ends = quotient_ends(*gen.coefficients_at(nodes))
+                assert ((bounds == ends) | (bounds == np.nextafter(ends, 0.0))).all()
+                moved += int((bounds != ends).sum())
+        assert moved > 0
+
+    def test_shipped_bounds_do_not_move(self):
+        for name in builtin_names():
+            model = read_model_file(name)
+            grid = TimeGrid(model["horizon"], 20)
+            gen, _ = build_model(model, grid)
+            assert same_bits(gen.action_bounds(grid.nodes),
+                             quotient_ends(*gen.coefficients_at(grid.nodes))), name
+
+
 class TestAffineArgmin:
     """The closed-form argmin of the affine-quadratic model."""
 

@@ -217,26 +217,19 @@ class TestEstimateConstants:
 
     def test_kappa3_sweeps_cells_once_in_lockstep(self, monkeypatch):
         # all 12 kappa3 flows share one backward sweep: each cell is
-        # exponentiated by one series over all flows at once, and no cell
-        # is exponentiated again by uniformize
+        # exponentiated by one series over all flows at once
         model = read_model_file("affine_mv")
         grid = TimeGrid(model["horizon"], 1000)
         gen, cost = build_model(model, grid)
-        batch_sizes, redone = [], []
+        batch_sizes = []
 
         def counted(A, plan, out=None):
             batch_sizes.append(len(A))
             return chain._series(A, plan, out)
 
-        def per_cell(generators, plan, where):
-            redone.append(len(generators))
-            return chain.uniformize(generators, plan, where)
-
         monkeypatch.setattr(hj, "_series", counted)
-        monkeypatch.setattr(hj, "uniformize", per_cell)
         estimate_constants(gen, cost, grid, seed=0)
         assert batch_sizes == [12] * grid.steps
-        assert redone == []
 
     def test_memory_is_linear_in_steps(self):
         # one dense table of affine_mv at N=1000 takes 16 MB
@@ -280,9 +273,9 @@ class TestContractionVerdict:
 
 class TestNodeRate:
     def test_shipped_solves_move_at_roundoff_only(self, monkeypatch):
-        # a grid rate of 0 leaves every matrix at its own rate, the
-        # uniformization of one rate per matrix: each shipped solve and its
-        # kappa3 stay within 1e-12 of it, in as many Picard iterations
+        # uniformization is exact for any rate that covers the generators:
+        # at 4x the grid's rate, with more terms and squarings, each shipped
+        # solve and its kappa3 stay within 1e-12, in as many Picard iterations
         def solve(name):
             model = read_model_file(name)
             grid = TimeGrid(model["horizon"], 200)
@@ -292,8 +285,8 @@ class TestNodeRate:
 
         at_grid_rate = {name: solve(name) for name in builtin_names()}
 
-        def zero(model, grid):
-            return 0.0
+        def quadrupled(model, grid, _grid_rate=chain.grid_rate):
+            return 4.0 * _grid_rate(model, grid)
 
         # every module that imports the name, so that each call reads the patch
         users = [module for name, module in sys.modules.items()
@@ -301,16 +294,16 @@ class TestNodeRate:
                  and getattr(module, "grid_rate", None) is chain.grid_rate]
         assert {chain, hj, sys.modules["mfeq.verify"], sys.modules["mfeq.simulate"]} <= set(users)
         for module in users:
-            monkeypatch.setattr(module, "grid_rate", zero)
+            monkeypatch.setattr(module, "grid_rate", quadrupled)
         moved = False
         for name, (eq, report) in at_grid_rate.items():
-            own, own_report = solve(name)
-            assert eq.diagnostics.iterations == own.diagnostics.iterations, name
-            for new, old in ((eq.flow.values, own.flow.values),
-                             (eq.policy.actions, own.policy.actions),
-                             (eq.values.values, own.values.values),
-                             (eq.values.low, own.values.low), (eq.values.high, own.values.high),
-                             (report.kappa3, own_report.kappa3)):
+            high, high_report = solve(name)
+            assert eq.diagnostics.iterations == high.diagnostics.iterations, name
+            for new, old in ((eq.flow.values, high.flow.values),
+                             (eq.policy.actions, high.policy.actions),
+                             (eq.values.values, high.values.values),
+                             (eq.values.low, high.values.low), (eq.values.high, high.values.high),
+                             (report.kappa3, high_report.kappa3)):
                 assert np.abs(new - old).max() <= 1e-12, name
                 moved |= not np.array_equal(new, old)
         assert moved  # the patch reached the sweep
