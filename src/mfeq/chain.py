@@ -485,14 +485,16 @@ def transition_stack(model: GeneratorModel, strategy: StrategyTable) -> np.ndarr
     """All per-cell transition matrices, shape (steps, m, m).
 
     The strategy's admissibility is checked once, then every cell's
-    exponential comes from one transition_matrix call at the grid's rate;
-    cell k equals transition_matrix(model, t_k, strategy.actions[k], dt,
-    grid_rate(model, grid)) bit for bit.
+    exponential comes from one transition_matrix call at the grid's rate,
+    the actions clipped into their bounds, since the rate need not cover
+    check_admissible's ACTION_ATOL slack.  A row inside its bounds is not
+    moved: cell k equals transition_matrix(model, t_k, strategy.actions[k],
+    dt, grid_rate(model, grid)) bit for bit.
     """
-    grid = strategy.grid
+    grid, nodes = strategy.grid, strategy.grid.nodes[:-1]
     strategy.check_admissible(model)
-    return transition_matrix(model, grid.nodes[:-1], strategy.actions, grid.dt,
-                             grid_rate(model, grid))
+    actions = clip_to_bounds(model.action_bounds(nodes), strategy.actions)
+    return transition_matrix(model, nodes, actions, grid.dt, grid_rate(model, grid))
 
 
 def propagate_flow(model: GeneratorModel, rho0, strategy: StrategyTable, *,

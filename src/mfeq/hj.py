@@ -31,7 +31,7 @@ from .chain import (
     rate_covers,
     transition_matrix,  # noqa: F401  (the benchmark's tracer patches this name)
 )
-from .errors import DimensionMismatch, MfeqError
+from .errors import DimensionMismatch, MfeqError, NumericalError
 
 # Cells backward_columns computes between two checks of their transitions.
 SWEEP_BLOCK = 64
@@ -136,8 +136,9 @@ def backward_columns(gen: GeneratorModel, cost: CostModel, flows):
     series plan is built once per sweep: one pass writes each cell's x T
     into a block buffer and its exponential into P[j] (chain._series), so
     P[j] equals transition_matrix at (t_k, profiles[j]) and that rate bit
-    for bit.  The block's coverage (chain.rate_covers) and row sums are
-    then tested once, before it is yielded.  A failure names the cell the
+    for bit.  The block's coverage (chain.rate_covers), row sums and
+    diagonals are then tested once, before it is yielded; a non-finite
+    column makes its diagonal non-finite.  A failure names the cell the
     sweep reached first, the highest node, and the flow when B > 1; the
     cells below it took its NaNs without a warning.
     """
@@ -172,7 +173,7 @@ def backward_columns(gen: GeneratorModel, cost: CostModel, flows):
                 try:
                     profiles[j] = cost.argmin_profile(gen, t, diagonal)
                 except Exception as exc:
-                    _check_cells(steps[j + 1:], P[j + 1:], k + 1, B)  # a NaN from above
+                    _check_cells(steps[j + 1:], P[j + 1:], diagonals[j + 1:], k + 1, B)
                     raise MfeqError(f"argmin oracle failed at node {k}: {exc}") from exc
                 A = np.multiply(gen.rate_matrix(t, profiles[j]), plan.h, out=steps[j])
                 A += plan.xI
@@ -182,19 +183,23 @@ def backward_columns(gen: GeneratorModel, cost: CostModel, flows):
                 C[:, 1] += dt * cost.control_profile_cost(t, profiles[j])
                 diagonal = np.multiply(basis.weight[k], C[:, 0], out=diagonals[j])
                 diagonal += C[:, 1]
-            if not (rate_covers(steps) and is_stochastic(P)):
-                _check_cells(steps, P, first, B)
+            if not (rate_covers(steps) and is_stochastic(P) and np.isfinite(diagonals).all()):
+                _check_cells(steps, P, diagonals, first, B)
         yield first, columns, profiles, P, diagonals, basis.extremes(columns)
 
 
-def _check_cells(steps: np.ndarray, P: np.ndarray, first: int, flows: int) -> None:
+def _check_cells(steps: np.ndarray, P: np.ndarray, diagonals: np.ndarray, first: int,
+                 flows: int) -> None:
     """Raise for the highest cell of a block, from node `first` on, whose
-    x T (steps) the rate does not cover or whose transitions P are not
-    stochastic, naming its node and, when flows > 1, the flow."""
+    x T (steps) is uncovered, whose transitions P are not stochastic or whose
+    diagonal is not finite, naming its node and, when flows > 1, the flow."""
     for j in range(len(P) - 1, -1, -1):
         where = _cell_names(first + j, flows)
         check_covered(steps[j], where)
         check_stochastic(P[j], where)
+        bad = ~np.isfinite(diagonals[j]).all(axis=1)
+        if bad.any():
+            raise NumericalError("non-finite value" + where(np.argmax(bad)))
 
 
 def _cell_names(node: int, flows: int):

@@ -587,6 +587,20 @@ class TestTransitionStack:
         strat = random_strategy(rng, gen, grid)
         assert np.array_equal(transition_stack(gen, strat), transition_loop(gen, strat))
 
+    def test_actions_in_the_slack_take_their_interval_ends(self):
+        # check_admissible admits an action up to ACTION_ATOL past its
+        # interval, where the grid's rate need not cover it: the stack
+        # exponentiates the interval's end instead
+        rng = np.random.default_rng(5)
+        grid = TimeGrid(0.7, 40)
+        gen = random_affine_generator(rng, 3, grid=grid, time_varying=True)
+        bounds = gen.action_bounds(grid.nodes[:-1])
+        upper = rng.random((grid.steps, 3)) < 0.5
+        ends = np.where(upper, bounds[..., 1], bounds[..., 0])
+        past = ends + np.where(upper, 0.5, -0.5) * ACTION_ATOL
+        assert np.array_equal(transition_stack(gen, StrategyTable(past, grid)),
+                              transition_loop(gen, StrategyTable(ends, grid)))
+
     def test_inadmissible_cell_named(self):
         grid = TimeGrid(1.0, 6)
         # state 1 admits [-1, 1] but state 0 only [-0.5, 1]

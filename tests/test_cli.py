@@ -15,7 +15,7 @@ from mfeq.cli import CSV_BLOCK_ROWS, _iterations_still_needed, _write_csv, main
 from mfeq.solver import IterationDiagnostics
 
 import oracles
-from instances import BAD_MODEL_NUMBERS, ramped_model, with_value
+from instances import BAD_MODEL_NUMBERS, ramped_model, rounded_end_model, with_value
 
 DATA = Path(mfeq.__file__).parent / "data"
 
@@ -493,6 +493,48 @@ class TestVerify:
         (bad_dir / "policy.csv").write_text("t,pi_1,pi_2\n")
         err = assert_input_error(capsys, run("verify", "--eq", str(bad_dir)))
         assert err == "input error: policy.csv: no data rows below the header\n"
+
+    def test_policy_at_the_unmoved_rounded_end(self, tmp_path):
+        # a policy.csv that holds -0.4 / 1.26, the rounded-end interval's end
+        # before it moved one ulp toward 0, lies inside the admissibility
+        # slack: verify and simulate exponentiate the moved end, and give
+        # the moved end's reports
+        import shutil
+        model = tmp_path / "rounded-end.json"
+        model.write_text(json.dumps(rounded_end_model()))
+        moved, unmoved = tmp_path / "moved", tmp_path / "unmoved"
+        assert run("solve", "--model", str(model), "--grid", "50", "--out", str(moved)) == 0
+        shutil.copytree(moved, unmoved)
+        end, old_end = f"{np.nextafter(-0.4 / 1.26, 0.0):.17g}", f"{-0.4 / 1.26:.17g}"
+        lines = [line.split(",") for line in (moved / "policy.csv").read_text().splitlines()]
+        assert sum(fields.count(end) for fields in lines) > 0
+        (unmoved / "policy.csv").write_text("".join(
+            ",".join(old_end if field == end else field for field in fields) + "\n"
+            for fields in lines))
+        sim = ("--players", "50", "--seed", "3", "--reps", "2", "--err-bound", "2")
+        for directory in (moved, unmoved):
+            assert run("verify", "--eq", str(directory), "--action-samples", "8") == 0
+            assert run("simulate", "--eq", str(directory), *sim) == 0
+        for name in ("spike_report.csv", "spike_summary.json", "sim_report.json",
+                     "empirical_flow.csv"):
+            assert (moved / name).read_bytes() == (unmoved / name).read_bytes()
+
+    def test_policy_in_the_slack_above_its_interval(self, solved_dir, tmp_path):
+        # state 2 at node 0 set to its interval's end 1 and to 1 + 5e-10,
+        # inside the admissibility slack: both verify to the same violations
+        import shutil
+        counts = []
+        for action in (1.0, 1 + 5e-10):
+            d = tmp_path / f"{action!r}"
+            shutil.copytree(solved_dir, d)
+            lines = (d / "policy.csv").read_text().splitlines()
+            fields = lines[1].split(",")
+            fields[2] = f"{action:.17g}"
+            lines[1] = ",".join(fields)
+            (d / "policy.csv").write_text("\n".join(lines) + "\n")
+            assert run("verify", "--eq", str(d), "--action-samples", "8") == 3
+            counts.append(len(json.loads((d / "spike_summary.json").read_text())["violations"]))
+        assert counts[0] == counts[1] > 0
 
     def test_model_tamper_detected(self, solved_dir, tmp_path):
         import shutil

@@ -528,6 +528,20 @@ class _RaisesOnceAtNode(SeparableCost):
         return super().argmin_profile(gen, t, h)
 
 
+class _OverflowsAtNode(_OutsideAtNode):
+    """affine_mv's cost whose control cost overflows to inf for one flow at
+    one node time; that cell's transitions stay stochastic."""
+
+    def argmin_profile(self, gen, t, h):
+        return SeparableCost.argmin_profile(self, gen, t, h)
+
+    def control_profile_cost(self, t, profile):
+        c = super().control_profile_cost(t, profile)
+        if np.ndim(t) == 0 and t == self.t_bad:
+            c[self.flow] = (c[self.flow] + np.finfo(float).max) * 2.0
+        return c
+
+
 class TestBlockCoverage:
     """The sweep tests each block's uniformization once; a block with a
     cell its rate does not cover raises, naming the cell, after the blocks
@@ -632,6 +646,19 @@ class TestBlockCoverage:
         message = f"^argmin oracle failed at node {node}: overflow encountered in multiply$"
         self.blocks_above(gen, cost, nus, node, MfeqError, message)
         assert cost.raised
+
+
+    @pytest.mark.parametrize("flows, flow", [(1, 0), (3, 1)])
+    @pytest.mark.parametrize("node", [GRID.steps - 1, GRID.steps - SWEEP_BLOCK, 0])
+    def test_overflowing_cost_is_named(self, node, flows, flow):
+        # an overflow in a cell whose transitions are stochastic warns of
+        # nothing and fails its block, naming the node and the flow
+        gen, _ = build_model(read_model_file("affine_mv"), self.GRID)
+        cost = _OverflowsAtNode(self.GRID.nodes[node], flow)
+        rng = np.random.default_rng(25)
+        nus = [random_flow(rng, self.GRID, 2) for _ in range(flows)]
+        names = f"node {node}" + (f", flow {flow}" if flows > 1 else "")
+        self.blocks_above(gen, cost, nus, node, NumericalError, f"^non-finite value at {names}$")
 
 
 class TestEvaluateCost:
