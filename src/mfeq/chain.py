@@ -10,7 +10,9 @@ of a grid is uniformized at one rate, which depends on the model and the
 grid alone (grid_rate), so a backward sweep fixes the series' constants
 once (SeriesPlan).  A GeneratorModel's exit rates peak at an end of each
 admissible interval, so that rate covers every admissible profile; a
-generator it does not cover is an error (check_covered).
+generator it does not cover is an error.  One test decides whether a block
+of exponentials is sound and names its first failing cell (check_cells):
+the stacked path and the backward sweep both call it.
 
 All operations are pure functions of their inputs; the data types are
 immutable after construction and safe to share across threads.
@@ -329,7 +331,7 @@ def grid_rate(model: GeneratorModel, grid: TimeGrid) -> float:
     is positive.  A GeneratorModel's exit rates peak at an end of the
     interval (the built-in ones are affine in the action), so no admissible
     profile exceeds it; a cell that is not finite fails coverage at its own
-    node (check_covered)."""
+    node (check_cells)."""
     nodes = grid.nodes[:-1]
     ends = np.swapaxes(model.action_bounds(nodes), -1, -2)  # (N, 2, m): lo, then hi
     exits = -np.diagonal(model.rate_matrix(nodes[:, None], ends), axis1=-2, axis2=-1)
@@ -338,7 +340,7 @@ def grid_rate(model: GeneratorModel, grid: TimeGrid) -> float:
 
 
 class SeriesPlan:
-    """What uniformize needs of a rate lam at step dt: x = lam dt halved s
+    """What _series needs of a rate lam at step dt: x = lam dt halved s
     times until x <= 1, the step h = dt / 2^s, the last term K
     (POISSON_TAIL_X), x I, exp(-x) and expm1(-x) I.  It depends on the rate
     alone, so a sweep builds it once.
@@ -364,64 +366,33 @@ class SeriesPlan:
 def stochastic_exponentials(generators: np.ndarray, dt: float, rate: float) -> np.ndarray:
     """exp(dt * Q) for every generator of a (count, m, m) stack, rows stochastic.
 
-    rate is the uniformization rate of the stack (grid_rate).  uniformize,
-    then check_stochastic; failures name the matrix of the stack.
-    """
-    Q = np.asarray(generators, dtype=float)
-    count, m, _ = Q.shape
-    where = lambda c: f" in matrix {c} of the stack" if count > 1 else ""  # noqa: E731
-    P = uniformize(Q, SeriesPlan(rate, dt, m), where)
-    check_stochastic(P, where)
-    return P
-
-
-def uniformize(generators: np.ndarray, plan: SeriesPlan, where) -> np.ndarray:
-    """exp(dt * Q) for every generator of a (count, m, m) stack at the rate
-    of the plan, its finiteness and row sums not yet checked
-    (check_stochastic).
-
     Uniformization (Jensen 1953; Grassmann 1977): for lam >= max_i -q_ii the
     matrix T = I + Q / lam is stochastic and
 
         exp(dt * Q) = exp(-x) sum_n (x T)^n / n!,   x = lam * dt,
 
-    a sum of nonnegative terms, exact for any such lam.  The stack takes
-    the plan's lam, halved s times, sums its terms up to K and squares the
-    result s times, so each slice equals a one-matrix call bit for bit.  A
-    matrix the rate does not cover is rejected before any series
-    (check_covered); where(c) names matrix c of the stack.  The backward
-    sweep runs the same series and tests, once per block of cells.
+    a sum of nonnegative terms, exact for any such lam.  rate is the lam of
+    the stack (grid_rate), halved s times (SeriesPlan); each slice equals a
+    one-matrix call bit for bit.  The stack is then tested once
+    (check_cells), whatever the caller's floating-point state, and a
+    failure names the first failing matrix of the stack.
     """
-    A = np.asarray(generators, dtype=float) * plan.h + plan.xI  # x T
-    check_covered(A, where)
-    return _series(A, plan)
-
-
-def rate_covers(A: np.ndarray) -> bool:
-    """The coverage test of a stack of x T: the plan's rate covers every
-    matrix, so no entry is negative, infinite or NaN."""
-    return A.min() >= 0.0 and A.max() < np.inf
-
-
-def check_covered(A: np.ndarray, where) -> None:
-    """Raise unless the plan's rate covers every matrix of a (count, m, m)
-    stack of x T (rate_covers), naming the first it does not: a non-finite
-    generator, or one with an exit rate above the uniformization rate or a
-    negative off-diagonal rate, which no rate covers."""
-    if rate_covers(A):
-        return
-    finite = np.isfinite(A).all(axis=(1, 2))
-    c = int(np.argmin(finite & (A.min(axis=(1, 2)) >= 0.0)))
-    if not finite[c]:
-        raise NumericalError("non-finite generator" + where(c))
-    raise NumericalError("generator not covered by the uniformization rate" + where(c))
+    Q = np.asarray(generators, dtype=float)
+    count, m, _ = Q.shape
+    plan = SeriesPlan(rate, dt, m)
+    with np.errstate(all="ignore"):  # a bad matrix fails check_cells by name
+        A = Q * plan.h + plan.xI  # x T
+        P = _series(A, plan)
+        check_cells(A, P, slice(None),
+                    lambda c, b: f" in matrix {c} of the stack" if count > 1 else "")
+    return P
 
 
 def _series(A: np.ndarray, plan: SeriesPlan, out: np.ndarray | None = None) -> np.ndarray:
     """exp(-x) sum over 0 <= n <= K of A^n / n!, squared s times, for a
-    (count, m, m) stack A = x T at the plan's rate, written into out when
+    (..., m, m) stack A = x T at the plan's rate, written into out when
     given.  It tests nothing: a matrix the rate does not cover gives a
-    meaningless result (rate_covers)."""
+    meaningless result (check_cells)."""
     R = np.empty_like(A) if out is None else out
     R[...] = A
     term = A
@@ -439,34 +410,50 @@ def _series(A: np.ndarray, plan: SeriesPlan, out: np.ndarray | None = None) -> n
     return R
 
 
-def check_stochastic(P: np.ndarray, where) -> None:
-    """Raise unless every matrix of a (..., m, m) stack is stochastic
-    (is_stochastic), where(c) naming matrix c of the flattened stack."""
-    if not is_stochastic(P):
-        _diagnose(P.reshape((-1,) + P.shape[-2:]), where)
-
-
-def is_stochastic(P: np.ndarray) -> bool:
-    """Every matrix of a (..., m, m) stack is finite with row sums within
-    MASS_ATOL of one.  A covered series has no negative entry, and a
-    non-finite entry makes its row sum fail."""
-    sums = P.sum(axis=-1)
-    return sums.max() - 1.0 <= MASS_ATOL and 1.0 - sums.min() <= MASS_ATOL
-
-
 @lru_cache
 def _identity(m: int) -> np.ndarray:
     return np.broadcast_to(np.eye(m), (m, m))  # a read-only view: every call shares it
 
 
-def _diagnose(P: np.ndarray, where) -> None:
-    """Raise the first failing check of a (count, m, m) stack of transitions."""
-    finite = np.isfinite(P).all(axis=(1, 2))
-    if not finite.all():
-        raise NumericalError("non-finite transition matrix" + where(np.argmin(finite)))
-    drift = np.abs(P.sum(axis=2) - 1.0).max(axis=1)
-    c = np.argmax(drift)
-    raise NumericalError(f"transition row-sum drift {drift[c]:.3e}" + where(c))
+def check_cells(A: np.ndarray, P: np.ndarray, order: slice, where, values=None) -> None:
+    """Raise unless every cell of a block is sound: the rate covers its x T
+    (A), so no entry is negative or non-finite; its transitions P are
+    finite with row sums within MASS_ATOL of one; and its values, if given,
+    are finite.  A covered series has no negative entry.
+
+    Cell c is A[c], P[c] and values[c], for one flow or a stack of B.  The
+    cells that the slice `order` selects are tested at once; only if that
+    fails are they walked in its order, and the first failing cell raises
+    for coverage, then transitions, then values, naming its first failing
+    flow b as where(c, b).  An empty slice passes.
+    """
+    block, sums = A[order], P[order].sum(axis=-1)
+    # the initial values let an empty block pass
+    if (block.min(initial=0.0) >= 0.0 and block.max(initial=0.0) < np.inf
+            and sums.max(initial=1.0) - 1.0 <= MASS_ATOL
+            and 1.0 - sums.min(initial=1.0) <= MASS_ATOL
+            and (values is None or np.isfinite(values[order]).all())):
+        return
+    m = P.shape[-1]
+    for c in range(len(P))[order]:
+        xT, cell = A[c].reshape(-1, m, m), P[c].reshape(-1, m, m)
+        finite = np.isfinite(xT).all(axis=(1, 2))
+        covered = finite & (xT.min(axis=(1, 2)) >= 0.0)
+        if not covered.all():
+            b = int(np.argmin(covered))
+            raise NumericalError(("generator not covered by the uniformization rate"
+                                  if finite[b] else "non-finite generator") + where(c, b))
+        finite = np.isfinite(cell).all(axis=(1, 2))
+        if not finite.all():
+            raise NumericalError("non-finite transition matrix" + where(c, int(np.argmin(finite))))
+        drift = np.abs(cell.sum(axis=2) - 1.0).max(axis=1)
+        if drift.max() > MASS_ATOL:
+            b = int(np.argmax(drift > MASS_ATOL))
+            raise NumericalError(f"transition row-sum drift {drift[b]:.3e}" + where(c, b))
+        if values is not None:
+            finite = np.isfinite(values[c]).reshape(len(cell), -1).all(axis=1)
+            if not finite.all():
+                raise NumericalError("non-finite value" + where(c, int(np.argmin(finite))))
 
 
 def transition_matrix(model: GeneratorModel, t: float, profile, dt: float,

@@ -23,15 +23,12 @@ from .chain import (
     SeriesPlan,
     StrategyTable,
     TimeGrid,
-    check_covered,
-    check_stochastic,
     _series,
+    check_cells,
     grid_rate,
-    is_stochastic,
-    rate_covers,
     transition_matrix,  # noqa: F401  (the benchmark's tracer patches this name)
 )
-from .errors import DimensionMismatch, MfeqError, NumericalError
+from .errors import DimensionMismatch, MfeqError
 
 # Cells backward_columns computes between two checks of their transitions.
 SWEEP_BLOCK = 64
@@ -136,11 +133,13 @@ def backward_columns(gen: GeneratorModel, cost: CostModel, flows):
     series plan is built once per sweep: one pass writes each cell's x T
     into a block buffer and its exponential into P[j] (chain._series), so
     P[j] equals transition_matrix at (t_k, profiles[j]) and that rate bit
-    for bit.  The block's coverage (chain.rate_covers), row sums and
-    diagonals are then tested once, before it is yielded; a non-finite
-    column makes its diagonal non-finite.  A failure names the cell the
-    sweep reached first, the highest node, and the flow when B > 1; the
-    cells below it took its NaNs without a warning.
+    for bit.  Before it is yielded, the block's coverage, row sums and
+    diagonals are tested once (chain.check_cells, the test of every
+    exponential); a non-finite column makes its diagonal non-finite.  A
+    failure names the cell the sweep reached first, the highest node, and
+    the flow when B > 1; the cells below it took its NaNs without a
+    warning.  An argmin that raises is named at its node once the cells
+    above it pass the same test.
     """
     flows = [flows] if isinstance(flows, FlowCurve) else list(flows)
     grid = flows[0].grid
@@ -166,6 +165,9 @@ def backward_columns(gen: GeneratorModel, cost: CostModel, flows):
         columns, P = np.empty((L, B, 2, m)), np.empty((L, B, m, m))
         profiles, diagonals = np.empty((L, B, m)), np.empty((L, B, m))
         steps = np.empty((L, B, m, m))  # each cell's x T at the plan's rate
+
+        def where(j, b):  # names flow b of row j for check_cells
+            return f" at node {first + j}" + (f", flow {b}" if B > 1 else "")
         with np.errstate(all="ignore"):  # a failing cell's NaNs reach the cells below
             for j in range(L - 1, -1, -1):
                 k = first + j
@@ -173,7 +175,7 @@ def backward_columns(gen: GeneratorModel, cost: CostModel, flows):
                 try:
                     profiles[j] = cost.argmin_profile(gen, t, diagonal)
                 except Exception as exc:
-                    _check_cells(steps[j + 1:], P[j + 1:], diagonals[j + 1:], k + 1, B)
+                    check_cells(steps, P, slice(L - 1, j, -1), where, diagonals)
                     raise MfeqError(f"argmin oracle failed at node {k}: {exc}") from exc
                 A = np.multiply(gen.rate_matrix(t, profiles[j]), plan.h, out=steps[j])
                 A += plan.xI
@@ -183,28 +185,8 @@ def backward_columns(gen: GeneratorModel, cost: CostModel, flows):
                 C[:, 1] += dt * cost.control_profile_cost(t, profiles[j])
                 diagonal = np.multiply(basis.weight[k], C[:, 0], out=diagonals[j])
                 diagonal += C[:, 1]
-            if not (rate_covers(steps) and is_stochastic(P) and np.isfinite(diagonals).all()):
-                _check_cells(steps, P, diagonals, first, B)
+            check_cells(steps, P, slice(L - 1, None, -1), where, diagonals)
         yield first, columns, profiles, P, diagonals, basis.extremes(columns)
-
-
-def _check_cells(steps: np.ndarray, P: np.ndarray, diagonals: np.ndarray, first: int,
-                 flows: int) -> None:
-    """Raise for the highest cell of a block, from node `first` on, whose
-    x T (steps) is uncovered, whose transitions P are not stochastic or whose
-    diagonal is not finite, naming its node and, when flows > 1, the flow."""
-    for j in range(len(P) - 1, -1, -1):
-        where = _cell_names(first + j, flows)
-        check_covered(steps[j], where)
-        check_stochastic(P[j], where)
-        bad = ~np.isfinite(diagonals[j]).all(axis=1)
-        if bad.any():
-            raise NumericalError("non-finite value" + where(np.argmax(bad)))
-
-
-def _cell_names(node: int, flows: int):
-    """Names the matrix of flow b in the (flows, m, m) stack of one cell."""
-    return lambda b: f" at node {node}" + (f", flow {int(b)}" if flows > 1 else "")
 
 
 @dataclass(frozen=True)

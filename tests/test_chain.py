@@ -379,6 +379,15 @@ class TestStochasticExponentials:
         with pytest.raises(NumericalError, match="non-finite generator$"):
             stochastic_exponentials(Q[3:4], 0.1, 0.5)
 
+    def test_overflowing_squarings_are_named_under_any_errstate(self):
+        # at dt = 1e20 the 67 squarings overflow; the series and its check
+        # keep their own floating-point state, so a caller's that raises
+        # gives no FloatingPointError
+        Q = np.tile([[-1.2, 1.2], [0.9, -0.9]], (3, 1, 1))
+        message = "^non-finite transition matrix in matrix 0 of the stack$"
+        with np.errstate(all="raise"), pytest.raises(NumericalError, match=message):
+            stochastic_exponentials(Q, 1e20, 1.2)
+
     def test_row_sum_check(self):
         Q = np.tile([[-1.0, 1.0], [0.3, -0.3]], (4, 1, 1))
         Q[2, 0, 0] = -1.5  # row 0 sums to -0.5

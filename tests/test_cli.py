@@ -308,15 +308,21 @@ class TestSolve:
     def test_huge_rate_is_one_line_error(self, tmp_path, capsys):
         # a finite alpha of 1e308 over beta overflows the admissible-interval
         # bound before its clip to [-1, 1]; that overflow is no warning, and
-        # the exponential's row-sum check is the one line on stderr
-        model = with_value(json.loads((DATA / "affine_mv.json").read_text()),
-                           ("generator", "alpha"), [[-1e308, 1e308], [0.9, -0.9]])
-        (tmp_path / "huge.json").write_text(json.dumps(model))
-        code = run("solve", "--model", str(tmp_path / "huge.json"), "--grid", "20",
-                   "--out", str(tmp_path / "eq"))
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.count("\n") == 1 and err.startswith("error: "), err
+        # the exponential's row-sum check is the one line on stderr.  A
+        # horizon of 1e20 overflows the exponential's squarings, which warn
+        # of nothing before the same check fails
+        huge = with_value(json.loads((DATA / "affine_mv.json").read_text()),
+                          ("generator", "alpha"), [[-1e308, 1e308], [0.9, -0.9]])
+        runs = [(huge, "20")] + [
+            (with_value(json.loads((DATA / f"{name}.json").read_text()), ("horizon",), 1e20), "5")
+            for name in ("zero_cost", "dist_independent")]
+        for c, (model, steps) in enumerate(runs):
+            (tmp_path / f"huge-{c}.json").write_text(json.dumps(model))
+            code = run("solve", "--model", str(tmp_path / f"huge-{c}.json"), "--grid", steps,
+                       "--out", str(tmp_path / f"eq-{c}"))
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.count("\n") == 1 and err.startswith("error: "), err
 
     def test_declared_k1_never_sets_the_rate(self, tmp_path):
         # K1 reaches only the declared value bound: a huge or a tiny one

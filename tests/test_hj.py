@@ -551,13 +551,13 @@ class TestBlockCoverage:
 
     @staticmethod
     def counted(monkeypatch):
-        calls = {"rate_covers": 0}
+        calls = {"check_cells": 0}
 
-        def counting(*args, _original=hj.rate_covers):
-            calls["rate_covers"] += 1
+        def counting(*args, _original=hj.check_cells):
+            calls["check_cells"] += 1
             return _original(*args)
 
-        monkeypatch.setattr(hj, "rate_covers", counting)
+        monkeypatch.setattr(hj, "check_cells", counting)
         return calls
 
     @pytest.mark.parametrize("batch", [1, 12])
@@ -572,7 +572,7 @@ class TestBlockCoverage:
             grid = TimeGrid(model["horizon"], 2 * SWEEP_BLOCK + 22)
             gen, cost = build_model(model, grid)
             flows = [random_flow(rng, grid, gen.m) for _ in range(batch)]
-            calls.update(rate_covers=0)
+            calls.update(check_cells=0)
             for (k, C, profiles, P, *_), (k1, C1, profiles1, P1) in zip(
                     sweep_cells(backward_columns(gen, cost, flows)),
                     oracles.backward_loop(gen, cost, flows), strict=True):
@@ -581,7 +581,7 @@ class TestBlockCoverage:
                 if k < grid.steps:
                     assert np.array_equal(profiles, profiles1)
                     assert np.array_equal(P, P1)
-            assert calls == {"rate_covers": 3}, name
+            assert calls == {"check_cells": 3}, name
 
     def test_rounded_end_is_taken(self):
         # the sweep of test_one_test_per_block reaches the moved end
@@ -619,9 +619,9 @@ class TestBlockCoverage:
                                       GRID.steps - SWEEP_BLOCK,  # its bottom
                                       GRID.steps - 2 * SWEEP_BLOCK,  # a middle block's
                                       0])  # the last block's bottom
-    def test_uncovered_cell_redoes_its_block(self, monkeypatch, node, flows, flow):
+    def test_uncovered_cell_is_rejected(self, monkeypatch, node, flows, flow):
         # the uncovered cell's block raises, naming the node and the flow,
-        # after one coverage test per block reached
+        # after one test per block reached
         model = read_model_file("affine_mv")
         gen, _ = build_model(model, self.GRID)
         cost = _OutsideAtNode(self.GRID.nodes[node], flow)
@@ -632,10 +632,10 @@ class TestBlockCoverage:
         names = f"node {node}" + (f", flow {flow}" if flows > 1 else "")
         self.blocks_above(gen, cost, nus, node, NumericalError,
                           f"^generator not covered by the uniformization rate at {names}$")
-        assert calls["rate_covers"] == (self.GRID.steps - self.block_top(node)) // SWEEP_BLOCK + 1
+        assert calls["check_cells"] == (self.GRID.steps - self.block_top(node)) // SWEEP_BLOCK + 1
 
     @pytest.mark.parametrize("node", [GRID.steps - 1, GRID.steps - SWEEP_BLOCK, 0])
-    def test_raising_pass_redoes_its_block(self, node):
+    def test_raising_argmin_is_named(self, node):
         # an argmin that raises fails the sweep, naming its node
         gen, _ = build_model(read_model_file("affine_mv"), self.GRID)
         spec = dict(running=("mean_square", 0.2), terminal=("mean_variance", "g"),
