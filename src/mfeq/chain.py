@@ -71,22 +71,14 @@ class ProbabilityVector:
 
     Construction clips negative entries in [-1e-12, 0) to zero and
     renormalizes; larger negatives are rejected so genuine solver failures
-    are distinguished from roundoff.
+    are distinguished from roundoff (_simplex_rows).
     """
 
     __slots__ = ("weights",)
 
     def __init__(self, weights):
-        w = np.array(weights, dtype=float).reshape(-1)
-        if w.size == 0:
-            raise ValueError("empty probability vector")
-        if not np.all(np.isfinite(w)):
-            raise NumericalError("non-finite entries in probability vector")
-        lo = w.min()
-        if lo < -SIMPLEX_ATOL:
-            raise NumericalError(f"negative mass {lo:.3e} exceeds roundoff tolerance")
-        if lo < 0.0:
-            w = np.clip(w, 0.0, None)
+        w = np.array(weights, dtype=float).reshape(1, -1)
+        w = _simplex_rows(w, lambda r: " in probability vector")[0]
         total = w.sum()
         if total <= 0.0:
             raise NumericalError("probability vector has no mass")
@@ -113,6 +105,22 @@ def _as_weights(rho) -> np.ndarray:
     if isinstance(rho, ProbabilityVector):
         return rho.weights
     return np.asarray(rho, dtype=float)
+
+
+def _simplex_rows(v: np.ndarray, where) -> np.ndarray:
+    """v, a (rows, m) stack of laws, with roundoff negatives clipped to zero.
+
+    Every row must be finite with no mass below -SIMPLEX_ATOL.  The stack is
+    tested at once; only if that fails is the first failing row r found,
+    and it raises, named as where(r).  A NaN fails.
+    """
+    lo = v.min(initial=np.inf)
+    if not (lo >= -SIMPLEX_ATOL and v.max(initial=0.0) < np.inf):
+        lows, finite = v.min(axis=1, initial=np.inf), np.isfinite(v).all(axis=1)
+        r = int(np.argmax(~(finite & (lows >= -SIMPLEX_ATOL))))
+        raise NumericalError((f"negative mass {lows[r]:.3e}" if finite[r] else "non-finite mass")
+                             + where(r))
+    return np.clip(v, 0.0, None) if lo < 0.0 else v
 
 
 class GeneratorModel(ABC):
@@ -225,16 +233,11 @@ class FlowCurve:
             raise DimensionMismatch(
                 f"flow needs shape ({grid.steps + 1}, m), got {v.shape}"
             )
-        if not np.all(np.isfinite(v)):
-            raise NumericalError("non-finite entries in flow curve")
-        lo = v.min()
-        if lo < -SIMPLEX_ATOL:
-            raise NumericalError(f"negative mass {lo:.3e} in flow curve")
-        if lo < 0.0:
-            v = np.clip(v, 0.0, None)
-        drift = np.abs(v.sum(axis=1) - 1.0).max()
-        if drift > MASS_ATOL:
-            raise NumericalError(f"flow mass drift {drift:.3e} exceeds tolerance")
+        v = _simplex_rows(v, lambda r: f" at node {r} of the flow")
+        drift = np.abs(v.sum(axis=1) - 1.0)
+        if drift.max() > MASS_ATOL:
+            r = int(np.argmax(drift > MASS_ATOL))
+            raise NumericalError(f"mass drift {drift[r]:.3e} at node {r} of the flow")
         v.setflags(write=False)
         self.values = v
         self.grid = grid
@@ -491,9 +494,8 @@ def propagate_flow(model: GeneratorModel, rho0, strategy: StrategyTable, *,
 
     `transitions` may carry a precomputed stack from transition_stack to
     share the matrix exponentials across calls with the same strategy;
-    without it the stack is built here.  The loop only multiplies; the
-    finite and negative-mass checks run once over the whole curve, and a
-    failure names the first step at which either check fails.
+    without it the stack is built here.  The loop only multiplies;
+    FlowCurve then tests the whole curve and names its first failing node.
     """
     grid = strategy.grid
     w = _as_weights(rho0)
@@ -505,12 +507,4 @@ def propagate_flow(model: GeneratorModel, rho0, strategy: StrategyTable, *,
     values[0] = w
     for k in range(grid.steps):
         np.matmul(values[k], transitions[k], out=values[k + 1])
-    steps = values[1:]
-    if not (np.isfinite(steps).all() and steps.min() >= -SIMPLEX_ATOL):
-        finite = np.isfinite(steps).all(axis=1)
-        lows = steps.min(axis=1)
-        k = int(np.argmax(~finite | (lows < -SIMPLEX_ATOL)))
-        if not finite[k]:
-            raise NumericalError(f"non-finite mass after step {k}")
-        raise NumericalError(f"negative mass {lows[k]:.3e} after step {k}")
     return FlowCurve(values, grid)

@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import (FlowCurve, ProbabilityVector, StrategyTable, TimeGrid, admissible,
-                    propagate_flow, transition_stack)
-from .errors import MfeqError, ModelFileError
+from .chain import (MASS_ATOL, ProbabilityVector, StrategyTable, TimeGrid, _simplex_rows,
+                    admissible, propagate_flow, transition_stack)
+from .errors import MfeqError, ModelFileError, NumericalError
 from .modelfile import build_model, is_finite_number, model_hash, read_model_file
 from .simulate import SimConfig, check_inner_pairs, deviation_test, simulate
 from .solver import (Equilibrium, SolverOptions, contraction_verdict, estimate_constants,
@@ -61,6 +61,12 @@ def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
             fh.write((line * len(block)) % tuple(text[inverse].tolist()))
 
 
+def _write_node_table(path: Path, prefix: str, times: np.ndarray, values: np.ndarray) -> None:
+    """Write one row per node: its time t, then columns prefix_1 ... prefix_m."""
+    _write_csv(path, ["t"] + [f"{prefix}_{i + 1}" for i in range(values.shape[1])],
+               np.column_stack([times, values]))
+
+
 def _read_csv(path: Path) -> np.ndarray:
     """The rows below a CSV file's header; a file without any is an input
     error (np.loadtxt would only warn and return an empty array)."""
@@ -79,10 +85,13 @@ def _write_json(path: Path, obj) -> None:
 def _parse_rho(text: str | None, m: int) -> ProbabilityVector:
     if text is None:
         return ProbabilityVector.uniform(m)
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != m:
-        raise ModelFileError("init-rho", f"expected {m} probabilities, got {len(parts)}")
-    return ProbabilityVector(parts)
+    try:
+        parts = [float(p) for p in text.split(",")]
+        if len(parts) != m:
+            raise ValueError(f"expected {m} probabilities, got {len(parts)}")
+        return ProbabilityVector(parts)
+    except (NumericalError, ValueError) as exc:
+        raise ModelFileError("init-rho", str(exc)) from None
 
 
 def _parse_spike(text: str | None, gen, grid: TimeGrid, rho) -> tuple[int, int, float]:
@@ -136,15 +145,9 @@ def cmd_solve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "model.json", model)
     nodes = grid.nodes
-    _write_csv(out / "flow.csv",
-               ["t"] + [f"nu_{i + 1}" for i in range(gen.m)],
-               np.column_stack([nodes, eq.flow.values]))
-    _write_csv(out / "policy.csv",
-               ["t"] + [f"pi_{i + 1}" for i in range(gen.m)],
-               np.column_stack([nodes[:-1], eq.policy.actions]))
-    _write_csv(out / "theta_diag.csv",
-               ["t"] + [f"theta_{i + 1}" for i in range(gen.m)],
-               np.column_stack([nodes, eq.values.values]))
+    _write_node_table(out / "flow.csv", "nu", nodes, eq.flow.values)
+    _write_node_table(out / "policy.csv", "pi", nodes[:-1], eq.policy.actions)
+    _write_node_table(out / "theta_diag.csv", "theta", nodes, eq.values.values)
     verdict = contraction_verdict(contraction, eq.diagnostics)
     _write_json(out / "equilibrium.json", {
         "schema": 1,
@@ -216,13 +219,20 @@ def _load_equilibrium(eq_dir: Path):
     rho = meta.get("rho")
     if not (isinstance(rho, list) and len(rho) == gen.m and all(map(is_finite_number, rho))):
         raise ModelFileError("rho", f"expected a list of {gen.m} numbers")
+    try:  # tested, not renormalized: the flow starts from the stored bits
+        _simplex_rows(np.array([rho], dtype=float), lambda r: "")
+    except NumericalError as exc:
+        raise ModelFileError("rho", str(exc)) from None
+    drift = abs(sum(rho) - 1.0)  # Python's sum overflows to inf without a warning
+    if drift > MASS_ATOL:
+        raise ModelFileError("rho", f"mass drift {drift:.3e} exceeds tolerance")
     policy_rows = _read_csv(eq_dir / "policy.csv")
     if policy_rows.shape != (grid.steps, gen.m + 1):
         raise ModelFileError("policy.csv",
                              f"expected {grid.steps} rows of {gen.m + 1} columns")
     policy = StrategyTable(policy_rows[:, 1:], grid)
-    # the flow argument of the spike test is the pair's own flow, so it is
-    # re-propagated from the stored policy rather than trusted from disk
+    # the spike test and simulate's error both take the pair's own flow, so
+    # it is re-propagated from the stored policy; flow.csv is never read
     transitions = transition_stack(gen, policy)
     flow = propagate_flow(gen, rho, policy, transitions=transitions)
     # verify and simulate read neither the solver's values nor its diagnostics
@@ -274,11 +284,6 @@ def cmd_simulate(args) -> int:
         if not (np.isfinite(args.err_bound) and args.err_bound >= 0.0):
             raise ValueError(f"error bound must be finite and nonnegative, got {args.err_bound}")
         gen, cost, eq, transitions = _load_equilibrium(Path(args.eq))
-        flow_csv = _read_csv(Path(args.eq) / "flow.csv")
-        if flow_csv.shape != (eq.grid.steps + 1, gen.m + 1):
-            raise ModelFileError("flow.csv",
-                                 f"expected {eq.grid.steps + 1} rows of {gen.m + 1} columns")
-        nu_star = FlowCurve(flow_csv[:, 1:], eq.grid)
         spike = _parse_spike(args.spike, gen, eq.grid, eq.rho)
     except (MfeqError, ValueError, OSError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -286,7 +291,7 @@ def cmd_simulate(args) -> int:
 
     errors = []
     peers = []
-    mean_emp = np.zeros_like(nu_star.values)
+    mean_emp = np.zeros_like(eq.flow.values)
     for rep in range(cfg.replications):
         bundle = simulate(gen, eq.policy, eq.rho, cfg, replication=rep, transitions=transitions)
         emp = bundle.empirical_flow()
@@ -295,7 +300,7 @@ def cmd_simulate(args) -> int:
         # paths are held at once
         del bundle
         mean_emp += emp
-        errors.append(float(np.abs(emp - nu_star.values).sum(axis=1).max()))
+        errors.append(float(np.abs(emp - eq.flow.values).sum(axis=1).max()))
     mean_emp /= cfg.replications
     frac_ok = float(np.mean([e <= args.err_bound for e in errors]))
 
@@ -303,10 +308,7 @@ def cmd_simulate(args) -> int:
                          inner_pairs=args.inner_pairs, transitions=transitions)
 
     out = Path(args.eq)
-    nodes = eq.grid.nodes
-    _write_csv(out / "empirical_flow.csv",
-               ["t"] + [f"nuhat_{i + 1}" for i in range(gen.m)],
-               np.column_stack([nodes, mean_emp]))
+    _write_node_table(out / "empirical_flow.csv", "nuhat", eq.grid.nodes, mean_emp)
     _write_json(out / "sim_report.json", {
         "players": cfg.players,
         "seed": cfg.seed,

@@ -23,7 +23,9 @@ import numpy as np
 
 from .chain import (
     GeneratorModel,
+    ProbabilityVector,
     StrategyTable,
+    _as_weights,
     grid_rate,
     transition_matrix,
     transition_stack,
@@ -129,7 +131,8 @@ class PathBundle:
 def _population(cum: np.ndarray, rho0, players: int, seed: int,
                 replication: int) -> PathBundle:
     """Node-to-node paths of `players` chains from the cumulative rows `cum`
-    of a (steps, m, m) transition stack, initial states i.i.d. from rho0.
+    of a (steps, m, m) transition stack, initial states i.i.d. from rho0,
+    a law that ProbabilityVector accepts, normalized as it normalizes.
 
     The paths fill a (steps+1, players) buffer node by node; the bundle's
     states are its transposed view.  The buffer's dtype is
@@ -142,7 +145,7 @@ def _population(cum: np.ndarray, rho0, players: int, seed: int,
     into the next row and the others are added to it, so the loop allocates
     no buffer per node.
     """
-    w = np.asarray(rho0.weights if hasattr(rho0, "weights") else rho0, dtype=float)
+    w = ProbabilityVector(_as_weights(rho0)).weights
     if w.size != cum.shape[-1]:
         raise DimensionMismatch("initial law dimension differs from model")
     rng = _stream(seed, replication, _PEER_STREAM)
@@ -151,7 +154,7 @@ def _population(cum: np.ndarray, rho0, players: int, seed: int,
     thresholds = np.ascontiguousarray(np.swapaxes(cum[..., :max(w.size - 1, 1)], 1, 2))
     paths = np.empty((len(cum) + 1, players), dtype=np.min_scalar_type(w.size - 1))
     u = rng.random(players)
-    paths[0] = _inverse_cdf(_cumulative(w / w.sum()), u)
+    paths[0] = _inverse_cdf(_cumulative(w), u)
     below = np.empty(players, dtype=bool)
     gathered = np.empty(players)
     for k, (first, *rest) in enumerate(thresholds):

@@ -476,7 +476,7 @@ def population_loop(cum, rho0, grid, players, seed, replication):
     """Node-to-node population, each cell inverting the gathered (players, m)
     cumulative rows; the same Philox uniforms in the same order as
     simulate._population."""
-    w = np.asarray(rho0.weights if hasattr(rho0, "weights") else rho0, dtype=float)
+    w = rho0.weights if isinstance(rho0, ProbabilityVector) else np.asarray(rho0, dtype=float)
     rng = _stream(seed, replication, _PEER_STREAM)
     states = np.empty((players, grid.steps + 1), dtype=np.int64)
     states[:, 0] = _inverse_cdf(_cumulative(w / w.sum()), rng.random(players))

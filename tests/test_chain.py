@@ -568,7 +568,9 @@ class TestPropagateFlow:
         strat = random_strategy(rng, gen, grid)
         stack = transition_stack(gen, strat)
         stack[k, 1, 2] = np.nan
-        with pytest.raises(NumericalError, match=f"^non-finite mass after step {k}$"):
+        # FlowCurve names the node that cell k's step reaches
+        with pytest.raises(NumericalError,
+                           match=f"^non-finite mass at node {k + 1} of the flow$"):
             propagate_flow(gen, [0.2, 0.3, 0.5], strat, transitions=stack)
 
     @pytest.mark.parametrize("k", [0, 4, 9])
@@ -583,7 +585,7 @@ class TestPropagateFlow:
         stack[k] = [1.5, -0.5, 0.0]
         stack[k + 1:, 0, 0] = np.nan
         with pytest.raises(NumericalError,
-                           match=f"^negative mass -5.000e-01 after step {k}$"):
+                           match=f"^negative mass -5.000e-01 at node {k + 1} of the flow$"):
             propagate_flow(gen, [0.2, 0.3, 0.5], strat, transitions=stack)
 
 
@@ -640,6 +642,20 @@ class TestFlowCurve:
         grid = TimeGrid(1.0, 1)
         with pytest.raises(NumericalError):
             FlowCurve([[0.5, 0.4], [0.5, 0.5]], grid)
+
+    @pytest.mark.parametrize("row, later, message", [
+        ([np.nan, 1.0], [np.nan, np.nan], "non-finite mass"),
+        ([1.5, -0.5], [np.nan, np.nan], "negative mass -5.000e-01"),
+        ([np.inf, 0.0], [1.5, -0.5], "non-finite mass"),
+        ([0.5, 0.4], [0.5, 0.1], "mass drift 1.000e-01"),
+    ], ids=["nan", "negative", "inf", "drift"])
+    def test_first_failing_node_named(self, row, later, message):
+        # node 2 fails; a later node that fails as well, or worse, does not
+        # hide it
+        values = np.full((5, 2), 0.5)
+        values[2], values[3] = row, later
+        with pytest.raises(NumericalError, match=f"^{message} at node 2 of the flow$"):
+            FlowCurve(values, TimeGrid(1.0, 4))
 
     def test_sup_distance(self):
         grid = TimeGrid(1.0, 1)

@@ -260,6 +260,17 @@ class TestSolve:
                    "--init-rho", "0.9,0.05,0.05",
                    "--out", str(tmp_path / "x")) == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("nan,1", "non-finite mass in probability vector"),
+        ("1.5,-0.5", "negative mass -5.000e-01 in probability vector"),
+        ("0,0", "probability vector has no mass"),
+        ("abc,1", "could not convert string to float: 'abc'"),
+    ], ids=["nan", "negative", "massless", "text"])
+    def test_bad_init_rho_is_named(self, tmp_path, capsys, text, message):
+        err = assert_input_error(capsys, run("solve", "--model", "affine_mv", "--grid", "20",
+                                             "--init-rho", text, "--out", str(tmp_path / "x")))
+        assert err == f"input error: init-rho: {message}\n"
+
     def test_missing_model_is_input_error(self, tmp_path):
         assert run("solve", "--model", "nope.json", "--grid", "10",
                    "--out", str(tmp_path / "x")) == 1
@@ -563,8 +574,14 @@ class TestVerify:
     (lambda meta: {**meta, "rho": [0.5, "0.5"]}, "rho"),
     (lambda meta: {**meta, "rho": {"1": 0.5, "2": 0.5}}, "rho"),
     (lambda meta: {**meta, "rho": [True, False]}, "rho"),
+    # numbers that are no law, tested as stored before any flow is propagated
+    (lambda meta: {**meta, "rho": [0.3, 0.3]}, "rho"),
+    (lambda meta: {**meta, "rho": [1.2, -0.2]}, "rho"),
+    (lambda meta: {**meta, "rho": [0.0, 0.0]}, "rho"),
+    (lambda meta: {**meta, "rho": [1e308, 1e308]}, "rho"),
 ], ids=["top-level-list", "grid-list", "horizon-text", "steps-fraction", "steps-zero",
-        "steps-bool", "rho-short", "rho-text", "rho-object", "rho-bool"])
+        "steps-bool", "rho-short", "rho-text", "rho-object", "rho-bool", "rho-short-mass",
+        "rho-negative", "rho-massless", "rho-overflowing"])
 @pytest.mark.parametrize("command", ["verify", "simulate"])
 def test_malformed_equilibrium_is_input_error(solved_dir, tmp_path, capsys, command, edit,
                                               field):
@@ -672,36 +689,31 @@ class TestSimulate:
         assert_input_error(capsys, run("simulate", "--eq", str(solved_dir), "--players",
                                        "20", "--seed", "1", flag, value))
 
-    def test_empty_flow_is_input_error(self, solved_dir, tmp_path, capsys):
+    def test_flow_csv_is_not_read(self, solved_dir, tmp_path):
+        # simulate measures against the flow it re-propagates from
+        # policy.csv and rho, so an emptied, misshapen or deleted flow.csv
+        # leaves its reports as they were
         import shutil
-        bad_dir = tmp_path / "empty"
-        shutil.copytree(solved_dir, bad_dir)
-        (bad_dir / "flow.csv").write_text("t,nu_1,nu_2\n")
-        err = assert_input_error(capsys, run("simulate", "--eq", str(bad_dir), "--players", "20",
-                                             "--seed", "1"))
-        assert err == "input error: flow.csv: no data rows below the header\n"
-
-    @pytest.mark.parametrize("case", ["extra column", "missing row"])
-    def test_misshapen_flow_is_input_error(self, solved_dir, tmp_path, capsys, monkeypatch,
-                                           case):
-        import shutil
-        bad_dir = tmp_path / "misshapen"
-        shutil.copytree(solved_dir, bad_dir)
-        lines = (bad_dir / "flow.csv").read_text().splitlines()
-        if case == "extra column":
-            # a third law column whose rows still sum to 1
-            lines = [lines[0] + ",nu_3"] + [line + ",0" for line in lines[1:]]
-        else:
-            lines = lines[:-1]
-        (bad_dir / "flow.csv").write_text("\n".join(lines) + "\n")
-
-        def no_work(*args, **kwargs):
-            raise AssertionError("simulation ran on a misshapen flow")
-
-        monkeypatch.setattr("mfeq.cli.simulate", no_work)
-        err = assert_input_error(capsys, run("simulate", "--eq", str(bad_dir), "--players", "20",
-                                             "--seed", "1"))
-        assert err == "input error: flow.csv: expected 41 rows of 3 columns\n"
+        sim = ("--players", "50", "--seed", "3", "--reps", "2", "--inner-pairs", "10",
+               "--err-bound", "2")
+        intact = tmp_path / "intact"
+        shutil.copytree(solved_dir, intact)
+        assert run("simulate", "--eq", str(intact), *sim) == 0
+        lines = (solved_dir / "flow.csv").read_text().splitlines()
+        edits = {
+            "emptied": lambda path: path.write_text(lines[0] + "\n"),
+            "extra column": lambda path: path.write_text(
+                "\n".join([lines[0] + ",nu_3"] + [line + ",0" for line in lines[1:]]) + "\n"),
+            "missing row": lambda path: path.write_text("\n".join(lines[:-1]) + "\n"),
+            "deleted": lambda path: path.unlink(),
+        }
+        for case, edit in edits.items():
+            edited = tmp_path / case
+            shutil.copytree(solved_dir, edited)
+            edit(edited / "flow.csv")
+            assert run("simulate", "--eq", str(edited), *sim) == 0, case
+            for name in ("sim_report.json", "empirical_flow.csv"):
+                assert (edited / name).read_bytes() == (intact / name).read_bytes(), case
 
     def test_error_bound_exit_code(self, solved_dir, tmp_path):
         import shutil

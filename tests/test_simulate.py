@@ -16,7 +16,7 @@ from mfeq import (
     simulate,
     transition_stack,
 )
-from mfeq.errors import DimensionMismatch
+from mfeq.errors import DimensionMismatch, NumericalError
 from mfeq.modelfile import build_model, read_model_file
 from mfeq.simulate import _cumulative, _population
 
@@ -79,6 +79,18 @@ class TestSimulate:
         bundle = simulate(gen, strat, rho, SimConfig(players=500, seed=7))
         for k in range(1, 6):
             np.testing.assert_array_equal(bundle.states[:, k], bundle.states[:, 0])
+
+    @pytest.mark.parametrize("rho, message", [
+        ([np.nan, np.nan], "^non-finite mass in probability vector$"),
+        ([1.5, -0.5], "^negative mass -5.000e-01 in probability vector$"),
+        ([0.0, 0.0], "^probability vector has no mass$"),
+    ], ids=["nan", "negative", "massless"])
+    def test_initial_law_is_checked(self, symmetric_setup, rho, message):
+        # the sampler draws its initial states from a law, never from a
+        # vector that would put every player in state 0
+        _, gen, strat, _ = symmetric_setup
+        with pytest.raises(NumericalError, match=message):
+            simulate(gen, strat, rho, SimConfig(players=1000, seed=1, replications=1))
 
     def test_deterministic_given_seed(self, symmetric_setup):
         _, gen, strat, rho = symmetric_setup
