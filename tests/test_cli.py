@@ -689,7 +689,8 @@ class TestSimulate:
         assert_input_error(capsys, run("simulate", "--eq", str(solved_dir), "--players",
                                        "20", "--seed", "1", flag, value))
 
-    def test_flow_csv_is_not_read(self, solved_dir, tmp_path):
+    @pytest.mark.parametrize("case", ["emptied", "extra column", "missing row", "deleted"])
+    def test_flow_csv_is_not_read(self, solved_dir, tmp_path, case):
         # simulate measures against the flow it re-propagates from
         # policy.csv and rho, so an emptied, misshapen or deleted flow.csv
         # leaves its reports as they were
@@ -707,13 +708,12 @@ class TestSimulate:
             "missing row": lambda path: path.write_text("\n".join(lines[:-1]) + "\n"),
             "deleted": lambda path: path.unlink(),
         }
-        for case, edit in edits.items():
-            edited = tmp_path / case
-            shutil.copytree(solved_dir, edited)
-            edit(edited / "flow.csv")
-            assert run("simulate", "--eq", str(edited), *sim) == 0, case
-            for name in ("sim_report.json", "empirical_flow.csv"):
-                assert (edited / name).read_bytes() == (intact / name).read_bytes(), case
+        edited = tmp_path / "edited"
+        shutil.copytree(solved_dir, edited)
+        edits[case](edited / "flow.csv")
+        assert run("simulate", "--eq", str(edited), *sim) == 0
+        for name in ("sim_report.json", "empirical_flow.csv"):
+            assert (edited / name).read_bytes() == (intact / name).read_bytes()
 
     def test_error_bound_exit_code(self, solved_dir, tmp_path):
         import shutil
