@@ -22,8 +22,8 @@ from .chain import (MASS_ATOL, ProbabilityVector, StrategyTable, TimeGrid, _simp
 from .errors import MfeqError, ModelFileError, NumericalError
 from .modelfile import build_model, is_finite_number, model_hash, read_model_file
 from .simulate import SimConfig, check_inner_pairs, deviation_test, simulate
-from .solver import (Equilibrium, SolverOptions, contraction_verdict, estimate_constants,
-                     picard_solve, validate_cost, value_bound)
+from .solver import (Equilibrium, SolverOptions, contraction_verdict, draw_probes,
+                     estimate_constants, picard_solve, validate_cost, value_bound)
 from .verify import check_sweep_options, verify_local_optimality
 
 EXIT_OK = 0
@@ -69,11 +69,15 @@ def _write_node_table(path: Path, prefix: str, times: np.ndarray, values: np.nda
 
 def _read_csv(path: Path) -> np.ndarray:
     """The rows below a CSV file's header; a file without any is an input
-    error (np.loadtxt would only warn and return an empty array)."""
+    error (np.loadtxt would only warn and return an empty array), and so is
+    a cell that is no number or a ragged row, named by the file."""
     rows = path.read_text(encoding="utf-8").splitlines()[1:]
     if not any(row.strip() for row in rows):
         raise ModelFileError(path.name, "no data rows below the header")
-    return np.loadtxt(rows, delimiter=",", ndmin=2)
+    try:
+        return np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ModelFileError(path.name, str(exc)) from None
 
 
 def _write_json(path: Path, obj) -> None:
@@ -128,8 +132,10 @@ def cmd_solve(args) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    eq = picard_solve(gen, cost, rho, grid, opts)
-    contraction = estimate_constants(gen, cost, grid, seed=0)
+    # kappa3's probe pairs ride along in Picard's first backward sweep
+    probes = draw_probes(gen, cost, grid, seed=0)
+    eq = picard_solve(gen, cost, rho, grid, opts, probe_pairs=probes.pairs)
+    contraction = estimate_constants(gen, cost, grid, probes=probes, gaps=eq.probe_gaps)
     model_checks = validate_cost(gen, cost, grid)
     if model_checks:
         logger.warning("%d model check findings, the first: %s", len(model_checks),
@@ -200,7 +206,10 @@ def _load_equilibrium(eq_dir: Path):
     if not eq_dir.is_dir():
         raise ModelFileError("", f"equilibrium directory not found: {eq_dir}")
     model = read_model_file(eq_dir / "model.json")
-    meta = json.loads((eq_dir / "equilibrium.json").read_text(encoding="utf-8"))
+    try:
+        meta = json.loads((eq_dir / "equilibrium.json").read_text(encoding="utf-8"))
+    except ValueError as exc:  # no JSON, or no UTF-8
+        raise ModelFileError("equilibrium.json", str(exc)) from None
     if not isinstance(meta, dict):
         raise ModelFileError("equilibrium.json", "top level must be a JSON object")
     if meta.get("model_hash") != model_hash(model):

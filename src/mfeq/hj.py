@@ -197,41 +197,75 @@ class BackwardSweep:
     evaluation node k, shape (N+1, m).  low and high are the minimum and
     maximum over the whole two-index table, every evaluation row included.
     transitions[k] is the one-cell transition matrix of the returned policy.
+    pair_gaps holds table_distances of the flow pairs the sweep carried
+    behind its flow, None when it carried none.
     """
 
     values: np.ndarray
     low: float
     high: float
     transitions: np.ndarray
+    pair_gaps: np.ndarray | None = None
 
 
-def solve_hj(gen: GeneratorModel, cost: CostModel,
-             nu: FlowCurve) -> tuple[BackwardSweep, StrategyTable]:
+def _sweep(gen: GeneratorModel, cost: CostModel, nu: FlowCurve | None, pairs):
+    """One backward_columns pass over the lead flow nu (None for none) and,
+    behind it, both flows of each pair (nu1, nu2).
+
+    Returns the lead's readouts, None without a lead: its diagonal, the
+    extremes of its columns, its policy's actions and their transitions.
+    Returns as well each pair's sup over the whole value table of
+    |Theta(nu1) - Theta(nu2)|.  Each column difference is read at the
+    evaluation basis's extreme rows, which hold its sup over every
+    evaluation row, so no table is ever stored: each block of cells records
+    each pair's sup over those rows, and the records are reduced once after
+    the sweep.
+    """
+    lead = [] if nu is None else [nu]
+    flows = lead + [flow for pair in pairs for flow in pair]
+    n, m, off = flows[0].grid.steps, gen.m, len(lead)
+    if lead:
+        diagonal, extremes = np.empty((n + 1, m)), np.empty((n + 1, 2, m))
+        actions, transitions = np.empty((n, m)), np.empty((n, m, m))
+    worst = np.empty((n + 1, len(pairs)))
+    for first, C, profiles, P, rows, ends in backward_columns(gen, cost, flows):
+        block = slice(first, first + len(C))
+        if lead:
+            diagonal[block] = rows[:, 0]
+            extremes[block] = ends[:, 0]
+            if profiles is not None:
+                actions[block] = profiles[:, 0]
+                transitions[block] = P[:, 0]
+        if pairs:
+            gaps = ends[:, off::2] - ends[:, off + 1::2]
+            np.abs(gaps, out=gaps).max(axis=(2, 3), out=worst[block])
+    readouts = (diagonal, extremes, actions, transitions) if lead else None
+    return readouts, worst.max(axis=0, initial=0.0)
+
+
+def solve_hj(gen: GeneratorModel, cost: CostModel, nu: FlowCurve,
+             pairs=()) -> tuple[BackwardSweep, StrategyTable]:
     """Backward sweep against nu on its grid, producing the diagonal, the
     table's range and the policy.
 
-    Copies each block of backward_columns' sweep for the one flow: the
-    diagonal rows its argmin reads, the policy, its transitions and the
-    block's extremes, reduced to the table's min and max after the sweep.
-    The policy's admissibility is checked once, and every cell takes the
-    grid's rate, so its transitions can stand in for transition_stack bit
-    for bit.
+    Keeps nu's diagonal, policy and transitions from the sweep, and reduces
+    the extremes of its columns to the table's min and max after it.  The
+    policy's admissibility is checked once, and every cell takes the grid's
+    rate, so its transitions can stand in for transition_stack bit for bit.
+    Flow pairs on nu's grid ride along in the same sweep; their
+    table_distances, bit for bit those of a sweep of their own, go to
+    pair_gaps.  A failure of the shared sweep may be a pair's, and names
+    its flow by its place in the sweep.
     """
-    grid = nu.grid
-    n = grid.steps
-    diagonal = np.empty((n + 1, gen.m))
-    actions = np.empty((n, gen.m))
-    transitions = np.empty((n, gen.m, gen.m))
-    extremes = np.empty((n + 1, 2, gen.m))  # reduced once after the sweep
-    for first, C, profiles, P, rows, ends in backward_columns(gen, cost, nu):
-        block = slice(first, first + len(C))
-        diagonal[block] = rows[:, 0]
-        extremes[block] = ends[:, 0]
-        if profiles is not None:
-            actions[block] = profiles[:, 0]
-            transitions[block] = P[:, 0]
+    (diagonal, extremes, actions, transitions), gaps = _sweep(gen, cost, nu, pairs)
     low, high = float(extremes.min()), float(extremes.max())
-    policy = StrategyTable(actions, grid)
+    policy = StrategyTable(actions, nu.grid)
     policy.check_admissible(gen)
-    return BackwardSweep(diagonal, low, high, transitions), policy
+    return BackwardSweep(diagonal, low, high, transitions, gaps if pairs else None), policy
 
+
+def table_distances(gen: GeneratorModel, cost: CostModel, pairs) -> np.ndarray:
+    """Sup over the whole value table of |Theta(nu) - Theta(nu2)|, one per
+    pair (nu, nu2), from one lockstep backward sweep of all the pairs'
+    flows, on one grid."""
+    return _sweep(gen, cost, None, pairs)[1]

@@ -29,7 +29,7 @@ from .chain import (
     validate_generator,
 )
 from .errors import DimensionMismatch
-from .hj import BackwardSweep, CostModel, backward_columns, solve_hj
+from .hj import BackwardSweep, CostModel, solve_hj, table_distances
 
 logger = logging.getLogger(__name__)
 
@@ -118,14 +118,16 @@ class Equilibrium:
     values is the last backward sweep: the diagonal values.values, the range
     values.low .. values.high of the whole table and the policy's
     transitions.  That sweep ran against the previous iterate's flow, so its
-    diagonal and flow agree only to the final gap.  An equilibrium read back
-    from disk has neither values nor diagnostics.
+    diagonal and flow agree only to the final gap.  probe_gaps are the table
+    distances of the probe pairs the first sweep carried, None without them.
+    An equilibrium read back from disk has neither values nor diagnostics.
     """
 
     flow: FlowCurve
     policy: StrategyTable
     values: BackwardSweep | None
     diagnostics: IterationDiagnostics | None
+    probe_gaps: np.ndarray | None = None
 
     @property
     def rho(self) -> np.ndarray:
@@ -149,7 +151,7 @@ def myopic_strategy(gen: GeneratorModel, cost: CostModel, grid: TimeGrid) -> Str
 
 def picard_solve(gen: GeneratorModel, cost: CostModel, rho, grid: TimeGrid,
                  opts: SolverOptions | None = None,
-                 initial_flow: FlowCurve | None = None) -> Equilibrium:
+                 initial_flow: FlowCurve | None = None, probe_pairs=()) -> Equilibrium:
     """Alternate backward solve and forward propagation to a fixed point.
 
     The starting flow is generated by the myopic strategy unless an override
@@ -157,6 +159,13 @@ def picard_solve(gen: GeneratorModel, cost: CostModel, rho, grid: TimeGrid,
     start may select among candidates, which the diagnostics make visible).
     A non-converged run returns a flagged result with the full gap history
     rather than raising.
+
+    probe_pairs, flow pairs on grid such as ContractionProbes.pairs, ride
+    along in the first backward sweep, and their table distances come back
+    as the result's probe_gaps for estimate_constants to read: one pass
+    instead of two, with the same bits.  Should that shared sweep raise,
+    the first sweep runs again without the pairs, so that the loop raises
+    its own error, or goes on and leaves probe_gaps None.
     """
     opts = opts or SolverOptions()
     w = rho.weights if isinstance(rho, ProbabilityVector) else ProbabilityVector(rho).weights
@@ -167,9 +176,13 @@ def picard_solve(gen: GeneratorModel, cost: CostModel, rho, grid: TimeGrid,
             raise DimensionMismatch("initial flow grid differs from solve grid")
         nu = initial_flow
     diag = IterationDiagnostics()
-    values = policy = None
+    values = policy = probe_gaps = None
     for n in range(1, opts.max_iterations + 1):
-        values, policy = solve_hj(gen, cost, nu)
+        if n > 1:
+            values, policy = solve_hj(gen, cost, nu)
+        else:
+            values, policy = _first_sweep(gen, cost, nu, probe_pairs)
+            probe_gaps = values.pair_gaps
         nu_next = propagate_flow(gen, w, policy, transitions=values.transitions)
         gap = nu_next.sup_distance(nu)
         diag.gaps.append(gap)
@@ -183,7 +196,19 @@ def picard_solve(gen: GeneratorModel, cost: CostModel, rho, grid: TimeGrid,
     if not diag.converged:
         logger.warning("no convergence after %d iterations (last gap %.3e)",
                        diag.iterations, diag.gaps[-1])
-    return Equilibrium(flow=nu, policy=policy, values=values, diagnostics=diag)
+    return Equilibrium(flow=nu, policy=policy, values=values, diagnostics=diag,
+                       probe_gaps=probe_gaps)
+
+
+def _first_sweep(gen: GeneratorModel, cost: CostModel, nu: FlowCurve, pairs):
+    """solve_hj against nu with the pairs riding along; if that sweep
+    raises, whichever flow failed, nu's sweep alone, without pair gaps."""
+    if pairs:
+        try:
+            return solve_hj(gen, cost, nu, pairs)
+        except Exception:  # nu alone raises its own error, or a pair failed
+            pass
+    return solve_hj(gen, cost, nu)
 
 
 def _random_flow(rng: np.random.Generator, grid: TimeGrid, m: int) -> FlowCurve:
@@ -193,44 +218,29 @@ def _random_flow(rng: np.random.Generator, grid: TimeGrid, m: int) -> FlowCurve:
     return FlowCurve((1.0 - s) * anchors[0] + s * anchors[1], grid)
 
 
-def table_distances(gen: GeneratorModel, cost: CostModel, pairs) -> np.ndarray:
-    """Sup over the whole value table of |Theta(nu) - Theta(nu2)|, one per
-    pair (nu, nu2).
-
-    All the pairs' flows, on one grid, run through one lockstep backward
-    sweep.  Each column difference is read at the evaluation basis's extreme
-    rows, which hold its sup over every evaluation row, so no table is ever
-    stored: each block of cells records each pair's sup over those rows,
-    and the records are reduced once after the sweep.
-    """
-    flows = [nu for pair in pairs for nu in pair]
-    worst = np.empty((flows[0].grid.steps + 1, len(pairs)))
-    for first, C, *_, ends in backward_columns(gen, cost, flows):
-        gaps = ends[:, 0::2] - ends[:, 1::2]
-        np.abs(gaps, out=gaps).max(axis=(2, 3), out=worst[first:first + len(C)])
-    return worst.max(axis=0, initial=0.0)
-
-
 def value_bound(gen: GeneratorModel, cost: CostModel, grid: TimeGrid) -> float:
     """The declared uniform bound (K1 + K2) T + K2 on every value."""
     return (gen.K1 + cost.K2) * grid.horizon + cost.K2
 
 
-def estimate_constants(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
-                       samples: int = 6, seed: int = 0) -> ContractionReport:
-    """Monte Carlo maximization of the three difference quotients.
+@dataclass(frozen=True)
+class ContractionProbes:
+    """The random draws of estimate_constants, in the order it makes them:
+    kappa2's sign patterns and its sampled (t, h) points, then kappa3's
+    flow pairs with the sup distance of each.  Drawn before any sweep, the
+    pairs can ride along in picard_solve's first one (probe_pairs)."""
 
-    kappa1 from generator sampling, kappa2 from argmin profiles at perturbed
-    continuation values, kappa3 from paired backward sweeps at perturbed flows.
-    Each is a sampled lower bound on the true constant.  kappa2 takes one
-    argmin call per sampled (t, h), covering every probe; kappa3 draws all
-    its pairs first and sweeps them together.
-    """
+    patterns: np.ndarray
+    points: list[tuple[float, np.ndarray]]
+    pairs: list[tuple[FlowCurve, FlowCurve]]
+    distances: list[float]
+
+
+def draw_probes(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
+                samples: int = 6, seed: int = 0) -> ContractionProbes:
+    """estimate_constants' probes for these samples and seed."""
     rng = np.random.default_rng(seed)
-    kappa1 = validate_generator(gen, grid, samples=max(8, samples))
-
     scale = value_bound(gen, cost, grid)
-    kappa2 = 0.0
     # the sup-norm difference quotient is attained on sign-aligned
     # perturbations, so probe sign patterns rather than random directions
     if gen.m <= 6:
@@ -238,17 +248,10 @@ def estimate_constants(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
                              for p in range(2 ** gen.m)], dtype=float)
     else:
         patterns = rng.choice([-1.0, 1.0], size=(64, gen.m))
-    eps = np.array([1e-3, 1e-1])[:, None]
-    for _ in range(max(2, samples)):
-        t = float(rng.choice(grid.nodes))
-        h = rng.uniform(0.0, max(scale, 1.0), gen.m)
-        # row 0 is h itself, then every pattern at each eps
-        probes = np.concatenate([h[None], (h + eps[:, :, None] * patterns).reshape(-1, gen.m)])
-        p = cost.argmin_profile(gen, t, probes)
-        moves = np.abs(p[0] - p[1:]).max(axis=1).reshape(eps.size, -1)
-        kappa2 = max(kappa2, float((moves / eps).max()))
+    points = [(float(rng.choice(grid.nodes)), rng.uniform(0.0, max(scale, 1.0), gen.m))
+              for _ in range(max(2, samples))]
 
-    pairs, dists = [], []
+    pairs, distances = [], []
     for _ in range(max(2, samples)):
         nu = _random_flow(rng, grid, gen.m)
         size = rng.choice([1e-3, 1e-2, 1e-1])
@@ -258,8 +261,46 @@ def estimate_constants(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
         dist = nu.sup_distance(nu2)
         if dist > 0:
             pairs.append((nu, nu2))
-            dists.append(dist)
-    kappa3 = float((table_distances(gen, cost, pairs) / dists).max()) if pairs else 0.0
+            distances.append(dist)
+    return ContractionProbes(patterns, points, pairs, distances)
+
+
+def estimate_constants(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
+                       samples: int = 6, seed: int = 0,
+                       probes: ContractionProbes | None = None,
+                       gaps: np.ndarray | None = None) -> ContractionReport:
+    """Monte Carlo maximization of the three difference quotients.
+
+    kappa1 from generator sampling, kappa2 from argmin profiles at perturbed
+    continuation values, kappa3 from paired backward sweeps at perturbed flows.
+    Each is a sampled lower bound on the true constant.  kappa2 takes one
+    argmin call per sampled (t, h), covering every probe.
+
+    probes defaults to draw_probes(gen, cost, grid, samples, seed).  gaps,
+    when given, are the table distances of probes.pairs from a sweep already
+    run, picard_solve's probe_gaps; without them one lockstep sweep of all
+    the pairs (table_distances) computes them here.  Either way kappa3 is
+    the same bits.
+    """
+    kappa1 = validate_generator(gen, grid, samples=max(8, samples))
+    if probes is None:
+        probes = draw_probes(gen, cost, grid, samples, seed)
+
+    kappa2 = 0.0
+    eps = np.array([1e-3, 1e-1])[:, None]
+    shifts = eps[:, :, None] * probes.patterns  # every pattern at each eps
+    for t, h in probes.points:
+        # row 0 is h itself, then h plus each shift
+        rows = np.concatenate([h[None], (h + shifts).reshape(-1, gen.m)])
+        p = cost.argmin_profile(gen, t, rows)
+        moves = np.abs(p[0] - p[1:]).max(axis=1).reshape(eps.size, -1)
+        kappa2 = max(kappa2, float((moves / eps).max()))
+
+    kappa3 = 0.0
+    if probes.pairs:
+        if gaps is None:
+            gaps = table_distances(gen, cost, probes.pairs)
+        kappa3 = float((gaps / probes.distances).max())
 
     report = ContractionReport(kappa1=kappa1, kappa2=kappa2, kappa3=kappa3,
                                horizon=grid.horizon)

@@ -70,6 +70,16 @@ def ramped_model(cells: int) -> dict:
     return model
 
 
+def tabulated_model() -> dict:
+    """A valid model file with a three-state tabulated generator, whose only
+    action is 0, and a flow-dependent running and terminal cost."""
+    return {"schema": 1, "states": 3, "horizon": 0.5,
+            "generator": {"kind": "tabulated",
+                          "rates": [[-1.0, 0.6, 0.4], [0.3, -0.8, 0.5], [0.2, 0.7, -0.9]]},
+            "cost": {"running": {"kind": "mean_square", "scale": 0.2},
+                     "terminal": "mean_variance_g"}}
+
+
 def rounded_end_model() -> dict:
     """A valid model file whose interval for state 2 ends at
     -0.4 / 1.26 = -0.31746..., where the quotient rounds past the true end:

@@ -11,11 +11,14 @@ import numpy as np
 import pytest
 
 import mfeq
+from mfeq import SeparableCost, cli, picard_solve
 from mfeq.cli import CSV_BLOCK_ROWS, _iterations_still_needed, _write_csv, main
+from mfeq.modelfile import builtin_names
 from mfeq.solver import IterationDiagnostics
 
 import oracles
-from instances import BAD_MODEL_NUMBERS, ramped_model, rounded_end_model, with_value
+from instances import (BAD_MODEL_NUMBERS, ramped_model, rounded_end_model, tabulated_model,
+                       with_value)
 
 DATA = Path(mfeq.__file__).parent / "data"
 
@@ -425,6 +428,67 @@ class TestContractionVerdict:
         assert meta["contraction"]["verdict"] == "contractive"
 
 
+def _two_passes(monkeypatch):
+    """Make mfeq solve run picard_solve and estimate_constants apart: the
+    probe pairs get a sweep of their own after the Picard loop."""
+    monkeypatch.setattr(cli, "picard_solve",
+                        lambda *args, probe_pairs=(), **kwargs: picard_solve(*args, **kwargs))
+
+
+class TestProbesInPicardsFirstSweep:
+    """mfeq solve carries kappa3's probe pairs through Picard's first
+    backward sweep, and writes, prints and logs the bytes of the two passes
+    apart."""
+
+    @pytest.mark.parametrize("model, steps", [(name, 200) for name in builtin_names()]
+                             + [("ramped-50", 50), ("tabulated", 50)])
+    def test_bytes_of_two_passes(self, tmp_path, capsys, monkeypatch, model, steps):
+        files = {"ramped-50": ramped_model(50), "tabulated": tabulated_model()}
+        if model in files:
+            (tmp_path / f"{model}.json").write_text(json.dumps(files[model]))
+            model = str(tmp_path / f"{model}.json")
+        runs = []
+        for apart in (False, True):
+            if apart:
+                _two_passes(monkeypatch)
+            for flags in ((), ("-v",)):
+                out = tmp_path / f"{apart}{flags}"
+                code = run(*flags, "solve", "--model", model, "--grid", str(steps),
+                           "--out", str(out))
+                runs.append((code, capsys.readouterr(), read_bytes_map(out)))
+        assert runs[0][0] == 0 and "kappa3=" in runs[1][1].err
+        assert runs[:2] == runs[2:]
+
+    def test_argmin_failing_on_the_probes_fails_after_picard(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # an argmin that fails on a stack of ten or more rows fails only the
+        # sweeps that carry the twelve probe flows: Picard's own carry one
+        # row and kappa2's probes nine.  The Picard loop still runs to the
+        # end, and kappa3's own sweep raises its error after it, as apart
+        argmin = SeparableCost.argmin_profile
+
+        def fails_on_probes(self, gen, t, h):
+            if np.ndim(h) == 2 and len(h) >= 10:
+                raise ValueError("a probe row")
+            return argmin(self, gen, t, h)
+
+        monkeypatch.setattr(SeparableCost, "argmin_profile", fails_on_probes)
+        runs = []
+        for apart in (False, True):
+            if apart:
+                _two_passes(monkeypatch)
+            code = run("-v", "solve", "--model", "affine_mv", "--grid", "40",
+                       "--out", str(tmp_path / f"{apart}"))
+            runs.append((code, capsys.readouterr()))
+        assert runs[0] == runs[1]
+        code, (out, err) = runs[0]
+        lines = err.splitlines()
+        assert code == 1 and out == ""
+        assert lines[-1] == "error: argmin oracle failed at node 39: a probe row"
+        assert [line.split("=")[0] for line in lines[:-1]] == \
+            ["mfeq.solver INFO: picard iteration"] * (len(lines) - 1)
+
+
 class TestVerify:
     def test_round_trip_clean(self, solved_dir):
         assert run("verify", "--eq", str(solved_dir),
@@ -593,6 +657,22 @@ def test_malformed_equilibrium_is_input_error(solved_dir, tmp_path, capsys, comm
     extra = ("--players", "20", "--seed", "1") if command == "simulate" else ()
     err = assert_input_error(capsys, run(command, "--eq", str(bad_dir), *extra))
     assert err.startswith(f"input error: {field}: "), err
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("policy.csv", lambda lines: [lines[0], lines[1].replace(",", ",abc", 1), *lines[2:]]),
+    ("policy.csv", lambda lines: [*lines[:2], lines[2] + ",0.5", *lines[3:]]),
+    ("equilibrium.json", lambda lines: ["nope"]),
+], ids=["policy-cell", "policy-ragged", "equilibrium-no-json"])
+def test_malformed_file_is_named(solved_dir, tmp_path, capsys, name, edit):
+    # a cell that is no number, a ragged row, a file that is no JSON
+    import shutil
+    bad_dir = tmp_path / "malformed"
+    shutil.copytree(solved_dir, bad_dir)
+    lines = (bad_dir / name).read_text().splitlines()
+    (bad_dir / name).write_text("\n".join(edit(lines)) + "\n")
+    err = assert_input_error(capsys, run("verify", "--eq", str(bad_dir)))
+    assert err.startswith(f"input error: {name}: "), err
 
 
 @pytest.mark.parametrize("edit", [

@@ -19,7 +19,7 @@ from mfeq import hj
 from mfeq.errors import AdmissibilityError, DimensionMismatch, MfeqError, NumericalError
 from mfeq.hj import SWEEP_BLOCK, EvaluationBasis
 from mfeq.modelfile import build_model, builtin_names, read_model_file
-from mfeq.solver import myopic_strategy, picard_solve, table_distances
+from mfeq.solver import draw_probes, myopic_strategy, picard_solve, table_distances
 
 import oracles
 from instances import (LowerBoundArgmin, OutsideArgmin, ramped_model, random_affine_generator,
@@ -340,6 +340,22 @@ class TestSweepMatchesPerCellLoop:
             assert worst.shape == (6,)
             assert np.array_equal(worst, oracles.table_distances_loop(gen, cost, pairs))
 
+    def test_pairs_behind_a_lead_flow(self):
+        # kappa3's twelve probe flows ride behind the lead flow in one
+        # 13-flow sweep: the lead's readouts are solve_hj's alone and the
+        # pairs' distances table_distances' alone, bit for bit
+        for _, grid, gen, cost, nu in self.CASES:
+            pairs = draw_probes(gen, cost, grid).pairs
+            assert len(pairs) == 6
+            (shared, policy), (alone, policy1) = (solve_hj(gen, cost, nu, pairs),
+                                                  solve_hj(gen, cost, nu))
+            assert np.array_equal(shared.values, alone.values)
+            assert np.array_equal(shared.transitions, alone.transitions)
+            assert np.array_equal(policy.actions, policy1.actions)
+            assert (shared.low, shared.high) == (alone.low, alone.high)
+            assert alone.pair_gaps is None
+            assert np.array_equal(shared.pair_gaps, table_distances(gen, cost, pairs))
+
 
 class _PeakedRates(GeneratorModel):
     """Two states on the actions [-1, 1] whose exit rates peak inside the
@@ -445,6 +461,16 @@ class TestSweepRejectsBadGenerators:
         nu = constant_flow([0.5, 0.5], self.GRID)
         with pytest.raises(NumericalError, match=f"^{message} at node {self.NODE}$"):
             picard_solve(gen, cost, [0.5, 0.5], self.GRID, initial_flow=nu)
+
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_picard_solve_carrying_probes(self, defect):
+        # the defect fails the probe flows in the shared first sweep too;
+        # the error is the Picard flow's own, which names no flow
+        gen, cost, message = self.setup(defect)
+        nu = constant_flow([0.5, 0.5], self.GRID)
+        pairs = draw_probes(gen, cost, self.GRID).pairs
+        with pytest.raises(NumericalError, match=f"^{message} at node {self.NODE}$"):
+            picard_solve(gen, cost, [0.5, 0.5], self.GRID, initial_flow=nu, probe_pairs=pairs)
 
     @pytest.mark.parametrize("defect", DEFECTS)
     def test_table_distances(self, defect):

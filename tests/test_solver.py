@@ -231,6 +231,37 @@ class TestEstimateConstants:
         estimate_constants(gen, cost, grid, seed=0)
         assert batch_sizes == [12] * grid.steps
 
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_probes_in_picards_first_sweep(self, name, monkeypatch):
+        # kappa3's pairs ride along in picard_solve's first sweep: the
+        # equilibrium and the report are the bits of the two passes apart,
+        # from one sweep fewer
+        model = read_model_file(name)
+        grid = TimeGrid(model["horizon"], 100)
+        gen, cost = build_model(model, grid)
+        rho = ProbabilityVector.uniform(gen.m)
+        sweeps = []
+
+        def counted(gen, cost, flows, _sweep=hj.backward_columns):
+            sweeps.append(len(flows))
+            return _sweep(gen, cost, flows)
+
+        monkeypatch.setattr(hj, "backward_columns", counted)
+        eq, report = picard_solve(gen, cost, rho, grid), estimate_constants(gen, cost, grid)
+        assert sweeps == [1] * eq.diagnostics.iterations + [12]
+        del sweeps[:]
+        probes = solver.draw_probes(gen, cost, grid)
+        eq1 = picard_solve(gen, cost, rho, grid, probe_pairs=probes.pairs)
+        report1 = estimate_constants(gen, cost, grid, probes=probes, gaps=eq1.probe_gaps)
+        assert sweeps == [13] + [1] * (eq1.diagnostics.iterations - 1)
+        assert np.array_equal(eq.flow.values, eq1.flow.values)
+        assert np.array_equal(eq.policy.actions, eq1.policy.actions)
+        assert np.array_equal(eq.values.values, eq1.values.values)
+        assert np.array_equal(eq.values.transitions, eq1.values.transitions)
+        assert (eq.values.low, eq.values.high) == (eq1.values.low, eq1.values.high)
+        assert eq.diagnostics == eq1.diagnostics
+        assert report == report1
+
     def test_memory_is_linear_in_steps(self):
         # one dense table of affine_mv at N=1000 takes 16 MB
         model = read_model_file("affine_mv")
