@@ -487,23 +487,20 @@ def transition_stack(model: GeneratorModel, strategy: StrategyTable) -> np.ndarr
     return transition_matrix(model, nodes, actions, grid.dt, grid_rate(model, grid))
 
 
-def propagate_flow(model: GeneratorModel, rho0, strategy: StrategyTable, *,
-                   transitions: np.ndarray | None = None) -> FlowCurve:
-    """Forward propagation nu_{k+1} = nu_k exp(dt * Q_{t_k}^{pi_k}) on the
-    strategy's grid.
+def propagate_flow(rho0, transitions: np.ndarray, grid: TimeGrid) -> FlowCurve:
+    """Forward propagation nu_{k+1} = nu_k transitions[k] of the initial law
+    on the grid, through a (grid.steps, m, m) stack such as transition_stack's.
 
-    `transitions` may carry a precomputed stack from transition_stack to
-    share the matrix exponentials across calls with the same strategy;
-    without it the stack is built here.  The loop only multiplies;
-    FlowCurve then tests the whole curve and names its first failing node.
+    A stack of another shape raises DimensionMismatch.  The loop only
+    multiplies; FlowCurve then tests the whole curve and names its first
+    failing node.
     """
-    grid = strategy.grid
     w = _as_weights(rho0)
-    if w.size != model.m:
-        raise DimensionMismatch("initial law dimension differs from model")
-    if transitions is None:
-        transitions = transition_stack(model, strategy)
-    values = np.empty((grid.steps + 1, model.m))
+    shape = (grid.steps, w.size, w.size)
+    if transitions.shape != shape:
+        raise DimensionMismatch(f"transition stack needs shape {shape} for the grid and "
+                                f"the initial law, got {transitions.shape}")
+    values = np.empty((grid.steps + 1, w.size))
     values[0] = w
     for k in range(grid.steps):
         np.matmul(values[k], transitions[k], out=values[k + 1])

@@ -135,7 +135,7 @@ def cmd_solve(args) -> int:
     # kappa3's probe pairs ride along in Picard's first backward sweep
     probes = draw_probes(gen, cost, grid, seed=0)
     eq = picard_solve(gen, cost, rho, grid, opts, probe_pairs=probes.pairs)
-    contraction = estimate_constants(gen, cost, grid, probes=probes, gaps=eq.probe_gaps)
+    contraction = estimate_constants(gen, cost, grid, probes, gaps=eq.probe_gaps)
     model_checks = validate_cost(gen, cost, grid)
     if model_checks:
         logger.warning("%d model check findings, the first: %s", len(model_checks),
@@ -203,6 +203,9 @@ def _iterations_still_needed(diagnostics, tol: float) -> str:
 
 
 def _load_equilibrium(eq_dir: Path):
+    """(gen, cost, eq) of a solve's output directory: its model, and its
+    policy with the one transition stack built for it and the flow that
+    stack propagates from the stored rho."""
     if not eq_dir.is_dir():
         raise ModelFileError("", f"equilibrium directory not found: {eq_dir}")
     model = read_model_file(eq_dir / "model.json")
@@ -243,24 +246,24 @@ def _load_equilibrium(eq_dir: Path):
     # the spike test and simulate's error both take the pair's own flow, so
     # it is re-propagated from the stored policy; flow.csv is never read
     transitions = transition_stack(gen, policy)
-    flow = propagate_flow(gen, rho, policy, transitions=transitions)
+    flow = propagate_flow(rho, transitions, grid)
     # verify and simulate read neither the solver's values nor its diagnostics
-    eq = Equilibrium(flow=flow, policy=policy, values=None, diagnostics=None)
-    return gen, cost, eq, transitions
+    eq = Equilibrium(flow=flow, policy=policy, transitions=transitions, values=None,
+                     diagnostics=None)
+    return gen, cost, eq
 
 
 def cmd_verify(args) -> int:
     try:
         tol = None if args.tol_spike == "auto" else float(args.tol_spike)
         check_sweep_options(args.action_samples, tol)
-        gen, cost, eq, transitions = _load_equilibrium(Path(args.eq))
+        gen, cost, eq = _load_equilibrium(Path(args.eq))
     except (MfeqError, ValueError, OSError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
     report = verify_local_optimality(eq, gen, cost,
-                                     action_samples=args.action_samples,
-                                     tol_spike=tol, transitions=transitions)
+                                     action_samples=args.action_samples, tol_spike=tol)
     out = Path(args.eq)
     nodes = eq.grid.nodes
     entries = report.entries
@@ -292,7 +295,7 @@ def cmd_simulate(args) -> int:
         check_inner_pairs(args.inner_pairs)
         if not (np.isfinite(args.err_bound) and args.err_bound >= 0.0):
             raise ValueError(f"error bound must be finite and nonnegative, got {args.err_bound}")
-        gen, cost, eq, transitions = _load_equilibrium(Path(args.eq))
+        gen, cost, eq = _load_equilibrium(Path(args.eq))
         spike = _parse_spike(args.spike, gen, eq.grid, eq.rho)
     except (MfeqError, ValueError, OSError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -302,7 +305,7 @@ def cmd_simulate(args) -> int:
     peers = []
     mean_emp = np.zeros_like(eq.flow.values)
     for rep in range(cfg.replications):
-        bundle = simulate(gen, eq.policy, eq.rho, cfg, replication=rep, transitions=transitions)
+        bundle = simulate(eq.transitions, eq.rho, cfg, replication=rep)
         emp = bundle.empirical_flow()
         peers.append(bundle.peer_flow())
         # only the flows outlive a replication, so at most one population's
@@ -314,7 +317,7 @@ def cmd_simulate(args) -> int:
     frac_ok = float(np.mean([e <= args.err_bound for e in errors]))
 
     dev = deviation_test(eq, gen, cost, spike=spike, cfg=cfg, peers=peers,
-                         inner_pairs=args.inner_pairs, transitions=transitions)
+                         inner_pairs=args.inner_pairs)
 
     out = Path(args.eq)
     _write_node_table(out / "empirical_flow.csv", "nuhat", eq.grid.nodes, mean_emp)
@@ -397,6 +400,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except MfeqError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:  # an array too large to allocate, such as 10^14 players
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
     finally:
         package_log.removeHandler(handler)

@@ -5,9 +5,10 @@ through the empirical measure inside the costs.  Within each grid cell the
 rates are frozen at the cell's start node (matching the solver's piecewise
 constant strategies), so a player's state at node k+1 given its state x at
 node k has law row x of the cell's transition exp(dt * Q_k).  Paths are
-sampled node to node from the rows of transition_stack, which is exact at
-the grid nodes; nothing between the nodes is simulated, since the empirical
-measures and path costs read only node states.
+sampled node to node from the rows of the strategy's transition stack, an
+equilibrium's transitions, which is exact at the grid nodes; nothing
+between the nodes is simulated, since the empirical measures and path
+costs read only node states.
 
 Each draw inverts a cumulative row with one uniform per path per cell.  The
 uniforms come from one counter-based Philox stream per (seed, replication,
@@ -24,11 +25,9 @@ import numpy as np
 from .chain import (
     GeneratorModel,
     ProbabilityVector,
-    StrategyTable,
     _as_weights,
     grid_rate,
     transition_matrix,
-    transition_stack,
 )
 from .errors import DimensionMismatch
 from .hj import CostModel
@@ -147,7 +146,7 @@ def _population(cum: np.ndarray, rho0, players: int, seed: int,
     """
     w = ProbabilityVector(_as_weights(rho0)).weights
     if w.size != cum.shape[-1]:
-        raise DimensionMismatch("initial law dimension differs from model")
+        raise DimensionMismatch("initial law dimension differs from the transition stack's")
     rng = _stream(seed, replication, _PEER_STREAM)
     # threshold columns j < m - 1, (steps, m-1, m); a one-state chain keeps
     # its column of 1.0, which no uniform reaches
@@ -166,18 +165,14 @@ def _population(cum: np.ndarray, rho0, players: int, seed: int,
     return PathBundle(paths.T, w.size)
 
 
-def simulate(gen: GeneratorModel, strategy: StrategyTable, rho0, cfg: SimConfig,
-             replication: int = 0, *, transitions: np.ndarray | None = None) -> PathBundle:
-    """Simulate cfg.players independent chains under a shared strategy, on
-    its grid.
+def simulate(transitions: np.ndarray, rho0, cfg: SimConfig,
+             replication: int = 0) -> PathBundle:
+    """Simulate cfg.players independent chains through a (steps, m, m)
+    transition stack, such as an equilibrium's transitions.
 
     Initial states are drawn i.i.d. from rho0; the bundle is a pure function
-    of (cfg.seed, replication, cfg.players).  `transitions` may carry the
-    strategy's stack from transition_stack, shared across replications;
-    without it the stack is built here.
+    of (cfg.seed, replication, cfg.players) and the stack.
     """
-    if transitions is None:
-        transitions = transition_stack(gen, strategy)
     return _population(_cumulative(transitions), rho0, cfg.players, cfg.seed, replication)
 
 
@@ -197,8 +192,7 @@ class DeviationEstimate:
 
 def deviation_test(eq: Equilibrium, gen: GeneratorModel, cost: CostModel,
                    spike: tuple[int, int, float], cfg: SimConfig, peers,
-                   inner_pairs: int = 200, *,
-                   transitions: np.ndarray | None = None) -> DeviationEstimate:
+                   inner_pairs: int = 200) -> DeviationEstimate:
     """Estimate the normalized one-cell spike gap for one player by Monte Carlo.
 
     spike = (node, state, action): all other players run the equilibrium
@@ -211,9 +205,9 @@ def deviation_test(eq: Equilibrium, gen: GeneratorModel, cost: CostModel,
     its spiked partner use the same uniform in every cell (common random
     numbers).  The confidence interval is taken over replication means, so
     peer-sampling variation is part of the interval.  For large populations
-    the estimate approaches the deterministic spike gap.  `transitions` may
-    carry the policy's stack from transition_stack; without it the stack is
-    built here.
+    the estimate approaches the deterministic spike gap.  The base paths
+    run through eq.transitions, the spiked ones through a copy whose spike
+    cell is replaced.
     """
     check_inner_pairs(inner_pairs)
     k0, state0, action = spike
@@ -231,12 +225,10 @@ def deviation_test(eq: Equilibrium, gen: GeneratorModel, cost: CostModel,
         raise DimensionMismatch(f"expected {cfg.replications} peer flows of shape "
                                 f"{(n + 1, gen.m)}, got an array of shape {peers.shape}")
 
-    if transitions is None:
-        transitions = transition_stack(gen, eq.policy)
-    spike_cells = transitions.copy()
+    spike_cells = eq.transitions.copy()
     spike_cells[k0] = transition_matrix(gen, t0, profile, dt, grid_rate(gen, grid))
     # index 0 is the base strategy, index 1 the spiked one
-    cum = _cumulative(np.stack([transitions, spike_cells]))
+    cum = _cumulative(np.stack([eq.transitions, spike_cells]))
     control = dt * np.stack([cost.control_profile_cost(nodes[k0:n], strategy.actions[k0:])
                              for strategy in (eq.policy, spiked)])
     side = np.arange(2)[:, None]

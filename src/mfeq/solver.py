@@ -26,6 +26,7 @@ from .chain import (
     admissible,
     interval_samples,
     propagate_flow,
+    transition_stack,
     validate_generator,
 )
 from .errors import DimensionMismatch
@@ -114,17 +115,22 @@ class Equilibrium:
 
     flow is the exact forward propagation of the initial law rho, its first
     row, under policy on its grid, so the fixed-point residual of a
-    converged result is the final reported gap.
+    converged result is the final reported gap.  transitions is policy's
+    (steps, m, m) stack at the grid's rate, equal to transition_stack(gen,
+    policy) bit for bit: the flow came through it, and verify and simulate
+    read it.
     values is the last backward sweep: the diagonal values.values, the range
     values.low .. values.high of the whole table and the policy's
-    transitions.  That sweep ran against the previous iterate's flow, so its
-    diagonal and flow agree only to the final gap.  probe_gaps are the table
-    distances of the probe pairs the first sweep carried, None without them.
-    An equilibrium read back from disk has neither values nor diagnostics.
+    transitions, the same array as transitions.  That sweep ran against the
+    previous iterate's flow, so its diagonal and flow agree only to the
+    final gap.  probe_gaps are the table distances of the probe pairs the
+    first sweep carried, None without them.  An equilibrium read back from
+    disk has neither values nor diagnostics.
     """
 
     flow: FlowCurve
     policy: StrategyTable
+    transitions: np.ndarray
     values: BackwardSweep | None
     diagnostics: IterationDiagnostics | None
     probe_gaps: np.ndarray | None = None
@@ -170,7 +176,7 @@ def picard_solve(gen: GeneratorModel, cost: CostModel, rho, grid: TimeGrid,
     opts = opts or SolverOptions()
     w = rho.weights if isinstance(rho, ProbabilityVector) else ProbabilityVector(rho).weights
     if initial_flow is None:
-        nu = propagate_flow(gen, w, myopic_strategy(gen, cost, grid))
+        nu = propagate_flow(w, transition_stack(gen, myopic_strategy(gen, cost, grid)), grid)
     else:
         if initial_flow.grid != grid:
             raise DimensionMismatch("initial flow grid differs from solve grid")
@@ -183,7 +189,7 @@ def picard_solve(gen: GeneratorModel, cost: CostModel, rho, grid: TimeGrid,
         else:
             values, policy = _first_sweep(gen, cost, nu, probe_pairs)
             probe_gaps = values.pair_gaps
-        nu_next = propagate_flow(gen, w, policy, transitions=values.transitions)
+        nu_next = propagate_flow(w, values.transitions, grid)
         gap = nu_next.sup_distance(nu)
         diag.gaps.append(gap)
         diag.iterations = n
@@ -196,8 +202,8 @@ def picard_solve(gen: GeneratorModel, cost: CostModel, rho, grid: TimeGrid,
     if not diag.converged:
         logger.warning("no convergence after %d iterations (last gap %.3e)",
                        diag.iterations, diag.gaps[-1])
-    return Equilibrium(flow=nu, policy=policy, values=values, diagnostics=diag,
-                       probe_gaps=probe_gaps)
+    return Equilibrium(flow=nu, policy=policy, transitions=values.transitions, values=values,
+                       diagnostics=diag, probe_gaps=probe_gaps)
 
 
 def _first_sweep(gen: GeneratorModel, cost: CostModel, nu: FlowCurve, pairs):
@@ -266,25 +272,23 @@ def draw_probes(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
 
 
 def estimate_constants(gen: GeneratorModel, cost: CostModel, grid: TimeGrid,
-                       samples: int = 6, seed: int = 0,
-                       probes: ContractionProbes | None = None,
+                       probes: ContractionProbes,
                        gaps: np.ndarray | None = None) -> ContractionReport:
     """Monte Carlo maximization of the three difference quotients.
 
     kappa1 from generator sampling, kappa2 from argmin profiles at perturbed
     continuation values, kappa3 from paired backward sweeps at perturbed flows.
-    Each is a sampled lower bound on the true constant.  kappa2 takes one
-    argmin call per sampled (t, h), covering every probe.
+    Each is a sampled lower bound on the true constant.  kappa1 takes
+    max(8, len(probes.points)) samples per interval, and kappa2 one argmin
+    call per sampled (t, h), covering every probe.
 
-    probes defaults to draw_probes(gen, cost, grid, samples, seed).  gaps,
-    when given, are the table distances of probes.pairs from a sweep already
-    run, picard_solve's probe_gaps; without them one lockstep sweep of all
-    the pairs (table_distances) computes them here.  Either way kappa3 is
-    the same bits.
+    probes are draw_probes' draws, which fix the sample count and seed.
+    gaps, when given, are the table distances of probes.pairs from a sweep
+    already run, picard_solve's probe_gaps; without them one lockstep sweep
+    of all the pairs (table_distances) computes them here.  Either way
+    kappa3 is the same bits.
     """
-    kappa1 = validate_generator(gen, grid, samples=max(8, samples))
-    if probes is None:
-        probes = draw_probes(gen, cost, grid, samples, seed)
+    kappa1 = validate_generator(gen, grid, samples=max(8, len(probes.points)))
 
     kappa2 = 0.0
     eps = np.array([1e-3, 1e-1])[:, None]

@@ -24,7 +24,6 @@ from .chain import (
     grid_rate,
     interval_samples,
     transition_matrix,
-    transition_stack,
 )
 from .errors import AdmissibilityError, NumericalError
 from .hj import CostModel
@@ -148,8 +147,7 @@ def _spikes(gen: GeneratorModel, grid: TimeGrid, action_samples: int):
 
 def verify_local_optimality(eq: Equilibrium, gen: GeneratorModel, cost: CostModel,
                             action_samples: int = 16,
-                            tol_spike: float | None = None, *,
-                            transitions: np.ndarray | None = None) -> SpikeReport:
+                            tol_spike: float | None = None) -> SpikeReport:
     """Spike sweep over all grid nodes and states.
 
     Samples action_samples admissible actions per (node, state) (evenly
@@ -161,20 +159,17 @@ def verify_local_optimality(eq: Equilibrium, gen: GeneratorModel, cost: CostMode
 
     Each gap is (spiked cost - policy cost) / dt, both costs evaluated from
     the spike's node against eq.flow: the tails run under the stored policy,
-    from one two-row backward sweep that serves every evaluation node, and
-    the spike cells' exponentials come from stacked transition_matrix calls
-    at the grid's rate over blocks of SPIKE_BLOCK spikes.  `transitions`
-    may carry the policy's stack from transition_stack; without it the
-    stack is built here.
+    through its stack eq.transitions, from one two-row backward sweep that
+    serves every evaluation node, and the spike cells' exponentials come
+    from stacked transition_matrix calls at the grid's rate over blocks of
+    SPIKE_BLOCK spikes.
     """
     check_sweep_options(action_samples, tol_spike)
     grid = eq.grid
     if tol_spike is None:
         tol_spike = 5.0 * grid.dt
     n, dt = grid.steps, grid.dt
-    nodes = grid.nodes
-    if transitions is None:
-        transitions = transition_stack(gen, eq.policy)
+    nodes, transitions = grid.nodes, eq.transitions
     policy_control = cost.control_profile_cost(nodes[:n], eq.policy.actions)
     base = cost.running_base(nodes[:, None], eq.flow.values)
     weight = np.asarray(cost.tau_weight(nodes[:n]), dtype=float)

@@ -17,12 +17,13 @@ from collections import namedtuple
 import numpy as np
 
 from mfeq.chain import (ACTION_ATOL, FlowCurve, ProbabilityVector, StrategyTable, admissible,
-                        clip_to_bounds, grid_rate, transition_matrix, transition_stack)
+                        clip_to_bounds, grid_rate, propagate_flow, transition_matrix,
+                        transition_stack)
 from mfeq.errors import AdmissibilityError, DimensionMismatch
 from mfeq.hj import EvaluationBasis
 from mfeq.models import ACTION_HI, ACTION_LO, label_means
 from mfeq.simulate import _PEER_STREAM, PathBundle, _cumulative, _inverse_cdf, _stream, simulate
-from mfeq.solver import value_bound
+from mfeq.solver import Equilibrium, value_bound
 from mfeq.verify import constant_spike_profile
 
 # one spike of the reference sweep, as verify's entries name their fields
@@ -501,11 +502,11 @@ def state_counts_loop(states, m):
     return np.stack([np.count_nonzero(paths == j, axis=1) for j in range(m)], axis=1)
 
 
-def peer_flows(gen, eq, cfg):
+def peer_flows(eq, cfg):
     """One leave-one-out peer flow per replication, each from the
     replication's own population, as `mfeq simulate` hands them to
     deviation_test."""
-    return [simulate(gen, eq.policy, eq.rho, cfg, replication=r).peer_flow()
+    return [simulate(eq.transitions, eq.rho, cfg, replication=r).peer_flow()
             for r in range(cfg.replications)]
 
 
@@ -527,6 +528,21 @@ def dirac(i: int, m: int) -> ProbabilityVector:
 def constant_strategy(grid, m: int, value: float = 0.0) -> StrategyTable:
     """The strategy that plays `value` at every state on every cell."""
     return StrategyTable(np.full((grid.steps, m), value), grid)
+
+
+def strategy_flow(gen, rho, strategy) -> FlowCurve:
+    """The flow of the law rho under a strategy on its grid, through the
+    strategy's transition stack."""
+    return propagate_flow(rho, transition_stack(gen, strategy), strategy.grid)
+
+
+def equilibrium_of(gen, rho, policy, values=None, diagnostics=None) -> Equilibrium:
+    """An equilibrium of the policy: its transition stack and the flow that
+    stack propagates from rho, as `mfeq verify` and `mfeq simulate` load
+    one."""
+    transitions = transition_stack(gen, policy)
+    return Equilibrium(flow=propagate_flow(rho, transitions, policy.grid), policy=policy,
+                       transitions=transitions, values=values, diagnostics=diagnostics)
 
 
 def constant_flow(rho, grid) -> FlowCurve:

@@ -17,7 +17,6 @@ from mfeq import (
     deviation_test,
     estimate_constants,
     picard_solve,
-    propagate_flow,
     simulate,
     solve_hj,
     verify_local_optimality,
@@ -25,7 +24,7 @@ from mfeq import (
 from mfeq.chain import transition_stack
 from mfeq.cli import main as cli_main
 from mfeq.modelfile import build_model, read_model_file
-from mfeq.solver import Equilibrium, SolverOptions
+from mfeq.solver import SolverOptions, draw_probes
 
 from instances import (
     random_affine_generator,
@@ -40,10 +39,12 @@ from oracles import (
     constant_strategy,
     dp_oracle,
     empirical_flow_error,
+    equilibrium_of,
     evaluate_cost,
     mean_variance_terminal,
     peer_flows,
     spike_gap,
+    strategy_flow,
 )
 
 BUILTINS = ["affine_mv", "affine_mv_gtilde", "dist_independent",
@@ -96,7 +97,7 @@ def test_c01_simplex_conservation():
         grid = TimeGrid(float(rng.uniform(0.2, 1.5)), steps)
         gen = random_affine_generator(rng, m)
         strat = random_strategy(rng, gen, grid)
-        flow = propagate_flow(gen, rng.dirichlet(np.ones(m)), strat)
+        flow = strategy_flow(gen, rng.dirichlet(np.ones(m)), strat)
         worst_drift = max(worst_drift,
                           float(np.abs(flow.values.sum(axis=1) - 1.0).max()))
         worst_neg = min(worst_neg, float(flow.values.min()))
@@ -117,7 +118,7 @@ def test_c02_forward_flow_oracle():
             gen = TabulatedGenerator(rates)
             strat = constant_strategy(grid, 2, 0.0)
             for rho in ([1.0, 0.0], [0.0, 1.0], [0.3, 0.7]):
-                flow = propagate_flow(gen, ProbabilityVector(rho), strat)
+                flow = strategy_flow(gen, ProbabilityVector(rho), strat)
                 for k in range(steps + 1):
                     exact = np.asarray(rho) @ two_state_transition(
                         a, b, grid.nodes[k])
@@ -191,7 +192,7 @@ def test_c05_time_consistent_reduction():
 def test_c06_contraction_and_uniqueness(equilibria_200):
     gen, cost, eq = equilibria_200["affine_mv"]
     grid = eq.grid
-    report = estimate_constants(gen, cost, grid, samples=6, seed=0)
+    report = estimate_constants(gen, cost, grid, draw_probes(gen, cost, grid, 6, 0))
     bound = report.product + 0.1
     ratios = [b / a for a, b in zip(eq.diagnostics.gaps, eq.diagnostics.gaps[1:])
               if a > 1e-13 and b > 1e-13]
@@ -244,8 +245,7 @@ def test_c08_spike_suite(equilibria_200):
     profile = eq.policy.actions[k0].copy()
     profile[i0] = bad_action
     policy = eq.policy.with_cell(k0, profile)
-    bad_eq = Equilibrium(flow=propagate_flow(gen, eq.rho, policy), policy=policy,
-                         values=eq.values, diagnostics=eq.diagnostics)
+    bad_eq = equilibrium_of(gen, eq.rho, policy, eq.values, eq.diagnostics)
     negative = verify_local_optimality(bad_eq, gen, cost, action_samples=16)
     ok = all_clean and len(negative.violations) >= 1
     detail = ", ".join(f"{n}: min gap {g:.1e}" for n, (v, g, t) in clean.items())
@@ -281,7 +281,7 @@ def test_c10_mean_field_limit(sim_equilibrium):
     frac_within = None
     for n_players in populations:
         errs = [empirical_flow_error(
-            simulate(gen, eq.policy, eq.rho, SimConfig(players=n_players, seed=101),
+            simulate(eq.transitions, eq.rho, SimConfig(players=n_players, seed=101),
                      replication=r),
             eq.flow)
             for r in range(reps)]
@@ -297,7 +297,7 @@ def test_c10_mean_field_limit(sim_equilibrium):
     det = spike_gap(eq, gen, cost, worst.node, worst.state, worst.action)
     cfg = SimConfig(players=10_000, seed=202, replications=5)
     est = deviation_test(eq, gen, cost, spike=(worst.node, worst.state, worst.action),
-                         cfg=cfg, peers=peer_flows(gen, eq, cfg), inner_pairs=400)
+                         cfg=cfg, peers=peer_flows(eq, cfg), inner_pairs=400)
     dev_ok = est.covers(det)
     ok = monotone and slope_ok and frac_within >= 0.95 and dev_ok
     criterion(10, "many-player limit: LLN rate and deviation-test agreement", ok,

@@ -27,7 +27,7 @@ from mfeq.modelfile import build_model
 from instances import (ramped_model, random_affine_generator, random_strategy,
                        two_state_transition)
 import oracles
-from oracles import constant_strategy, dirac, transition_loop, tv_distance
+from oracles import constant_strategy, dirac, strategy_flow, transition_loop, tv_distance
 
 TOL = 1e-12
 
@@ -468,15 +468,14 @@ class TestPropagateFlow:
         grid = TimeGrid(1.0, 5)
         gen = TabulatedGenerator(np.zeros((3, 3)))
         rho = ProbabilityVector([0.2, 0.5, 0.3])
-        flow = propagate_flow(gen, rho, constant_strategy(grid, 3, 0.0))
+        flow = strategy_flow(gen, rho, constant_strategy(grid, 3, 0.0))
         for k in range(6):
             np.testing.assert_allclose(flow.at(k), rho.weights, atol=1e-14)
 
     def test_symmetric_dirac_oracle(self):
         grid = TimeGrid(0.5, 100)
         gen = TabulatedGenerator([[-1.0, 1.0], [1.0, -1.0]])
-        flow = propagate_flow(gen, dirac(0, 2),
-                              constant_strategy(grid, 2, 0.0))
+        flow = strategy_flow(gen, dirac(0, 2), constant_strategy(grid, 2, 0.0))
         for k in (25, 50, 100):
             expected = two_state_transition(1.0, 1.0, grid.nodes[k])[0]
             np.testing.assert_allclose(flow.at(k), expected, atol=1e-8)
@@ -486,7 +485,7 @@ class TestPropagateFlow:
         grid = TimeGrid(1.0, 50)
         gen = random_affine_generator(rng, 5)
         strat = random_strategy(rng, gen, grid)
-        flow = propagate_flow(gen, rng.dirichlet(np.ones(5)), strat)
+        flow = strategy_flow(gen, rng.dirichlet(np.ones(5)), strat)
         sums = flow.values.sum(axis=1)
         assert np.abs(sums - 1.0).max() <= 1e-10
         assert flow.values.min() >= -1e-12
@@ -499,8 +498,9 @@ class TestPropagateFlow:
             gen = random_affine_generator(rng, m)
             strat = random_strategy(rng, gen, grid)
             rho, gamma = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(m))
-            f1 = propagate_flow(gen, rho, strat)
-            f2 = propagate_flow(gen, gamma, strat)
+            stack = transition_stack(gen, strat)
+            f1 = propagate_flow(rho, stack, grid)
+            f2 = propagate_flow(gamma, stack, grid)
             base = tv_distance(rho, gamma)
             for k in range(grid.steps + 1):
                 assert tv_distance(f1.at(k), f2.at(k)) <= base + 1e-12
@@ -518,8 +518,8 @@ class TestPropagateFlow:
             s1 = random_strategy(rng, gen, grid)
             s2 = random_strategy(rng, gen, grid)
             rho, gamma = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(m))
-            f1 = propagate_flow(gen, rho, s1)
-            f2 = propagate_flow(gen, gamma, s2)
+            f1 = strategy_flow(gen, rho, s1)
+            f2 = strategy_flow(gen, gamma, s2)
             base = tv_distance(rho, gamma)
             gaps = np.abs(s1.actions - s2.actions).max(axis=1)
             integral = np.concatenate([[0.0], np.cumsum(gaps) * grid.dt])
@@ -533,32 +533,21 @@ class TestPropagateFlow:
         gen = random_affine_generator(rng, 4)
         strat = constant_strategy(grid, 4, 0.1)
         rho = rng.dirichlet(np.ones(4))
-        flow = propagate_flow(gen, rho, strat)
+        flow = strategy_flow(gen, rho, strat)
         Q = gen.rate_matrix(0.0, np.full(4, 0.1))
         dense = rho @ expm(grid.horizon * Q)
         np.testing.assert_allclose(flow.at(grid.steps), dense, atol=1e-8)
 
-    def test_transition_stack_reuse(self):
-        rng = np.random.default_rng(6)
+    @pytest.mark.parametrize("steps, m", [(9, 3), (11, 3), (10, 2), (10, 4)])
+    def test_stack_must_fit_grid_and_law(self, steps, m):
+        # a stack one cell short or long, or of another state count than
+        # the law's, is refused rather than read in part
         grid = TimeGrid(0.5, 10)
-        gen = random_affine_generator(rng, 3)
-        strat = random_strategy(rng, gen, grid)
-        rho = rng.dirichlet(np.ones(3))
-        stack = transition_stack(gen, strat)
-        a = propagate_flow(gen, rho, strat)
-        b = propagate_flow(gen, rho, strat, transitions=stack)
-        np.testing.assert_array_equal(a.values, b.values)
-
-    def test_grid_is_the_strategys(self):
-        # the grid comes from the strategy alone: a fourth positional
-        # argument, as a grid once was, is refused rather than read as a stack
-        rng = np.random.default_rng(6)
-        grid = TimeGrid(0.5, 10)
-        gen = random_affine_generator(rng, 3)
-        strat = random_strategy(rng, gen, grid)
-        assert propagate_flow(gen, [0.2, 0.3, 0.5], strat).grid is grid
-        with pytest.raises(TypeError):
-            propagate_flow(gen, [0.2, 0.3, 0.5], strat, transition_stack(gen, strat))
+        stack = np.broadcast_to(np.eye(m), (steps, m, m))
+        with pytest.raises(DimensionMismatch, match=rf"\(10, 3, 3\).*\({steps}, {m}, {m}\)"):
+            propagate_flow([0.2, 0.3, 0.5], stack, grid)
+        assert propagate_flow([0.2, 0.3, 0.5], np.broadcast_to(np.eye(3), (10, 3, 3)),
+                              grid).grid is grid
 
     @pytest.mark.parametrize("k", [0, 4, 9])
     def test_non_finite_step_named(self, k):
@@ -571,7 +560,7 @@ class TestPropagateFlow:
         # FlowCurve names the node that cell k's step reaches
         with pytest.raises(NumericalError,
                            match=f"^non-finite mass at node {k + 1} of the flow$"):
-            propagate_flow(gen, [0.2, 0.3, 0.5], strat, transitions=stack)
+            propagate_flow([0.2, 0.3, 0.5], stack, grid)
 
     @pytest.mark.parametrize("k", [0, 4, 9])
     def test_negative_mass_step_named(self, k):
@@ -586,7 +575,7 @@ class TestPropagateFlow:
         stack[k + 1:, 0, 0] = np.nan
         with pytest.raises(NumericalError,
                            match=f"^negative mass -5.000e-01 at node {k + 1} of the flow$"):
-            propagate_flow(gen, [0.2, 0.3, 0.5], strat, transitions=stack)
+            propagate_flow([0.2, 0.3, 0.5], stack, grid)
 
 
 class TestTransitionStack:
@@ -620,8 +609,6 @@ class TestTransitionStack:
         actions[4, 0] = -0.9
         with pytest.raises(AdmissibilityError, match="node 4, state 0"):
             transition_stack(gen, StrategyTable(actions, grid))
-        with pytest.raises(AdmissibilityError, match="node 4, state 0"):
-            propagate_flow(gen, [0.5, 0.5], StrategyTable(actions, grid))
 
     def test_nan_bounds_admit_nothing(self):
         grid = TimeGrid(1.0, 3)

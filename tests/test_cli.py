@@ -132,10 +132,15 @@ def count_transition_stacks(monkeypatch) -> list:
         calls.append(args)
         return original(*args)
 
-    # the package's attributes `simulate` and `verify` are functions, not
-    # the modules
-    for module in ("mfeq.chain", "mfeq.simulate", "mfeq.verify", "mfeq.cli"):
-        monkeypatch.setattr(sys.modules[module], "transition_stack", counted)
+    # every module that holds the name, taken from sys.modules: the
+    # package's attributes `simulate` and `verify` are functions, not the
+    # modules
+    holders = [module for name, module in sys.modules.items()
+               if name.split(".")[0] == "mfeq"
+               and getattr(module, "transition_stack", None) is original]
+    assert {sys.modules["mfeq.chain"], sys.modules["mfeq.cli"]} <= set(holders)
+    for module in holders:
+        monkeypatch.setattr(module, "transition_stack", counted)
     return calls
 
 
@@ -204,6 +209,19 @@ def test_model_checks_record_validate_cost(tmp_path):
     grid = TimeGrid(model["horizon"], 30)
     assert meta["model_checks"] == validate_cost(*build_model(model, grid), grid)
     assert any("flow-Lipschitz bound K3=0.001 violated" == c for c in meta["model_checks"])
+
+
+def copy_with_first_action(solved_dir: Path, d: Path, state: int, action: float) -> Path:
+    """A copy d of an equilibrium directory whose policy plays the action at
+    node 0 in the 1-based state."""
+    import shutil
+    shutil.copytree(solved_dir, d)
+    lines = (d / "policy.csv").read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[state] = f"{action:.17g}"
+    lines[1] = ",".join(fields)
+    (d / "policy.csv").write_text("\n".join(lines) + "\n")
+    return d
 
 
 @pytest.fixture(scope="module")
@@ -603,16 +621,9 @@ class TestVerify:
     def test_policy_in_the_slack_above_its_interval(self, solved_dir, tmp_path):
         # state 2 at node 0 set to its interval's end 1 and to 1 + 5e-10,
         # inside the admissibility slack: both verify to the same violations
-        import shutil
         counts = []
         for action in (1.0, 1 + 5e-10):
-            d = tmp_path / f"{action!r}"
-            shutil.copytree(solved_dir, d)
-            lines = (d / "policy.csv").read_text().splitlines()
-            fields = lines[1].split(",")
-            fields[2] = f"{action:.17g}"
-            lines[1] = ",".join(fields)
-            (d / "policy.csv").write_text("\n".join(lines) + "\n")
+            d = copy_with_first_action(solved_dir, tmp_path / f"{action!r}", 2, action)
             assert run("verify", "--eq", str(d), "--action-samples", "8") == 3
             counts.append(len(json.loads((d / "spike_summary.json").read_text())["violations"]))
         assert counts[0] == counts[1] > 0
@@ -723,9 +734,46 @@ def test_loaded_initial_law_is_the_files(tmp_path):
     assert run("solve", "--model", "affine_mv", "--grid", "20", "--init-rho", "0.3,0.7",
                "--out", str(out)) == 0
     meta = json.loads((out / "equilibrium.json").read_text())
-    _, _, eq, _ = _load_equilibrium(out)
+    _, _, eq = _load_equilibrium(out)
     assert eq.rho.tolist() == meta["rho"]
     assert eq.grid is eq.flow.grid and eq.grid.steps == meta["grid"]["steps"] == 20
+
+
+@pytest.mark.parametrize("action", [None, 1 + 5e-10], ids=["solved", "slack"])
+def test_loaded_transitions_are_the_policys_stack(solved_dir, tmp_path, action):
+    # the one stack a loaded equilibrium carries is its policy's, also with
+    # state 2 at node 0 in the admissibility slack past its interval's end,
+    # and its flow comes through that stack
+    from mfeq.chain import propagate_flow, transition_stack
+    from mfeq.cli import _load_equilibrium
+    d = solved_dir if action is None else copy_with_first_action(
+        solved_dir, tmp_path / "slack", 2, action)
+    gen, _, eq = _load_equilibrium(d)
+    if action is not None:
+        assert eq.policy.actions[0, 1] == action
+    assert np.array_equal(eq.transitions, transition_stack(gen, eq.policy))
+    assert np.array_equal(eq.flow.values,
+                          propagate_flow(eq.rho, eq.transitions, eq.grid).values)
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--model", "affine_mv", "--grid", "100000000000000", "--out", "{tmp}/eq"),
+    ("verify", "--eq", "{eq}", "--action-samples", "100000000000000"),
+    ("simulate", "--eq", "{eq}", "--players", "100000000000000", "--seed", "1", "--reps", "1"),
+], ids=["solve", "verify", "simulate"])
+def test_too_large_an_allocation_is_one_line(solved_dir, tmp_path, capsys, argv):
+    # each command's first too-large array, of 10^14 entries or more, takes
+    # over 2^48 bytes, beyond the 2^47 that a Linux process maps by default,
+    # so it fails at once whatever the overcommit setting and touches no
+    # memory; the command prints one line, no traceback
+    import shutil
+    eq = tmp_path / "eq-copy"
+    shutil.copytree(solved_dir, eq)
+    argv = [a.format(tmp=tmp_path, eq=eq) for a in argv]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: not enough memory: Unable to allocate ") and \
+        err.count("\n") == 1, err
 
 
 class TestSimulate:

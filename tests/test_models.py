@@ -22,6 +22,7 @@ from mfeq import (
 from mfeq.chain import interval_samples
 from mfeq.modelfile import build_model, builtin_names, read_model_file
 from mfeq.models import label_means, make_tau_weight
+from mfeq.solver import draw_probes
 
 import oracles
 from instances import random_affine_generator, random_strategy
@@ -319,7 +320,8 @@ class TestClosedFormsAgainstScan:
         rho = ProbabilityVector.uniform(gen.m)
 
         def solve():
-            return picard_solve(gen, cost, rho, grid), estimate_constants(gen, cost, grid)
+            probes = draw_probes(gen, cost, grid)
+            return picard_solve(gen, cost, rho, grid), estimate_constants(gen, cost, grid, probes)
 
         eq, constants = solve()
         monkeypatch.setattr(SeparableCost, "argmin_profile", oracles.scan_argmin)
@@ -456,7 +458,7 @@ class TestArrayContract:
             spike = (20, 0, float(gen.action_bounds(grid.nodes[20])[0, 1]))
             cfg = SimConfig(players=300, seed=5, replications=3)
             estimate = deviation_test(eq, gen, cost, spike=spike, cfg=cfg,
-                                      peers=peer_flows(gen, eq, cfg), inner_pairs=40)
+                                      peers=peer_flows(eq, cfg), inner_pairs=40)
             return eq, report, estimate
 
         eq, report, estimate = run(gen, cost)

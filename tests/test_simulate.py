@@ -12,7 +12,6 @@ from mfeq import (
     TimeGrid,
     deviation_test,
     picard_solve,
-    propagate_flow,
     simulate,
     transition_stack,
 )
@@ -22,8 +21,8 @@ from mfeq.simulate import _cumulative, _population
 
 import oracles
 from instances import random_affine_generator, random_strategy, two_state_transition
-from oracles import (constant_flow, constant_strategy, dirac, empirical_flow_error, jump_simulate,
-                     peer_flows, spike_gap)
+from oracles import (constant_flow, constant_strategy, dirac, empirical_flow_error,
+                     equilibrium_of, jump_simulate, peer_flows, spike_gap, strategy_flow)
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +75,7 @@ class TestSimulate:
         gen = TabulatedGenerator(np.zeros((3, 3)))
         strat = constant_strategy(grid, 3, 0.0)
         rho = ProbabilityVector([0.2, 0.3, 0.5])
-        bundle = simulate(gen, strat, rho, SimConfig(players=500, seed=7))
+        bundle = simulate(transition_stack(gen, strat), rho, SimConfig(players=500, seed=7))
         for k in range(1, 6):
             np.testing.assert_array_equal(bundle.states[:, k], bundle.states[:, 0])
 
@@ -90,25 +89,31 @@ class TestSimulate:
         # vector that would put every player in state 0
         _, gen, strat, _ = symmetric_setup
         with pytest.raises(NumericalError, match=message):
-            simulate(gen, strat, rho, SimConfig(players=1000, seed=1, replications=1))
+            simulate(transition_stack(gen, strat), rho,
+                     SimConfig(players=1000, seed=1, replications=1))
+
+    def test_initial_law_must_fit_the_stack(self, symmetric_setup):
+        _, gen, strat, _ = symmetric_setup
+        with pytest.raises(DimensionMismatch, match="transition stack"):
+            simulate(transition_stack(gen, strat), [0.2, 0.3, 0.5], SimConfig(players=10, seed=1))
 
     def test_deterministic_given_seed(self, symmetric_setup):
         _, gen, strat, rho = symmetric_setup
         cfg = SimConfig(players=200, seed=123)
-        b1 = simulate(gen, strat, rho, cfg)
-        b2 = simulate(gen, strat, rho, cfg)
+        b1 = simulate(transition_stack(gen, strat), rho, cfg)
+        b2 = simulate(transition_stack(gen, strat), rho, cfg)
         np.testing.assert_array_equal(b1.states, b2.states)
 
     def test_different_replications_differ(self, symmetric_setup):
         _, gen, strat, rho = symmetric_setup
         cfg = SimConfig(players=200, seed=123)
-        b1 = simulate(gen, strat, rho, cfg, replication=0)
-        b2 = simulate(gen, strat, rho, cfg, replication=1)
+        b1 = simulate(transition_stack(gen, strat), rho, cfg, replication=0)
+        b2 = simulate(transition_stack(gen, strat), rho, cfg, replication=1)
         assert not np.array_equal(b1.states, b2.states)
 
     def test_closed_form_marginal(self, symmetric_setup):
         _, gen, strat, rho = symmetric_setup
-        bundle = simulate(gen, strat, rho, SimConfig(players=100_000, seed=9))
+        bundle = simulate(transition_stack(gen, strat), rho, SimConfig(players=100_000, seed=9))
         emp = bundle.empirical_flow()
         expected = two_state_transition(1.0, 1.0, 0.5)[0, 0]
         assert emp[10, 0] == pytest.approx(expected, abs=0.01)
@@ -120,9 +125,9 @@ class TestSimulate:
         gen, cost = build_model(model, grid)
         strat = constant_strategy(grid, 2, 0.2)
         rho = ProbabilityVector([0.6, 0.4])
-        flow = propagate_flow(gen, rho, strat)
+        flow = strategy_flow(gen, rho, strat)
         n_players = 20_000
-        bundle = simulate(gen, strat, rho, SimConfig(players=n_players, seed=21))
+        bundle = simulate(transition_stack(gen, strat), rho, SimConfig(players=n_players, seed=21))
         alpha = 0.01 / (grid.steps + 1)
         for k in range(grid.steps + 1):
             counts = np.bincount(bundle.states[:, k], minlength=2)
@@ -135,7 +140,7 @@ class TestSimulate:
         # two-sample chi-square per node against the per-player jump loop,
         # Bonferroni at 1%
         grid, gen, strat, rho = alternating_affine_mv
-        bundle = simulate(gen, strat, rho, SimConfig(players=20_000, seed=41))
+        bundle = simulate(transition_stack(gen, strat), rho, SimConfig(players=20_000, seed=41))
         oracle = jump_simulate(gen, strat, rho, players=10_000, seed=43)
         alpha = 0.01 / grid.steps
         for k in range(1, grid.steps + 1):
@@ -148,9 +153,9 @@ class TestSimulate:
         # the wrong cell changes these counts even where the marginals agree
         grid, gen, strat, rho = alternating_affine_mv
         n_players = 20_000
-        flow = propagate_flow(gen, rho, strat)
+        flow = strategy_flow(gen, rho, strat)
         P = transition_stack(gen, strat)
-        bundle = simulate(gen, strat, rho, SimConfig(players=n_players, seed=47))
+        bundle = simulate(P, rho, SimConfig(players=n_players, seed=47))
         alpha = 0.01 / grid.steps
         for k in range(grid.steps):
             pairs = 2 * bundle.states[:, k] + bundle.states[:, k + 1]
@@ -202,7 +207,7 @@ class TestVectorizedSampler:
 
     def test_empirical_flow_equals_per_node_counts(self, alternating_affine_mv):
         _, gen, strat, rho = alternating_affine_mv
-        bundle = simulate(gen, strat, rho, SimConfig(players=999, seed=3))
+        bundle = simulate(transition_stack(gen, strat), rho, SimConfig(players=999, seed=3))
         # a bundle whose states are C-ordered (players, steps+1), as the jump
         # oracle builds them, counts the same way
         jumps = jump_simulate(gen, strat, rho, players=300, seed=5)
@@ -221,8 +226,8 @@ class TestPopulationCounts:
         grid = TimeGrid(2.0, 20)
         gen = random_affine_generator(rng, m, grid=grid, time_varying=True)
         rho = ProbabilityVector(rng.dirichlet(np.ones(m)))
-        strat = random_strategy(rng, gen, grid)
-        return grid, simulate(gen, strat, rho, SimConfig(players=players, seed=13))
+        stack = transition_stack(gen, random_strategy(rng, gen, grid))
+        return grid, simulate(stack, rho, SimConfig(players=players, seed=13))
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_counts_equal_per_state_loop(self, m):
@@ -242,7 +247,7 @@ class TestPopulationCounts:
 
     def test_two_players_leave_one_peer(self, symmetric_setup):
         _, gen, strat, rho = symmetric_setup
-        bundle = simulate(gen, strat, rho, SimConfig(players=2, seed=3))
+        bundle = simulate(transition_stack(gen, strat), rho, SimConfig(players=2, seed=3))
         assert np.array_equal(bundle.peer_flow(), np.eye(2)[bundle.states[1]])
 
 
@@ -253,7 +258,7 @@ class TestEmpiricalMeasures:
         strat = constant_strategy(grid, 2, 0.0)
         rho = ProbabilityVector([0.5, 0.5])
         nu = constant_flow(rho.weights, grid)
-        bundle = simulate(gen, strat, rho, SimConfig(players=1000, seed=5))
+        bundle = simulate(transition_stack(gen, strat), rho, SimConfig(players=1000, seed=5))
         emp = bundle.empirical_flow()
         node_errors = np.abs(emp - nu.values).sum(axis=1)
         np.testing.assert_allclose(node_errors, node_errors[0])
@@ -261,12 +266,12 @@ class TestEmpiricalMeasures:
 
     def test_error_decays_with_population(self, symmetric_setup):
         _, gen, strat, rho = symmetric_setup
-        nu = propagate_flow(gen, rho, strat)
+        nu = strategy_flow(gen, rho, strat)
         errors = []
         for n_players in (100, 1000, 10_000):
             errs = [empirical_flow_error(
-                simulate(gen, strat, rho, SimConfig(players=n_players, seed=31),
-                         replication=r), nu)
+                simulate(transition_stack(gen, strat), rho,
+                         SimConfig(players=n_players, seed=31), replication=r), nu)
                 for r in range(5)]
             errors.append(np.mean(errs))
         assert errors[0] > errors[1] > errors[2]
@@ -283,7 +288,7 @@ class TestDeviationTest:
         # matches the full profile (affine_mv policies are state-constant)
         assert np.allclose(eq.policy.actions[k0], base_action)
         est = deviation_test(eq, gen, cost, spike=(k0, 0, base_action), cfg=cfg,
-                             peers=peer_flows(gen, eq, cfg), inner_pairs=20)
+                             peers=peer_flows(eq, cfg), inner_pairs=20)
         assert est.gap == 0.0
         assert est.ci_low == est.ci_high == 0.0
 
@@ -293,23 +298,20 @@ class TestDeviationTest:
         det = spike_gap(eq, gen, cost, k0, i0, u)
         cfg = SimConfig(players=4000, seed=29, replications=6)
         est = deviation_test(eq, gen, cost, spike=(k0, i0, u),
-                             cfg=cfg, peers=peer_flows(gen, eq, cfg), inner_pairs=300)
+                             cfg=cfg, peers=peer_flows(eq, cfg), inner_pairs=300)
         assert est.covers(det) or abs(est.gap - det) <= max(0.05, 3 * est.stderr)
 
     def test_adversarial_spike_on_corrupted_policy(self, solved_affine_mv):
         gen, cost, eq = solved_affine_mv
-        from mfeq.solver import Equilibrium
         k0, i0 = 10, 0
         good = float(eq.policy.actions[k0, i0])
         bad_profile = eq.policy.actions[k0].copy()
         bad_profile[:] = good + 0.6
         policy = eq.policy.with_cell(k0, bad_profile)
-        flow = propagate_flow(gen, eq.rho, policy)
-        bad_eq = Equilibrium(flow=flow, policy=policy, values=None,
-                             diagnostics=eq.diagnostics)
+        bad_eq = equilibrium_of(gen, eq.rho, policy, diagnostics=eq.diagnostics)
         cfg = SimConfig(players=4000, seed=37, replications=4)
         est = deviation_test(bad_eq, gen, cost, spike=(k0, i0, good),
-                             cfg=cfg, peers=peer_flows(gen, bad_eq, cfg), inner_pairs=300)
+                             cfg=cfg, peers=peer_flows(bad_eq, cfg), inner_pairs=300)
         # returning to the equilibrium action is significantly improving
         assert est.ci_high < 0.0
 
@@ -317,14 +319,14 @@ class TestDeviationTest:
         gen, cost, eq = solved_affine_mv
         cfg = SimConfig(players=2, seed=3, replications=2)
         est = deviation_test(eq, gen, cost, spike=(10, 0, 0.8), cfg=cfg,
-                             peers=peer_flows(gen, eq, cfg), inner_pairs=10)
+                             peers=peer_flows(eq, cfg), inner_pairs=10)
         assert est.pairs == 20
         assert np.isfinite(est.gap) and est.ci_low <= est.gap <= est.ci_high
 
     @pytest.mark.parametrize("reps", [2, 4])
     def test_one_peer_flow_per_replication(self, solved_affine_mv, reps):
         gen, cost, eq = solved_affine_mv
-        peers = peer_flows(gen, eq, SimConfig(players=10, seed=1, replications=3))
+        peers = peer_flows(eq, SimConfig(players=10, seed=1, replications=3))
         with pytest.raises(DimensionMismatch, match="peer flows"):
             deviation_test(eq, gen, cost, spike=(5, 0, 0.2),
                            cfg=SimConfig(players=10, seed=1, replications=reps),
@@ -336,10 +338,10 @@ class TestDeviationTest:
         cfg = SimConfig(players=10, seed=1, replications=2)
         with pytest.raises(ValueError, match="inner pairs"):
             deviation_test(eq, gen, cost, spike=(5, 0, 0.2), cfg=cfg,
-                           peers=peer_flows(gen, eq, cfg), inner_pairs=pairs)
+                           peers=peer_flows(eq, cfg), inner_pairs=pairs)
 
     def test_spike_must_fit(self, solved_affine_mv):
         gen, cost, eq = solved_affine_mv
         cfg = SimConfig(players=10, seed=1, replications=1)
         with pytest.raises(ValueError):
-            deviation_test(eq, gen, cost, (eq.grid.steps, 0, 0.0), cfg, peer_flows(gen, eq, cfg))
+            deviation_test(eq, gen, cost, (eq.grid.steps, 0, 0.0), cfg, peer_flows(eq, cfg))

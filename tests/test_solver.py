@@ -15,16 +15,16 @@ from mfeq import (
     TimeGrid,
     estimate_constants,
     picard_solve,
-    propagate_flow,
 )
 from mfeq import chain, hj, solver
 from mfeq.errors import AdmissibilityError
 from mfeq.modelfile import build_model, builtin_names, read_model_file
-from mfeq.solver import IterationDiagnostics, contraction_verdict, myopic_strategy
+from mfeq.solver import (IterationDiagnostics, contraction_verdict, draw_probes,
+                         myopic_strategy)
 
 import oracles
-from instances import OutsideArgmin, random_flow
-from oracles import constant_flow
+from instances import OutsideArgmin, ramped_model, random_flow, rounded_end_model
+from oracles import constant_flow, strategy_flow
 
 
 @pytest.fixture(scope="module")
@@ -83,14 +83,14 @@ class TestPicardSolve:
         assert eq.converged
         expected = myopic_strategy(gen, cost, grid)
         np.testing.assert_array_equal(eq.policy.actions, expected.actions)
-        ref = propagate_flow(gen, rho, expected)
+        ref = strategy_flow(gen, rho, expected)
         np.testing.assert_array_equal(eq.flow.values, ref.values)
         assert eq.values.low == eq.values.high == 0.0
 
     def test_contractive_gap_ratios(self, affine_mv):
         grid, gen, cost = affine_mv
         eq = picard_solve(gen, cost, ProbabilityVector.uniform(2), grid)
-        report = estimate_constants(gen, cost, grid, seed=0)
+        report = estimate_constants(gen, cost, grid, draw_probes(gen, cost, grid, seed=0))
         assert contraction_verdict(report, eq.diagnostics) == "contractive"
         for a, b in zip(eq.diagnostics.gaps, eq.diagnostics.gaps[1:]):
             if a > 1e-13 and b > 1e-13:
@@ -108,8 +108,20 @@ class TestPicardSolve:
         eq = picard_solve(gen, cost, ProbabilityVector.uniform(2), grid)
         assert eq.converged
         # the stored flow is the exact propagation of the stored policy
-        again = propagate_flow(gen, eq.rho, eq.policy)
+        again = strategy_flow(gen, eq.rho, eq.policy)
         assert eq.flow.sup_distance(again) == 0.0
+
+    @pytest.mark.parametrize("name", builtin_names() + ["ramped", "rounded-end"])
+    def test_transitions_are_the_last_sweeps(self, name):
+        # the equilibrium carries its policy's stack: the last sweep's array
+        # itself, the bits of transition_stack
+        model = {"ramped": ramped_model(40), "rounded-end": rounded_end_model()}.get(name)
+        model = model or read_model_file(name)
+        grid = TimeGrid(model["horizon"], 40)
+        gen, cost = build_model(model, grid)
+        eq = picard_solve(gen, cost, ProbabilityVector.uniform(gen.m), grid)
+        assert eq.transitions is eq.values.transitions
+        assert np.array_equal(eq.transitions, chain.transition_stack(gen, eq.policy))
 
     def test_initial_guess_independence(self, affine_mv):
         grid, gen, cost = affine_mv
@@ -166,7 +178,7 @@ class TestEstimateConstants:
         alpha = np.array([[-0.9, 0.5, 0.4], [0.3, -0.7, 0.4], [0.2, 0.6, -0.8]])
         gen = AffineQuadraticModel(alpha, np.zeros(3))
         cost = SeparableCost(3, terminal=("mean_variance", "g"))
-        report = estimate_constants(gen, cost, grid, samples=3, seed=0)
+        report = estimate_constants(gen, cost, grid, draw_probes(gen, cost, grid, 3, 0))
         assert report.kappa1 == 0.0
         assert report.product == 0.0
         eq = picard_solve(gen, cost, ProbabilityVector.uniform(3), grid)
@@ -176,14 +188,14 @@ class TestEstimateConstants:
         model = read_model_file("dist_independent")
         grid = TimeGrid(model["horizon"], 20)
         gen, cost = build_model(model, grid)
-        report = estimate_constants(gen, cost, grid, samples=3, seed=1)
+        report = estimate_constants(gen, cost, grid, draw_probes(gen, cost, grid, 3, 1))
         assert report.kappa3 == 0.0
         eq = picard_solve(gen, cost, ProbabilityVector.uniform(gen.m), grid)
         assert contraction_verdict(report, eq.diagnostics) == "contractive"
 
     def test_kappa2_matches_clip_map_constant(self, affine_mv):
         grid, gen, cost = affine_mv
-        report = estimate_constants(gen, cost, grid, samples=6, seed=2)
+        report = estimate_constants(gen, cost, grid, draw_probes(gen, cost, grid, 6, 2))
         # the clip argmin is Lipschitz with constant sum |beta| exactly, and
         # sign-pattern probing attains it when the stationary point is interior
         beta_l1 = float(np.abs(gen.coefficients_at(grid.nodes)[1]).sum(-1).max())
@@ -195,9 +207,9 @@ class TestEstimateConstants:
         model = read_model_file(name)
         grid = TimeGrid(model["horizon"], 40)
         gen, cost = build_model(model, grid)
-        factored = estimate_constants(gen, cost, grid, samples=3, seed=4)
+        factored = estimate_constants(gen, cost, grid, draw_probes(gen, cost, grid, 3, 4))
         monkeypatch.setattr(solver, "table_distances", oracles.dense_table_distances)
-        dense = estimate_constants(gen, cost, grid, samples=3, seed=4)
+        dense = estimate_constants(gen, cost, grid, draw_probes(gen, cost, grid, 3, 4))
         assert factored.kappa3 > 0.0
         assert factored.kappa3 == pytest.approx(dense.kappa3, rel=1e-12)
         assert (factored.kappa1, factored.kappa2) == (dense.kappa1, dense.kappa2)
@@ -205,14 +217,14 @@ class TestEstimateConstants:
     def test_kappa2_probe_batch_equals_single_calls(self, affine_mv, monkeypatch):
         # the same estimator with one argmin call per probe
         grid, gen, cost = affine_mv
-        batched = estimate_constants(gen, cost, grid, samples=4, seed=5)
+        batched = estimate_constants(gen, cost, grid, draw_probes(gen, cost, grid, 4, 5))
         single = type(cost).argmin_profile
 
         def one_row_at_a_time(self, gen, t, h):
             return np.array([single(self, gen, t, row) for row in h])
 
         monkeypatch.setattr(type(cost), "argmin_profile", one_row_at_a_time)
-        rows = estimate_constants(gen, cost, grid, samples=4, seed=5)
+        rows = estimate_constants(gen, cost, grid, draw_probes(gen, cost, grid, 4, 5))
         assert batched.kappa2 == rows.kappa2
 
     def test_kappa3_sweeps_cells_once_in_lockstep(self, monkeypatch):
@@ -228,7 +240,7 @@ class TestEstimateConstants:
             return chain._series(A, plan, out)
 
         monkeypatch.setattr(hj, "_series", counted)
-        estimate_constants(gen, cost, grid, seed=0)
+        estimate_constants(gen, cost, grid, draw_probes(gen, cost, grid, seed=0))
         assert batch_sizes == [12] * grid.steps
 
     @pytest.mark.parametrize("name", builtin_names())
@@ -247,12 +259,13 @@ class TestEstimateConstants:
             return _sweep(gen, cost, flows)
 
         monkeypatch.setattr(hj, "backward_columns", counted)
-        eq, report = picard_solve(gen, cost, rho, grid), estimate_constants(gen, cost, grid)
+        eq = picard_solve(gen, cost, rho, grid)
+        report = estimate_constants(gen, cost, grid, draw_probes(gen, cost, grid))
         assert sweeps == [1] * eq.diagnostics.iterations + [12]
         del sweeps[:]
-        probes = solver.draw_probes(gen, cost, grid)
+        probes = draw_probes(gen, cost, grid)
         eq1 = picard_solve(gen, cost, rho, grid, probe_pairs=probes.pairs)
-        report1 = estimate_constants(gen, cost, grid, probes=probes, gaps=eq1.probe_gaps)
+        report1 = estimate_constants(gen, cost, grid, probes, gaps=eq1.probe_gaps)
         assert sweeps == [13] + [1] * (eq1.diagnostics.iterations - 1)
         assert np.array_equal(eq.flow.values, eq1.flow.values)
         assert np.array_equal(eq.policy.actions, eq1.policy.actions)
@@ -269,7 +282,7 @@ class TestEstimateConstants:
         gen, cost = build_model(model, grid)
         tracemalloc.start()
         try:
-            estimate_constants(gen, cost, grid, samples=2, seed=0)
+            estimate_constants(gen, cost, grid, draw_probes(gen, cost, grid, 2, 0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -277,7 +290,7 @@ class TestEstimateConstants:
 
     def test_report_wording(self, affine_mv):
         grid, gen, cost = affine_mv
-        report = estimate_constants(gen, cost, grid, samples=2, seed=3)
+        report = estimate_constants(gen, cost, grid, draw_probes(gen, cost, grid, 2, 3))
         assert "lower bounds" in report.note
         assert report.kappa1 >= 0 and report.kappa2 >= 0 and report.kappa3 >= 0
 
@@ -312,7 +325,7 @@ class TestNodeRate:
             grid = TimeGrid(model["horizon"], 200)
             gen, cost = build_model(model, grid)
             eq = picard_solve(gen, cost, ProbabilityVector.uniform(gen.m), grid)
-            return eq, estimate_constants(gen, cost, grid, samples=4, seed=0)
+            return eq, estimate_constants(gen, cost, grid, draw_probes(gen, cost, grid, 4, 0))
 
         at_grid_rate = {name: solve(name) for name in builtin_names()}
 
