@@ -165,6 +165,7 @@ def cmd_solve(args) -> int:
             "iterations": eq.diagnostics.iterations,
             "gaps": eq.diagnostics.gaps,
             "ratio": eq.diagnostics.ratio if eq.diagnostics.ratios else None,
+            "mixed_steps": eq.diagnostics.mixed,
         },
         "value_bounds": {
             "low": eq.values.low,
@@ -192,9 +193,9 @@ def cmd_solve(args) -> int:
 
 
 def _iterations_still_needed(diagnostics, tol: float) -> str:
-    """What a stopped run's median gap ratio r implies: about
-    ceil(log(tol / gap) / log r) more iterations take the final gap below
-    tol.  Empty unless 0 < r < 1."""
+    """What a stopped run's median ratio r, the map's rate as its secant
+    quotients read it, implies: about ceil(log(tol / gap) / log r) more
+    plain iterations take the final gap below tol.  Empty unless 0 < r < 1."""
     ratio = diagnostics.ratio
     if not 0.0 < ratio < 1.0:
         return ""

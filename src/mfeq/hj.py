@@ -42,7 +42,8 @@ class CostModel(ABC):
     tau enters only through the scalar weight w, so the value table has
     rank two in the evaluation time (see EvaluationBasis).  Declared
     constants: K2 caps the distribution and terminal costs and K3 is their
-    Lipschitz constant in the flow argument (total variation).
+    Lipschitz constant in the flow argument (total variation); kappa2 is
+    the argmin's exact Lipschitz constant.
     control_profile_cost and argmin_profile take one profile or continuation
     vector (m,) or a (B, m) stack of them; control_profile_cost's t is one
     node time or an array of them over the stack's leading axes.
@@ -80,6 +81,12 @@ class CostModel(ABC):
         """Profile of minimizers of state i's control cost plus
         q_t^v(i, .) . h over its admissible interval, one per row of h; ties
         go to the smallest action."""
+
+    @abstractmethod
+    def kappa2(self, gen: GeneratorModel) -> float:
+        """The argmin's Lipschitz constant in h on gen: the least L with
+        |argmin_profile(t, h) - argmin_profile(t, h')| <= L |h - h'| in the
+        sup norm at every node time; inf where the argmin jumps."""
 
 
 class EvaluationBasis:

@@ -310,6 +310,21 @@ class SeparableCost(CostModel):
             return np.zeros_like(u)
         return 0.5 * u * u
 
+    def kappa2(self, gen: GeneratorModel) -> float:
+        """On an affine generator the largest |beta|_1 over its cells under
+        quadratic control, the clip map's constant, and under zero control
+        inf once any beta is nonzero, since the bang-bang argmin jumps;
+        0 on a tabulated one, whose only action is 0; inf on any other,
+        which has no closed form here."""
+        if isinstance(gen, TabulatedGenerator):
+            return 0.0
+        if not isinstance(gen, AffineQuadraticModel):
+            return float("inf")
+        beta_l1 = float(np.abs(gen._betas).sum(axis=1).max())
+        if self.control == "zero" and beta_l1 > 0.0:
+            return float("inf")
+        return beta_l1
+
     def argmin_profile(self, gen: GeneratorModel, t: float, h) -> np.ndarray:
         """Closed forms on the built-in generators; any other raises ModelDefect."""
         hv = np.asarray(h, dtype=float)

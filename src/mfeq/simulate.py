@@ -195,57 +195,64 @@ def deviation_test(eq: Equilibrium, gen: GeneratorModel, cost: CostModel,
                    inner_pairs: int = 200) -> DeviationEstimate:
     """Estimate the normalized one-cell spike gap for one player by Monte Carlo.
 
-    spike = (node, state, action): all other players run the equilibrium
-    policy from time 0; the focal player's chain is started at the spiked
-    node in the given state and costed against the peers' leave-one-out
+    spike = (node k0, state x, action): all other players run the
+    equilibrium policy from time 0; the focal player starts at node k0 in
+    state x, evaluated from t_{k0} against the peers' leave-one-out
     empirical measure.  `peers` holds that measure, one (steps+1, m) flow
     per replication: PathBundle.peer_flow of the replication's own
-    population, which the focal player joins in player 0's place.  The
-    focal player's paths come from their own stream, and each base path and
-    its spiked partner use the same uniform in every cell (common random
-    numbers).  The confidence interval is taken over replication means, so
-    peer-sampling variation is part of the interval.  For large populations
-    the estimate approaches the deterministic spike gap.  The base paths
-    run through eq.transitions, the spiked ones through a copy whose spike
-    cell is replaced.
+    population, which the focal player joins in player 0's place.
+
+    The spike changes only row x of cell k0, so the test conditions on that
+    cell exactly (stratified sampling): the gap is the control cost change
+    at x plus sum_y (P_spiked[x, y] - P[x, y]) T_y / dt, where T_y is the
+    mean cost from node k0+1 in state y under the policy, through
+    eq.transitions.  The running cost at k0 is the same on both sides and
+    cancels.  Each replication estimates every T_y from
+    max(1, inner_pairs // m) focal paths per state, drawn from the
+    replication's own focal stream, so no rare event decides the estimate.
+    The confidence interval is taken over replication means, so
+    peer-sampling variation is part of the interval; pairs reports
+    replications * inner_pairs.  For large populations the estimate
+    approaches the deterministic spike gap.
     """
     check_inner_pairs(inner_pairs)
     k0, state0, action = spike
     grid = eq.grid
-    n = grid.steps
+    n, m = grid.steps, gen.m
     if k0 >= n:
         raise ValueError("spike must fit between the node and the horizon")
     nodes = grid.nodes
     t0 = nodes[k0]
     profile = constant_spike_profile(gen, t0, action, state0)
-    spiked = eq.policy.with_cell(k0, profile)
     dt = grid.dt
     peers = np.asarray(peers, dtype=float)
-    if peers.shape != (cfg.replications, n + 1, gen.m):
+    if peers.shape != (cfg.replications, n + 1, m):
         raise DimensionMismatch(f"expected {cfg.replications} peer flows of shape "
-                                f"{(n + 1, gen.m)}, got an array of shape {peers.shape}")
+                                f"{(n + 1, m)}, got an array of shape {peers.shape}")
 
-    spike_cells = eq.transitions.copy()
-    spike_cells[k0] = transition_matrix(gen, t0, profile, dt, grid_rate(gen, grid))
-    # index 0 is the base strategy, index 1 the spiked one
-    cum = _cumulative(np.stack([eq.transitions, spike_cells]))
-    control = dt * np.stack([cost.control_profile_cost(nodes[k0:n], strategy.actions[k0:])
-                             for strategy in (eq.policy, spiked)])
-    side = np.arange(2)[:, None]
+    spiked_row = transition_matrix(gen, t0, profile, dt, grid_rate(gen, grid))[state0]
+    moved = (spiked_row - eq.transitions[k0, state0]) / dt
+    control = cost.control_profile_cost(t0, profile)[state0] \
+        - cost.control_profile_cost(t0, eq.policy.actions[k0])[state0]
+    cum = _cumulative(eq.transitions[k0 + 1:])
+    policy_control = dt * cost.control_profile_cost(nodes[k0 + 1:n], eq.policy.actions[k0 + 1:])
     weight = float(cost.tau_weight(t0))
+    per_state = max(1, inner_pairs // m)
+    start = np.repeat(np.arange(m), per_state)
 
     rep_means = np.empty(cfg.replications)
     for rep, peer in enumerate(peers):
-        running = dt * (weight * cost.running_base(nodes[k0:n, None], peer[k0:n]))
-        table = control + running
+        table = policy_control + dt * (weight * cost.running_base(nodes[k0 + 1:n, None],
+                                                                  peer[k0 + 1:n]))
         rng = _stream(cfg.seed, rep, _FOCAL_STREAM, 0)  # the one focal player's stream
-        x = np.full((2, inner_pairs), state0, dtype=np.int64)
-        total = np.zeros((2, inner_pairs))
-        for c in range(n - k0):
-            total += table[side, c, x]
-            x = _inverse_cdf(cum[side, k0 + c, x], rng.random(inner_pairs))
+        x = start
+        total = np.zeros(x.size)
+        for c in range(n - k0 - 1):
+            total += table[c, x]
+            x = _inverse_cdf(cum[c, x], rng.random(x.size))
         total += cost.terminal(peer[n])[x]
-        rep_means[rep] = ((total[1] - total[0]) / dt).mean()
+        tails = total.reshape(m, per_state).mean(axis=1)
+        rep_means[rep] = control + float(moved @ tails)
     gap = float(rep_means.mean())
     if cfg.replications > 1:
         stderr = float(rep_means.std(ddof=1) / np.sqrt(cfg.replications))

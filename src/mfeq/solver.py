@@ -7,7 +7,10 @@ backward system against the current flow, then propagate the initial law
 forward under the resulting policy.  Under the product condition
 kappa1 * kappa2 * kappa3 * horizon < 1 the map is a contraction and the
 iterates converge geometrically to the unique equilibrium; non-contractive
-inputs are not rejected, the loop simply reports what it observed.
+inputs are not rejected, the loop simply reports what it observed.  The
+next flow is Anderson's mix of the latest iterates where that is safe
+(Anderson, J. ACM 12(4), 1965; Walker & Ni, SIAM J. Numer. Anal. 49(4),
+2011), which cuts the sweeps a solve takes.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ from .hj import BackwardSweep, CostModel, solve_hj, table_distances
 
 logger = logging.getLogger(__name__)
 
+# Earlier iterates Anderson's mix fits the latest residual against.
+MIXING_DEPTH = 3
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -55,17 +61,22 @@ class SolverOptions:
 
 @dataclass
 class IterationDiagnostics:
+    """What a Picard run observed: the gap of each sweep, the secant
+    quotients of consecutive iterates and the count of mixed steps.
+
+    ratios[j] is |G(x_{i+1}) - G(x_i)| / |x_{i+1} - x_i| in sup-TV for
+    consecutive iterates x_i, x_{i+1} (the flows the sweeps ran against),
+    G the map from a flow to its policy's flow; a pair whose iterates
+    coincide gives none.  Under plain steps x_{i+1} = G(x_i), so each is the
+    gap ratio gaps[i+1] / gaps[i] bit for bit; a sampled lower bound on the
+    map's rate like kappa3, whether the steps were mixed or not.
+    """
+
     gaps: list[float] = field(default_factory=list)
+    ratios: list[float] = field(default_factory=list)
+    mixed: int = 0
     iterations: int = 0
     converged: bool = False
-
-    @property
-    def ratios(self) -> list[float]:
-        out = []
-        for a, b in zip(self.gaps, self.gaps[1:]):
-            if a > 1e-300:
-                out.append(b / a)
-        return out
 
     @property
     def ratio(self) -> float:
@@ -102,9 +113,9 @@ class ContractionReport:
 
 def contraction_verdict(report: ContractionReport, diagnostics: IterationDiagnostics) -> str:
     """"contractive" when the sampled product is below one and the run
-    agrees: it converged, and its median gap ratio (NaN with fewer than two
-    gaps) does not exceed the product, which under the product condition
-    bounds the Picard map's rate.  Otherwise "not-provably-contractive"."""
+    agrees: it converged, and its median secant ratio (NaN without one)
+    does not exceed the product, which under the product condition bounds
+    the Picard map's rate.  Otherwise "not-provably-contractive"."""
     evident = diagnostics.converged and not diagnostics.ratio > report.product
     return "contractive" if evident and report.product < 1.0 else "not-provably-contractive"
 
@@ -122,10 +133,12 @@ class Equilibrium:
     values is the last backward sweep: the diagonal values.values, the range
     values.low .. values.high of the whole table and the policy's
     transitions, the same array as transitions.  That sweep ran against the
-    previous iterate's flow, so its diagonal and flow agree only to the
-    final gap.  probe_gaps are the table distances of the probe pairs the
-    first sweep carried, None without them.  An equilibrium read back from
-    disk has neither values nor diagnostics.
+    last iterate, the flow the sweep before it propagated or Anderson's mix
+    of the latest ones, so its diagonal and flow agree only to the final
+    gap, the sup-TV distance of that iterate from flow.  probe_gaps are the
+    table distances of the probe pairs the first sweep carried, None
+    without them.  An equilibrium read back from disk has neither values
+    nor diagnostics.
     """
 
     flow: FlowCurve
@@ -158,7 +171,20 @@ def myopic_strategy(gen: GeneratorModel, cost: CostModel, grid: TimeGrid) -> Str
 def picard_solve(gen: GeneratorModel, cost: CostModel, rho, grid: TimeGrid,
                  opts: SolverOptions | None = None,
                  initial_flow: FlowCurve | None = None, probe_pairs=()) -> Equilibrium:
-    """Alternate backward solve and forward propagation to a fixed point.
+    """Alternate backward solve and forward propagation to a fixed point,
+    with safeguarded Anderson mixing over the flows.
+
+    Each sweep runs against a flow x_n and its policy propagates rho to
+    G(x_n); the gap is their sup-TV distance.  The next flow is G(x_n)
+    (a plain step) or Anderson's mix of the last MIXING_DEPTH + 1 pairs
+    (x, G(x)) (_mixed_flow), taken only where it has no negative entry.
+    The history is dropped whenever the gap grows, and a cost whose argmin
+    jumps (kappa2 infinite) is iterated plainly throughout, since mixing
+    can then select another equilibrium.  The returned flow is always
+    G(x_n) of the last sweep, the propagation of the returned policy, and
+    the last gap its distance from x_n.  Each iteration logs its gap, its
+    secant ratio and the step its flow came from: start, plain or mixed(k)
+    with k earlier iterates.
 
     The starting flow is generated by the myopic strategy unless an override
     is supplied (under contraction the choice is immaterial; outside it the
@@ -181,29 +207,75 @@ def picard_solve(gen: GeneratorModel, cost: CostModel, rho, grid: TimeGrid,
         if initial_flow.grid != grid:
             raise DimensionMismatch("initial flow grid differs from solve grid")
         nu = initial_flow
+    mixing = bool(np.isfinite(cost.kappa2(gen)))
     diag = IterationDiagnostics()
-    values = policy = probe_gaps = None
+    probe_gaps, step = None, "start"
+    history = []  # the latest pairs (x, G(x)), oldest first
     for n in range(1, opts.max_iterations + 1):
         if n > 1:
+            mixed = _mixed_flow(w, history) if mixing else None
+            diag.mixed += mixed is not None
+            nu, step = (nu_next, "plain") if mixed is None else \
+                (mixed, f"mixed({len(history) - 1})")
             values, policy = solve_hj(gen, cost, nu)
         else:
             values, policy = _first_sweep(gen, cost, nu, probe_pairs)
             probe_gaps = values.pair_gaps
         nu_next = propagate_flow(w, values.transitions, grid)
         gap = nu_next.sup_distance(nu)
+        ratio = float("nan")
+        if history:
+            x, image = history[-1]
+            distance = nu.sup_distance(x)
+            if distance > 1e-300:
+                ratio = nu_next.sup_distance(image) / distance
+                diag.ratios.append(ratio)
+            if gap > diag.gaps[-1]:
+                history = []
+        history = history[-MIXING_DEPTH:] + [(nu, nu_next)]
         diag.gaps.append(gap)
         diag.iterations = n
-        ratio = diag.gaps[-1] / diag.gaps[-2] if n > 1 and diag.gaps[-2] > 0 else float("nan")
-        logger.info("picard iteration=%d gap=%.6e ratio=%.4f", n, gap, ratio)
-        nu = nu_next
+        logger.info("picard iteration=%d gap=%.6e ratio=%.4f step=%s", n, gap, ratio, step)
         if gap < opts.tolerance:
             diag.converged = True
             break
     if not diag.converged:
         logger.warning("no convergence after %d iterations (last gap %.3e)",
                        diag.iterations, diag.gaps[-1])
-    return Equilibrium(flow=nu, policy=policy, transitions=values.transitions, values=values,
-                       diagnostics=diag, probe_gaps=probe_gaps)
+    return Equilibrium(flow=nu_next, policy=policy, transitions=values.transitions,
+                       values=values, diagnostics=diag, probe_gaps=probe_gaps)
+
+
+def _mixed_flow(w: np.ndarray, history) -> FlowCurve | None:
+    """Anderson's next flow from the pairs (x_j, G(x_j)) of history, the
+    last one current, or None where a plain step G(x_n) must do.
+
+    With residuals r_j = G(x_j) - x_j, the coefficients g minimize
+    |r_n - sum_j g_j (r_n - r_j)| in the Euclidean norm over every entry,
+    from the normal equations of the k x k Gram matrix, and the mix is
+    G(x_n) - sum_j g_j (G(x_n) - G(x_j)).  Its row 0 is pinned to w and
+    every other row renormalized; nothing is projected, so a mix with a
+    negative entry, a singular Gram matrix or a non-finite result gives
+    None, and so does a history of one pair.
+    """
+    if len(history) < 2:
+        return None
+    images = np.array([image.values for _, image in history])
+    residuals = images - np.array([x.values for x, _ in history])
+    k, grid = len(history) - 1, history[-1][1].grid
+    dR = (residuals[-1] - residuals[:-1]).reshape(k, -1)
+    with np.errstate(all="ignore"):
+        try:
+            g = np.linalg.solve(np.vecdot(dR[:, None], dR[None]),
+                                np.vecdot(dR, residuals[-1].ravel()))
+        except np.linalg.LinAlgError:
+            return None
+        mixed = images[-1] - np.tensordot(g, images[-1] - images[:-1], axes=1)
+        mixed /= mixed.sum(axis=1, keepdims=True)
+    mixed[0] = w
+    if not (np.isfinite(mixed).all() and mixed.min() >= 0.0):
+        return None
+    return FlowCurve(mixed, grid)
 
 
 def _first_sweep(gen: GeneratorModel, cost: CostModel, nu: FlowCurve, pairs):

@@ -20,10 +20,11 @@ from mfeq.chain import (ACTION_ATOL, FlowCurve, ProbabilityVector, StrategyTable
                         clip_to_bounds, grid_rate, propagate_flow, transition_matrix,
                         transition_stack)
 from mfeq.errors import AdmissibilityError, DimensionMismatch
-from mfeq.hj import EvaluationBasis
+from mfeq.hj import EvaluationBasis, solve_hj
 from mfeq.models import ACTION_HI, ACTION_LO, label_means
 from mfeq.simulate import _PEER_STREAM, PathBundle, _cumulative, _inverse_cdf, _stream, simulate
-from mfeq.solver import Equilibrium, value_bound
+from mfeq.solver import (Equilibrium, IterationDiagnostics, SolverOptions, myopic_strategy,
+                         value_bound)
 from mfeq.verify import constant_spike_profile
 
 # one spike of the reference sweep, as verify's entries name their fields
@@ -460,6 +461,35 @@ def solve_hj_loop(gen, cost, nu):
             actions[k] = profiles[0]
             transitions[k] = P[0]
     return diagonal, low, high, actions, transitions
+
+
+def plain_diagnostics(gaps, **fields) -> IterationDiagnostics:
+    """The diagnostics of a run of plain steps with these gaps: each ratio
+    is a gap over the one before it, as the secant quotient of consecutive
+    plain iterates is, bit for bit; a zero gap gives none after it."""
+    ratios = [b / a for a, b in zip(gaps, gaps[1:]) if a > 1e-300]
+    return IterationDiagnostics(gaps=list(gaps), ratios=ratios, **fields)
+
+
+def picard_loop(gen, cost, rho, grid, opts=None, initial_flow=None) -> Equilibrium:
+    """The plain Picard loop that picard_solve's mixing replaced: each sweep
+    runs against the flow the sweep before it propagated."""
+    opts = opts or SolverOptions()
+    w = rho.weights if isinstance(rho, ProbabilityVector) else ProbabilityVector(rho).weights
+    nu = initial_flow or propagate_flow(
+        w, transition_stack(gen, myopic_strategy(gen, cost, grid)), grid)
+    gaps = []
+    for _ in range(opts.max_iterations):
+        values, policy = solve_hj(gen, cost, nu)
+        nu_next = propagate_flow(w, values.transitions, grid)
+        gaps.append(nu_next.sup_distance(nu))
+        nu = nu_next
+        if gaps[-1] < opts.tolerance:
+            break
+    diagnostics = plain_diagnostics(gaps, iterations=len(gaps),
+                                    converged=gaps[-1] < opts.tolerance)
+    return Equilibrium(flow=nu, policy=policy, transitions=values.transitions, values=values,
+                       diagnostics=diagnostics)
 
 
 def table_distances_loop(gen, cost, pairs):

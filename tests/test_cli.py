@@ -255,6 +255,20 @@ class TestSolve:
         reloaded = np.loadtxt(solved_dir / "flow.csv", delimiter=",", skiprows=1)
         assert reloaded[0, 1] == val
 
+    def test_verbose_lines_name_each_step(self, tmp_path, capsys):
+        # each -v iteration line names the step its flow came from, and
+        # equilibrium.json counts the mixed ones
+        for model, expected in (("affine_mv", ["start", "plain", "mixed(1)", "mixed(2)"]),
+                                ("zero_cost", ["start"]),
+                                ("dist_independent", ["start", "plain"])):
+            out = tmp_path / model
+            assert run("-v", "solve", "--model", model, "--grid", "30", "--out", str(out)) == 0
+            steps = [line.rsplit(" step=", 1)[1] for line in capsys.readouterr().err.splitlines()
+                     if line.startswith("mfeq.solver INFO: picard iteration=")]
+            meta = json.loads((out / "equilibrium.json").read_text())["diagnostics"]
+            assert steps == expected
+            assert meta["mixed_steps"] == sum(step.startswith("mixed") for step in steps)
+
     def test_zero_cost_model_zero_theta(self, tmp_path):
         out = tmp_path / "zc"
         assert run("solve", "--model", "zero_cost", "--grid", "20",
@@ -389,16 +403,17 @@ class TestSolve:
         ([1e-2], ""),  # no ratio
     ])
     def test_not_converged_line_states_the_implied_iterations(self, gaps, note):
-        diagnostics = IterationDiagnostics(gaps=gaps, iterations=len(gaps))
+        diagnostics = oracles.plain_diagnostics(gaps, iterations=len(gaps))
         assert _iterations_still_needed(diagnostics, 1e-8) == note
 
     def test_not_converged_line_ends_with_the_estimate(self, tmp_path, capsys):
         out = tmp_path / "nc"
         assert run("solve", "--model", "affine_mv", "--grid", "20", "--max-iter", "3",
                    "--out", str(out)) == 2
-        diagnostics = IterationDiagnostics(**{
-            key: json.loads((out / "equilibrium.json").read_text())["diagnostics"][key]
-            for key in ("gaps", "iterations")})
+        # the median ratio stands for the run's ratios: the note reads only it
+        meta = json.loads((out / "equilibrium.json").read_text())["diagnostics"]
+        diagnostics = IterationDiagnostics(gaps=meta["gaps"], ratios=[meta["ratio"]],
+                                           iterations=meta["iterations"])
         note = _iterations_still_needed(diagnostics, 1e-8)
         assert note.startswith("; at gap ratio ")
         assert capsys.readouterr().out.endswith(f"-> not-provably-contractive{note}\n")
@@ -842,6 +857,26 @@ class TestSimulate:
         assert run("simulate", "--eq", str(edited), *sim) == 0
         for name in ("sim_report.json", "empirical_flow.csv"):
             assert (edited / name).read_bytes() == (intact / name).read_bytes()
+
+    @pytest.mark.parametrize("flags", [("--players", "10000"),
+                                       ("--players", "1000", "--inner-pairs", "50")])
+    def test_default_spike_interval_has_width(self, tmp_path, flags):
+        # the deviation test conditions on the spike cell, so its interval
+        # has width even where a spiked path rarely jumps in that cell:
+        # common random numbers gave [0.49995, 0.49995] at both sizes, 0.01004
+        # above the spike gap 0.48991.  Three replications give a loose
+        # interval: at 10,000 players [0.4864, 0.4880] misses the gap, by
+        # population noise (see CHANGES.md), while [0.4892, 0.5009] covers it
+        out = tmp_path / "eq"
+        assert run("solve", "--model", "affine_mv", "--grid", "100", "--out", str(out)) == 0
+        assert run("simulate", "--eq", str(out), "--seed", "1", "--reps", "3",
+                   "--err-bound", "0.5", *flags) == 0
+        dev = json.loads((out / "sim_report.json").read_text())["deviation_test"]
+        gen, cost, eq = cli._load_equilibrium(out)
+        assert (dev["spike_node"], dev["spike_state"], dev["spike_action"]) == (50, 1, 1.0)
+        gap = oracles.spike_gap(eq, gen, cost, 50, 0, 1.0)
+        assert dev["stderr"] > 1e-4 and dev["ci"][1] - dev["ci"][0] > 4e-4
+        assert abs(dev["gap"] - gap) < 0.01
 
     def test_error_bound_exit_code(self, solved_dir, tmp_path):
         import shutil

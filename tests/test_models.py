@@ -189,6 +189,62 @@ class TestAffineArgmin:
                                  oracles.clip_argmin(gen, t, h))
 
 
+class TestExactKappa2:
+    """SeparableCost.kappa2, the argmin's exact Lipschitz constant in h, which
+    decides whether picard_solve mixes."""
+
+    @pytest.mark.parametrize("name, kappa2", [
+        ("affine_mv", 0.8), ("affine_mv_gtilde", 0.8), ("dist_independent", 1.0),
+        ("time_consistent", 0.8), ("zero_cost", np.inf)])
+    def test_shipped_models(self, name, kappa2):
+        # |beta|_1 under quadratic control; zero_cost's bang-bang argmin jumps
+        model = read_model_file(name)
+        gen, cost = build_model(model, TimeGrid(model["horizon"], 10))
+        assert cost.kappa2(gen) == pytest.approx(kappa2, rel=1e-15)
+
+    def test_largest_beta_over_the_cells(self):
+        grid = TimeGrid(1.0, 3)
+        alpha = np.tile([[-1.0, 1.0], [1.0, -1.0]], (3, 1, 1))
+        gen = AffineQuadraticModel(alpha, [[0.1, -0.1], [0.3, -0.3], [0.2, -0.2]], grid=grid)
+        assert SeparableCost(2).kappa2(gen) == 0.6
+        assert SeparableCost(2, control="zero").kappa2(gen) == np.inf
+
+    @pytest.mark.parametrize("control", ["quadratic", "zero"])
+    def test_no_control_no_move(self, control):
+        # a zero beta, or a tabulated generator, leaves the action fixed
+        cost = SeparableCost(2, control=control)
+        assert cost.kappa2(AffineQuadraticModel([[-1.0, 1.0], [1.0, -1.0]], [0.0, 0.0])) == 0.0
+        assert cost.kappa2(TabulatedGenerator([[-1.0, 1.0], [1.0, -1.0]])) == 0.0
+
+    def test_other_generator_is_inf(self):
+        gen = _ContractGenerator(AffineQuadraticModel([[-1.0, 1.0], [1.0, -1.0]], [0.3, -0.3]))
+        assert SeparableCost(2).kappa2(gen) == np.inf
+
+    def test_sampled_kappa2_never_exceeds_it(self):
+        # estimate_constants' kappa2 is a sampled lower bound on the exact one
+        rng = np.random.default_rng(44)
+        cases = []
+        for name in builtin_names():
+            model = read_model_file(name)
+            grid = TimeGrid(model["horizon"], 30)
+            cases.append((grid, *build_model(model, grid)))
+        for k in range(12):
+            grid = TimeGrid(float(rng.uniform(0.3, 2.0)), 30)
+            m = int(rng.integers(2, 7))
+            gen = random_affine_generator(rng, m, grid=grid, time_varying=bool(k % 3 == 0))
+            control = "zero" if k % 4 == 0 else "quadratic"
+            cost = SeparableCost(m, running=("mean_square", float(rng.uniform(0.1, 5.0))),
+                                 control=control, horizon=grid.horizon)
+            cases.append((grid, gen, cost))
+        for grid, gen, cost in cases:
+            probes = draw_probes(gen, cost, grid, 6, int(rng.integers(100)))
+            sampled = estimate_constants(gen, cost, grid, probes).kappa2
+            exact = cost.kappa2(gen)
+            # a quotient over eps = 1e-3 carries roundoff of up to about
+            # 1e-12 of kappa2 (2.4e-12 seen on 40 random models)
+            assert sampled <= exact * (1.0 + 1e-9), (sampled, exact)
+
+
 class TestBatchedArgmin:
     """argmin_profile on a (B, m) stack equals one call per row, bit for bit."""
 
@@ -418,6 +474,9 @@ class _ContractCost(CostModel):
     def argmin_profile(self, gen, t, h):
         return self.base.argmin_profile(self.gen, t, h)
 
+    def kappa2(self, gen):
+        return self.base.kappa2(self.gen)
+
 
 class TestArrayContract:
     """The model ABCs are pure contracts: a pair that implements only their
@@ -426,7 +485,8 @@ class TestArrayContract:
     def test_abstract_methods_are_the_whole_contract(self):
         assert GeneratorModel.__abstractmethods__ == {"rate_matrix", "action_bounds"}
         assert CostModel.__abstractmethods__ == {
-            "tau_weight", "running_base", "terminal", "control_profile_cost", "argmin_profile"}
+            "tau_weight", "running_base", "terminal", "control_profile_cost", "argmin_profile",
+            "kappa2"}
         for abc in (GeneratorModel, CostModel):
             methods = {name for name, value in vars(abc).items()
                        if callable(value) and not name.startswith("_")}

@@ -301,6 +301,47 @@ class TestDeviationTest:
                              cfg=cfg, peers=peer_flows(eq, cfg), inner_pairs=300)
         assert est.covers(det) or abs(est.gap - det) <= max(0.05, 3 * est.stderr)
 
+    def test_exact_peers_give_the_spike_gap(self, solved_affine_mv):
+        # against the flow itself the conditional tails are the only Monte
+        # Carlo, and their mean is the trajectory cost the oracle takes
+        gen, cost, eq = solved_affine_mv
+        cfg = SimConfig(players=10, seed=3, replications=10)
+        peers = np.broadcast_to(eq.flow.values, (cfg.replications,) + eq.flow.values.shape)
+        for k0, i0, u in ((10, 0, 0.8), (10, 1, -0.9), (3, 0, -0.5)):
+            det = spike_gap(eq, gen, cost, k0, i0, u)
+            est = deviation_test(eq, gen, cost, spike=(k0, i0, u), cfg=cfg, peers=peers,
+                                 inner_pairs=2000)
+            assert est.stderr > 0.0 and abs(est.gap - det) <= 3.0 * est.stderr
+
+    def test_last_cell_spike_reads_the_terminal_cost(self, solved_affine_mv):
+        # from the last node the tails are the peers' terminal costs, with
+        # no path to sample: the exact flow gives the spike gap to roundoff
+        gen, cost, eq = solved_affine_mv
+        cfg = SimConfig(players=10, seed=3, replications=2)
+        peers = np.broadcast_to(eq.flow.values, (2,) + eq.flow.values.shape)
+        k0 = eq.grid.steps - 1
+        est = deviation_test(eq, gen, cost, spike=(k0, 1, 0.5), cfg=cfg, peers=peers,
+                             inner_pairs=3)
+        assert est.stderr == 0.0
+        assert est.gap == pytest.approx(spike_gap(eq, gen, cost, k0, 1, 0.5), abs=1e-12)
+
+    def test_both_spikes_of_c10s_tie_are_covered(self):
+        # c10 tests verify's worst spike; at N = 100 the two least gaps tie to
+        # 5.5e-15 (node 99, action 1/7, both states), and common random
+        # numbers covered only one of them.  The last cell's tails are
+        # terminal costs, so both estimates read the same peers
+        model = read_model_file("affine_mv")
+        grid = TimeGrid(model["horizon"], 100)
+        gen, cost = build_model(model, grid)
+        eq = picard_solve(gen, cost, ProbabilityVector.uniform(2), grid)
+        cfg = SimConfig(players=10_000, seed=202, replications=5)
+        peers = peer_flows(eq, cfg)
+        for state in (0, 1):
+            det = spike_gap(eq, gen, cost, 99, state, 1.0 / 7.0)
+            est = deviation_test(eq, gen, cost, spike=(99, state, 1.0 / 7.0), cfg=cfg,
+                                 peers=peers, inner_pairs=400)
+            assert est.stderr > 1e-5 and est.covers(det)
+
     def test_adversarial_spike_on_corrupted_policy(self, solved_affine_mv):
         gen, cost, eq = solved_affine_mv
         k0, i0 = 10, 0

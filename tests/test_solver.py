@@ -12,18 +12,20 @@ from mfeq import (
     ProbabilityVector,
     SeparableCost,
     SolverOptions,
+    StrategyTable,
     TimeGrid,
     estimate_constants,
     picard_solve,
 )
 from mfeq import chain, hj, solver
 from mfeq.errors import AdmissibilityError
-from mfeq.modelfile import build_model, builtin_names, read_model_file
+from mfeq.modelfile import build_model, builtin_names, read_model_file, validate_model
 from mfeq.solver import (IterationDiagnostics, contraction_verdict, draw_probes,
                          myopic_strategy)
 
 import oracles
-from instances import OutsideArgmin, ramped_model, random_flow, rounded_end_model
+from instances import (OutsideArgmin, random_affine_generator, ramped_model, random_flow,
+                       rounded_end_model, tabulated_model)
 from oracles import constant_flow, strategy_flow
 
 
@@ -152,14 +154,14 @@ class TestPicardSolve:
         # count gaps give count - 1 ratios: odd and even counts of both
         rng = np.random.default_rng(count)
         gaps = [float(g) for g in np.exp(np.cumsum(rng.normal(-0.1, 0.7, count)))]
-        diagnostics = IterationDiagnostics(gaps=gaps, iterations=count)
+        diagnostics = oracles.plain_diagnostics(gaps, iterations=count)
         assert len(diagnostics.ratios) == count - 1
         assert type(diagnostics.ratio) is float
         assert diagnostics.ratio == float(np.median(diagnostics.ratios))
 
     def test_diagnostics_ratio_without_ratios_is_nan(self):
         for gaps in ([], [0.3], [0.0, 0.2]):
-            assert np.isnan(IterationDiagnostics(gaps=gaps).ratio)
+            assert np.isnan(oracles.plain_diagnostics(gaps).ratio)
 
     def test_inadmissible_argmin_is_rejected(self):
         # the forward propagation reuses the sweep's transitions, so the
@@ -170,6 +172,187 @@ class TestPicardSolve:
         with pytest.raises(AdmissibilityError):
             picard_solve(gen, cost, ProbabilityVector.uniform(2), grid,
                          initial_flow=constant_flow([0.5, 0.5], grid))
+
+
+def same_run(eq, ref) -> bool:
+    """Two solves with the same bits in every output and diagnostic."""
+    return (np.array_equal(eq.flow.values, ref.flow.values)
+            and np.array_equal(eq.policy.actions, ref.policy.actions)
+            and np.array_equal(eq.transitions, ref.transitions)
+            and np.array_equal(eq.values.values, ref.values.values)
+            and (eq.values.low, eq.values.high) == (ref.values.low, ref.values.high)
+            and eq.diagnostics == ref.diagnostics)
+
+
+def scale50_model() -> dict:
+    """affine_mv_gtilde with running scale 50 over horizon 3: plain Picard
+    contracts at about 0.92 per sweep from the initial law [0.1, 0.9]."""
+    model = read_model_file("affine_mv_gtilde")
+    model["cost"]["running"]["scale"] = 50
+    model["horizon"] = 3
+    return model
+
+
+def campaign_model(rng):
+    """A random affine model with a distribution-dependent cost whose scale
+    spans 0.05 to 20, under quadratic control or, one time in four, zero
+    control, and a random initial law."""
+    m = int(rng.integers(2, 5))
+    grid = TimeGrid(float(rng.uniform(0.3, 3.0)), int(rng.integers(25, 101)))
+    gen = random_affine_generator(rng, m, grid=grid, time_varying=bool(rng.random() < 0.25))
+    control = "zero" if rng.random() < 0.25 else "quadratic"
+    scale = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
+    terminal = ("mean_variance", ["g", "gtilde"][rng.integers(2)])
+    cost = SeparableCost(m, running=("mean_square", scale), control=control,
+                         terminal=terminal, horizon=grid.horizon)
+    return grid, gen, cost, ProbabilityVector(rng.dirichlet(np.ones(m)))
+
+
+class TestAndersonMixing:
+    """picard_solve's safeguarded Anderson mixing against the plain loop it
+    replaced (oracles.picard_loop)."""
+
+    @pytest.mark.parametrize("name", ["dist_independent", "time_consistent", "zero_cost",
+                                      "rounded-end", "tabulated"])
+    def test_runs_without_a_mixed_step_are_the_plain_loop(self, name):
+        # a flow-independent policy converges at the second sweep, and a
+        # jumping argmin (zero control) is never mixed
+        model = {"rounded-end": rounded_end_model(),
+                 "tabulated": validate_model(tabulated_model())}.get(name)
+        model = model or read_model_file(name)
+        grid = TimeGrid(model["horizon"], 60)
+        gen, cost = build_model(model, grid)
+        rho = ProbabilityVector.uniform(gen.m)
+        eq = picard_solve(gen, cost, rho, grid)
+        assert eq.diagnostics.mixed == 0
+        assert same_run(eq, oracles.picard_loop(gen, cost, rho, grid))
+
+    def test_an_infinite_kappa2_turns_mixing_off(self, affine_mv, monkeypatch):
+        grid, gen, cost = affine_mv
+        rho = ProbabilityVector.uniform(2)
+        mixed = picard_solve(gen, cost, rho, grid)
+        monkeypatch.setattr(SeparableCost, "kappa2", lambda self, gen: float("inf"))
+        plain = picard_solve(gen, cost, rho, grid)
+        assert same_run(plain, oracles.picard_loop(gen, cost, rho, grid))
+        assert (plain.diagnostics.iterations, mixed.diagnostics.iterations) == (6, 4)
+        assert plain.diagnostics.mixed == 0 < mixed.diagnostics.mixed
+
+    @pytest.mark.parametrize("steps", [100, 800])
+    def test_affine_mv_in_four_sweeps(self, steps):
+        model = read_model_file("affine_mv")
+        grid = TimeGrid(model["horizon"], steps)
+        gen, cost = build_model(model, grid)
+        rho = ProbabilityVector.uniform(2)
+        eq = picard_solve(gen, cost, rho, grid)
+        plain = oracles.picard_loop(gen, cost, rho, grid)
+        assert eq.converged and eq.diagnostics.iterations == 4 and eq.diagnostics.mixed == 2
+        assert plain.diagnostics.iterations == 6
+        assert eq.flow.sup_distance(plain.flow) <= 1e-9
+        # the secant quotients still read the map's rate, as plain's gap ratios do
+        assert eq.diagnostics.ratio == pytest.approx(plain.diagnostics.ratio, rel=1e-4)
+
+    def test_the_gap_is_the_last_sweeps_flow_to_the_returned_one(self, monkeypatch):
+        # every swept flow starts at rho; the returned flow is the last
+        # sweep's policy's, propagated, and the last gap its distance from
+        # the flow that sweep ran against
+        model = scale50_model()
+        grid = TimeGrid(model["horizon"], 100)
+        gen, cost = build_model(model, grid)
+        rho = ProbabilityVector([0.1, 0.9])
+        swept = []
+
+        def recording(gen, cost, nu, pairs=(), _solve=solver.solve_hj):
+            swept.append(nu)
+            return _solve(gen, cost, nu, pairs)
+
+        monkeypatch.setattr(solver, "solve_hj", recording)
+        eq = picard_solve(gen, cost, rho, grid, SolverOptions(max_iterations=400))
+        assert eq.converged and eq.diagnostics.mixed > 0
+        assert len(swept) == eq.diagnostics.iterations
+        assert all(np.array_equal(nu.values[0], rho.weights) for nu in swept)
+        assert eq.diagnostics.gaps[-1] == eq.flow.sup_distance(swept[-1])
+        again = oracles.strategy_flow(gen, rho, eq.policy)
+        assert np.array_equal(eq.flow.values, again.values)
+
+    def test_history_drops_when_the_gap_grows(self, caplog):
+        # the step after a growing gap is plain; each mixed step fits at
+        # most MIXING_DEPTH earlier iterates, and their count is recorded
+        model = scale50_model()
+        grid = TimeGrid(model["horizon"], 100)
+        gen, cost = build_model(model, grid)
+        with caplog.at_level("INFO", logger="mfeq.solver"):
+            eq = picard_solve(gen, cost, ProbabilityVector([0.1, 0.9]), grid)
+        steps = [r.getMessage().rsplit("step=", 1)[1] for r in caplog.records
+                 if r.getMessage().startswith("picard iteration=")]
+        gaps = eq.diagnostics.gaps
+        assert steps[0] == "start" and len(steps) == len(gaps)
+        grew = [n for n in range(1, len(gaps) - 1) if gaps[n] > gaps[n - 1]]
+        assert grew and all(steps[n + 1] == "plain" for n in grew)
+        assert set(steps[1:]) <= {"plain"} | {f"mixed({k})" for k in
+                                              range(1, solver.MIXING_DEPTH + 1)}
+        assert eq.diagnostics.mixed == sum(step.startswith("mixed") for step in steps)
+
+    def test_scale50_case_in_at_most_twenty_sweeps(self):
+        # plain Picard takes 192 sweeps here
+        model = scale50_model()
+        grid = TimeGrid(model["horizon"], 800)
+        gen, cost = build_model(model, grid)
+        eq = picard_solve(gen, cost, ProbabilityVector([0.1, 0.9]), grid)
+        assert eq.converged and eq.diagnostics.iterations <= 20
+
+    def test_mixed_flow_safeguards(self, affine_mv):
+        # one pair, a singular fit or a negative entry give no mixed flow
+        grid, gen, cost = affine_mv
+        w = np.array([0.5, 0.5])
+        a = oracles.constant_flow(w, grid)
+        b = oracles.constant_flow([0.3, 0.7], grid)
+        c = oracles.constant_flow([0.9, 0.1], grid)
+        assert solver._mixed_flow(w, [(a, b)]) is None
+        assert solver._mixed_flow(w, [(a, b), (a, b)]) is None
+        # residuals 0.4 at x = 0.5 and 0.35 at x = 0.6 extrapolate to 1.3 in
+        # state 1, so state 2 goes negative
+        far = [(a, c), (oracles.constant_flow([0.6, 0.4], grid),
+                        oracles.constant_flow([0.95, 0.05], grid))]
+        assert solver._mixed_flow(w, far) is None
+        mixed = solver._mixed_flow(w, [(a, b), (b, c)])
+        assert np.array_equal(mixed.values[0], w)
+        assert np.allclose(mixed.values.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+    def test_random_campaign(self, capsys):
+        # where plain Picard from the myopic, all-lo and all-hi flows finds
+        # one equilibrium, the mixed result lies within twice the larger
+        # a-posteriori distance gap r / (1 - r) of the two runs from plain's,
+        # r plain's last gap ratio; a jumping argmin's run is plain's
+        rng = np.random.default_rng(31)
+        sweeps, unmixed = {"plain": 0, "mixed": 0}, []
+        for _ in range(40):
+            grid, gen, cost, rho = campaign_model(rng)
+            plain = oracles.picard_loop(gen, cost, rho, grid)
+            eq = picard_solve(gen, cost, rho, grid)
+            sweeps["plain"] += plain.diagnostics.iterations
+            sweeps["mixed"] += eq.diagnostics.iterations
+            assert plain.converged and eq.converged
+            if not np.isfinite(cost.kappa2(gen)):
+                assert same_run(eq, plain)
+                unmixed.append(eq.diagnostics.iterations)
+                continue
+            bounds = gen.action_bounds(grid.nodes[:-1])
+            starts = [oracles.strategy_flow(gen, rho, StrategyTable(bounds[..., e], grid))
+                      for e in (0, 1)]
+            others = [oracles.picard_loop(gen, cost, rho, grid, SolverOptions(1e-4), nu)
+                      for nu in starts]
+            if max(plain.flow.sup_distance(other.flow) for other in others) > 1e-3:
+                continue  # more than one equilibrium: the starts select
+            gaps = plain.diagnostics.gaps
+            r = gaps[-1] / gaps[-2] if len(gaps) > 1 and gaps[-2] > 0 else 0.0
+            assert r < 1.0
+            reach = max(gaps[-1], eq.diagnostics.gaps[-1]) * r / (1.0 - r)
+            assert eq.flow.sup_distance(plain.flow) <= 2.0 * reach
+        with capsys.disabled():
+            print(f"\nrandom campaign, 40 models: {sweeps['plain']} plain sweeps, "
+                  f"{sweeps['mixed']} mixed")
+        assert sweeps["mixed"] < 0.8 * sweeps["plain"]
+        assert max(unmixed) > 2  # zero control models that iterate, plainly
 
 
 class TestEstimateConstants:
@@ -306,7 +489,7 @@ class TestContractionVerdict:
         ([1e-2, 5e-3, 2.5e-3, 1e-9], True, "not-provably-contractive"),  # median ratio 0.5
     ])
     def test_reads_the_run(self, gaps, converged, verdict):
-        diagnostics = IterationDiagnostics(gaps=gaps, iterations=len(gaps), converged=converged)
+        diagnostics = oracles.plain_diagnostics(gaps, iterations=len(gaps), converged=converged)
         assert contraction_verdict(self.REPORT, diagnostics) == verdict
 
     def test_product_of_one_is_not_contractive(self):

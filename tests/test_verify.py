@@ -227,6 +227,9 @@ class NanDiagonalCost(CostModel):
     def argmin_profile(self, gen, t, h):
         return self.base.argmin_profile(gen, t, h)
 
+    def kappa2(self, gen):
+        return self.base.kappa2(gen)
+
 
 class TestTailValues:
     """The two-row tail sweep against the row-per-evaluation-node loop it
